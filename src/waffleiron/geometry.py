@@ -27,11 +27,6 @@ IGNORE_LABEL = 255
 # Low-level per-point feature layouts: column order for each mode.
 FEATURE_DIMS = {"3dim": 3, "5dim": 5}
 
-# Below this many valid points the k-NN grid acceleration is not worth it.
-_BRUTE_FORCE_MAX = 2000
-
-_CHUNK = 512
-
 
 def point_features(positions: np.ndarray, intensity: np.ndarray, mode: str) -> np.ndarray:
     """Build the low-level feature matrix for one cloud.
@@ -214,8 +209,7 @@ def knn(pc: PointCloud, k: int) -> np.ndarray:
 
     Returns an N x k integer array. Ties break toward the smaller point
     index; when fewer than k candidates exist the farthest found neighbor is
-    repeated (a lone point lists itself). Uses a uniform-grid search above
-    ``_BRUTE_FORCE_MAX`` valid points, brute force below.
+    repeated (a lone point lists itself).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -223,124 +217,9 @@ def knn(pc: PointCloud, k: int) -> np.ndarray:
     if cand.size == 0:
         raise ValueError("empty cloud")
     pts = pc.positions.astype(np.float64)
-    out = np.empty((pc.n_points, k), dtype=np.int64)
-    if cand.size <= _BRUTE_FORCE_MAX:
-        _knn_brute(pts, cand, np.arange(pc.n_points), k, out)
-        return out
-    queries_valid = cand
-    queries_pad = np.flatnonzero(~pc.valid)
-    _knn_grid(pts, cand, queries_valid, k, out)
-    if queries_pad.size:
-        _knn_brute(pts, cand, queries_pad, k, out)
-    return out
-
-
-def _fill_row(cand_idx: np.ndarray, d2: np.ndarray, query: int, k: int) -> np.ndarray:
-    """Sort candidates by (distance, index), drop the query, pad to k."""
-    order = np.lexsort((cand_idx, d2))
-    ranked = cand_idx[order]
-    ranked = ranked[ranked != query]
-    if ranked.size == 0:
-        return np.full(k, query, dtype=np.int64)
-    if ranked.size >= k:
-        return ranked[:k]
-    return np.concatenate([ranked, np.full(k - ranked.size, ranked[-1], dtype=np.int64)])
-
-
-def _knn_brute(pts, cand, queries, k, out):
-    cpts = pts[cand]
-    for start in range(0, queries.size, _CHUNK):
-        rows = queries[start : start + _CHUNK]
-        diff = pts[rows][:, None, :] - cpts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        # stable sort on distance keeps ascending candidate index on ties
-        is_self = cand[None, :] == rows[:, None]
-        d2[is_self] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        avail = cand.size - is_self.sum(axis=1)
-        take = min(k, cand.size)
-        nbr = cand[order[:, :take]]
-        for r, row in enumerate(rows):
-            c = int(avail[r])
-            if c >= k:
-                out[row] = nbr[r, :k]
-            elif c == 0:
-                out[row] = row
-            else:
-                got = cand[order[r, :c]]
-                out[row, :c] = got
-                out[row, c:] = got[-1]
-
-
-def _knn_grid(pts, cand, queries, k, out):
-    """Exact search over a uniform spatial hash of the valid points.
-
-    Cells are searched in expanding Chebyshev shells around the query's cell;
-    once the k-th best distance drops strictly below the ring guarantee
-    ``r * h`` no unexplored point can enter the result.
-    """
-    cpts = pts[cand]
-    lo = cpts.min(axis=0)
-    extent = cpts.max(axis=0) - lo
-    # aim for O(1) points per cell; degenerate extents just cost extra shells
-    vol = float(np.prod(np.maximum(extent, 1e-9)))
-    h = max((vol / cand.size) ** (1.0 / 3.0), 1e-6)
-    dims = np.maximum(np.floor(extent / h).astype(np.int64) + 1, 1)
-    cell3 = np.minimum(np.floor((cpts - lo) / h).astype(np.int64), dims - 1)
-    lin = (cell3[:, 0] * dims[1] + cell3[:, 1]) * dims[2] + cell3[:, 2]
-    order = np.argsort(lin, kind="stable")  # ascending point index inside a cell
-    lin_sorted = lin[order]
-    occ_ids, occ_starts = np.unique(lin_sorted, return_index=True)
-    occ_ends = np.append(occ_starts[1:], lin_sorted.size)
-
-    shell_cache: dict[int, np.ndarray] = {}
-
-    def shell_offsets(r: int) -> np.ndarray:
-        if r not in shell_cache:
-            if r == 0:
-                shell_cache[r] = np.zeros((1, 3), dtype=np.int64)
-            else:
-                rng_ = np.arange(-r, r + 1)
-                grid = np.stack(np.meshgrid(rng_, rng_, rng_, indexing="ij"), axis=-1).reshape(-1, 3)
-                shell_cache[r] = grid[np.abs(grid).max(axis=1) == r]
-        return shell_cache[r]
-
-    max_r = int(dims.max())
-    for qi in queries:
-        q = pts[qi]
-        qc = np.minimum(np.maximum(np.floor((q - lo) / h).astype(np.int64), 0), dims - 1)
-        got_idx: list[np.ndarray] = []
-        got_d2: list[np.ndarray] = []
-        count = 0
-        for r in range(max_r + 2):
-            cells = qc[None, :] + shell_offsets(r)
-            ok = np.all((cells >= 0) & (cells < dims), axis=1)
-            if ok.any():
-                ids = (cells[ok, 0] * dims[1] + cells[ok, 1]) * dims[2] + cells[ok, 2]
-                pos = np.searchsorted(occ_ids, ids)
-                hit = (pos < occ_ids.size) & (occ_ids[np.minimum(pos, occ_ids.size - 1)] == ids)
-                for p in pos[hit]:
-                    local = order[occ_starts[p] : occ_ends[p]]
-                    idx = cand[local]
-                    diff = cpts[local] - q
-                    got_idx.append(idx)
-                    got_d2.append(np.einsum("ij,ij->i", diff, diff))
-                    count += idx.size
-            # every valid query sits in shell 0, so "count - 1" candidates remain
-            # after self exclusion; unexplored points lie beyond r * h
-            if count - 1 >= k:
-                d2_all = np.concatenate(got_d2)
-                idx_all = np.concatenate(got_idx)
-                d2q = d2_all[idx_all != qi]
-                kth = np.partition(d2q, k - 1)[k - 1]
-                if kth < (r * h) ** 2:
-                    out[qi] = _fill_row(idx_all, d2_all, qi, k)
-                    break
-            if r > max_r:
-                idx_all = np.concatenate(got_idx) if got_idx else np.zeros(0, dtype=np.int64)
-                d2_all = np.concatenate(got_d2) if got_d2 else np.zeros(0)
-                out[qi] = _fill_row(idx_all, d2_all, qi, k)
-                break
+    own = np.full(pc.n_points, -1)
+    own[cand] = np.arange(cand.size)
+    return cand[_ranked_neighbors(pts[cand], pts, k, own)]
 
 
 def nearest_indices(src_points: np.ndarray, dst_points: np.ndarray) -> np.ndarray:
@@ -349,12 +228,44 @@ def nearest_indices(src_points: np.ndarray, dst_points: np.ndarray) -> np.ndarra
     dst = np.asarray(dst_points, dtype=np.float64)
     if src.size == 0:
         raise ValueError("empty source point set")
-    out = np.empty(dst.shape[0], dtype=np.int64)
-    for start in range(0, dst.shape[0], _CHUNK):
-        block = dst[start : start + _CHUNK]
-        diff = block[:, None, :] - src[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        out[start : start + _CHUNK] = np.argmin(d2, axis=1)  # first min = lowest index
+    return _ranked_neighbors(src, dst, 1, np.full(dst.shape[0], -1))[:, 0]
+
+
+def _ranked_neighbors(points: np.ndarray, queries: np.ndarray, k: int, own: np.ndarray) -> np.ndarray:
+    """First k rows of ``points`` for every query, by (squared distance, index).
+
+    ``own[i]`` is the row of ``points`` that query i is (-1 for none); it is
+    never listed, except by a query with no other candidate, which lists it k
+    times. Fewer than k candidates repeat the farthest one.
+
+    The tree only proposes the k + 2 closest rows; their exact distances are
+    recomputed and ranked here. That ranking is final unless the k-th and
+    (k+1)-th distances are not strictly apart: then a tie may reach outside
+    the proposals (or the query itself may be crowded out by duplicates), and
+    the row is ranked again from every point within the k-th distance.
+    """
+    from scipy.spatial import cKDTree  # a slow import (it pulls in scipy.linalg), so only on first search
+
+    def rank(query, cand, own):
+        """``cand`` sorted by (squared float64 distance, index), ``own`` last at infinity."""
+        diff = points[cand] - query[..., None, :]
+        d2 = np.einsum("...j,...j->...", diff, diff)
+        d2[cand == np.expand_dims(own, -1)] = np.inf
+        order = np.lexsort((cand, d2), axis=-1)
+        return np.take_along_axis(cand, order, axis=-1), np.take_along_axis(d2, order, axis=-1)
+
+    tree = cKDTree(points)
+    idx, d2 = rank(queries, tree.query(queries, k=range(1, min(k + 2, points.shape[0]) + 1))[1], own)
+    if idx.shape[1] == k + 2:
+        kth, nxt = d2[:, k - 1], d2[:, k]
+        redo = np.flatnonzero(~(nxt - kth > 1e-12 * nxt))
+        # the slack keeps points at exactly the k-th distance inside the tree's rounding
+        balls = tree.query_ball_point(queries[redo], np.sqrt(kth[redo]) * (1 + 1e-9))
+        for i, ball in zip(redo, balls):
+            idx[i, :k] = rank(queries[i], np.asarray(ball), own[i])[0][:k]
+    avail = np.isfinite(d2).sum(axis=1)
+    out = np.take_along_axis(idx, np.minimum(np.arange(k), np.maximum(avail - 1, 0)[:, None]), axis=1)
+    out[avail == 0] = own[avail == 0, None]
     return out
 
 

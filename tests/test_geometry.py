@@ -1,8 +1,14 @@
 """Geometric preprocessing against brute-force oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import waffleiron
 from waffleiron.geometry import (
     IGNORE_LABEL,
     PointCloud,
@@ -27,19 +33,29 @@ def cloud_from_positions(positions, labels=None, valid=None, mode="5dim"):
 def knn_oracle(positions, valid, k):
     """Exhaustive all-pairs search with (distance, index) ordering."""
     pts = np.asarray(positions, dtype=np.float64)
-    vidx = np.flatnonzero(valid)
-    out = np.empty((len(pts), k), dtype=np.int64)
-    for i in range(len(pts)):
-        cands = [j for j in vidx if j != i]
-        if not cands:
-            out[i] = i
-            continue
-        cands.sort(key=lambda j: (float(((pts[i] - pts[j]) ** 2).sum()), j))
-        row = cands[:k]
-        while len(row) < k:
-            row.append(row[-1])
-        out[i] = row
+    valid = np.asarray(valid, dtype=bool)
+    n = len(pts)
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    d2[:, ~valid] = np.inf
+    np.fill_diagonal(d2, np.inf)
+    ranked = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)
+    n_cands = valid.sum() - valid
+    # short rows repeat their last candidate; a row without any lists itself
+    out = np.take_along_axis(ranked, np.minimum(np.arange(k), np.maximum(n_cands - 1, 0)[:, None]), axis=1)
+    out[n_cands == 0] = np.flatnonzero(n_cands == 0)[:, None]
     return out
+
+
+def lattice(side):
+    """Integer grid: every point has many neighbors at exactly equal distance."""
+    axis = np.arange(side, dtype=np.float32)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def duplicate_sites(rng, n_sites, copies):
+    """``copies`` exact copies of each random site, interleaved in index order."""
+    sites = rng.uniform(-3, 3, size=(n_sites, 3)).astype(np.float32)
+    return np.repeat(sites, copies, axis=0)[rng.permutation(n_sites * copies)]
 
 
 class TestVoxelDownsample:
@@ -158,15 +174,19 @@ class TestKnn:
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
-        pc = cloud_from_positions(rng.uniform(-5, 5, size=(200, 3)))
-        nbr = knn(pc, 16)
-        np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, pc.valid, 16))
+        # the lattice ties the 16th and 17th distances; 20 copies of a site
+        # outnumber the k + 2 = 18 closest rows, so those alone may omit the query
+        for positions in (rng.uniform(-5, 5, size=(200, 3)), lattice(8), duplicate_sites(rng, 10, 20)):
+            pc = cloud_from_positions(positions)
+            nbr = knn(pc, 16)
+            np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, pc.valid, 16))
 
     def test_grid_path_matches_oracle(self):
         rng = np.random.default_rng(5)
-        pc = cloud_from_positions(rng.uniform(-20, 20, size=(2500, 3)))
-        nbr = knn(pc, 5)
-        np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, pc.valid, 5))
+        for positions in (rng.uniform(-20, 20, size=(2500, 3)), lattice(14), duplicate_sites(rng, 250, 10)):
+            pc = cloud_from_positions(positions)
+            nbr = knn(pc, 5)
+            np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, pc.valid, 5))
 
     def test_padding_excluded_and_queried(self):
         rng = np.random.default_rng(6)
@@ -174,10 +194,14 @@ class TestKnn:
         valid = np.ones(40, dtype=bool)
         valid[35:] = False
         positions[35:] = 0.0
-        pc = cloud_from_positions(positions, valid=valid)
-        nbr = knn(pc, 4)
-        assert np.isin(nbr, np.flatnonzero(valid)).all()
-        np.testing.assert_array_equal(nbr, knn_oracle(positions, valid, 4))
+        # padding also sits on a lattice site and among duplicates of the origin
+        tied = np.vstack([lattice(4), np.zeros((8, 3), dtype=np.float32)])
+        tied_valid = np.arange(len(tied)) < len(tied) - 3
+        for positions, valid in ((positions, valid), (tied, tied_valid)):
+            pc = cloud_from_positions(positions, valid=valid)
+            nbr = knn(pc, 4)
+            assert np.isin(nbr, np.flatnonzero(valid)).all()
+            np.testing.assert_array_equal(nbr, knn_oracle(positions, valid, 4))
 
     def test_fill_when_too_few_candidates(self):
         pc = cloud_from_positions([[0, 0, 0], [1, 0, 0]])
@@ -224,11 +248,22 @@ class TestNnPropagate:
         src = cloud_from_positions(rng.uniform(-4, 4, size=(50, 3)))
         labels = rng.integers(0, 6, 50).astype(np.int32)
         dst = rng.uniform(-4, 4, size=(100, 3))
-        out = nn_propagate_labels(src, labels, dst)
-        spts = src.positions.astype(np.float64)
-        for i, d in enumerate(dst):
-            d2 = ((spts - d) ** 2).sum(axis=1)
-            assert out[i] == labels[int(np.argmin(d2))]
+        # half-integer offsets put a destination equidistant from 1, 2, 4 or 8
+        # lattice sources; unique labels make a wrong tie-break visible
+        grid = lattice(5)
+        offsets = lattice(2)[rng.integers(0, 8, len(grid))] * 0.5
+        dups = duplicate_sites(rng, 6, 20)
+        cases = [
+            (src, labels, dst),
+            (cloud_from_positions(grid), np.arange(len(grid)), grid + offsets),
+            (cloud_from_positions(dups), np.arange(len(dups)), dups[::7]),
+        ]
+        for src, labels, dst in cases:
+            out = nn_propagate_labels(src, labels, dst)
+            spts = src.positions.astype(np.float64)
+            for i, d in enumerate(dst):
+                d2 = ((spts - d) ** 2).sum(axis=1)
+                assert out[i] == labels[int(np.argmin(d2))]
 
     def test_invalid_rows_ignored(self):
         positions = np.array([[0, 0, 0], [5, 5, 5]], dtype=np.float32)
@@ -246,6 +281,13 @@ class TestNnPropagate:
 def test_nearest_indices_tie_breaks_low():
     src = np.array([[1.0, 0, 0], [1.0, 0, 0]])
     assert nearest_indices(src, np.array([[1.0, 0, 0]])).tolist() == [0]
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # importing scipy.spatial is slow, so only the first neighbor search pays for it
+    code = "import sys, waffleiron; sys.exit('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_point_features_layouts():
