@@ -102,21 +102,23 @@ class EmbeddingLayer:
         self.local2 = PointwiseLinear(store, f"{name}.local2", half, half, rng)
         self.merge = PointwiseLinear(store, f"{name}.merge", width, width, rng)
         self._cache = None
+        self._relu_in = None
 
     def forward(self, feats, neighbors, valid, bn_training, update_stats, need_grad=True):
         neighbors = np.asarray(neighbors, dtype=np.int64)
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[1]:
             raise ValueError("neighbor list must be N x k aligned with the points")
-        hb = self.pre_bn.forward(feats, valid, bn_training, update_stats)
-        g = self.global_lin.forward(hb)
+        hb = self.pre_bn.forward(feats, valid, bn_training, update_stats, need_grad)
+        g = self.global_lin.forward(hb, need_grad)
         if need_grad:
             local, slots = self._local_branch(hb, neighbors)
             self._cache = (neighbors, slots, feats.shape[1])
         else:
             local = self._local_branch_nograd(hb, neighbors)
             self._cache = None
+            self._relu_in = None
         cat = np.concatenate([g, local], axis=0)
-        return self.merge.forward(cat)
+        return self.merge.forward(cat, need_grad)
 
     def _local_branch(self, hb, neighbors):
         c, n = hb.shape
@@ -132,16 +134,14 @@ class EmbeddingLayer:
         # inference path: evaluate the pair MLP in blocks, keep only the max
         c, n = hb.shape
         k = neighbors.shape[1]
-        w1, b1 = self.local1.w.data, self.local1.b.data
-        w2, b2 = self.local2.w.data, self.local2.b.data
         out = np.empty((self.half, n), dtype=hb.dtype)
         block = max(1, 65536 // max(k, 1))
         for start in range(0, n, block):
             stop = min(start + block, n)
             nb = neighbors[start:stop]
             diffs = hb[:, nb] - hb[:, start:stop, None]
-            a1 = w1 @ diffs.reshape(c, -1) + b1[:, None]
-            a2 = w2 @ relu(a1) + b2[:, None]
+            a1 = self.local1.forward(diffs.reshape(c, -1), need_grad=False)
+            a2 = self.local2.forward(relu(a1), need_grad=False)
             out[:, start:stop] = a2.reshape(self.half, stop - start, k).max(axis=2)
         return out
 
@@ -176,17 +176,17 @@ class _TokenMixBranch:
         self.scale = LayerScale(store, f"{name}.layerscale", width)
         self._cache = None
 
-    def forward(self, x, proj: ProjectionPair, valid, bn_training, update_stats):
+    def forward(self, x, proj: ProjectionPair, valid, bn_training, update_stats, need_grad=True):
         h, w = proj.plane.grid_shape
         f = x.shape[0]
-        xb = self.bn.forward(x, valid, bn_training, update_stats)
+        xb = self.bn.forward(x, valid, bn_training, update_stats, need_grad)
         grid = proj.flatten(xb).reshape(f, h, w)
-        c1 = self.conv1.forward(grid)
+        c1 = self.conv1.forward(grid, need_grad)
         r = relu(c1)
-        c2 = self.conv2.forward(r)
+        c2 = self.conv2.forward(r, need_grad)
         pts = proj.inflate(c2.reshape(f, h * w))
-        self._cache = (proj, c1)
-        return self.scale.forward(pts)
+        self._cache = (proj, c1) if need_grad else None
+        return self.scale.forward(pts, need_grad)
 
     def backward(self, dy):
         proj, c1 = self._cache
@@ -212,14 +212,14 @@ class TokenMixLayer:
         self._skip = None
         self._factor = 1.0
 
-    def forward(self, x, projections, valid, bn_training, update_stats, keep=True, factor=1.0):
+    def forward(self, x, projections, valid, bn_training, update_stats, keep=True, factor=1.0, need_grad=True):
         self._skip = not keep
         self._factor = factor
         if not keep:
             return x
         total = None
         for axes, branch in zip(self.planes, self.branches):
-            out = branch.forward(x, projections[axes], valid, bn_training, update_stats)
+            out = branch.forward(x, projections[axes], valid, bn_training, update_stats, need_grad)
             total = out if total is None else total + out
         return x + factor * total
 
@@ -245,16 +245,16 @@ class ChannelMixLayer:
         self._factor = 1.0
         self._relu_in = None
 
-    def forward(self, x, valid, bn_training, update_stats, keep=True, factor=1.0):
+    def forward(self, x, valid, bn_training, update_stats, keep=True, factor=1.0, need_grad=True):
         self._skip = not keep
         self._factor = factor
         if not keep:
             return x
-        xb = self.bn.forward(x, valid, bn_training, update_stats)
-        a1 = self.lin1.forward(xb)
-        self._relu_in = a1
-        a2 = self.lin2.forward(relu(a1))
-        return x + factor * self.scale.forward(a2)
+        xb = self.bn.forward(x, valid, bn_training, update_stats, need_grad)
+        a1 = self.lin1.forward(xb, need_grad)
+        self._relu_in = a1 if need_grad else None
+        a2 = self.lin2.forward(relu(a1), need_grad)
+        return x + factor * self.scale.forward(a2, need_grad)
 
     def backward(self, dy):
         if self._skip:
@@ -304,6 +304,7 @@ class WaffleIron:
             channel = ChannelMixLayer(self.store, f"layers.{i}.channel", config.width, rng)
             self.layers.append((token, channel))
         self.classifier = PointwiseLinear(self.store, "classifier", config.width, config.num_classes, rng)
+        self._has_grad_cache = False
 
     # -- plumbing -------------------------------------------------------------
 
@@ -333,10 +334,12 @@ class WaffleIron:
     ) -> np.ndarray:
         """Run the network on one cloud, returning K x N logits.
 
-        ``training`` selects batch statistics and enables caching for a later
-        :meth:`backward`. Stochastic depth engages whenever ``drop_rng`` is
-        given and ``drop_prob > 0`` (also used by test-time augmentation);
-        kept branches are scaled by ``1 / (1 - drop_prob)``.
+        ``training`` selects batch statistics and is the default of
+        ``need_grad``, which makes every layer keep what a later
+        :meth:`backward` needs; a forward without it keeps nothing.
+        Stochastic depth engages whenever ``drop_rng`` is given and
+        ``drop_prob > 0`` (also used by test-time augmentation); kept
+        branches are scaled by ``1 / (1 - drop_prob)``.
         """
         if feats.shape[0] != self.config.in_channels:
             raise ValueError(
@@ -354,16 +357,21 @@ class WaffleIron:
         dropping = drop_rng is not None and p > 0.0
         factor = 1.0 / (1.0 - p) if dropping else 1.0
 
+        self._has_grad_cache = need_grad
         x = self.embedding.forward(feats, neighbors, valid, bn_training, update_stats, need_grad)
         for token, channel in self.layers:
             keep_t = (not dropping) or (drop_rng.random() >= p)
-            x = token.forward(x, projections, valid, bn_training, update_stats, keep_t, factor if dropping else 1.0)
+            x = token.forward(
+                x, projections, valid, bn_training, update_stats, keep_t, factor if dropping else 1.0, need_grad
+            )
             keep_c = (not dropping) or (drop_rng.random() >= p)
-            x = channel.forward(x, valid, bn_training, update_stats, keep_c, factor if dropping else 1.0)
-        return self.classifier.forward(x)
+            x = channel.forward(x, valid, bn_training, update_stats, keep_c, factor if dropping else 1.0, need_grad)
+        return self.classifier.forward(x, need_grad)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the most recent forward pass."""
+        if not self._has_grad_cache:
+            raise RuntimeError("backward needs a forward that ran with need_grad")
         dx = self.classifier.backward(dlogits)
         for token, channel in reversed(self.layers):
             dx = channel.backward(dx)

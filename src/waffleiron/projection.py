@@ -11,6 +11,14 @@ are averaged per cell (flatten) or copied back from cells to points
 
 Flatten accumulation always runs in float64 over ascending point index so the
 two kernels agree to well below the 1e-5 contract.
+
+Layout contract: grids are F x M arrays (F x H x W once reshaped) that are
+views of cell-major M x F memory, so the F values of one cell sit together.
+``flatten``, ``flatten_sum`` and ``inflate_backward`` return them in that
+layout; ``DepthwiseConv3x3`` keeps the memory order of its input, so the
+whole grid stage of token mixing runs in it. The gather kernel adds each
+cell's points one by one in ascending point index, starting from 0.0, the
+order a sequential scatter-add would use.
 """
 
 from __future__ import annotations
@@ -124,6 +132,21 @@ class ProjectionPair:
         self.counts = np.bincount(self.cell_index[self.valid], minlength=m).astype(np.int64)
         self._valid_rows = np.flatnonzero(self.valid)
         self._valid_cells = self.cell_index[self._valid_rows]
+        # Rank-major order of the valid rows for the gather-kernel cell sums:
+        # occupied cells sorted by count, most points first, so the cells that
+        # hold an r-th point form a prefix of ``_cells``; block r of
+        # ``_rank_rows`` lists, for each of them, its r-th point in ascending
+        # point index.
+        occupied = np.flatnonzero(self.counts)
+        self._cells = occupied[np.argsort(-self.counts[occupied], kind="stable")]
+        by_cell = np.argsort(self._valid_cells, kind="stable")
+        sorted_cells = self._valid_cells[by_cell]
+        first = np.cumsum(self.counts) - self.counts
+        rank = np.arange(by_cell.size) - first[sorted_cells]
+        slot = np.empty(m, dtype=np.int64)
+        slot[self._cells] = np.arange(self._cells.size)
+        self._rank_rows = self._valid_rows[by_cell[np.lexsort((slot[sorted_cells], rank))]]
+        self._rank_widths = np.bincount(rank)
         # inflate matrix S (N x M) with a single 1 per valid point; flatten
         # uses S^T followed by the per-cell mean
         n = self.cell_index.shape[0]
@@ -148,18 +171,18 @@ class ProjectionPair:
 
     def flatten(self, features: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
         """Per-cell mean of the valid point features, F x M. Empty cells are 0."""
-        sums = self.flatten_sum(features, kernel)
-        denom = np.maximum(self.counts, 1).astype(np.float64)
-        return (sums / denom[None, :]).astype(features.dtype)
+        if (kernel or self.kernel) == "sparse":
+            denom = np.maximum(self.counts, 1).astype(np.float64)
+            return (self.flatten_sum(features, kernel) / denom[None, :]).astype(features.dtype)
+        means = self._cell_sums(features) / self.counts[self._cells, None]
+        return self._grid(means, features.dtype)
 
     def flatten_sum(self, features: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
         """Unnormalized flatten (per-cell sum) in float64, the adjoint of inflate."""
-        features = self._check_points(features)
         if (kernel or self.kernel) == "sparse":
+            features = self._check_points(features)
             return (self._st @ features.T.astype(np.float64)).T
-        acc = np.zeros((self.n_cells, features.shape[0]), dtype=np.float64)
-        np.add.at(acc, self._valid_cells, features.T[self._valid_rows].astype(np.float64))
-        return acc.T
+        return self._grid(self._cell_sums(features), np.float64)
 
     def flatten_backward(self, dgrid: np.ndarray) -> np.ndarray:
         """Gradient of the mean flatten: gather each cell grad, divide by count."""
@@ -182,12 +205,30 @@ class ProjectionPair:
 
     def inflate_backward(self, dpoints: np.ndarray) -> np.ndarray:
         """Gradient of inflate: scatter-add point grads into their cells."""
-        dpoints = self._check_points(dpoints)
-        acc = np.zeros((self.n_cells, dpoints.shape[0]), dtype=np.float64)
-        np.add.at(acc, self._valid_cells, dpoints.T[self._valid_rows].astype(np.float64))
-        return acc.T.astype(dpoints.dtype)
+        return self._grid(self._cell_sums(dpoints), dpoints.dtype)
 
     # ------------------------------------------------------------------------
+
+    def _cell_sums(self, arr: np.ndarray) -> np.ndarray:
+        """Float64 sums of the valid columns of F x N ``arr``, one row per cell of ``_cells``.
+
+        Each cell starts from 0.0 and adds its points in ascending point
+        index, so the sums equal a sequential scatter-add bit for bit.
+        """
+        arr = self._check_points(arr)
+        rows = np.take(arr.T, self._rank_rows, axis=0)
+        sums = np.zeros((self._cells.size, arr.shape[0]), dtype=np.float64)
+        start = 0
+        for width in self._rank_widths:
+            sums[:width] += rows[start : start + width]
+            start += width
+        return sums
+
+    def _grid(self, per_cell: np.ndarray, dtype) -> np.ndarray:
+        """F x M view of cell-major memory: ``per_cell`` rows at ``_cells``, zeros elsewhere."""
+        out = np.zeros((self.n_cells, per_cell.shape[1]), dtype=dtype)
+        out[self._cells] = per_cell
+        return out.T
 
     def _check_points(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)

@@ -283,6 +283,32 @@ class TestForward:
             model.forward(feats[:3], nbr, proj, valid)
 
 
+def held_arrays(value, path="model", private=False):
+    """Paths of the arrays that layers reachable from ``value`` keep in private attributes."""
+    if isinstance(value, np.ndarray):
+        return [path] if private else []
+    if isinstance(value, (list, tuple)):
+        return [p for i, item in enumerate(value) for p in held_arrays(item, f"{path}[{i}]", private)]
+    if type(value).__module__ in ("waffleiron.backbone", "waffleiron.nn") and hasattr(value, "__dict__"):
+        return [p for name, item in vars(value).items() for p in held_arrays(item, f"{path}.{name}", name.startswith("_"))]
+    return []
+
+
+class TestNoGradForward:
+    def test_keeps_no_cache_and_matches_caching_eval(self, small_fov):
+        cfg = tiny_config(small_fov, depth=3, width=8, strategy="parallel")
+        model = WaffleIron(cfg, np.random.default_rng(30))
+        pc = build_scene(small_fov, n=50, seed=31)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        cached = model.forward(feats, nbr, proj, valid, training=False, need_grad=True)
+        assert len(held_arrays(model)) > 50
+        logits = model.forward(feats, nbr, proj, valid, training=False)
+        assert held_arrays(model) == []
+        assert np.array_equal(logits, cached)
+        with pytest.raises(RuntimeError):
+            model.backward(np.ones_like(logits))
+
+
 class TestStochasticDepth:
     def test_zero_drop_equals_eval(self, small_fov):
         cfg = tiny_config(small_fov, drop=0.0)

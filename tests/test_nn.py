@@ -188,6 +188,28 @@ def conv_oracle(x, kern, bias):
     return y
 
 
+def cell_major(x):
+    """The same F x H x W values as a view of H x W x F memory, the grid layout of token mixing."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+CONV_LAYOUTS = (np.ascontiguousarray, cell_major)
+
+
+def per_tap_forward(x, kern, bias):
+    """The conv forward formula as first written: channel-major buffers, one new temporary per tap."""
+    f, h, w = x.shape
+    xp = np.zeros((f, h + 2, w + 2), dtype=x.dtype)
+    xp[:, 1 : h + 1, 1 : w + 1] = x
+    y = np.zeros((f, h, w), dtype=x.dtype)
+    kern = kern.astype(x.dtype)
+    for u in range(3):
+        for v in range(3):
+            y += kern[:, u, v][:, None, None] * xp[:, u : u + h, v : v + w]
+    y += bias.astype(x.dtype)[:, None, None]
+    return y
+
+
 class TestDepthwiseConv:
     def test_center_one_hot_is_identity(self):
         store = ParamStore()
@@ -213,38 +235,80 @@ class TestDepthwiseConv:
         rng = np.random.default_rng(2)
         store = ParamStore()
         conv = DepthwiseConv3x3(store, "conv", 2, rng)
-        x = rng.standard_normal((2, 5, 6)).astype(np.float32)
-        y = conv.forward(x)
-        np.testing.assert_allclose(y, conv_oracle(x, conv.k.data, conv.b.data), atol=1e-6)
+        x0 = rng.standard_normal((2, 5, 6)).astype(np.float32)
+        for layout in CONV_LAYOUTS:
+            x = layout(x0)
+            y = conv.forward(x)
+            assert y.strides == x.strides
+            np.testing.assert_allclose(y, conv_oracle(x, conv.k.data, conv.b.data), atol=1e-6)
+            assert np.array_equal(y, per_tap_forward(x, conv.k.data, conv.b.data))
 
     def test_channel_permutation_commutes(self):
         rng = np.random.default_rng(3)
         store = ParamStore()
         conv = DepthwiseConv3x3(store, "conv", 4, rng)
-        x = rng.standard_normal((4, 6, 6)).astype(np.float32)
-        y = conv.forward(x)
+        x0 = rng.standard_normal((4, 6, 6)).astype(np.float32)
         perm = rng.permutation(4)
         store2 = ParamStore()
         conv2 = DepthwiseConv3x3(store2, "conv", 4, np.random.default_rng(0))
         conv2.k.data[...] = conv.k.data[perm]
         conv2.b.data[...] = conv.b.data[perm]
-        np.testing.assert_array_equal(conv2.forward(x[perm]), y[perm])
+        for layout in CONV_LAYOUTS:
+            x = layout(x0)
+            y = conv.forward(x)
+            assert y.strides == x.strides
+            assert np.array_equal(y, per_tap_forward(x, conv.k.data, conv.b.data))
+            np.testing.assert_array_equal(conv2.forward(layout(x0[perm])), y[perm])
+
+    def test_multi_block_grids_match_per_tap_formulas(self):
+        # large enough that both layouts split into blocks, the last one short
+        rng = np.random.default_rng(4)
+        store = ParamStore()
+        conv = DepthwiseConv3x3(store, "conv", 5, rng)
+        conv.b.data[...] = rng.standard_normal(5)
+        x0 = rng.standard_normal((5, 181, 190)).astype(np.float32)
+        dy0 = rng.standard_normal(x0.shape)
+        f, h, w = x0.shape
+        xp = np.zeros((f, h + 2, w + 2), dtype=np.float32)
+        xp[:, 1 : h + 1, 1 : w + 1] = x0
+        want_k = np.stack([(dy0 * xp[:, u : u + h, v : v + w]).sum(axis=(1, 2)) for u in range(3) for v in range(3)], 1)
+        dxp = np.zeros_like(xp)
+        for u in range(3):
+            for v in range(3):
+                dxp[:, u : u + h, v : v + w] += conv.k.data[:, u, v].astype(np.float64)[:, None, None] * dy0
+        for layout in CONV_LAYOUTS:
+            x, dy = layout(x0), layout(dy0)
+            store.zero_grad()
+            y = conv.forward(x)
+            assert y.strides == x.strides
+            assert np.array_equal(y, per_tap_forward(x0, conv.k.data, conv.b.data))
+            dx = conv.backward(dy)
+            assert dx.dtype == np.float32 and dx.strides == x.strides
+            assert np.array_equal(dx, dxp[:, 1 : h + 1, 1 : w + 1])
+            np.testing.assert_allclose(conv.k.grad.reshape(f, 9), want_k, rtol=1e-5, atol=1e-3)
+            np.testing.assert_allclose(conv.b.grad, dy0.sum(axis=(1, 2)), rtol=1e-5, atol=1e-3)
 
     def test_gradients(self):
-        def build(store, rng):
-            conv = DepthwiseConv3x3(store, "conv", 2, rng)
-            x = store.register("x", rng.standard_normal((2, 5, 6)).astype(np.float32))
-            r = rng.standard_normal((2, 5, 6))
+        for layout in CONV_LAYOUTS:
 
-            def loss_fn(want_grad):
-                y = conv.forward(x.data)
-                if want_grad:
-                    x.grad += conv.backward(r)
-                return float((y * r).sum())
+            def build(store, rng):
+                conv = DepthwiseConv3x3(store, "conv", 2, rng)
+                x = store.register("x", rng.standard_normal((2, 5, 6)).astype(np.float32))
+                r = layout(rng.standard_normal((2, 5, 6)))
 
-            return loss_fn
+                def loss_fn(want_grad):
+                    xin = layout(x.data)
+                    y = conv.forward(xin)
+                    assert y.strides == xin.strides
+                    if want_grad:
+                        dx = conv.backward(r)
+                        assert dx.strides == r.strides
+                        x.grad += dx
+                    return float((y * r).sum())
 
-        check_layer(build)
+                return loss_fn
+
+            check_layer(build)
 
 
 class TestLayerScale:

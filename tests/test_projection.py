@@ -100,6 +100,73 @@ def small_projection(rng, n=64, f=8, cells=(4, 4), n_invalid=0):
     return proj, feats
 
 
+def add_at_flatten_sum(proj, features):
+    """Per-cell float64 sums by sequential scatter-add, as the gather kernel was first written."""
+    rows = np.flatnonzero(proj.valid)
+    acc = np.zeros((proj.n_cells, features.shape[0]), dtype=np.float64)
+    np.add.at(acc, proj.cell_index[rows], features.T[rows].astype(np.float64))
+    return acc.T
+
+
+def add_at_flatten(proj, features):
+    denom = np.maximum(proj.counts, 1).astype(np.float64)
+    return (add_at_flatten_sum(proj, features) / denom[None, :]).astype(features.dtype)
+
+
+def add_at_inflate_backward(proj, dpoints):
+    return add_at_flatten_sum(proj, dpoints).astype(dpoints.dtype)
+
+
+def bitwise_equal(a, b):
+    same = a.dtype == b.dtype and a.shape == b.shape
+    return same and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def crowded_projection(rng, n=1500, f=3, n_invalid=0):
+    """More than 1000 points in a handful of cells of a 4 x 4 grid."""
+    fov = Fov(np.zeros(3), np.ones(3) * 4)
+    plane = PlaneSpec.from_fov((0, 1), fov, 1.0)
+    centers = np.array([[0.5, 0.5], [2.5, 1.5], [3.5, 3.5]])
+    pts = np.zeros((n, 3))
+    pts[:, :2] = centers[rng.integers(0, 3, n)] + rng.uniform(-0.4, 0.4, (n, 2))
+    valid = np.ones(n, dtype=bool)
+    valid[rng.permutation(n)[:n_invalid]] = False
+    return build_projection(pts, plane, valid), rng.standard_normal((f, n))
+
+
+class TestScatterAddOracle:
+    """The gather kernel reproduces the sequential scatter-add bit for bit."""
+
+    def cases(self):
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            yield small_projection(rng, n=int(rng.integers(20, 200)), f=16)
+        yield small_projection(rng, n=1, f=3)
+        yield crowded_projection(rng)
+        yield crowded_projection(rng, n_invalid=400)
+        yield small_projection(rng, n=40, f=6, n_invalid=9)
+        yield small_projection(rng, n=12, f=5, n_invalid=12)
+
+    def test_flatten_flatten_sum_and_inflate_backward(self):
+        crowded = empty = 0
+        for proj, feats in self.cases():
+            crowded += proj.counts.max() > 300
+            empty += not proj.valid.any()
+            for dtype in (np.float32, np.float64):
+                x = feats.astype(dtype)
+                x[:, ::7] = -0.0
+                for got, want in (
+                    (proj.flatten(x), add_at_flatten(proj, x)),
+                    (proj.flatten_sum(x), add_at_flatten_sum(proj, x)),
+                    (proj.inflate_backward(x), add_at_inflate_backward(proj, x)),
+                ):
+                    assert bitwise_equal(got, want)
+                    assert np.array_equal(got, want)
+                    # F x M view of cell-major memory
+                    assert got.T.flags.c_contiguous
+        assert crowded == 2 and empty == 1
+
+
 class TestFlattenInflate:
     def test_single_cell_mean_of_identical(self):
         fov = Fov(np.zeros(3), np.ones(3) * 4)
