@@ -177,28 +177,19 @@ class _TokenMixBranch:
         self._cache = None
 
     def forward(self, x, proj: ProjectionPair, valid, bn_training, update_stats, need_grad=True):
-        h, w = proj.plane.grid_shape
-        f = x.shape[0]
         xb = self.bn.forward(x, valid, bn_training, update_stats, need_grad)
-        grid = proj.flatten(xb).reshape(f, h, w)
-        c1 = self.conv1.forward(grid, need_grad)
-        r = relu(c1)
-        c2 = self.conv2.forward(r, need_grad)
-        pts = proj.inflate(c2.reshape(f, h * w))
+        c1 = self.conv1.forward(proj.flatten(xb), proj.d_from_o, need_grad)
+        c2 = self.conv2.forward(relu(c1), proj.o_from_d, need_grad)
+        pts = proj.inflate(c2)
         self._cache = (proj, c1) if need_grad else None
         return self.scale.forward(pts, need_grad)
 
     def backward(self, dy):
         proj, c1 = self._cache
-        f = dy.shape[0]
-        h, w = proj.plane.grid_shape
         dpts = self.scale.backward(dy)
-        dc2 = proj.inflate_backward(dpts).reshape(f, h, w)
-        dr = self.conv2.backward(dc2)
-        dc1 = relu_backward(dr, c1)
-        dgrid = self.conv1.backward(dc1)
-        dxb = proj.flatten_backward(dgrid.reshape(f, h * w))
-        return self.bn.backward(dxb)
+        dr = self.conv2.backward(proj.inflate_backward(dpts), proj.d_from_o)
+        drows = self.conv1.backward(relu_backward(dr, c1), proj.o_from_d)
+        return self.bn.backward(proj.flatten_backward(drows))
 
 
 class TokenMixLayer:

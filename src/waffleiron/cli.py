@@ -90,7 +90,7 @@ def _resolve_class_map(rc: dataio.RunConfig, config_dir: Path):
 def _cmd_train(args) -> int:
     config_path = Path(args.config)
     rc = dataio.load_run_config(config_path, _overrides(args))
-    class_map = _resolve_class_map(rc, config_path.parent)
+    rc.class_map_ids = _resolve_class_map(rc, config_path.parent)
     data_dir = Path(args.data)
     if (data_dir / "train").is_dir():
         data_dir = data_dir / "train"
@@ -98,7 +98,7 @@ def _cmd_train(args) -> int:
         data_dir,
         scan_format=rc.scan_format,
         feature_mode=rc.model.input_feature_mode,
-        class_map=class_map,
+        class_map=rc.class_map_ids,
         voxel_size=rc.voxel_size,
     )
     bank = None
@@ -138,7 +138,9 @@ def _cmd_infer(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, _, rc = dataio.checkpoint_load(args.ckpt)
-    class_map = _resolve_class_map(rc, Path(args.ckpt).parent)
+    class_map = rc.class_map_ids
+    if class_map is None:  # written before checkpoints embedded the map
+        class_map = _resolve_class_map(rc, Path(args.ckpt).parent)
     dataset = dataio.ScanDataset(
         Path(args.data) / args.split,
         scan_format=rc.scan_format,

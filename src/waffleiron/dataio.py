@@ -5,8 +5,10 @@ Scan files are flat little-endian float32 records: ``kitti4`` stores
 field (ring index) is discarded. Label files hold one little-endian uint32
 per point: semantic class in the low 16 bits, instance id in the high 16.
 Checkpoints are a self-describing binary container ("WFLI") holding the run
-configuration, every named tensor, and optionally the optimizer state; a
-save/load/save round trip is byte-identical.
+configuration, the class map the model was trained with (if any), every named
+tensor, and optionally the optimizer state; a save/load/save round trip is
+byte-identical. Version 1 files, written before the class map was embedded,
+still load.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .geometry import IGNORE_LABEL, Fov, PointCloud, point_features, voxel_downs
 from .training import TrainConfig
 
 _MAGIC = b"WFLI"
-_VERSION = 1
+_VERSION = 2
 
 _SCAN_STRIDE = {"kitti4": 4, "nuscenes5": 5}
 
@@ -94,17 +96,29 @@ def write_labels(path, semantic: np.ndarray, instance: Optional[np.ndarray] = No
 
 def load_class_map(path) -> dict[int, int]:
     """Two-column text map: raw id, train id (or the word ``ignore``)."""
+    return parse_class_map(Path(path).read_text(), path)
+
+
+def parse_class_map(text: str, source="class map") -> dict[int, int]:
+    """The raw id -> train id pairs of a class-map text; ``source`` names it in errors."""
     mapping: dict[int, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'raw train' pair")
+            raise ValueError(f"{source}:{lineno}: expected 'raw train' pair")
         raw = int(parts[0])
         mapping[raw] = IGNORE_LABEL if parts[1] == "ignore" else int(parts[1])
     return mapping
+
+
+def serialize_class_map(mapping: dict[int, int]) -> str:
+    """The text form :func:`parse_class_map` reads, sorted by raw id."""
+    return "".join(
+        f"{raw} {'ignore' if train == IGNORE_LABEL else train}\n" for raw, train in sorted(mapping.items())
+    )
 
 
 # -- run configuration -------------------------------------------------------------
@@ -197,6 +211,8 @@ class RunConfig:
     scan_format: str = "kitti4"
     voxel_size: float = 0.10
     class_map: str = ""
+    # raw id -> train id pairs read from ``class_map``; checkpoints embed them
+    class_map_ids: Optional[dict[int, int]] = None
 
     def to_values(self) -> dict:
         m, t, a = self.model, self.train, self.augment
@@ -392,6 +408,11 @@ def checkpoint_save(path, model: WaffleIron, optimizer=None, run_config: Optiona
     if run_config is None:
         run_config = _minimal_run_config(model.config)
     _write_block(out, serialize_run_config(run_config).encode("utf-8"))
+    if run_config.class_map_ids is None:
+        out += struct.pack("<B", 0)
+    else:
+        out += struct.pack("<B", 1)
+        _write_block(out, serialize_class_map(run_config.class_map_ids).encode("utf-8"))
     tensors = list(model.store.items())
     out += struct.pack("<I", len(tensors))
     for name, t in tensors:
@@ -430,9 +451,11 @@ def checkpoint_load(path, config: Optional[WaffleIronConfig] = None):
     if reader.take(4) != _MAGIC:
         raise ValueError(f"bad magic in {path}")
     (version,) = struct.unpack("<I", reader.take(4))
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
     run_config = run_config_from_values(parse_config_values(reader.block().decode("utf-8")))
+    if version > 1 and struct.unpack("<B", reader.take(1))[0]:
+        run_config.class_map_ids = parse_class_map(reader.block().decode("utf-8"), f"{path} class map")
     model = WaffleIron(config if config is not None else run_config.model)
     (n_tensors,) = struct.unpack("<I", reader.take(4))
     loaded = set()

@@ -189,33 +189,32 @@ class LayerScale:
         return self.diag.data[:, None] * dy
 
 
-# Elements per block of the conv loops: a block and its per-tap temporary stay
-# in cache across the nine taps (fastest of 2**16..2**20 on a 2-core x86 VM,
-# 256 x 250 x 250 cell-major grid).
-_CONV_BLOCK = 1 << 17
-_TAPS = tuple((u, v) for u in range(3) for v in range(3))
-# (u, v, a, b): kernel tap (u, v) reads the padded source window at (a, b).
-# Forward: y[i, j] takes kernel[u, v] * x[i - 1 + u, j - 1 + v]. Backward:
-# dx[i, j] takes kernel[u, v] * dy[i + 1 - u, j + 1 - v], the same tap order
-# as scatter-adding each tap's contribution into a padded dx.
-_FORWARD_TAPS = tuple((u, v, u, v) for u, v in _TAPS)
-_BACKWARD_TAPS = tuple((u, v, 2 - u, 2 - v) for u, v in _TAPS)
+# Tap t = 3u + v of the 3x3 kernel reads the cell at offset (u - 1, v - 1).
+_TAPS = range(9)
+# The input gradient of tap t reads dy at offset (1 - u, 1 - v), which is tap 8 - t.
+_FLIPPED_TAPS = range(8, -1, -1)
 
 
 class DepthwiseConv3x3:
-    """Per-channel 3x3 cross-correlation with zero padding of 1.
+    """Per-channel 3x3 cross-correlation with zero padding of 1, on the rows that are read.
 
     No cross-channel mixing: channel c of the output only sees channel c of
     the input and its own 3x3 kernel.
 
-    Layout contract: the grids of token mixing are F x H x W views of
-    cell-major (H x W x F) memory, as :meth:`ProjectionPair.flatten` returns
-    them. Every buffer here (padded input, output, input gradient and the
-    per-tap temporary) follows the memory order of the array it is made from,
-    and the output and input gradient have the memory order of the input and
-    of ``dy``. Taps are added one at a time in (u, v) order, bias last, so the
-    result does not depend on the layout; the work runs block by block along
-    the outermost memory axis.
+    Inputs, outputs and gradients are F x n arrays of rows, one row per grid
+    cell, returned as views of cell-major (n x F) memory like
+    :meth:`ProjectionPair.flatten`. ``forward(x, taps)`` takes an
+    ``n_out x 9`` int table: ``taps[r, 3u + v]`` is the input row at offset
+    (u - 1, v - 1) from output row r, and the extra index ``n_in`` stands for
+    a zero row (an empty or out-of-grid cell). ``backward(dy, taps)`` takes the
+    table of the other direction, ``n_in x 9`` rows of the output set, and
+    reads it with flipped taps. Each output row starts from 0.0, adds the
+    products ``kernel[:, u, v] * x`` in (u, v) order and the bias last; the
+    input gradient adds ``kernel[:, u, v] * dy`` at offset (1 - u, 1 - v) in
+    (u, v) order into the input's dtype. On the rows it evaluates, the result
+    is therefore bit-identical to the dense zero-padded convolution of the
+    whole grid, provided every cell the rows read and do not list is zero.
+    Kernel and bias gradients are sums over rows.
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int, rng: np.random.Generator):
@@ -223,65 +222,62 @@ class DepthwiseConv3x3:
         self.b = store.register(f"{name}.bias", np.zeros(channels, dtype=np.float32))
         self._cache = None
 
-    def forward(self, x: np.ndarray, need_grad: bool = True) -> np.ndarray:
-        if x.ndim != 3 or x.shape[0] != self.k.shape[0]:
-            raise ValueError(f"expected {self.k.shape[0]} x H x W input, got {x.shape}")
-        xp = _pad(x)
-        y = np.zeros_like(x)
-        _correlate(y, xp, self.k.data.astype(x.dtype), _FORWARD_TAPS)
-        y += self.b.data.astype(x.dtype)[:, None, None]
-        self._cache = xp if need_grad else None
-        return y
+    def forward(self, x: np.ndarray, taps: np.ndarray, need_grad: bool = True) -> np.ndarray:
+        f = self.k.shape[0]
+        if x.ndim != 2 or x.shape[0] != f:
+            raise ValueError(f"expected {f} x n input rows, got {x.shape}")
+        _check_taps(taps, x.shape[1])
+        src = _rows_and_zero(x)
+        y = _tap_sum(src, taps, _TAPS, self.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
+        y += self.b.data.astype(x.dtype)
+        self._cache = (src, taps) if need_grad else None
+        return y.T
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        xp = self._cache
-        f, _, w = dy.shape
-        ksum = np.zeros((f, 3, 3), dtype=np.result_type(dy, xp))
-        for cs, i0, i1 in _blocks(dy):
-            dyb = dy[cs, i0:i1]
-            tmp = np.empty_like(dyb, dtype=ksum.dtype)
-            for u, v in _TAPS:
-                np.multiply(dyb, xp[cs, i0 + u : i1 + u, v : v + w], out=tmp)
-                ksum[cs, u, v] += tmp.sum(axis=(1, 2))
-        self.k.grad += ksum
-        self.b.grad += dy.sum(axis=(1, 2))
-        dx = np.zeros_like(dy, dtype=xp.dtype)
-        _correlate(dx, _pad(dy), self.k.data.astype(dy.dtype), _BACKWARD_TAPS)
-        return dx
-
-
-def _pad(x: np.ndarray) -> np.ndarray:
-    """Zero border of one cell around H and W, in the memory order of ``x``."""
-    f, h, w = x.shape
-    xp = np.zeros_like(x, shape=(f, h + 2, w + 2))
-    xp[:, 1 : h + 1, 1 : w + 1] = x
-    return xp
+    def backward(self, dy: np.ndarray, taps: np.ndarray) -> np.ndarray:
+        src, fwd_taps = self._cache
+        f = self.k.shape[0]
+        if dy.shape != (f, fwd_taps.shape[0]):
+            raise ValueError(f"expected {f} x {fwd_taps.shape[0]} gradient rows, got {dy.shape}")
+        _check_taps(taps, dy.shape[1])
+        if taps.shape[0] != src.shape[0] - 1:
+            raise ValueError(f"expected a {src.shape[0] - 1} x 9 table, got {taps.shape}")
+        dyr = dy.T
+        ksum = np.zeros((f, 9), dtype=np.result_type(dy, src))
+        xt = np.empty(dyr.shape, dtype=src.dtype)
+        prod = np.empty(dyr.shape, dtype=ksum.dtype)
+        for t in _TAPS:
+            np.take(src, fwd_taps[:, t], axis=0, out=xt, mode="clip")
+            np.multiply(dyr, xt, out=prod)
+            ksum[:, t] += prod.sum(axis=0)
+        self.k.grad += ksum.reshape(f, 3, 3)
+        self.b.grad += dyr.sum(axis=0)
+        kern = self.k.data.reshape(f, 9).astype(dy.dtype)
+        return _tap_sum(_rows_and_zero(dy), taps, _FLIPPED_TAPS, kern, src.dtype).T
 
 
-def _blocks(x: np.ndarray) -> list[tuple[slice, int, int]]:
-    """(channel slice, first row, end row) blocks of an F x H x W array.
-
-    Blocks split the outermost memory axis: channels for channel-major
-    memory, rows for cell-major memory.
-    """
-    f, h, w = x.shape
-    if x.strides[0] >= x.strides[1]:
-        step = max(1, _CONV_BLOCK // (h * w))
-        return [(slice(c, c + step), 0, h) for c in range(0, f, step)]
-    step = max(1, _CONV_BLOCK // (f * w))
-    return [(slice(None), i, min(i + step, h)) for i in range(0, h, step)]
+def _check_taps(taps: np.ndarray, n_in: int) -> None:
+    if taps.ndim != 2 or taps.shape[1] != 9:
+        raise ValueError(f"expected an n x 9 tap table, got {taps.shape}")
+    if taps.size and (taps.min() < 0 or taps.max() > n_in):
+        raise ValueError(f"tap table index outside 0..{n_in}")
 
 
-def _correlate(out: np.ndarray, src: np.ndarray, kern: np.ndarray, taps) -> None:
-    """``out[:, i, j] += kern[:, u, v] * src[:, i + a, j + b]`` for each (u, v, a, b) in order."""
-    w = out.shape[2]
-    for cs, i0, i1 in _blocks(out):
-        ob = out[cs, i0:i1]
-        tmp = np.empty_like(ob, dtype=np.result_type(kern, src))
-        kb = kern[cs]
-        for u, v, a, b in taps:
-            np.multiply(kb[:, u, v][:, None, None], src[cs, i0 + a : i1 + a, b : b + w], out=tmp)
-            ob += tmp
+def _rows_and_zero(x: np.ndarray) -> np.ndarray:
+    """The F x n rows ``x`` as cell-major (n + 1) x F memory, the last row zero."""
+    out = np.zeros((x.shape[1] + 1, x.shape[0]), dtype=x.dtype)
+    out[:-1] = x.T
+    return out
+
+
+def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype) -> np.ndarray:
+    """``out[r] = sum over t of kern[:, t] * src[taps[r, c_t]]``, from 0.0, in the order of ``columns``."""
+    out = np.zeros((taps.shape[0], src.shape[1]), dtype=dtype)
+    tmp = np.empty(out.shape, dtype=np.result_type(kern, src))
+    for t, c in enumerate(columns):
+        np.take(src, taps[:, c], axis=0, out=tmp, mode="clip")
+        np.multiply(kern[:, t], tmp, out=tmp)
+        out += tmp
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -6,23 +6,37 @@ are averaged per cell (flatten) or copied back from cells to points
 (inflate). Two interchangeable kernels implement the pair:
 
 * ``gather``  - index/scatter arithmetic, the default at runtime;
-* ``sparse``  - an explicit sparse-dense matrix product (scipy CSR), kept as
-  an independent oracle and for the adjoint identity between the two maps.
+* ``sparse``  - an explicit sparse-dense matrix product (scipy CSR, built on
+  first use), kept as an independent oracle and for the adjoint identity
+  between the two maps.
 
 Flatten accumulation always runs in float64 over ascending point index so the
 two kernels agree to well below the 1e-5 contract.
 
-Layout contract: grids are F x M arrays (F x H x W once reshaped) that are
-views of cell-major M x F memory, so the F values of one cell sit together.
-``flatten``, ``flatten_sum`` and ``inflate_backward`` return them in that
-layout; ``DepthwiseConv3x3`` keeps the memory order of its input, so the
-whole grid stage of token mixing runs in it. The gather kernel adds each
-cell's points one by one in ascending point index, starting from 0.0, the
-order a sequential scatter-add would use.
+Active cells: the grid side of every operator is the set O of occupied cells,
+one row per cell of ``occupied_cells`` (sorted by point count, most first).
+``flatten``, ``flatten_sum`` and ``inflate_backward`` return F x |O| rows and
+``inflate`` and ``flatten_backward`` take them; the rows are views of
+cell-major |O| x F memory, so the F values of one cell sit together. The
+gather kernel adds each cell's points one by one in ascending point index,
+starting from 0.0, the order a sequential scatter-add would use.
+
+Token mixing runs two 3x3 convolutions on the dense zero-padded grid, and
+inflate reads the second one only at O. That value reads the first
+convolution only on D, the cells within one cell of O (``dilated_cells``,
+ascending), and the first convolution reads the grid only at O, which is zero
+everywhere else. So the convolutions are evaluated exactly on these rows
+through two tap tables: ``d_from_o[r, 3u + v]`` is the O row of the cell at
+offset (u - 1, v - 1) from D row r, and ``o_from_d[r, 3u + v]`` the D row of
+the cell at that offset from O row r. An empty or out-of-grid neighbour
+points at one extra zero row, index |O| or |D| respectively.
+``DepthwiseConv3x3`` documents how the tables are read and why its rows equal
+the dense grid result bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -116,9 +130,12 @@ def cell_indices(points: np.ndarray, plane: PlaneSpec, valid: Optional[np.ndarra
 class ProjectionPair:
     """The flatten/inflate operator pair for one cloud on one plane.
 
-    Immutable after construction; the ``kernel`` tag picks the default
-    implementation ("gather" or "sparse") while both remain callable
-    explicitly for cross-checking.
+    Immutable after construction (the sparse kernel's matrices are built on
+    first use); the ``kernel`` tag picks the default implementation ("gather"
+    or "sparse") while both remain callable explicitly for cross-checking.
+    Grid-side arrays are F x |O| rows, one per cell of ``occupied_cells``;
+    ``d_from_o`` and ``o_from_d`` are the tap tables of the two convolutions
+    of token mixing (module docstring).
     """
 
     def __init__(self, cells: CellMap, kernel: str = "gather"):
@@ -134,30 +151,56 @@ class ProjectionPair:
         self._valid_cells = self.cell_index[self._valid_rows]
         # Rank-major order of the valid rows for the gather-kernel cell sums:
         # occupied cells sorted by count, most points first, so the cells that
-        # hold an r-th point form a prefix of ``_cells``; block r of
+        # hold an r-th point form a prefix of ``occupied_cells``; block r of
         # ``_rank_rows`` lists, for each of them, its r-th point in ascending
         # point index.
         occupied = np.flatnonzero(self.counts)
-        self._cells = occupied[np.argsort(-self.counts[occupied], kind="stable")]
+        self.occupied_cells = occupied[np.argsort(-self.counts[occupied], kind="stable")]
         by_cell = np.argsort(self._valid_cells, kind="stable")
         sorted_cells = self._valid_cells[by_cell]
         first = np.cumsum(self.counts) - self.counts
         rank = np.arange(by_cell.size) - first[sorted_cells]
         slot = np.empty(m, dtype=np.int64)
-        slot[self._cells] = np.arange(self._cells.size)
-        self._rank_rows = self._valid_rows[by_cell[np.lexsort((slot[sorted_cells], rank))]]
+        slot[self.occupied_cells] = np.arange(self.occupied_cells.size)
+        self._valid_slots = slot[self._valid_cells]
+        self._rank_rows = self._valid_rows[by_cell[np.lexsort((self._valid_slots[by_cell], rank))]]
         self._rank_widths = np.bincount(rank)
-        # inflate matrix S (N x M) with a single 1 per valid point; flatten
-        # uses S^T followed by the per-cell mean
-        n = self.cell_index.shape[0]
+        self._build_taps()
+
+    def _build_taps(self):
+        """The dilated cells D and the two tap tables, on a grid padded by one cell."""
+        h, w = self.plane.grid_shape
+        wp = w + 2
+        q0, q1 = np.divmod(self.occupied_cells, w)
+        occ_pad = (q0 + 1) * wp + (q1 + 1)
+        offsets = np.array([(u - 1) * wp + (v - 1) for u in range(3) for v in range(3)], dtype=np.int64)
+        around_o = occ_pad[:, None] + offsets
+        inside = np.zeros((h + 2, wp), dtype=bool)
+        inside[1 : h + 1, 1 : w + 1] = True
+        inside = inside.reshape(-1)
+        hit = np.zeros_like(inside)
+        hit[around_o] = True
+        dil_pad = np.flatnonzero(hit & inside)
+        n_o, n_d = occ_pad.size, dil_pad.size
+        o_row = np.full(inside.size, n_o, dtype=np.intp)
+        o_row[occ_pad] = np.arange(n_o)
+        d_row = np.full(inside.size, n_d, dtype=np.intp)
+        d_row[dil_pad] = np.arange(n_d)
+        self.dilated_cells = (dil_pad // wp - 1) * w + (dil_pad % wp - 1)
+        self.d_from_o = o_row[dil_pad[:, None] + offsets]
+        self.o_from_d = d_row[around_o]
+
+    @functools.cached_property
+    def _csr(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """Inflate matrix S (N x |O|, one 1 per valid point) and S^T, built on first sparse use."""
         data = np.ones(self._valid_rows.size, dtype=np.float64)
         s = sp.coo_matrix(
-            (data, (self._valid_rows, self._valid_cells)), shape=(n, m)
+            (data, (self._valid_rows, self._valid_slots)), shape=(self.n_points, self.n_occupied)
         ).tocsr()
         s.sort_indices()
-        self._s = s
-        self._st = s.T.tocsr()
-        self._st.sort_indices()
+        st = s.T.tocsr()
+        st.sort_indices()
+        return s, st
 
     @property
     def n_points(self) -> int:
@@ -167,68 +210,64 @@ class ProjectionPair:
     def n_cells(self) -> int:
         return self.plane.n_cells
 
+    @property
+    def n_occupied(self) -> int:
+        return self.occupied_cells.size
+
     # -- mean flatten -------------------------------------------------------
 
     def flatten(self, features: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
-        """Per-cell mean of the valid point features, F x M. Empty cells are 0."""
+        """Per-cell mean of the valid point features, F x |O|."""
         if (kernel or self.kernel) == "sparse":
-            denom = np.maximum(self.counts, 1).astype(np.float64)
-            return (self.flatten_sum(features, kernel) / denom[None, :]).astype(features.dtype)
-        means = self._cell_sums(features) / self.counts[self._cells, None]
-        return self._grid(means, features.dtype)
+            return (self.flatten_sum(features, kernel) / self.counts[self.occupied_cells]).astype(features.dtype)
+        means = self._cell_sums(features) / self.counts[self.occupied_cells, None]
+        return means.astype(features.dtype, copy=False).T
 
     def flatten_sum(self, features: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
         """Unnormalized flatten (per-cell sum) in float64, the adjoint of inflate."""
         if (kernel or self.kernel) == "sparse":
             features = self._check_points(features)
-            return (self._st @ features.T.astype(np.float64)).T
-        return self._grid(self._cell_sums(features), np.float64)
+            return (self._csr[1] @ features.T.astype(np.float64)).T
+        return self._cell_sums(features).T
 
-    def flatten_backward(self, dgrid: np.ndarray) -> np.ndarray:
+    def flatten_backward(self, drows: np.ndarray) -> np.ndarray:
         """Gradient of the mean flatten: gather each cell grad, divide by count."""
-        dgrid = self._check_cells(dgrid)
-        denom = np.maximum(self.counts, 1)
-        out = np.zeros((dgrid.shape[0], self.n_points), dtype=dgrid.dtype)
-        out[:, self._valid_rows] = dgrid[:, self._valid_cells] / denom[self._valid_cells]
+        drows = self._check_rows(drows)
+        out = np.zeros((drows.shape[0], self.n_points), dtype=drows.dtype)
+        out[:, self._valid_rows] = drows[:, self._valid_slots] / self.counts[self._valid_cells]
         return out
 
     # -- inflate ------------------------------------------------------------
 
-    def inflate(self, grid: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
+    def inflate(self, rows: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
         """Copy each cell's feature to all its points, F x N; padding columns 0."""
-        grid = self._check_cells(grid)
+        rows = self._check_rows(rows)
         if (kernel or self.kernel) == "sparse":
-            return (self._s @ grid.T.astype(np.float64)).T.astype(grid.dtype)
-        out = np.zeros((grid.shape[0], self.n_points), dtype=grid.dtype)
-        out[:, self._valid_rows] = grid[:, self._valid_cells]
+            return (self._csr[0] @ rows.T.astype(np.float64)).T.astype(rows.dtype)
+        out = np.zeros((rows.shape[0], self.n_points), dtype=rows.dtype)
+        out[:, self._valid_rows] = rows[:, self._valid_slots]
         return out
 
     def inflate_backward(self, dpoints: np.ndarray) -> np.ndarray:
-        """Gradient of inflate: scatter-add point grads into their cells."""
-        return self._grid(self._cell_sums(dpoints), dpoints.dtype)
+        """Gradient of inflate: scatter-add point grads into their cells, F x |O|."""
+        return self._cell_sums(dpoints).astype(dpoints.dtype, copy=False).T
 
     # ------------------------------------------------------------------------
 
     def _cell_sums(self, arr: np.ndarray) -> np.ndarray:
-        """Float64 sums of the valid columns of F x N ``arr``, one row per cell of ``_cells``.
+        """Float64 sums of the valid columns of F x N ``arr``, one row per cell of ``occupied_cells``.
 
         Each cell starts from 0.0 and adds its points in ascending point
         index, so the sums equal a sequential scatter-add bit for bit.
         """
         arr = self._check_points(arr)
         rows = np.take(arr.T, self._rank_rows, axis=0)
-        sums = np.zeros((self._cells.size, arr.shape[0]), dtype=np.float64)
+        sums = np.zeros((self.n_occupied, arr.shape[0]), dtype=np.float64)
         start = 0
         for width in self._rank_widths:
             sums[:width] += rows[start : start + width]
             start += width
         return sums
-
-    def _grid(self, per_cell: np.ndarray, dtype) -> np.ndarray:
-        """F x M view of cell-major memory: ``per_cell`` rows at ``_cells``, zeros elsewhere."""
-        out = np.zeros((self.n_cells, per_cell.shape[1]), dtype=dtype)
-        out[self._cells] = per_cell
-        return out.T
 
     def _check_points(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
@@ -236,10 +275,10 @@ class ProjectionPair:
             raise ValueError(f"expected F x {self.n_points} array, got {arr.shape}")
         return arr
 
-    def _check_cells(self, arr: np.ndarray) -> np.ndarray:
+    def _check_rows(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        if arr.ndim != 2 or arr.shape[1] != self.n_cells:
-            raise ValueError(f"expected F x {self.n_cells} array, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[1] != self.n_occupied:
+            raise ValueError(f"expected F x {self.n_occupied} array, got {arr.shape}")
         return arr
 
 
@@ -254,12 +293,11 @@ def build_projection(
 
 def kernel_equivalence(features: np.ndarray, proj: ProjectionPair) -> float:
     """Max absolute deviation between the two kernels over flatten and inflate."""
-    flat_g = proj.flatten(features, kernel="gather")
-    flat_s = proj.flatten(features, kernel="sparse")
-    dev = float(np.abs(flat_g - flat_s).max()) if flat_g.size else 0.0
-    grid = flat_g
-    inf_g = proj.inflate(grid, kernel="gather")
-    inf_s = proj.inflate(grid, kernel="sparse")
+    rows_g = proj.flatten(features, kernel="gather")
+    rows_s = proj.flatten(features, kernel="sparse")
+    dev = float(np.abs(rows_g - rows_s).max()) if rows_g.size else 0.0
+    inf_g = proj.inflate(rows_g, kernel="gather")
+    inf_s = proj.inflate(rows_g, kernel="sparse")
     if inf_g.size:
         dev = max(dev, float(np.abs(inf_g - inf_s).max()))
     return dev
@@ -299,7 +337,8 @@ def bench_kernels(
     """Time both kernels on a random in-FOV cloud.
 
     Returns one row per (kernel, op) with the best-of-``repeats`` wall time in
-    nanoseconds, ready for CSV emission: kernel,op,points,channels,cells,nanos.
+    nanoseconds, ready for CSV emission: kernel,op,points,channels,cells,nanos,
+    where ``cells`` counts the occupied cells (the grid-side rows).
     """
     rng = np.random.default_rng(seed)
     fov = Fov(np.array([-50.0, -50.0, -3.0]), np.array([50.0, 50.0, 2.0]))
@@ -307,27 +346,28 @@ def bench_kernels(
     plane = PlaneSpec.from_fov((0, 1), fov, rho)
     proj = build_projection(positions, plane)
     feats = rng.standard_normal((channels, n_points)).astype(np.float32)
-    grid = proj.flatten(feats)
-    rows = []
+    rows = proj.flatten(feats)
+    proj.flatten(feats, kernel="sparse")  # builds the CSR matrices outside the timed calls
+    out = []
     ops = {
         ("gather", "flatten"): lambda: proj.flatten(feats, kernel="gather"),
         ("sparse", "flatten"): lambda: proj.flatten(feats, kernel="sparse"),
-        ("gather", "inflate"): lambda: proj.inflate(grid, kernel="gather"),
-        ("sparse", "inflate"): lambda: proj.inflate(grid, kernel="sparse"),
+        ("gather", "inflate"): lambda: proj.inflate(rows, kernel="gather"),
+        ("sparse", "inflate"): lambda: proj.inflate(rows, kernel="sparse"),
     }
     for (kernel, op), fn in ops.items():
         best = min(_time_ns(fn) for _ in range(repeats))
-        rows.append(
+        out.append(
             {
                 "kernel": kernel,
                 "op": op,
                 "points": n_points,
                 "channels": channels,
-                "cells": plane.n_cells,
+                "cells": proj.n_occupied,
                 "nanos": best,
             }
         )
-    return rows
+    return out
 
 
 def bench_csv(rows: list[dict]) -> str:

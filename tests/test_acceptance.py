@@ -29,8 +29,8 @@ from waffleiron.training import Schedule, lr_at, segmentation_loss
 
 from conftest import random_cloud
 from test_geometry import cloud_from_positions, knn_oracle
-from test_nn import conv_oracle
-from test_projection import flatten_oracle
+from test_nn import conv_oracle, grid_backward, grid_forward
+from test_projection import flatten_oracle, occupied_columns, scatter_rows
 
 
 def report(number: int, text: str):
@@ -85,11 +85,11 @@ def test_criterion_04_projection_algebra():
         feats = rng.standard_normal((f, n)).astype(np.float32)
 
         grid = rng.standard_normal((f, proj.n_cells)).astype(np.float32)
-        back = proj.flatten(proj.inflate(grid))
+        back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_columns(proj, grid))))
         occ = proj.counts > 0
         assert np.abs(back[:, occ] - grid[:, occ]).max() <= 1e-6
 
-        g2 = rng.standard_normal((f, proj.n_cells))
+        g2 = occupied_columns(proj, rng.standard_normal((f, proj.n_cells)))
         lhs = float((proj.flatten_sum(feats) * g2).sum())
         rhs = float((feats * proj.inflate(g2)).sum())
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
@@ -145,9 +145,9 @@ def test_criterion_05_gradient_checks():
         r = rng.standard_normal((2, 5, 6))
 
         def loss(want):
-            y = layer.forward(x.data)
+            y = grid_forward(layer, x.data)
             if want:
-                x.grad += layer.backward(r)
+                x.grad += grid_backward(layer, r)
             return float((y * r).sum())
 
         return loss
@@ -254,7 +254,7 @@ def test_criterion_07_oracle_equivalence():
         conv = DepthwiseConv3x3(store, "conv", 3, rng)
         x = rng.standard_normal((3, 6, 7)).astype(np.float32)
         np.testing.assert_allclose(
-            conv.forward(x), conv_oracle(x, conv.k.data, conv.b.data), atol=1e-6
+            grid_forward(conv, x), conv_oracle(x, conv.k.data, conv.b.data), atol=1e-6
         )
 
     fov = Fov(np.zeros(3), np.ones(3) * 8)
@@ -265,7 +265,7 @@ def test_criterion_07_oracle_equivalence():
         proj = build_projection(pts, plane)
         feats = rng.standard_normal((6, 120)).astype(np.float32)
         want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.n_cells)
-        np.testing.assert_allclose(proj.flatten(feats), want, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(scatter_rows(proj, proj.flatten(feats)), want, rtol=1e-6, atol=1e-7)
 
     report(7, "knn, label propagation, voxel grid, depthwise conv, flatten match oracles (10 seeds each)")
 

@@ -15,10 +15,13 @@ from waffleiron.backbone import (
     prepare_inputs,
 )
 from waffleiron.geometry import Fov
-from waffleiron.nn import ParamStore, grad_check, relu
+from waffleiron.nn import ParamStore, grad_check, relu, relu_backward
+from waffleiron.projection import PlaneSpec, build_projection
 from waffleiron.training import segmentation_loss
 
 from conftest import random_cloud
+from test_nn import per_tap_backward, per_tap_forward
+from test_projection import bitwise_equal, occupied_columns, scatter_rows
 
 
 def tiny_config(fov, depth=3, width=8, classes=3, k=4, drop=0.0, strategy="baseline"):
@@ -157,12 +160,8 @@ class TestTokenMix:
         layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=3)
         out = layer.forward(x, projections, valid, False, False)
         br = layer.branches[0]
-        proj = projections[(0, 1)]
-        h, w = proj.plane.grid_shape
         xb = br.bn.forward(x, valid, False, False)
-        grid = proj.flatten(xb).reshape(x.shape[0], h, w)
-        c2 = br.conv2.forward(relu(br.conv1.forward(grid)))
-        pts = proj.inflate(c2.reshape(x.shape[0], h * w))
+        pts, _ = dense_branch(br, projections[(0, 1)], xb)
         want = x + br.scale.diag.data[:, None] * pts
         np.testing.assert_array_equal(out, want)
 
@@ -171,6 +170,147 @@ class TestTokenMix:
         out = layer.forward(x, proj, valid, False, False, keep=False)
         np.testing.assert_array_equal(out, x)
         np.testing.assert_array_equal(layer.backward(x), x)
+
+
+def dense_branch(br, proj, xb):
+    """The conv FFN of one token-mixing branch on the whole zero-padded grid, with the tests' dense conv.
+
+    Returns the inflated F x N output and a function from its gradient to
+    (gradient of ``xb``, dense grid gradient rows of O, conv parameter gradients).
+    """
+    f = xb.shape[0]
+    h, w = proj.plane.grid_shape
+    grid = scatter_rows(proj, proj.flatten(xb)).reshape(f, h, w)
+    c1 = per_tap_forward(grid, br.conv1.k.data, br.conv1.b.data)
+    r = relu(c1)
+    c2 = per_tap_forward(r, br.conv2.k.data, br.conv2.b.data)
+    out = proj.inflate(occupied_columns(proj, c2.reshape(f, h * w)))
+
+    def backward(dout):
+        dc2 = scatter_rows(proj, proj.inflate_backward(dout)).reshape(f, h, w)
+        dr, dk2, db2 = per_tap_backward(r, dc2, br.conv2.k.data)
+        dgrid, dk1, db1 = per_tap_backward(grid, relu_backward(dr, c1), br.conv1.k.data)
+        drows = occupied_columns(proj, dgrid.reshape(f, h * w))
+        return proj.flatten_backward(drows), drows, (dk1, db1, dk2, db2)
+
+    return out, backward
+
+
+def dense_token_layer(layer, x, projections, valid, dy):
+    """Eval-mode ``TokenMixLayer`` forward and backward with every branch on the dense grid."""
+    total, dx, drows, grads = None, dy.copy(), [], []
+    for axes, br in zip(layer.planes, layer.branches):
+        out, backward = dense_branch(br, projections[axes], br.bn.forward(x, valid, False, False))
+        out = br.scale.forward(out)
+        total = out if total is None else total + out
+        dxb, rows, g = backward(br.scale.backward(dy))
+        dx += br.bn.backward(dxb)
+        drows.append(rows)
+        grads.append(g)
+    return x + 1.0 * total, dx, drows, grads
+
+
+def promote_to_float64(store):
+    for _, t in store.items():
+        t.data = t.data.astype(np.float64)
+        if t.grad is not None:
+            t.grad = np.zeros_like(t.data)
+
+
+def box_fov(shape):
+    return Fov(np.zeros(3), np.array(shape, dtype=np.float64))
+
+
+def lidar_like_cloud(rng, n_beams=8, n_azimuth=180):
+    """Ground rings of a sensor 1.73 m up (~1/r density) and two poles, inside the KITTI FOV."""
+    elevation = np.deg2rad(np.linspace(-25.0, -5.0, n_beams))
+    azimuth = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
+    r = (1.73 / np.tan(-elevation))[:, None] * (1 + 0.02 * rng.standard_normal((n_beams, n_azimuth)))
+    ground = np.stack(
+        [r * np.cos(azimuth), r * np.sin(azimuth), -1.73 + 0.05 * rng.standard_normal(r.shape)], axis=-1
+    ).reshape(-1, 3)
+    z = np.linspace(-1.7, 1.9, 40)
+    poles = [np.stack([np.full_like(z, px), np.full_like(z, py), z], 1) for px, py in ((7.3, -2.1), (-12.6, 9.4))]
+    return np.concatenate([ground, *poles])
+
+
+class TestActiveCellBranch:
+    """Token mixing on the rows of O and D equals the dense zero-padded grid conv bit for bit."""
+
+    def scenes(self, kitti_fov):
+        """(name, fov, rho, positions, valid) of each case; every case runs all three planes."""
+        rng = np.random.default_rng(40)
+        fov = box_fov((5.0, 6.0, 4.0))
+        corners = np.array([[a, b, c] for a in (0.1, 4.9) for b in (0.1, 5.9) for c in (0.1, 3.9)])
+        edges = (corners[:, None, :] + corners[None, :, :]).reshape(-1, 3) / 2
+        pts = np.concatenate([corners, edges, rng.uniform(0.2, 3.8, (6, 3))])
+        valid = np.ones(len(pts), dtype=bool)
+        valid[-2:] = False
+        yield "edges and corners", fov, 1.0, pts, valid
+        yield "lone interior cell", fov, 1.0, np.array([[2.5, 3.5, 1.5]]), np.ones(1, dtype=bool)
+        yield "lone corner cell", fov, 1.0, np.array([[4.9, 0.1, 3.9]]), np.ones(1, dtype=bool)
+        pts = lidar_like_cloud(rng)
+        yield "lidar-like", kitti_fov, 0.4, pts, np.ones(len(pts), dtype=bool)
+        yield "all padding", fov, 1.0, rng.uniform(0, 3.9, (7, 3)), np.zeros(7, dtype=bool)
+
+    def run_case(self, fov, rho, pts, valid, dtype, seed):
+        width = 4
+        store = ParamStore()
+        planes = ((0, 1), (0, 2), (1, 2))
+        layer = TokenMixLayer(store, "tm", planes, width, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        for br in layer.branches:
+            for conv in (br.conv1, br.conv2):
+                conv.b.data[...] = rng.standard_normal(width)
+            br.scale.diag.data[...] = rng.standard_normal(width)
+            br.bn.running_mean.data[...] = 0.3 * rng.standard_normal(width)
+        if dtype == np.float64:
+            promote_to_float64(store)
+        projections = {axes: build_projection(pts, PlaneSpec.from_fov(axes, fov, rho), valid) for axes in planes}
+        x = rng.standard_normal((width, len(pts))).astype(dtype)
+        dy = rng.standard_normal((width, len(pts)))
+        want_y, want_dx, want_rows, want_grads = dense_token_layer(layer, x, projections, valid, dy)
+        seen = []
+        for proj in projections.values():
+            proj.flatten_backward = lambda drows, f=proj.flatten_backward: seen.append(drows) or f(drows)
+        store.zero_grad()
+        y = layer.forward(x, projections, valid, False, False)
+        dx = layer.backward(dy)
+        assert bitwise_equal(y, want_y)
+        assert bitwise_equal(dx, want_dx)
+        for rows, want in zip(seen, want_rows):
+            assert rows.dtype == dtype and bitwise_equal(rows, want)
+        return layer, want_grads, projections
+
+    def test_forward_and_grid_gradient_bitwise_float32(self, kitti_fov):
+        for i, (_, fov, rho, pts, valid) in enumerate(self.scenes(kitti_fov)):
+            self.run_case(fov, rho, pts, valid, np.float32, seed=50 + i)
+
+    def test_float64_parameter_gradients(self, kitti_fov):
+        shares = {}
+        for i, (name, fov, rho, pts, valid) in enumerate(self.scenes(kitti_fov)):
+            layer, want_grads, projections = self.run_case(fov, rho, pts, valid, np.float64, seed=60 + i)
+            for br, (dk1, db1, dk2, db2) in zip(layer.branches, want_grads):
+                for got, want in ((br.conv1.k.grad, dk1), (br.conv1.b.grad, db1), (br.conv2.k.grad, dk2), (br.conv2.b.grad, db2)):
+                    assert got.dtype == np.float64
+                    np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+            shares[name] = projections[(0, 1)].dilated_cells.size / projections[(0, 1)].n_cells
+        # the LiDAR-like xy grid is sparse, the all-padding one has no rows at all
+        assert 0 < shares["lidar-like"] < 0.1 and shares["all padding"] == 0
+
+    def test_all_padding_cloud_eval_forward(self, small_fov):
+        cfg = tiny_config(small_fov, depth=3, width=8, strategy="parallel")
+        model = WaffleIron(cfg, np.random.default_rng(41))
+        pc = build_scene(small_fov, n=20, seed=42)
+        valid = np.zeros(20, dtype=bool)
+        projections = model.build_projections(pc.positions, valid)
+        assert all(p.n_occupied == 0 for p in projections.values())
+        nbr = np.zeros((20, cfg.k_neighbors), dtype=np.int64)
+        feats = pc.features.T.copy()
+        logits = model.forward(feats, nbr, projections, valid, training=False)
+        assert logits.shape == (3, 20) and np.isfinite(logits).all()
+        cached = model.forward(feats, nbr, projections, valid, training=False, need_grad=True)
+        assert np.array_equal(logits, cached)
 
 
 class TestChannelMix:

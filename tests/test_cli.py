@@ -157,6 +157,26 @@ class TestTrainInferEval:
         assert csv.splitlines()[0] == "class,iou"
         assert (metrics_dir / "miou.txt").read_text().startswith("mIoU ")
 
+    def test_eval_uses_class_map_embedded_at_training(self, tmp_path, monkeypatch, capsys):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        # raw 0/1/2 become train 2/0/ignore; the map is only next to the config
+        (config_dir / "tiny.map").write_text("0 2\n1 0\n2 ignore\n")
+        (config_dir / "tiny.cfg").write_text(TINY_CFG.replace("epochs 2", "epochs 1") + "class_map tiny.map\n")
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=1)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config_dir / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == 0
+        ckpt = out / "ckpt_final.wfli"
+        assert dataio.checkpoint_load(ckpt)[2].class_map_ids == {0: 2, 1: 0, 2: 255}
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"), "--split", "train"]) == 0
+        table = capsys.readouterr().out
+        assert "mIoU" in table
+
     def test_checkpoint_preserves_run_config(self, trained_dir):
         _, _, rc = dataio.checkpoint_load(trained_dir / "out" / "ckpt_final.wfli")
         assert rc.model.depth == 3

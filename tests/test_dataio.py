@@ -172,6 +172,38 @@ class TestCheckpoint:
             np.testing.assert_array_equal(resumed.m[name], opt.m[name])
             np.testing.assert_array_equal(resumed.v[name], opt.v[name])
 
+    def test_class_map_embedded_and_round_trip(self, tmp_path, small_fov):
+        model = small_model(small_fov, seed=7)
+        rc = dataio.RunConfig(model.config, dataio.TrainConfig(), dataio.AugmentConfig(), class_map="kitti.map")
+        rc.class_map_ids = dataio.load_class_map(REPO / "configs" / "semantic_kitti.map")
+        p1, p2 = tmp_path / "a.wfli", tmp_path / "b.wfli"
+        dataio.checkpoint_save(p1, model, None, rc)
+        loaded, _, rc1 = dataio.checkpoint_load(p1)
+        assert rc1.class_map_ids == rc.class_map_ids
+        assert rc1.class_map_ids[0] == IGNORE_LABEL and rc1.class_map_ids[81] == 18
+        dataio.checkpoint_save(p2, loaded, None, rc1)
+        assert p1.read_bytes() == p2.read_bytes()
+        rc.class_map_ids = {}
+        dataio.checkpoint_save(p1, model, None, rc)
+        assert dataio.checkpoint_load(p1)[2].class_map_ids == {}
+
+    def test_version_1_checkpoint_without_map_loads(self, tmp_path, small_fov):
+        model = small_model(small_fov, seed=8)
+        path = tmp_path / "m.wfli"
+        dataio.checkpoint_save(path, model)
+        v2 = path.read_bytes()
+        (n_config,) = struct.unpack("<I", v2[8:12])
+        end = 12 + n_config
+        assert v2[end] == 0  # no class map
+        v1 = v2[:4] + struct.pack("<I", 1) + v2[8:end] + v2[end + 1 :]
+        path.write_bytes(v1)
+        loaded, payload, rc = dataio.checkpoint_load(path)
+        assert payload is None and rc.class_map_ids is None
+        for name, t in model.store.items():
+            np.testing.assert_array_equal(loaded.store[name].data, t.data)
+        dataio.checkpoint_save(path, loaded)
+        assert path.read_bytes() == v2
+
 
 class TestRunConfig:
     def test_shipped_kitti_config(self):

@@ -193,11 +193,34 @@ def cell_major(x):
     return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
+def is_cell_major(a):
+    return np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
 CONV_LAYOUTS = (np.ascontiguousarray, cell_major)
 
 
+def full_grid_taps(h, w):
+    """Tap table of a whole H x W grid: cell i * W + j reads cell (i + u - 1, j + v - 1), or H * W past an edge."""
+    padded = np.full((h + 2, w + 2), h * w, dtype=np.intp)
+    padded[1 : h + 1, 1 : w + 1] = np.arange(h * w).reshape(h, w)
+    i, j = np.divmod(np.arange(h * w), w)
+    return np.stack([padded[i + u, j + v] for u in range(3) for v in range(3)], axis=1)
+
+
+def grid_forward(conv, x, need_grad=True):
+    """The row conv evaluated on every cell of an F x H x W grid."""
+    f, h, w = x.shape
+    return conv.forward(x.reshape(f, h * w), full_grid_taps(h, w), need_grad).reshape(f, h, w)
+
+
+def grid_backward(conv, dy):
+    f, h, w = dy.shape
+    return conv.backward(dy.reshape(f, h * w), full_grid_taps(h, w)).reshape(f, h, w)
+
+
 def per_tap_forward(x, kern, bias):
-    """The conv forward formula as first written: channel-major buffers, one new temporary per tap."""
+    """The dense zero-padded conv forward of the whole grid: taps in (u, v) order from 0.0, bias last."""
     f, h, w = x.shape
     xp = np.zeros((f, h + 2, w + 2), dtype=x.dtype)
     xp[:, 1 : h + 1, 1 : w + 1] = x
@@ -210,6 +233,27 @@ def per_tap_forward(x, kern, bias):
     return y
 
 
+def per_tap_backward(x, dy, kern):
+    """Dense gradients of :func:`per_tap_forward`: (dx in x's dtype, kernel grad, bias grad).
+
+    dx adds ``kern[:, u, v] * dy`` at offset (1 - u, 1 - v) in (u, v) order, as
+    the dense grid conv did.
+    """
+    f, h, w = dy.shape
+    dyp = np.zeros((f, h + 2, w + 2), dtype=dy.dtype)
+    dyp[:, 1 : h + 1, 1 : w + 1] = dy
+    xp = np.zeros((f, h + 2, w + 2), dtype=x.dtype)
+    xp[:, 1 : h + 1, 1 : w + 1] = x
+    k = kern.astype(dy.dtype)
+    dx = np.zeros((f, h, w), dtype=x.dtype)
+    dk = np.zeros((f, 3, 3), dtype=np.result_type(dy, x))
+    for u in range(3):
+        for v in range(3):
+            dx += k[:, u, v][:, None, None] * dyp[:, 2 - u : 2 - u + h, 2 - v : 2 - v + w]
+            dk[:, u, v] = (dy * xp[:, u : u + h, v : v + w]).sum(axis=(1, 2))
+    return dx, dk, dy.sum(axis=(1, 2))
+
+
 class TestDepthwiseConv:
     def test_center_one_hot_is_identity(self):
         store = ParamStore()
@@ -218,7 +262,7 @@ class TestDepthwiseConv:
         conv.k.data[:, 1, 1] = 1.0
         conv.b.data[...] = 0
         x = np.random.default_rng(1).standard_normal((2, 4, 5)).astype(np.float32)
-        np.testing.assert_array_equal(conv.forward(x), x)
+        np.testing.assert_array_equal(grid_forward(conv, x), x)
 
     def test_ones_kernel_spreads_impulse(self):
         store = ParamStore()
@@ -227,7 +271,7 @@ class TestDepthwiseConv:
         conv.b.data[...] = 0
         x = np.zeros((1, 5, 5), dtype=np.float32)
         x[0, 2, 2] = 1.0
-        y = conv.forward(x)
+        y = grid_forward(conv, x)
         assert (y[0, 1:4, 1:4] == 1.0).all()
         assert y.sum() == 9.0
 
@@ -238,8 +282,8 @@ class TestDepthwiseConv:
         x0 = rng.standard_normal((2, 5, 6)).astype(np.float32)
         for layout in CONV_LAYOUTS:
             x = layout(x0)
-            y = conv.forward(x)
-            assert y.strides == x.strides
+            y = grid_forward(conv, x)
+            assert is_cell_major(y)
             np.testing.assert_allclose(y, conv_oracle(x, conv.k.data, conv.b.data), atol=1e-6)
             assert np.array_equal(y, per_tap_forward(x, conv.k.data, conv.b.data))
 
@@ -255,13 +299,12 @@ class TestDepthwiseConv:
         conv2.b.data[...] = conv.b.data[perm]
         for layout in CONV_LAYOUTS:
             x = layout(x0)
-            y = conv.forward(x)
-            assert y.strides == x.strides
+            y = grid_forward(conv, x)
+            assert is_cell_major(y)
             assert np.array_equal(y, per_tap_forward(x, conv.k.data, conv.b.data))
-            np.testing.assert_array_equal(conv2.forward(layout(x0[perm])), y[perm])
+            np.testing.assert_array_equal(grid_forward(conv2, layout(x0[perm])), y[perm])
 
-    def test_multi_block_grids_match_per_tap_formulas(self):
-        # large enough that both layouts split into blocks, the last one short
+    def test_large_grid_matches_per_tap_formulas(self):
         rng = np.random.default_rng(4)
         store = ParamStore()
         conv = DepthwiseConv3x3(store, "conv", 5, rng)
@@ -279,12 +322,13 @@ class TestDepthwiseConv:
         for layout in CONV_LAYOUTS:
             x, dy = layout(x0), layout(dy0)
             store.zero_grad()
-            y = conv.forward(x)
-            assert y.strides == x.strides
+            y = grid_forward(conv, x)
+            assert is_cell_major(y)
             assert np.array_equal(y, per_tap_forward(x0, conv.k.data, conv.b.data))
-            dx = conv.backward(dy)
-            assert dx.dtype == np.float32 and dx.strides == x.strides
+            dx = grid_backward(conv, dy)
+            assert dx.dtype == np.float32 and is_cell_major(dx)
             assert np.array_equal(dx, dxp[:, 1 : h + 1, 1 : w + 1])
+            assert np.array_equal(dx, per_tap_backward(x0, dy0, conv.k.data)[0])
             np.testing.assert_allclose(conv.k.grad.reshape(f, 9), want_k, rtol=1e-5, atol=1e-3)
             np.testing.assert_allclose(conv.b.grad, dy0.sum(axis=(1, 2)), rtol=1e-5, atol=1e-3)
 
@@ -297,18 +341,34 @@ class TestDepthwiseConv:
                 r = layout(rng.standard_normal((2, 5, 6)))
 
                 def loss_fn(want_grad):
-                    xin = layout(x.data)
-                    y = conv.forward(xin)
-                    assert y.strides == xin.strides
+                    y = grid_forward(conv, layout(x.data))
+                    assert is_cell_major(y)
                     if want_grad:
-                        dx = conv.backward(r)
-                        assert dx.strides == r.strides
+                        dx = grid_backward(conv, r)
+                        assert is_cell_major(dx)
                         x.grad += dx
                     return float((y * r).sum())
 
                 return loss_fn
 
             check_layer(build)
+
+    def test_rejects_bad_rows_and_tables(self):
+        store = ParamStore()
+        conv = DepthwiseConv3x3(store, "conv", 2, np.random.default_rng(5))
+        taps = full_grid_taps(3, 4)
+        x = np.zeros((2, 12), dtype=np.float32)
+        with pytest.raises(ValueError):
+            conv.forward(np.zeros((3, 12), dtype=np.float32), taps)
+        with pytest.raises(ValueError):
+            conv.forward(x, taps[:, :8])
+        with pytest.raises(ValueError):
+            conv.forward(x[:, :11], taps)  # the table reads row 11
+        conv.forward(x, taps)
+        with pytest.raises(ValueError):
+            conv.backward(np.zeros((2, 11)), taps)
+        with pytest.raises(ValueError):
+            conv.backward(np.zeros((2, 12)), taps[:11])
 
 
 class TestLayerScale:
@@ -449,7 +509,7 @@ def test_forward_determinism():
     store = ParamStore()
     conv = DepthwiseConv3x3(store, "conv", 3, rng)
     x = rng.standard_normal((3, 8, 8)).astype(np.float32)
-    np.testing.assert_array_equal(conv.forward(x), conv.forward(x))
+    np.testing.assert_array_equal(grid_forward(conv, x), grid_forward(conv, x))
 
 
 def test_param_store_rejects_duplicates():

@@ -117,6 +117,18 @@ def add_at_inflate_backward(proj, dpoints):
     return add_at_flatten_sum(proj, dpoints).astype(dpoints.dtype)
 
 
+def scatter_rows(proj, rows):
+    """F x |O| rows as the dense F x M grid (a view of cell-major memory), zeros at empty cells."""
+    grid = np.zeros((proj.n_cells, rows.shape[0]), dtype=rows.dtype)
+    grid[proj.occupied_cells] = rows.T
+    return grid.T
+
+
+def occupied_columns(proj, grid):
+    """The F x |O| rows of a dense F x M grid that inflate reads."""
+    return grid[:, proj.occupied_cells]
+
+
 def bitwise_equal(a, b):
     same = a.dtype == b.dtype and a.shape == b.shape
     return same and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
@@ -155,15 +167,17 @@ class TestScatterAddOracle:
             for dtype in (np.float32, np.float64):
                 x = feats.astype(dtype)
                 x[:, ::7] = -0.0
-                for got, want in (
+                for rows, want in (
                     (proj.flatten(x), add_at_flatten(proj, x)),
                     (proj.flatten_sum(x), add_at_flatten_sum(proj, x)),
                     (proj.inflate_backward(x), add_at_inflate_backward(proj, x)),
                 ):
+                    # F x |O| view of cell-major memory
+                    assert rows.shape == (x.shape[0], proj.n_occupied)
+                    assert rows.T.flags.c_contiguous
+                    got = scatter_rows(proj, rows)
                     assert bitwise_equal(got, want)
                     assert np.array_equal(got, want)
-                    # F x M view of cell-major memory
-                    assert got.T.flags.c_contiguous
         assert crowded == 2 and empty == 1
 
 
@@ -174,7 +188,7 @@ class TestFlattenInflate:
         pts = np.full((5, 3), 1.0)
         proj = build_projection(pts, plane)
         feats = np.full((3, 5), 2.5, dtype=np.float32)
-        grid = proj.flatten(feats)
+        grid = scatter_rows(proj, proj.flatten(feats))
         np.testing.assert_allclose(grid[:, 0], 2.5)
         assert (grid[:, 1:] == 0).all()
 
@@ -185,13 +199,13 @@ class TestFlattenInflate:
         pts = np.array([[0.5, 5.5, 0.0], [0.5, 5.5, 1.0]])
         proj = build_projection(pts, plane)
         feats = np.array([[1.0, 3.0]], dtype=np.float32)
-        grid = proj.flatten(feats)
+        grid = scatter_rows(proj, proj.flatten(feats))
         assert grid[0, 5] == 2.0
 
     def test_flatten_matches_oracle(self):
         rng = np.random.default_rng(1)
         proj, feats = small_projection(rng, n=64, f=8)
-        got = proj.flatten(feats)
+        got = scatter_rows(proj, proj.flatten(feats))
         want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.n_cells)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
@@ -201,7 +215,7 @@ class TestFlattenInflate:
         j = proj.cell_index[0]
         grid = np.zeros((4, proj.n_cells), dtype=np.float32)
         grid[:, j] = [1, 2, 3, 4]
-        out = proj.inflate(grid)
+        out = proj.inflate(occupied_columns(proj, grid))
         members = (proj.cell_index == j) & proj.valid
         np.testing.assert_array_equal(out[:, members], np.tile([[1], [2], [3], [4]], members.sum()))
 
@@ -209,7 +223,7 @@ class TestFlattenInflate:
         rng = np.random.default_rng(3)
         proj, _ = small_projection(rng, n=40, f=6, n_invalid=5)
         grid = rng.standard_normal((6, proj.n_cells)).astype(np.float32)
-        out = proj.inflate(grid)
+        out = proj.inflate(occupied_columns(proj, grid))
         for i in range(proj.n_points):
             if proj.valid[i]:
                 assert (out[:, i] == grid[:, proj.cell_index[i]]).all()
@@ -220,7 +234,7 @@ class TestFlattenInflate:
         rng = np.random.default_rng(4)
         proj, _ = small_projection(rng, n=80, f=5)
         grid = rng.standard_normal((5, proj.n_cells)).astype(np.float32)
-        back = proj.flatten(proj.inflate(grid))
+        back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_columns(proj, grid))))
         occ = proj.counts > 0
         np.testing.assert_allclose(back[:, occ], grid[:, occ], atol=1e-6)
 
@@ -230,9 +244,11 @@ class TestFlattenInflate:
         plane = PlaneSpec.from_fov((0, 1), fov, 1.0)
         pts = rng.uniform(0, 3.999, size=(100, 3))
         feats = rng.standard_normal((7, 100)).astype(np.float32)
-        a = build_projection(pts, plane).flatten(feats)
+        proj_a = build_projection(pts, plane)
+        a = scatter_rows(proj_a, proj_a.flatten(feats))
         perm = rng.permutation(100)
-        b = build_projection(pts[perm], plane).flatten(feats[:, perm])
+        proj_b = build_projection(pts[perm], plane)
+        b = scatter_rows(proj_b, proj_b.flatten(feats[:, perm]))
         np.testing.assert_array_equal(a, b)
 
     def test_every_valid_point_in_exactly_one_cell(self):
@@ -246,7 +262,86 @@ class TestFlattenInflate:
         with pytest.raises(ValueError):
             proj.flatten(feats[:, :-1])
         with pytest.raises(ValueError):
-            proj.inflate(np.zeros((2, proj.n_cells + 1)))
+            proj.inflate(np.zeros((2, proj.n_occupied + 1)))
+        with pytest.raises(ValueError):
+            proj.flatten_backward(np.zeros((2, proj.n_occupied + 1)))
+
+
+def neighbour_oracle(proj, cell, t):
+    """Cell at tap t = 3u + v of ``cell``, i.e. offset (u - 1, v - 1), or None past the grid edge."""
+    h, w = proj.plane.grid_shape
+    i, j = divmod(int(cell), w)
+    i, j = i + t // 3 - 1, j + t % 3 - 1
+    return i * w + j if 0 <= i < h and 0 <= j < w else None
+
+
+def edge_projection(cells, shape=(5, 6), points_per_cell=2, n_invalid=0):
+    """Points in the given (row, column) cells of a rho-1 grid, plus padding rows."""
+    fov = Fov(np.zeros(3), np.array([shape[0], shape[1], 1.0]))
+    plane = PlaneSpec.from_fov((0, 1), fov, 1.0)
+    assert plane.grid_shape == shape
+    pts = [(i + 0.25 + 0.5 * r / points_per_cell, j + 0.5, 0.5) for i, j in cells for r in range(points_per_cell)]
+    pts = np.array(pts + [(0.0, 0.0, 0.0)] * n_invalid, dtype=np.float64).reshape(-1, 3)
+    valid = np.arange(len(pts)) < len(pts) - n_invalid
+    return build_projection(pts, plane, valid)
+
+
+EDGE_CELLS = [(0, 0), (0, 5), (4, 0), (4, 5), (0, 2), (2, 0), (4, 3), (3, 5), (2, 3)]
+
+
+class TestTapTables:
+    """Occupied cells O, dilated cells D and the two tap tables against a cell-by-cell oracle."""
+
+    def cases(self):
+        rng = np.random.default_rng(14)
+        yield edge_projection(EDGE_CELLS, n_invalid=3)
+        yield edge_projection([(2, 3)])
+        yield edge_projection([(0, 0)])
+        yield edge_projection([(4, 5)], shape=(5, 6), points_per_cell=4)
+        yield edge_projection([(0, 0)], shape=(1, 1))
+        for _ in range(3):
+            yield small_projection(rng, n=int(rng.integers(1, 12)), f=1)[0]
+        yield small_projection(rng, n=12, f=1, n_invalid=12)[0]
+
+    def test_tables_match_neighbourhood_oracle(self):
+        lone = empty = 0
+        for proj in self.cases():
+            occupied = proj.occupied_cells
+            assert sorted(occupied.tolist()) == np.flatnonzero(proj.counts).tolist()
+            dilated = {
+                c for o in occupied.tolist() for t in range(9) if (c := neighbour_oracle(proj, o, t)) is not None
+            }
+            assert proj.dilated_cells.tolist() == sorted(dilated)
+            o_row = {c: r for r, c in enumerate(occupied.tolist())}
+            d_row = {c: r for r, c in enumerate(proj.dilated_cells.tolist())}
+            assert proj.d_from_o.shape == (len(d_row), 9) and proj.o_from_d.shape == (len(o_row), 9)
+            for table, cells, rows in ((proj.d_from_o, proj.dilated_cells, o_row), (proj.o_from_d, occupied, d_row)):
+                for r, cell in enumerate(cells.tolist()):
+                    for t in range(9):
+                        want = rows.get(neighbour_oracle(proj, cell, t), len(rows))
+                        assert table[r, t] == want
+            lone += occupied.size == 1
+            empty += occupied.size == 0
+        assert lone >= 4 and empty == 1
+
+    def test_all_padding_cloud_has_no_rows(self):
+        proj, feats = small_projection(np.random.default_rng(15), n=12, f=5, n_invalid=12)
+        assert proj.n_occupied == 0 and proj.dilated_cells.size == 0
+        assert proj.d_from_o.shape == (0, 9) and proj.o_from_d.shape == (0, 9)
+        rows = proj.flatten(feats)
+        assert rows.shape == (5, 0)
+        assert proj.flatten_sum(feats, kernel="sparse").shape == (5, 0)
+        assert np.array_equal(proj.inflate(rows), np.zeros((5, 12), dtype=np.float32))
+        assert np.array_equal(proj.flatten_backward(rows), np.zeros((5, 12), dtype=np.float32))
+        assert proj.inflate_backward(feats).shape == (5, 0)
+
+    def test_sparse_matrices_built_on_first_sparse_use(self):
+        proj, feats = small_projection(np.random.default_rng(16), n=40, f=3)
+        proj.flatten(feats)
+        assert "_csr" not in vars(proj)
+        assert kernel_equivalence(feats, proj) <= 1e-5
+        s, st = vars(proj)["_csr"]
+        assert s.shape == (40, proj.n_occupied) and st.shape == (proj.n_occupied, 40)
 
 
 class TestKernelEquivalence:
@@ -281,8 +376,9 @@ class TestAdjoint:
         for _ in range(10):
             proj, feats = small_projection(rng, n=int(rng.integers(10, 150)), f=12, n_invalid=3)
             grid = rng.standard_normal((12, proj.n_cells))
-            lhs = float((proj.flatten_sum(feats) * grid).sum())
-            rhs = float((feats * proj.inflate(grid.astype(np.float64))).sum())
+            rows = occupied_columns(proj, grid)
+            lhs = float((proj.flatten_sum(feats) * rows).sum())
+            rhs = float((feats * proj.inflate(rows.astype(np.float64))).sum())
             assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
 
@@ -320,7 +416,7 @@ class TestPlaneSchedule:
 def test_backward_operators_match_adjoint_definition():
     rng = np.random.default_rng(12)
     proj, feats = small_projection(rng, n=50, f=4, n_invalid=4)
-    dgrid = rng.standard_normal((4, proj.n_cells))
+    dgrid = occupied_columns(proj, rng.standard_normal((4, proj.n_cells)))
     # <flatten(F), dG> == <F, flatten_backward(dG)> (linear map adjoint)
     lhs = float((proj.flatten(feats.astype(np.float64)) * dgrid).sum())
     rhs = float((feats * proj.flatten_backward(dgrid)).sum())
