@@ -6,7 +6,6 @@ from .geometry import (
     PointCloud,
     crop_fov,
     knn,
-    nn_propagate_labels,
     sample_fixed,
     voxel_downsample,
 )
@@ -16,12 +15,11 @@ from .projection import (
     ProjectionPair,
     build_projection,
     cell_indices,
-    kernel_equivalence,
     plane_schedule,
 )
 from .backbone import WaffleIron, WaffleIronConfig, param_count
 from .training import AdamW, Schedule, TrainConfig, cross_entropy, lovasz_softmax, lr_at, train_loop
-from .evaluation import ConfusionMatrix, MetricsReport, evaluate_split, iou, tta_infer
+from .evaluation import ConfusionMatrix, MetricsReport, evaluate_split, iou, segment_scan
 from .augment import AugmentConfig, InstanceBank, instance_cutmix, polarmix
 
 __version__ = "0.1.0"
@@ -32,7 +30,6 @@ __all__ = [
     "PointCloud",
     "crop_fov",
     "knn",
-    "nn_propagate_labels",
     "sample_fixed",
     "voxel_downsample",
     "CellMap",
@@ -40,7 +37,6 @@ __all__ = [
     "ProjectionPair",
     "build_projection",
     "cell_indices",
-    "kernel_equivalence",
     "plane_schedule",
     "WaffleIron",
     "WaffleIronConfig",
@@ -56,7 +52,7 @@ __all__ = [
     "MetricsReport",
     "evaluate_split",
     "iou",
-    "tta_infer",
+    "segment_scan",
     "AugmentConfig",
     "InstanceBank",
     "instance_cutmix",

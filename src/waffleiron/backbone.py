@@ -19,7 +19,6 @@ import numpy as np
 from .geometry import FEATURE_DIMS, Fov, PointCloud, knn
 from .nn import (
     BatchNorm,
-    BN_EPS,
     DepthwiseConv3x3,
     LayerScale,
     ParamStore,
@@ -255,28 +254,6 @@ class ChannelMixLayer:
         da1 = relu_backward(dr, self._relu_in)
         dxb = self.lin1.backward(da1)
         return dy + self.bn.backward(dxb)
-
-
-def fold_bn_into_linear(bn: BatchNorm, lin: PointwiseLinear) -> tuple[np.ndarray, np.ndarray]:
-    """Merge an eval-mode batch norm into the linear layer that follows it.
-
-    Returns (W', b') with ``W' x + b' == W bn_eval(x) + b``, the standard
-    inference-time fusion for the channel-mixing MLP.
-    """
-    inv = 1.0 / np.sqrt(bn.running_var.data.astype(np.float64) + BN_EPS)
-    scale = bn.gamma.data.astype(np.float64) * inv
-    shift = bn.beta.data.astype(np.float64) - bn.running_mean.data.astype(np.float64) * scale
-    w = lin.w.data.astype(np.float64)
-    wf = (w * scale[None, :]).astype(np.float32)
-    bf = (lin.b.data.astype(np.float64) + w @ shift).astype(np.float32)
-    return wf, bf
-
-
-def channel_mix_folded_eval(layer: ChannelMixLayer, x: np.ndarray) -> np.ndarray:
-    """Eval-mode channel mixing with the BN folded into the first linear."""
-    wf, bf = fold_bn_into_linear(layer.bn, layer.lin1)
-    a2 = layer.lin2.w.data @ relu(wf @ x + bf[:, None]) + layer.lin2.b.data[:, None]
-    return x + layer.scale.diag.data[:, None] * a2
 
 
 class WaffleIron:

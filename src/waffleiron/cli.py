@@ -1,4 +1,4 @@
-"""Command-line surface: train, infer, eval, bench, paramcount.
+"""Command-line surface: train, infer, eval, paramcount.
 
 Configuration files use the plain-text ``key value`` schema documented in
 :mod:`waffleiron.dataio`; command-line flags override file values. Argument
@@ -16,9 +16,8 @@ import numpy as np
 from . import dataio
 from .augment import CUTMIX_CLASSES, build_instance_bank
 from .backbone import param_count
-from .evaluation import evaluate_split, infer_labels
-from .geometry import nearest_indices, voxel_downsample
-from .projection import bench_csv, bench_kernels
+from .evaluation import evaluate_split, segment_scan
+from .geometry import nearest_indices  # noqa: F401  (benchmark/tests/test_bench_tracer.py patches cli.nearest_indices)
 from .training import train_loop
 
 
@@ -53,12 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tta", action="store_true")
     p_eval.add_argument("--out", default=None, help="directory for metrics.csv and miou.txt")
     p_eval.add_argument("--seed", type=int, default=0)
-
-    p_bench = sub.add_parser("bench", help="time the projection kernels")
-    p_bench.add_argument("--points", type=int, required=True)
-    p_bench.add_argument("--channels", type=int, required=True)
-    p_bench.add_argument("--rho", type=float, required=True)
-    p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     p_count = sub.add_parser("paramcount", help="print the trainable parameter count")
     p_count.add_argument("--config", required=True)
@@ -127,10 +120,7 @@ def _cmd_train(args) -> int:
 def _cmd_infer(args) -> int:
     model, _, rc = dataio.checkpoint_load(args.ckpt)
     pc = dataio.read_scan(args.scan, rc.scan_format, model.config.input_feature_mode)
-    down, _ = voxel_downsample(pc, rc.voxel_size)
-    rng = np.random.default_rng(args.seed)
-    labels_down = infer_labels(down, model, tta=args.tta, rng=rng)
-    pred = labels_down[nearest_indices(down.positions, pc.positions)]
+    pred = segment_scan(pc, model, rc.voxel_size, tta=args.tta, rng=np.random.default_rng(args.seed))
     dataio.write_labels(args.out, pred)
     print(f"wrote {pc.n_points} labels to {args.out}")
     return 0
@@ -164,16 +154,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rows = bench_kernels(args.points, args.channels, args.rho)
-    csv = bench_csv(rows)
-    if args.out:
-        Path(args.out).write_text(csv)
-    else:
-        print(csv, end="")
-    return 0
-
-
 def _cmd_paramcount(args) -> int:
     rc = dataio.load_run_config(args.config)
     print(param_count(rc.model))
@@ -184,7 +164,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "infer": _cmd_infer,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
     "paramcount": _cmd_paramcount,
 }
 

@@ -1,10 +1,12 @@
-"""Confusion matrix, IoU metrics and test-time-augmentation inference.
+"""Confusion matrix, IoU metrics and the segmentation path.
 
-Inference on a scan crops to the configured FOV, runs the network on the
-remaining points, and propagates per-point softmax probabilities back to the
-full cloud by nearest neighbor. Test-time augmentation averages those
-probabilities over randomly rotated/flipped passes with stochastic depth
-kept active, then takes the argmax.
+:func:`segment_scan` is the one path from a raw scan to one label per point,
+shared by ``infer``, ``eval`` and test-time augmentation: it voxelizes the
+scan, runs :func:`infer_probs` on the voxel cloud (which crops to the FOV and
+fills the points outside it from their nearest inside neighbor), takes the
+argmax and propagates the labels to the raw scan by nearest neighbor.
+Test-time augmentation sums the probabilities of ``TTA_PASSES`` randomly
+rotated/flipped passes with stochastic depth kept active before the argmax.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .augment import random_flip, random_rotate_z
 from .backbone import WaffleIron, prepare_inputs
 from .geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, voxel_downsample
 from .training import softmax
+
+TTA_PASSES = 10
 
 
 class ConfusionMatrix:
@@ -86,45 +90,34 @@ def infer_probs(model: WaffleIron, pc: PointCloud, drop_rng=None) -> np.ndarray:
     return probs_inside[src]
 
 
-def tta_infer(
+def segment_scan(
     pc: PointCloud,
     model: WaffleIron,
-    n_aug: int = 10,
-    rng: Optional[np.random.Generator] = None,
-    transform: bool = True,
-    stochastic: bool = True,
-) -> np.ndarray:
-    """Labels for every point of ``pc`` by averaged-softmax TTA.
-
-    Each pass applies a random z-rotation and axis flips (re-cropping to the
-    FOV afterwards) and keeps stochastic depth active, then the per-point
-    probabilities are averaged and argmaxed. Ties go to the lower class id.
-    With ``n_aug=1``, ``transform=False`` and ``stochastic=False`` this is
-    plain inference.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    acc = np.zeros((pc.n_points, model.config.num_classes), dtype=np.float64)
-    for _ in range(n_aug):
-        variant = pc
-        if transform:
-            variant = random_rotate_z(variant, rng)
-            variant = random_flip(variant, rng)
-        drop_rng = rng if (stochastic and model.config.drop_prob > 0) else None
-        acc += infer_probs(model, variant, drop_rng=drop_rng)
-    return np.argmax(acc, axis=1).astype(np.int32)
-
-
-def infer_labels(
-    pc: PointCloud,
-    model: WaffleIron,
+    voxel_size: float,
     tta: bool = False,
-    n_aug: int = 10,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    if tta:
-        return tta_infer(pc, model, n_aug=n_aug, rng=rng)
-    return tta_infer(pc, model, n_aug=1, rng=rng, transform=False, stochastic=False)
+    """One int32 label per point of the raw scan ``pc``.
+
+    Without ``tta`` the voxel cloud gets one plain pass. With it, each of the
+    ``TTA_PASSES`` passes draws a z-rotation, axis flips and (when
+    ``drop_prob > 0``) its stochastic-depth choices from ``rng``; the
+    float64 sum of the passes' probabilities is argmaxed, ties going to the
+    lower class id.
+    """
+    down, _ = voxel_downsample(pc, voxel_size)
+    if not tta:
+        probs = infer_probs(model, down)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        drop_rng = rng if model.config.drop_prob > 0 else None
+        probs = np.zeros((down.n_points, model.config.num_classes), dtype=np.float64)
+        for _ in range(TTA_PASSES):
+            variant = random_flip(random_rotate_z(down, rng), rng)
+            probs += infer_probs(model, variant, drop_rng=drop_rng)
+    labels = np.argmax(probs, axis=1).astype(np.int32)
+    return labels[nearest_indices(down.positions, pc.positions)]
 
 
 @dataclass
@@ -169,10 +162,8 @@ def evaluate_split(
 ) -> MetricsReport:
     """Score a model over labeled scans.
 
-    Per scan: voxel downsample, infer on the downsampled cloud (which crops
-    internally and fills outside-FOV points by nearest neighbor), propagate
-    the predictions back to every original point, accumulate the confusion
-    matrix against the original labels.
+    Per scan: :func:`segment_scan`, then accumulate the confusion matrix
+    against the scan's labels. One ``rng`` serves the whole split.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -180,9 +171,6 @@ def evaluate_split(
     for pc in dataset:
         if pc.labels is None:
             raise ValueError("evaluation needs labeled scans")
-        down, _ = voxel_downsample(pc, voxel_size)
-        labels_down = infer_labels(down, model, tta=tta, rng=rng)
-        pred = labels_down[nearest_indices(down.positions, pc.positions)]
-        cm.update(pred, pc.labels)
+        cm.update(segment_scan(pc, model, voxel_size, tta, rng), pc.labels)
     per_class, miou = iou(cm)
     return MetricsReport(per_class, miou, cm, class_names)

@@ -2,8 +2,8 @@
 
 Holds the :class:`PointCloud` record plus the operations applied before the
 network ever sees a scene: voxel downsampling, field-of-view cropping,
-fixed-size sampling/padding, exact k-nearest-neighbor search, and
-nearest-neighbor label propagation.
+fixed-size sampling/padding, and exact k-nearest-neighbor and nearest-point
+search.
 
 Conventions used throughout the package:
 
@@ -267,15 +267,3 @@ def _ranked_neighbors(points: np.ndarray, queries: np.ndarray, k: int, own: np.n
     out = np.take_along_axis(idx, np.minimum(np.arange(k), np.maximum(avail - 1, 0)[:, None]), axis=1)
     out[avail == 0] = own[avail == 0, None]
     return out
-
-
-def nn_propagate_labels(src: PointCloud, src_labels: np.ndarray, dst_points: np.ndarray) -> np.ndarray:
-    """Give every dst point the label of its nearest valid src point."""
-    src_labels = np.asarray(src_labels).reshape(-1)
-    if src_labels.shape[0] != src.n_points:
-        raise ValueError("labels must align with the source cloud")
-    vidx = np.flatnonzero(src.valid)
-    if vidx.size == 0:
-        raise ValueError("empty cloud")
-    nearest = nearest_indices(src.positions[vidx], dst_points)
-    return src_labels[vidx[nearest]]

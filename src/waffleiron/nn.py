@@ -3,14 +3,13 @@
 The network architecture is fixed, so instead of a tape-based autodiff each
 layer caches what its own backward pass needs. Parameters live in a
 :class:`ParamStore` as named float32 tensors; gradient buffers accumulate
-until explicitly zeroed. A central finite-difference checker validates every
-backward implementation.
+until explicitly zeroed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -297,81 +296,13 @@ def slot_max(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.
     """
     if values.ndim != 3 or values.shape[2] == 0:
         raise ValueError("values must be F x N x k with k >= 1")
-    f, n, k = values.shape
     y = values.max(axis=2)
-    tied = values == y[:, :, None]
-    big = np.iinfo(np.int64).max
-    nbr = neighbors[None, :, :]
-    best_point = np.where(tied, nbr, big).min(axis=2)
-    slot_ids = np.arange(k, dtype=np.int64)[None, None, :]
-    slots = np.where(tied & (nbr == best_point[:, :, None]), slot_ids, k).min(axis=2)
+    slots = values.argmax(axis=2)
+    # argmax already picks the first maximal slot; only entries with more than
+    # one maximal slot need the smallest-point-index tie-break
+    fi, ni = np.nonzero(np.count_nonzero(values == y[:, :, None], axis=2) > 1)
+    if fi.size:
+        tied = values[fi, ni] == y[fi, ni, None]
+        points = np.where(tied, neighbors[ni], np.iinfo(np.int64).max)
+        slots[fi, ni] = np.argmax(points == points.min(axis=1, keepdims=True), axis=1)
     return y, slots
-
-
-def neighborhood_max(x: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y[:, i] = channelwise max of x over the columns listed in neighbors[i].
-
-    Returns the pooled features and the selected source column per entry
-    (ties toward the lower point index), which drives the backward routing.
-    """
-    neighbors = np.asarray(neighbors, dtype=np.int64)
-    if neighbors.ndim != 2 or neighbors.shape[1] < 1:
-        raise ValueError("neighbors must be N x k with k >= 1")
-    if neighbors.min() < 0 or neighbors.max() >= x.shape[1]:
-        raise ValueError("neighbor index out of range")
-    gathered = x[:, neighbors]  # (F, N, k)
-    y, slots = slot_max(gathered, neighbors)
-    cols = np.broadcast_to(np.arange(neighbors.shape[0])[None, :], y.shape)
-    selected = neighbors[cols, slots]
-    return y, selected
-
-
-def neighborhood_max_backward(dy: np.ndarray, selected: np.ndarray, n_points: int) -> np.ndarray:
-    dx = np.zeros((dy.shape[0], n_points), dtype=dy.dtype)
-    rows = np.broadcast_to(np.arange(dy.shape[0])[:, None], dy.shape)
-    np.add.at(dx, (rows, selected), dy)
-    return dx
-
-
-def grad_check(loss_fn: Callable[[bool], float], store: ParamStore, eps: float = 1e-3) -> float:
-    """Central finite-difference check of every trainable scalar.
-
-    ``loss_fn(want_grad)`` must return the scalar loss and, when asked,
-    accumulate analytic gradients into the store. All tensors are temporarily
-    promoted to float64 so the numeric differences are trustworthy. Returns
-    ``max |analytic - numeric| / max(1, |numeric|)`` over all scalars.
-    """
-    if not 1e-5 <= eps <= 1e-2:
-        raise ValueError("eps must lie in [1e-5, 1e-2]")
-    saved = {name: t.data for name, t in store.items()}
-    for _, t in store.items():
-        t.data = t.data.astype(np.float64)
-        if t.grad is not None:
-            t.grad = np.zeros_like(t.data)
-    try:
-        loss = loss_fn(True)
-        if not np.isfinite(loss):
-            raise FloatingPointError("non-finite loss in gradient check")
-        analytic = {name: t.grad.copy() for name, t in store.trainable_items()}
-        worst = 0.0
-        for name, t in store.trainable_items():
-            flat = t.data.reshape(-1)
-            g = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = loss_fn(False)
-                flat[i] = orig - eps
-                down = loss_fn(False)
-                flat[i] = orig
-                if not (np.isfinite(up) and np.isfinite(down)):
-                    raise FloatingPointError(f"non-finite loss while perturbing {name}[{i}]")
-                numeric = (up - down) / (2 * eps)
-                err = abs(g[i] - numeric) / max(1.0, abs(numeric))
-                worst = max(worst, err)
-        return worst
-    finally:
-        for name, t in store.items():
-            t.data = saved[name]
-            if t.grad is not None:
-                t.grad = np.zeros_like(t.data)

@@ -3,23 +3,15 @@
 A point cloud is projected onto an axis-aligned plane, the plane is
 discretized into cells of size ``resolution x resolution``, and point features
 are averaged per cell (flatten) or copied back from cells to points
-(inflate). Two interchangeable kernels implement the pair:
-
-* ``gather``  - index/scatter arithmetic, the default at runtime;
-* ``sparse``  - an explicit sparse-dense matrix product (scipy CSR, built on
-  first use), kept as an independent oracle and for the adjoint identity
-  between the two maps.
-
-Flatten accumulation always runs in float64 over ascending point index so the
-two kernels agree to well below the 1e-5 contract.
+(inflate). Flatten accumulation always runs in float64.
 
 Active cells: the grid side of every operator is the set O of occupied cells,
 one row per cell of ``occupied_cells`` (sorted by point count, most first).
 ``flatten``, ``flatten_sum`` and ``inflate_backward`` return F x |O| rows and
 ``inflate`` and ``flatten_backward`` take them; the rows are views of
-cell-major |O| x F memory, so the F values of one cell sit together. The
-gather kernel adds each cell's points one by one in ascending point index,
-starting from 0.0, the order a sequential scatter-add would use.
+cell-major |O| x F memory, so the F values of one cell sit together. Cell
+sums add each cell's points one by one in ascending point index, starting
+from 0.0, the order a sequential scatter-add would use.
 
 Token mixing runs two 3x3 convolutions on the dense zero-padded grid, and
 inflate reads the second one only at O. That value reads the first
@@ -36,14 +28,11 @@ the dense grid result bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import Fov
 
@@ -130,18 +119,12 @@ def cell_indices(points: np.ndarray, plane: PlaneSpec, valid: Optional[np.ndarra
 class ProjectionPair:
     """The flatten/inflate operator pair for one cloud on one plane.
 
-    Immutable after construction (the sparse kernel's matrices are built on
-    first use); the ``kernel`` tag picks the default implementation ("gather"
-    or "sparse") while both remain callable explicitly for cross-checking.
-    Grid-side arrays are F x |O| rows, one per cell of ``occupied_cells``;
-    ``d_from_o`` and ``o_from_d`` are the tap tables of the two convolutions
-    of token mixing (module docstring).
+    Immutable after construction. Grid-side arrays are F x |O| rows, one per
+    cell of ``occupied_cells``; ``d_from_o`` and ``o_from_d`` are the tap
+    tables of the two convolutions of token mixing (module docstring).
     """
 
-    def __init__(self, cells: CellMap, kernel: str = "gather"):
-        if kernel not in ("gather", "sparse"):
-            raise ValueError(f"unknown kernel {kernel!r}")
-        self.kernel = kernel
+    def __init__(self, cells: CellMap):
         self.plane = cells.plane
         self.cell_index = cells.cell_index
         self.valid = cells.valid
@@ -149,7 +132,7 @@ class ProjectionPair:
         self.counts = np.bincount(self.cell_index[self.valid], minlength=m).astype(np.int64)
         self._valid_rows = np.flatnonzero(self.valid)
         self._valid_cells = self.cell_index[self._valid_rows]
-        # Rank-major order of the valid rows for the gather-kernel cell sums:
+        # Rank-major order of the valid rows for the cell sums:
         # occupied cells sorted by count, most points first, so the cells that
         # hold an r-th point form a prefix of ``occupied_cells``; block r of
         # ``_rank_rows`` lists, for each of them, its r-th point in ascending
@@ -190,18 +173,6 @@ class ProjectionPair:
         self.d_from_o = o_row[dil_pad[:, None] + offsets]
         self.o_from_d = d_row[around_o]
 
-    @functools.cached_property
-    def _csr(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Inflate matrix S (N x |O|, one 1 per valid point) and S^T, built on first sparse use."""
-        data = np.ones(self._valid_rows.size, dtype=np.float64)
-        s = sp.coo_matrix(
-            (data, (self._valid_rows, self._valid_slots)), shape=(self.n_points, self.n_occupied)
-        ).tocsr()
-        s.sort_indices()
-        st = s.T.tocsr()
-        st.sort_indices()
-        return s, st
-
     @property
     def n_points(self) -> int:
         return self.cell_index.shape[0]
@@ -216,18 +187,13 @@ class ProjectionPair:
 
     # -- mean flatten -------------------------------------------------------
 
-    def flatten(self, features: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
+    def flatten(self, features: np.ndarray) -> np.ndarray:
         """Per-cell mean of the valid point features, F x |O|."""
-        if (kernel or self.kernel) == "sparse":
-            return (self.flatten_sum(features, kernel) / self.counts[self.occupied_cells]).astype(features.dtype)
         means = self._cell_sums(features) / self.counts[self.occupied_cells, None]
         return means.astype(features.dtype, copy=False).T
 
-    def flatten_sum(self, features: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
+    def flatten_sum(self, features: np.ndarray) -> np.ndarray:
         """Unnormalized flatten (per-cell sum) in float64, the adjoint of inflate."""
-        if (kernel or self.kernel) == "sparse":
-            features = self._check_points(features)
-            return (self._csr[1] @ features.T.astype(np.float64)).T
         return self._cell_sums(features).T
 
     def flatten_backward(self, drows: np.ndarray) -> np.ndarray:
@@ -239,11 +205,9 @@ class ProjectionPair:
 
     # -- inflate ------------------------------------------------------------
 
-    def inflate(self, rows: np.ndarray, kernel: Optional[str] = None) -> np.ndarray:
+    def inflate(self, rows: np.ndarray) -> np.ndarray:
         """Copy each cell's feature to all its points, F x N; padding columns 0."""
         rows = self._check_rows(rows)
-        if (kernel or self.kernel) == "sparse":
-            return (self._csr[0] @ rows.T.astype(np.float64)).T.astype(rows.dtype)
         out = np.zeros((rows.shape[0], self.n_points), dtype=rows.dtype)
         out[:, self._valid_rows] = rows[:, self._valid_slots]
         return out
@@ -286,21 +250,8 @@ def build_projection(
     positions: np.ndarray,
     plane: PlaneSpec,
     valid: Optional[np.ndarray] = None,
-    kernel: str = "gather",
 ) -> ProjectionPair:
-    return ProjectionPair(cell_indices(positions, plane, valid), kernel=kernel)
-
-
-def kernel_equivalence(features: np.ndarray, proj: ProjectionPair) -> float:
-    """Max absolute deviation between the two kernels over flatten and inflate."""
-    rows_g = proj.flatten(features, kernel="gather")
-    rows_s = proj.flatten(features, kernel="sparse")
-    dev = float(np.abs(rows_g - rows_s).max()) if rows_g.size else 0.0
-    inf_g = proj.inflate(rows_g, kernel="gather")
-    inf_s = proj.inflate(rows_g, kernel="sparse")
-    if inf_g.size:
-        dev = max(dev, float(np.abs(inf_g - inf_s).max()))
-    return dev
+    return ProjectionPair(cell_indices(positions, plane, valid))
 
 
 def plane_schedule(layer: int, strategy: str) -> tuple[tuple[int, int], ...]:
@@ -329,55 +280,3 @@ def planes_used(strategy: str, depth: int) -> tuple[tuple[int, int], ...]:
             if axes not in seen:
                 seen.append(axes)
     return tuple(seen)
-
-
-def bench_kernels(
-    n_points: int, channels: int, rho: float, seed: int = 0, repeats: int = 3
-) -> list[dict]:
-    """Time both kernels on a random in-FOV cloud.
-
-    Returns one row per (kernel, op) with the best-of-``repeats`` wall time in
-    nanoseconds, ready for CSV emission: kernel,op,points,channels,cells,nanos,
-    where ``cells`` counts the occupied cells (the grid-side rows).
-    """
-    rng = np.random.default_rng(seed)
-    fov = Fov(np.array([-50.0, -50.0, -3.0]), np.array([50.0, 50.0, 2.0]))
-    positions = rng.uniform(fov.min, fov.max - 1e-3, size=(n_points, 3))
-    plane = PlaneSpec.from_fov((0, 1), fov, rho)
-    proj = build_projection(positions, plane)
-    feats = rng.standard_normal((channels, n_points)).astype(np.float32)
-    rows = proj.flatten(feats)
-    proj.flatten(feats, kernel="sparse")  # builds the CSR matrices outside the timed calls
-    out = []
-    ops = {
-        ("gather", "flatten"): lambda: proj.flatten(feats, kernel="gather"),
-        ("sparse", "flatten"): lambda: proj.flatten(feats, kernel="sparse"),
-        ("gather", "inflate"): lambda: proj.inflate(rows, kernel="gather"),
-        ("sparse", "inflate"): lambda: proj.inflate(rows, kernel="sparse"),
-    }
-    for (kernel, op), fn in ops.items():
-        best = min(_time_ns(fn) for _ in range(repeats))
-        out.append(
-            {
-                "kernel": kernel,
-                "op": op,
-                "points": n_points,
-                "channels": channels,
-                "cells": proj.n_occupied,
-                "nanos": best,
-            }
-        )
-    return out
-
-
-def bench_csv(rows: list[dict]) -> str:
-    lines = ["kernel,op,points,channels,cells,nanos"]
-    for r in rows:
-        lines.append(f"{r['kernel']},{r['op']},{r['points']},{r['channels']},{r['cells']},{r['nanos']}")
-    return "\n".join(lines) + "\n"
-
-
-def _time_ns(fn) -> int:
-    t0 = time.perf_counter_ns()
-    fn()
-    return time.perf_counter_ns() - t0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import AugmentConfig, InstanceBank, apply_augmentations
 from .backbone import WaffleIron, WaffleIronConfig, prepare_inputs
-from .geometry import IGNORE_LABEL, Fov, PointCloud, crop_fov, point_features, sample_fixed
+from .geometry import IGNORE_LABEL, PointCloud, crop_fov, sample_fixed
 from .nn import ParamStore
 
 
@@ -384,76 +384,3 @@ def train_loop(
         if log_file:
             log_file.close()
     return model, optimizer, history
-
-
-# -- tiny-scene overfit harness -----------------------------------------------------
-
-
-def synthetic_zband_scene(
-    n_points: int = 768,
-    seed: int = 7,
-    feature_mode: str = "5dim",
-    fov: Optional[Fov] = None,
-) -> tuple[PointCloud, Fov]:
-    """Random scene whose three classes are separated by horizontal z-bands.
-
-    Points are sampled in a vertical cylinder inscribed in the FOV, so any
-    z-rotation or axis flip keeps the whole scene inside the crop range.
-    """
-    if fov is None:
-        fov = Fov(np.array([-8.0, -8.0, -2.4]), np.array([8.0, 8.0, 2.4]))
-    rng = np.random.default_rng(seed)
-    margin = 0.05
-    radius = min(np.min(-fov.min[:2]), np.min(fov.max[:2])) - margin
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n_points))
-    phi = rng.uniform(0.0, 2.0 * np.pi, n_points)
-    z = rng.uniform(fov.min[2] + margin, fov.max[2] - margin, n_points)
-    positions = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    third = (fov.max[2] - fov.min[2]) / 3.0
-    labels = np.digitize(z, [fov.min[2] + third, fov.min[2] + 2 * third]).astype(np.int32)
-    intensity = rng.uniform(0.0, 1.0, n_points).astype(np.float32)
-    feats = point_features(positions, intensity, feature_mode)
-    return PointCloud(positions.astype(np.float32), feats, labels), fov
-
-
-def overfit_harness_config(fov: Fov, drop_prob: float = 0.0) -> tuple[WaffleIronConfig, TrainConfig]:
-    model_cfg = WaffleIronConfig(
-        depth=3,
-        width=32,
-        rho=0.8,
-        fov=fov,
-        k_neighbors=8,
-        num_classes=3,
-        drop_prob=drop_prob,
-        strategy="baseline",
-        input_feature_mode="5dim",
-    )
-    train_cfg = TrainConfig(
-        epochs=200,
-        batch_size=1,
-        peak_lr=3e-3,
-        final_lr=1e-5,
-        weight_decay=0.003,
-        warmup_epochs=10,
-        n_points=768,
-        seed=0,
-    )
-    return model_cfg, train_cfg
-
-
-def run_overfit_harness(out_dir: Optional[str] = None, seed: int = 0):
-    """Train WaffleIron-3-32 on the z-band scene; returns model and accuracy.
-
-    The returned accuracy is measured with an eval-mode forward pass over the
-    training scene, scoring every valid non-ignore point.
-    """
-    scene, fov = synthetic_zband_scene()
-    model_cfg, train_cfg = overfit_harness_config(fov)
-    train_cfg.seed = seed
-    model, optimizer, history = train_loop([scene], model_cfg, train_cfg, out_dir=out_dir)
-    inside, _ = crop_fov(scene, fov)
-    feats, neighbors, projections, valid = prepare_inputs(model, inside)
-    logits = model.forward(feats, neighbors, projections, valid, training=False)
-    counted = _counted_mask(inside.labels, valid)
-    acc = float((logits.argmax(axis=0)[counted] == inside.labels[counted]).mean())
-    return model, optimizer, history, acc

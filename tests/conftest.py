@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from waffleiron.geometry import Fov, PointCloud, point_features
-from waffleiron.training import run_overfit_harness, synthetic_zband_scene
+
+from oracles import run_overfit_harness, synthetic_zband_scene
 
 
 def random_cloud(rng, n, fov: Fov, feature_mode="5dim", n_classes=3, margin=1e-3):

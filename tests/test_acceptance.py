@@ -13,21 +13,19 @@ import numpy as np
 from waffleiron import dataio
 from waffleiron.backbone import WaffleIron, WaffleIronConfig, param_count, prepare_inputs
 from waffleiron.evaluation import evaluate_split
-from waffleiron.geometry import Fov, knn, nn_propagate_labels, voxel_downsample
+from waffleiron.geometry import Fov, knn, voxel_downsample
 from waffleiron.nn import (
     BatchNorm,
     DepthwiseConv3x3,
     LayerScale,
     ParamStore,
     PointwiseLinear,
-    grad_check,
-    neighborhood_max,
-    neighborhood_max_backward,
 )
-from waffleiron.projection import PlaneSpec, build_projection, kernel_equivalence, plane_schedule
+from waffleiron.projection import PlaneSpec, build_projection, plane_schedule
 from waffleiron.training import Schedule, lr_at, segmentation_loss
 
 from conftest import random_cloud
+from oracles import grad_check, kernel_equivalence, neighborhood_max, neighborhood_max_backward, nn_propagate_labels
 from test_geometry import cloud_from_positions, knn_oracle
 from test_nn import conv_oracle, grid_backward, grid_forward
 from test_projection import flatten_oracle, occupied_columns, scatter_rows

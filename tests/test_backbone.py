@@ -9,17 +9,16 @@ from waffleiron.backbone import (
     TokenMixLayer,
     WaffleIron,
     WaffleIronConfig,
-    channel_mix_folded_eval,
-    fold_bn_into_linear,
     param_count,
     prepare_inputs,
 )
 from waffleiron.geometry import Fov
-from waffleiron.nn import ParamStore, grad_check, relu, relu_backward
+from waffleiron.nn import ParamStore, relu, relu_backward
 from waffleiron.projection import PlaneSpec, build_projection
 from waffleiron.training import segmentation_loss
 
 from conftest import random_cloud
+from oracles import channel_mix_folded_eval, fold_bn_into_linear, grad_check
 from test_nn import per_tap_backward, per_tap_forward
 from test_projection import bitwise_equal, occupied_columns, scatter_rows
 

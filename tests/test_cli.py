@@ -8,6 +8,7 @@ import pytest
 from waffleiron import dataio
 from waffleiron.backbone import param_count
 from waffleiron.cli import main
+from waffleiron.evaluation import ConfusionMatrix, MetricsReport, iou
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -93,24 +94,6 @@ class TestParamCount:
         assert printed == param_count(rc.model)
 
 
-class TestBench:
-    def test_csv_to_stdout(self, capsys):
-        assert main(["bench", "--points", "500", "--channels", "8", "--rho", "0.5"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "kernel,op,points,channels,cells,nanos"
-        assert len(lines) == 5
-        for line in lines[1:]:
-            kernel, op, pts, ch, cells, nanos = line.split(",")
-            assert kernel in ("gather", "sparse") and op in ("flatten", "inflate")
-            assert int(pts) == 500 and int(ch) == 8
-            assert int(nanos) > 0
-
-    def test_csv_to_file(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--points", "100", "--channels", "4", "--rho", "0.5", "--out", str(out)]) == 0
-        assert out.read_text().startswith("kernel,op,")
-
-
 class TestTrainInferEval:
     def test_training_artifacts(self, trained_dir):
         out = trained_dir / "out"
@@ -176,6 +159,22 @@ class TestTrainInferEval:
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"), "--split", "train"]) == 0
         table = capsys.readouterr().out
         assert "mIoU" in table
+
+    @pytest.mark.parametrize("tta", [[], ["--tta"]], ids=["plain", "tta"])
+    def test_infer_and_eval_share_one_path(self, trained_dir, tmp_path, tta):
+        split = tmp_path / "data" / "one"
+        write_tiny_dataset(split, n_scans=1, seed=5)
+        ckpt = str(trained_dir / "out" / "ckpt_final.wfli")
+        pred = tmp_path / "pred.label"
+        assert main(["infer", "--ckpt", ckpt, "--scan", str(split / "scan_0.bin"), "--out", str(pred),
+                     "--seed", "3"] + tta) == 0
+        metrics = tmp_path / "metrics"
+        assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "data"), "--split", "one",
+                     "--out", str(metrics), "--seed", "3"] + tta) == 0
+        sem, _ = dataio.read_labels(pred)
+        gt, _ = dataio.read_labels(split / "scan_0.label")
+        cm = ConfusionMatrix(3).update(sem, gt)
+        assert (metrics / "metrics.csv").read_text() == MetricsReport(*iou(cm), cm).to_csv()
 
     def test_checkpoint_preserves_run_config(self, trained_dir):
         _, _, rc = dataio.checkpoint_load(trained_dir / "out" / "ckpt_final.wfli")

@@ -1,4 +1,4 @@
-"""Confusion matrix, IoU and the inference pipelines."""
+"""Confusion matrix, IoU and the segmentation path."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,16 @@ from waffleiron.evaluation import (
     ConfusionMatrix,
     MetricsReport,
     evaluate_split,
-    infer_labels,
+    infer_probs,
     iou,
-    tta_infer,
+    segment_scan,
 )
-from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, voxel_downsample
+from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices
 from waffleiron.training import _counted_mask
 from waffleiron import dataio
+
+VOXEL = 0.10
+
 
 class TestConfusionMatrix:
     def test_perfect_predictions_are_diagonal(self):
@@ -99,12 +102,6 @@ def trained(harness_runs):
 
 
 class TestInference:
-    def test_single_identity_pass_equals_plain(self, trained):
-        model, scene = trained
-        plain = infer_labels(scene, model, tta=False)
-        single = tta_infer(scene, model, n_aug=1, rng=np.random.default_rng(0), transform=False, stochastic=False)
-        np.testing.assert_array_equal(plain, single)
-
     def test_averaging_identical_probabilities_keeps_argmax(self):
         probs = np.random.default_rng(2).random((20, 4))
         avg = sum(probs for _ in range(10)) / 10
@@ -112,16 +109,16 @@ class TestInference:
 
     def test_labels_cover_every_point(self, trained):
         model, scene = trained
-        labels = infer_labels(scene, model)
+        labels = segment_scan(scene, model, VOXEL)
         assert labels.shape[0] == scene.n_points
         assert ((labels >= 0) & (labels < model.config.num_classes)).all()
 
     def test_tta_close_to_plain_on_overfit_scene(self, trained):
         model, scene = trained
         counted = _counted_mask(scene.labels, np.ones(scene.n_points, dtype=bool))
-        plain = infer_labels(scene, model)
+        plain = segment_scan(scene, model, VOXEL)
         plain_acc = (plain[counted] == scene.labels[counted]).mean()
-        tta = tta_infer(scene, model, n_aug=10, rng=np.random.default_rng(3))
+        tta = segment_scan(scene, model, VOXEL, tta=True, rng=np.random.default_rng(3))
         tta_acc = (tta[counted] == scene.labels[counted]).mean()
         assert tta_acc >= plain_acc - 0.01
 
@@ -130,13 +127,11 @@ class TestInference:
         positions = scene.positions.copy()
         positions[0] = [100.0, 100.0, 50.0]  # far outside the FOV
         moved = PointCloud(positions, scene.features, scene.labels)
-        labels = infer_labels(moved, model)
+        probs = infer_probs(model, moved)
         inside, _ = crop_fov(moved, model.config.fov)
         src = nearest_indices(inside.positions, positions[:1])
-        inside_labels = infer_labels(
-            PointCloud(inside.positions, inside.features, None), model
-        )
-        assert labels[0] == inside_labels[src[0]]
+        inside_probs = infer_probs(model, PointCloud(inside.positions, inside.features, None))
+        np.testing.assert_array_equal(probs[0], inside_probs[src[0]])
 
 
 class TestEvaluateSplit:
@@ -153,9 +148,7 @@ class TestEvaluateSplit:
 
     def test_stored_predictions_match_in_memory(self, trained, tmp_path):
         model, scene = trained
-        down, _ = voxel_downsample(scene, 0.10)
-        labels_down = infer_labels(down, model, rng=np.random.default_rng(0))
-        pred = labels_down[nearest_indices(down.positions, scene.positions)]
+        pred = segment_scan(scene, model, VOXEL, rng=np.random.default_rng(0))
         path = tmp_path / "pred.label"
         dataio.write_labels(path, pred)
         sem, _ = dataio.read_labels(path)

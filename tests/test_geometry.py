@@ -15,13 +15,13 @@ from waffleiron.geometry import (
     crop_fov,
     knn,
     nearest_indices,
-    nn_propagate_labels,
     point_features,
     sample_fixed,
     voxel_downsample,
 )
 
 from conftest import random_cloud
+from oracles import nn_propagate_labels
 
 
 def cloud_from_positions(positions, labels=None, valid=None, mode="5dim"):
@@ -286,6 +286,13 @@ def test_nearest_indices_tie_breaks_low():
 def test_import_leaves_scipy_spatial_unloaded():
     # importing scipy.spatial is slow, so only the first neighbor search pays for it
     code = "import sys, waffleiron; sys.exit('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # no runtime path uses sparse matrices; importing scipy.sparse costs ~0.3 s
+    code = "import sys, waffleiron; sys.exit('scipy.sparse' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -10,13 +10,12 @@ from waffleiron.nn import (
     LayerScale,
     ParamStore,
     PointwiseLinear,
-    grad_check,
-    neighborhood_max,
-    neighborhood_max_backward,
     relu,
     relu_backward,
     slot_max,
 )
+
+from oracles import grad_check, neighborhood_max, neighborhood_max_backward, slot_max_where
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -468,6 +467,28 @@ class TestSlotMax:
         neighbors = np.array([[9, 2, 5], [1, 8, 0]])
         _, slots = slot_max(values, neighbors)
         assert slots[0].tolist() == [1, 2]  # point 2 for row 0, point 0 for row 1
+
+    def test_matches_where_formula_bitwise_on_tie_heavy_inputs(self):
+        rng = np.random.default_rng(6)
+        f, n, k = 6, 200, 16
+        # neighbor rows repeat points, as padded kNN rows do
+        neighbors = rng.integers(0, 30, size=(n, k))
+        normal = rng.standard_normal((f, n, k)).astype(np.float32)
+        cases = {
+            "normal": normal,
+            "rounded": np.round(normal * 2),
+            "relu": relu(normal - 2.0),
+            "constant": np.zeros_like(normal),
+            "float64": np.round(normal.astype(np.float64)),
+        }
+        for name, values in cases.items():
+            y, slots = slot_max(values, neighbors)
+            y_ref, slots_ref = slot_max_where(values, neighbors)
+            assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes(), name
+            assert slots.dtype == slots_ref.dtype and np.array_equal(slots, slots_ref), name
+            if name != "normal":
+                tied = (values == y[:, :, None]).sum(axis=2) > 1
+                assert tied.mean() > 0.2, name
 
 
 class TestRelu:

@@ -6,14 +6,13 @@ import pytest
 from waffleiron.geometry import Fov
 from waffleiron.projection import (
     PlaneSpec,
-    bench_csv,
-    bench_kernels,
     build_projection,
     cell_indices,
-    kernel_equivalence,
     plane_schedule,
     planes_used,
 )
+
+from oracles import csr_flatten_sum, kernel_equivalence
 
 
 @pytest.fixture
@@ -330,18 +329,10 @@ class TestTapTables:
         assert proj.d_from_o.shape == (0, 9) and proj.o_from_d.shape == (0, 9)
         rows = proj.flatten(feats)
         assert rows.shape == (5, 0)
-        assert proj.flatten_sum(feats, kernel="sparse").shape == (5, 0)
+        assert csr_flatten_sum(proj, feats).shape == (5, 0)
         assert np.array_equal(proj.inflate(rows), np.zeros((5, 12), dtype=np.float32))
         assert np.array_equal(proj.flatten_backward(rows), np.zeros((5, 12), dtype=np.float32))
         assert proj.inflate_backward(feats).shape == (5, 0)
-
-    def test_sparse_matrices_built_on_first_sparse_use(self):
-        proj, feats = small_projection(np.random.default_rng(16), n=40, f=3)
-        proj.flatten(feats)
-        assert "_csr" not in vars(proj)
-        assert kernel_equivalence(feats, proj) <= 1e-5
-        s, st = vars(proj)["_csr"]
-        assert s.shape == (40, proj.n_occupied) and st.shape == (proj.n_occupied, 40)
 
 
 class TestKernelEquivalence:
@@ -356,7 +347,7 @@ class TestKernelEquivalence:
         proj, feats = small_projection(rng, n=1, f=3)
         assert kernel_equivalence(feats, proj) == 0.0
 
-    def test_large_instance_with_timing(self):
+    def test_large_instance(self):
         rng = np.random.default_rng(10)
         fov = Fov(np.array([-50.0, -50.0, -3.0]), np.array([50.0, 50.0, 2.0]))
         plane = PlaneSpec.from_fov((0, 1), fov, 0.40)
@@ -364,10 +355,6 @@ class TestKernelEquivalence:
         proj = build_projection(pts, plane)
         feats = rng.standard_normal((256, 20000)).astype(np.float32)
         assert kernel_equivalence(feats, proj) <= 1e-5
-        rows = bench_kernels(20000, 256, 0.40, seed=0, repeats=1)
-        csv = bench_csv(rows)
-        assert csv.splitlines()[0] == "kernel,op,points,channels,cells,nanos"
-        assert len(csv.splitlines()) == 5
 
 
 class TestAdjoint:

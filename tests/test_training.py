@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from waffleiron.geometry import IGNORE_LABEL
-from waffleiron.nn import ParamStore, grad_check
+from waffleiron.nn import ParamStore
 from waffleiron.training import (
     AdamW,
     Schedule,
@@ -16,11 +16,11 @@ from waffleiron.training import (
     lr_at,
     segmentation_loss,
     softmax,
-    synthetic_zband_scene,
-    overfit_harness_config,
     train_loop,
 )
 from waffleiron.backbone import WaffleIron
+
+from oracles import grad_check, overfit_harness_config, synthetic_zband_scene
 
 
 def rand_problem(rng, k=4, n=10, ignore=0, invalid=0):
