@@ -31,16 +31,10 @@ class AugmentConfig:
     rotate: bool = True
     flip: bool = True
     scale: bool = True
-    rotation_range: tuple[float, float] = (0.0, _TWO_PI)
-    flip_prob: tuple[float, float] = (0.5, 0.5)  # x axis, y axis
     scale_range: tuple[float, float] = (0.95, 1.05)
     cutmix: bool = False
     cutmix_max_per_class: int = 40
     polarmix: bool = False
-    sector_width_range: tuple[float, float] = (np.pi / 4, 3 * np.pi / 4)
-    paste_angles: tuple[float, ...] = (_TWO_PI / 3, 2 * _TWO_PI / 3)
-    ground_classes: tuple[int, ...] = GROUND_CLASSES
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.scale_range[0] <= self.scale_range[1]):
@@ -177,7 +171,7 @@ def instance_cutmix(
         raise ValueError("instance_cutmix needs a labeled scene")
     if bank.total == 0 or config.cutmix_max_per_class == 0:
         return pc
-    ground_rows = np.flatnonzero(np.isin(pc.labels, config.ground_classes) & pc.valid)
+    ground_rows = np.flatnonzero(np.isin(pc.labels, GROUND_CLASSES) & pc.valid)
     if ground_rows.size == 0:
         return pc
     new_pos = []
@@ -285,20 +279,13 @@ def apply_augmentations(
     """
     if config.polarmix and partner is not None:
         classes = bank.classes if bank is not None else CUTMIX_CLASSES
-        pc = polarmix(
-            pc,
-            partner,
-            classes,
-            rng,
-            width_range=config.sector_width_range,
-            paste_angles=config.paste_angles,
-        )
+        pc = polarmix(pc, partner, classes, rng)
     if config.cutmix and bank is not None and bank.total and config.cutmix_max_per_class:
         pc = instance_cutmix(pc, bank, config, rng)
     if config.rotate:
-        pc = random_rotate_z(pc, rng, config.rotation_range)
+        pc = random_rotate_z(pc, rng)
     if config.flip:
-        pc = random_flip(pc, rng, *config.flip_prob)
+        pc = random_flip(pc, rng)
     if config.scale:
         pc = random_scale(pc, rng, config.scale_range)
     return pc

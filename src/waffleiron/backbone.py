@@ -7,6 +7,10 @@ runs a small depthwise-convolution FFN on the grid, and copies the result
 back to the points; channel mixing is a per-point MLP. Both residual
 branches carry a trainable layerscale and can be dropped stochastically
 during training.
+
+Features and tokens are N x C and N x F blocks of point rows from the
+embedding to the classifier; the logits are the K x N transpose of the
+classifier's rows.
 """
 
 from __future__ import annotations
@@ -105,63 +109,55 @@ class EmbeddingLayer:
 
     def forward(self, feats, neighbors, valid, bn_training, update_stats, need_grad=True):
         neighbors = np.asarray(neighbors, dtype=np.int64)
-        if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[1]:
+        if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
         hb = self.pre_bn.forward(feats, valid, bn_training, update_stats, need_grad)
         g = self.global_lin.forward(hb, need_grad)
         if need_grad:
             local, slots = self._local_branch(hb, neighbors)
-            self._cache = (neighbors, slots, feats.shape[1])
+            self._cache = (neighbors, slots)
         else:
             local = self._local_branch_nograd(hb, neighbors)
             self._cache = None
             self._relu_in = None
-        cat = np.concatenate([g, local], axis=0)
+        cat = np.concatenate([g, local], axis=1)
         return self.merge.forward(cat, need_grad)
 
     def _local_branch(self, hb, neighbors):
-        c, n = hb.shape
-        k = neighbors.shape[1]
-        diffs = hb[:, neighbors] - hb[:, :, None]  # (C, N, k)
-        a1 = self.local1.forward(diffs.reshape(c, n * k))
-        r = relu(a1)
+        n, k = neighbors.shape
+        diffs = hb[neighbors] - hb[:, None, :]  # (N, k, C)
+        a1 = self.local1.forward(diffs.reshape(n * k, -1))
         self._relu_in = a1
-        a2 = self.local2.forward(r)
-        return slot_max(a2.reshape(self.half, n, k), neighbors)
+        a2 = self.local2.forward(relu(a1))
+        return slot_max(a2.reshape(n, k, self.half), neighbors)
 
     def _local_branch_nograd(self, hb, neighbors):
         # inference path: evaluate the pair MLP in blocks, keep only the max
-        c, n = hb.shape
-        k = neighbors.shape[1]
-        out = np.empty((self.half, n), dtype=hb.dtype)
+        n, k = neighbors.shape
+        out = np.empty((n, self.half), dtype=hb.dtype)
         block = max(1, 65536 // max(k, 1))
         for start in range(0, n, block):
             stop = min(start + block, n)
-            nb = neighbors[start:stop]
-            diffs = hb[:, nb] - hb[:, start:stop, None]
-            a1 = self.local1.forward(diffs.reshape(c, -1), need_grad=False)
+            diffs = hb[neighbors[start:stop]] - hb[start:stop, None, :]
+            a1 = self.local1.forward(diffs.reshape((stop - start) * k, -1), need_grad=False)
             a2 = self.local2.forward(relu(a1), need_grad=False)
-            out[:, start:stop] = a2.reshape(self.half, stop - start, k).max(axis=2)
+            out[start:stop] = a2.reshape(stop - start, k, self.half).max(axis=1)
         return out
 
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("embedding forward ran without gradients")
-        neighbors, slots, n = self._cache
-        k = neighbors.shape[1]
+        neighbors, slots = self._cache
+        n, k = neighbors.shape
         dcat = self.merge.backward(dy)
-        dg, dlocal = dcat[: self.half], dcat[self.half :]
-        da2 = np.zeros((self.half, n, k), dtype=dy.dtype)
-        rows = np.broadcast_to(np.arange(self.half)[:, None], dlocal.shape)
-        cols = np.broadcast_to(np.arange(n)[None, :], dlocal.shape)
-        da2[rows, cols, slots] = dlocal
-        dr = self.local2.backward(da2.reshape(self.half, n * k))
+        da2 = np.zeros((n, k, self.half), dtype=dy.dtype)
+        np.put_along_axis(da2, slots[:, None, :], dcat[:, None, self.half :], axis=1)
+        dr = self.local2.backward(da2.reshape(n * k, self.half))
         da1 = relu_backward(dr, self._relu_in)
-        ddiff = self.local1.backward(da1).reshape(-1, n, k)
-        dhb = self.global_lin.backward(dg)
-        ch = np.arange(dhb.shape[0])[:, None, None]
-        np.add.at(dhb, (ch, neighbors[None, :, :]), ddiff)
-        dhb -= ddiff.sum(axis=2)
+        ddiff = self.local1.backward(da1).reshape(n, k, -1)
+        dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]))
+        np.add.at(dhb, neighbors, ddiff)
+        dhb -= ddiff.sum(axis=1)
         return self.pre_bn.backward(dhb)
 
 
@@ -300,7 +296,7 @@ class WaffleIron:
         update_stats: Optional[bool] = None,
         need_grad: Optional[bool] = None,
     ) -> np.ndarray:
-        """Run the network on one cloud, returning K x N logits.
+        """Run the network on N x C features of one cloud, returning K x N logits.
 
         ``training`` selects batch statistics and is the default of
         ``need_grad``, which makes every layer keep what a later
@@ -309,9 +305,9 @@ class WaffleIron:
         ``drop_prob > 0`` (also used by test-time augmentation); kept
         branches are scaled by ``1 / (1 - drop_prob)``.
         """
-        if feats.shape[0] != self.config.in_channels:
+        if feats.shape[1] != self.config.in_channels:
             raise ValueError(
-                f"expected {self.config.in_channels} input channels, got {feats.shape[0]}"
+                f"expected {self.config.in_channels} input channels, got {feats.shape[1]}"
             )
         if bn_training is None:
             bn_training = training
@@ -334,13 +330,13 @@ class WaffleIron:
             )
             keep_c = (not dropping) or (drop_rng.random() >= p)
             x = channel.forward(x, valid, bn_training, update_stats, keep_c, factor if dropping else 1.0, need_grad)
-        return self.classifier.forward(x, need_grad)
+        return self.classifier.forward(x, need_grad).T
 
     def backward(self, dlogits: np.ndarray) -> None:
-        """Accumulate parameter gradients for the most recent forward pass."""
+        """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``."""
         if not self._has_grad_cache:
             raise RuntimeError("backward needs a forward that ran with need_grad")
-        dx = self.classifier.backward(dlogits)
+        dx = self.classifier.backward(dlogits.T)
         for token, channel in reversed(self.layers):
             dx = channel.backward(dx)
             dx = token.backward(dx)
@@ -356,4 +352,4 @@ def prepare_inputs(model: WaffleIron, pc: PointCloud):
     """Neighbor lists and projections for a cropped cloud, ready for forward."""
     neighbors = knn(pc, model.config.k_neighbors)
     projections = model.build_projections(pc.positions, pc.valid)
-    return pc.features.T.copy(), neighbors, projections, pc.valid
+    return pc.features, neighbors, projections, pc.valid

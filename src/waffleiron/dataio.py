@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .augment import AugmentConfig, CUTMIX_CLASSES, Instance, InstanceBank
+from .augment import AugmentConfig
 from .backbone import WaffleIron, WaffleIronConfig
 from .geometry import IGNORE_LABEL, Fov, PointCloud, point_features, voxel_downsample
 from .training import TrainConfig
@@ -556,49 +556,3 @@ class ScanDataset:
 
     def __getitem__(self, i: int) -> PointCloud:
         return self.load_with_instances(i)[0]
-
-
-# -- instance bank persistence --------------------------------------------------------
-
-
-def save_instance_bank(bank: InstanceBank, directory):
-    """Write one kitti4-style binary file per instance plus an index manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    counter = 0
-    for c in bank.classes:
-        for inst in bank.instances[c]:
-            fname = f"instance_{counter:06d}.bin"
-            write_scan(directory / fname, inst.positions, inst.intensity, "kitti4")
-            lines.append(f"{fname} {c} {len(inst.positions)}")
-            counter += 1
-    (directory / "index.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_instance_bank(directory) -> InstanceBank:
-    directory = Path(directory)
-    index = directory / "index.txt"
-    if not index.exists():
-        raise FileNotFoundError(f"no instance-bank manifest at {index}")
-    classes: list[int] = []
-    entries: list[tuple[str, int, int]] = []
-    for lineno, line in enumerate(index.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{index}:{lineno}: expected 'file class count'")
-        entries.append((parts[0], int(parts[1]), int(parts[2])))
-        if int(parts[1]) not in classes:
-            classes.append(int(parts[1]))
-    bank = InstanceBank(classes=tuple(classes) or CUTMIX_CLASSES)
-    for fname, c, count in entries:
-        raw = np.fromfile(directory / fname, dtype="<f4").reshape(-1, 4)
-        if raw.shape[0] != count:
-            raise ValueError(f"{fname}: expected {count} points, found {raw.shape[0]}")
-        bank.instances.setdefault(c, []).append(
-            Instance(positions=raw[:, :3].copy(), intensity=raw[:, 3].copy(), class_id=c)
-        )
-    return bank

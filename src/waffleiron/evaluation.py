@@ -72,22 +72,26 @@ def iou(cm: ConfusionMatrix) -> tuple[np.ndarray, float]:
 
 
 def infer_probs(model: WaffleIron, pc: PointCloud, drop_rng=None) -> np.ndarray:
-    """Class probabilities for every point of ``pc`` (N x K).
+    """Class probabilities for every point of ``pc``, K x N like the logits.
 
     Crops to the model FOV, runs an eval-mode forward (stochastic depth only
     when ``drop_rng`` is given), and fills points outside the FOV from their
     nearest inside neighbor.
     """
-    inside, _ = crop_fov(pc, model.config.fov)
+    inside, outside = crop_fov(pc, model.config.fov)
     if inside.n_valid == 0:
         raise ValueError("no points inside the FOV")
     feats, neighbors, projections, valid = prepare_inputs(model, inside)
     logits = model.forward(
         feats, neighbors, projections, valid, training=False, drop_rng=drop_rng
     )
-    probs_inside = softmax(logits).T  # (n_inside, K)
-    src = nearest_indices(inside.positions, pc.positions)
-    return probs_inside[src]
+    src = np.empty(pc.n_points, dtype=np.intp)
+    kept = np.ones(pc.n_points, dtype=bool)
+    kept[outside] = False
+    src[kept] = np.arange(inside.n_points)
+    if outside.size:
+        src[outside] = nearest_indices(inside.positions, pc.positions[outside])
+    return softmax(logits)[:, src]
 
 
 def segment_scan(
@@ -112,11 +116,11 @@ def segment_scan(
         if rng is None:
             rng = np.random.default_rng(0)
         drop_rng = rng if model.config.drop_prob > 0 else None
-        probs = np.zeros((down.n_points, model.config.num_classes), dtype=np.float64)
+        probs = np.zeros((model.config.num_classes, down.n_points), dtype=np.float64)
         for _ in range(TTA_PASSES):
             variant = random_flip(random_rotate_z(down, rng), rng)
             probs += infer_probs(model, variant, drop_rng=drop_rng)
-    labels = np.argmax(probs, axis=1).astype(np.int32)
+    labels = np.argmax(probs, axis=0).astype(np.int32)
     return labels[nearest_indices(down.positions, pc.positions)]
 
 

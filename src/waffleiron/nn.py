@@ -86,7 +86,7 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class PointwiseLinear:
-    """y[:, i] = W x[:, i] + b, a 1x1 convolution over point columns."""
+    """y[i] = W x[i] + b for every point row i, a 1x1 convolution."""
 
     def __init__(self, store: ParamStore, name: str, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = store.register(f"{name}.weight", uniform_init(rng, (out_dim, in_dim), in_dim))
@@ -94,20 +94,22 @@ class PointwiseLinear:
         self._x = None
 
     def forward(self, x: np.ndarray, need_grad: bool = True) -> np.ndarray:
-        if x.shape[0] != self.w.shape[1]:
-            raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[0]}")
+        if x.shape[1] != self.w.shape[1]:
+            raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[1]}")
         self._x = x if need_grad else None
-        return self.w.data @ x + self.b.data[:, None]
+        y = x @ self.w.data.T
+        y += self.b.data
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        self.w.grad += dy @ x.T
-        self.b.grad += dy.sum(axis=1)
-        return self.w.data.T @ dy
+        self.w.grad += dy.T @ x
+        self.b.grad += dy.sum(axis=0)
+        return dy @ self.w.data
 
 
 class BatchNorm:
-    """Per-channel batch normalization over the valid point columns.
+    """Per-channel batch normalization over the valid point rows.
 
     Train mode normalizes by batch mean and biased variance and updates the
     running statistics with momentum; eval mode uses the running statistics.
@@ -131,16 +133,16 @@ class BatchNorm:
         if update_stats is None:
             update_stats = training
         if valid is None:
-            valid = np.ones(x.shape[1], dtype=bool)
+            valid = np.ones(x.shape[0], dtype=bool)
         count = int(valid.sum())
         if training:
             if count == 0:
-                raise ValueError("batchnorm needs at least one valid column in train mode")
+                raise ValueError("batchnorm needs at least one valid row in train mode")
             # statistics in float64: more headroom, and the sums of float32
             # inputs are then (generically) exact, hence order-independent
-            xv = x[:, valid].astype(np.float64)
-            mean64 = xv.mean(axis=1)
-            var64 = np.maximum((xv * xv).mean(axis=1) - mean64 * mean64, 0.0)
+            xv = x[valid].astype(np.float64)
+            mean64 = xv.mean(axis=0)
+            var64 = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
             mean = mean64.astype(x.dtype)
             var = var64.astype(x.dtype)
             if update_stats:
@@ -151,24 +153,29 @@ class BatchNorm:
             mean = self.running_mean.data.astype(x.dtype)
             var = self.running_var.data.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean[:, None]) * inv_std[:, None]
+        xhat = x - mean
+        xhat *= inv_std
         self._cache = (xhat, inv_std, valid, count, training) if need_grad else None
-        return self.gamma.data[:, None] * xhat + self.beta.data[:, None]
+        # with nothing to keep, scale and shift xhat in place
+        out = xhat if not need_grad and xhat.dtype == self.gamma.data.dtype else None
+        y = np.multiply(xhat, self.gamma.data, out=out)
+        y += self.beta.data
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, valid, count, training = self._cache
-        self.gamma.grad += (dy * xhat).sum(axis=1)
-        self.beta.grad += dy.sum(axis=1)
-        dxhat = dy * self.gamma.data[:, None]
+        self.gamma.grad += (dy * xhat).sum(axis=0)
+        self.beta.grad += dy.sum(axis=0)
+        dxhat = dy * self.gamma.data
         if not training:
-            return dxhat * inv_std[:, None]
-        # batch statistics were computed over the valid columns only, so the
-        # mean/variance sensitivities distribute back onto those columns
-        sum_dxhat = dxhat.sum(axis=1)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=1)
-        dx = dxhat * inv_std[:, None]
-        corr = (sum_dxhat[:, None] + xhat * sum_dxhat_xhat[:, None]) * inv_std[:, None] / count
-        dx[:, valid] -= corr[:, valid]
+            return dxhat * inv_std
+        # batch statistics were computed over the valid rows only, so the
+        # mean/variance sensitivities distribute back onto those rows
+        sum_dxhat = dxhat.sum(axis=0)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=0)
+        dx = dxhat * inv_std
+        corr = (sum_dxhat + xhat * sum_dxhat_xhat) * inv_std / count
+        dx[valid] -= corr[valid]
         return dx
 
 
@@ -181,11 +188,11 @@ class LayerScale:
 
     def forward(self, x: np.ndarray, need_grad: bool = True) -> np.ndarray:
         self._x = x if need_grad else None
-        return self.diag.data[:, None] * x
+        return self.diag.data * x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.diag.grad += (dy * self._x).sum(axis=1)
-        return self.diag.data[:, None] * dy
+        self.diag.grad += (dy * self._x).sum(axis=0)
+        return self.diag.data * dy
 
 
 # Tap t = 3u + v of the 3x3 kernel reads the cell at offset (u - 1, v - 1).
@@ -200,12 +207,12 @@ class DepthwiseConv3x3:
     No cross-channel mixing: channel c of the output only sees channel c of
     the input and its own 3x3 kernel.
 
-    Inputs, outputs and gradients are F x n arrays of rows, one row per grid
-    cell, returned as views of cell-major (n x F) memory like
-    :meth:`ProjectionPair.flatten`. ``forward(x, taps)`` takes an
+    Rows are grid cells, one C-contiguous row of F channels each, and every
+    input, output and gradient is an (n + 1) x F block whose last row is zero,
+    like :meth:`ProjectionPair.flatten`. ``forward(x, taps)`` takes an
     ``n_out x 9`` int table: ``taps[r, 3u + v]`` is the input row at offset
-    (u - 1, v - 1) from output row r, and the extra index ``n_in`` stands for
-    a zero row (an empty or out-of-grid cell). ``backward(dy, taps)`` takes the
+    (u - 1, v - 1) from output row r, and the index ``n_in`` of the zero row
+    stands for an empty or out-of-grid cell. ``backward(dy, taps)`` takes the
     table of the other direction, ``n_in x 9`` rows of the output set, and
     reads it with flipped taps. Each output row starts from 0.0, adds the
     products ``kernel[:, u, v] * x`` in (u, v) order and the bias last; the
@@ -223,35 +230,41 @@ class DepthwiseConv3x3:
 
     def forward(self, x: np.ndarray, taps: np.ndarray, need_grad: bool = True) -> np.ndarray:
         f = self.k.shape[0]
-        if x.ndim != 2 or x.shape[0] != f:
-            raise ValueError(f"expected {f} x n input rows, got {x.shape}")
-        _check_taps(taps, x.shape[1])
-        src = _rows_and_zero(x)
-        y = _tap_sum(src, taps, _TAPS, self.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
-        y += self.b.data.astype(x.dtype)
-        self._cache = (src, taps) if need_grad else None
-        return y.T
+        _check_rows(x, f)
+        _check_taps(taps, x.shape[0] - 1)
+        y = _tap_sum(x, taps, _TAPS, self.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
+        y[:-1] += self.b.data.astype(x.dtype)
+        self._cache = (x, taps) if need_grad else None
+        return y
 
     def backward(self, dy: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        src, fwd_taps = self._cache
+        x, fwd_taps = self._cache
         f = self.k.shape[0]
-        if dy.shape != (f, fwd_taps.shape[0]):
-            raise ValueError(f"expected {f} x {fwd_taps.shape[0]} gradient rows, got {dy.shape}")
-        _check_taps(taps, dy.shape[1])
-        if taps.shape[0] != src.shape[0] - 1:
-            raise ValueError(f"expected a {src.shape[0] - 1} x 9 table, got {taps.shape}")
-        dyr = dy.T
-        ksum = np.zeros((f, 9), dtype=np.result_type(dy, src))
-        xt = np.empty(dyr.shape, dtype=src.dtype)
-        prod = np.empty(dyr.shape, dtype=ksum.dtype)
+        _check_rows(dy, f, fwd_taps.shape[0])
+        _check_taps(taps, fwd_taps.shape[0])
+        if taps.shape[0] != x.shape[0] - 1:
+            raise ValueError(f"expected a {x.shape[0] - 1} x 9 table, got {taps.shape}")
+        rows = dy[:-1]
+        ksum = np.zeros((f, 9), dtype=np.result_type(dy, x))
+        xt = np.empty(rows.shape, dtype=x.dtype)
+        prod = np.empty(rows.shape, dtype=ksum.dtype)
         for t in _TAPS:
-            np.take(src, fwd_taps[:, t], axis=0, out=xt, mode="clip")
-            np.multiply(dyr, xt, out=prod)
+            np.take(x, fwd_taps[:, t], axis=0, out=xt, mode="clip")
+            np.multiply(rows, xt, out=prod)
             ksum[:, t] += prod.sum(axis=0)
         self.k.grad += ksum.reshape(f, 3, 3)
-        self.b.grad += dyr.sum(axis=0)
+        self.b.grad += rows.sum(axis=0)
         kern = self.k.data.reshape(f, 9).astype(dy.dtype)
-        return _tap_sum(_rows_and_zero(dy), taps, _FLIPPED_TAPS, kern, src.dtype).T
+        return _tap_sum(dy, taps, _FLIPPED_TAPS, kern, x.dtype)
+
+
+def _check_rows(x: np.ndarray, f: int, n: Optional[int] = None) -> None:
+    """``x`` must be an (n + 1) x f block of rows whose last row is zero."""
+    if x.ndim != 2 or x.shape[1] != f or x.shape[0] == 0 or (n is not None and x.shape[0] != n + 1):
+        want = "n" if n is None else n
+        raise ValueError(f"expected ({want} + 1) x {f} rows, got {x.shape}")
+    if x[-1].any():
+        raise ValueError("the last row must be the zero row")
 
 
 def _check_taps(taps: np.ndarray, n_in: int) -> None:
@@ -261,21 +274,18 @@ def _check_taps(taps: np.ndarray, n_in: int) -> None:
         raise ValueError(f"tap table index outside 0..{n_in}")
 
 
-def _rows_and_zero(x: np.ndarray) -> np.ndarray:
-    """The F x n rows ``x`` as cell-major (n + 1) x F memory, the last row zero."""
-    out = np.zeros((x.shape[1] + 1, x.shape[0]), dtype=x.dtype)
-    out[:-1] = x.T
-    return out
-
-
 def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype) -> np.ndarray:
-    """``out[r] = sum over t of kern[:, t] * src[taps[r, c_t]]``, from 0.0, in the order of ``columns``."""
-    out = np.zeros((taps.shape[0], src.shape[1]), dtype=dtype)
-    tmp = np.empty(out.shape, dtype=np.result_type(kern, src))
+    """``out[r] = sum over t of kern[:, t] * src[taps[r, c_t]]``, from 0.0, in the order of ``columns``.
+
+    One row per row of ``taps``, and the zero row last.
+    """
+    out = np.zeros((taps.shape[0] + 1, src.shape[1]), dtype=dtype)
+    rows = out[:-1]
+    tmp = np.empty(rows.shape, dtype=np.result_type(kern, src))
     for t, c in enumerate(columns):
         np.take(src, taps[:, c], axis=0, out=tmp, mode="clip")
         np.multiply(kern[:, t], tmp, out=tmp)
-        out += tmp
+        rows += tmp
     return out
 
 
@@ -290,19 +300,20 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 def slot_max(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Channelwise max over the neighbor-slot axis.
 
-    ``values`` is F x N x k, one entry per (point, neighbor slot). Returns the
-    maxima (F x N) and, for gradient routing, the winning slot per entry with
+    ``values`` is N x k x F, one row per (point, neighbor slot). Returns the
+    maxima (N x F) and, for gradient routing, the winning slot per entry with
     ties resolved toward the slot holding the smallest point index.
     """
-    if values.ndim != 3 or values.shape[2] == 0:
-        raise ValueError("values must be F x N x k with k >= 1")
-    y = values.max(axis=2)
-    slots = values.argmax(axis=2)
-    # argmax already picks the first maximal slot; only entries with more than
-    # one maximal slot need the smallest-point-index tie-break
-    fi, ni = np.nonzero(np.count_nonzero(values == y[:, :, None], axis=2) > 1)
-    if fi.size:
-        tied = values[fi, ni] == y[fi, ni, None]
+    if values.ndim != 3 or values.shape[1] == 0:
+        raise ValueError("values must be N x k x F with k >= 1")
+    y = values.max(axis=1)
+    maximal = values == y[:, None, :]
+    slots = maximal.argmax(axis=1)
+    # argmax picks the first maximal slot; only entries with more than one
+    # maximal slot need the smallest-point-index tie-break
+    ni, fi = np.nonzero(np.count_nonzero(maximal, axis=1) > 1)
+    if ni.size:
+        tied = values[ni, :, fi] == y[ni, fi, None]
         points = np.where(tied, neighbors[ni], np.iinfo(np.int64).max)
-        slots[fi, ni] = np.argmax(points == points.min(axis=1, keepdims=True), axis=1)
+        slots[ni, fi] = np.argmax(points == points.min(axis=1, keepdims=True), axis=1)
     return y, slots

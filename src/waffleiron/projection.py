@@ -5,13 +5,14 @@ discretized into cells of size ``resolution x resolution``, and point features
 are averaged per cell (flatten) or copied back from cells to points
 (inflate). Flatten accumulation always runs in float64.
 
-Active cells: the grid side of every operator is the set O of occupied cells,
-one row per cell of ``occupied_cells`` (sorted by point count, most first).
-``flatten``, ``flatten_sum`` and ``inflate_backward`` return F x |O| rows and
-``inflate`` and ``flatten_backward`` take them; the rows are views of
-cell-major |O| x F memory, so the F values of one cell sit together. Cell
-sums add each cell's points one by one in ascending point index, starting
-from 0.0, the order a sequential scatter-add would use.
+Layout: every array is a block of C-contiguous rows, one row of F channels
+per point or per cell. Point-side arrays are N x F. Grid-side arrays are
+(|O| + 1) x F: one row per occupied cell of ``occupied_cells`` (sorted by
+point count, most first) and a last row that is zero, which padding points
+and empty neighbours read. ``flatten`` and ``inflate_backward`` return such
+blocks and ``inflate`` and ``flatten_backward`` take them. Cell sums add each
+cell's points one by one in ascending point index, starting from 0.0, the
+order a sequential scatter-add would use.
 
 Token mixing runs two 3x3 convolutions on the dense zero-padded grid, and
 inflate reads the second one only at O. That value reads the first
@@ -21,7 +22,7 @@ everywhere else. So the convolutions are evaluated exactly on these rows
 through two tap tables: ``d_from_o[r, 3u + v]`` is the O row of the cell at
 offset (u - 1, v - 1) from D row r, and ``o_from_d[r, 3u + v]`` the D row of
 the cell at that offset from O row r. An empty or out-of-grid neighbour
-points at one extra zero row, index |O| or |D| respectively.
+points at the zero row, index |O| or |D| respectively.
 ``DepthwiseConv3x3`` documents how the tables are read and why its rows equal
 the dense grid result bit for bit.
 """
@@ -119,9 +120,10 @@ def cell_indices(points: np.ndarray, plane: PlaneSpec, valid: Optional[np.ndarra
 class ProjectionPair:
     """The flatten/inflate operator pair for one cloud on one plane.
 
-    Immutable after construction. Grid-side arrays are F x |O| rows, one per
-    cell of ``occupied_cells``; ``d_from_o`` and ``o_from_d`` are the tap
-    tables of the two convolutions of token mixing (module docstring).
+    Immutable after construction. Grid-side arrays are (|O| + 1) x F rows, one
+    per cell of ``occupied_cells`` and the zero row; ``d_from_o`` and
+    ``o_from_d`` are the tap tables of the two convolutions of token mixing
+    (module docstring).
     """
 
     def __init__(self, cells: CellMap):
@@ -130,8 +132,8 @@ class ProjectionPair:
         self.valid = cells.valid
         m = self.plane.n_cells
         self.counts = np.bincount(self.cell_index[self.valid], minlength=m).astype(np.int64)
-        self._valid_rows = np.flatnonzero(self.valid)
-        self._valid_cells = self.cell_index[self._valid_rows]
+        valid_rows = np.flatnonzero(self.valid)
+        valid_cells = self.cell_index[valid_rows]
         # Rank-major order of the valid rows for the cell sums:
         # occupied cells sorted by count, most points first, so the cells that
         # hold an r-th point form a prefix of ``occupied_cells``; block r of
@@ -139,15 +141,20 @@ class ProjectionPair:
         # point index.
         occupied = np.flatnonzero(self.counts)
         self.occupied_cells = occupied[np.argsort(-self.counts[occupied], kind="stable")]
-        by_cell = np.argsort(self._valid_cells, kind="stable")
-        sorted_cells = self._valid_cells[by_cell]
+        by_cell = np.argsort(valid_cells, kind="stable")
+        sorted_cells = valid_cells[by_cell]
         first = np.cumsum(self.counts) - self.counts
         rank = np.arange(by_cell.size) - first[sorted_cells]
         slot = np.empty(m, dtype=np.int64)
         slot[self.occupied_cells] = np.arange(self.occupied_cells.size)
-        self._valid_slots = slot[self._valid_cells]
-        self._rank_rows = self._valid_rows[by_cell[np.lexsort((self._valid_slots[by_cell], rank))]]
+        valid_slots = slot[valid_cells]
+        self._rank_rows = valid_rows[by_cell[np.lexsort((valid_slots[by_cell], rank))]]
         self._rank_widths = np.bincount(rank)
+        # the row of every point (padding points: the zero row) and the count
+        # of every row (the zero row: 1)
+        self._point_slots = np.full(self.n_points, self.n_occupied, dtype=np.intp)
+        self._point_slots[valid_rows] = valid_slots
+        self._row_counts = np.append(self.counts[self.occupied_cells], 1)
         self._build_taps()
 
     def _build_taps(self):
@@ -188,45 +195,40 @@ class ProjectionPair:
     # -- mean flatten -------------------------------------------------------
 
     def flatten(self, features: np.ndarray) -> np.ndarray:
-        """Per-cell mean of the valid point features, F x |O|."""
-        means = self._cell_sums(features) / self.counts[self.occupied_cells, None]
-        return means.astype(features.dtype, copy=False).T
-
-    def flatten_sum(self, features: np.ndarray) -> np.ndarray:
-        """Unnormalized flatten (per-cell sum) in float64, the adjoint of inflate."""
-        return self._cell_sums(features).T
+        """Per-cell mean of the valid point rows, (|O| + 1) x F."""
+        means = self._cell_sums(features) / self._row_counts[:, None]
+        return means.astype(features.dtype, copy=False)
 
     def flatten_backward(self, drows: np.ndarray) -> np.ndarray:
-        """Gradient of the mean flatten: gather each cell grad, divide by count."""
+        """Gradient of the mean flatten: gather each point's cell row, divide by the count."""
         drows = self._check_rows(drows)
-        out = np.zeros((drows.shape[0], self.n_points), dtype=drows.dtype)
-        out[:, self._valid_rows] = drows[:, self._valid_slots] / self.counts[self._valid_cells]
-        return out
+        dpoints = np.take(drows, self._point_slots, axis=0) / self._row_counts[self._point_slots, None]
+        return dpoints.astype(drows.dtype, copy=False)
 
     # -- inflate ------------------------------------------------------------
 
     def inflate(self, rows: np.ndarray) -> np.ndarray:
-        """Copy each cell's feature to all its points, F x N; padding columns 0."""
-        rows = self._check_rows(rows)
-        out = np.zeros((rows.shape[0], self.n_points), dtype=rows.dtype)
-        out[:, self._valid_rows] = rows[:, self._valid_slots]
-        return out
+        """Copy each cell's row to all its points, N x F; padding points read the zero row."""
+        return np.take(self._check_rows(rows), self._point_slots, axis=0)
 
     def inflate_backward(self, dpoints: np.ndarray) -> np.ndarray:
-        """Gradient of inflate: scatter-add point grads into their cells, F x |O|."""
-        return self._cell_sums(dpoints).astype(dpoints.dtype, copy=False).T
+        """Gradient of inflate: per-cell sums of the point rows, (|O| + 1) x F.
+
+        In float64 these are the unnormalized flatten, the adjoint of inflate.
+        """
+        return self._cell_sums(dpoints).astype(dpoints.dtype, copy=False)
 
     # ------------------------------------------------------------------------
 
     def _cell_sums(self, arr: np.ndarray) -> np.ndarray:
-        """Float64 sums of the valid columns of F x N ``arr``, one row per cell of ``occupied_cells``.
+        """Float64 sums of the valid rows of N x F ``arr``, one row per cell of ``occupied_cells``, then the zero row.
 
         Each cell starts from 0.0 and adds its points in ascending point
         index, so the sums equal a sequential scatter-add bit for bit.
         """
         arr = self._check_points(arr)
-        rows = np.take(arr.T, self._rank_rows, axis=0)
-        sums = np.zeros((self.n_occupied, arr.shape[0]), dtype=np.float64)
+        rows = np.take(arr, self._rank_rows, axis=0)
+        sums = np.zeros((self.n_occupied + 1, arr.shape[1]), dtype=np.float64)
         start = 0
         for width in self._rank_widths:
             sums[:width] += rows[start : start + width]
@@ -235,14 +237,16 @@ class ProjectionPair:
 
     def _check_points(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        if arr.ndim != 2 or arr.shape[1] != self.n_points:
-            raise ValueError(f"expected F x {self.n_points} array, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != self.n_points:
+            raise ValueError(f"expected {self.n_points} x F array, got {arr.shape}")
         return arr
 
     def _check_rows(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        if arr.ndim != 2 or arr.shape[1] != self.n_occupied:
-            raise ValueError(f"expected F x {self.n_occupied} array, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != self.n_occupied + 1:
+            raise ValueError(f"expected ({self.n_occupied} + 1) x F array, got {arr.shape}")
+        if arr[-1].any():
+            raise ValueError("the last row must be the zero row")
         return arr
 
 

@@ -5,7 +5,7 @@ Each oracle is written independently of the runtime path it checks:
 * the CSR flatten/inflate kernel, built from the public ``cell_index``,
   ``valid`` and ``occupied_cells`` of a :class:`ProjectionPair` only;
 * the central finite-difference gradient checker;
-* the neighborhood max over point columns and its backward;
+* the neighborhood max over point rows and its backward;
 * the two-array ``np.where`` tie-break that ``slot_max`` replaced;
 * batch-norm folding into the channel-mixing MLP;
 * nearest-neighbor label propagation;
@@ -42,27 +42,32 @@ def csr_matrices(proj: ProjectionPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 def csr_flatten_sum(proj: ProjectionPair, features: np.ndarray) -> np.ndarray:
-    """Per-cell float64 sums, F x |O|, as S^T F^T."""
-    return (csr_matrices(proj)[1] @ features.T.astype(np.float64)).T
+    """Per-cell float64 sums of N x F point rows, |O| x F, as S^T F."""
+    return csr_matrices(proj)[1] @ features.astype(np.float64)
 
 
 def csr_flatten(proj: ProjectionPair, features: np.ndarray) -> np.ndarray:
-    """Per-cell means in the features' dtype, F x |O|."""
-    return (csr_flatten_sum(proj, features) / proj.counts[proj.occupied_cells]).astype(features.dtype)
+    """Per-cell means in the features' dtype, |O| x F."""
+    return (csr_flatten_sum(proj, features) / proj.counts[proj.occupied_cells, None]).astype(features.dtype)
 
 
 def csr_inflate(proj: ProjectionPair, rows: np.ndarray) -> np.ndarray:
-    """Each cell's row copied to its points, F x N, as S R^T."""
-    return (csr_matrices(proj)[0] @ rows.T.astype(np.float64)).T.astype(rows.dtype)
+    """Each cell's row of |O| x F ``rows`` copied to its points, N x F, as S R."""
+    return (csr_matrices(proj)[0] @ rows.astype(np.float64)).astype(rows.dtype)
 
 
 def kernel_equivalence(features: np.ndarray, proj: ProjectionPair) -> float:
-    """Max absolute deviation between the gather kernel and the CSR oracle over flatten and inflate."""
+    """Max absolute deviation between the gather kernel and the CSR oracle over flatten and inflate.
+
+    The kernel's zero row counts as a deviation of its largest magnitude.
+    """
     rows = proj.flatten(features)
-    dev = float(np.abs(rows - csr_flatten(proj, features)).max()) if rows.size else 0.0
+    dev = float(np.abs(rows[-1]).max()) if rows.size else 0.0
+    if rows.shape[0] > 1:
+        dev = max(dev, float(np.abs(rows[:-1] - csr_flatten(proj, features)).max()))
     inflated = proj.inflate(rows)
     if inflated.size:
-        dev = max(dev, float(np.abs(inflated - csr_inflate(proj, rows)).max()))
+        dev = max(dev, float(np.abs(inflated - csr_inflate(proj, rows[:-1])).max()))
     return dev
 
 
@@ -114,40 +119,39 @@ def grad_check(loss_fn: Callable[[bool], float], store: ParamStore, eps: float =
 
 
 def neighborhood_max(x: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y[:, i] = channelwise max of x over the columns listed in neighbors[i].
+    """y[i] = channelwise max of the N x F rows of x listed in neighbors[i].
 
-    Returns the pooled features and the selected source column per entry
+    Returns the pooled features and the selected source row per entry
     (ties toward the lower point index), which drives the backward routing.
     """
     neighbors = np.asarray(neighbors, dtype=np.int64)
     if neighbors.ndim != 2 or neighbors.shape[1] < 1:
         raise ValueError("neighbors must be N x k with k >= 1")
-    if neighbors.min() < 0 or neighbors.max() >= x.shape[1]:
+    if neighbors.min() < 0 or neighbors.max() >= x.shape[0]:
         raise ValueError("neighbor index out of range")
-    gathered = x[:, neighbors]  # (F, N, k)
+    gathered = x[neighbors]  # (N, k, F)
     y, slots = slot_max(gathered, neighbors)
-    cols = np.broadcast_to(np.arange(neighbors.shape[0])[None, :], y.shape)
-    selected = neighbors[cols, slots]
+    selected = np.take_along_axis(neighbors, slots, axis=1)
     return y, selected
 
 
 def neighborhood_max_backward(dy: np.ndarray, selected: np.ndarray, n_points: int) -> np.ndarray:
-    dx = np.zeros((dy.shape[0], n_points), dtype=dy.dtype)
-    rows = np.broadcast_to(np.arange(dy.shape[0])[:, None], dy.shape)
-    np.add.at(dx, (rows, selected), dy)
+    dx = np.zeros((n_points, dy.shape[1]), dtype=dy.dtype)
+    cols = np.broadcast_to(np.arange(dy.shape[1])[None, :], dy.shape)
+    np.add.at(dx, (selected, cols), dy)
     return dx
 
 
 def slot_max_where(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``slot_max`` as first written: the tie-break runs on every entry through two F x N x k arrays."""
-    f, n, k = values.shape
-    y = values.max(axis=2)
-    tied = values == y[:, :, None]
+    """``slot_max`` as first written: the tie-break runs on every entry through two N x k x F arrays."""
+    n, k, f = values.shape
+    y = values.max(axis=1)
+    tied = values == y[:, None, :]
     big = np.iinfo(np.int64).max
-    nbr = neighbors[None, :, :]
-    best_point = np.where(tied, nbr, big).min(axis=2)
-    slot_ids = np.arange(k, dtype=np.int64)[None, None, :]
-    slots = np.where(tied & (nbr == best_point[:, :, None]), slot_ids, k).min(axis=2)
+    nbr = neighbors[:, :, None]
+    best_point = np.where(tied, nbr, big).min(axis=1)
+    slot_ids = np.arange(k, dtype=np.int64)[None, :, None]
+    slots = np.where(tied & (nbr == best_point[:, None, :]), slot_ids, k).min(axis=1)
     return y, slots
 
 
@@ -157,7 +161,7 @@ def slot_max_where(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarra
 def fold_bn_into_linear(bn: BatchNorm, lin: PointwiseLinear) -> tuple[np.ndarray, np.ndarray]:
     """Merge an eval-mode batch norm into the linear layer that follows it.
 
-    Returns (W', b') with ``W' x + b' == W bn_eval(x) + b``, the standard
+    Returns (W', b') with ``x W'^T + b' == bn_eval(x) W^T + b``, the standard
     inference-time fusion for the channel-mixing MLP.
     """
     inv = 1.0 / np.sqrt(bn.running_var.data.astype(np.float64) + BN_EPS)
@@ -172,8 +176,8 @@ def fold_bn_into_linear(bn: BatchNorm, lin: PointwiseLinear) -> tuple[np.ndarray
 def channel_mix_folded_eval(layer: ChannelMixLayer, x: np.ndarray) -> np.ndarray:
     """Eval-mode channel mixing with the BN folded into the first linear."""
     wf, bf = fold_bn_into_linear(layer.bn, layer.lin1)
-    a2 = layer.lin2.w.data @ relu(wf @ x + bf[:, None]) + layer.lin2.b.data[:, None]
-    return x + layer.scale.diag.data[:, None] * a2
+    a2 = relu(x @ wf.T + bf) @ layer.lin2.w.data.T + layer.lin2.b.data
+    return x + layer.scale.diag.data * a2
 
 
 # -- label propagation ----------------------------------------------------------------------

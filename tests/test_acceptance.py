@@ -28,7 +28,7 @@ from conftest import random_cloud
 from oracles import grad_check, kernel_equivalence, neighborhood_max, neighborhood_max_backward, nn_propagate_labels
 from test_geometry import cloud_from_positions, knn_oracle
 from test_nn import conv_oracle, grid_backward, grid_forward
-from test_projection import flatten_oracle, occupied_columns, scatter_rows
+from test_projection import flatten_oracle, occupied_rows, scatter_rows
 
 
 def report(number: int, text: str):
@@ -80,15 +80,15 @@ def test_criterion_04_projection_algebra():
         f = int(rng.integers(2, 65))
         pts = rng.uniform(fov.min, fov.max - 1e-3, size=(n, 3))
         proj = build_projection(pts, plane)
-        feats = rng.standard_normal((f, n)).astype(np.float32)
+        feats = rng.standard_normal((n, f)).astype(np.float32)
 
-        grid = rng.standard_normal((f, proj.n_cells)).astype(np.float32)
-        back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_columns(proj, grid))))
+        grid = rng.standard_normal((proj.n_cells, f)).astype(np.float32)
+        back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_rows(proj, grid))))
         occ = proj.counts > 0
-        assert np.abs(back[:, occ] - grid[:, occ]).max() <= 1e-6
+        assert np.abs(back[occ] - grid[occ]).max() <= 1e-6
 
-        g2 = occupied_columns(proj, rng.standard_normal((f, proj.n_cells)))
-        lhs = float((proj.flatten_sum(feats) * g2).sum())
+        g2 = occupied_rows(proj, rng.standard_normal((proj.n_cells, f)))
+        lhs = float((proj.inflate_backward(feats.astype(np.float64)) * g2).sum())
         rhs = float((feats * proj.inflate(g2)).sum())
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
@@ -111,8 +111,8 @@ def test_criterion_05_gradient_checks():
 
     def linear(store, rng):
         lin = PointwiseLinear(store, "lin", 4, 5, rng)
-        x = store.register("x", rng.standard_normal((4, 7)).astype(np.float32))
-        r = rng.standard_normal((5, 7))
+        x = store.register("x", rng.standard_normal((7, 4)).astype(np.float32))
+        r = rng.standard_normal((7, 5))
 
         def loss(want):
             y = lin.forward(x.data)
@@ -126,8 +126,8 @@ def test_criterion_05_gradient_checks():
         layer = BatchNorm(store, "bn", 3)
         layer.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
         layer.beta.data[...] = rng.standard_normal(3)
-        x = store.register("x", rng.standard_normal((3, 11)).astype(np.float32))
-        r = rng.standard_normal((3, 11))
+        x = store.register("x", rng.standard_normal((11, 3)).astype(np.float32))
+        r = rng.standard_normal((11, 3))
 
         def loss(want):
             y = layer.forward(x.data, training=True, update_stats=False)
@@ -153,8 +153,8 @@ def test_criterion_05_gradient_checks():
     def layerscale(store, rng):
         layer = LayerScale(store, "ls", 4)
         layer.diag.data[...] = rng.standard_normal(4)
-        x = store.register("x", rng.standard_normal((4, 9)).astype(np.float32))
-        r = rng.standard_normal((4, 9))
+        x = store.register("x", rng.standard_normal((9, 4)).astype(np.float32))
+        r = rng.standard_normal((9, 4))
 
         def loss(want):
             y = layer.forward(x.data)
@@ -167,9 +167,9 @@ def test_criterion_05_gradient_checks():
     def pool(store, rng):
         # distinct, well separated values: no max switch within the FD step
         vals = rng.permutation(3 * 16).astype(np.float32) * 0.05
-        x = store.register("x", vals.reshape(3, 16))
+        x = store.register("x", vals.reshape(16, 3))
         nbr = rng.integers(0, 16, size=(16, 4))
-        r = rng.standard_normal((3, 16))
+        r = rng.standard_normal((16, 3))
 
         def loss(want):
             y, sel = neighborhood_max(x.data, nbr)
@@ -261,7 +261,7 @@ def test_criterion_07_oracle_equivalence():
         rng = np.random.default_rng(500 + seed)
         pts = rng.uniform(0, 7.999, size=(120, 3))
         proj = build_projection(pts, plane)
-        feats = rng.standard_normal((6, 120)).astype(np.float32)
+        feats = rng.standard_normal((120, 6)).astype(np.float32)
         want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.n_cells)
         np.testing.assert_allclose(scatter_rows(proj, proj.flatten(feats)), want, rtol=1e-6, atol=1e-7)
 

@@ -13,14 +13,14 @@ from waffleiron.backbone import (
     prepare_inputs,
 )
 from waffleiron.geometry import Fov
-from waffleiron.nn import ParamStore, relu, relu_backward
-from waffleiron.projection import PlaneSpec, build_projection
+from waffleiron.nn import BatchNorm, DepthwiseConv3x3, ParamStore, PointwiseLinear, relu, relu_backward
+from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
 from waffleiron.training import segmentation_loss
 
 from conftest import random_cloud
 from oracles import channel_mix_folded_eval, fold_bn_into_linear, grad_check
 from test_nn import per_tap_backward, per_tap_forward
-from test_projection import bitwise_equal, occupied_columns, scatter_rows
+from test_projection import bitwise_equal, occupied_rows, scatter_rows
 
 
 def tiny_config(fov, depth=3, width=8, classes=3, k=4, drop=0.0, strategy="baseline"):
@@ -63,34 +63,34 @@ class TestEmbedding:
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 8, np.random.default_rng(0))
         n = 12
-        feats = np.tile(np.array([[0.3], [1.0], [-1.0], [0.5], [2.0]], dtype=np.float32), n)
+        feats = np.tile(np.array([0.3, 1.0, -1.0, 0.5, 2.0], dtype=np.float32), (n, 1))
         nbr = np.random.default_rng(1).integers(0, n, size=(n, 3))
         valid = np.ones(n, dtype=bool)
         tokens = emb.forward(feats, nbr, valid, bn_training=False, update_stats=False)
-        assert tokens.shape == (8, n)
-        assert np.abs(tokens - tokens[:, :1]).max() == 0
+        assert tokens.shape == (n, 8)
+        assert np.abs(tokens - tokens[:1]).max() == 0
         # the local branch reduces to the MLP at zero
         hb = emb.pre_bn.forward(feats, valid, training=False)
-        mlp0 = emb.local2.w.data @ relu(emb.local1.b.data)[:, None] + emb.local2.b.data[:, None]
-        g = emb.global_lin.w.data @ hb[:, :1] + emb.global_lin.b.data[:, None]
-        want = emb.merge.w.data @ np.concatenate([g, np.broadcast_to(mlp0, (4, 1))]) + emb.merge.b.data[:, None]
-        np.testing.assert_allclose(tokens[:, :1], want, atol=1e-6)
+        mlp0 = emb.local2.w.data @ relu(emb.local1.b.data) + emb.local2.b.data
+        g = emb.global_lin.w.data @ hb[0] + emb.global_lin.b.data
+        want = emb.merge.w.data @ np.concatenate([g, mlp0]) + emb.merge.b.data
+        np.testing.assert_allclose(tokens[0], want, atol=1e-6)
 
     def test_output_shape(self, small_fov):
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 16, np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        feats = rng.standard_normal((5, 40)).astype(np.float32)
+        feats = rng.standard_normal((40, 5)).astype(np.float32)
         nbr = rng.integers(0, 40, size=(40, 6))
         out = emb.forward(feats, nbr, np.ones(40, dtype=bool), True, False)
-        assert out.shape == (16, 40)
+        assert out.shape == (40, 16)
 
     def test_permutation_equivariance(self):
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 8, np.random.default_rng(4))
         rng = np.random.default_rng(5)
         n = 30
-        feats = rng.standard_normal((5, n)).astype(np.float32)
+        feats = rng.standard_normal((n, 5)).astype(np.float32)
         nbr = rng.integers(0, n, size=(n, 4))
         valid = np.ones(n, dtype=bool)
         perm = rng.permutation(n)
@@ -99,17 +99,17 @@ class TestEmbedding:
         # eval statistics make the map exactly equivariant; train-mode batch
         # statistics agree only up to accumulation rounding
         base = emb.forward(feats, nbr, valid, False, False)
-        out = emb.forward(feats[:, perm], nbr_p, valid, False, False)
-        np.testing.assert_array_equal(out, base[:, perm])
+        out = emb.forward(feats[perm], nbr_p, valid, False, False)
+        np.testing.assert_array_equal(out, base[perm])
         base_t = emb.forward(feats, nbr, valid, True, False)
-        out_t = emb.forward(feats[:, perm], nbr_p, valid, True, False)
-        np.testing.assert_allclose(out_t, base_t[:, perm], atol=1e-5)
+        out_t = emb.forward(feats[perm], nbr_p, valid, True, False)
+        np.testing.assert_allclose(out_t, base_t[perm], atol=1e-5)
 
     def test_nograd_path_matches(self):
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 8, np.random.default_rng(6))
         rng = np.random.default_rng(7)
-        feats = rng.standard_normal((5, 25)).astype(np.float32)
+        feats = rng.standard_normal((25, 5)).astype(np.float32)
         nbr = rng.integers(0, 25, size=(25, 3))
         valid = np.ones(25, dtype=bool)
         a = emb.forward(feats, nbr, valid, False, False, need_grad=True)
@@ -126,7 +126,7 @@ class TestTokenMix:
         pc = random_cloud(rng, n, fov)
         model_like = WaffleIron(cfg, np.random.default_rng(0))
         projections = model_like.build_projections(pc.positions, pc.valid)
-        x = rng.standard_normal((width, n)).astype(np.float32)
+        x = rng.standard_normal((n, width)).astype(np.float32)
         return layer, x, projections, pc.valid
 
     def test_zero_layerscale_is_identity(self, small_fov):
@@ -150,7 +150,7 @@ class TestTokenMix:
         pos = np.array([[1.3, 2.1, 0.5]], dtype=np.float32)
         projections = model_like.build_projections(pos, np.ones(1, dtype=bool))
         # positive tokens so the FFN's hidden ReLU is transparent
-        x = np.abs(np.random.default_rng(2).standard_normal((4, 1))).astype(np.float32)
+        x = np.abs(np.random.default_rng(2).standard_normal((1, 4))).astype(np.float32)
         out = layer.forward(x, projections, np.ones(1, dtype=bool), False, False)
         want = x + br.bn.forward(x, np.ones(1, dtype=bool), False, False)
         np.testing.assert_allclose(out, want, atol=1e-6)
@@ -161,7 +161,7 @@ class TestTokenMix:
         br = layer.branches[0]
         xb = br.bn.forward(x, valid, False, False)
         pts, _ = dense_branch(br, projections[(0, 1)], xb)
-        want = x + br.scale.diag.data[:, None] * pts
+        want = x + br.scale.diag.data * pts
         np.testing.assert_array_equal(out, want)
 
     def test_skip_branch(self, small_fov):
@@ -174,22 +174,29 @@ class TestTokenMix:
 def dense_branch(br, proj, xb):
     """The conv FFN of one token-mixing branch on the whole zero-padded grid, with the tests' dense conv.
 
-    Returns the inflated F x N output and a function from its gradient to
+    Returns the inflated N x F output and a function from its gradient to
     (gradient of ``xb``, dense grid gradient rows of O, conv parameter gradients).
     """
-    f = xb.shape[0]
+    f = xb.shape[1]
     h, w = proj.plane.grid_shape
-    grid = scatter_rows(proj, proj.flatten(xb)).reshape(f, h, w)
+
+    def to_grid(rows):
+        return scatter_rows(proj, rows).T.reshape(f, h, w)
+
+    def to_rows(grid):
+        return occupied_rows(proj, grid.reshape(f, h * w).T)
+
+    grid = to_grid(proj.flatten(xb))
     c1 = per_tap_forward(grid, br.conv1.k.data, br.conv1.b.data)
     r = relu(c1)
     c2 = per_tap_forward(r, br.conv2.k.data, br.conv2.b.data)
-    out = proj.inflate(occupied_columns(proj, c2.reshape(f, h * w)))
+    out = proj.inflate(to_rows(c2))
 
     def backward(dout):
-        dc2 = scatter_rows(proj, proj.inflate_backward(dout)).reshape(f, h, w)
+        dc2 = to_grid(proj.inflate_backward(dout))
         dr, dk2, db2 = per_tap_backward(r, dc2, br.conv2.k.data)
         dgrid, dk1, db1 = per_tap_backward(grid, relu_backward(dr, c1), br.conv1.k.data)
-        drows = occupied_columns(proj, dgrid.reshape(f, h * w))
+        drows = to_rows(dgrid)
         return proj.flatten_backward(drows), drows, (dk1, db1, dk2, db2)
 
     return out, backward
@@ -266,8 +273,8 @@ class TestActiveCellBranch:
         if dtype == np.float64:
             promote_to_float64(store)
         projections = {axes: build_projection(pts, PlaneSpec.from_fov(axes, fov, rho), valid) for axes in planes}
-        x = rng.standard_normal((width, len(pts))).astype(dtype)
-        dy = rng.standard_normal((width, len(pts)))
+        x = rng.standard_normal((len(pts), width)).astype(dtype)
+        dy = rng.standard_normal((len(pts), width))
         want_y, want_dx, want_rows, want_grads = dense_token_layer(layer, x, projections, valid, dy)
         seen = []
         for proj in projections.values():
@@ -305,7 +312,7 @@ class TestActiveCellBranch:
         projections = model.build_projections(pc.positions, valid)
         assert all(p.n_occupied == 0 for p in projections.values())
         nbr = np.zeros((20, cfg.k_neighbors), dtype=np.int64)
-        feats = pc.features.T.copy()
+        feats = pc.features
         logits = model.forward(feats, nbr, projections, valid, training=False)
         assert logits.shape == (3, 20) and np.isfinite(logits).all()
         cached = model.forward(feats, nbr, projections, valid, training=False, need_grad=True)
@@ -317,7 +324,7 @@ class TestChannelMix:
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(0))
         layer.scale.diag.data[...] = 0.0
-        x = np.random.default_rng(1).standard_normal((6, 9)).astype(np.float32)
+        x = np.random.default_rng(1).standard_normal((9, 6)).astype(np.float32)
         out = layer.forward(x, None, False, False)
         np.testing.assert_array_equal(out, x)
 
@@ -329,25 +336,25 @@ class TestChannelMix:
         layer.lin2.w.data[...] = 2.0 * np.eye(2)
         layer.lin2.b.data[...] = [0.1, -0.1]
         layer.scale.diag.data[...] = 0.5
-        x = np.array([[0.3], [-0.4]], dtype=np.float32)
+        x = np.array([[0.3, -0.4]], dtype=np.float32)
         out = layer.forward(x, None, False, False)
         # hand computation: xb = x / sqrt(1 + 1e-5); relu zeroes the second
         # channel; mlp = [2 * xb0 + 0.1, -0.1]; out = x + 0.5 * mlp
         s = 1.0000049999875
         np.testing.assert_allclose(
-            out, [[0.3 + 0.5 * (2 * 0.3 / s + 0.1)], [-0.4 + 0.5 * (-0.1)]], atol=1e-6
+            out, [[0.3 + 0.5 * (2 * 0.3 / s + 0.1), -0.4 + 0.5 * (-0.1)]], atol=1e-6
         )
 
     def test_column_independence_eval(self):
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 4, np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((4, 10)).astype(np.float32)
+        x = rng.standard_normal((10, 4)).astype(np.float32)
         base = layer.forward(x, None, False, False)
         x2 = x.copy()
-        x2[:, 4] += 1.0
+        x2[4] += 1.0
         out = layer.forward(x2, None, False, False)
-        changed = np.flatnonzero(np.any(out != base, axis=0))
+        changed = np.flatnonzero(np.any(out != base, axis=1))
         assert changed.tolist() == [4]
 
 
@@ -396,7 +403,7 @@ class TestForward:
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         logits = model.forward(feats, nbr, proj, valid, training=False)
         tokens = model.embedding.forward(feats, nbr, valid, False, False)
-        want = model.classifier.forward(tokens)
+        want = model.classifier.forward(tokens).T
         np.testing.assert_array_equal(logits, want)
 
     def test_doubling_rho_changes_cells_not_shapes(self, small_fov):
@@ -419,7 +426,7 @@ class TestForward:
         pc = build_scene(small_fov, n=20, seed=0)
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         with pytest.raises(ValueError):
-            model.forward(feats[:3], nbr, proj, valid)
+            model.forward(feats[:, :3], nbr, proj, valid)
 
 
 def held_arrays(value, path="model", private=False):
@@ -431,6 +438,70 @@ def held_arrays(value, path="model", private=False):
     if type(value).__module__ in ("waffleiron.backbone", "waffleiron.nn") and hasattr(value, "__dict__"):
         return [p for name, item in vars(value).items() for p in held_arrays(item, f"{path}.{name}", name.startswith("_"))]
     return []
+
+
+class TestLayout:
+    """Point rows N x F, grid rows (n + 1) x F ending in a zero row, every array C-contiguous."""
+
+    OPERATORS = {
+        PointwiseLinear: ("forward", "backward"),
+        BatchNorm: ("forward", "backward"),
+        DepthwiseConv3x3: ("forward", "backward"),
+        ProjectionPair: ("flatten", "flatten_backward", "inflate", "inflate_backward"),
+    }
+    # the grid-side array of each call: (argument position, or "out" for the result)
+    GRID_SIDE = {
+        "DepthwiseConv3x3.forward": (0, "out"),
+        "DepthwiseConv3x3.backward": (0, "out"),
+        "ProjectionPair.flatten": ("out",),
+        "ProjectionPair.flatten_backward": (0,),
+        "ProjectionPair.inflate": (0,),
+        "ProjectionPair.inflate_backward": ("out",),
+    }
+
+    def test_training_step_keeps_one_row_layout(self, small_fov, monkeypatch):
+        calls = []
+
+        def recording(name, method):
+            def wrapper(obj, *args, **kwargs):
+                out = method(obj, *args, **kwargs)
+                calls.append((name, obj, args, out))
+                return out
+
+            return wrapper
+
+        for cls, methods in self.OPERATORS.items():
+            for attr in methods:
+                monkeypatch.setattr(cls, attr, recording(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+
+        cfg = tiny_config(small_fov, depth=3, width=8, strategy="parallel")
+        model = WaffleIron(cfg, np.random.default_rng(70))
+        pc = build_scene(small_fov, n=50, seed=71)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        logits = model.forward(feats, nbr, proj, valid, training=True)
+        _, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
+        model.backward(dlogits)
+
+        assert {name for name, *_ in calls} == {f"{c.__name__}.{a}" for c, ms in self.OPERATORS.items() for a in ms}
+        grid_rows = 0
+        for name, obj, args, out in calls:
+            arrays = {i: a for i, a in enumerate(args) if isinstance(a, np.ndarray)}
+            arrays["out"] = out
+            if obj is model.classifier and name.endswith("backward"):
+                # the K x N dlogits arrive as their N x K view
+                assert np.shares_memory(arrays.pop(0), dlogits)
+            for key, a in arrays.items():
+                assert a.flags.c_contiguous, (name, key, a.shape)
+            for key in self.GRID_SIDE.get(name, ()):
+                rows = arrays[key]
+                if isinstance(obj, ProjectionPair):
+                    assert rows.shape[0] == obj.n_occupied + 1, (name, key, rows.shape)
+                elif key == "out":
+                    assert rows.shape[0] == args[1].shape[0] + 1, (name, key, rows.shape)
+                assert not rows[-1].any(), (name, key)
+                grid_rows += 1
+        # 3 layers x 3 planes x (flatten, 2 conv inputs and outputs, inflate) forward and backward
+        assert grid_rows == 3 * 3 * 2 * 6
 
 
 class TestNoGradForward:
@@ -586,7 +657,7 @@ class TestBnFolding:
         layer.bn.running_var.data[...] = rng.uniform(0.5, 2.0, 8)
         layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, 8)
         layer.bn.beta.data[...] = rng.standard_normal(8)
-        x = rng.standard_normal((8, 30)).astype(np.float32)
+        x = rng.standard_normal((30, 8)).astype(np.float32)
         want = layer.forward(x, None, False, False)
         got = channel_mix_folded_eval(layer, x)
         np.testing.assert_allclose(got, want, atol=1e-5)

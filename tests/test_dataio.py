@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from waffleiron import dataio
-from waffleiron.augment import build_instance_bank
 from waffleiron.backbone import WaffleIron, WaffleIronConfig, prepare_inputs
-from waffleiron.geometry import IGNORE_LABEL, PointCloud
+from waffleiron.geometry import IGNORE_LABEL
 from waffleiron.training import AdamW, segmentation_loss
 
 from conftest import random_cloud
@@ -290,26 +289,3 @@ class TestScanDataset:
     def test_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no \\*.bin"):
             dataio.ScanDataset(tmp_path)
-
-
-class TestInstanceBankIo:
-    def test_round_trip(self, tmp_path, small_fov):
-        rng = np.random.default_rng(3)
-        donors = []
-        for i, c in enumerate((5, 5, 1)):
-            pc = random_cloud(rng, 6, small_fov)
-            pc = PointCloud(pc.positions, pc.features, np.full(6, c, dtype=np.int32))
-            donors.append((pc, np.full(6, i, dtype=np.int32)))
-        bank = build_instance_bank(donors, classes=(5, 1))
-        dataio.save_instance_bank(bank, tmp_path / "bank")
-        loaded = dataio.load_instance_bank(tmp_path / "bank")
-        assert loaded.total == bank.total
-        for c in (5, 1):
-            assert len(loaded.instances[c]) == len(bank.instances[c])
-            for a, b in zip(loaded.instances[c], bank.instances[c]):
-                np.testing.assert_allclose(a.positions, b.positions, atol=1e-6)
-                np.testing.assert_allclose(a.intensity, b.intensity, atol=1e-7)
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            dataio.load_instance_bank(tmp_path)

@@ -131,7 +131,9 @@ class TestInference:
         inside, _ = crop_fov(moved, model.config.fov)
         src = nearest_indices(inside.positions, positions[:1])
         inside_probs = infer_probs(model, PointCloud(inside.positions, inside.features, None))
-        np.testing.assert_array_equal(probs[0], inside_probs[src[0]])
+        np.testing.assert_array_equal(probs[:, 0], inside_probs[:, src[0]])
+        # the points inside the FOV keep their own probabilities
+        np.testing.assert_array_equal(probs[:, 1:], inside_probs)
 
 
 class TestEvaluateSplit:

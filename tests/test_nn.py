@@ -37,27 +37,27 @@ class TestPointwiseLinear:
         lin = PointwiseLinear(store, "lin", 3, 3, np.random.default_rng(0))
         lin.w.data[...] = np.eye(3)
         lin.b.data[...] = 0
-        x = np.random.default_rng(1).standard_normal((3, 9)).astype(np.float32)
+        x = np.random.default_rng(1).standard_normal((9, 3)).astype(np.float32)
         np.testing.assert_array_equal(lin.forward(x), x)
 
     def test_basis_column_reads_weight_column(self):
         store = ParamStore()
         lin = PointwiseLinear(store, "lin", 4, 5, np.random.default_rng(2))
-        x = np.zeros((4, 1), dtype=np.float32)
-        x[2, 0] = 1.0
-        np.testing.assert_allclose(lin.forward(x)[:, 0], lin.w.data[:, 2] + lin.b.data)
+        x = np.zeros((1, 4), dtype=np.float32)
+        x[0, 2] = 1.0
+        np.testing.assert_allclose(lin.forward(x)[0], lin.w.data[:, 2] + lin.b.data)
 
     def test_shape_mismatch(self):
         store = ParamStore()
         lin = PointwiseLinear(store, "lin", 4, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            lin.forward(np.zeros((3, 7), dtype=np.float32))
+            lin.forward(np.zeros((7, 3), dtype=np.float32))
 
     def test_gradients(self):
         def build(store, rng):
             lin = PointwiseLinear(store, "lin", 4, 5, rng)
-            x = store.register("x", rng.standard_normal((4, 7)).astype(np.float32))
-            r = rng.standard_normal((5, 7))
+            x = store.register("x", rng.standard_normal((7, 4)).astype(np.float32))
+            r = rng.standard_normal((7, 5))
 
             def loss_fn(want_grad):
                 y = lin.forward(x.data)
@@ -75,15 +75,15 @@ class TestBatchNorm:
         store = ParamStore()
         bn = BatchNorm(store, "bn", 2)
         bn.beta.data[...] = [0.5, -1.0]
-        x = np.full((2, 6), 3.0, dtype=np.float32)
+        x = np.full((6, 2), 3.0, dtype=np.float32)
         y = bn.forward(x, training=True)
-        np.testing.assert_allclose(y[0], 0.5, atol=1e-6)
-        np.testing.assert_allclose(y[1], -1.0, atol=1e-6)
+        np.testing.assert_allclose(y[:, 0], 0.5, atol=1e-6)
+        np.testing.assert_allclose(y[:, 1], -1.0, atol=1e-6)
 
     def test_eval_identity_with_unit_stats(self):
         store = ParamStore()
         bn = BatchNorm(store, "bn", 3)
-        x = np.random.default_rng(0).standard_normal((3, 20)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((20, 3)).astype(np.float32)
         y = bn.forward(x, training=False)
         np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
 
@@ -93,32 +93,32 @@ class TestBatchNorm:
         bn = BatchNorm(store, "bn", 3)
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
         bn.beta.data[...] = rng.standard_normal(3)
-        x = rng.standard_normal((3, 50)).astype(np.float32)
+        x = rng.standard_normal((50, 3)).astype(np.float32)
         y = bn.forward(x, training=True)
         x64 = x.astype(np.float64)
-        mean = x64.mean(axis=1)
-        var = ((x64 - mean[:, None]) ** 2).mean(axis=1)
-        want = bn.gamma.data[:, None] * (x64 - mean[:, None]) / np.sqrt(var + 1e-5)[:, None]
-        want += bn.beta.data[:, None]
+        mean = x64.mean(axis=0)
+        var = ((x64 - mean) ** 2).mean(axis=0)
+        want = bn.gamma.data * (x64 - mean) / np.sqrt(var + 1e-5)
+        want += bn.beta.data
         np.testing.assert_allclose(y, want, atol=1e-6)
 
     def test_normalizes_valid_columns_only(self):
         rng = np.random.default_rng(2)
         store = ParamStore()
         bn = BatchNorm(store, "bn", 4)
-        x = rng.standard_normal((4, 40)).astype(np.float32)
+        x = rng.standard_normal((40, 4)).astype(np.float32)
         valid = np.ones(40, dtype=bool)
         valid[30:] = False
-        x[:, 30:] = 100.0  # junk that must not leak into the statistics
+        x[30:] = 100.0  # junk that must not leak into the statistics
         y = bn.forward(x, valid=valid, training=True)
-        yv = y[:, valid].astype(np.float64)
-        assert np.abs(yv.mean(axis=1)).max() < 1e-5
-        assert np.abs(yv.var(axis=1) - 1.0).max() < 1e-4
+        yv = y[valid].astype(np.float64)
+        assert np.abs(yv.mean(axis=0)).max() < 1e-5
+        assert np.abs(yv.var(axis=0) - 1.0).max() < 1e-4
 
     def test_running_stats_update(self):
         store = ParamStore()
         bn = BatchNorm(store, "bn", 1)
-        x = np.full((1, 10), 2.0, dtype=np.float32)
+        x = np.full((10, 1), 2.0, dtype=np.float32)
         bn.forward(x, training=True)
         np.testing.assert_allclose(bn.running_mean.data, [0.2], atol=1e-7)
         bn.forward(x, training=True, update_stats=False)
@@ -128,18 +128,18 @@ class TestBatchNorm:
         store = ParamStore()
         bn = BatchNorm(store, "bn", 2)
         with pytest.raises(ValueError):
-            bn.forward(np.zeros((2, 4), dtype=np.float32), valid=np.zeros(4, dtype=bool), training=True)
+            bn.forward(np.zeros((4, 2), dtype=np.float32), valid=np.zeros(4, dtype=bool), training=True)
 
     def test_gradients_train_mode(self):
         def build(store, rng):
             bn = BatchNorm(store, "bn", 3)
             bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
             bn.beta.data[...] = rng.standard_normal(3)
-            x = store.register("x", rng.standard_normal((3, 12)).astype(np.float32))
+            x = store.register("x", rng.standard_normal((12, 3)).astype(np.float32))
             valid = np.ones(12, dtype=bool)
             valid[9:] = False
-            r = rng.standard_normal((3, 12))
-            r[:, 9:] = 0.0  # padding columns never receive loss gradient
+            r = rng.standard_normal((12, 3))
+            r[9:] = 0.0  # padding rows never receive loss gradient
 
             def loss_fn(want_grad):
                 y = bn.forward(x.data, valid=valid, training=True, update_stats=False)
@@ -156,8 +156,8 @@ class TestBatchNorm:
             bn = BatchNorm(store, "bn", 3)
             bn.running_mean.data[...] = rng.standard_normal(3)
             bn.running_var.data[...] = rng.uniform(0.5, 2.0, 3)
-            x = store.register("x", rng.standard_normal((3, 8)).astype(np.float32))
-            r = rng.standard_normal((3, 8))
+            x = store.register("x", rng.standard_normal((8, 3)).astype(np.float32))
+            r = rng.standard_normal((8, 3))
 
             def loss_fn(want_grad):
                 y = bn.forward(x.data, training=False)
@@ -187,16 +187,21 @@ def conv_oracle(x, kern, bias):
     return y
 
 
-def cell_major(x):
-    """The same F x H x W values as a view of H x W x F memory, the grid layout of token mixing."""
-    return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+def to_rows(x):
+    """An F x H x W grid as the (H * W + 1) x F rows of its cells in row-major order, the zero row last."""
+    f = x.shape[0]
+    return np.concatenate([x.reshape(f, -1).T, np.zeros((1, f), dtype=x.dtype)])
 
 
-def is_cell_major(a):
-    return np.moveaxis(a, 0, -1).flags.c_contiguous
+def to_grid(rows, shape):
+    """(H * W + 1) x F rows as the F x H x W grid, after checking that they are C-contiguous and end in a zero row."""
+    assert rows.flags.c_contiguous
+    assert not rows[-1].any()
+    return rows[:-1].T.reshape(shape)
 
 
-CONV_LAYOUTS = (np.ascontiguousarray, cell_major)
+# the conv reads its input rows by gather, so a strided block gives the same rows
+ROW_LAYOUTS = (np.ascontiguousarray, np.asfortranarray)
 
 
 def full_grid_taps(h, w):
@@ -207,15 +212,15 @@ def full_grid_taps(h, w):
     return np.stack([padded[i + u, j + v] for u in range(3) for v in range(3)], axis=1)
 
 
-def grid_forward(conv, x, need_grad=True):
-    """The row conv evaluated on every cell of an F x H x W grid."""
+def grid_forward(conv, x, need_grad=True, layout=np.ascontiguousarray):
+    """The row conv evaluated on every cell of an F x H x W grid, returned as the grid."""
     f, h, w = x.shape
-    return conv.forward(x.reshape(f, h * w), full_grid_taps(h, w), need_grad).reshape(f, h, w)
+    return to_grid(conv.forward(layout(to_rows(x)), full_grid_taps(h, w), need_grad), x.shape)
 
 
-def grid_backward(conv, dy):
+def grid_backward(conv, dy, layout=np.ascontiguousarray):
     f, h, w = dy.shape
-    return conv.backward(dy.reshape(f, h * w), full_grid_taps(h, w)).reshape(f, h, w)
+    return to_grid(conv.backward(layout(to_rows(dy)), full_grid_taps(h, w)), dy.shape)
 
 
 def per_tap_forward(x, kern, bias):
@@ -278,11 +283,9 @@ class TestDepthwiseConv:
         rng = np.random.default_rng(2)
         store = ParamStore()
         conv = DepthwiseConv3x3(store, "conv", 2, rng)
-        x0 = rng.standard_normal((2, 5, 6)).astype(np.float32)
-        for layout in CONV_LAYOUTS:
-            x = layout(x0)
-            y = grid_forward(conv, x)
-            assert is_cell_major(y)
+        x = rng.standard_normal((2, 5, 6)).astype(np.float32)
+        for layout in ROW_LAYOUTS:
+            y = grid_forward(conv, x, layout=layout)
             np.testing.assert_allclose(y, conv_oracle(x, conv.k.data, conv.b.data), atol=1e-6)
             assert np.array_equal(y, per_tap_forward(x, conv.k.data, conv.b.data))
 
@@ -290,18 +293,16 @@ class TestDepthwiseConv:
         rng = np.random.default_rng(3)
         store = ParamStore()
         conv = DepthwiseConv3x3(store, "conv", 4, rng)
-        x0 = rng.standard_normal((4, 6, 6)).astype(np.float32)
+        x = rng.standard_normal((4, 6, 6)).astype(np.float32)
         perm = rng.permutation(4)
         store2 = ParamStore()
         conv2 = DepthwiseConv3x3(store2, "conv", 4, np.random.default_rng(0))
         conv2.k.data[...] = conv.k.data[perm]
         conv2.b.data[...] = conv.b.data[perm]
-        for layout in CONV_LAYOUTS:
-            x = layout(x0)
-            y = grid_forward(conv, x)
-            assert is_cell_major(y)
+        for layout in ROW_LAYOUTS:
+            y = grid_forward(conv, x, layout=layout)
             assert np.array_equal(y, per_tap_forward(x, conv.k.data, conv.b.data))
-            np.testing.assert_array_equal(grid_forward(conv2, layout(x0[perm])), y[perm])
+            np.testing.assert_array_equal(grid_forward(conv2, x[perm], layout=layout), y[perm])
 
     def test_large_grid_matches_per_tap_formulas(self):
         rng = np.random.default_rng(4)
@@ -318,34 +319,29 @@ class TestDepthwiseConv:
         for u in range(3):
             for v in range(3):
                 dxp[:, u : u + h, v : v + w] += conv.k.data[:, u, v].astype(np.float64)[:, None, None] * dy0
-        for layout in CONV_LAYOUTS:
-            x, dy = layout(x0), layout(dy0)
+        for layout in ROW_LAYOUTS:
             store.zero_grad()
-            y = grid_forward(conv, x)
-            assert is_cell_major(y)
+            y = grid_forward(conv, x0, layout=layout)
             assert np.array_equal(y, per_tap_forward(x0, conv.k.data, conv.b.data))
-            dx = grid_backward(conv, dy)
-            assert dx.dtype == np.float32 and is_cell_major(dx)
+            dx = grid_backward(conv, dy0, layout=layout)
+            assert dx.dtype == np.float32
             assert np.array_equal(dx, dxp[:, 1 : h + 1, 1 : w + 1])
             assert np.array_equal(dx, per_tap_backward(x0, dy0, conv.k.data)[0])
             np.testing.assert_allclose(conv.k.grad.reshape(f, 9), want_k, rtol=1e-5, atol=1e-3)
             np.testing.assert_allclose(conv.b.grad, dy0.sum(axis=(1, 2)), rtol=1e-5, atol=1e-3)
 
     def test_gradients(self):
-        for layout in CONV_LAYOUTS:
+        for layout in ROW_LAYOUTS:
 
             def build(store, rng):
                 conv = DepthwiseConv3x3(store, "conv", 2, rng)
                 x = store.register("x", rng.standard_normal((2, 5, 6)).astype(np.float32))
-                r = layout(rng.standard_normal((2, 5, 6)))
+                r = rng.standard_normal((2, 5, 6))
 
                 def loss_fn(want_grad):
-                    y = grid_forward(conv, layout(x.data))
-                    assert is_cell_major(y)
+                    y = grid_forward(conv, x.data, layout=layout)
                     if want_grad:
-                        dx = grid_backward(conv, r)
-                        assert is_cell_major(dx)
-                        x.grad += dx
+                        x.grad += grid_backward(conv, r, layout=layout)
                     return float((y * r).sum())
 
                 return loss_fn
@@ -356,18 +352,24 @@ class TestDepthwiseConv:
         store = ParamStore()
         conv = DepthwiseConv3x3(store, "conv", 2, np.random.default_rng(5))
         taps = full_grid_taps(3, 4)
-        x = np.zeros((2, 12), dtype=np.float32)
+        x = np.zeros((13, 2), dtype=np.float32)
+        last_row_set = x.copy()
+        last_row_set[-1] = 1.0
         with pytest.raises(ValueError):
-            conv.forward(np.zeros((3, 12), dtype=np.float32), taps)
+            conv.forward(np.zeros((13, 3), dtype=np.float32), taps)
         with pytest.raises(ValueError):
             conv.forward(x, taps[:, :8])
         with pytest.raises(ValueError):
-            conv.forward(x[:, :11], taps)  # the table reads row 11
+            conv.forward(x[:12], taps)  # the table reads row 12
+        with pytest.raises(ValueError, match="zero row"):
+            conv.forward(last_row_set, taps)
         conv.forward(x, taps)
         with pytest.raises(ValueError):
-            conv.backward(np.zeros((2, 11)), taps)
+            conv.backward(np.zeros((12, 2)), taps)
         with pytest.raises(ValueError):
-            conv.backward(np.zeros((2, 12)), taps[:11])
+            conv.backward(np.zeros((13, 2)), taps[:11])
+        with pytest.raises(ValueError, match="zero row"):
+            conv.backward(last_row_set, taps)
 
 
 class TestLayerScale:
@@ -375,14 +377,14 @@ class TestLayerScale:
         store = ParamStore()
         ls = LayerScale(store, "ls", 3)
         ls.diag.data[...] = 1.0
-        x = np.random.default_rng(0).standard_normal((3, 7)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((7, 3)).astype(np.float32)
         np.testing.assert_array_equal(ls.forward(x), x)
 
     def test_zeros_kill_the_branch(self):
         store = ParamStore()
         ls = LayerScale(store, "ls", 3)
         ls.diag.data[...] = 0.0
-        x = np.ones((3, 7), dtype=np.float32)
+        x = np.ones((7, 3), dtype=np.float32)
         assert (ls.forward(x) == 0).all()
 
     def test_default_init(self):
@@ -394,8 +396,8 @@ class TestLayerScale:
         def build(store, rng):
             ls = LayerScale(store, "ls", 4)
             ls.diag.data[...] = rng.standard_normal(4)
-            x = store.register("x", rng.standard_normal((4, 9)).astype(np.float32))
-            r = rng.standard_normal((4, 9))
+            x = store.register("x", rng.standard_normal((9, 4)).astype(np.float32))
+            r = rng.standard_normal((9, 4))
 
             def loss_fn(want_grad):
                 y = ls.forward(x.data)
@@ -411,32 +413,32 @@ class TestLayerScale:
 
 class TestNeighborhoodMax:
     def test_single_neighbor_copies_column(self):
-        x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], dtype=np.float32)
+        x = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]], dtype=np.float32)
         nbr = np.array([[1], [0], [1]])
         y, sel = neighborhood_max(x, nbr)
-        np.testing.assert_array_equal(y, x[:, [1, 0, 1]])
-        np.testing.assert_array_equal(sel, np.array([[1, 0, 1], [1, 0, 1]]))
+        np.testing.assert_array_equal(y, x[[1, 0, 1]])
+        np.testing.assert_array_equal(sel, np.array([[1, 1], [0, 0], [1, 1]]))
 
     def test_all_equal_routes_to_lowest_index(self):
-        x = np.full((2, 4), 5.0, dtype=np.float32)
+        x = np.full((4, 2), 5.0, dtype=np.float32)
         nbr = np.array([[3, 1, 2]] * 4)
         y, sel = neighborhood_max(x, nbr)
         np.testing.assert_array_equal(y, x)
         assert (sel == 1).all()
-        dx = neighborhood_max_backward(np.ones((2, 4)), sel, 4)
-        np.testing.assert_array_equal(dx[:, 1], [4.0, 4.0])
-        assert dx[:, [0, 2, 3]].sum() == 0
+        dx = neighborhood_max_backward(np.ones((4, 2)), sel, 4)
+        np.testing.assert_array_equal(dx[1], [4.0, 4.0])
+        assert dx[[0, 2, 3]].sum() == 0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((4, 30)).astype(np.float32)
+        x = rng.standard_normal((30, 4)).astype(np.float32)
         nbr = rng.integers(0, 30, size=(30, 5))
         y, _ = neighborhood_max(x, nbr)
         for i in range(30):
-            np.testing.assert_array_equal(y[:, i], x[:, nbr[i]].max(axis=1))
+            np.testing.assert_array_equal(y[i], x[nbr[i]].max(axis=0))
 
     def test_bad_neighbors(self):
-        x = np.zeros((2, 3), dtype=np.float32)
+        x = np.zeros((3, 2), dtype=np.float32)
         with pytest.raises(ValueError):
             neighborhood_max(x, np.zeros((3, 0), dtype=np.int64))
         with pytest.raises(ValueError):
@@ -446,9 +448,9 @@ class TestNeighborhoodMax:
         def build(store, rng):
             # distinct, well separated values so the FD step never flips a max
             vals = rng.permutation(3 * 20).astype(np.float32) * 0.05
-            x = store.register("x", vals.reshape(3, 20))
+            x = store.register("x", vals.reshape(20, 3))
             nbr = rng.integers(0, 20, size=(20, 4))
-            r = rng.standard_normal((3, 20))
+            r = rng.standard_normal((20, 3))
 
             def loss_fn(want_grad):
                 y, sel = neighborhood_max(x.data, nbr)
@@ -463,17 +465,17 @@ class TestNeighborhoodMax:
 
 class TestSlotMax:
     def test_tie_prefers_slot_with_lowest_point_index(self):
-        values = np.zeros((1, 2, 3), dtype=np.float32)
+        values = np.zeros((2, 3, 1), dtype=np.float32)
         neighbors = np.array([[9, 2, 5], [1, 8, 0]])
         _, slots = slot_max(values, neighbors)
-        assert slots[0].tolist() == [1, 2]  # point 2 for row 0, point 0 for row 1
+        assert slots[:, 0].tolist() == [1, 2]  # point 2 for row 0, point 0 for row 1
 
     def test_matches_where_formula_bitwise_on_tie_heavy_inputs(self):
         rng = np.random.default_rng(6)
         f, n, k = 6, 200, 16
         # neighbor rows repeat points, as padded kNN rows do
         neighbors = rng.integers(0, 30, size=(n, k))
-        normal = rng.standard_normal((f, n, k)).astype(np.float32)
+        normal = rng.standard_normal((n, k, f)).astype(np.float32)
         cases = {
             "normal": normal,
             "rounded": np.round(normal * 2),
@@ -487,7 +489,7 @@ class TestSlotMax:
             assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes(), name
             assert slots.dtype == slots_ref.dtype and np.array_equal(slots, slots_ref), name
             if name != "normal":
-                tied = (values == y[:, :, None]).sum(axis=2) > 1
+                tied = (values == y[:, None, :]).sum(axis=1) > 1
                 assert tied.mean() > 0.2, name
 
 

@@ -21,17 +21,17 @@ def kitti_plane(kitti_fov):
 
 
 def flatten_oracle(features, cells, valid, m):
-    """Accumulate-and-divide reference, float64."""
-    f = features.shape[0]
-    acc = np.zeros((f, m), dtype=np.float64)
+    """Accumulate-and-divide reference of N x F point rows, M x F, float64."""
+    f = features.shape[1]
+    acc = np.zeros((m, f), dtype=np.float64)
     cnt = np.zeros(m, dtype=np.int64)
-    for i in range(features.shape[1]):
+    for i in range(features.shape[0]):
         if valid[i]:
-            acc[:, cells[i]] += features[:, i].astype(np.float64)
+            acc[cells[i]] += features[i].astype(np.float64)
             cnt[cells[i]] += 1
-    out = np.zeros((f, m), dtype=np.float64)
+    out = np.zeros((m, f), dtype=np.float64)
     occ = cnt > 0
-    out[:, occ] = acc[:, occ] / cnt[occ]
+    out[occ] = acc[occ] / cnt[occ, None]
     return out
 
 
@@ -95,21 +95,21 @@ def small_projection(rng, n=64, f=8, cells=(4, 4), n_invalid=0):
         valid[-n_invalid:] = False
         pts[-n_invalid:] = 0.0
     proj = build_projection(pts, plane, valid)
-    feats = rng.standard_normal((f, n)).astype(np.float32)
+    feats = rng.standard_normal((n, f)).astype(np.float32)
     return proj, feats
 
 
 def add_at_flatten_sum(proj, features):
-    """Per-cell float64 sums by sequential scatter-add, as the gather kernel was first written."""
+    """Per-cell float64 sums, M x F, by sequential scatter-add, as the gather kernel was first written."""
     rows = np.flatnonzero(proj.valid)
-    acc = np.zeros((proj.n_cells, features.shape[0]), dtype=np.float64)
-    np.add.at(acc, proj.cell_index[rows], features.T[rows].astype(np.float64))
-    return acc.T
+    acc = np.zeros((proj.n_cells, features.shape[1]), dtype=np.float64)
+    np.add.at(acc, proj.cell_index[rows], features[rows].astype(np.float64))
+    return acc
 
 
 def add_at_flatten(proj, features):
     denom = np.maximum(proj.counts, 1).astype(np.float64)
-    return (add_at_flatten_sum(proj, features) / denom[None, :]).astype(features.dtype)
+    return (add_at_flatten_sum(proj, features) / denom[:, None]).astype(features.dtype)
 
 
 def add_at_inflate_backward(proj, dpoints):
@@ -117,15 +117,16 @@ def add_at_inflate_backward(proj, dpoints):
 
 
 def scatter_rows(proj, rows):
-    """F x |O| rows as the dense F x M grid (a view of cell-major memory), zeros at empty cells."""
-    grid = np.zeros((proj.n_cells, rows.shape[0]), dtype=rows.dtype)
-    grid[proj.occupied_cells] = rows.T
-    return grid.T
+    """(|O| + 1) x F rows as the dense M x F grid, zeros at empty cells, after checking that the last row is zero."""
+    assert rows.shape[0] == proj.n_occupied + 1 and not rows[-1].any()
+    grid = np.zeros((proj.n_cells, rows.shape[1]), dtype=rows.dtype)
+    grid[proj.occupied_cells] = rows[:-1]
+    return grid
 
 
-def occupied_columns(proj, grid):
-    """The F x |O| rows of a dense F x M grid that inflate reads."""
-    return grid[:, proj.occupied_cells]
+def occupied_rows(proj, grid):
+    """The (|O| + 1) x F rows of a dense M x F grid that inflate reads: its occupied cells and the zero row."""
+    return np.concatenate([grid[proj.occupied_cells], np.zeros((1, grid.shape[1]), dtype=grid.dtype)])
 
 
 def bitwise_equal(a, b):
@@ -142,7 +143,7 @@ def crowded_projection(rng, n=1500, f=3, n_invalid=0):
     pts[:, :2] = centers[rng.integers(0, 3, n)] + rng.uniform(-0.4, 0.4, (n, 2))
     valid = np.ones(n, dtype=bool)
     valid[rng.permutation(n)[:n_invalid]] = False
-    return build_projection(pts, plane, valid), rng.standard_normal((f, n))
+    return build_projection(pts, plane, valid), rng.standard_normal((n, f))
 
 
 class TestScatterAddOracle:
@@ -165,15 +166,15 @@ class TestScatterAddOracle:
             empty += not proj.valid.any()
             for dtype in (np.float32, np.float64):
                 x = feats.astype(dtype)
-                x[:, ::7] = -0.0
+                x[::7] = -0.0
                 for rows, want in (
                     (proj.flatten(x), add_at_flatten(proj, x)),
-                    (proj.flatten_sum(x), add_at_flatten_sum(proj, x)),
+                    (proj.inflate_backward(x.astype(np.float64)), add_at_flatten_sum(proj, x)),
                     (proj.inflate_backward(x), add_at_inflate_backward(proj, x)),
                 ):
-                    # F x |O| view of cell-major memory
-                    assert rows.shape == (x.shape[0], proj.n_occupied)
-                    assert rows.T.flags.c_contiguous
+                    # |O| + 1 C-contiguous rows, the last one zero
+                    assert rows.shape == (proj.n_occupied + 1, x.shape[1])
+                    assert rows.flags.c_contiguous
                     got = scatter_rows(proj, rows)
                     assert bitwise_equal(got, want)
                     assert np.array_equal(got, want)
@@ -186,10 +187,10 @@ class TestFlattenInflate:
         plane = PlaneSpec.from_fov((0, 1), fov, 4.0)
         pts = np.full((5, 3), 1.0)
         proj = build_projection(pts, plane)
-        feats = np.full((3, 5), 2.5, dtype=np.float32)
+        feats = np.full((5, 3), 2.5, dtype=np.float32)
         grid = scatter_rows(proj, proj.flatten(feats))
-        np.testing.assert_allclose(grid[:, 0], 2.5)
-        assert (grid[:, 1:] == 0).all()
+        np.testing.assert_allclose(grid[0], 2.5)
+        assert (grid[1:] == 0).all()
 
     def test_two_point_mean(self):
         fov = Fov(np.zeros(3), np.array([8.0, 8.0, 8.0]))
@@ -197,9 +198,9 @@ class TestFlattenInflate:
         # cell index 5 = row 0, column 5
         pts = np.array([[0.5, 5.5, 0.0], [0.5, 5.5, 1.0]])
         proj = build_projection(pts, plane)
-        feats = np.array([[1.0, 3.0]], dtype=np.float32)
+        feats = np.array([[1.0], [3.0]], dtype=np.float32)
         grid = scatter_rows(proj, proj.flatten(feats))
-        assert grid[0, 5] == 2.0
+        assert grid[5, 0] == 2.0
 
     def test_flatten_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -212,42 +213,43 @@ class TestFlattenInflate:
         rng = np.random.default_rng(2)
         proj, _ = small_projection(rng, n=10, f=4)
         j = proj.cell_index[0]
-        grid = np.zeros((4, proj.n_cells), dtype=np.float32)
-        grid[:, j] = [1, 2, 3, 4]
-        out = proj.inflate(occupied_columns(proj, grid))
+        grid = np.zeros((proj.n_cells, 4), dtype=np.float32)
+        grid[j] = [1, 2, 3, 4]
+        out = proj.inflate(occupied_rows(proj, grid))
         members = (proj.cell_index == j) & proj.valid
-        np.testing.assert_array_equal(out[:, members], np.tile([[1], [2], [3], [4]], members.sum()))
+        np.testing.assert_array_equal(out[members], np.tile([1, 2, 3, 4], (members.sum(), 1)))
 
     def test_inflate_matches_lookup_oracle_bitwise(self):
         rng = np.random.default_rng(3)
         proj, _ = small_projection(rng, n=40, f=6, n_invalid=5)
-        grid = rng.standard_normal((6, proj.n_cells)).astype(np.float32)
-        out = proj.inflate(occupied_columns(proj, grid))
+        grid = rng.standard_normal((proj.n_cells, 6)).astype(np.float32)
+        out = proj.inflate(occupied_rows(proj, grid))
+        assert out.flags.c_contiguous
         for i in range(proj.n_points):
             if proj.valid[i]:
-                assert (out[:, i] == grid[:, proj.cell_index[i]]).all()
+                assert (out[i] == grid[proj.cell_index[i]]).all()
             else:
-                assert (out[:, i] == 0).all()
+                assert (out[i] == 0).all()
 
     def test_flatten_of_inflate_is_identity_on_occupied_cells(self):
         rng = np.random.default_rng(4)
         proj, _ = small_projection(rng, n=80, f=5)
-        grid = rng.standard_normal((5, proj.n_cells)).astype(np.float32)
-        back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_columns(proj, grid))))
+        grid = rng.standard_normal((proj.n_cells, 5)).astype(np.float32)
+        back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_rows(proj, grid))))
         occ = proj.counts > 0
-        np.testing.assert_allclose(back[:, occ], grid[:, occ], atol=1e-6)
+        np.testing.assert_allclose(back[occ], grid[occ], atol=1e-6)
 
     def test_flatten_invariant_to_point_permutation(self):
         rng = np.random.default_rng(5)
         fov = Fov(np.zeros(3), np.ones(3) * 4)
         plane = PlaneSpec.from_fov((0, 1), fov, 1.0)
         pts = rng.uniform(0, 3.999, size=(100, 3))
-        feats = rng.standard_normal((7, 100)).astype(np.float32)
+        feats = rng.standard_normal((100, 7)).astype(np.float32)
         proj_a = build_projection(pts, plane)
         a = scatter_rows(proj_a, proj_a.flatten(feats))
         perm = rng.permutation(100)
         proj_b = build_projection(pts[perm], plane)
-        b = scatter_rows(proj_b, proj_b.flatten(feats[:, perm]))
+        b = scatter_rows(proj_b, proj_b.flatten(feats[perm]))
         np.testing.assert_array_equal(a, b)
 
     def test_every_valid_point_in_exactly_one_cell(self):
@@ -259,11 +261,17 @@ class TestFlattenInflate:
         rng = np.random.default_rng(7)
         proj, feats = small_projection(rng)
         with pytest.raises(ValueError):
-            proj.flatten(feats[:, :-1])
+            proj.flatten(feats[:-1])
         with pytest.raises(ValueError):
-            proj.inflate(np.zeros((2, proj.n_occupied + 1)))
+            proj.inflate(np.zeros((proj.n_occupied, 2)))
         with pytest.raises(ValueError):
-            proj.flatten_backward(np.zeros((2, proj.n_occupied + 1)))
+            proj.flatten_backward(np.zeros((proj.n_occupied + 2, 2)))
+        last_row_set = np.zeros((proj.n_occupied + 1, 2))
+        last_row_set[-1] = 1.0
+        with pytest.raises(ValueError, match="zero row"):
+            proj.inflate(last_row_set)
+        with pytest.raises(ValueError, match="zero row"):
+            proj.flatten_backward(last_row_set)
 
 
 def neighbour_oracle(proj, cell, t):
@@ -328,11 +336,11 @@ class TestTapTables:
         assert proj.n_occupied == 0 and proj.dilated_cells.size == 0
         assert proj.d_from_o.shape == (0, 9) and proj.o_from_d.shape == (0, 9)
         rows = proj.flatten(feats)
-        assert rows.shape == (5, 0)
-        assert csr_flatten_sum(proj, feats).shape == (5, 0)
-        assert np.array_equal(proj.inflate(rows), np.zeros((5, 12), dtype=np.float32))
-        assert np.array_equal(proj.flatten_backward(rows), np.zeros((5, 12), dtype=np.float32))
-        assert proj.inflate_backward(feats).shape == (5, 0)
+        assert np.array_equal(rows, np.zeros((1, 5), dtype=np.float32))
+        assert csr_flatten_sum(proj, feats).shape == (0, 5)
+        assert np.array_equal(proj.inflate(rows), np.zeros((12, 5), dtype=np.float32))
+        assert np.array_equal(proj.flatten_backward(rows), np.zeros((12, 5), dtype=np.float32))
+        assert np.array_equal(proj.inflate_backward(feats), np.zeros((1, 5), dtype=np.float32))
 
 
 class TestKernelEquivalence:
@@ -353,7 +361,7 @@ class TestKernelEquivalence:
         plane = PlaneSpec.from_fov((0, 1), fov, 0.40)
         pts = rng.uniform(fov.min, fov.max - 1e-3, size=(20000, 3))
         proj = build_projection(pts, plane)
-        feats = rng.standard_normal((256, 20000)).astype(np.float32)
+        feats = rng.standard_normal((20000, 256)).astype(np.float32)
         assert kernel_equivalence(feats, proj) <= 1e-5
 
 
@@ -362,10 +370,10 @@ class TestAdjoint:
         rng = np.random.default_rng(11)
         for _ in range(10):
             proj, feats = small_projection(rng, n=int(rng.integers(10, 150)), f=12, n_invalid=3)
-            grid = rng.standard_normal((12, proj.n_cells))
-            rows = occupied_columns(proj, grid)
-            lhs = float((proj.flatten_sum(feats) * rows).sum())
-            rhs = float((feats * proj.inflate(rows.astype(np.float64))).sum())
+            grid = rng.standard_normal((proj.n_cells, 12))
+            rows = occupied_rows(proj, grid)
+            lhs = float((proj.inflate_backward(feats.astype(np.float64)) * rows).sum())
+            rhs = float((feats * proj.inflate(rows)).sum())
             assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
 
@@ -403,12 +411,12 @@ class TestPlaneSchedule:
 def test_backward_operators_match_adjoint_definition():
     rng = np.random.default_rng(12)
     proj, feats = small_projection(rng, n=50, f=4, n_invalid=4)
-    dgrid = occupied_columns(proj, rng.standard_normal((4, proj.n_cells)))
+    dgrid = occupied_rows(proj, rng.standard_normal((proj.n_cells, 4)))
     # <flatten(F), dG> == <F, flatten_backward(dG)> (linear map adjoint)
     lhs = float((proj.flatten(feats.astype(np.float64)) * dgrid).sum())
     rhs = float((feats * proj.flatten_backward(dgrid)).sum())
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
-    dpts = rng.standard_normal((4, proj.n_points))
+    dpts = rng.standard_normal((proj.n_points, 4))
     lhs = float((proj.inflate(dgrid) * dpts).sum())
     rhs = float((dgrid * proj.inflate_backward(dpts)).sum())
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
