@@ -21,24 +21,24 @@ from .geometry import PointCloud
 CUTMIX_CLASSES = (1, 2, 4, 5, 6)  # bicycle, motorcycle, other-vehicle, person, bicyclist
 GROUND_CLASSES = (8, 9, 10)  # road, parking, sidewalk
 
+# global scale factors of random_scale and of each pasted cutmix instance
+SCALE_RANGE = (0.95, 1.05)
+
 _TWO_PI = 2.0 * np.pi
 
 
 @dataclass
 class AugmentConfig:
-    """Switches and ranges for the augmentation pipeline."""
+    """Switches for the augmentation pipeline."""
 
     rotate: bool = True
     flip: bool = True
     scale: bool = True
-    scale_range: tuple[float, float] = (0.95, 1.05)
     cutmix: bool = False
     cutmix_max_per_class: int = 40
     polarmix: bool = False
 
     def __post_init__(self):
-        if not (0 < self.scale_range[0] <= self.scale_range[1]):
-            raise ValueError("scale range must be positive")
         if self.cutmix_max_per_class < 0:
             raise ValueError("cutmix_max_per_class must be >= 0")
 
@@ -102,7 +102,7 @@ def random_flip(
 def random_scale(
     pc: PointCloud,
     rng: np.random.Generator,
-    scale_range: tuple[float, float] = (0.95, 1.05),
+    scale_range: tuple[float, float] = SCALE_RANGE,
 ) -> PointCloud:
     """Scale the whole scene by a uniform random factor."""
     s = float(rng.uniform(*scale_range))
@@ -189,7 +189,7 @@ def instance_cutmix(
             pos = pos @ _rot_z(float(rng.uniform(0.0, _TWO_PI))).T
             axis = int(rng.integers(2))
             pos[:, axis] = -pos[:, axis]
-            pos *= float(rng.uniform(*config.scale_range))
+            pos *= float(rng.uniform(*SCALE_RANGE))
             target = pc.positions[int(rng.choice(ground_rows))].astype(np.float64)
             offset = np.array([target[0], target[1], target[2] - pos[:, 2].min()])
             pos = pos + offset
@@ -287,5 +287,5 @@ def apply_augmentations(
     if config.flip:
         pc = random_flip(pc, rng)
     if config.scale:
-        pc = random_scale(pc, rng, config.scale_range)
+        pc = random_scale(pc, rng)
     return pc

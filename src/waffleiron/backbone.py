@@ -5,8 +5,8 @@ of token-mixing and channel-mixing residual blocks and classified per point
 by a single linear layer. Token mixing projects tokens onto a 2D plane,
 runs a small depthwise-convolution FFN on the grid, and copies the result
 back to the points; channel mixing is a per-point MLP. Both residual
-branches carry a trainable layerscale and can be dropped stochastically
-during training.
+branches carry a trainable layerscale; :class:`WaffleIron` drops whole
+mixing layers stochastically.
 
 Features and tokens are N x C and N x F blocks of point rows from the
 embedding to the classifier; the logits are the K x N transpose of the
@@ -107,13 +107,13 @@ class EmbeddingLayer:
         self._cache = None
         self._relu_in = None
 
-    def forward(self, feats, neighbors, valid, bn_training, update_stats, need_grad=True):
+    def forward(self, feats, neighbors, valid, training):
         neighbors = np.asarray(neighbors, dtype=np.int64)
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
-        hb = self.pre_bn.forward(feats, valid, bn_training, update_stats, need_grad)
-        g = self.global_lin.forward(hb, need_grad)
-        if need_grad:
+        hb = self.pre_bn.forward(feats, valid, training)
+        g = self.global_lin.forward(hb, training)
+        if training:
             local, slots = self._local_branch(hb, neighbors)
             self._cache = (neighbors, slots)
         else:
@@ -121,7 +121,7 @@ class EmbeddingLayer:
             self._cache = None
             self._relu_in = None
         cat = np.concatenate([g, local], axis=1)
-        return self.merge.forward(cat, need_grad)
+        return self.merge.forward(cat, training)
 
     def _local_branch(self, hb, neighbors):
         n, k = neighbors.shape
@@ -146,7 +146,7 @@ class EmbeddingLayer:
 
     def backward(self, dy):
         if self._cache is None:
-            raise RuntimeError("embedding forward ran without gradients")
+            raise RuntimeError("embedding backward needs a training forward")
         neighbors, slots = self._cache
         n, k = neighbors.shape
         dcat = self.merge.backward(dy)
@@ -171,13 +171,13 @@ class _TokenMixBranch:
         self.scale = LayerScale(store, f"{name}.layerscale", width)
         self._cache = None
 
-    def forward(self, x, proj: ProjectionPair, valid, bn_training, update_stats, need_grad=True):
-        xb = self.bn.forward(x, valid, bn_training, update_stats, need_grad)
-        c1 = self.conv1.forward(proj.flatten(xb), proj.d_from_o, need_grad)
-        c2 = self.conv2.forward(relu(c1), proj.o_from_d, need_grad)
+    def forward(self, x, proj: ProjectionPair, valid, training):
+        xb = self.bn.forward(x, valid, training)
+        c1 = self.conv1.forward(proj.flatten(xb), proj.d_from_o, training)
+        c2 = self.conv2.forward(relu(c1), proj.o_from_d, training)
         pts = proj.inflate(c2)
-        self._cache = (proj, c1) if need_grad else None
-        return self.scale.forward(pts, need_grad)
+        self._cache = (proj, c1) if training else None
+        return self.scale.forward(pts, training)
 
     def backward(self, dy):
         proj, c1 = self._cache
@@ -188,30 +188,24 @@ class _TokenMixBranch:
 
 
 class TokenMixLayer:
-    """Residual token mixing: x + scale * sum of per-plane branches."""
+    """Residual token mixing: x + factor * sum of per-plane branches."""
 
     def __init__(self, store, name, planes, width, rng):
         self.planes = tuple(planes)
         self.branches = [
             _TokenMixBranch(store, f"{name}.plane_{a0}{a1}", width, rng) for a0, a1 in self.planes
         ]
-        self._skip = None
         self._factor = 1.0
 
-    def forward(self, x, projections, valid, bn_training, update_stats, keep=True, factor=1.0, need_grad=True):
-        self._skip = not keep
+    def forward(self, x, projections, valid, training, factor=1.0):
         self._factor = factor
-        if not keep:
-            return x
         total = None
         for axes, branch in zip(self.planes, self.branches):
-            out = branch.forward(x, projections[axes], valid, bn_training, update_stats, need_grad)
+            out = branch.forward(x, projections[axes], valid, training)
             total = out if total is None else total + out
         return x + factor * total
 
     def backward(self, dy):
-        if self._skip:
-            return dy
         dres = self._factor * dy
         dx = dy.copy()
         for branch in self.branches:
@@ -220,31 +214,25 @@ class TokenMixLayer:
 
 
 class ChannelMixLayer:
-    """Residual per-point MLP: x + scale * layerscale(MLP(BN(x)))."""
+    """Residual per-point MLP: x + factor * layerscale(MLP(BN(x)))."""
 
     def __init__(self, store, name, width, rng):
         self.bn = BatchNorm(store, f"{name}.bn", width)
         self.lin1 = PointwiseLinear(store, f"{name}.lin1", width, width, rng)
         self.lin2 = PointwiseLinear(store, f"{name}.lin2", width, width, rng)
         self.scale = LayerScale(store, f"{name}.layerscale", width)
-        self._skip = None
         self._factor = 1.0
         self._relu_in = None
 
-    def forward(self, x, valid, bn_training, update_stats, keep=True, factor=1.0, need_grad=True):
-        self._skip = not keep
+    def forward(self, x, valid, training, factor=1.0):
         self._factor = factor
-        if not keep:
-            return x
-        xb = self.bn.forward(x, valid, bn_training, update_stats, need_grad)
-        a1 = self.lin1.forward(xb, need_grad)
-        self._relu_in = a1 if need_grad else None
-        a2 = self.lin2.forward(relu(a1), need_grad)
-        return x + factor * self.scale.forward(a2, need_grad)
+        xb = self.bn.forward(x, valid, training)
+        a1 = self.lin1.forward(xb, training)
+        self._relu_in = a1 if training else None
+        a2 = self.lin2.forward(relu(a1), training)
+        return x + factor * self.scale.forward(a2, training)
 
     def backward(self, dy):
-        if self._skip:
-            return dy
         da2 = self.scale.backward(self._factor * dy)
         dr = self.lin2.backward(da2)
         da1 = relu_backward(dr, self._relu_in)
@@ -268,7 +256,7 @@ class WaffleIron:
             channel = ChannelMixLayer(self.store, f"layers.{i}.channel", config.width, rng)
             self.layers.append((token, channel))
         self.classifier = PointwiseLinear(self.store, "classifier", config.width, config.num_classes, rng)
-        self._has_grad_cache = False
+        self._kept = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -292,54 +280,49 @@ class WaffleIron:
         *,
         training: bool = False,
         drop_rng: Optional[np.random.Generator] = None,
-        bn_training: Optional[bool] = None,
-        update_stats: Optional[bool] = None,
-        need_grad: Optional[bool] = None,
     ) -> np.ndarray:
         """Run the network on N x C features of one cloud, returning K x N logits.
 
-        ``training`` selects batch statistics and is the default of
-        ``need_grad``, which makes every layer keep what a later
-        :meth:`backward` needs; a forward without it keeps nothing.
+        Two modes. A training forward normalizes by batch statistics,
+        updates the running statistics and makes every layer keep what
+        :meth:`backward` needs. An eval forward normalizes by the running
+        statistics and keeps nothing.
+
         Stochastic depth engages whenever ``drop_rng`` is given and
-        ``drop_prob > 0`` (also used by test-time augmentation); kept
-        branches are scaled by ``1 / (1 - drop_prob)``.
+        ``drop_prob > 0`` (also used by test-time augmentation): one draw
+        before each token and each channel mixing layer drops it with
+        probability ``drop_prob``, so neither its forward nor its backward
+        runs, and kept branches are scaled by ``1 / (1 - drop_prob)``.
         """
         if feats.shape[1] != self.config.in_channels:
             raise ValueError(
                 f"expected {self.config.in_channels} input channels, got {feats.shape[1]}"
             )
-        if bn_training is None:
-            bn_training = training
-        if update_stats is None:
-            update_stats = bn_training
-        if need_grad is None:
-            need_grad = training
         p = self.config.drop_prob
         if training and p > 0.0 and drop_rng is None:
             raise ValueError("drop_prob > 0 requires drop_rng in training mode")
         dropping = drop_rng is not None and p > 0.0
         factor = 1.0 / (1.0 - p) if dropping else 1.0
 
-        self._has_grad_cache = need_grad
-        x = self.embedding.forward(feats, neighbors, valid, bn_training, update_stats, need_grad)
+        kept = []
+        x = self.embedding.forward(feats, neighbors, valid, training)
         for token, channel in self.layers:
-            keep_t = (not dropping) or (drop_rng.random() >= p)
-            x = token.forward(
-                x, projections, valid, bn_training, update_stats, keep_t, factor if dropping else 1.0, need_grad
-            )
-            keep_c = (not dropping) or (drop_rng.random() >= p)
-            x = channel.forward(x, valid, bn_training, update_stats, keep_c, factor if dropping else 1.0, need_grad)
-        return self.classifier.forward(x, need_grad).T
+            if not (dropping and drop_rng.random() < p):
+                x = token.forward(x, projections, valid, training, factor)
+                kept.append(token)
+            if not (dropping and drop_rng.random() < p):
+                x = channel.forward(x, valid, training, factor)
+                kept.append(channel)
+        self._kept = kept if training else None
+        return self.classifier.forward(x, training).T
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``."""
-        if not self._has_grad_cache:
-            raise RuntimeError("backward needs a forward that ran with need_grad")
+        if self._kept is None:
+            raise RuntimeError("backward needs a training forward")
         dx = self.classifier.backward(dlogits.T)
-        for token, channel in reversed(self.layers):
-            dx = channel.backward(dx)
-            dx = token.backward(dx)
+        for layer in reversed(self._kept):
+            dx = layer.backward(dx)
         self.embedding.backward(dx)
 
 

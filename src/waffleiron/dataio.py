@@ -517,7 +517,6 @@ class ScanDataset:
         feature_mode: str = "5dim",
         class_map: Optional[dict] = None,
         voxel_size: float = 0.0,
-        require_labels: bool = True,
     ):
         self.root = Path(root)
         self.scan_format = scan_format
@@ -527,16 +526,12 @@ class ScanDataset:
         self.paths = sorted(self.root.glob("*.bin"))
         if not self.paths:
             raise FileNotFoundError(f"no *.bin scans under {self.root}")
-        if require_labels:
-            missing = [str(p) for p in self.paths if not p.with_suffix(".label").exists()]
-            if missing:
-                raise FileNotFoundError("missing label files: " + ", ".join(missing))
+        missing = [str(p) for p in self.paths if not p.with_suffix(".label").exists()]
+        if missing:
+            raise FileNotFoundError("missing label files: " + ", ".join(missing))
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def name(self, i: int) -> str:
-        return self.paths[i].stem
 
     def names(self) -> list[str]:
         return [p.stem for p in self.paths]
@@ -544,11 +539,8 @@ class ScanDataset:
     def load_with_instances(self, i: int) -> tuple[PointCloud, np.ndarray]:
         path = self.paths[i]
         pc = read_scan(path, self.scan_format, self.feature_mode)
-        label_path = path.with_suffix(".label")
-        instances = np.zeros(pc.n_points, dtype=np.int32)
-        if label_path.exists():
-            semantic, instances = read_labels(label_path, self.class_map, pc.n_points)
-            pc = PointCloud(pc.positions, pc.features, semantic, pc.valid)
+        semantic, instances = read_labels(path.with_suffix(".label"), self.class_map, pc.n_points)
+        pc = PointCloud(pc.positions, pc.features, semantic, pc.valid)
         if self.voxel_size > 0:
             pc, kept = voxel_downsample(pc, self.voxel_size)
             instances = instances[kept]

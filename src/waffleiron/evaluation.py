@@ -129,19 +129,13 @@ class MetricsReport:
     per_class_iou: np.ndarray
     miou: float
     confusion: ConfusionMatrix
-    class_names: Optional[Sequence[str]] = None
-
-    def _name(self, c: int) -> str:
-        if self.class_names and c < len(self.class_names):
-            return self.class_names[c]
-        return f"class_{c}"
 
     def to_table(self) -> str:
-        width = max(len(self._name(c)) for c in range(len(self.per_class_iou)))
+        width = len(f"class_{len(self.per_class_iou) - 1}")
         lines = [f"{'class'.ljust(width)}  IoU"]
         for c, v in enumerate(self.per_class_iou):
             cell = "  n/a" if np.isnan(v) else f"{v:.4f}"
-            lines.append(f"{self._name(c).ljust(width)}  {cell}")
+            lines.append(f"class_{c}".ljust(width) + f"  {cell}")
         lines.append(f"{'mIoU'.ljust(width)}  {self.miou:.4f}")
         return "\n".join(lines) + "\n"
 
@@ -149,7 +143,7 @@ class MetricsReport:
         lines = ["class,iou"]
         for c, v in enumerate(self.per_class_iou):
             cell = "" if np.isnan(v) else f"{v:.6f}"
-            lines.append(f"{self._name(c)},{cell}")
+            lines.append(f"class_{c},{cell}")
         return "\n".join(lines) + "\n"
 
     def miou_line(self) -> str:
@@ -162,7 +156,6 @@ def evaluate_split(
     tta: bool = False,
     voxel_size: float = 0.10,
     rng: Optional[np.random.Generator] = None,
-    class_names: Optional[Sequence[str]] = None,
 ) -> MetricsReport:
     """Score a model over labeled scans.
 
@@ -177,4 +170,4 @@ def evaluate_split(
             raise ValueError("evaluation needs labeled scans")
         cm.update(segment_scan(pc, model, voxel_size, tta, rng), pc.labels)
     per_class, miou = iou(cm)
-    return MetricsReport(per_class, miou, cm, class_names)
+    return MetricsReport(per_class, miou, cm)

@@ -111,8 +111,10 @@ class PointwiseLinear:
 class BatchNorm:
     """Per-channel batch normalization over the valid point rows.
 
-    Train mode normalizes by batch mean and biased variance and updates the
-    running statistics with momentum; eval mode uses the running statistics.
+    Two modes. A training forward normalizes by the batch mean and biased
+    variance of the valid rows, folds them into the running statistics with
+    momentum and keeps what :meth:`backward` needs. An eval forward
+    normalizes every row by the running statistics and keeps nothing.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -122,20 +124,11 @@ class BatchNorm:
         self.running_var = store.register(f"{name}.running_var", np.ones(dim, dtype=np.float32), trainable=False)
         self._cache = None
 
-    def forward(
-        self,
-        x: np.ndarray,
-        valid: Optional[np.ndarray] = None,
-        training: bool = False,
-        update_stats: Optional[bool] = None,
-        need_grad: bool = True,
-    ) -> np.ndarray:
-        if update_stats is None:
-            update_stats = training
-        if valid is None:
-            valid = np.ones(x.shape[0], dtype=bool)
-        count = int(valid.sum())
+    def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None, training: bool = False) -> np.ndarray:
         if training:
+            if valid is None:
+                valid = np.ones(x.shape[0], dtype=bool)
+            count = int(valid.sum())
             if count == 0:
                 raise ValueError("batchnorm needs at least one valid row in train mode")
             # statistics in float64: more headroom, and the sums of float32
@@ -145,30 +138,27 @@ class BatchNorm:
             var64 = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
             mean = mean64.astype(x.dtype)
             var = var64.astype(x.dtype)
-            if update_stats:
-                m = BN_MOMENTUM
-                self.running_mean.data[...] = (1 - m) * self.running_mean.data + m * mean64
-                self.running_var.data[...] = (1 - m) * self.running_var.data + m * var64
+            m = BN_MOMENTUM
+            self.running_mean.data[...] = (1 - m) * self.running_mean.data + m * mean64
+            self.running_var.data[...] = (1 - m) * self.running_var.data + m * var64
         else:
             mean = self.running_mean.data.astype(x.dtype)
             var = self.running_var.data.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = x - mean
         xhat *= inv_std
-        self._cache = (xhat, inv_std, valid, count, training) if need_grad else None
+        self._cache = (xhat, inv_std, valid, count) if training else None
         # with nothing to keep, scale and shift xhat in place
-        out = xhat if not need_grad and xhat.dtype == self.gamma.data.dtype else None
+        out = xhat if not training and xhat.dtype == self.gamma.data.dtype else None
         y = np.multiply(xhat, self.gamma.data, out=out)
         y += self.beta.data
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std, valid, count, training = self._cache
+        xhat, inv_std, valid, count = self._cache
         self.gamma.grad += (dy * xhat).sum(axis=0)
         self.beta.grad += dy.sum(axis=0)
         dxhat = dy * self.gamma.data
-        if not training:
-            return dxhat * inv_std
         # batch statistics were computed over the valid rows only, so the
         # mean/variance sensitivities distribute back onto those rows
         sum_dxhat = dxhat.sum(axis=0)

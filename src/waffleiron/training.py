@@ -326,13 +326,10 @@ def train_loop(
             losses = []
             correct = 0
             scored = 0
-            lr = lr_at(step, schedule)
             for s in range(steps_per_epoch):
                 lr = lr_at(step, schedule)
                 model.store.zero_grad()
                 batch = order[s * train_config.batch_size : (s + 1) * train_config.batch_size]
-                if batch.size == 0:
-                    batch = order[:1]
                 for idx in batch:
                     scene = dataset[int(idx)]
                     partner = None

@@ -130,7 +130,7 @@ def test_criterion_05_gradient_checks():
         r = rng.standard_normal((11, 3))
 
         def loss(want):
-            y = layer.forward(x.data, training=True, update_stats=False)
+            y = layer.forward(x.data, training=True)
             if want:
                 x.grad += layer.backward(r)
             return float((y * r).sum())
@@ -196,9 +196,7 @@ def test_criterion_05_gradient_checks():
     labels = pc.labels
 
     def full_loss(want):
-        logits = model.forward(
-            feats.astype(np.float64), nbr, proj, valid, training=True, update_stats=False
-        )
+        logits = model.forward(feats.astype(np.float64), nbr, proj, valid, training=True)
         loss, dlogits, _ = segmentation_loss(logits, labels, valid)
         if want:
             model.backward(dlogits)

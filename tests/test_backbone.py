@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from waffleiron import nn
 from waffleiron.backbone import (
     ChannelMixLayer,
     EmbeddingLayer,
@@ -66,7 +67,7 @@ class TestEmbedding:
         feats = np.tile(np.array([0.3, 1.0, -1.0, 0.5, 2.0], dtype=np.float32), (n, 1))
         nbr = np.random.default_rng(1).integers(0, n, size=(n, 3))
         valid = np.ones(n, dtype=bool)
-        tokens = emb.forward(feats, nbr, valid, bn_training=False, update_stats=False)
+        tokens = emb.forward(feats, nbr, valid, training=False)
         assert tokens.shape == (n, 8)
         assert np.abs(tokens - tokens[:1]).max() == 0
         # the local branch reduces to the MLP at zero
@@ -82,7 +83,7 @@ class TestEmbedding:
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((40, 5)).astype(np.float32)
         nbr = rng.integers(0, 40, size=(40, 6))
-        out = emb.forward(feats, nbr, np.ones(40, dtype=bool), True, False)
+        out = emb.forward(feats, nbr, np.ones(40, dtype=bool), training=True)
         assert out.shape == (40, 16)
 
     def test_permutation_equivariance(self):
@@ -98,22 +99,27 @@ class TestEmbedding:
         nbr_p = inv[nbr[perm]]
         # eval statistics make the map exactly equivariant; train-mode batch
         # statistics agree only up to accumulation rounding
-        base = emb.forward(feats, nbr, valid, False, False)
-        out = emb.forward(feats[perm], nbr_p, valid, False, False)
+        base = emb.forward(feats, nbr, valid, training=False)
+        out = emb.forward(feats[perm], nbr_p, valid, training=False)
         np.testing.assert_array_equal(out, base[perm])
-        base_t = emb.forward(feats, nbr, valid, True, False)
-        out_t = emb.forward(feats[perm], nbr_p, valid, True, False)
+        base_t = emb.forward(feats, nbr, valid, training=True)
+        out_t = emb.forward(feats[perm], nbr_p, valid, training=True)
         np.testing.assert_allclose(out_t, base_t[perm], atol=1e-5)
 
-    def test_nograd_path_matches(self):
+    def test_nograd_path_matches(self, monkeypatch):
+        # momentum 1: the training forward leaves the running statistics
+        # equal to its batch statistics, so the eval forward must match it
+        monkeypatch.setattr(nn, "BN_MOMENTUM", 1.0)
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 8, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((25, 5)).astype(np.float32)
         nbr = rng.integers(0, 25, size=(25, 3))
         valid = np.ones(25, dtype=bool)
-        a = emb.forward(feats, nbr, valid, False, False, need_grad=True)
-        b = emb.forward(feats, nbr, valid, False, False, need_grad=False)
+        a = emb.forward(feats, nbr, valid, training=True)
+        assert held_arrays(emb) != []
+        b = emb.forward(feats, nbr, valid, training=False)
+        assert held_arrays(emb) == []
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 
@@ -132,7 +138,7 @@ class TestTokenMix:
     def test_zero_layerscale_is_identity(self, small_fov):
         layer, x, proj, valid = self._layer_and_inputs(small_fov)
         layer.branches[0].scale.diag.data[...] = 0.0
-        out = layer.forward(x, proj, valid, False, False)
+        out = layer.forward(x, proj, valid, training=False)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_ffn_passes_normalized_tokens(self, small_fov):
@@ -151,24 +157,18 @@ class TestTokenMix:
         projections = model_like.build_projections(pos, np.ones(1, dtype=bool))
         # positive tokens so the FFN's hidden ReLU is transparent
         x = np.abs(np.random.default_rng(2).standard_normal((1, 4))).astype(np.float32)
-        out = layer.forward(x, projections, np.ones(1, dtype=bool), False, False)
-        want = x + br.bn.forward(x, np.ones(1, dtype=bool), False, False)
+        out = layer.forward(x, projections, np.ones(1, dtype=bool), training=False)
+        want = x + br.bn.forward(x, np.ones(1, dtype=bool), training=False)
         np.testing.assert_allclose(out, want, atol=1e-6)
 
     def test_matches_naive_recomposition_bitwise(self, small_fov):
         layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=3)
-        out = layer.forward(x, projections, valid, False, False)
+        out = layer.forward(x, projections, valid, training=False)
         br = layer.branches[0]
-        xb = br.bn.forward(x, valid, False, False)
+        xb = br.bn.forward(x, valid, training=False)
         pts, _ = dense_branch(br, projections[(0, 1)], xb)
         want = x + br.scale.diag.data * pts
         np.testing.assert_array_equal(out, want)
-
-    def test_skip_branch(self, small_fov):
-        layer, x, proj, valid = self._layer_and_inputs(small_fov, seed=4)
-        out = layer.forward(x, proj, valid, False, False, keep=False)
-        np.testing.assert_array_equal(out, x)
-        np.testing.assert_array_equal(layer.backward(x), x)
 
 
 def dense_branch(br, proj, xb):
@@ -202,17 +202,22 @@ def dense_branch(br, proj, xb):
     return out, backward
 
 
-def dense_token_layer(layer, x, projections, valid, dy):
-    """Eval-mode ``TokenMixLayer`` forward and backward with every branch on the dense grid."""
+def dense_token_layer(layer, x, projections, valid, dy, training):
+    """``TokenMixLayer`` forward with every branch on the dense grid, and in training its backward.
+
+    The normalized tokens and their gradient come from each branch's own
+    ``BatchNorm``; only its training forward keeps what its backward needs.
+    """
     total, dx, drows, grads = None, dy.copy(), [], []
     for axes, br in zip(layer.planes, layer.branches):
-        out, backward = dense_branch(br, projections[axes], br.bn.forward(x, valid, False, False))
+        out, backward = dense_branch(br, projections[axes], br.bn.forward(x, valid, training))
         out = br.scale.forward(out)
         total = out if total is None else total + out
-        dxb, rows, g = backward(br.scale.backward(dy))
-        dx += br.bn.backward(dxb)
-        drows.append(rows)
-        grads.append(g)
+        if training:
+            dxb, rows, g = backward(br.scale.backward(dy))
+            dx += br.bn.backward(dxb)
+            drows.append(rows)
+            grads.append(g)
     return x + 1.0 * total, dx, drows, grads
 
 
@@ -275,15 +280,18 @@ class TestActiveCellBranch:
         projections = {axes: build_projection(pts, PlaneSpec.from_fov(axes, fov, rho), valid) for axes in planes}
         x = rng.standard_normal((len(pts), width)).astype(dtype)
         dy = rng.standard_normal((len(pts), width))
-        want_y, want_dx, want_rows, want_grads = dense_token_layer(layer, x, projections, valid, dy)
+        # batch statistics need a valid row: an all-padding cloud has only the eval forward
+        training = bool(valid.any())
+        want_y, want_dx, want_rows, want_grads = dense_token_layer(layer, x, projections, valid, dy, training)
         seen = []
         for proj in projections.values():
             proj.flatten_backward = lambda drows, f=proj.flatten_backward: seen.append(drows) or f(drows)
         store.zero_grad()
-        y = layer.forward(x, projections, valid, False, False)
-        dx = layer.backward(dy)
+        y = layer.forward(x, projections, valid, training)
         assert bitwise_equal(y, want_y)
-        assert bitwise_equal(dx, want_dx)
+        if training:
+            assert bitwise_equal(layer.backward(dy), want_dx)
+            assert len(seen) == len(want_rows) == len(planes)
         for rows, want in zip(seen, want_rows):
             assert rows.dtype == dtype and bitwise_equal(rows, want)
         return layer, want_grads, projections
@@ -315,8 +323,6 @@ class TestActiveCellBranch:
         feats = pc.features
         logits = model.forward(feats, nbr, projections, valid, training=False)
         assert logits.shape == (3, 20) and np.isfinite(logits).all()
-        cached = model.forward(feats, nbr, projections, valid, training=False, need_grad=True)
-        assert np.array_equal(logits, cached)
 
 
 class TestChannelMix:
@@ -325,7 +331,7 @@ class TestChannelMix:
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(0))
         layer.scale.diag.data[...] = 0.0
         x = np.random.default_rng(1).standard_normal((9, 6)).astype(np.float32)
-        out = layer.forward(x, None, False, False)
+        out = layer.forward(x, None, training=False)
         np.testing.assert_array_equal(out, x)
 
     def test_two_channel_hand_computation(self):
@@ -337,7 +343,7 @@ class TestChannelMix:
         layer.lin2.b.data[...] = [0.1, -0.1]
         layer.scale.diag.data[...] = 0.5
         x = np.array([[0.3, -0.4]], dtype=np.float32)
-        out = layer.forward(x, None, False, False)
+        out = layer.forward(x, None, training=False)
         # hand computation: xb = x / sqrt(1 + 1e-5); relu zeroes the second
         # channel; mlp = [2 * xb0 + 0.1, -0.1]; out = x + 0.5 * mlp
         s = 1.0000049999875
@@ -350,10 +356,10 @@ class TestChannelMix:
         layer = ChannelMixLayer(store, "cm", 4, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 4)).astype(np.float32)
-        base = layer.forward(x, None, False, False)
+        base = layer.forward(x, None, training=False)
         x2 = x.copy()
         x2[4] += 1.0
-        out = layer.forward(x2, None, False, False)
+        out = layer.forward(x2, None, training=False)
         changed = np.flatnonzero(np.any(out != base, axis=1))
         assert changed.tolist() == [4]
 
@@ -367,19 +373,6 @@ class TestForward:
         logits = model.forward(feats, nbr, proj, valid, training=True)
         assert logits.shape == (3, 100)
         assert np.isfinite(logits).all()
-
-    def test_frozen_train_equals_eval_when_no_drop(self, small_fov):
-        cfg = tiny_config(small_fov)
-        model = WaffleIron(cfg, np.random.default_rng(1))
-        pc = build_scene(small_fov, n=50, seed=2)
-        feats, nbr, proj, valid = prepare_inputs(model, pc)
-        a = model.forward(feats, nbr, proj, valid, training=False)
-        b = model.forward(
-            feats, nbr, proj, valid,
-            training=True, bn_training=False, update_stats=False,
-            drop_rng=np.random.default_rng(0),
-        )
-        np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance_eval(self, small_fov):
         cfg = tiny_config(small_fov)
@@ -402,7 +395,7 @@ class TestForward:
         pc = build_scene(small_fov, n=40, seed=7)
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         logits = model.forward(feats, nbr, proj, valid, training=False)
-        tokens = model.embedding.forward(feats, nbr, valid, False, False)
+        tokens = model.embedding.forward(feats, nbr, valid, training=False)
         want = model.classifier.forward(tokens).T
         np.testing.assert_array_equal(logits, want)
 
@@ -505,18 +498,23 @@ class TestLayout:
 
 
 class TestNoGradForward:
-    def test_keeps_no_cache_and_matches_caching_eval(self, small_fov):
-        cfg = tiny_config(small_fov, depth=3, width=8, strategy="parallel")
-        model = WaffleIron(cfg, np.random.default_rng(30))
-        pc = build_scene(small_fov, n=50, seed=31)
-        feats, nbr, proj, valid = prepare_inputs(model, pc)
-        cached = model.forward(feats, nbr, proj, valid, training=False, need_grad=True)
-        assert len(held_arrays(model)) > 50
-        logits = model.forward(feats, nbr, proj, valid, training=False)
-        assert held_arrays(model) == []
-        assert np.array_equal(logits, cached)
-        with pytest.raises(RuntimeError):
-            model.backward(np.ones_like(logits))
+    def test_keeps_no_cache_and_matches_caching_eval(self, small_fov, monkeypatch):
+        # momentum 1: the caching (training) forward leaves the running
+        # statistics equal to its batch statistics, so the eval forward that
+        # follows must reproduce it bit for bit
+        monkeypatch.setattr(nn, "BN_MOMENTUM", 1.0)
+        for strategy in ("parallel", "baseline"):
+            cfg = tiny_config(small_fov, depth=3, width=8, strategy=strategy)
+            model = WaffleIron(cfg, np.random.default_rng(30))
+            pc = build_scene(small_fov, n=50, seed=31)
+            feats, nbr, proj, valid = prepare_inputs(model, pc)
+            cached = model.forward(feats, nbr, proj, valid, training=True)
+            assert len(held_arrays(model)) > 50
+            logits = model.forward(feats, nbr, proj, valid, training=False)
+            assert held_arrays(model) == []
+            assert np.array_equal(logits, cached)
+            with pytest.raises(RuntimeError):
+                model.backward(np.ones_like(logits))
 
 
 class TestStochasticDepth:
@@ -556,6 +554,42 @@ class TestStochasticDepth:
         b = model.forward(feats, nbr, proj, valid, training=False, drop_rng=np.random.default_rng(0))
         np.testing.assert_allclose(a, b, rtol=1e-5)
 
+    def test_training_gradients_skip_dropped_layers(self, small_fov):
+        cfg = tiny_config(small_fov, depth=3, width=8, classes=3, k=3, drop=0.5)
+        model = WaffleIron(cfg, np.random.default_rng(0))
+        pc = build_scene(small_fov, n=24, seed=11)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+
+        def loss_fn(want_grad):
+            # a fresh generator per call: every finite difference drops the same layers
+            logits = model.forward(
+                feats.astype(np.float64), nbr, proj, valid, training=True, drop_rng=np.random.default_rng(3)
+            )
+            loss, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
+            if want_grad:
+                model.backward(dlogits)
+            return loss
+
+        err = grad_check(loss_fn, model.store, eps=1e-4)
+        assert err < 1e-3, f"stochastic-depth gradient error {err}"
+
+        # one draw before each token layer and one before each channel layer
+        names = [f"layers.{i}.{kind}." for i in range(cfg.depth) for kind in ("token", "channel")]
+        draws = np.random.default_rng(3).random(len(names)) < cfg.drop_prob
+        dropped = tuple(name for name, drop in zip(names, draws) if drop)
+        assert 0 < len(dropped) < len(names)
+        before = {name: t.data.copy() for name, t in model.store.items()}
+        model.store.zero_grad()
+        loss_fn(True)
+        for name, t in model.store.items():
+            if name.startswith(dropped):
+                if t.trainable:
+                    assert not t.grad.any(), name
+                else:
+                    assert np.array_equal(t.data, before[name]), name
+            elif name.startswith("layers.") and name.endswith("running_mean"):
+                assert not np.array_equal(t.data, before[name]), name
+
 
 class TestParamCount:
     def test_kitti_model_near_target(self, kitti_fov):
@@ -591,9 +625,7 @@ class TestEndToEndGradients:
         labels = pc.labels
 
         def loss_fn(want_grad):
-            logits = model.forward(
-                feats.astype(np.float64), nbr, proj, valid, training=True, update_stats=False
-            )
+            logits = model.forward(feats.astype(np.float64), nbr, proj, valid, training=True)
             loss, dlogits, _ = segmentation_loss(logits, labels, valid)
             if want_grad:
                 model.backward(dlogits)
@@ -617,9 +649,7 @@ class TestEndToEndGradients:
                 t.grad = np.zeros_like(t.data)
 
         def loss():
-            logits = model.forward(
-                feats.astype(np.float64), nbr, proj, valid, training=True, update_stats=False
-            )
+            logits = model.forward(feats.astype(np.float64), nbr, proj, valid, training=True)
             return segmentation_loss(logits, labels, valid)
 
         base_loss, dlogits, _ = loss()
@@ -658,7 +688,7 @@ class TestBnFolding:
         layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, 8)
         layer.bn.beta.data[...] = rng.standard_normal(8)
         x = rng.standard_normal((30, 8)).astype(np.float32)
-        want = layer.forward(x, None, False, False)
+        want = layer.forward(x, None, training=False)
         got = channel_mix_folded_eval(layer, x)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
