@@ -147,13 +147,14 @@ class EmbeddingLayer:
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("embedding backward needs a training forward")
-        neighbors, slots = self._cache
+        (neighbors, slots), self._cache = self._cache, None
+        relu_in, self._relu_in = self._relu_in, None
         n, k = neighbors.shape
         dcat = self.merge.backward(dy)
         da2 = np.zeros((n, k, self.half), dtype=dy.dtype)
         np.put_along_axis(da2, slots[:, None, :], dcat[:, None, self.half :], axis=1)
         dr = self.local2.backward(da2.reshape(n * k, self.half))
-        da1 = relu_backward(dr, self._relu_in)
+        da1 = relu_backward(dr, relu_in)
         ddiff = self.local1.backward(da1).reshape(n, k, -1)
         dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]))
         np.add.at(dhb, neighbors, ddiff)
@@ -180,7 +181,7 @@ class _TokenMixBranch:
         return self.scale.forward(pts, training)
 
     def backward(self, dy):
-        proj, c1 = self._cache
+        (proj, c1), self._cache = self._cache, None
         dpts = self.scale.backward(dy)
         dr = self.conv2.backward(proj.inflate_backward(dpts), proj.d_from_o)
         drows = self.conv1.backward(relu_backward(dr, c1), proj.o_from_d)
@@ -235,7 +236,8 @@ class ChannelMixLayer:
     def backward(self, dy):
         da2 = self.scale.backward(self._factor * dy)
         dr = self.lin2.backward(da2)
-        da1 = relu_backward(dr, self._relu_in)
+        relu_in, self._relu_in = self._relu_in, None
+        da1 = relu_backward(dr, relu_in)
         dxb = self.lin1.backward(da1)
         return dy + self.bn.backward(dxb)
 
@@ -320,8 +322,9 @@ class WaffleIron:
         """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``."""
         if self._kept is None:
             raise RuntimeError("backward needs a training forward")
+        kept, self._kept = self._kept, None
         dx = self.classifier.backward(dlogits.T)
-        for layer in reversed(self._kept):
+        for layer in reversed(kept):
             dx = layer.backward(dx)
         self.embedding.backward(dx)
 

@@ -66,8 +66,6 @@ def _overrides(args) -> dict:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return overrides
 
 
@@ -83,6 +81,8 @@ def _resolve_class_map(rc: dataio.RunConfig, config_dir: Path):
 def _cmd_train(args) -> int:
     config_path = Path(args.config)
     rc = dataio.load_run_config(config_path, _overrides(args))
+    if args.seed is not None:
+        rc.train.seed = args.seed
     rc.class_map_ids = _resolve_class_map(rc, config_path.parent)
     data_dir = Path(args.data)
     if (data_dir / "train").is_dir():
@@ -100,17 +100,7 @@ def _cmd_train(args) -> int:
         bank = build_instance_bank(scans, CUTMIX_CLASSES)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rc.train.log_path = str(out_dir / "train.log")
-    _, _, history = train_loop(
-        dataset,
-        rc.model,
-        rc.train,
-        augment=rc.augment,
-        bank=bank,
-        out_dir=str(out_dir),
-        scan_names=dataset.names(),
-        run_config=rc,
-    )
+    _, _, history = train_loop(dataset, rc, bank=bank, out_dir=str(out_dir), scan_names=dataset.names())
     for stats in history:
         print(stats.log_line())
     print(f"checkpoint written to {out_dir / 'ckpt_final.wfli'}")

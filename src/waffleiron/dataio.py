@@ -9,12 +9,17 @@ configuration, the class map the model was trained with (if any), every named
 tensor, and optionally the optimizer state; a save/load/save round trip is
 byte-identical. Version 1 files, written before the class map was embedded,
 still load.
+
+Run configurations are ``key value`` lines. The key table ``_KEYS`` is their
+schema: parsing, overrides, the required-key check and
+:func:`serialize_run_config` all read it. A key's default is its dataclass
+field's default; keys without one, and ``classes``, are required.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -123,82 +128,46 @@ def serialize_class_map(mapping: dict[int, int]) -> str:
 
 # -- run configuration -------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    # model
-    "depth": int,
-    "width": int,
-    "rho": float,
-    "fov_xmin": float,
-    "fov_xmax": float,
-    "fov_ymin": float,
-    "fov_ymax": float,
-    "fov_zmin": float,
-    "fov_zmax": float,
-    "k": int,
-    "classes": int,
-    "drop_prob": float,
-    "strategy": str,
-    "feature_mode": str,
-    # training
-    "epochs": int,
-    "batch": int,
-    "lr": float,
-    "lr_final": float,
-    "wd": float,
-    "warmup_epochs": int,
-    "n_points": int,
-    "seed": int,
-    "checkpoint_every": int,
-    # data
-    "scan_format": str,
-    "voxel_size": float,
-    "class_map": str,
-    # augmentation
-    "aug_rotate": bool,
-    "aug_flip": bool,
-    "aug_scale": bool,
-    "aug_cutmix": bool,
-    "aug_polarmix": bool,
-    "cutmix_max": int,
+# Every run-config key in wire order -> (part, field, text type). The part is
+# a RunConfig attribute ("" for RunConfig itself) or "fov", the model's Fov,
+# whose fields are (bound, axis) pairs. The field is the key unless given.
+_KEYS: dict[str, tuple[str, object, type]] = {
+    key: (part, field_[0] if field_ else key, typ)
+    for key, (part, typ, *field_) in {
+        "depth": ("model", int),
+        "width": ("model", int),
+        "rho": ("model", float),
+        "fov_xmin": ("fov", float, ("min", 0)),
+        "fov_xmax": ("fov", float, ("max", 0)),
+        "fov_ymin": ("fov", float, ("min", 1)),
+        "fov_ymax": ("fov", float, ("max", 1)),
+        "fov_zmin": ("fov", float, ("min", 2)),
+        "fov_zmax": ("fov", float, ("max", 2)),
+        "k": ("model", int, "k_neighbors"),
+        "classes": ("model", int, "num_classes"),
+        "drop_prob": ("model", float),
+        "strategy": ("model", str),
+        "feature_mode": ("model", str, "input_feature_mode"),
+        "epochs": ("train", int),
+        "batch": ("train", int, "batch_size"),
+        "lr": ("train", float, "peak_lr"),
+        "lr_final": ("train", float, "final_lr"),
+        "wd": ("train", float, "weight_decay"),
+        "warmup_epochs": ("train", int),
+        "n_points": ("train", int),
+        "seed": ("train", int),
+        "checkpoint_every": ("train", int),
+        "scan_format": ("", str),
+        "voxel_size": ("", float),
+        "class_map": ("", str),
+        "aug_rotate": ("augment", bool, "rotate"),
+        "aug_flip": ("augment", bool, "flip"),
+        "aug_scale": ("augment", bool, "scale"),
+        "aug_cutmix": ("augment", bool, "cutmix"),
+        "aug_polarmix": ("augment", bool, "polarmix"),
+        "cutmix_max": ("augment", int, "cutmix_max_per_class"),
+    }.items()
 }
-
-_CONFIG_DEFAULTS = {
-    "k": 16,
-    "drop_prob": 0.0,
-    "strategy": "baseline",
-    "feature_mode": "5dim",
-    "epochs": 45,
-    "batch": 4,
-    "lr": 1e-3,
-    "lr_final": 1e-5,
-    "wd": 0.003,
-    "warmup_epochs": 4,
-    "n_points": 20000,
-    "seed": 0,
-    "checkpoint_every": 0,
-    "scan_format": "kitti4",
-    "voxel_size": 0.10,
-    "class_map": "",
-    "aug_rotate": True,
-    "aug_flip": True,
-    "aug_scale": True,
-    "aug_cutmix": False,
-    "aug_polarmix": False,
-    "cutmix_max": 40,
-}
-
-_REQUIRED_KEYS = (
-    "depth",
-    "width",
-    "rho",
-    "fov_xmin",
-    "fov_xmax",
-    "fov_ymin",
-    "fov_ymax",
-    "fov_zmin",
-    "fov_zmax",
-    "classes",
-)
 
 
 @dataclass
@@ -206,56 +175,33 @@ class RunConfig:
     """Everything needed to train, infer and evaluate one model."""
 
     model: WaffleIronConfig
-    train: TrainConfig
-    augment: AugmentConfig
+    train: TrainConfig = field(default_factory=TrainConfig)
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
     scan_format: str = "kitti4"
     voxel_size: float = 0.10
     class_map: str = ""
     # raw id -> train id pairs read from ``class_map``; checkpoints embed them
     class_map_ids: Optional[dict[int, int]] = None
 
-    def to_values(self) -> dict:
-        m, t, a = self.model, self.train, self.augment
-        return {
-            "depth": m.depth,
-            "width": m.width,
-            "rho": m.rho,
-            "fov_xmin": float(m.fov.min[0]),
-            "fov_xmax": float(m.fov.max[0]),
-            "fov_ymin": float(m.fov.min[1]),
-            "fov_ymax": float(m.fov.max[1]),
-            "fov_zmin": float(m.fov.min[2]),
-            "fov_zmax": float(m.fov.max[2]),
-            "k": m.k_neighbors,
-            "classes": m.num_classes,
-            "drop_prob": m.drop_prob,
-            "strategy": m.strategy,
-            "feature_mode": m.input_feature_mode,
-            "epochs": t.epochs,
-            "batch": t.batch_size,
-            "lr": t.peak_lr,
-            "lr_final": t.final_lr,
-            "wd": t.weight_decay,
-            "warmup_epochs": t.warmup_epochs,
-            "n_points": t.n_points,
-            "seed": t.seed,
-            "checkpoint_every": t.checkpoint_every,
-            "scan_format": self.scan_format,
-            "voxel_size": self.voxel_size,
-            "class_map": self.class_map,
-            "aug_rotate": a.rotate,
-            "aug_flip": a.flip,
-            "aug_scale": a.scale,
-            "aug_cutmix": a.cutmix,
-            "aug_polarmix": a.polarmix,
-            "cutmix_max": a.cutmix_max_per_class,
-        }
+
+_PARTS = {"": RunConfig, "model": WaffleIronConfig, "train": TrainConfig, "augment": AugmentConfig}
 
 
-def parse_config_values(text: str) -> dict:
-    """Parse ``key value`` lines; rejects unknown keys and bad types."""
-    values = dict(_CONFIG_DEFAULTS)
-    seen = set()
+def _required(part: str, name) -> bool:
+    """Whether a key must be given: its field has no dataclass default, or it is the class count."""
+    if part == "fov" or name == "num_classes":
+        return True
+    spec = next(f for f in fields(_PARTS[part]) if f.name == name)
+    return spec.default is MISSING and spec.default_factory is MISSING
+
+
+def parse_run_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
+    """Parse ``key value`` lines, then apply ``overrides`` (key -> value text).
+
+    Rejects unknown and duplicate keys, bad values and files that lack a
+    required key; every other key takes its field's dataclass default.
+    """
+    values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -264,20 +210,33 @@ def parse_config_values(text: str) -> dict:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'key value'")
         key, raw = parts[0], parts[1].strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key in seen:
+        if key in values:
             raise ValueError(f"line {lineno}: duplicate config key {key!r}")
-        seen.add(key)
         values[key] = _parse_value(key, raw)
-    missing = [k for k in _REQUIRED_KEYS if k not in values]
+    missing = [key for key, (part, name, _) in _KEYS.items() if key not in values and _required(part, name)]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
-    return values
+    for key, raw in (overrides or {}).items():
+        if key not in _KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = _parse_value(key, str(raw))
+
+    kwargs = {part: {} for part in ("fov", *_PARTS)}
+    for key, val in values.items():
+        part, name, _ = _KEYS[key]
+        kwargs[part][name] = val
+    bounds = kwargs.pop("fov")
+    fov = Fov([bounds["min", axis] for axis in range(3)], [bounds["max", axis] for axis in range(3)])
+    model = WaffleIronConfig(fov=fov, **kwargs["model"])
+    train = TrainConfig(**kwargs["train"])
+    augment = AugmentConfig(**kwargs["augment"])
+    return RunConfig(model=model, train=train, augment=augment, **kwargs[""])
 
 
 def _parse_value(key: str, raw: str):
-    typ = _CONFIG_KEYS[key]
+    typ = _KEYS[key][2]
     if typ is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -290,66 +249,18 @@ def _parse_value(key: str, raw: str):
         raise ValueError(f"config key {key!r}: {err}") from err
 
 
-def run_config_from_values(values: dict) -> RunConfig:
-    fov = Fov(
-        np.array([values["fov_xmin"], values["fov_ymin"], values["fov_zmin"]]),
-        np.array([values["fov_xmax"], values["fov_ymax"], values["fov_zmax"]]),
-    )
-    model = WaffleIronConfig(
-        depth=values["depth"],
-        width=values["width"],
-        rho=values["rho"],
-        fov=fov,
-        k_neighbors=values["k"],
-        num_classes=values["classes"],
-        drop_prob=values["drop_prob"],
-        strategy=values["strategy"],
-        input_feature_mode=values["feature_mode"],
-    )
-    train = TrainConfig(
-        epochs=values["epochs"],
-        batch_size=values["batch"],
-        peak_lr=values["lr"],
-        final_lr=values["lr_final"],
-        weight_decay=values["wd"],
-        warmup_epochs=values["warmup_epochs"],
-        n_points=values["n_points"],
-        seed=values["seed"],
-        checkpoint_every=values["checkpoint_every"],
-    )
-    augment = AugmentConfig(
-        rotate=values["aug_rotate"],
-        flip=values["aug_flip"],
-        scale=values["aug_scale"],
-        cutmix=values["aug_cutmix"],
-        cutmix_max_per_class=values["cutmix_max"],
-        polarmix=values["aug_polarmix"],
-    )
-    return RunConfig(
-        model=model,
-        train=train,
-        augment=augment,
-        scan_format=values["scan_format"],
-        voxel_size=values["voxel_size"],
-        class_map=values["class_map"],
-    )
-
-
 def load_run_config(path, overrides: Optional[dict] = None) -> RunConfig:
-    values = parse_config_values(Path(path).read_text())
-    if overrides:
-        for key, val in overrides.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _parse_value(key, str(val))
-    return run_config_from_values(values)
+    return parse_run_config(Path(path).read_text(), overrides)
 
 
 def serialize_run_config(rc: RunConfig) -> str:
-    values = rc.to_values()
+    """The text :func:`parse_run_config` reads: one line per key, in table order."""
     lines = []
-    for key in _CONFIG_KEYS:
-        val = values[key]
+    for key, (part, name, _) in _KEYS.items():
+        if part == "fov":
+            val = float(getattr(rc.model.fov, name[0])[name[1]])
+        else:
+            val = getattr(getattr(rc, part) if part else rc, name)
         if isinstance(val, bool):
             val = "true" if val else "false"
         elif isinstance(val, float):
@@ -406,7 +317,7 @@ def checkpoint_save(path, model: WaffleIron, optimizer=None, run_config: Optiona
     out += _MAGIC
     out += struct.pack("<I", _VERSION)
     if run_config is None:
-        run_config = _minimal_run_config(model.config)
+        run_config = RunConfig(model.config)
     _write_block(out, serialize_run_config(run_config).encode("utf-8"))
     if run_config.class_map_ids is None:
         out += struct.pack("<B", 0)
@@ -439,12 +350,11 @@ def checkpoint_save(path, model: WaffleIron, optimizer=None, run_config: Optiona
     Path(path).write_bytes(bytes(out))
 
 
-def checkpoint_load(path, config: Optional[WaffleIronConfig] = None):
-    """Load a checkpoint into a fresh model.
+def checkpoint_load(path):
+    """Load a checkpoint into a fresh model built from its stored run config.
 
-    The model is rebuilt from the stored config snapshot unless an explicit
-    ``config`` is given, in which case tensor shapes must match exactly;
-    any mismatch is reported by tensor name. Returns
+    Every stored tensor must exist in that model with the same shape, and
+    every model tensor must be stored; the first offender is named. Returns
     (model, optimizer_payload_or_None, run_config).
     """
     reader = _Reader(Path(path).read_bytes())
@@ -453,10 +363,10 @@ def checkpoint_load(path, config: Optional[WaffleIronConfig] = None):
     (version,) = struct.unpack("<I", reader.take(4))
     if version not in (1, _VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
-    run_config = run_config_from_values(parse_config_values(reader.block().decode("utf-8")))
+    run_config = parse_run_config(reader.block().decode("utf-8"))
     if version > 1 and struct.unpack("<B", reader.take(1))[0]:
         run_config.class_map_ids = parse_class_map(reader.block().decode("utf-8"), f"{path} class map")
-    model = WaffleIron(config if config is not None else run_config.model)
+    model = WaffleIron(run_config.model)
     (n_tensors,) = struct.unpack("<I", reader.take(4))
     loaded = set()
     for _ in range(n_tensors):
@@ -498,10 +408,6 @@ def checkpoint_load(path, config: Optional[WaffleIronConfig] = None):
             "v": v,
         }
     return model, optim_payload, run_config
-
-
-def _minimal_run_config(model_config: WaffleIronConfig) -> RunConfig:
-    return RunConfig(model=model_config, train=TrainConfig(), augment=AugmentConfig())
 
 
 # -- datasets -----------------------------------------------------------------------

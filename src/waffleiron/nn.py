@@ -102,7 +102,7 @@ class PointwiseLinear:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
+        x, self._x = self._x, None
         self.w.grad += dy.T @ x
         self.b.grad += dy.sum(axis=0)
         return dy @ self.w.data
@@ -156,6 +156,7 @@ class BatchNorm:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, valid, count = self._cache
+        self._cache = None
         self.gamma.grad += (dy * xhat).sum(axis=0)
         self.beta.grad += dy.sum(axis=0)
         dxhat = dy * self.gamma.data
@@ -181,7 +182,8 @@ class LayerScale:
         return self.diag.data * x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.diag.grad += (dy * self._x).sum(axis=0)
+        x, self._x = self._x, None
+        self.diag.grad += (dy * x).sum(axis=0)
         return self.diag.data * dy
 
 
@@ -220,7 +222,7 @@ class DepthwiseConv3x3:
 
     def forward(self, x: np.ndarray, taps: np.ndarray, need_grad: bool = True) -> np.ndarray:
         f = self.k.shape[0]
-        _check_rows(x, f)
+        check_rows(x, f)
         _check_taps(taps, x.shape[0] - 1)
         y = _tap_sum(x, taps, _TAPS, self.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
         y[:-1] += self.b.data.astype(x.dtype)
@@ -230,10 +232,11 @@ class DepthwiseConv3x3:
     def backward(self, dy: np.ndarray, taps: np.ndarray) -> np.ndarray:
         x, fwd_taps = self._cache
         f = self.k.shape[0]
-        _check_rows(dy, f, fwd_taps.shape[0])
+        check_rows(dy, f, fwd_taps.shape[0])
         _check_taps(taps, fwd_taps.shape[0])
         if taps.shape[0] != x.shape[0] - 1:
             raise ValueError(f"expected a {x.shape[0] - 1} x 9 table, got {taps.shape}")
+        self._cache = None
         rows = dy[:-1]
         ksum = np.zeros((f, 9), dtype=np.result_type(dy, x))
         xt = np.empty(rows.shape, dtype=x.dtype)
@@ -248,11 +251,10 @@ class DepthwiseConv3x3:
         return _tap_sum(dy, taps, _FLIPPED_TAPS, kern, x.dtype)
 
 
-def _check_rows(x: np.ndarray, f: int, n: Optional[int] = None) -> None:
-    """``x`` must be an (n + 1) x f block of rows whose last row is zero."""
-    if x.ndim != 2 or x.shape[1] != f or x.shape[0] == 0 or (n is not None and x.shape[0] != n + 1):
-        want = "n" if n is None else n
-        raise ValueError(f"expected ({want} + 1) x {f} rows, got {x.shape}")
+def check_rows(x: np.ndarray, f: Optional[int] = None, n: Optional[int] = None) -> None:
+    """``x`` must be an (n + 1) x f block of rows whose last row is zero; ``None`` leaves n or f open."""
+    if x.ndim != 2 or x.shape[0] == 0 or (f is not None and x.shape[1] != f) or (n is not None and x.shape[0] != n + 1):
+        raise ValueError(f"expected ({'n' if n is None else n} + 1) x {'F' if f is None else f} rows, got {x.shape}")
     if x[-1].any():
         raise ValueError("the last row must be the zero row")
 

@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Fov
+from .nn import check_rows
 
 AXIS_NAMES = {(0, 1): "xy", (0, 2): "xz", (1, 2): "yz"}
 
@@ -201,7 +202,7 @@ class ProjectionPair:
 
     def flatten_backward(self, drows: np.ndarray) -> np.ndarray:
         """Gradient of the mean flatten: gather each point's cell row, divide by the count."""
-        drows = self._check_rows(drows)
+        check_rows(drows, n=self.n_occupied)
         dpoints = np.take(drows, self._point_slots, axis=0) / self._row_counts[self._point_slots, None]
         return dpoints.astype(drows.dtype, copy=False)
 
@@ -209,7 +210,8 @@ class ProjectionPair:
 
     def inflate(self, rows: np.ndarray) -> np.ndarray:
         """Copy each cell's row to all its points, N x F; padding points read the zero row."""
-        return np.take(self._check_rows(rows), self._point_slots, axis=0)
+        check_rows(rows, n=self.n_occupied)
+        return np.take(rows, self._point_slots, axis=0)
 
     def inflate_backward(self, dpoints: np.ndarray) -> np.ndarray:
         """Gradient of inflate: per-cell sums of the point rows, (|O| + 1) x F.
@@ -239,14 +241,6 @@ class ProjectionPair:
         arr = np.asarray(arr)
         if arr.ndim != 2 or arr.shape[0] != self.n_points:
             raise ValueError(f"expected {self.n_points} x F array, got {arr.shape}")
-        return arr
-
-    def _check_rows(self, arr: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arr)
-        if arr.ndim != 2 or arr.shape[0] != self.n_occupied + 1:
-            raise ValueError(f"expected ({self.n_occupied} + 1) x F array, got {arr.shape}")
-        if arr[-1].any():
-            raise ValueError("the last row must be the zero row")
         return arr
 
 

@@ -12,14 +12,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .augment import AugmentConfig, InstanceBank, apply_augmentations
-from .backbone import WaffleIron, WaffleIronConfig, prepare_inputs
+from .backbone import WaffleIron, prepare_inputs
 from .geometry import IGNORE_LABEL, PointCloud, crop_fov, sample_fixed
 from .nn import ParamStore
+
+if TYPE_CHECKING:
+    from .dataio import RunConfig
 
 
 # -- losses --------------------------------------------------------------------
@@ -239,7 +242,6 @@ class TrainConfig:
     n_points: int = 20000
     seed: int = 0
     checkpoint_every: int = 0  # epochs between checkpoints; 0 keeps only the final one
-    log_path: Optional[str] = None
 
 
 @dataclass
@@ -262,13 +264,12 @@ def prepare_training_scene(
     model: WaffleIron,
     n_points: int,
     rng: np.random.Generator,
-    augment: Optional[AugmentConfig] = None,
+    augment: AugmentConfig,
     bank: Optional[InstanceBank] = None,
     partner: Optional[PointCloud] = None,
 ):
     """Scene pipeline: augment, crop to FOV, force a fixed size, build inputs."""
-    if augment is not None:
-        pc = apply_augmentations(pc, augment, rng, bank=bank, partner=partner)
+    pc = apply_augmentations(pc, augment, rng, bank=bank, partner=partner)
     inside, _ = crop_fov(pc, model.config.fov)
     if inside.n_valid == 0:
         raise ValueError("no points left inside the FOV")
@@ -278,22 +279,22 @@ def prepare_training_scene(
 
 def train_loop(
     dataset: Sequence[PointCloud],
-    model_config: WaffleIronConfig,
-    train_config: TrainConfig,
-    augment: Optional[AugmentConfig] = None,
+    run_config: RunConfig,
     bank: Optional[InstanceBank] = None,
     out_dir: Optional[str] = None,
     scan_names: Optional[Sequence[str]] = None,
-    run_config=None,
 ) -> tuple[WaffleIron, AdamW, list[EpochStats]]:
     """Train a fresh model on a sequence of labeled clouds.
 
-    One optimizer step accumulates gradients over ``batch_size`` scenes. The
-    per-epoch log line is tab-separated: epoch, mean_loss, lr, train_acc,
-    wall_seconds. Checkpoints land in ``out_dir`` when given.
+    ``run_config`` gives the model, training and augmentation settings, and
+    is embedded in every checkpoint. One optimizer step accumulates
+    gradients over ``batch_size`` scenes. When ``out_dir`` is given,
+    checkpoints and ``train.log`` land there; the log has one tab-separated
+    line per epoch: epoch, mean_loss, lr, train_acc, wall_seconds.
     """
     from . import dataio  # checkpoint format lives with the other file formats
 
+    model_config, train_config, augment = run_config.model, run_config.train, run_config.augment
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(train_config.seed)
@@ -317,7 +318,7 @@ def train_loop(
     )
 
     history: list[EpochStats] = []
-    log_file = open(train_config.log_path, "w") if train_config.log_path else None
+    log_file = open(Path(out_dir) / "train.log", "w") if out_dir else None
     step = 0
     try:
         for epoch in range(train_config.epochs):
@@ -333,7 +334,7 @@ def train_loop(
                 for idx in batch:
                     scene = dataset[int(idx)]
                     partner = None
-                    if augment is not None and augment.polarmix and len(dataset) > 1:
+                    if augment.polarmix and len(dataset) > 1:
                         others = [j for j in range(len(dataset)) if j != int(idx)]
                         partner = dataset[int(rng.choice(others))]
                     try:

@@ -19,7 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from waffleiron.augment import AugmentConfig
 from waffleiron.backbone import ChannelMixLayer, WaffleIronConfig, prepare_inputs
+from waffleiron.dataio import RunConfig
 from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices, point_features
 from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, PointwiseLinear, relu, slot_max
 from waffleiron.projection import ProjectionPair
@@ -225,7 +227,8 @@ def synthetic_zband_scene(
     return PointCloud(positions.astype(np.float32), feats, labels), fov
 
 
-def overfit_harness_config(fov: Fov, drop_prob: float = 0.0) -> tuple[WaffleIronConfig, TrainConfig]:
+def overfit_harness_config(fov: Fov, drop_prob: float = 0.0) -> RunConfig:
+    """WaffleIron-3-32 and its schedule, with every augmentation switched off."""
     model_cfg = WaffleIronConfig(
         depth=3,
         width=32,
@@ -247,7 +250,7 @@ def overfit_harness_config(fov: Fov, drop_prob: float = 0.0) -> tuple[WaffleIron
         n_points=768,
         seed=0,
     )
-    return model_cfg, train_cfg
+    return RunConfig(model_cfg, train_cfg, AugmentConfig(rotate=False, flip=False, scale=False))
 
 
 def run_overfit_harness(out_dir: Optional[str] = None, seed: int = 0):
@@ -257,9 +260,9 @@ def run_overfit_harness(out_dir: Optional[str] = None, seed: int = 0):
     training scene, scoring every valid non-ignore point.
     """
     scene, fov = synthetic_zband_scene()
-    model_cfg, train_cfg = overfit_harness_config(fov)
-    train_cfg.seed = seed
-    model, optimizer, history = train_loop([scene], model_cfg, train_cfg, out_dir=out_dir)
+    run_config = overfit_harness_config(fov)
+    run_config.train.seed = seed
+    model, optimizer, history = train_loop([scene], run_config, out_dir=out_dir)
     inside, _ = crop_fov(scene, fov)
     feats, neighbors, projections, valid = prepare_inputs(model, inside)
     logits = model.forward(feats, neighbors, projections, valid, training=False)

@@ -590,6 +590,24 @@ class TestStochasticDepth:
             elif name.startswith("layers.") and name.endswith("running_mean"):
                 assert not np.array_equal(t.data, before[name]), name
 
+    def test_backward_leaves_no_cache(self, small_fov):
+        # the second step drops layers the first one ran; the eval forward
+        # with drop_rng (the TTA path) then skips layers too
+        cfg = tiny_config(small_fov, depth=3, width=8, classes=3, k=3, drop=0.5)
+        model = WaffleIron(cfg, np.random.default_rng(0))
+        pc = build_scene(small_fov, n=24, seed=11)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        for seed in (5, 3):
+            logits = model.forward(feats, nbr, proj, valid, training=True, drop_rng=np.random.default_rng(seed))
+            assert held_arrays(model) != []
+            _, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
+            model.backward(dlogits)
+            assert held_arrays(model) == []
+            with pytest.raises(RuntimeError):
+                model.backward(dlogits)
+        model.forward(feats, nbr, proj, valid, training=False, drop_rng=np.random.default_rng(3))
+        assert held_arrays(model) == []
+
 
 class TestParamCount:
     def test_kitti_model_near_target(self, kitti_fov):

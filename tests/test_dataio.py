@@ -1,6 +1,8 @@
 """Byte-level golden files, checkpoint round trips and config parsing."""
 
+import dataclasses
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,43 @@ from waffleiron.training import AdamW, segmentation_loss
 from conftest import random_cloud
 
 REPO = Path(__file__).resolve().parents[1]
+
+# serialize_run_config of configs/semantic_kitti_48_256.cfg: table order, repr
+# floats, true/false booleans
+KITTI_SERIALIZED = """\
+depth 48
+width 256
+rho 0.4
+fov_xmin -50.0
+fov_xmax 50.0
+fov_ymin -50.0
+fov_ymax 50.0
+fov_zmin -3.0
+fov_zmax 2.0
+k 16
+classes 19
+drop_prob 0.2
+strategy baseline
+feature_mode 5dim
+epochs 45
+batch 4
+lr 0.001
+lr_final 1e-05
+wd 0.003
+warmup_epochs 4
+n_points 20000
+seed 0
+checkpoint_every 0
+scan_format kitti4
+voxel_size 0.1
+class_map semantic_kitti.map
+aug_rotate true
+aug_flip true
+aug_scale true
+aug_cutmix true
+aug_polarmix true
+cutmix_max 40
+"""
 
 
 def small_model(fov, width=8, depth=3, seed=0):
@@ -133,24 +172,27 @@ class TestCheckpoint:
             dataio.checkpoint_load(path)
 
     def test_dim_mismatch_names_first_offender(self, tmp_path, small_fov):
+        # the stored run config says width 16, the stored tensors are width 8
         model = small_model(small_fov, width=8)
         path = tmp_path / "m.wfli"
-        dataio.checkpoint_save(path, model)
         wide = WaffleIronConfig(
             depth=3, width=16, rho=0.8, fov=small_fov, k_neighbors=3, num_classes=3
         )
-        with pytest.raises(ValueError, match="embed.pre_bn.gamma|dimension mismatch"):
-            dataio.checkpoint_load(path, config=wide)
+        dataio.checkpoint_save(path, model, None, dataio.RunConfig(wide))
+        # embed.pre_bn is sized by the input channels; the global branch is the first width-sized tensor
+        with pytest.raises(ValueError, match="dimension mismatch for tensor 'embed.global.weight'"):
+            dataio.checkpoint_load(path)
 
     def test_missing_tensor_reported(self, tmp_path, small_fov):
+        # the stored run config says depth 3, the stored tensors are depth 0
         shallow = small_model(small_fov, depth=0)
         path = tmp_path / "m.wfli"
-        dataio.checkpoint_save(path, shallow)
         deep_cfg = WaffleIronConfig(
             depth=3, width=8, rho=0.8, fov=small_fov, k_neighbors=3, num_classes=3
         )
-        with pytest.raises(ValueError, match="missing tensor"):
-            dataio.checkpoint_load(path, config=deep_cfg)
+        dataio.checkpoint_save(path, shallow, None, dataio.RunConfig(deep_cfg))
+        with pytest.raises(ValueError, match="missing tensor 'layers.0.token"):
+            dataio.checkpoint_load(path)
 
     def test_optimizer_state_round_trip(self, tmp_path, small_fov):
         model = small_model(small_fov, seed=5)
@@ -218,31 +260,31 @@ class TestRunConfig:
     def test_order_insensitive(self):
         base = (REPO / "configs" / "nuscenes_48_384.cfg").read_text()
         lines = [l for l in base.splitlines() if l.split("#")[0].strip()]
-        rc1 = dataio.run_config_from_values(dataio.parse_config_values("\n".join(lines)))
-        rc2 = dataio.run_config_from_values(dataio.parse_config_values("\n".join(reversed(lines))))
+        rc1 = dataio.parse_run_config("\n".join(lines))
+        rc2 = dataio.parse_run_config("\n".join(reversed(lines)))
         assert dataio.serialize_run_config(rc1) == dataio.serialize_run_config(rc2)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            dataio.parse_config_values("depth 3\nwobble 7\n")
+            dataio.parse_run_config("depth 3\nwobble 7\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            dataio.parse_config_values("depth 3\ndepth 6\n")
+            dataio.parse_run_config("depth 3\ndepth 6\n")
 
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing required"):
-            dataio.parse_config_values("depth 3\n")
+            dataio.parse_run_config("depth 3\n")
 
     def test_serialize_parse_round_trip(self):
         rc = dataio.load_run_config(REPO / "configs" / "semantic_kitti_48_256.cfg")
         text = dataio.serialize_run_config(rc)
-        rc2 = dataio.run_config_from_values(dataio.parse_config_values(text))
+        rc2 = dataio.parse_run_config(text)
         assert dataio.serialize_run_config(rc2) == text
 
     def test_bad_bool(self):
         with pytest.raises(ValueError, match="true/false"):
-            dataio.parse_config_values("aug_rotate maybe\n")
+            dataio.parse_run_config("aug_rotate maybe\n")
 
     def test_overrides(self):
         rc = dataio.load_run_config(
@@ -250,6 +292,36 @@ class TestRunConfig:
         )
         assert rc.train.seed == 7
         assert rc.model.depth == 6
+
+    def test_serialized_kitti_config_golden(self):
+        rc = dataio.load_run_config(REPO / "configs" / "semantic_kitti_48_256.cfg")
+        assert dataio.serialize_run_config(rc) == KITTI_SERIALIZED
+
+    def test_every_field_set_by_exactly_one_key(self):
+        entries = list(dataio._KEYS.values())
+        keys = Counter((part, name) for part, name, _ in entries if part != "fov")
+        # the six fov_* keys set WaffleIronConfig.fov together, one bound and axis each
+        fov_cells = Counter(name for part, name, _ in entries if part == "fov")
+        assert set(fov_cells) == {(bound, axis) for bound in ("min", "max") for axis in range(3)}
+        assert set(fov_cells.values()) == {1}
+        keys["model", "fov"] = 1
+        parts = {"": dataio.RunConfig, "model": dataio.WaffleIronConfig, "train": dataio.TrainConfig,
+                 "augment": dataio.AugmentConfig}
+        exempt = {("", "class_map_ids"), ("", "model"), ("", "train"), ("", "augment")}
+        want = {(part, f.name) for part, cls in parts.items() for f in dataclasses.fields(cls)} - exempt
+        assert set(keys) == want
+        assert set(keys.values()) == {1}
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        required = "depth 3\nwidth 8\nrho 0.8\nclasses 3\n" + "".join(
+            f"fov_{axis}min -1\nfov_{axis}max 1\n" for axis in "xyz"
+        )
+        rc = dataio.parse_run_config(required)
+        assert rc.train == dataio.TrainConfig()
+        assert rc.augment == dataio.AugmentConfig()
+        assert (rc.scan_format, rc.voxel_size, rc.class_map) == ("kitti4", 0.10, "")
+        with pytest.raises(ValueError, match="missing required config keys: classes"):
+            dataio.parse_run_config(required.replace("classes 3\n", ""))
 
 
 class TestScanDataset:

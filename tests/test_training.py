@@ -244,21 +244,20 @@ class TestSchedule:
 class TestTrainLoop:
     def test_zero_lr_leaves_parameters_unchanged(self):
         scene, fov = synthetic_zband_scene(n_points=64)
-        model_cfg, train_cfg = overfit_harness_config(fov)
-        train_cfg.epochs = 1
-        train_cfg.n_points = 64
-        train_cfg.peak_lr = 0.0
-        train_cfg.final_lr = 0.0
-        model, _, _ = train_loop([scene], model_cfg, train_cfg)
-        fresh = WaffleIron(model_cfg, np.random.default_rng(train_cfg.seed))
+        rc = overfit_harness_config(fov)
+        rc.train.epochs = 1
+        rc.train.n_points = 64
+        rc.train.peak_lr = 0.0
+        rc.train.final_lr = 0.0
+        model, _, _ = train_loop([scene], rc)
+        fresh = WaffleIron(rc.model, np.random.default_rng(rc.train.seed))
         for name, t in model.store.trainable_items():
             np.testing.assert_array_equal(t.data, fresh.store[name].data, err_msg=name)
 
     def test_empty_dataset_raises(self):
         scene, fov = synthetic_zband_scene(n_points=16)
-        model_cfg, train_cfg = overfit_harness_config(fov)
         with pytest.raises(ValueError):
-            train_loop([], model_cfg, train_cfg)
+            train_loop([], overfit_harness_config(fov))
 
     def test_loss_trend_decreases(self, harness_runs):
         losses = np.array([h.mean_loss for h in harness_runs["history_a"]])
