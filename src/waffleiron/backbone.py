@@ -10,7 +10,10 @@ mixing layers stochastically.
 
 Features and tokens are N x C and N x F blocks of point rows from the
 embedding to the classifier; the logits are the K x N transpose of the
-classifier's rows.
+classifier's rows. The embedding's local branch, k pair rows per point,
+runs in blocks of points and is never held whole: training keeps only the
+winning neighbor slot of each pooled entry, and backward recomputes
+``relu(local1)`` block by block.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .projection import (
     plane_schedule,
     planes_used,
 )
+
+# Points per block of the embedding's local branch: 256 points at k = 16 make
+# 4096 pair rows, whose half-width activations fit in cache.
+_LOCAL_BLOCK = 256
 
 
 @dataclass
@@ -94,6 +101,13 @@ class EmbeddingLayer:
     differences ``h_j - h_i`` over the k nearest neighbors, max-pooled per
     point, fills the other half (local branch). A final linear layer mixes
     the concatenation.
+
+    The local branch runs in blocks of ``_LOCAL_BLOCK`` points, in both
+    modes, so its k rows per point never exist for the whole cloud at once.
+    A training forward keeps only the normalized features, the neighbor
+    list and the winning slot of every pooled entry; :meth:`backward` walks
+    the same blocks, recomputes the differences and ``relu(local1)`` and
+    routes the gradient through the kept slots, so ``local2`` is not re-run.
     """
 
     def __init__(self, store: ParamStore, name: str, in_dim: int, width: int, rng: np.random.Generator):
@@ -105,60 +119,71 @@ class EmbeddingLayer:
         self.local2 = PointwiseLinear(store, f"{name}.local2", half, half, rng)
         self.merge = PointwiseLinear(store, f"{name}.merge", width, width, rng)
         self._cache = None
-        self._relu_in = None
 
     def forward(self, feats, neighbors, valid, training):
         neighbors = np.asarray(neighbors, dtype=np.int64)
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
+        n, k = neighbors.shape
         hb = self.pre_bn.forward(feats, valid, training)
         g = self.global_lin.forward(hb, training)
-        if training:
-            local, slots = self._local_branch(hb, neighbors)
-            self._cache = (neighbors, slots)
-        else:
-            local = self._local_branch_nograd(hb, neighbors)
-            self._cache = None
-            self._relu_in = None
+        local = np.empty((n, self.half), dtype=hb.dtype)
+        slots = np.empty((n, self.half), dtype=np.int64) if training else None
+        for start, stop, _, r in self._pair_blocks(hb, neighbors):
+            a2 = (r @ self.local2.w.data.T).reshape(stop - start, k, self.half)
+            a2 += self.local2.b.data
+            if training:
+                local[start:stop], slots[start:stop] = slot_max(a2, neighbors[start:stop])
+            else:
+                a2.max(axis=1, out=local[start:stop])
+        self._cache = (hb, neighbors, slots) if training else None
         cat = np.concatenate([g, local], axis=1)
         return self.merge.forward(cat, training)
 
-    def _local_branch(self, hb, neighbors):
+    def _pair_blocks(self, hb, neighbors):
+        """Per block of points: its range, the (rows*k) x C differences and ``relu(local1)`` of them."""
         n, k = neighbors.shape
-        diffs = hb[neighbors] - hb[:, None, :]  # (N, k, C)
-        a1 = self.local1.forward(diffs.reshape(n * k, -1))
-        self._relu_in = a1
-        a2 = self.local2.forward(relu(a1))
-        return slot_max(a2.reshape(n, k, self.half), neighbors)
-
-    def _local_branch_nograd(self, hb, neighbors):
-        # inference path: evaluate the pair MLP in blocks, keep only the max
-        n, k = neighbors.shape
-        out = np.empty((n, self.half), dtype=hb.dtype)
-        block = max(1, 65536 // max(k, 1))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            diffs = hb[neighbors[start:stop]] - hb[start:stop, None, :]
-            a1 = self.local1.forward(diffs.reshape((stop - start) * k, -1), need_grad=False)
-            a2 = self.local2.forward(relu(a1), need_grad=False)
-            out[start:stop] = a2.reshape(stop - start, k, self.half).max(axis=1)
-        return out
+        w1, b1 = self.local1.w.data, self.local1.b.data
+        for start in range(0, n, _LOCAL_BLOCK):
+            stop = min(start + _LOCAL_BLOCK, n)
+            d = (hb[neighbors[start:stop]] - hb[start:stop, None, :]).reshape((stop - start) * k, -1)
+            r = d @ w1.T
+            r += b1
+            np.maximum(r, 0, out=r)
+            yield start, stop, d, r
 
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("embedding backward needs a training forward")
-        (neighbors, slots), self._cache = self._cache, None
-        relu_in, self._relu_in = self._relu_in, None
-        n, k = neighbors.shape
+        (hb, neighbors, slots), self._cache = self._cache, None
+        k = neighbors.shape[1]
         dcat = self.merge.backward(dy)
-        da2 = np.zeros((n, k, self.half), dtype=dy.dtype)
-        np.put_along_axis(da2, slots[:, None, :], dcat[:, None, self.half :], axis=1)
-        dr = self.local2.backward(da2.reshape(n * k, self.half))
-        da1 = relu_backward(dr, relu_in)
-        ddiff = self.local1.backward(da1).reshape(n, k, -1)
+        dlocal = dcat[:, None, self.half :]
         dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]))
-        np.add.at(dhb, neighbors, ddiff)
-        dhb -= ddiff.sum(axis=1)
+        w1, w2 = self.local1.w.data, self.local2.w.data
+        dw1 = np.zeros(w1.shape, dtype=dy.dtype)
+        dw2 = np.zeros(w2.shape, dtype=dy.dtype)
+        db1 = np.zeros(self.half, dtype=dy.dtype)
+        db2 = np.zeros(self.half, dtype=dy.dtype)
+        dself = np.empty(dhb.shape, dtype=dhb.dtype)
+        for start, stop, d, r in self._pair_blocks(hb, neighbors):
+            da2 = np.zeros((stop - start, k, self.half), dtype=dy.dtype)
+            np.put_along_axis(da2, slots[start:stop, None, :], dlocal[start:stop], axis=1)
+            da2 = da2.reshape(-1, self.half)
+            dw2 += da2.T @ r
+            db2 += da2.sum(axis=0)
+            da1 = da2 @ w2
+            da1 *= r > 0
+            dw1 += da1.T @ d
+            db1 += da1.sum(axis=0)
+            ddiff = (da1 @ w1).reshape(stop - start, k, -1)
+            np.add.at(dhb, neighbors[start:stop], ddiff)
+            ddiff.sum(axis=1, out=dself[start:stop])
+        self.local1.w.grad += dw1
+        self.local1.b.grad += db1
+        self.local2.w.grad += dw2
+        self.local2.b.grad += db2
+        dhb -= dself
         return self.pre_bn.backward(dhb)
 
 

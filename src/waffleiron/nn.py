@@ -93,10 +93,10 @@ class PointwiseLinear:
         self.b = store.register(f"{name}.bias", np.zeros(out_dim, dtype=np.float32))
         self._x = None
 
-    def forward(self, x: np.ndarray, need_grad: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if x.shape[1] != self.w.shape[1]:
             raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[1]}")
-        self._x = x if need_grad else None
+        self._x = x if training else None
         y = x @ self.w.data.T
         y += self.b.data
         return y
@@ -177,8 +177,8 @@ class LayerScale:
         self.diag = store.register(f"{name}.diag", np.full(dim, LAYERSCALE_INIT, dtype=np.float32))
         self._x = None
 
-    def forward(self, x: np.ndarray, need_grad: bool = True) -> np.ndarray:
-        self._x = x if need_grad else None
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        self._x = x if training else None
         return self.diag.data * x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -220,13 +220,13 @@ class DepthwiseConv3x3:
         self.b = store.register(f"{name}.bias", np.zeros(channels, dtype=np.float32))
         self._cache = None
 
-    def forward(self, x: np.ndarray, taps: np.ndarray, need_grad: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, taps: np.ndarray, training: bool = True) -> np.ndarray:
         f = self.k.shape[0]
         check_rows(x, f)
         _check_taps(taps, x.shape[0] - 1)
         y = _tap_sum(x, taps, _TAPS, self.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
         y[:-1] += self.b.data.astype(x.dtype)
-        self._cache = (x, taps) if need_grad else None
+        self._cache = (x, taps) if training else None
         return y
 
     def backward(self, dy: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ Each oracle is written independently of the runtime path it checks:
 * the central finite-difference gradient checker;
 * the neighborhood max over point rows and its backward;
 * the two-array ``np.where`` tie-break that ``slot_max`` replaced;
+* the embedding with its local branch as one (N*k)-row MLP, and its backward;
 * batch-norm folding into the channel-mixing MLP;
 * nearest-neighbor label propagation;
 * the tiny-scene overfit harness.
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from waffleiron.augment import AugmentConfig
-from waffleiron.backbone import ChannelMixLayer, WaffleIronConfig, prepare_inputs
+from waffleiron.backbone import ChannelMixLayer, EmbeddingLayer, WaffleIronConfig, prepare_inputs
 from waffleiron.dataio import RunConfig
 from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices, point_features
 from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, PointwiseLinear, relu, slot_max
@@ -155,6 +156,46 @@ def slot_max_where(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarra
     slot_ids = np.arange(k, dtype=np.int64)[None, :, None]
     slots = np.where(tied & (nbr == best_point[:, None, :]), slot_ids, k).min(axis=1)
     return y, slots
+
+
+def embedding_oneshot(emb: EmbeddingLayer, hb: np.ndarray, neighbors: np.ndarray, dy: Optional[np.ndarray] = None):
+    """The embedding after its batch norm, with the local branch run as one (N*k)-row MLP.
+
+    ``hb`` is the normalized N x C input. Returns the N x width tokens; with
+    ``dy`` also the gradient with respect to ``hb`` and a name -> gradient map
+    of the global, local and merge parameters.
+    """
+    n, k = neighbors.shape
+    half = emb.half
+    (wg, bg), (w1, b1), (w2, b2), (wm, bm) = (
+        (lin.w.data, lin.b.data) for lin in (emb.global_lin, emb.local1, emb.local2, emb.merge)
+    )
+    diffs = (hb[neighbors] - hb[:, None, :]).reshape(n * k, -1)
+    a1 = diffs @ w1.T + b1
+    r = relu(a1)
+    a2 = (r @ w2.T + b2).reshape(n, k, half)
+    local, slots = slot_max(a2, neighbors)
+    cat = np.concatenate([hb @ wg.T + bg, local], axis=1)
+    tokens = cat @ wm.T + bm
+    if dy is None:
+        return tokens
+    dcat = dy @ wm
+    dg = dcat[:, :half]
+    da2 = np.zeros((n, k, half), dtype=dcat.dtype)
+    np.put_along_axis(da2, slots[:, None, :], dcat[:, None, half:], axis=1)
+    da2 = da2.reshape(n * k, half)
+    da1 = (da2 @ w2) * (a1 > 0)
+    ddiff = (da1 @ w1).reshape(n, k, -1)
+    dhb = dg @ wg
+    np.add.at(dhb, neighbors, ddiff)
+    dhb -= ddiff.sum(axis=1)
+    grads = {
+        "merge": (dy.T @ cat, dy.sum(axis=0)),
+        "global": (dg.T @ hb, dg.sum(axis=0)),
+        "local2": (da2.T @ r, da2.sum(axis=0)),
+        "local1": (da1.T @ diffs, da1.sum(axis=0)),
+    }
+    return tokens, dhb, grads
 
 
 # -- batch-norm folding -------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from waffleiron import nn
+from waffleiron import backbone, nn
 from waffleiron.backbone import (
     ChannelMixLayer,
     EmbeddingLayer,
@@ -19,7 +19,7 @@ from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
 from waffleiron.training import segmentation_loss
 
 from conftest import random_cloud
-from oracles import channel_mix_folded_eval, fold_bn_into_linear, grad_check
+from oracles import channel_mix_folded_eval, embedding_oneshot, fold_bn_into_linear, grad_check
 from test_nn import per_tap_backward, per_tap_forward
 from test_projection import bitwise_equal, occupied_rows, scatter_rows
 
@@ -121,6 +121,86 @@ class TestEmbedding:
         b = emb.forward(feats, nbr, valid, training=False)
         assert held_arrays(emb) == []
         np.testing.assert_allclose(a, b, atol=1e-6)
+
+
+class TestEmbeddingBlocks:
+    """The local branch runs in point blocks; 25 points in blocks of 7 make three full blocks and a partial one."""
+
+    N, K, WIDTH = 25, 5, 8
+
+    def _layer_and_inputs(self, monkeypatch, seed, dtype=np.float32):
+        monkeypatch.setattr(backbone, "_LOCAL_BLOCK", 7)
+        store = ParamStore()
+        emb = EmbeddingLayer(store, "embed", 5, self.WIDTH, np.random.default_rng(seed))
+        for _, t in store.items():
+            t.data = t.data.astype(dtype)
+            if t.grad is not None:
+                t.grad = np.zeros_like(t.data)
+        rng = np.random.default_rng(seed + 1)
+        feats = rng.standard_normal((self.N, 5)).astype(dtype)
+        # no point lists itself, as in a kNN list: a zero difference puts
+        # local1 exactly on the ReLU kink while its bias is zero
+        nbr = (np.arange(self.N)[:, None] + rng.integers(1, self.N, size=(self.N, self.K))) % self.N
+        return store, emb, feats, nbr, np.ones(self.N, dtype=bool)
+
+    def test_eval_matches_oneshot_bit_for_bit(self, monkeypatch):
+        for seed in range(3):
+            _, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed)
+            hb = emb.pre_bn.forward(feats, valid, training=False)
+            np.testing.assert_array_equal(emb.forward(feats, nbr, valid, training=False), embedding_oneshot(emb, hb, nbr))
+
+    def test_training_gradients_match_oneshot(self, monkeypatch):
+        for seed in range(3):
+            store, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed, np.float64)
+            seen = {}
+            bn_forward, bn_backward = emb.pre_bn.forward, emb.pre_bn.backward
+
+            def forward(*args):
+                seen["hb"] = bn_forward(*args)
+                return seen["hb"]
+
+            def backward(dhb):
+                seen["dhb"] = dhb.copy()
+                return bn_backward(dhb)
+
+            monkeypatch.setattr(emb.pre_bn, "forward", forward)
+            monkeypatch.setattr(emb.pre_bn, "backward", backward)
+            tokens = emb.forward(feats, nbr, valid, training=True)
+            dy = np.random.default_rng(seed + 2).standard_normal(tokens.shape)
+            emb.backward(dy)
+            want_tokens, want_dhb, want_grads = embedding_oneshot(emb, seen["hb"], nbr, dy)
+            np.testing.assert_array_equal(tokens, want_tokens)
+            np.testing.assert_allclose(seen["dhb"], want_dhb, rtol=1e-10)
+            for name, (dw, db) in want_grads.items():
+                np.testing.assert_allclose(store[f"embed.{name}.weight"].grad, dw, rtol=1e-10, err_msg=name)
+                np.testing.assert_allclose(store[f"embed.{name}.bias"].grad, db, rtol=1e-10, err_msg=name)
+
+    def test_grad_check(self, monkeypatch):
+        # seed 2 is left out: one local1 pre-activation lies 1e-5 from the
+        # ReLU kink, inside the finite-difference step
+        for seed in (0, 1, 3):
+            store, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed)
+            x = store.register("x", feats)
+            r = np.random.default_rng(seed + 2).standard_normal((self.N, self.WIDTH))
+
+            def loss_fn(want):
+                y = emb.forward(x.data, nbr, valid, training=True)
+                if want:
+                    x.grad += emb.backward(r)
+                return float((y * r).sum())
+
+            err = grad_check(loss_fn, store, eps=1e-4)
+            assert err < 1e-4, f"embedding gradient error {err}"
+
+    def test_keeps_no_pair_rows(self, monkeypatch):
+        # the k rows per point of the local MLP live only inside a block
+        _, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, 0)
+        emb.forward(feats, nbr, valid, training=True)
+        kept = held(emb, "emb")
+        assert kept != []
+        assert all(a.shape[0] <= self.N for _, a in kept), [(p, a.shape) for p, a in kept]
+        emb.forward(feats, nbr, valid, training=False)
+        assert held_arrays(emb) == []
 
 
 class TestTokenMix:
@@ -422,15 +502,20 @@ class TestForward:
             model.forward(feats[:, :3], nbr, proj, valid)
 
 
-def held_arrays(value, path="model", private=False):
-    """Paths of the arrays that layers reachable from ``value`` keep in private attributes."""
+def held(value, path="model", private=False):
+    """(path, array) of every array that layers reachable from ``value`` keep in private attributes."""
     if isinstance(value, np.ndarray):
-        return [path] if private else []
+        return [(path, value)] if private else []
     if isinstance(value, (list, tuple)):
-        return [p for i, item in enumerate(value) for p in held_arrays(item, f"{path}[{i}]", private)]
+        return [h for i, item in enumerate(value) for h in held(item, f"{path}[{i}]", private)]
     if type(value).__module__ in ("waffleiron.backbone", "waffleiron.nn") and hasattr(value, "__dict__"):
-        return [p for name, item in vars(value).items() for p in held_arrays(item, f"{path}.{name}", name.startswith("_"))]
+        return [h for name, item in vars(value).items() for h in held(item, f"{path}.{name}", name.startswith("_"))]
     return []
+
+
+def held_arrays(value):
+    """Paths of the arrays that layers reachable from ``value`` keep in private attributes."""
+    return [path for path, _ in held(value)]
 
 
 class TestLayout:

@@ -192,10 +192,10 @@ def full_grid_taps(h, w):
     return np.stack([padded[i + u, j + v] for u in range(3) for v in range(3)], axis=1)
 
 
-def grid_forward(conv, x, need_grad=True, layout=np.ascontiguousarray):
+def grid_forward(conv, x, training=True, layout=np.ascontiguousarray):
     """The row conv evaluated on every cell of an F x H x W grid, returned as the grid."""
     f, h, w = x.shape
-    return to_grid(conv.forward(layout(to_rows(x)), full_grid_taps(h, w), need_grad), x.shape)
+    return to_grid(conv.forward(layout(to_rows(x)), full_grid_taps(h, w), training), x.shape)
 
 
 def grid_backward(conv, dy, layout=np.ascontiguousarray):
