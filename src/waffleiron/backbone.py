@@ -14,6 +14,13 @@ classifier's rows. The embedding's local branch, k pair rows per point,
 runs in blocks of points and is never held whole: training keeps only the
 winning neighbor slot of each pooled entry, and backward recomputes
 ``relu(local1)`` block by block.
+
+The mixing layers apply their hidden ReLU in place to the fresh output of
+``lin1`` (channel) or ``conv1`` (token), so a training forward keeps that
+one array both as the next layer's input and as the ReLU mask, and backward
+masks the fresh gradient in place. The residual ``x + factor * branch`` is
+written into the branch's fresh output, and the backward's ``dy + branch
+gradient`` into the branch gradient when it already has the promoted dtype.
 """
 
 from __future__ import annotations
@@ -30,8 +37,7 @@ from .nn import (
     LayerScale,
     ParamStore,
     PointwiseLinear,
-    relu,
-    relu_backward,
+    out_if_promoted,
     slot_max,
 )
 from .projection import (
@@ -199,18 +205,18 @@ class _TokenMixBranch:
 
     def forward(self, x, proj: ProjectionPair, valid, training):
         xb = self.bn.forward(x, valid, training)
-        c1 = self.conv1.forward(proj.flatten(xb), proj.d_from_o, training)
-        c2 = self.conv2.forward(relu(c1), proj.o_from_d, training)
-        pts = proj.inflate(c2)
-        self._cache = (proj, c1) if training else None
+        r = self.conv1.forward(proj.flatten(xb), proj.d_from_o, training)
+        np.maximum(r, 0, out=r)
+        pts = proj.inflate(self.conv2.forward(r, proj.o_from_d, training))
+        # r is also conv2's cached input; r > 0 is the ReLU mask
+        self._cache = (proj, r) if training else None
         return self.scale.forward(pts, training)
 
     def backward(self, dy):
-        (proj, c1), self._cache = self._cache, None
-        dpts = self.scale.backward(dy)
-        dr = self.conv2.backward(proj.inflate_backward(dpts), proj.d_from_o)
-        drows = self.conv1.backward(relu_backward(dr, c1), proj.o_from_d)
-        return self.bn.backward(proj.flatten_backward(drows))
+        (proj, r), self._cache = self._cache, None
+        dr = self.conv2.backward(proj.inflate_backward(self.scale.backward(dy)), proj.d_from_o)
+        dr *= r > 0
+        return self.bn.backward(proj.flatten_backward(self.conv1.backward(dr, proj.o_from_d)))
 
 
 class TokenMixLayer:
@@ -228,14 +234,15 @@ class TokenMixLayer:
         total = None
         for axes, branch in zip(self.planes, self.branches):
             out = branch.forward(x, projections[axes], valid, training)
-            total = out if total is None else total + out
-        return x + factor * total
+            total = out if total is None else _add_into(total, out)
+        return _residual(x, factor, total)
 
     def backward(self, dy):
-        dres = self._factor * dy
-        dx = dy.copy()
+        dres = _scaled(self._factor, dy)
+        dx = None
         for branch in self.branches:
-            dx += branch.backward(dres)
+            grad = branch.backward(dres)
+            dx = _add_into(grad, dy) if dx is None else _add_into(dx, grad)
         return dx
 
 
@@ -248,23 +255,39 @@ class ChannelMixLayer:
         self.lin2 = PointwiseLinear(store, f"{name}.lin2", width, width, rng)
         self.scale = LayerScale(store, f"{name}.layerscale", width)
         self._factor = 1.0
-        self._relu_in = None
+        self._relu_out = None
 
     def forward(self, x, valid, training, factor=1.0):
         self._factor = factor
-        xb = self.bn.forward(x, valid, training)
-        a1 = self.lin1.forward(xb, training)
-        self._relu_in = a1 if training else None
-        a2 = self.lin2.forward(relu(a1), training)
-        return x + factor * self.scale.forward(a2, training)
+        r = self.lin1.forward(self.bn.forward(x, valid, training), training)
+        np.maximum(r, 0, out=r)
+        # r is also lin2's cached input; r > 0 is the ReLU mask
+        self._relu_out = r if training else None
+        a2 = self.lin2.forward(r, training)
+        return _residual(x, factor, self.scale.forward(a2, training))
 
     def backward(self, dy):
-        da2 = self.scale.backward(self._factor * dy)
-        dr = self.lin2.backward(da2)
-        relu_in, self._relu_in = self._relu_in, None
-        da1 = relu_backward(dr, relu_in)
-        dxb = self.lin1.backward(da1)
-        return dy + self.bn.backward(dxb)
+        r, self._relu_out = self._relu_out, None
+        dr = self.lin2.backward(self.scale.backward(_scaled(self._factor, dy)))
+        dr *= r > 0
+        return _add_into(self.bn.backward(self.lin1.backward(dr)), dy)
+
+
+def _scaled(factor, a):
+    """``factor * a``; ``a`` itself when ``factor`` is 1, a product that would change no bit."""
+    return a if factor == 1.0 else factor * a
+
+
+def _add_into(owned, other):
+    """``owned + other``, written into ``owned`` (an array the caller made) when it has the promoted dtype."""
+    return np.add(owned, other, out=out_if_promoted(owned, owned, other))
+
+
+def _residual(x, factor, branch):
+    """``x + factor * branch``, written into ``branch``, the fresh output of the caller's branch."""
+    if factor != 1.0:
+        branch *= factor
+    return _add_into(branch, x)
 
 
 class WaffleIron:

@@ -4,6 +4,12 @@ The network architecture is fixed, so instead of a tape-based autodiff each
 layer caches what its own backward pass needs. Parameters live in a
 :class:`ParamStore` as named float32 tensors; gradient buffers accumulate
 until explicitly zeroed.
+
+Aliasing rule: a layer writes only into arrays it made itself, never into
+its arguments, and only when the array already has the result's dtype
+(:func:`out_if_promoted`), so nothing is silently rounded. A training cache
+may share an array with the next layer's cache: an in-place ReLU output is
+both the mask its layer keeps and the input the next linear layer keeps.
 """
 
 from __future__ import annotations
@@ -157,16 +163,24 @@ class BatchNorm:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, valid, count = self._cache
         self._cache = None
-        self.gamma.grad += (dy * xhat).sum(axis=0)
+        # one temporary holds dy * xhat, dxhat * xhat and the correction in
+        # turn, and dx overwrites dxhat
+        tmp = dy * xhat
+        self.gamma.grad += tmp.sum(axis=0)
         self.beta.grad += dy.sum(axis=0)
         dxhat = dy * self.gamma.data
         # batch statistics were computed over the valid rows only, so the
         # mean/variance sensitivities distribute back onto those rows
         sum_dxhat = dxhat.sum(axis=0)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=0)
-        dx = dxhat * inv_std
-        corr = (sum_dxhat + xhat * sum_dxhat_xhat) * inv_std / count
-        dx[valid] -= corr[valid]
+        tmp = np.multiply(dxhat, xhat, out=out_if_promoted(tmp, dxhat, xhat))
+        sum_dxhat_xhat = tmp.sum(axis=0)
+        dx = np.multiply(dxhat, inv_std, out=out_if_promoted(dxhat, dxhat, inv_std))
+        # corr = (sum_dxhat + xhat * sum_dxhat_xhat) * inv_std / count
+        corr = np.multiply(xhat, sum_dxhat_xhat, out=tmp)
+        corr += sum_dxhat
+        corr *= inv_std
+        corr /= count
+        np.subtract(dx, corr, out=dx, where=valid[:, None])
         return dx
 
 
@@ -281,12 +295,13 @@ def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def out_if_promoted(buf: np.ndarray, *operands) -> Optional[np.ndarray]:
+    """``buf`` as the ``out=`` of an elementwise operation on ``operands``, or ``None`` for a new array.
 
-
-def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dy * (x > 0)
+    ``buf`` serves only when it has the operands' promoted dtype: a narrower
+    buffer would silently round the result.
+    """
+    return buf if buf.dtype == np.result_type(*operands) else None
 
 
 def slot_max(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,8 @@ Each oracle is written independently of the runtime path it checks:
 * the CSR flatten/inflate kernel, built from the public ``cell_index``,
   ``valid`` and ``occupied_cells`` of a :class:`ProjectionPair` only;
 * the central finite-difference gradient checker;
+* ReLU and its backward as new arrays;
+* the batch-norm backward with its boolean-mask correction;
 * the neighborhood max over point rows and its backward;
 * the two-array ``np.where`` tie-break that ``slot_max`` replaced;
 * the embedding with its local branch as one (N*k)-row MLP, and its backward;
@@ -24,7 +26,7 @@ from waffleiron.augment import AugmentConfig
 from waffleiron.backbone import ChannelMixLayer, EmbeddingLayer, WaffleIronConfig, prepare_inputs
 from waffleiron.dataio import RunConfig
 from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices, point_features
-from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, PointwiseLinear, relu, slot_max
+from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, PointwiseLinear, slot_max
 from waffleiron.projection import ProjectionPair
 from waffleiron.training import TrainConfig, _counted_mask, train_loop
 
@@ -119,6 +121,32 @@ def grad_check(loss_fn: Callable[[bool], float], store: ParamStore, eps: float =
             t.data = saved[name]
             if t.grad is not None:
                 t.grad = np.zeros_like(t.data)
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0)
+
+
+def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return dy * (x > 0)
+
+
+def bn_backward_masked(bn: BatchNorm, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``BatchNorm.backward`` as first written, from the cache of ``bn``'s training forward, which it leaves.
+
+    Every intermediate is a new array and the correction is subtracted
+    through a boolean gather. Returns (dx, gamma gradient, beta gradient).
+    """
+    xhat, inv_std, valid, count = bn._cache
+    dgamma = (dy * xhat).sum(axis=0)
+    dbeta = dy.sum(axis=0)
+    dxhat = dy * bn.gamma.data
+    sum_dxhat = dxhat.sum(axis=0)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=0)
+    dx = dxhat * inv_std
+    corr = (sum_dxhat + xhat * sum_dxhat_xhat) * inv_std / count
+    dx[valid] -= corr[valid]
+    return dx, dgamma, dbeta
 
 
 def neighborhood_max(x: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

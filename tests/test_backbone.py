@@ -1,5 +1,8 @@
 """Embedding, mixing layers and the assembled network."""
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,12 @@ from waffleiron.backbone import (
     prepare_inputs,
 )
 from waffleiron.geometry import Fov
-from waffleiron.nn import BatchNorm, DepthwiseConv3x3, ParamStore, PointwiseLinear, relu, relu_backward
+from waffleiron.nn import BatchNorm, DepthwiseConv3x3, LayerScale, ParamStore, PointwiseLinear
 from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
 from waffleiron.training import segmentation_loss
 
 from conftest import random_cloud
-from oracles import channel_mix_folded_eval, embedding_oneshot, fold_bn_into_linear, grad_check
+from oracles import channel_mix_folded_eval, embedding_oneshot, fold_bn_into_linear, grad_check, relu, relu_backward
 from test_nn import per_tap_backward, per_tap_forward
 from test_projection import bitwise_equal, occupied_rows, scatter_rows
 
@@ -241,6 +244,14 @@ class TestTokenMix:
         want = x + br.bn.forward(x, np.ones(1, dtype=bool), training=False)
         np.testing.assert_allclose(out, want, atol=1e-6)
 
+    def test_branch_holds_relu_output_once(self, small_fov):
+        layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=4)
+        layer.forward(x, projections, valid, training=True)
+        br = layer.branches[0]
+        mask_source = br._cache[1]
+        assert mask_source is br.conv2._cache[0]
+        assert (mask_source >= 0).all() and not mask_source[-1].any()
+
     def test_matches_naive_recomposition_bitwise(self, small_fov):
         layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=3)
         out = layer.forward(x, projections, valid, training=False)
@@ -431,6 +442,17 @@ class TestChannelMix:
             out, [[0.3 + 0.5 * (2 * 0.3 / s + 0.1), -0.4 + 0.5 * (-0.1)]], atol=1e-6
         )
 
+    def test_training_forward_holds_four_point_arrays(self):
+        store = ParamStore()
+        layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(5))
+        x = np.random.default_rng(6).standard_normal((9, 6)).astype(np.float32)
+        layer.forward(x, None, training=True)
+        rows = list({id(a): a for _, a in held(layer) if a.shape == x.shape}.values())
+        # BN xhat, lin1's input, the ReLU output (lin2's input and the mask), the layerscale input
+        assert len(rows) == 4
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
+        assert layer._relu_out is layer.lin2._x
+
     def test_column_independence_eval(self):
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 4, np.random.default_rng(2))
@@ -600,6 +622,109 @@ class TestNoGradForward:
             assert np.array_equal(logits, cached)
             with pytest.raises(RuntimeError):
                 model.backward(np.ones_like(logits))
+
+
+def same_bits(before, after, path):
+    """``after`` holds bit for bit what the deep copy ``before`` holds: arrays, containers and object attributes."""
+    if isinstance(before, np.ndarray):
+        assert bitwise_equal(before, after), path
+    elif isinstance(before, dict):
+        assert before.keys() == after.keys(), path
+        for key in before:
+            same_bits(before[key], after[key], f"{path}[{key!r}]")
+    elif isinstance(before, (list, tuple)):
+        assert len(before) == len(after), path
+        for i, (a, b) in enumerate(zip(before, after)):
+            same_bits(a, b, f"{path}[{i}]")
+    elif hasattr(before, "__dict__"):
+        same_bits(vars(before), vars(after), path)
+    else:
+        assert before == after, path
+
+
+def call_leaving_arguments(method, *args, **kwargs):
+    """``method(*args, **kwargs)``, after which every argument must equal a copy taken before the call."""
+    before = copy.deepcopy((args, kwargs))
+    out = method(*args, **kwargs)
+    same_bits(before, (args, kwargs), method.__qualname__)
+    return out
+
+
+class TestNoArgumentWrites:
+    """No layer writes into its arguments: training forward, eval forward and backward leave them bit for bit."""
+
+    N, WIDTH, K = 30, 6, 4
+    PLANES = ((0, 1), (0, 2), (1, 2))
+
+    def cases(self, fov):
+        """(layer, forward arguments, forward keywords, backward arguments after dy) of every layer."""
+        rng = np.random.default_rng(80)
+        store = ParamStore()
+        pc = build_scene(fov, n=self.N, seed=81)
+        valid = np.ones(self.N, dtype=bool)
+        valid[-5:] = False
+        projections = {
+            axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, fov, 0.8), valid) for axes in self.PLANES
+        }
+        neighbors = (np.arange(self.N)[:, None] + np.arange(1, self.K + 1)) % self.N
+        x = rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
+        proj = projections[(0, 1)]
+        yield EmbeddingLayer(store, "embed", 5, self.WIDTH, rng), (pc.features, neighbors, valid), {}, ()
+        yield TokenMixLayer(store, "tm", self.PLANES, self.WIDTH, rng), (x, projections, valid), {"factor": 1.25}, ()
+        yield ChannelMixLayer(store, "cm", self.WIDTH, rng), (x, valid), {"factor": 1.25}, ()
+        yield BatchNorm(store, "bn", self.WIDTH), (x, valid), {}, ()
+        yield LayerScale(store, "ls", self.WIDTH), (x,), {}, ()
+        yield PointwiseLinear(store, "lin", self.WIDTH, 4, rng), (x,), {}, ()
+        conv = DepthwiseConv3x3(store, "conv", self.WIDTH, rng)
+        yield conv, (proj.flatten(x), proj.d_from_o), {}, (proj.o_from_d,)
+
+    @pytest.mark.parametrize("dy_dtype", [np.float32, np.float64])
+    def test_forward_and_backward_leave_arguments(self, small_fov, dy_dtype):
+        rng = np.random.default_rng(82)
+        for layer, args, kwargs, backward_args in self.cases(small_fov):
+            call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
+            out = call_leaving_arguments(layer.forward, *args, training=True, **kwargs)
+            dy = rng.standard_normal(out.shape).astype(dy_dtype)
+            if isinstance(layer, DepthwiseConv3x3):
+                dy[-1] = 0.0
+            call_leaving_arguments(layer.backward, dy, *backward_args)
+
+
+class TestResidualBackward:
+    """float64 dy through float32 layers: the input gradient is the float64 ``dy + branch gradient``, bit for bit."""
+
+    N, WIDTH, FACTOR = 30, 6, 1.25
+
+    def inputs(self, fov):
+        rng = np.random.default_rng(90)
+        pc = build_scene(fov, n=self.N, seed=91)
+        valid = np.ones(self.N, dtype=bool)
+        valid[-4:] = False
+        x = rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
+        return pc, valid, x, rng.standard_normal((self.N, self.WIDTH))
+
+    def test_channel_mix(self, small_fov):
+        _, valid, x, dy = self.inputs(small_fov)
+        layer = ChannelMixLayer(ParamStore(), "cm", self.WIDTH, np.random.default_rng(92))
+        layer.forward(x, valid, training=True, factor=self.FACTOR)
+        dx = layer.backward(dy)
+        layer.forward(x, valid, training=True, factor=self.FACTOR)
+        dr = layer.lin2.backward(layer.scale.backward(self.FACTOR * dy))
+        branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, layer._relu_out)))
+        assert dx.dtype == np.float64 and bitwise_equal(dx, dy + branch)
+
+    def test_token_mix_three_planes(self, small_fov):
+        pc, valid, x, dy = self.inputs(small_fov)
+        planes = ((0, 1), (0, 2), (1, 2))
+        projections = {axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, small_fov, 0.8), valid) for axes in planes}
+        layer = TokenMixLayer(ParamStore(), "tm", planes, self.WIDTH, np.random.default_rng(93))
+        layer.forward(x, projections, valid, training=True, factor=self.FACTOR)
+        dx = layer.backward(dy)
+        layer.forward(x, projections, valid, training=True, factor=self.FACTOR)
+        grads = [br.backward(self.FACTOR * dy) for br in layer.branches]
+        # the branch gradients come back in the tokens' float32, so the sum cannot be written into them
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+        assert dx.dtype == np.float64 and bitwise_equal(dx, dy + grads[0] + grads[1] + grads[2])
 
 
 class TestStochasticDepth:

@@ -10,12 +10,18 @@ from waffleiron.nn import (
     LayerScale,
     ParamStore,
     PointwiseLinear,
-    relu,
-    relu_backward,
     slot_max,
 )
 
-from oracles import grad_check, neighborhood_max, neighborhood_max_backward, slot_max_where
+from oracles import (
+    bn_backward_masked,
+    grad_check,
+    neighborhood_max,
+    neighborhood_max_backward,
+    relu,
+    relu_backward,
+    slot_max_where,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -127,6 +133,29 @@ class TestBatchNorm:
         bn = BatchNorm(store, "bn", 2)
         with pytest.raises(ValueError):
             bn.forward(np.zeros((4, 2), dtype=np.float32), valid=np.zeros(4, dtype=bool), training=True)
+
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dy_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_padding", [0, 7])
+    def test_backward_matches_masked_formula_bitwise(self, param_dtype, dy_dtype, n_padding):
+        rng = np.random.default_rng(8)
+        store = ParamStore()
+        bn = BatchNorm(store, "bn", 5)
+        bn.gamma.data = rng.uniform(0.5, 1.5, 5).astype(param_dtype)
+        bn.gamma.grad = np.zeros_like(bn.gamma.data)
+        bn.beta.grad = np.zeros_like(bn.gamma.data)
+        x = rng.standard_normal((40, 5)).astype(np.float32)
+        valid = np.arange(40) < 40 - n_padding
+        dy = rng.standard_normal((40, 5)).astype(dy_dtype)
+        bn.forward(x, valid=valid, training=True)
+        want_dx, want_dgamma, want_dbeta = bn_backward_masked(bn, dy)
+        dx = bn.backward(dy)
+        assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
+        for grad, want in ((bn.gamma.grad, want_dgamma), (bn.beta.grad, want_dbeta)):
+            # both accumulate into the zeroed gradient buffer of the parameter's dtype
+            accumulated = np.zeros_like(grad)
+            accumulated += want
+            assert grad.tobytes() == accumulated.tobytes()
 
     def test_gradients_train_mode(self):
         def build(store, rng):
