@@ -10,7 +10,6 @@ from .geometry import (
     voxel_downsample,
 )
 from .projection import (
-    CellMap,
     PlaneSpec,
     ProjectionPair,
     build_projection,
@@ -32,7 +31,6 @@ __all__ = [
     "knn",
     "sample_fixed",
     "voxel_downsample",
-    "CellMap",
     "PlaneSpec",
     "ProjectionPair",
     "build_projection",

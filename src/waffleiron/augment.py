@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import PointCloud
+from .geometry import PointCloud, point_features
 
 # Default class ids follow the usual 19-class driving remap: the cutmix
 # donors are the rare movable things, the landing surfaces are drivable.
@@ -23,6 +23,8 @@ GROUND_CLASSES = (8, 9, 10)  # road, parking, sidewalk
 
 # global scale factors of random_scale and of each pasted cutmix instance
 SCALE_RANGE = (0.95, 1.05)
+# azimuth widths of the sector polarmix swaps
+SECTOR_WIDTH_RANGE = (np.pi / 4, 3 * np.pi / 4)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -112,7 +114,6 @@ def random_scale(
 def build_instance_bank(
     scans: Sequence[tuple[PointCloud, np.ndarray]],
     classes: Sequence[int],
-    rng: Optional[np.random.Generator] = None,
 ) -> InstanceBank:
     """Group labeled points by (class, instance id) across scans.
 
@@ -143,8 +144,6 @@ def build_instance_bank(
 
 
 def _append_points(pc: PointCloud, positions: np.ndarray, intensity: np.ndarray, labels: np.ndarray) -> PointCloud:
-    from .geometry import point_features
-
     feats = point_features(positions, intensity, pc.feature_mode)
     return PointCloud(
         positions=np.vstack([pc.positions, positions.astype(np.float32)]),
@@ -167,10 +166,10 @@ def instance_cutmix(
     chosen ground point and its lowest point at that point's height. Scenes
     without any ground point are returned untouched.
     """
-    if pc.labels is None:
-        raise ValueError("instance_cutmix needs a labeled scene")
     if bank.total == 0 or config.cutmix_max_per_class == 0:
         return pc
+    if pc.labels is None:
+        raise ValueError("instance_cutmix needs a labeled scene")
     ground_rows = np.flatnonzero(np.isin(pc.labels, GROUND_CLASSES) & pc.valid)
     if ground_rows.size == 0:
         return pc
@@ -216,7 +215,6 @@ def polarmix(
     classes: Sequence[int],
     rng: np.random.Generator,
     sector: Optional[tuple[float, float]] = None,
-    width_range: tuple[float, float] = (np.pi / 4, 3 * np.pi / 4),
     paste_angles: tuple[float, ...] = (_TWO_PI / 3, 2 * _TWO_PI / 3),
 ) -> PointCloud:
     """Mix two labeled scenes.
@@ -231,7 +229,7 @@ def polarmix(
         raise ValueError("polarmix needs labeled scenes")
     if sector is None:
         start = float(rng.uniform(0.0, _TWO_PI))
-        width = float(rng.uniform(*width_range))
+        width = float(rng.uniform(*SECTOR_WIDTH_RANGE))
     else:
         start, width = float(sector[0]), float(sector[1])
     keep_a = np.mod(_azimuth(scene_a.positions) - start, _TWO_PI) >= width
@@ -251,8 +249,6 @@ def polarmix(
             pos.append((src @ _rot_z(theta).T).astype(np.float32))
             inten.append(scene_b.features[inst_rows, 0])
             labels.append(scene_b.labels[inst_rows])
-
-    from .geometry import point_features
 
     positions = np.vstack(pos)
     intensity = np.concatenate(inten)
@@ -280,7 +276,7 @@ def apply_augmentations(
     if config.polarmix and partner is not None:
         classes = bank.classes if bank is not None else CUTMIX_CLASSES
         pc = polarmix(pc, partner, classes, rng)
-    if config.cutmix and bank is not None and bank.total and config.cutmix_max_per_class:
+    if config.cutmix and bank is not None:
         pc = instance_cutmix(pc, bank, config, rng)
     if config.rotate:
         pc = random_rotate_z(pc, rng)

@@ -45,7 +45,6 @@ from .projection import (
     ProjectionPair,
     build_projection,
     plane_schedule,
-    planes_used,
 )
 
 # Points per block of the embedding's local branch: 256 points at k = 16 make
@@ -94,9 +93,6 @@ class WaffleIronConfig:
     @property
     def in_channels(self) -> int:
         return FEATURE_DIMS[self.input_feature_mode]
-
-    def plane_spec(self, axes: tuple[int, int]) -> PlaneSpec:
-        return PlaneSpec.from_fov(axes, self.fov, self.rho)
 
 
 class EmbeddingLayer:
@@ -300,8 +296,13 @@ class WaffleIron:
         self.store = ParamStore()
         self.embedding = EmbeddingLayer(self.store, "embed", config.in_channels, config.width, rng)
         self.layers: list[tuple[TokenMixLayer, ChannelMixLayer]] = []
+        # one spec per distinct token-layer plane, in order of first use
+        self._planes: dict[tuple[int, int], PlaneSpec] = {}
         for i in range(config.depth):
             planes = plane_schedule(i, config.strategy)
+            for axes in planes:
+                if axes not in self._planes:
+                    self._planes[axes] = PlaneSpec.from_fov(axes, config.fov, config.rho)
             token = TokenMixLayer(self.store, f"layers.{i}.token", planes, config.width, rng)
             channel = ChannelMixLayer(self.store, f"layers.{i}.channel", config.width, rng)
             self.layers.append((token, channel))
@@ -310,14 +311,8 @@ class WaffleIron:
 
     # -- plumbing -------------------------------------------------------------
 
-    def plane_specs(self) -> dict[tuple[int, int], PlaneSpec]:
-        return {axes: self.config.plane_spec(axes) for axes in planes_used(self.config.strategy, self.config.depth)}
-
     def build_projections(self, positions: np.ndarray, valid: np.ndarray) -> dict[tuple[int, int], ProjectionPair]:
-        return {
-            axes: build_projection(positions, spec, valid)
-            for axes, spec in self.plane_specs().items()
-        }
+        return {axes: build_projection(positions, spec, valid) for axes, spec in self._planes.items()}
 
     # -- forward / backward ----------------------------------------------------
 

@@ -44,14 +44,6 @@ class ConfusionMatrix:
         np.add.at(self.counts, (g, p), 1)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        self.counts += other.counts
-        return self
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def iou(cm: ConfusionMatrix) -> tuple[np.ndarray, float]:
     """Per-class IoU and their mean.

@@ -66,9 +66,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._tensors.items())
 

@@ -78,24 +78,15 @@ class PlaneSpec:
         return AXIS_NAMES[self.axes]
 
 
-@dataclass
-class CellMap:
-    """Flattened 2D cell index of every point on one plane.
+def cell_indices(
+    points: np.ndarray, plane: PlaneSpec, valid: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened 2D cell index of every point on ``plane``, and the valid mask.
 
     ``cell_index[i] = q0 * W + q1`` with ``q = floor((p[axes] - origin) / rho)``.
-    Padding points are parked in cell 0 and flagged invalid.
-    """
-
-    cell_index: np.ndarray
-    plane: PlaneSpec
-    valid: np.ndarray
-
-
-def cell_indices(points: np.ndarray, plane: PlaneSpec, valid: Optional[np.ndarray] = None) -> CellMap:
-    """Assign every point to its flattened 2D cell on ``plane``.
-
-    Raises if any valid point quantizes outside the grid; callers must crop
-    to the FOV first.
+    Padding points are parked in cell 0 and flagged invalid. Raises if any
+    valid point quantizes outside the grid; callers must crop to the FOV
+    first.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -115,7 +106,7 @@ def cell_indices(points: np.ndarray, plane: PlaneSpec, valid: Optional[np.ndarra
         raise ValueError(f"point outside grid (first offender: row {int(np.flatnonzero(bad)[0])})")
     index = quant[:, 0] * plane.grid_shape[1] + quant[:, 1]
     index[~valid] = 0
-    return CellMap(cell_index=index, plane=plane, valid=valid)
+    return index, valid
 
 
 class ProjectionPair:
@@ -127,10 +118,10 @@ class ProjectionPair:
     (module docstring).
     """
 
-    def __init__(self, cells: CellMap):
-        self.plane = cells.plane
-        self.cell_index = cells.cell_index
-        self.valid = cells.valid
+    def __init__(self, plane: PlaneSpec, cell_index: np.ndarray, valid: np.ndarray):
+        self.plane = plane
+        self.cell_index = cell_index
+        self.valid = valid
         m = self.plane.n_cells
         self.counts = np.bincount(self.cell_index[self.valid], minlength=m).astype(np.int64)
         valid_rows = np.flatnonzero(self.valid)
@@ -184,10 +175,6 @@ class ProjectionPair:
     @property
     def n_points(self) -> int:
         return self.cell_index.shape[0]
-
-    @property
-    def n_cells(self) -> int:
-        return self.plane.n_cells
 
     @property
     def n_occupied(self) -> int:
@@ -249,7 +236,7 @@ def build_projection(
     plane: PlaneSpec,
     valid: Optional[np.ndarray] = None,
 ) -> ProjectionPair:
-    return ProjectionPair(cell_indices(positions, plane, valid))
+    return ProjectionPair(plane, *cell_indices(positions, plane, valid))
 
 
 def plane_schedule(layer: int, strategy: str) -> tuple[tuple[int, int], ...]:
@@ -268,13 +255,3 @@ def plane_schedule(layer: int, strategy: str) -> tuple[tuple[int, int], ...]:
     if strategy == "parallel":
         return ((0, 1), (0, 2), (1, 2))
     return (_CYCLE[strategy][layer % 3],)
-
-
-def planes_used(strategy: str, depth: int) -> tuple[tuple[int, int], ...]:
-    """Distinct plane axes touched by a network of the given depth."""
-    seen: list[tuple[int, int]] = []
-    for layer in range(depth):
-        for axes in plane_schedule(layer, strategy):
-            if axes not in seen:
-                seen.append(axes)
-    return tuple(seen)

@@ -335,8 +335,8 @@ def train_loop(
                     scene = dataset[int(idx)]
                     partner = None
                     if augment.polarmix and len(dataset) > 1:
-                        others = [j for j in range(len(dataset)) if j != int(idx)]
-                        partner = dataset[int(rng.choice(others))]
+                        j = int(rng.integers(len(dataset) - 1))
+                        partner = dataset[j + (j >= int(idx))]
                     try:
                         (feats, neighbors, projections, valid), fixed = prepare_training_scene(
                             scene, model, train_config.n_points, rng, augment, bank, partner

@@ -35,7 +35,7 @@ from waffleiron.training import TrainConfig, _counted_mask, train_loop
 
 def csr_matrices(proj: ProjectionPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Inflate matrix S (N x |O|, one 1 per valid point) and S^T, columns in ``occupied_cells`` order."""
-    slot = np.empty(proj.n_cells, dtype=np.int64)
+    slot = np.empty(proj.plane.n_cells, dtype=np.int64)
     slot[proj.occupied_cells] = np.arange(proj.n_occupied)
     rows = np.flatnonzero(proj.valid)
     data = np.ones(rows.size, dtype=np.float64)

@@ -82,12 +82,12 @@ def test_criterion_04_projection_algebra():
         proj = build_projection(pts, plane)
         feats = rng.standard_normal((n, f)).astype(np.float32)
 
-        grid = rng.standard_normal((proj.n_cells, f)).astype(np.float32)
+        grid = rng.standard_normal((proj.plane.n_cells, f)).astype(np.float32)
         back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_rows(proj, grid))))
         occ = proj.counts > 0
         assert np.abs(back[occ] - grid[occ]).max() <= 1e-6
 
-        g2 = occupied_rows(proj, rng.standard_normal((proj.n_cells, f)))
+        g2 = occupied_rows(proj, rng.standard_normal((proj.plane.n_cells, f)))
         lhs = float((proj.inflate_backward(feats.astype(np.float64)) * g2).sum())
         rhs = float((feats * proj.inflate(g2)).sum())
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
@@ -260,7 +260,7 @@ def test_criterion_07_oracle_equivalence():
         pts = rng.uniform(0, 7.999, size=(120, 3))
         proj = build_projection(pts, plane)
         feats = rng.standard_normal((120, 6)).astype(np.float32)
-        want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.n_cells)
+        want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.plane.n_cells)
         np.testing.assert_allclose(scatter_rows(proj, proj.flatten(feats)), want, rtol=1e-6, atol=1e-7)
 
     report(7, "knn, label propagation, voxel grid, depthwise conv, flatten match oracles (10 seeds each)")

@@ -399,7 +399,7 @@ class TestActiveCellBranch:
                 for got, want in ((br.conv1.k.grad, dk1), (br.conv1.b.grad, db1), (br.conv2.k.grad, dk2), (br.conv2.b.grad, db2)):
                     assert got.dtype == np.float64
                     np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
-            shares[name] = projections[(0, 1)].dilated_cells.size / projections[(0, 1)].n_cells
+            shares[name] = projections[(0, 1)].dilated_cells.size / projections[(0, 1)].plane.n_cells
         # the LiDAR-like xy grid is sparse, the all-padding one has no rows at all
         assert 0 < shares["lidar-like"] < 0.1 and shares["all padding"] == 0
 
@@ -511,7 +511,7 @@ class TestForward:
             model = WaffleIron(cfg, np.random.default_rng(9))
             feats, nbr, proj, valid = prepare_inputs(model, pc)
             logits[rho] = model.forward(feats, nbr, proj, valid, training=False)
-            cells[rho] = proj[(0, 1)].n_cells
+            cells[rho] = proj[(0, 1)].plane.n_cells
         assert logits[0.8].shape == logits[1.6].shape
         assert cells[0.8] != cells[1.6]
 
@@ -938,3 +938,31 @@ class TestParallelStrategy:
         logits = model.forward(feats, nbr, proj, valid, training=False)
         assert logits.shape == (3, 30)
         assert np.isfinite(logits).all()
+
+
+class TestBuildProjections:
+    # the distinct planes of a 48-layer network, in order of first use
+    FIRST_USE_48 = {
+        "baseline": ((0, 1), (0, 2), (1, 2)),
+        "reverse": ((1, 2), (0, 2), (0, 1)),
+        "bev": ((0, 1),),
+        "parallel": ((0, 1), (0, 2), (1, 2)),
+    }
+
+    @pytest.mark.parametrize("depth", [0, 1, 3, 48])
+    @pytest.mark.parametrize("strategy", ["baseline", "reverse", "bev", "parallel"])
+    def test_one_projection_per_token_plane_in_order_of_first_use(self, small_fov, strategy, depth):
+        if strategy in ("baseline", "reverse") and depth % 3:
+            with pytest.raises(ValueError):
+                tiny_config(small_fov, depth=depth, strategy=strategy)
+            return
+        cfg = tiny_config(small_fov, depth=depth, strategy=strategy)
+        model = WaffleIron(cfg, np.random.default_rng(24))
+        pc = build_scene(small_fov, n=20, seed=25)
+        projections = model.build_projections(pc.positions, pc.valid)
+        want = tuple(dict.fromkeys(axes for token, _ in model.layers for axes in token.planes))
+        assert tuple(projections) == want
+        if depth == 48:
+            assert want == self.FIRST_USE_48[strategy]
+        for axes, proj in projections.items():
+            assert proj.plane == PlaneSpec.from_fov(axes, cfg.fov, cfg.rho)

@@ -9,7 +9,6 @@ from waffleiron.projection import (
     build_projection,
     cell_indices,
     plane_schedule,
-    planes_used,
 )
 
 from oracles import csr_flatten_sum, kernel_equivalence
@@ -48,31 +47,31 @@ class TestPlaneSpec:
 
 class TestCellIndices:
     def test_fov_corner_is_cell_zero(self, kitti_plane):
-        cm = cell_indices(np.array([[-50.0, -50.0, 0.0]]), kitti_plane)
-        assert cm.cell_index.tolist() == [0]
+        index, _ = cell_indices(np.array([[-50.0, -50.0, 0.0]]), kitti_plane)
+        assert index.tolist() == [0]
 
     def test_second_row_third_column(self, kitti_plane):
         # interior point of cell q = (1, 2): index 1 * 250 + 2
-        cm = cell_indices(np.array([[-49.5, -49.0, 0.0]]), kitti_plane)
-        assert cm.cell_index.tolist() == [252]
+        index, _ = cell_indices(np.array([[-49.5, -49.0, 0.0]]), kitti_plane)
+        assert index.tolist() == [252]
 
     def test_half_open_cell_boundaries(self, kitti_fov):
         # rho = 0.5 makes cell edges exactly representable: a point sitting on
         # an edge belongs to the upper cell
         plane = PlaneSpec.from_fov((0, 1), kitti_fov, 0.5)
-        cm = cell_indices(np.array([[-49.5, -49.0, 0.0]]), plane)
-        q0, q1 = divmod(cm.cell_index[0], plane.grid_shape[1])
+        index, _ = cell_indices(np.array([[-49.5, -49.0, 0.0]]), plane)
+        q0, q1 = divmod(index[0], plane.grid_shape[1])
         assert (q0, q1) == (1, 2)
 
     def test_matches_floor_oracle(self, kitti_plane, kitti_fov):
         rng = np.random.default_rng(0)
         pts = rng.uniform(kitti_fov.min, kitti_fov.max - 1e-3, size=(500, 3))
-        cm = cell_indices(pts, kitti_plane)
+        index, _ = cell_indices(pts, kitti_plane)
         w = kitti_plane.grid_shape[1]
         for i, p in enumerate(pts):
             q0 = int(np.floor((p[0] - (-50.0)) / 0.40))
             q1 = int(np.floor((p[1] - (-50.0)) / 0.40))
-            assert cm.cell_index[i] == q0 * w + q1
+            assert index[i] == q0 * w + q1
 
     def test_outside_point_raises(self, kitti_plane):
         with pytest.raises(ValueError, match="outside grid"):
@@ -80,9 +79,9 @@ class TestCellIndices:
 
     def test_padding_parked_in_cell_zero(self, kitti_plane):
         pts = np.array([[55.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        cm = cell_indices(pts, kitti_plane, valid=np.array([False, True]))
-        assert cm.cell_index[0] == 0
-        assert not cm.valid[0]
+        index, valid = cell_indices(pts, kitti_plane, valid=np.array([False, True]))
+        assert index[0] == 0
+        assert not valid[0]
 
 
 def small_projection(rng, n=64, f=8, cells=(4, 4), n_invalid=0):
@@ -102,7 +101,7 @@ def small_projection(rng, n=64, f=8, cells=(4, 4), n_invalid=0):
 def add_at_flatten_sum(proj, features):
     """Per-cell float64 sums, M x F, by sequential scatter-add, as the gather kernel was first written."""
     rows = np.flatnonzero(proj.valid)
-    acc = np.zeros((proj.n_cells, features.shape[1]), dtype=np.float64)
+    acc = np.zeros((proj.plane.n_cells, features.shape[1]), dtype=np.float64)
     np.add.at(acc, proj.cell_index[rows], features[rows].astype(np.float64))
     return acc
 
@@ -119,7 +118,7 @@ def add_at_inflate_backward(proj, dpoints):
 def scatter_rows(proj, rows):
     """(|O| + 1) x F rows as the dense M x F grid, zeros at empty cells, after checking that the last row is zero."""
     assert rows.shape[0] == proj.n_occupied + 1 and not rows[-1].any()
-    grid = np.zeros((proj.n_cells, rows.shape[1]), dtype=rows.dtype)
+    grid = np.zeros((proj.plane.n_cells, rows.shape[1]), dtype=rows.dtype)
     grid[proj.occupied_cells] = rows[:-1]
     return grid
 
@@ -206,14 +205,14 @@ class TestFlattenInflate:
         rng = np.random.default_rng(1)
         proj, feats = small_projection(rng, n=64, f=8)
         got = scatter_rows(proj, proj.flatten(feats))
-        want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.n_cells)
+        want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.plane.n_cells)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
     def test_inflate_one_hot(self):
         rng = np.random.default_rng(2)
         proj, _ = small_projection(rng, n=10, f=4)
         j = proj.cell_index[0]
-        grid = np.zeros((proj.n_cells, 4), dtype=np.float32)
+        grid = np.zeros((proj.plane.n_cells, 4), dtype=np.float32)
         grid[j] = [1, 2, 3, 4]
         out = proj.inflate(occupied_rows(proj, grid))
         members = (proj.cell_index == j) & proj.valid
@@ -222,7 +221,7 @@ class TestFlattenInflate:
     def test_inflate_matches_lookup_oracle_bitwise(self):
         rng = np.random.default_rng(3)
         proj, _ = small_projection(rng, n=40, f=6, n_invalid=5)
-        grid = rng.standard_normal((proj.n_cells, 6)).astype(np.float32)
+        grid = rng.standard_normal((proj.plane.n_cells, 6)).astype(np.float32)
         out = proj.inflate(occupied_rows(proj, grid))
         assert out.flags.c_contiguous
         for i in range(proj.n_points):
@@ -234,7 +233,7 @@ class TestFlattenInflate:
     def test_flatten_of_inflate_is_identity_on_occupied_cells(self):
         rng = np.random.default_rng(4)
         proj, _ = small_projection(rng, n=80, f=5)
-        grid = rng.standard_normal((proj.n_cells, 5)).astype(np.float32)
+        grid = rng.standard_normal((proj.plane.n_cells, 5)).astype(np.float32)
         back = scatter_rows(proj, proj.flatten(proj.inflate(occupied_rows(proj, grid))))
         occ = proj.counts > 0
         np.testing.assert_allclose(back[occ], grid[occ], atol=1e-6)
@@ -370,7 +369,7 @@ class TestAdjoint:
         rng = np.random.default_rng(11)
         for _ in range(10):
             proj, feats = small_projection(rng, n=int(rng.integers(10, 150)), f=12, n_invalid=3)
-            grid = rng.standard_normal((proj.n_cells, 12))
+            grid = rng.standard_normal((proj.plane.n_cells, 12))
             rows = occupied_rows(proj, grid)
             lhs = float((proj.inflate_backward(feats.astype(np.float64)) * rows).sum())
             rhs = float((feats * proj.inflate(rows)).sum())
@@ -403,15 +402,11 @@ class TestPlaneSchedule:
         seq = [plane_schedule(i, "baseline")[0] for i in range(48)]
         assert seq == [(0, 1), (0, 2), (1, 2)] * 16
 
-    def test_planes_used(self):
-        assert planes_used("bev", 48) == ((0, 1),)
-        assert planes_used("baseline", 48) == ((0, 1), (0, 2), (1, 2))
-
 
 def test_backward_operators_match_adjoint_definition():
     rng = np.random.default_rng(12)
     proj, feats = small_projection(rng, n=50, f=4, n_invalid=4)
-    dgrid = occupied_rows(proj, rng.standard_normal((proj.n_cells, 4)))
+    dgrid = occupied_rows(proj, rng.standard_normal((proj.plane.n_cells, 4)))
     # <flatten(F), dG> == <F, flatten_backward(dG)> (linear map adjoint)
     lhs = float((proj.flatten(feats.astype(np.float64)) * dgrid).sum())
     rhs = float((feats * proj.flatten_backward(dgrid)).sum())

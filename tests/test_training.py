@@ -275,3 +275,34 @@ class TestTrainLoop:
         parts = line.split("\t")
         assert len(parts) == 5
         int(parts[0]); float(parts[1]); float(parts[2]); float(parts[3]); float(parts[4])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 1000, 19130])
+    def test_polarmix_partner_draw_equals_a_choice_among_the_others(self, n):
+        # train_loop's O(1) partner draw against the O(n) formula it replaced:
+        # same partner, and the generator left in the same state
+        for seed in range(200):
+            for idx in (0, n // 2, n - 1):
+                fast, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                j = int(fast.integers(n - 1))
+                others = [k for k in range(n) if k != idx]
+                assert j + (j >= idx) == int(oracle.choice(others))
+                assert fast.bit_generator.state == oracle.bit_generator.state
+
+    def test_polarmix_partner_is_another_scene(self):
+        class Recording(list):
+            def __getitem__(self, i):
+                self.reads.append(i)
+                return super().__getitem__(i)
+
+        fov = synthetic_zband_scene(n_points=32)[1]
+        dataset = Recording(synthetic_zband_scene(n_points=32, seed=s)[0] for s in range(3))
+        dataset.reads = []
+        rc = overfit_harness_config(fov)
+        rc.train.epochs = 2
+        rc.train.n_points = 32
+        rc.augment.polarmix = True
+        train_loop(dataset, rc)
+        scenes, partners = dataset.reads[::2], dataset.reads[1::2]
+        assert len(scenes) == len(partners) == 6
+        assert sorted(scenes) == [0, 0, 1, 1, 2, 2]
+        assert all(p != s and 0 <= p < 3 for s, p in zip(scenes, partners))
