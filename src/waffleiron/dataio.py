@@ -115,7 +115,12 @@ def parse_class_map(text: str, source="class map") -> dict[int, int]:
         if len(parts) != 2:
             raise ValueError(f"{source}:{lineno}: expected 'raw train' pair")
         raw = int(parts[0])
-        mapping[raw] = IGNORE_LABEL if parts[1] == "ignore" else int(parts[1])
+        train = IGNORE_LABEL if parts[1] == "ignore" else int(parts[1])
+        if not 0 <= raw <= 0xFFFF:
+            raise ValueError(f"{source}:{lineno}: raw id {raw} outside [0, 65535]")
+        if train < 0:
+            raise ValueError(f"{source}:{lineno}: negative train id {train}")
+        mapping[raw] = train
     return mapping
 
 

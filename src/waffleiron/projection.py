@@ -7,12 +7,14 @@ are averaged per cell (flatten) or copied back from cells to points
 
 Layout: every array is a block of C-contiguous rows, one row of F channels
 per point or per cell. Point-side arrays are N x F. Grid-side arrays are
-(|O| + 1) x F: one row per occupied cell of ``occupied_cells`` (sorted by
-point count, most first) and a last row that is zero, which padding points
-and empty neighbours read. ``flatten`` and ``inflate_backward`` return such
-blocks and ``inflate`` and ``flatten_backward`` take them. Cell sums add each
-cell's points one by one in ascending point index, starting from 0.0, the
-order a sequential scatter-add would use.
+(|O| + 1) x F: one row per occupied cell of ``occupied_cells`` (ascending)
+and a last row that is zero, which padding points and empty neighbours read.
+``flatten`` and ``inflate_backward`` return such blocks and ``inflate`` and
+``flatten_backward`` take them. Cell sums are the product of a CSR matrix of
+ones, one row per grid row listing its points in ascending index, with the
+point rows: scipy starts each row from 0.0 and adds its entries in stored
+order, the order a sequential scatter-add would use, so the sums equal it bit
+for bit.
 
 Token mixing runs two 3x3 convolutions on the dense zero-padded grid, and
 inflate reads the second one only at O. That value reads the first
@@ -39,6 +41,9 @@ from .geometry import Fov
 from .nn import check_rows
 
 AXIS_NAMES = {(0, 1): "xy", (0, 2): "xz", (1, 2): "yz"}
+
+# columns per sparse product in ``ProjectionPair._cell_sums``
+_SUM_BLOCK = 64
 
 _STRATEGIES = ("baseline", "reverse", "parallel", "bev")
 _CYCLE = {
@@ -122,31 +127,20 @@ class ProjectionPair:
         self.plane = plane
         self.cell_index = cell_index
         self.valid = valid
-        m = self.plane.n_cells
-        self.counts = np.bincount(self.cell_index[self.valid], minlength=m).astype(np.int64)
+        self.counts = np.bincount(self.cell_index[self.valid], minlength=self.plane.n_cells).astype(np.int64)
+        self.occupied_cells = np.flatnonzero(self.counts)
         valid_rows = np.flatnonzero(self.valid)
-        valid_cells = self.cell_index[valid_rows]
-        # Rank-major order of the valid rows for the cell sums:
-        # occupied cells sorted by count, most points first, so the cells that
-        # hold an r-th point form a prefix of ``occupied_cells``; block r of
-        # ``_rank_rows`` lists, for each of them, its r-th point in ascending
-        # point index.
-        occupied = np.flatnonzero(self.counts)
-        self.occupied_cells = occupied[np.argsort(-self.counts[occupied], kind="stable")]
-        by_cell = np.argsort(valid_cells, kind="stable")
-        sorted_cells = valid_cells[by_cell]
-        first = np.cumsum(self.counts) - self.counts
-        rank = np.arange(by_cell.size) - first[sorted_cells]
-        slot = np.empty(m, dtype=np.int64)
-        slot[self.occupied_cells] = np.arange(self.occupied_cells.size)
-        valid_slots = slot[valid_cells]
-        self._rank_rows = valid_rows[by_cell[np.lexsort((valid_slots[by_cell], rank))]]
-        self._rank_widths = np.bincount(rank)
+        valid_slots = (np.cumsum(self.counts > 0) - 1)[self.cell_index[valid_rows]]
         # the row of every point (padding points: the zero row) and the count
         # of every row (the zero row: 1)
         self._point_slots = np.full(self.n_points, self.n_occupied, dtype=np.intp)
         self._point_slots[valid_rows] = valid_slots
         self._row_counts = np.append(self.counts[self.occupied_cells], 1)
+        from scipy.sparse import csr_array  # a slow import, so only on first projection
+
+        self._sum_rows = csr_array(
+            (np.ones(valid_rows.size), (valid_slots, valid_rows)), shape=(self.n_occupied + 1, self.n_points)
+        )
         self._build_taps()
 
     def _build_taps(self):
@@ -188,10 +182,9 @@ class ProjectionPair:
         return means.astype(features.dtype, copy=False)
 
     def flatten_backward(self, drows: np.ndarray) -> np.ndarray:
-        """Gradient of the mean flatten: gather each point's cell row, divide by the count."""
+        """Gradient of the mean flatten: divide each cell's row by its count, gather it to the cell's points."""
         check_rows(drows, n=self.n_occupied)
-        dpoints = np.take(drows, self._point_slots, axis=0) / self._row_counts[self._point_slots, None]
-        return dpoints.astype(drows.dtype, copy=False)
+        return np.take((drows / self._row_counts[:, None]).astype(drows.dtype, copy=False), self._point_slots, axis=0)
 
     # -- inflate ------------------------------------------------------------
 
@@ -213,15 +206,15 @@ class ProjectionPair:
         """Float64 sums of the valid rows of N x F ``arr``, one row per cell of ``occupied_cells``, then the zero row.
 
         Each cell starts from 0.0 and adds its points in ascending point
-        index, so the sums equal a sequential scatter-add bit for bit.
+        index, so the sums equal a sequential scatter-add bit for bit. The
+        product needs a contiguous float64 operand, so ``arr`` goes through
+        in blocks of ``_SUM_BLOCK`` columns rather than as one N x F copy.
         """
         arr = self._check_points(arr)
-        rows = np.take(arr, self._rank_rows, axis=0)
-        sums = np.zeros((self.n_occupied + 1, arr.shape[1]), dtype=np.float64)
-        start = 0
-        for width in self._rank_widths:
-            sums[:width] += rows[start : start + width]
-            start += width
+        sums = np.empty((self.n_occupied + 1, arr.shape[1]), dtype=np.float64)
+        for start in range(0, arr.shape[1], _SUM_BLOCK):
+            block = np.ascontiguousarray(arr[:, start : start + _SUM_BLOCK], dtype=np.float64)
+            sums[:, start : start + _SUM_BLOCK] = self._sum_rows @ block
         return sums
 
     def _check_points(self, arr: np.ndarray) -> np.ndarray:

@@ -51,13 +51,17 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, valid: np.ndarray) -> 
     if m == 0:
         raise ValueError("cross_entropy: no valid labeled points")
     cols = np.flatnonzero(counted)
+    y = labels[cols]
+    bad = y[(y < 0) | (y >= logits.shape[0])]
+    if bad.size:
+        raise ValueError(f"label {int(bad[0])} outside the class range [0, {logits.shape[0] - 1}]")
     z = logits[:, cols].astype(np.float64)
     z = z - z.max(axis=0, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=0))
-    picked = z[labels[cols], np.arange(m)]
+    picked = z[y, np.arange(m)]
     loss = float((logsumexp - picked).mean())
     probs = np.exp(z - logsumexp[None, :])
-    probs[labels[cols], np.arange(m)] -= 1.0
+    probs[y, np.arange(m)] -= 1.0
     grad = np.zeros(logits.shape, dtype=np.float64)
     grad[:, cols] = probs / m
     return loss, grad
@@ -242,6 +246,16 @@ class TrainConfig:
     n_points: int = 20000
     seed: int = 0
     checkpoint_every: int = 0  # epochs between checkpoints; 0 keeps only the final one
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.n_points < 1:
+            raise ValueError("n_points must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
 
 @dataclass

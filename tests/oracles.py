@@ -3,7 +3,10 @@
 Each oracle is written independently of the runtime path it checks:
 
 * the CSR flatten/inflate kernel, built from the public ``cell_index``,
-  ``valid`` and ``occupied_cells`` of a :class:`ProjectionPair` only;
+  ``valid`` and ``occupied_cells`` of a :class:`ProjectionPair` only. The
+  runtime cell sums are a CSR product as well, so the bitwise reference for
+  them is the ``np.add.at`` scatter-add oracle of ``test_projection.py``
+  (``TestScatterAddOracle``), which shares no code or technique with them;
 * the central finite-difference gradient checker;
 * ReLU and its backward as new arrays;
 * the batch-norm backward with its boolean-mask correction;

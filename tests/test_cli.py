@@ -85,6 +85,36 @@ class TestArgumentErrors:
         assert "error:" in capsys.readouterr().err
 
 
+class TestTrainInputErrors:
+    @pytest.mark.parametrize(
+        "class_map, overrides, message",
+        [
+            ("-1 1\n", [], "tiny.map:1: raw id -1 outside [0, 65535]"),
+            ("0 0\n70000 1\n", [], "tiny.map:2: raw id 70000 outside [0, 65535]"),
+            ("0 -2\n", [], "tiny.map:1: negative train id -2"),
+            ("0 0\n1 7\n2 1\n", [], "scan_0: label 7 outside the class range [0, 2]"),
+            (None, ["classes=2"], "scan_0: label 2 outside the class range [0, 1]"),
+            (None, ["batch=0"], "batch_size must be >= 1"),
+            (None, ["checkpoint_every=-1"], "checkpoint_every must be >= 0"),
+        ],
+        ids=["negative-raw-id", "raw-id-past-16-bits", "negative-train-id", "mapped-label-past-classes",
+             "raw-label-past-classes", "batch-zero", "negative-checkpoint-every"],
+    )
+    def test_exits_1_with_message(self, tmp_path, capsys, class_map, overrides, message):
+        cfg = TINY_CFG.replace("epochs 2", "epochs 1")
+        if class_map is not None:
+            (tmp_path / "tiny.map").write_text(class_map)
+            cfg += "class_map tiny.map\n"
+        (tmp_path / "tiny.cfg").write_text(cfg)
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=1)
+        argv = ["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                "--out", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestParamCount:
     def test_matches_library_value(self, capsys):
         cfg = REPO / "configs" / "semantic_kitti_48_256.cfg"

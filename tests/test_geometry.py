@@ -290,8 +290,15 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_import_leaves_scipy_unloaded():
+    # every scipy import waits for the first search or projection that needs it
+    code = "import sys, waffleiron; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_import_leaves_scipy_sparse_unloaded():
-    # no runtime path uses sparse matrices; importing scipy.sparse costs ~0.3 s
+    # the cell-sum operator imports scipy.sparse (~0.2 s) on the first projection
     code = "import sys, waffleiron; sys.exit('scipy.sparse' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

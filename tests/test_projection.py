@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from waffleiron import projection
 from waffleiron.geometry import Fov
 from waffleiron.projection import (
     PlaneSpec,
@@ -180,6 +181,16 @@ class TestScatterAddOracle:
         assert crowded == 2 and empty == 1
 
 
+def test_cell_sums_in_column_blocks(monkeypatch):
+    monkeypatch.setattr(projection, "_SUM_BLOCK", 5)
+    rng = np.random.default_rng(15)
+    for proj, feats in (small_projection(rng, n=90, f=16, n_invalid=7), crowded_projection(rng, f=11)):
+        for dtype in (np.float32, np.float64):
+            x = feats.astype(dtype)
+            assert bitwise_equal(scatter_rows(proj, proj.flatten(x)), add_at_flatten(proj, x))
+            assert bitwise_equal(scatter_rows(proj, proj.inflate_backward(x)), add_at_inflate_backward(proj, x))
+
+
 class TestFlattenInflate:
     def test_single_cell_mean_of_identical(self):
         fov = Fov(np.zeros(3), np.ones(3) * 4)
@@ -250,6 +261,28 @@ class TestFlattenInflate:
         proj_b = build_projection(pts[perm], plane)
         b = scatter_rows(proj_b, proj_b.flatten(feats[perm]))
         np.testing.assert_array_equal(a, b)
+
+    def test_rows_follow_ascending_occupied_cells(self):
+        rng = np.random.default_rng(8)
+        proj, feats = small_projection(rng, n=120, f=4, n_invalid=10)
+        cells = proj.occupied_cells
+        assert (np.diff(cells) > 0).all()
+        assert np.array_equal(cells, np.flatnonzero(proj.counts))
+        rows = proj.flatten(feats.astype(np.float64))
+        for r, cell in enumerate(cells):
+            members = proj.valid & (proj.cell_index == cell)
+            np.testing.assert_allclose(rows[r], feats[members].mean(axis=0, dtype=np.float64), rtol=1e-12)
+        assert not rows[-1].any()
+
+    def test_flatten_backward_divides_each_point_by_its_count(self):
+        rng = np.random.default_rng(9)
+        proj, _ = small_projection(rng, n=60, f=5, n_invalid=6)
+        for dtype in (np.float32, np.float64):
+            grid = rng.standard_normal((proj.plane.n_cells, 5)).astype(dtype)
+            count = np.maximum(proj.counts[proj.cell_index], 1)
+            want = (grid[proj.cell_index] / count[:, None]).astype(dtype)
+            want[~proj.valid] = 0
+            assert bitwise_equal(proj.flatten_backward(occupied_rows(proj, grid)), want)
 
     def test_every_valid_point_in_exactly_one_cell(self):
         rng = np.random.default_rng(6)
