@@ -6,7 +6,7 @@ by a single linear layer. Token mixing projects tokens onto a 2D plane,
 runs a small depthwise-convolution FFN on the grid, and copies the result
 back to the points; channel mixing is a per-point MLP. Both residual
 branches carry a trainable layerscale; :class:`WaffleIron` drops whole
-mixing layers stochastically.
+mixing layers stochastically. Eval folds BN and layerscale into weights.
 
 Features and tokens are N x C and N x F blocks of point rows from the
 embedding to the classifier; the logits are the K x N transpose of the
@@ -37,6 +37,7 @@ from .nn import (
     LayerScale,
     ParamStore,
     PointwiseLinear,
+    fold,
     out_if_promoted,
     slot_max,
 )
@@ -127,30 +128,33 @@ class EmbeddingLayer:
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
         n, k = neighbors.shape
-        hb = self.pre_bn.forward(feats, valid, training)
-        g = self.global_lin.forward(hb, training)
-        local = np.empty((n, self.half), dtype=hb.dtype)
+        if training:
+            h, glob, w1 = self.pre_bn.forward(feats, valid), None, self.local1.w.data
+        else:  # pre_bn folded wholly into global, only its scale into local1 (the shift cancels in h_j - h_i)
+            (a, s), lin, h = self.pre_bn.eval_affine(), self.global_lin, feats
+            glob, w1 = fold(lin.w.data, lin.b.data, h.dtype, a, s), (self.local1.w.data * a).astype(h.dtype)
+        g = self.global_lin.forward(h, training, glob)
+        local = np.empty((n, self.half), dtype=h.dtype)
         slots = np.empty((n, self.half), dtype=np.int64) if training else None
-        for start, stop, _, r in self._pair_blocks(hb, neighbors):
+        for start, stop, _, r in self._pair_blocks(h, neighbors, w1):
             a2 = (r @ self.local2.w.data.T).reshape(stop - start, k, self.half)
-            a2 += self.local2.b.data
             if training:
+                a2 += self.local2.b.data
                 local[start:stop], slots[start:stop] = slot_max(a2, neighbors[start:stop])
-            else:
+            else:  # local2's bias commutes with the max (rounding a + b is monotonic in a): added after pooling
                 a2.max(axis=1, out=local[start:stop])
-        self._cache = (hb, neighbors, slots) if training else None
-        cat = np.concatenate([g, local], axis=1)
+        self._cache = (h, neighbors, slots) if training else None
+        cat = np.concatenate([g, local if training else local + self.local2.b.data], axis=1)
         return self.merge.forward(cat, training)
 
-    def _pair_blocks(self, hb, neighbors):
-        """Per block of points: its range, the (rows*k) x C differences and ``relu(local1)`` of them."""
+    def _pair_blocks(self, h, neighbors, w1):
+        """Per block of points: its range, the (rows*k) x C differences and ``relu(local1)`` of them, weight ``w1``."""
         n, k = neighbors.shape
-        w1, b1 = self.local1.w.data, self.local1.b.data
         for start in range(0, n, _LOCAL_BLOCK):
             stop = min(start + _LOCAL_BLOCK, n)
-            d = (hb[neighbors[start:stop]] - hb[start:stop, None, :]).reshape((stop - start) * k, -1)
+            d = (h[neighbors[start:stop]] - h[start:stop, None, :]).reshape((stop - start) * k, -1)
             r = d @ w1.T
-            r += b1
+            r += self.local1.b.data
             np.maximum(r, 0, out=r)
             yield start, stop, d, r
 
@@ -168,7 +172,7 @@ class EmbeddingLayer:
         db1 = np.zeros(self.half, dtype=dy.dtype)
         db2 = np.zeros(self.half, dtype=dy.dtype)
         dself = np.empty(dhb.shape, dtype=dhb.dtype)
-        for start, stop, d, r in self._pair_blocks(hb, neighbors):
+        for start, stop, d, r in self._pair_blocks(hb, neighbors, w1):
             da2 = np.zeros((stop - start, k, self.half), dtype=dy.dtype)
             np.put_along_axis(da2, slots[start:stop, None, :], dlocal[start:stop], axis=1)
             da2 = da2.reshape(-1, self.half)
@@ -199,14 +203,18 @@ class _TokenMixBranch:
         self.scale = LayerScale(store, f"{name}.layerscale", width)
         self._cache = None
 
-    def forward(self, x, proj: ProjectionPair, valid, training):
-        xb = self.bn.forward(x, valid, training)
-        r = self.conv1.forward(proj.flatten(xb), proj.d_from_o, training)
+    def forward(self, x, proj: ProjectionPair, valid, training, factor):
+        if training:
+            xb, affine, conv2 = self.bn.forward(x, valid), None, None
+        else:  # BN maps occupied cells only (an empty cell is padding, not BN(0)); factor * layerscale goes into conv2
+            xb, affine, k2 = x, self.bn.eval_affine(), self.conv2.k.data.reshape(x.shape[1], 9)
+            conv2 = fold(k2, self.conv2.b.data, x.dtype, out_scale=self.scale.eval_scale(factor))
+        r = self.conv1.forward(proj.flatten(xb, affine), proj.d_from_o, training)
         np.maximum(r, 0, out=r)
-        pts = proj.inflate(self.conv2.forward(r, proj.o_from_d, training))
+        pts = proj.inflate(self.conv2.forward(r, proj.o_from_d, training, conv2))
         # r is also conv2's cached input; r > 0 is the ReLU mask
         self._cache = (proj, r) if training else None
-        return self.scale.forward(pts, training)
+        return self.scale.forward(pts) if training else pts  # at eval already scaled by factor
 
     def backward(self, dy):
         (proj, r), self._cache = self._cache, None
@@ -229,9 +237,9 @@ class TokenMixLayer:
         self._factor = factor
         total = None
         for axes, branch in zip(self.planes, self.branches):
-            out = branch.forward(x, projections[axes], valid, training)
+            out = branch.forward(x, projections[axes], valid, training, factor)
             total = out if total is None else _add_into(total, out)
-        return _residual(x, factor, total)
+        return _residual(x, factor if training else 1.0, total)
 
     def backward(self, dy):
         dres = _scaled(self._factor, dy)
@@ -255,12 +263,17 @@ class ChannelMixLayer:
 
     def forward(self, x, valid, training, factor=1.0):
         self._factor = factor
-        r = self.lin1.forward(self.bn.forward(x, valid, training), training)
+        if training:
+            h, lin1, lin2 = self.bn.forward(x, valid), None, None
+        else:  # x + relu(x W1'^T + b1') W2'^T + b2': BN into lin1, factor * layerscale into lin2
+            h, lin1 = x, fold(self.lin1.w.data, self.lin1.b.data, x.dtype, *self.bn.eval_affine())
+            lin2 = fold(self.lin2.w.data, self.lin2.b.data, x.dtype, out_scale=self.scale.eval_scale(factor))
+        r = self.lin1.forward(h, training, lin1)
         np.maximum(r, 0, out=r)
         # r is also lin2's cached input; r > 0 is the ReLU mask
         self._relu_out = r if training else None
-        a2 = self.lin2.forward(r, training)
-        return _residual(x, factor, self.scale.forward(a2, training))
+        a2 = self.lin2.forward(r, training, lin2)
+        return _residual(x, factor, self.scale.forward(a2)) if training else _add_into(a2, x)
 
     def backward(self, dy):
         r, self._relu_out = self._relu_out, None
@@ -330,8 +343,8 @@ class WaffleIron:
 
         Two modes. A training forward normalizes by batch statistics,
         updates the running statistics and makes every layer keep what
-        :meth:`backward` needs. An eval forward normalizes by the running
-        statistics and keeps nothing.
+        :meth:`backward` needs. An eval forward keeps nothing and runs each
+        batch norm and layerscale folded into the adjacent weights.
 
         Stochastic depth engages whenever ``drop_rng`` is given and
         ``drop_prob > 0`` (also used by test-time augmentation): one draw

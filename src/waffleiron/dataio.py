@@ -114,8 +114,10 @@ def parse_class_map(text: str, source="class map") -> dict[int, int]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{source}:{lineno}: expected 'raw train' pair")
-        raw = int(parts[0])
-        train = IGNORE_LABEL if parts[1] == "ignore" else int(parts[1])
+        try:
+            raw, train = int(parts[0]), (IGNORE_LABEL if parts[1] == "ignore" else int(parts[1]))
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: ids must be integers, got {line!r}") from None
         if not 0 <= raw <= 0xFFFF:
             raise ValueError(f"{source}:{lineno}: raw id {raw} outside [0, 65535]")
         if train < 0:

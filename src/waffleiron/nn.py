@@ -3,7 +3,7 @@
 The network architecture is fixed, so instead of a tape-based autodiff each
 layer caches what its own backward pass needs. Parameters live in a
 :class:`ParamStore` as named float32 tensors; gradient buffers accumulate
-until explicitly zeroed.
+until explicitly zeroed. Eval folds batch norm and layerscale (:func:`fold`).
 
 Aliasing rule: a layer writes only into arrays it made itself, never into
 its arguments, and only when the array already has the result's dtype
@@ -89,19 +89,20 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class PointwiseLinear:
-    """y[i] = W x[i] + b for every point row i, a 1x1 convolution."""
+    """y[i] = W x[i] + b for every point row i, a 1x1 convolution; an eval forward may pass ``folded`` (W, b)."""
 
     def __init__(self, store: ParamStore, name: str, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = store.register(f"{name}.weight", uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = store.register(f"{name}.bias", np.zeros(out_dim, dtype=np.float32))
         self._x = None
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if x.shape[1] != self.w.shape[1]:
-            raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[1]}")
+    def forward(self, x: np.ndarray, training: bool = True, folded=None) -> np.ndarray:
+        w, b = folded or (self.w.data, self.b.data)
+        if x.shape[1] != w.shape[1]:
+            raise ValueError(f"expected {w.shape[1]} input channels, got {x.shape[1]}")
         self._x = x if training else None
-        y = x @ self.w.data.T
-        y += self.b.data
+        y = x @ w.T
+        y += b
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -112,12 +113,11 @@ class PointwiseLinear:
 
 
 class BatchNorm:
-    """Per-channel batch normalization over the valid point rows.
+    """Per-channel batch normalization over the valid point rows, training only.
 
-    Two modes. A training forward normalizes by the batch mean and biased
-    variance of the valid rows, folds them into the running statistics with
-    momentum and keeps what :meth:`backward` needs. An eval forward
-    normalizes every row by the running statistics and keeps nothing.
+    A forward normalizes by the batch mean and biased variance of the valid
+    rows, folds them into the running statistics with momentum and keeps
+    what :meth:`backward` needs. At eval the layer is :meth:`eval_affine`.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -127,35 +127,31 @@ class BatchNorm:
         self.running_var = store.register(f"{name}.running_var", np.ones(dim, dtype=np.float32), trainable=False)
         self._cache = None
 
-    def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None, training: bool = False) -> np.ndarray:
-        if training:
-            if valid is None:
-                valid = np.ones(x.shape[0], dtype=bool)
-            count = int(valid.sum())
-            if count == 0:
-                raise ValueError("batchnorm needs at least one valid row in train mode")
-            # statistics in float64: more headroom, and the sums of float32
-            # inputs are then (generically) exact, hence order-independent
-            xv = x[valid].astype(np.float64)
-            mean64 = xv.mean(axis=0)
-            var64 = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
-            mean = mean64.astype(x.dtype)
-            var = var64.astype(x.dtype)
-            m = BN_MOMENTUM
-            self.running_mean.data[...] = (1 - m) * self.running_mean.data + m * mean64
-            self.running_var.data[...] = (1 - m) * self.running_var.data + m * var64
-        else:
-            mean = self.running_mean.data.astype(x.dtype)
-            var = self.running_var.data.astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = x - mean
+    def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
+        valid = np.ones(x.shape[0], dtype=bool) if valid is None else valid
+        count = int(valid.sum())
+        if count == 0:
+            raise ValueError("batchnorm needs at least one valid row in train mode")
+        # statistics in float64: more headroom, and the sums of float32
+        # inputs are then (generically) exact, hence order-independent
+        xv = x[valid].astype(np.float64)
+        mean64 = xv.mean(axis=0)
+        var64 = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
+        self.running_mean.data[...] = (1 - BN_MOMENTUM) * self.running_mean.data + BN_MOMENTUM * mean64
+        self.running_var.data[...] = (1 - BN_MOMENTUM) * self.running_var.data + BN_MOMENTUM * var64
+        inv_std = 1.0 / np.sqrt(var64.astype(x.dtype) + BN_EPS)
+        xhat = x - mean64.astype(x.dtype)
         xhat *= inv_std
-        self._cache = (xhat, inv_std, valid, count) if training else None
-        # with nothing to keep, scale and shift xhat in place
-        out = xhat if not training and xhat.dtype == self.gamma.data.dtype else None
-        y = np.multiply(xhat, self.gamma.data, out=out)
+        self._cache = (xhat, inv_std, valid, count)
+        y = xhat * self.gamma.data
         y += self.beta.data
         return y
+
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 ``(a, s)`` of the eval map ``a x + s`` by the running statistics; drops any training cache."""
+        self._cache = None
+        a = self.gamma.data / np.sqrt(self.running_var.data.astype(np.float64) + BN_EPS)
+        return a, self.beta.data - self.running_mean.data * a
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, valid, count = self._cache
@@ -182,15 +178,20 @@ class BatchNorm:
 
 
 class LayerScale:
-    """Trainable per-channel diagonal scaling of a residual branch."""
+    """Trainable per-channel diagonal scaling of a residual branch; its forward is training only."""
 
     def __init__(self, store: ParamStore, name: str, dim: int):
         self.diag = store.register(f"{name}.diag", np.full(dim, LAYERSCALE_INIT, dtype=np.float32))
         self._x = None
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._x = x if training else None
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
         return self.diag.data * x
+
+    def eval_scale(self, factor: float) -> np.ndarray:
+        """The eval scaling ``factor * diag`` in float64; drops any training cache."""
+        self._x = None
+        return factor * self.diag.data.astype(np.float64)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x, self._x = self._x, None
@@ -223,7 +224,7 @@ class DepthwiseConv3x3:
     (u, v) order into the input's dtype. On the rows it evaluates, the result
     is therefore bit-identical to the dense zero-padded convolution of the
     whole grid, provided every cell the rows read and do not list is zero.
-    Kernel and bias gradients are sums over rows.
+    Kernel and bias gradients are sums over rows. An eval forward may pass ``folded`` (F x 9 kernel, bias).
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int, rng: np.random.Generator):
@@ -231,12 +232,13 @@ class DepthwiseConv3x3:
         self.b = store.register(f"{name}.bias", np.zeros(channels, dtype=np.float32))
         self._cache = None
 
-    def forward(self, x: np.ndarray, taps: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, taps: np.ndarray, training: bool = True, folded=None) -> np.ndarray:
         f = self.k.shape[0]
         check_rows(x, f)
         _check_taps(taps, x.shape[0] - 1)
-        y = _tap_sum(x, taps, _TAPS, self.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
-        y[:-1] += self.b.data.astype(x.dtype)
+        kern, bias = folded or (self.k.data.reshape(f, 9).astype(x.dtype), self.b.data.astype(x.dtype))
+        y = _tap_sum(x, taps, _TAPS, kern, x.dtype)
+        y[:-1] += bias
         self._cache = (x, taps) if training else None
         return y
 
@@ -290,6 +292,12 @@ def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype
         np.multiply(kern[:, t], tmp, out=tmp)
         rows += tmp
     return out
+
+
+def fold(weight: np.ndarray, bias: np.ndarray, dtype, in_scale=1.0, in_shift=0.0, out_scale=1.0):
+    """``(W', b')`` with ``x W'^T + b' = out_scale * ((in_scale * x + in_shift) W^T + b)``, rounded once to ``dtype``."""
+    b = (bias + weight @ np.broadcast_to(in_shift, weight.shape[1:])) * out_scale
+    return (weight * np.reshape(out_scale, (-1, 1)) * in_scale).astype(dtype), b.astype(dtype)
 
 
 def out_if_promoted(buf: np.ndarray, *operands) -> Optional[np.ndarray]:

@@ -176,9 +176,11 @@ class ProjectionPair:
 
     # -- mean flatten -------------------------------------------------------
 
-    def flatten(self, features: np.ndarray) -> np.ndarray:
-        """Per-cell mean of the valid point rows, (|O| + 1) x F."""
+    def flatten(self, features: np.ndarray, affine=None) -> np.ndarray:
+        """Per-cell mean of the valid point rows, (|O| + 1) x F; ``affine = (a, s)`` maps occupied means to a m + s."""
         means = self._cell_sums(features) / self._row_counts[:, None]
+        if affine is not None:
+            means[:-1] = affine[0] * means[:-1] + affine[1]
         return means.astype(features.dtype, copy=False)
 
     def flatten_backward(self, drows: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ Each oracle is written independently of the runtime path it checks:
 * the neighborhood max over point rows and its backward;
 * the two-array ``np.where`` tie-break that ``slot_max`` replaced;
 * the embedding with its local branch as one (N*k)-row MLP, and its backward;
-* batch-norm folding into the channel-mixing MLP;
+* the unfused eval forward: batch norm by the running statistics and
+  layerscale each as a pass of their own, as the layers ran them before
+  the package folded both into the adjacent weights;
 * nearest-neighbor label propagation;
 * the tiny-scene overfit harness.
 """
@@ -26,10 +28,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from waffleiron.augment import AugmentConfig
-from waffleiron.backbone import ChannelMixLayer, EmbeddingLayer, WaffleIronConfig, prepare_inputs
+from waffleiron.backbone import ChannelMixLayer, EmbeddingLayer, TokenMixLayer, WaffleIron, WaffleIronConfig, prepare_inputs
 from waffleiron.dataio import RunConfig
 from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices, point_features
-from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, PointwiseLinear, slot_max
+from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, slot_max
 from waffleiron.projection import ProjectionPair
 from waffleiron.training import TrainConfig, _counted_mask, train_loop
 
@@ -229,29 +231,49 @@ def embedding_oneshot(emb: EmbeddingLayer, hb: np.ndarray, neighbors: np.ndarray
     return tokens, dhb, grads
 
 
-# -- batch-norm folding -------------------------------------------------------------------
+# -- unfused eval --------------------------------------------------------------------------
 
 
-def fold_bn_into_linear(bn: BatchNorm, lin: PointwiseLinear) -> tuple[np.ndarray, np.ndarray]:
-    """Merge an eval-mode batch norm into the linear layer that follows it.
-
-    Returns (W', b') with ``x W'^T + b' == bn_eval(x) W^T + b``, the standard
-    inference-time fusion for the channel-mixing MLP.
-    """
-    inv = 1.0 / np.sqrt(bn.running_var.data.astype(np.float64) + BN_EPS)
-    scale = bn.gamma.data.astype(np.float64) * inv
-    shift = bn.beta.data.astype(np.float64) - bn.running_mean.data.astype(np.float64) * scale
-    w = lin.w.data.astype(np.float64)
-    wf = (w * scale[None, :]).astype(np.float32)
-    bf = (lin.b.data.astype(np.float64) + w @ shift).astype(np.float32)
-    return wf, bf
+def bn_eval(bn: BatchNorm, x: np.ndarray) -> np.ndarray:
+    """Eval batch norm as a pass of its own: every row normalized by the running statistics, in ``x``'s dtype."""
+    mean = bn.running_mean.data.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(bn.running_var.data.astype(x.dtype) + BN_EPS)
+    return (x - mean) * inv_std * bn.gamma.data + bn.beta.data
 
 
-def channel_mix_folded_eval(layer: ChannelMixLayer, x: np.ndarray) -> np.ndarray:
-    """Eval-mode channel mixing with the BN folded into the first linear."""
-    wf, bf = fold_bn_into_linear(layer.bn, layer.lin1)
-    a2 = relu(x @ wf.T + bf) @ layer.lin2.w.data.T + layer.lin2.b.data
-    return x + layer.scale.diag.data * a2
+def embedding_eval(emb: EmbeddingLayer, feats: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    return embedding_oneshot(emb, bn_eval(emb.pre_bn, feats), neighbors)
+
+
+def token_eval(layer: TokenMixLayer, x: np.ndarray, projections, factor: float = 1.0) -> np.ndarray:
+    """``x + factor * sum over planes of layerscale(inflate(conv2(relu(conv1(flatten(BN(x)))))))``."""
+    total = None
+    for axes, br in zip(layer.planes, layer.branches):
+        proj = projections[axes]
+        r = relu(br.conv1.forward(proj.flatten(bn_eval(br.bn, x)), proj.d_from_o, training=False))
+        out = br.scale.diag.data * proj.inflate(br.conv2.forward(r, proj.o_from_d, training=False))
+        total = out if total is None else total + out
+    return x + factor * total
+
+
+def channel_eval(layer: ChannelMixLayer, x: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """``x + factor * layerscale(lin2(relu(lin1(BN(x)))))``."""
+    r = relu(bn_eval(layer.bn, x) @ layer.lin1.w.data.T + layer.lin1.b.data)
+    return x + factor * (layer.scale.diag.data * (r @ layer.lin2.w.data.T + layer.lin2.b.data))
+
+
+def unfused_eval(model: WaffleIron, feats, neighbors, projections, drop_rng=None) -> np.ndarray:
+    """The K x N logits of ``model.forward(..., training=False, drop_rng=drop_rng)``, every layer unfused."""
+    p = model.config.drop_prob
+    dropping = drop_rng is not None and p > 0.0
+    factor = 1.0 / (1.0 - p) if dropping else 1.0
+    x = embedding_eval(model.embedding, feats, neighbors)
+    for token, channel in model.layers:
+        if not (dropping and drop_rng.random() < p):
+            x = token_eval(token, x, projections, factor)
+        if not (dropping and drop_rng.random() < p):
+            x = channel_eval(channel, x, factor)
+    return (x @ model.classifier.w.data.T + model.classifier.b.data).T
 
 
 # -- label propagation ----------------------------------------------------------------------

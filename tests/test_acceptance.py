@@ -130,7 +130,7 @@ def test_criterion_05_gradient_checks():
         r = rng.standard_normal((11, 3))
 
         def loss(want):
-            y = layer.forward(x.data, training=True)
+            y = layer.forward(x.data)
             if want:
                 x.grad += layer.backward(r)
             return float((y * r).sum())

@@ -16,15 +16,20 @@ from waffleiron.backbone import (
     param_count,
     prepare_inputs,
 )
-from waffleiron.geometry import Fov
+from waffleiron.geometry import Fov, PointCloud
 from waffleiron.nn import BatchNorm, DepthwiseConv3x3, LayerScale, ParamStore, PointwiseLinear
 from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
 from waffleiron.training import segmentation_loss
 
 from conftest import random_cloud
-from oracles import channel_mix_folded_eval, embedding_oneshot, fold_bn_into_linear, grad_check, relu, relu_backward
+from oracles import bn_eval, embedding_eval, embedding_oneshot, grad_check, relu, relu_backward, token_eval, unfused_eval
 from test_nn import per_tap_backward, per_tap_forward
 from test_projection import bitwise_equal, occupied_rows, scatter_rows
+
+
+# absolute tolerance between the folded eval and the unfused oracle, for
+# activations and logits of magnitude up to ~10
+FOLD_TOL = 1e-4
 
 
 def tiny_config(fov, depth=3, width=8, classes=3, k=4, drop=0.0, strategy="baseline"):
@@ -74,7 +79,7 @@ class TestEmbedding:
         assert tokens.shape == (n, 8)
         assert np.abs(tokens - tokens[:1]).max() == 0
         # the local branch reduces to the MLP at zero
-        hb = emb.pre_bn.forward(feats, valid, training=False)
+        hb = bn_eval(emb.pre_bn, feats)
         mlp0 = emb.local2.w.data @ relu(emb.local1.b.data) + emb.local2.b.data
         g = emb.global_lin.w.data @ hb[0] + emb.global_lin.b.data
         want = emb.merge.w.data @ np.concatenate([g, mlp0]) + emb.merge.b.data
@@ -111,7 +116,8 @@ class TestEmbedding:
 
     def test_nograd_path_matches(self, monkeypatch):
         # momentum 1: the training forward leaves the running statistics
-        # equal to its batch statistics, so the eval forward must match it
+        # equal to its batch statistics, so the unfused eval must match it
+        # bit for bit, and the folded eval within FOLD_TOL
         monkeypatch.setattr(nn, "BN_MOMENTUM", 1.0)
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 8, np.random.default_rng(6))
@@ -123,7 +129,9 @@ class TestEmbedding:
         assert held_arrays(emb) != []
         b = emb.forward(feats, nbr, valid, training=False)
         assert held_arrays(emb) == []
-        np.testing.assert_allclose(a, b, atol=1e-6)
+        oracle = embedding_eval(emb, feats, nbr)
+        np.testing.assert_array_equal(a, oracle)
+        np.testing.assert_allclose(b, oracle, atol=FOLD_TOL)
 
 
 class TestEmbeddingBlocks:
@@ -147,10 +155,15 @@ class TestEmbeddingBlocks:
         return store, emb, feats, nbr, np.ones(self.N, dtype=bool)
 
     def test_eval_matches_oneshot_bit_for_bit(self, monkeypatch):
+        # the folded eval in blocks of 7 equals it in one block bit for bit,
+        # and the unfused one-shot oracle within FOLD_TOL
         for seed in range(3):
-            _, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed)
-            hb = emb.pre_bn.forward(feats, valid, training=False)
-            np.testing.assert_array_equal(emb.forward(feats, nbr, valid, training=False), embedding_oneshot(emb, hb, nbr))
+            store, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed)
+            perturb_eval_state(store, np.random.default_rng(seed + 3))
+            blocked = emb.forward(feats, nbr, valid, training=False)
+            monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.N)
+            np.testing.assert_array_equal(emb.forward(feats, nbr, valid, training=False), blocked)
+            np.testing.assert_allclose(blocked, embedding_eval(emb, feats, nbr), atol=FOLD_TOL)
 
     def test_training_gradients_match_oneshot(self, monkeypatch):
         for seed in range(3):
@@ -241,7 +254,7 @@ class TestTokenMix:
         # positive tokens so the FFN's hidden ReLU is transparent
         x = np.abs(np.random.default_rng(2).standard_normal((1, 4))).astype(np.float32)
         out = layer.forward(x, projections, np.ones(1, dtype=bool), training=False)
-        want = x + br.bn.forward(x, np.ones(1, dtype=bool), training=False)
+        want = x + bn_eval(br.bn, x)
         np.testing.assert_allclose(out, want, atol=1e-6)
 
     def test_branch_holds_relu_output_once(self, small_fov):
@@ -253,13 +266,15 @@ class TestTokenMix:
         assert (mask_source >= 0).all() and not mask_source[-1].any()
 
     def test_matches_naive_recomposition_bitwise(self, small_fov):
+        # the unfused oracle on the rows of O and D equals the dense grid bit
+        # for bit; the folded eval matches it within FOLD_TOL
         layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=3)
         out = layer.forward(x, projections, valid, training=False)
         br = layer.branches[0]
-        xb = br.bn.forward(x, valid, training=False)
-        pts, _ = dense_branch(br, projections[(0, 1)], xb)
+        pts, _ = dense_branch(br, projections[(0, 1)], bn_eval(br.bn, x))
         want = x + br.scale.diag.data * pts
-        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(token_eval(layer, x, projections), want)
+        np.testing.assert_allclose(out, want, atol=FOLD_TOL)
 
 
 def dense_branch(br, proj, xb):
@@ -296,13 +311,15 @@ def dense_branch(br, proj, xb):
 def dense_token_layer(layer, x, projections, valid, dy, training):
     """``TokenMixLayer`` forward with every branch on the dense grid, and in training its backward.
 
-    The normalized tokens and their gradient come from each branch's own
-    ``BatchNorm``; only its training forward keeps what its backward needs.
+    In training the normalized tokens and their gradient come from each
+    branch's own ``BatchNorm`` and ``LayerScale``; at eval from the unfused
+    oracle's running-statistics batch norm and a plain layerscale product.
     """
     total, dx, drows, grads = None, dy.copy(), [], []
     for axes, br in zip(layer.planes, layer.branches):
-        out, backward = dense_branch(br, projections[axes], br.bn.forward(x, valid, training))
-        out = br.scale.forward(out)
+        xb = br.bn.forward(x, valid) if training else bn_eval(br.bn, x)
+        out, backward = dense_branch(br, projections[axes], xb)
+        out = br.scale.forward(out) if training else br.scale.diag.data * out
         total = out if total is None else total + out
         if training:
             dxb, rows, g = backward(br.scale.backward(dy))
@@ -607,8 +624,9 @@ class TestLayout:
 class TestNoGradForward:
     def test_keeps_no_cache_and_matches_caching_eval(self, small_fov, monkeypatch):
         # momentum 1: the caching (training) forward leaves the running
-        # statistics equal to its batch statistics, so the eval forward that
-        # follows must reproduce it bit for bit
+        # statistics equal to its batch statistics, so the unfused eval
+        # oracle must reproduce it bit for bit, and the folded eval forward
+        # that follows it within FOLD_TOL
         monkeypatch.setattr(nn, "BN_MOMENTUM", 1.0)
         for strategy in ("parallel", "baseline"):
             cfg = tiny_config(small_fov, depth=3, width=8, strategy=strategy)
@@ -619,7 +637,9 @@ class TestNoGradForward:
             assert len(held_arrays(model)) > 50
             logits = model.forward(feats, nbr, proj, valid, training=False)
             assert held_arrays(model) == []
-            assert np.array_equal(logits, cached)
+            oracle = unfused_eval(model, feats, nbr, proj)
+            assert np.array_equal(oracle, cached)
+            np.testing.assert_allclose(logits, oracle, atol=FOLD_TOL)
             with pytest.raises(RuntimeError):
                 model.backward(np.ones_like(logits))
 
@@ -682,8 +702,11 @@ class TestNoArgumentWrites:
     def test_forward_and_backward_leave_arguments(self, small_fov, dy_dtype):
         rng = np.random.default_rng(82)
         for layer, args, kwargs, backward_args in self.cases(small_fov):
-            call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
-            out = call_leaving_arguments(layer.forward, *args, training=True, **kwargs)
+            # batch norm and layerscale have a training forward only
+            if not isinstance(layer, (BatchNorm, LayerScale)):
+                call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
+                kwargs = dict(kwargs, training=True)
+            out = call_leaving_arguments(layer.forward, *args, **kwargs)
             dy = rng.standard_normal(out.shape).astype(dy_dtype)
             if isinstance(layer, DepthwiseConv3x3):
                 dy[-1] = 0.0
@@ -906,26 +929,54 @@ class TestEndToEndGradients:
         assert worst < 1e-3, f"spot-check gradient error {worst}"
 
 
-class TestBnFolding:
-    def test_folded_channel_mix_matches_eval(self):
-        rng = np.random.default_rng(20)
-        store = ParamStore()
-        layer = ChannelMixLayer(store, "cm", 8, rng)
-        layer.bn.running_mean.data[...] = rng.standard_normal(8)
-        layer.bn.running_var.data[...] = rng.uniform(0.5, 2.0, 8)
-        layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, 8)
-        layer.bn.beta.data[...] = rng.standard_normal(8)
-        x = rng.standard_normal((30, 8)).astype(np.float32)
-        want = layer.forward(x, None, training=False)
-        got = channel_mix_folded_eval(layer, x)
-        np.testing.assert_allclose(got, want, atol=1e-5)
+def perturb_eval_state(store, rng):
+    """Non-trivial running statistics, gammas, betas and layerscales in every layer of ``store``."""
+    for name, t in store.items():
+        if name.endswith("running_mean"):
+            t.data[...] = 0.5 * rng.standard_normal(t.shape)
+        elif name.endswith("running_var"):
+            t.data[...] = rng.uniform(0.3, 3.0, t.shape)
+        elif name.endswith("gamma"):
+            t.data[...] = rng.uniform(0.5, 1.5, t.shape)
+        elif name.endswith("beta"):
+            t.data[...] = 0.3 * rng.standard_normal(t.shape)
+        elif name.endswith("layerscale.diag"):
+            t.data[...] = rng.uniform(-0.6, 0.6, t.shape)
 
-    def test_fold_identity_bn(self):
-        store = ParamStore()
-        layer = ChannelMixLayer(store, "cm", 4, np.random.default_rng(21))
-        wf, bf = fold_bn_into_linear(layer.bn, layer.lin1)
-        np.testing.assert_allclose(wf, layer.lin1.w.data, rtol=1e-5)
-        np.testing.assert_allclose(bf, layer.lin1.b.data, atol=1e-6)
+
+def store_bits(store):
+    """Copies of every tensor and gradient buffer of ``store``, by name."""
+    return {name: (t.data.copy(), None if t.grad is None else t.grad.copy()) for name, t in store.items()}
+
+
+class TestFoldedEval:
+    """The eval forward folds BN and layerscale into the adjacent weights; the unfused oracle runs them as passes."""
+
+    @pytest.mark.parametrize("strategy", ["baseline", "parallel"])
+    def test_matches_unfused_oracle_and_leaves_the_store(self, small_fov, strategy):
+        cfg = tiny_config(small_fov, depth=3, width=16, k=4, drop=0.3, strategy=strategy)
+        model = WaffleIron(cfg, np.random.default_rng(100))
+        perturb_eval_state(model.store, np.random.default_rng(101))
+        pc = build_scene(small_fov, n=90, seed=102)
+        # padding points: zero features, flagged invalid
+        valid = np.arange(pc.n_points) < pc.n_points - 12
+        feats = np.where(valid[:, None], pc.features, 0.0)
+        pc = PointCloud(pc.positions, feats, pc.labels, valid)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        # occupied cells with an empty neighbour cell, whose tap reads the zero row
+        assert all((p.d_from_o == p.n_occupied).any() for p in proj.values())
+        before = store_bits(model.store)
+        plain = model.forward(feats, nbr, proj, valid, training=False)
+        # test-time augmentation keeps stochastic depth: kept branches scale by 1 / (1 - 0.3)
+        tta = model.forward(feats, nbr, proj, valid, training=False, drop_rng=np.random.default_rng(7))
+        same_bits(before, store_bits(model.store), "store")
+        assert held_arrays(model) == []
+        for got, want in ((plain, unfused_eval(model, feats, nbr, proj)),
+                          (tta, unfused_eval(model, feats, nbr, proj, drop_rng=np.random.default_rng(7)))):
+            assert np.abs(want).max() > 1.0
+            np.testing.assert_allclose(got, want, rtol=0, atol=FOLD_TOL)
+            assert np.array_equal(got.argmax(axis=0), want.argmax(axis=0))
+        assert not np.allclose(plain, tta, atol=1e-2)
 
 
 class TestParallelStrategy:

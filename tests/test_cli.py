@@ -92,12 +92,15 @@ class TestTrainInputErrors:
             ("-1 1\n", [], "tiny.map:1: raw id -1 outside [0, 65535]"),
             ("0 0\n70000 1\n", [], "tiny.map:2: raw id 70000 outside [0, 65535]"),
             ("0 -2\n", [], "tiny.map:1: negative train id -2"),
+            ("0 0\nx 1\n", [], "tiny.map:2: ids must be integers, got 'x 1'"),
+            ("0 road\n", [], "tiny.map:1: ids must be integers, got '0 road'"),
             ("0 0\n1 7\n2 1\n", [], "scan_0: label 7 outside the class range [0, 2]"),
             (None, ["classes=2"], "scan_0: label 2 outside the class range [0, 1]"),
             (None, ["batch=0"], "batch_size must be >= 1"),
             (None, ["checkpoint_every=-1"], "checkpoint_every must be >= 0"),
         ],
-        ids=["negative-raw-id", "raw-id-past-16-bits", "negative-train-id", "mapped-label-past-classes",
+        ids=["negative-raw-id", "raw-id-past-16-bits", "negative-train-id", "non-integer-raw-id", "non-integer-train-id",
+             "mapped-label-past-classes",
              "raw-label-past-classes", "batch-zero", "negative-checkpoint-every"],
     )
     def test_exits_1_with_message(self, tmp_path, capsys, class_map, overrides, message):

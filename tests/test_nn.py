@@ -10,11 +10,13 @@ from waffleiron.nn import (
     LayerScale,
     ParamStore,
     PointwiseLinear,
+    fold,
     slot_max,
 )
 
 from oracles import (
     bn_backward_masked,
+    bn_eval,
     grad_check,
     neighborhood_max,
     neighborhood_max_backward,
@@ -82,7 +84,7 @@ class TestBatchNorm:
         bn = BatchNorm(store, "bn", 2)
         bn.beta.data[...] = [0.5, -1.0]
         x = np.full((6, 2), 3.0, dtype=np.float32)
-        y = bn.forward(x, training=True)
+        y = bn.forward(x)
         np.testing.assert_allclose(y[:, 0], 0.5, atol=1e-6)
         np.testing.assert_allclose(y[:, 1], -1.0, atol=1e-6)
 
@@ -90,8 +92,24 @@ class TestBatchNorm:
         store = ParamStore()
         bn = BatchNorm(store, "bn", 3)
         x = np.random.default_rng(0).standard_normal((20, 3)).astype(np.float32)
-        y = bn.forward(x, training=False)
+        y = bn_eval(bn, x)
         np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
+        a, s = bn.eval_affine()
+        np.testing.assert_allclose(a, 1.0, rtol=1e-5)
+        assert not s.any()
+
+    def test_eval_affine_matches_unfused_eval(self):
+        rng = np.random.default_rng(9)
+        bn = BatchNorm(ParamStore(), "bn", 4)
+        bn.running_mean.data[...] = rng.standard_normal(4)
+        bn.running_var.data[...] = rng.uniform(0.5, 2.0, 4)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, 4)
+        bn.beta.data[...] = rng.standard_normal(4)
+        x = rng.standard_normal((30, 4)).astype(np.float32)
+        bn.forward(x)
+        a, s = bn.eval_affine()
+        assert a.dtype == s.dtype == np.float64 and bn._cache is None
+        np.testing.assert_allclose(a * x + s, bn_eval(bn, x), atol=1e-5)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(1)
@@ -100,7 +118,7 @@ class TestBatchNorm:
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
         bn.beta.data[...] = rng.standard_normal(3)
         x = rng.standard_normal((50, 3)).astype(np.float32)
-        y = bn.forward(x, training=True)
+        y = bn.forward(x)
         x64 = x.astype(np.float64)
         mean = x64.mean(axis=0)
         var = ((x64 - mean) ** 2).mean(axis=0)
@@ -116,7 +134,7 @@ class TestBatchNorm:
         valid = np.ones(40, dtype=bool)
         valid[30:] = False
         x[30:] = 100.0  # junk that must not leak into the statistics
-        y = bn.forward(x, valid=valid, training=True)
+        y = bn.forward(x, valid=valid)
         yv = y[valid].astype(np.float64)
         assert np.abs(yv.mean(axis=0)).max() < 1e-5
         assert np.abs(yv.var(axis=0) - 1.0).max() < 1e-4
@@ -125,14 +143,14 @@ class TestBatchNorm:
         store = ParamStore()
         bn = BatchNorm(store, "bn", 1)
         x = np.full((10, 1), 2.0, dtype=np.float32)
-        bn.forward(x, training=True)
+        bn.forward(x)
         np.testing.assert_allclose(bn.running_mean.data, [0.2], atol=1e-7)
 
     def test_empty_batch_raises(self):
         store = ParamStore()
         bn = BatchNorm(store, "bn", 2)
         with pytest.raises(ValueError):
-            bn.forward(np.zeros((4, 2), dtype=np.float32), valid=np.zeros(4, dtype=bool), training=True)
+            bn.forward(np.zeros((4, 2), dtype=np.float32), valid=np.zeros(4, dtype=bool))
 
     @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dy_dtype", [np.float32, np.float64])
@@ -147,7 +165,7 @@ class TestBatchNorm:
         x = rng.standard_normal((40, 5)).astype(np.float32)
         valid = np.arange(40) < 40 - n_padding
         dy = rng.standard_normal((40, 5)).astype(dy_dtype)
-        bn.forward(x, valid=valid, training=True)
+        bn.forward(x, valid=valid)
         want_dx, want_dgamma, want_dbeta = bn_backward_masked(bn, dy)
         dx = bn.backward(dy)
         assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
@@ -169,7 +187,7 @@ class TestBatchNorm:
             r[9:] = 0.0  # padding rows never receive loss gradient
 
             def loss_fn(want_grad):
-                y = bn.forward(x.data, valid=valid, training=True)
+                y = bn.forward(x.data, valid=valid)
                 if want_grad:
                     x.grad += bn.backward(r)
                 return float((y * r).sum())
@@ -400,6 +418,37 @@ class TestLayerScale:
         store = ParamStore()
         ls = LayerScale(store, "ls", 5)
         np.testing.assert_allclose(ls.diag.data, 1e-2)
+
+    def test_eval_scale_is_float64_factor_times_diag_and_drops_cache(self):
+        ls = LayerScale(ParamStore(), "ls", 3)
+        ls.diag.data[...] = [0.1, -0.2, 0.3]
+        ls.forward(np.ones((2, 3), dtype=np.float32))
+        g = ls.eval_scale(1.25)
+        assert g.dtype == np.float64 and ls._x is None
+        assert np.array_equal(g, 1.25 * ls.diag.data.astype(np.float64))
+
+
+class TestFold:
+    def test_folded_linear_equals_the_composition(self):
+        rng = np.random.default_rng(10)
+        w = rng.standard_normal((3, 4)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        a, s, g = rng.uniform(0.5, 2.0, 4), rng.standard_normal(4), rng.uniform(-2.0, 2.0, 3)
+        x = rng.standard_normal((6, 4))
+        want = g * ((a * x + s) @ w.T.astype(np.float64) + b)
+        wf, bf = fold(w, b, np.float64, a, s, g)
+        np.testing.assert_allclose(x @ wf.T + bf, want, rtol=1e-12, atol=1e-12)
+        w32, b32 = fold(w, b, np.float32, a, s, g)
+        assert w32.dtype == b32.dtype == np.float32
+        assert np.array_equal(w32, wf.astype(np.float32)) and np.array_equal(b32, bf.astype(np.float32))
+
+    def test_identity_fold_returns_the_weights_and_copies(self):
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((5, 9)).astype(np.float32)
+        b = rng.standard_normal(5).astype(np.float32)
+        wf, bf = fold(w, b, np.float32)
+        assert np.array_equal(wf, w) and np.array_equal(bf, b)
+        assert not np.shares_memory(wf, w) and not np.shares_memory(bf, b)
 
     def test_gradients_tight(self):
         def build(store, rng):
