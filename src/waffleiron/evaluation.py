@@ -4,7 +4,7 @@
 shared by ``infer``, ``eval`` and test-time augmentation: it voxelizes the
 scan, runs :func:`infer_probs` on the voxel cloud (which crops to the FOV and
 fills the points outside it from their nearest inside neighbor), takes the
-argmax and propagates the labels to the raw scan by nearest neighbor.
+argmax and propagates the labels to the raw points it dropped by nearest neighbor.
 Test-time augmentation sums the probabilities of ``TTA_PASSES`` randomly
 rotated/flipped passes with stochastic depth kept active before the argmax.
 """
@@ -77,13 +77,19 @@ def infer_probs(model: WaffleIron, pc: PointCloud, drop_rng=None) -> np.ndarray:
     logits = model.forward(
         feats, neighbors, projections, valid, training=False, drop_rng=drop_rng
     )
-    src = np.empty(pc.n_points, dtype=np.intp)
     kept = np.ones(pc.n_points, dtype=bool)
     kept[outside] = False
-    src[kept] = np.arange(inside.n_points)
-    if outside.size:
-        src[outside] = nearest_indices(inside.positions, pc.positions[outside])
-    return softmax(logits)[:, src]
+    return softmax(logits)[:, _source_rows(pc.positions, kept, inside.positions)]
+
+
+def _source_rows(positions: np.ndarray, kept: np.ndarray, src_positions: np.ndarray) -> np.ndarray:
+    """Row of ``src_positions`` per row of ``positions``: the ``kept`` rows in order, the rest by nearest search."""
+    src = np.empty(kept.size, dtype=np.intp)
+    src[kept] = np.arange(src_positions.shape[0])
+    rest = np.flatnonzero(~kept)
+    if rest.size:
+        src[rest] = nearest_indices(src_positions, positions[rest])
+    return src
 
 
 def segment_scan(
@@ -100,8 +106,11 @@ def segment_scan(
     ``drop_prob > 0``) its stochastic-depth choices from ``rng``; the
     float64 sum of the passes' probabilities is argmaxed, ties going to the
     lower class id.
+
+    A raw point that voxelization kept is its own nearest voxel row (no
+    other is at distance 0), so only the dropped points are searched.
     """
-    down, _ = voxel_downsample(pc, voxel_size)
+    down, kept = voxel_downsample(pc, voxel_size)
     if not tta:
         probs = infer_probs(model, down)
     else:
@@ -113,7 +122,9 @@ def segment_scan(
             variant = random_flip(random_rotate_z(down, rng), rng)
             probs += infer_probs(model, variant, drop_rng=drop_rng)
     labels = np.argmax(probs, axis=0).astype(np.int32)
-    return labels[nearest_indices(down.positions, pc.positions)]
+    survivors = np.zeros(pc.n_points, dtype=bool)
+    survivors[kept] = True
+    return labels[_source_rows(pc.positions, survivors, down.positions)]
 
 
 @dataclass

@@ -144,7 +144,8 @@ def voxel_downsample(pc: PointCloud, voxel_size: float) -> tuple[PointCloud, np.
     """Keep one point per occupied cubic voxel.
 
     The survivor of each voxel is the first point in input order. Returns the
-    downsampled cloud and the kept row indices (ascending).
+    downsampled cloud and the kept row indices (ascending). A stable lexsort
+    puts each voxel's survivor first in its run of equal voxel coordinates.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
@@ -153,8 +154,9 @@ def voxel_downsample(pc: PointCloud, voxel_size: float) -> tuple[PointCloud, np.
     if not pc.valid.all():
         raise ValueError("voxel_downsample expects an unpadded cloud")
     quant = np.floor(pc.positions.astype(np.float64) / voxel_size).astype(np.int64)
-    _, first = np.unique(quant, axis=0, return_index=True)
-    kept = np.sort(first)
+    order = np.lexsort(quant.T)
+    runs = quant[order]
+    kept = np.sort(order[np.r_[True, (runs[1:] != runs[:-1]).any(axis=1)]])
     return pc.select(kept), kept
 
 
@@ -239,20 +241,31 @@ def _ranked_neighbors(points: np.ndarray, queries: np.ndarray, k: int, own: np.n
     times. Fewer than k candidates repeat the farthest one.
 
     The tree only proposes the k + 2 closest rows; their exact distances are
-    recomputed and ranked here. That ranking is final unless the k-th and
-    (k+1)-th distances are not strictly apart: then a tie may reach outside
-    the proposals (or the query itself may be crowded out by duplicates), and
-    the row is ranked again from every point within the k-th distance.
+    recomputed and ranked here. Own, usually proposed first, moves last, and
+    only rows not then increasing in the unique (distance, index) keys are
+    sorted. That ranking is final unless the k-th and (k+1)-th distances are
+    not strictly apart: then a tie may reach outside the proposals (or the
+    query itself may be crowded out by duplicates), and the row is ranked
+    again from every point within the k-th distance.
     """
     from scipy.spatial import cKDTree  # a slow import (it pulls in scipy.linalg), so only on first search
 
+    columns = np.ascontiguousarray(points.T)
+
     def rank(query, cand, own):
         """``cand`` sorted by (squared float64 distance, index), ``own`` last at infinity."""
-        diff = points[cand] - query[..., None, :]
-        d2 = np.einsum("...j,...j->...", diff, diff)
-        d2[cand == np.expand_dims(own, -1)] = np.inf
-        order = np.lexsort((cand, d2), axis=-1)
-        return np.take_along_axis(cand, order, axis=-1), np.take_along_axis(d2, order, axis=-1)
+        own = np.expand_dims(own, -1)
+        cand = np.where(cand[..., :1] == own, np.roll(cand, -1, axis=-1), cand)
+        # summed as (x² + z²) + y², the order np.einsum sums three columns in: every ranking stays bit-identical
+        dx, dy, dz = (columns[j][cand] - query[..., j, None] for j in range(3))
+        d2 = dx * dx + dz * dz + dy * dy
+        d2[cand == own] = np.inf
+        d, c = d2[..., :-1], cand[..., :-1]
+        late = ~((d < d2[..., 1:]) | ((d == d2[..., 1:]) & (c < cand[..., 1:]))).all(axis=-1)
+        order = np.lexsort((cand[late], d2[late]), axis=-1)
+        cand[late] = np.take_along_axis(cand[late], order, axis=-1)
+        d2[late] = np.take_along_axis(d2[late], order, axis=-1)
+        return cand, d2
 
     tree = cKDTree(points)
     idx, d2 = rank(queries, tree.query(queries, k=range(1, min(k + 2, points.shape[0]) + 1))[1], own)

@@ -203,6 +203,8 @@ class LayerScale:
 _TAPS = range(9)
 # The input gradient of tap t reads dy at offset (1 - u, 1 - v), which is tap 8 - t.
 _FLIPPED_TAPS = range(8, -1, -1)
+# Rows per tap-sum block: at F = 256 a float32 block is 256 KB, reused from cache by all 9 taps.
+_TAP_BLOCK = 256
 
 
 class DepthwiseConv3x3:
@@ -282,15 +284,19 @@ def _check_taps(taps: np.ndarray, n_in: int) -> None:
 def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype) -> np.ndarray:
     """``out[r] = sum over t of kern[:, t] * src[taps[r, c_t]]``, from 0.0, in the order of ``columns``.
 
-    One row per row of ``taps``, and the zero row last.
+    One row per row of ``taps``, and the zero row last; rows go in blocks of ``_TAP_BLOCK``.
     """
-    out = np.zeros((taps.shape[0] + 1, src.shape[1]), dtype=dtype)
-    rows = out[:-1]
-    tmp = np.empty(rows.shape, dtype=np.result_type(kern, src))
-    for t, c in enumerate(columns):
-        np.take(src, taps[:, c], axis=0, out=tmp, mode="clip")
-        np.multiply(kern[:, t], tmp, out=tmp)
-        rows += tmp
+    n = taps.shape[0]
+    out = np.zeros((n + 1, src.shape[1]), dtype=dtype)
+    buf = np.empty((min(n, _TAP_BLOCK), src.shape[1]), dtype=np.result_type(kern, src))
+    for lo in range(0, n, _TAP_BLOCK):
+        rows = out[lo : min(lo + _TAP_BLOCK, n)]
+        block = taps[lo : lo + rows.shape[0]]
+        tmp = buf[: rows.shape[0]]
+        for t, c in enumerate(columns):
+            np.take(src, block[:, c], axis=0, out=tmp, mode="clip")
+            np.multiply(kern[:, t], tmp, out=tmp)
+            rows += tmp
     return out
 
 

@@ -16,7 +16,11 @@ Each oracle is written independently of the runtime path it checks:
 * the unfused eval forward: batch norm by the running statistics and
   layerscale each as a pass of their own, as the layers ran them before
   the package folded both into the adjacent weights;
-* nearest-neighbor label propagation;
+* nearest-neighbor label propagation, with a full search over every
+  destination point;
+* the depthwise-conv tap sum over all rows at once, without row blocks;
+* voxel deduplication by ``np.unique`` over the quantized coordinates;
+* neighbor ranking by one exhaustive lexsort over every point per query;
 * the tiny-scene overfit harness.
 """
 
@@ -289,6 +293,47 @@ def nn_propagate_labels(src: PointCloud, src_labels: np.ndarray, dst_points: np.
         raise ValueError("empty cloud")
     nearest = nearest_indices(src.positions[vidx], dst_points)
     return src_labels[vidx[nearest]]
+
+
+# -- geometry and conv kernels -------------------------------------------------------------
+
+
+def tap_sum_unblocked(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype) -> np.ndarray:
+    """``nn._tap_sum`` with one N x F temporary over all rows, taps in the order of ``columns``."""
+    out = np.zeros((taps.shape[0] + 1, src.shape[1]), dtype=dtype)
+    rows = out[:-1]
+    tmp = np.empty(rows.shape, dtype=np.result_type(kern, src))
+    for t, c in enumerate(columns):
+        np.take(src, taps[:, c], axis=0, out=tmp, mode="clip")
+        np.multiply(kern[:, t], tmp, out=tmp)
+        rows += tmp
+    return out
+
+
+def voxel_first_rows(positions: np.ndarray, voxel_size: float) -> np.ndarray:
+    """Ascending index of the first row in each occupied voxel, by ``np.unique`` over the voxel coordinates."""
+    quant = np.floor(np.asarray(positions, dtype=np.float32).astype(np.float64) / voxel_size).astype(np.int64)
+    _, first = np.unique(quant, axis=0, return_index=True)
+    return np.sort(first)
+
+
+def ranked_neighbors_exhaustive(points: np.ndarray, queries: np.ndarray, k: int, own: np.ndarray) -> np.ndarray:
+    """``geometry._ranked_neighbors`` from one lexsort by (squared distance, index) over every point per query.
+
+    ``own[i]`` (-1 for none) is excluded; short rows repeat their farthest
+    candidate, and a query without any lists ``own`` k times.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    diff = points[None, :, :] - queries[:, None, :]
+    d2 = (diff * diff).sum(axis=-1)
+    index = np.broadcast_to(np.arange(points.shape[0]), d2.shape)
+    d2[index == own[:, None]] = np.inf
+    ranked = np.lexsort((index, d2), axis=1)
+    avail = np.isfinite(d2).sum(axis=1)
+    out = np.take_along_axis(ranked, np.minimum(np.arange(k), np.maximum(avail - 1, 0)[:, None]), axis=1)
+    out[avail == 0] = own[avail == 0, None]
+    return out
 
 
 # -- tiny-scene overfit harness -----------------------------------------------------------

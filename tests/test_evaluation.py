@@ -11,9 +11,11 @@ from waffleiron.evaluation import (
     iou,
     segment_scan,
 )
-from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices
+from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, point_features, voxel_downsample
 from waffleiron.training import _counted_mask
 from waffleiron import dataio
+
+from oracles import nn_propagate_labels
 
 VOXEL = 0.10
 
@@ -128,6 +130,28 @@ class TestInference:
         np.testing.assert_array_equal(probs[:, 0], inside_probs[:, src[0]])
         # the points inside the FOV keep their own probabilities
         np.testing.assert_array_equal(probs[:, 1:], inside_probs)
+
+    @pytest.mark.parametrize("tta", [False, True])
+    def test_propagation_equals_full_search(self, trained, tta):
+        model, scene = trained
+        rng = np.random.default_rng(15)
+        voxel = 0.125
+        # jittered copies crowd the voxels; rounding to the voxel grid puts
+        # points exactly on voxel boundaries, several per grid point
+        crowded = scene.positions + rng.uniform(-0.03, 0.03, scene.positions.shape)
+        on_boundary = np.round(scene.positions[::3] / voxel) * voxel
+        positions = np.vstack([scene.positions, crowded, on_boundary]).astype(np.float32)
+        perm = rng.permutation(len(positions))
+        intensity = np.concatenate([scene.features[:, 0], scene.features[:, 0], scene.features[::3, 0]])
+        pc = PointCloud(positions[perm], point_features(positions[perm], intensity[perm], scene.feature_mode))
+        down, kept = voxel_downsample(pc, voxel)
+        assert kept.size < 0.8 * pc.n_points
+        # a voxelized scan keeps every row, so its labels are the voxel labels
+        voxel_labels = segment_scan(down, model, voxel, tta, np.random.default_rng(3))
+        if not tta:
+            np.testing.assert_array_equal(voxel_labels, np.argmax(infer_probs(model, down), axis=0))
+        got = segment_scan(pc, model, voxel, tta, np.random.default_rng(3))
+        np.testing.assert_array_equal(got, nn_propagate_labels(down, voxel_labels, pc.positions))
 
 
 class TestEvaluateSplit:

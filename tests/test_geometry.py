@@ -12,6 +12,7 @@ import waffleiron
 from waffleiron.geometry import (
     IGNORE_LABEL,
     PointCloud,
+    _ranked_neighbors,
     crop_fov,
     knn,
     nearest_indices,
@@ -21,7 +22,7 @@ from waffleiron.geometry import (
 )
 
 from conftest import random_cloud
-from oracles import nn_propagate_labels
+from oracles import nn_propagate_labels, ranked_neighbors_exhaustive, voxel_first_rows
 
 
 def cloud_from_positions(positions, labels=None, valid=None, mode="5dim"):
@@ -85,6 +86,24 @@ class TestVoxelDownsample:
             key = tuple(np.floor(p.astype(np.float64) / 0.10).astype(int))
             seen.setdefault(key, i)
         assert sorted(seen.values()) == kept.tolist()
+
+    def test_matches_unique_oracle(self):
+        rng = np.random.default_rng(10)
+        crowded = np.repeat(rng.uniform(-2, 2, size=(300, 3)), 4, axis=0) + rng.uniform(0, 0.02, size=(1200, 3))
+        cases = [
+            (rng.uniform(-50, 50, size=(3000, 3)), 0.10),
+            (crowded[rng.permutation(1200)], 0.05),
+            (duplicate_sites(rng, 200, 7), 0.10),
+            # voxel coordinates beyond the int32 range
+            (rng.uniform(-3e7, 3e7, size=(2000, 3)), 1e-3),
+            # every point exactly on a voxel boundary, several times over
+            (np.repeat(lattice(6) * 0.125 - 0.375, 3, axis=0)[rng.permutation(3 * 216)], 0.125),
+        ]
+        for positions, size in cases:
+            pc = cloud_from_positions(positions)
+            down, kept = voxel_downsample(pc, size)
+            np.testing.assert_array_equal(kept, voxel_first_rows(pc.positions, size))
+            np.testing.assert_array_equal(down.positions, pc.positions[kept])
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
@@ -228,6 +247,47 @@ class TestKnn:
         nbr_p = knn(cloud_from_positions(positions[perm]), 6)
         # relabeled neighbors of the permuted cloud must match the originals
         np.testing.assert_array_equal(perm[nbr_p[inv]], nbr)
+
+
+class TestRankedNeighbors:
+    @staticmethod
+    def check(points, queries, k, own):
+        points = np.asarray(points, dtype=np.float64)
+        queries = np.asarray(queries, dtype=np.float64)
+        got = _ranked_neighbors(points, queries, k, own)
+        np.testing.assert_array_equal(got, ranked_neighbors_exhaustive(points, queries, k, own))
+
+    def test_exact_ties_at_the_kth_distance(self):
+        rng = np.random.default_rng(11)
+        grid = lattice(5)
+        # 6 lattice neighbors at distance 1, then 12 at sqrt(2): k = 7 and 10 cut through a tie
+        for k in (7, 10):
+            self.check(grid, grid, k, np.arange(len(grid)))
+        # half-integer offsets sit equidistant from 2, 4 or 8 sites
+        offsets = lattice(2)[rng.integers(0, 8, len(grid))] * 0.5
+        self.check(grid, grid + offsets, 4, np.full(len(grid), -1))
+
+    def test_duplicates_put_own_after_its_copies(self):
+        rng = np.random.default_rng(12)
+        dups = duplicate_sites(rng, 10, 20)
+        for k in (3, 16):
+            self.check(dups, dups, k, np.arange(len(dups)))
+        self.check(dups, dups[::3], 5, np.full(len(dups[::3]), -1))
+
+    def test_one_and_two_points(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2):
+            points = rng.uniform(-1, 1, size=(n, 3))
+            self.check(points, points, 16, np.arange(n))
+            self.check(points, rng.uniform(-1, 1, size=(9, 3)), 16, np.full(9, -1))
+
+    def test_single_neighbor(self):
+        rng = np.random.default_rng(14)
+        points = rng.uniform(-3, 3, size=(400, 3))
+        self.check(points, points, 1, np.arange(400))
+        self.check(points, rng.uniform(-3, 3, size=(300, 3)), 1, np.full(300, -1))
+        own = rng.integers(-1, 400, 300)
+        self.check(points, points[np.maximum(own, 0)], 1, own)
 
 
 class TestNnPropagate:

@@ -10,6 +10,9 @@ from waffleiron.nn import (
     LayerScale,
     ParamStore,
     PointwiseLinear,
+    _FLIPPED_TAPS,
+    _TAPS,
+    _tap_sum,
     fold,
     slot_max,
 )
@@ -23,6 +26,7 @@ from oracles import (
     relu,
     relu_backward,
     slot_max_where,
+    tap_sum_unblocked,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -374,6 +378,19 @@ class TestDepthwiseConv:
                 return loss_fn
 
             check_layer(build)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 255, 257, 775])
+    def test_tap_sum_blocks_equal_one_pass_bitwise(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        n_in, f = 300, 7
+        src = np.vstack([rng.standard_normal((n_in, f)), np.zeros((1, f))]).astype(np.float32)
+        taps = rng.integers(0, n_in + 1, size=(n_rows, 9))
+        kern = rng.standard_normal((f, 9)).astype(np.float32)
+        # forward: float32 throughout; input gradient: float64 dy and kernel into float32
+        for columns, x, w in ((_TAPS, src, kern), (_FLIPPED_TAPS, src.astype(np.float64), kern.astype(np.float64))):
+            got = _tap_sum(x, taps, columns, w, np.float32)
+            assert got.shape == (n_rows + 1, f) and not got[-1].any()
+            assert np.array_equal(got, tap_sum_unblocked(x, taps, columns, w, np.float32))
 
     def test_rejects_bad_rows_and_tables(self):
         store = ParamStore()

@@ -12,6 +12,8 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import waffleiron
 from waffleiron.cli import main
 
@@ -75,7 +77,12 @@ def run_pipeline(root: Path):
     assert main(["train", "--config", str(config_dir / "tiny.cfg"), "--data", str(root / "data"),
                  "--out", str(out)]) == 0
     ckpt = str(out / "ckpt_final.wfli")
-    scan = str(root / "data" / "train" / "scan_0.bin")
+    # the inferred scan repeats a point (two raw points in one voxel) and has
+    # one point outside the FOV, so both label propagations search
+    records = np.fromfile(root / "data" / "train" / "scan_0.bin", dtype="<f4").reshape(-1, 4)
+    extra = np.array([records[0], [20.0, 0.0, 0.0, 0.5]], dtype="<f4")
+    scan = str(root / "infer.bin")
+    np.vstack([records, extra]).tofile(scan)
     for tta in ([], ["--tta"]):
         name = "tta" if tta else "plain"
         assert main(["infer", "--ckpt", ckpt, "--scan", scan, "--out", str(root / f"{name}.label")] + tta) == 0
