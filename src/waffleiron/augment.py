@@ -10,7 +10,7 @@ and rotate-copies rare-class points from the second scan into the first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,50 +75,38 @@ def _rot_z(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=np.float64)
 
 
-def random_rotate_z(
-    pc: PointCloud,
-    rng: np.random.Generator,
-    angle_range: tuple[float, float] = (0.0, _TWO_PI),
-) -> PointCloud:
+def random_rotate_z(pc: PointCloud, rng: np.random.Generator) -> PointCloud:
     """Rotate the whole scene around the z-axis by a uniform random angle."""
-    theta = float(rng.uniform(*angle_range))
+    theta = float(rng.uniform(0.0, _TWO_PI))
     rotated = pc.positions.astype(np.float64) @ _rot_z(theta).T
     return pc.with_positions(rotated)
 
 
-def random_flip(
-    pc: PointCloud,
-    rng: np.random.Generator,
-    prob_x: float = 0.5,
-    prob_y: float = 0.5,
-) -> PointCloud:
-    """Independently flip the sign of the x and/or y axis."""
+def random_flip(pc: PointCloud, rng: np.random.Generator) -> PointCloud:
+    """Independently flip the sign of the x and the y axis, each with probability 1/2."""
     sign = np.ones(3, dtype=np.float64)
-    if rng.random() < prob_x:
+    if rng.random() < 0.5:
         sign[0] = -1.0
-    if rng.random() < prob_y:
+    if rng.random() < 0.5:
         sign[1] = -1.0
     return pc.with_positions(pc.positions.astype(np.float64) * sign)
 
 
-def random_scale(
-    pc: PointCloud,
-    rng: np.random.Generator,
-    scale_range: tuple[float, float] = SCALE_RANGE,
-) -> PointCloud:
-    """Scale the whole scene by a uniform random factor."""
-    s = float(rng.uniform(*scale_range))
+def random_scale(pc: PointCloud, rng: np.random.Generator) -> PointCloud:
+    """Scale the whole scene by a uniform random factor from ``SCALE_RANGE``."""
+    s = float(rng.uniform(*SCALE_RANGE))
     return pc.with_positions(pc.positions.astype(np.float64) * s)
 
 
 def build_instance_bank(
-    scans: Sequence[tuple[PointCloud, np.ndarray]],
+    scans: Iterable[tuple[PointCloud, np.ndarray]],
     classes: Sequence[int],
 ) -> InstanceBank:
     """Group labeled points by (class, instance id) across scans.
 
     Each group is stored with centroid-relative coordinates. Classes without
-    any instance simply stay empty.
+    any instance simply stay empty. ``scans`` is read once, so a generator
+    keeps one loaded scan in memory at a time.
     """
     bank = InstanceBank(classes=tuple(int(c) for c in classes))
     for pc, instance_ids in scans:
@@ -214,7 +202,6 @@ def polarmix(
     scene_b: PointCloud,
     classes: Sequence[int],
     rng: np.random.Generator,
-    sector: Optional[tuple[float, float]] = None,
     paste_angles: tuple[float, ...] = (_TWO_PI / 3, 2 * _TWO_PI / 3),
 ) -> PointCloud:
     """Mix two labeled scenes.
@@ -222,16 +209,12 @@ def polarmix(
     Scene level: a random azimuth sector of ``scene_a`` is replaced by
     ``scene_b``'s points in that sector. Instance level: points of the listed
     classes in ``scene_b`` are copied into the result as-is and rotated by
-    each angle in ``paste_angles``. ``sector=(start, width)`` overrides the
-    random draw.
+    each angle in ``paste_angles``.
     """
     if scene_a.labels is None or scene_b.labels is None:
         raise ValueError("polarmix needs labeled scenes")
-    if sector is None:
-        start = float(rng.uniform(0.0, _TWO_PI))
-        width = float(rng.uniform(*SECTOR_WIDTH_RANGE))
-    else:
-        start, width = float(sector[0]), float(sector[1])
+    start = float(rng.uniform(0.0, _TWO_PI))
+    width = float(rng.uniform(*SECTOR_WIDTH_RANGE))
     keep_a = np.mod(_azimuth(scene_a.positions) - start, _TWO_PI) >= width
     keep_a &= scene_a.valid
     take_b = np.mod(_azimuth(scene_b.positions) - start, _TWO_PI) < width

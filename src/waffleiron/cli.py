@@ -96,7 +96,8 @@ def _cmd_train(args) -> int:
     )
     bank = None
     if rc.augment.cutmix:
-        scans = [dataset.load_with_instances(i) for i in range(len(dataset))]
+        # one scan at a time: the bank keeps only the instances it extracts
+        scans = (dataset.load_with_instances(i) for i in range(len(dataset)))
         bank = build_instance_bank(scans, CUTMIX_CLASSES)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

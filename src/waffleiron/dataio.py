@@ -6,9 +6,9 @@ field (ring index) is discarded. Label files hold one little-endian uint32
 per point: semantic class in the low 16 bits, instance id in the high 16.
 Checkpoints are a self-describing binary container ("WFLI") holding the run
 configuration, the class map the model was trained with (if any), every named
-tensor, and optionally the optimizer state; a save/load/save round trip is
-byte-identical. Version 1 files, written before the class map was embedded,
-still load.
+tensor, and optionally the AdamW state, which loads back as an ``AdamW`` over
+the loaded model's parameters; a save/load/save round trip is byte-identical.
+Version 1 files, written before the class map was embedded, still load.
 
 Run configurations are ``key value`` lines. The key table ``_KEYS`` is their
 schema: parsing, overrides, the required-key check and
@@ -28,7 +28,7 @@ import numpy as np
 from .augment import AugmentConfig
 from .backbone import WaffleIron, WaffleIronConfig
 from .geometry import IGNORE_LABEL, Fov, PointCloud, point_features, voxel_downsample
-from .training import TrainConfig
+from .training import AdamW, TrainConfig
 
 _MAGIC = b"WFLI"
 _VERSION = 2
@@ -122,6 +122,11 @@ def parse_class_map(text: str, source="class map") -> dict[int, int]:
             raise ValueError(f"{source}:{lineno}: raw id {raw} outside [0, 65535]")
         if train < 0:
             raise ValueError(f"{source}:{lineno}: negative train id {train}")
+        if train >= IGNORE_LABEL and parts[1] != "ignore":
+            raise ValueError(
+                f"{source}:{lineno}: train id {train} outside [0, {IGNORE_LABEL - 1}]; "
+                "an ignored class is written 'ignore'"
+            )
         mapping[raw] = train
     return mapping
 
@@ -309,16 +314,47 @@ class _Reader:
         (n,) = struct.unpack("<I", self.take(4))
         return self.take(n)
 
-    def tensor(self) -> tuple[str, bool, np.ndarray]:
+    def tensor(self) -> tuple[str, np.ndarray]:
+        """One record's name and read-only data; the trainable flag is not needed to load it."""
         name = self.block().decode("utf-8")
-        trainable, ndim = struct.unpack("<BI", self.take(5))
+        _trainable, ndim = struct.unpack("<BI", self.take(5))
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
         count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
-        return name, bool(trainable), data.copy()
+        return name, np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
+
+    def tensors_into(self, kind: str, targets: dict[str, tuple[np.ndarray, ...]]):
+        """Copy a counted section of records into ``targets``, name -> arrays.
+
+        Each name has one record per target array, in a row under the same
+        name (a parameter's value; a moment pair's m and v). An unknown name,
+        a shape mismatch or a target left unloaded is named in the error.
+        """
+        (count,) = struct.unpack("<I", self.take(4))
+        width = len(next(iter(targets.values())))
+        loaded = set()
+        for _ in range(count):
+            records = [self.tensor() for _ in range(width)]
+            name = records[0][0]
+            for other, _ in records[1:]:
+                if other != name:
+                    raise ValueError(f"{kind} name mismatch: {name!r} vs {other!r}")
+            if name not in targets:
+                raise ValueError(f"unexpected {kind} {name!r} in checkpoint")
+            for dest, (_, data) in zip(targets[name], records):
+                if dest.shape != data.shape:
+                    raise ValueError(
+                        f"dimension mismatch for {kind} {name!r}: model {dest.shape}, checkpoint {data.shape}"
+                    )
+                dest[...] = data
+            loaded.add(name)
+        missing = [name for name in targets if name not in loaded]
+        if missing:
+            raise ValueError(f"missing {kind} {missing[0]!r} in checkpoint")
 
 
-def checkpoint_save(path, model: WaffleIron, optimizer=None, run_config: Optional[RunConfig] = None):
+def checkpoint_save(
+    path, model: WaffleIron, optimizer: Optional[AdamW] = None, run_config: Optional[RunConfig] = None
+):
     """Serialize a model (and optionally its optimizer state) to ``path``."""
     out = bytearray()
     out += _MAGIC
@@ -338,31 +374,32 @@ def checkpoint_save(path, model: WaffleIron, optimizer=None, run_config: Optiona
     if optimizer is None:
         out += struct.pack("<B", 0)
     else:
-        payload = optimizer.state_payload()
         out += struct.pack("<B", 1)
         out += struct.pack(
             "<Q5d",
-            payload["step"],
-            payload["betas"][0],
-            payload["betas"][1],
-            payload["eps"],
-            payload["weight_decay"],
-            payload["base_lr"],
+            optimizer.step_count,
+            *optimizer.betas,
+            optimizer.eps,
+            optimizer.weight_decay,
+            optimizer.base_lr,
         )
-        names = list(payload["m"])
-        out += struct.pack("<I", len(names))
-        for name in names:
-            _write_tensor(out, name, payload["m"][name], True)
-            _write_tensor(out, name, payload["v"][name], True)
+        out += struct.pack("<I", len(optimizer.m))
+        for name, m in optimizer.m.items():
+            _write_tensor(out, name, m, True)
+            _write_tensor(out, name, optimizer.v[name], True)
     Path(path).write_bytes(bytes(out))
 
 
-def checkpoint_load(path):
+def checkpoint_load(path) -> tuple[WaffleIron, Optional[AdamW], RunConfig]:
     """Load a checkpoint into a fresh model built from its stored run config.
 
     Every stored tensor must exist in that model with the same shape, and
-    every model tensor must be stored; the first offender is named. Returns
-    (model, optimizer_payload_or_None, run_config).
+    every model tensor must be stored; the same holds for the optimizer's
+    moments against the trainable tensors. The first offender is named, and
+    bytes after the last record are rejected. Returns (model, optimizer,
+    run_config), where ``optimizer`` is an :class:`AdamW` over ``model.store``
+    holding the stored step, hyperparameters and moments, or None when the
+    file holds no optimizer state.
     """
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != _MAGIC:
@@ -374,47 +411,16 @@ def checkpoint_load(path):
     if version > 1 and struct.unpack("<B", reader.take(1))[0]:
         run_config.class_map_ids = parse_class_map(reader.block().decode("utf-8"), f"{path} class map")
     model = WaffleIron(run_config.model)
-    (n_tensors,) = struct.unpack("<I", reader.take(4))
-    loaded = set()
-    for _ in range(n_tensors):
-        name, _trainable, data = reader.tensor()
-        if name not in model.store:
-            raise ValueError(f"unexpected tensor {name!r} in checkpoint")
-        tensor = model.store[name]
-        if tensor.data.shape != data.shape:
-            raise ValueError(
-                f"dimension mismatch for tensor {name!r}: "
-                f"model {tensor.data.shape}, checkpoint {data.shape}"
-            )
-        tensor.data[...] = data
-        loaded.add(name)
-    missing = [n for n in model.store.names() if n not in loaded]
-    if missing:
-        raise ValueError(f"missing tensor {missing[0]!r} in checkpoint")
-    (has_opt,) = struct.unpack("<B", reader.take(1))
-    optim_payload = None
-    if has_opt:
+    reader.tensors_into("tensor", {name: (t.data,) for name, t in model.store.items()})
+    optimizer = None
+    if struct.unpack("<B", reader.take(1))[0]:
         step, b1, b2, eps, wd, base_lr = struct.unpack("<Q5d", reader.take(8 + 5 * 8))
-        (n_mom,) = struct.unpack("<I", reader.take(4))
-        m: dict[str, np.ndarray] = {}
-        v: dict[str, np.ndarray] = {}
-        for _ in range(n_mom):
-            name, _, dm = reader.tensor()
-            name2, _, dv = reader.tensor()
-            if name2 != name:
-                raise ValueError(f"optimizer moment name mismatch: {name!r} vs {name2!r}")
-            m[name] = dm
-            v[name] = dv
-        optim_payload = {
-            "step": step,
-            "betas": (b1, b2),
-            "eps": eps,
-            "weight_decay": wd,
-            "base_lr": base_lr,
-            "m": m,
-            "v": v,
-        }
-    return model, optim_payload, run_config
+        optimizer = AdamW(model.store, (b1, b2), eps, wd, base_lr)
+        optimizer.step_count = step
+        reader.tensors_into("optimizer moment", {name: (m, optimizer.v[name]) for name, m in optimizer.m.items()})
+    if reader.pos != len(reader.buf):
+        raise ValueError(f"{len(reader.buf) - reader.pos} trailing bytes after the last record in {path}")
+    return model, optimizer, run_config
 
 
 # -- datasets -----------------------------------------------------------------------

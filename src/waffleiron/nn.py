@@ -60,17 +60,8 @@ class ParamStore:
         self._tensors[name] = t
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._tensors.items())
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
 
     def trainable_items(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._tensors.items() if t.trainable]

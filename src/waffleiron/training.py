@@ -204,33 +204,6 @@ class AdamW:
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             tensor.data -= (lr * update).astype(np.float32)
 
-    def state_payload(self) -> dict:
-        """Serializable snapshot (consumed by the checkpoint writer)."""
-        return {
-            "step": self.step_count,
-            "betas": self.betas,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "base_lr": self.base_lr,
-            "m": self.m,
-            "v": self.v,
-        }
-
-    @classmethod
-    def from_payload(cls, store: ParamStore, payload: dict) -> "AdamW":
-        opt = cls(
-            store,
-            betas=tuple(payload["betas"]),
-            eps=payload["eps"],
-            weight_decay=payload["weight_decay"],
-            base_lr=payload["base_lr"],
-        )
-        opt.step_count = int(payload["step"])
-        for name in opt.m:
-            opt.m[name][...] = payload["m"][name]
-            opt.v[name][...] = payload["v"][name]
-        return opt
-
 
 # -- training loop ----------------------------------------------------------------
 

@@ -15,6 +15,18 @@ from waffleiron.geometry import Fov, PointCloud, point_features
 from oracles import run_overfit_harness, synthetic_zband_scene
 
 
+class FixedDraws:
+    """Generator stub: ``uniform`` and ``random`` return the given values in order."""
+
+    def __init__(self, *values):
+        self._values = list(values)
+
+    def uniform(self, low=0.0, high=1.0):
+        return self._values.pop(0)
+
+    random = uniform
+
+
 def random_cloud(rng, n, fov: Fov, feature_mode="5dim", n_classes=3, margin=1e-3):
     positions = rng.uniform(fov.min + margin, fov.max - margin, size=(n, 3))
     intensity = rng.uniform(0.0, 1.0, n).astype(np.float32)

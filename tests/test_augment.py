@@ -17,7 +17,7 @@ from waffleiron.augment import (
 )
 from waffleiron.geometry import PointCloud
 
-from conftest import random_cloud
+from conftest import FixedDraws, random_cloud
 
 
 def labeled_cloud(rng, n, fov, labels):
@@ -34,18 +34,18 @@ class TestSceneTransforms:
     def test_identity_draws(self, small_fov):
         rng = np.random.default_rng(0)
         pc = random_cloud(rng, 50, small_fov)
-        out = random_rotate_z(pc, np.random.default_rng(1), angle_range=(0.0, 0.0))
+        out = random_rotate_z(pc, FixedDraws(0.0))
         np.testing.assert_allclose(out.positions, pc.positions, atol=1e-6)
-        out = random_scale(pc, np.random.default_rng(2), scale_range=(1.0, 1.0))
+        out = random_scale(pc, FixedDraws(1.0))
         np.testing.assert_allclose(out.positions, pc.positions, atol=1e-6)
-        out = random_flip(pc, np.random.default_rng(3), prob_x=0.0, prob_y=0.0)
+        out = random_flip(pc, FixedDraws(0.5, 0.5))
         np.testing.assert_array_equal(out.positions, pc.positions)
 
     def test_half_turn_twice_restores(self, small_fov):
         rng = np.random.default_rng(4)
         pc = random_cloud(rng, 40, small_fov)
-        once = random_rotate_z(pc, np.random.default_rng(0), angle_range=(np.pi, np.pi))
-        twice = random_rotate_z(once, np.random.default_rng(0), angle_range=(np.pi, np.pi))
+        once = random_rotate_z(pc, FixedDraws(np.pi))
+        twice = random_rotate_z(once, FixedDraws(np.pi))
         np.testing.assert_allclose(twice.positions, pc.positions, atol=1e-6)
 
     def test_rotation_and_flip_are_isometries(self, small_fov):
@@ -54,14 +54,14 @@ class TestSceneTransforms:
         base = pairwise_distances(pc.positions)
         rot = random_rotate_z(pc, np.random.default_rng(6))
         np.testing.assert_allclose(pairwise_distances(rot.positions), base, atol=1e-5)
-        flip = random_flip(pc, np.random.default_rng(7), prob_x=1.0, prob_y=0.0)
+        flip = random_flip(pc, FixedDraws(0.0, 0.5))
         np.testing.assert_allclose(pairwise_distances(flip.positions), base, atol=1e-5)
 
     def test_scaling_scales_distances(self, small_fov):
         rng = np.random.default_rng(8)
         pc = random_cloud(rng, 30, small_fov)
         base = pairwise_distances(pc.positions)
-        out = random_scale(pc, np.random.default_rng(9), scale_range=(1.05, 1.05))
+        out = random_scale(pc, FixedDraws(1.05))
         np.testing.assert_allclose(pairwise_distances(out.positions), base * 1.05, atol=1e-5)
 
     def test_features_follow_positions(self, small_fov):
@@ -206,21 +206,21 @@ class TestPolarmix:
     def test_zero_width_no_instances_is_scene_a(self, small_fov):
         rng = np.random.default_rng(24)
         a, b = self._two_scenes(rng, small_fov)
-        out = polarmix(a, b, classes=(7,), rng=np.random.default_rng(0), sector=(1.0, 0.0))
+        out = polarmix(a, b, classes=(7,), rng=FixedDraws(1.0, 0.0))
         np.testing.assert_array_equal(out.positions, a.positions)
         np.testing.assert_array_equal(out.labels, a.labels)
 
     def test_full_sector_takes_scene_b(self, small_fov):
         rng = np.random.default_rng(25)
         a, b = self._two_scenes(rng, small_fov)
-        out = polarmix(a, b, classes=(7,), rng=np.random.default_rng(0), sector=(0.3, 2 * np.pi))
+        out = polarmix(a, b, classes=(7,), rng=FixedDraws(0.3, 2 * np.pi))
         np.testing.assert_array_equal(out.positions, b.positions)
 
     def test_sector_membership_by_azimuth_oracle(self, small_fov):
         rng = np.random.default_rng(26)
         a, b = self._two_scenes(rng, small_fov)
         start, width = 0.7, 1.2
-        out = polarmix(a, b, classes=(), rng=np.random.default_rng(0), sector=(start, width))
+        out = polarmix(a, b, classes=(), rng=FixedDraws(start, width))
 
         def in_sector(p):
             az = np.arctan2(p[1], p[0]) % (2 * np.pi)
@@ -237,7 +237,7 @@ class TestPolarmix:
         b_labels = np.zeros(10, dtype=np.int32)
         b_labels[:4] = 7
         b = labeled_cloud(rng, 10, small_fov, b_labels)
-        out = polarmix(a, b, classes=(7,), rng=np.random.default_rng(0), sector=(0.0, 0.0))
+        out = polarmix(a, b, classes=(7,), rng=FixedDraws(0.0, 0.0))
         # scene part contributes a only; instance part pastes the 4 class-7
         # points at 3 orientations
         assert out.n_points == 20 + 12

@@ -187,9 +187,10 @@ class TestEmbeddingBlocks:
             want_tokens, want_dhb, want_grads = embedding_oneshot(emb, seen["hb"], nbr, dy)
             np.testing.assert_array_equal(tokens, want_tokens)
             np.testing.assert_allclose(seen["dhb"], want_dhb, rtol=1e-10)
+            tensors = dict(store.items())
             for name, (dw, db) in want_grads.items():
-                np.testing.assert_allclose(store[f"embed.{name}.weight"].grad, dw, rtol=1e-10, err_msg=name)
-                np.testing.assert_allclose(store[f"embed.{name}.bias"].grad, db, rtol=1e-10, err_msg=name)
+                np.testing.assert_allclose(tensors[f"embed.{name}.weight"].grad, dw, rtol=1e-10, err_msg=name)
+                np.testing.assert_allclose(tensors[f"embed.{name}.bias"].grad, db, rtol=1e-10, err_msg=name)
 
     def test_grad_check(self, monkeypatch):
         # seed 2 is left out: one local1 pre-activation lies 1e-5 from the

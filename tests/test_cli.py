@@ -1,11 +1,13 @@
 """Command-line surface, including a miniature end-to-end run."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from waffleiron import dataio
+from waffleiron import cli, dataio
 from waffleiron.backbone import param_count
 from waffleiron.cli import main
 from waffleiron.evaluation import ConfusionMatrix, MetricsReport, iou
@@ -94,12 +96,15 @@ class TestTrainInputErrors:
             ("0 -2\n", [], "tiny.map:1: negative train id -2"),
             ("0 0\nx 1\n", [], "tiny.map:2: ids must be integers, got 'x 1'"),
             ("0 road\n", [], "tiny.map:1: ids must be integers, got '0 road'"),
+            ("0 0\n1 255\n", [], "tiny.map:2: train id 255 outside [0, 254]; an ignored class is written 'ignore'"),
+            ("0 0\n10 99999999999\n", [], "tiny.map:2: train id 99999999999 outside [0, 254]"),
             ("0 0\n1 7\n2 1\n", [], "scan_0: label 7 outside the class range [0, 2]"),
             (None, ["classes=2"], "scan_0: label 2 outside the class range [0, 1]"),
             (None, ["batch=0"], "batch_size must be >= 1"),
             (None, ["checkpoint_every=-1"], "checkpoint_every must be >= 0"),
         ],
         ids=["negative-raw-id", "raw-id-past-16-bits", "negative-train-id", "non-integer-raw-id", "non-integer-train-id",
+             "train-id-is-ignore-label", "train-id-past-int32",
              "mapped-label-past-classes",
              "raw-label-past-classes", "batch-zero", "negative-checkpoint-every"],
     )
@@ -116,6 +121,32 @@ class TestTrainInputErrors:
             argv += ["--set", item]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+
+class TestCutmixBank:
+    def test_no_loaded_scan_outlives_the_bank(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("epochs 2", "epochs 1") + "aug_cutmix true\n")
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=3)
+        loaded = []
+        load, train_loop = dataio.ScanDataset.load_with_instances, cli.train_loop
+
+        def recording_load(self, i):
+            pc, instances = load(self, i)
+            loaded.append(weakref.ref(pc))
+            return pc, instances
+
+        def entered_train_loop(*args, **kwargs):
+            gc.collect()
+            alive.extend(i for i, ref in enumerate(loaded) if ref() is not None)
+            seen.append(len(loaded))
+            return train_loop(*args, **kwargs)
+
+        alive, seen = [], []
+        monkeypatch.setattr(dataio.ScanDataset, "load_with_instances", recording_load)
+        monkeypatch.setattr(cli, "train_loop", entered_train_loop)
+        assert main(["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen == [3] and alive == []
 
 
 class TestParamCount:

@@ -62,6 +62,34 @@ def small_model(fov, width=8, depth=3, seed=0):
     return WaffleIron(cfg, np.random.default_rng(seed))
 
 
+def take_gradient(model, fov):
+    """Accumulate the segmentation-loss gradient of one fixed training scene."""
+    pc = random_cloud(np.random.default_rng(6), 30, fov)
+    feats, nbr, proj, valid = prepare_inputs(model, pc)
+    logits = model.forward(feats, nbr, proj, valid, training=True)
+    _, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
+    model.backward(dlogits)
+
+
+def stepped_model_and_optimizer(fov):
+    model = small_model(fov, seed=5)
+    opt = AdamW(model.store, weight_decay=0.01, base_lr=2e-3)
+    take_gradient(model, fov)
+    opt.step(1e-3)
+    return model, opt
+
+
+def write_with_moments(path, model, records):
+    """Save ``model`` with an optimizer section of (m name, m, v name, v) moment records."""
+    dataio.checkpoint_save(path, model)
+    out = bytearray(path.read_bytes()[:-1])  # drop the no-optimizer flag
+    out += struct.pack("<BQ5dI", 1, 1, 0.9, 0.999, 1e-8, 0.01, 2e-3, len(records))
+    for m_name, m, v_name, v in records:
+        dataio._write_tensor(out, m_name, m, True)
+        dataio._write_tensor(out, v_name, v, True)
+    path.write_bytes(bytes(out))
+
+
 class TestReadScan:
     def test_golden_single_point(self, tmp_path):
         path = tmp_path / "scan.bin"
@@ -143,14 +171,20 @@ class TestLabels:
         assert mapping[0] == IGNORE_LABEL
         assert mapping[81] == 18
 
+    @pytest.mark.parametrize("train", ["255", "99999999999"])
+    def test_class_map_train_id_below_ignore_label(self, train):
+        assert dataio.parse_class_map("0 ignore\n1 254\n") == {0: IGNORE_LABEL, 1: 254}
+        with pytest.raises(ValueError, match=rf"m\.map:2: train id {train} outside \[0, 254\]; .* 'ignore'"):
+            dataio.parse_class_map(f"0 0\n10 {train}\n", "m.map")
+
 
 class TestCheckpoint:
     def test_round_trip_byte_identical(self, tmp_path, small_fov):
         model = small_model(small_fov)
         p1, p2 = tmp_path / "a.wfli", tmp_path / "b.wfli"
         dataio.checkpoint_save(p1, model)
-        loaded, payload, rc = dataio.checkpoint_load(p1)
-        assert payload is None
+        loaded, optimizer, rc = dataio.checkpoint_load(p1)
+        assert optimizer is None
         dataio.checkpoint_save(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -195,23 +229,77 @@ class TestCheckpoint:
             dataio.checkpoint_load(path)
 
     def test_optimizer_state_round_trip(self, tmp_path, small_fov):
-        model = small_model(small_fov, seed=5)
-        opt = AdamW(model.store, weight_decay=0.01, base_lr=2e-3)
-        pc = random_cloud(np.random.default_rng(6), 30, small_fov)
-        feats, nbr, proj, valid = prepare_inputs(model, pc)
-        logits = model.forward(feats, nbr, proj, valid, training=True)
-        _, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
-        model.backward(dlogits)
-        opt.step(1e-3)
-        path = tmp_path / "m.wfli"
-        dataio.checkpoint_save(path, model, opt)
-        loaded, payload, _ = dataio.checkpoint_load(path)
-        resumed = AdamW.from_payload(loaded.store, payload)
+        model, opt = stepped_model_and_optimizer(small_fov)
+        p1, p2 = tmp_path / "a.wfli", tmp_path / "b.wfli"
+        dataio.checkpoint_save(p1, model, opt)
+        loaded, resumed, _ = dataio.checkpoint_load(p1)
+        assert isinstance(resumed, AdamW) and resumed.store is loaded.store
         assert resumed.step_count == 1
-        assert resumed.base_lr == 2e-3
+        assert (resumed.betas, resumed.eps, resumed.weight_decay, resumed.base_lr) == (
+            opt.betas, opt.eps, opt.weight_decay, opt.base_lr
+        )
         for name in opt.m:
             np.testing.assert_array_equal(resumed.m[name], opt.m[name])
             np.testing.assert_array_equal(resumed.v[name], opt.v[name])
+        dataio.checkpoint_save(p2, loaded, resumed)
+        assert p1.read_bytes() == p2.read_bytes()
+        # the fault tests below build their moment sections with this helper
+        write_with_moments(p2, model, [(name, m, name, opt.v[name]) for name, m in opt.m.items()])
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loaded_optimizer_steps_like_the_saved_one(self, tmp_path, small_fov):
+        model, opt = stepped_model_and_optimizer(small_fov)
+        path = tmp_path / "m.wfli"
+        dataio.checkpoint_save(path, model, opt)
+        loaded, resumed, _ = dataio.checkpoint_load(path)
+        for m, o in ((model, opt), (loaded, resumed)):
+            m.store.zero_grad()
+            take_gradient(m, small_fov)
+            o.step(1e-3)
+        trained = dict(loaded.store.items())
+        for name, t in model.store.items():
+            np.testing.assert_array_equal(trained[name].data, t.data, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("unknown", "unexpected optimizer moment 'bogus'"),
+            # shape (1,) would broadcast into the bias-shaped moment
+            ("wrong-shape", r"dimension mismatch for optimizer moment 'embed.global.bias': model \(4,\), checkpoint \(1,\)"),
+            ("missing", "missing optimizer moment 'embed.global.bias'"),
+            ("v-name", "optimizer moment name mismatch: 'embed.global.bias' vs 'bogus'"),
+        ],
+        ids=["unknown", "wrong-shape", "missing", "v-name"],
+    )
+    def test_bad_moment_record_is_named(self, tmp_path, small_fov, fault, message):
+        model, opt = stepped_model_and_optimizer(small_fov)
+        records = []
+        for name, m in opt.m.items():
+            record = (name, m, name, opt.v[name])
+            if name == "embed.global.bias":
+                if fault == "missing":
+                    continue
+                record = {
+                    "unknown": record,
+                    "wrong-shape": (name, np.zeros(1), name, opt.v[name]),
+                    "v-name": (name, m, "bogus", opt.v[name]),
+                }[fault]
+            records.append(record)
+        if fault == "unknown":
+            records.append(("bogus", np.zeros(2), "bogus", np.zeros(2)))
+        path = tmp_path / "m.wfli"
+        write_with_moments(path, model, records)
+        with pytest.raises(ValueError, match=message):
+            dataio.checkpoint_load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, small_fov):
+        model, opt = stepped_model_and_optimizer(small_fov)
+        path = tmp_path / "m.wfli"
+        for optimizer in (None, opt):
+            dataio.checkpoint_save(path, model, optimizer)
+            path.write_bytes(path.read_bytes() + b"junk")
+            with pytest.raises(ValueError, match="4 trailing bytes"):
+                dataio.checkpoint_load(path)
 
     def test_class_map_embedded_and_round_trip(self, tmp_path, small_fov):
         model = small_model(small_fov, seed=7)
@@ -238,10 +326,11 @@ class TestCheckpoint:
         assert v2[end] == 0  # no class map
         v1 = v2[:4] + struct.pack("<I", 1) + v2[8:end] + v2[end + 1 :]
         path.write_bytes(v1)
-        loaded, payload, rc = dataio.checkpoint_load(path)
-        assert payload is None and rc.class_map_ids is None
+        loaded, optimizer, rc = dataio.checkpoint_load(path)
+        assert optimizer is None and rc.class_map_ids is None
+        stored = dict(loaded.store.items())
         for name, t in model.store.items():
-            np.testing.assert_array_equal(loaded.store[name].data, t.data)
+            np.testing.assert_array_equal(stored[name].data, t.data)
         dataio.checkpoint_save(path, loaded)
         assert path.read_bytes() == v2
 

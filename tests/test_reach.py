@@ -26,7 +26,6 @@ SRC = Path(waffleiron.__file__).parent
 ALLOWED_UNREACHED = {
     "dataio.write_scan": "writes the synthetic scans of the benchmark",
     "PlaneSpec.name": "keys the benchmark tracer's per-plane metrics",
-    "AdamW.from_payload": "only tests resume an optimizer until training can resume from a checkpoint",
 }
 
 # raw z-band ids 0/1/2 become road (a cutmix landing class), person (a cutmix

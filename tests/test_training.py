@@ -250,9 +250,9 @@ class TestTrainLoop:
         rc.train.peak_lr = 0.0
         rc.train.final_lr = 0.0
         model, _, _ = train_loop([scene], rc)
-        fresh = WaffleIron(rc.model, np.random.default_rng(rc.train.seed))
+        fresh = dict(WaffleIron(rc.model, np.random.default_rng(rc.train.seed)).store.items())
         for name, t in model.store.trainable_items():
-            np.testing.assert_array_equal(t.data, fresh.store[name].data, err_msg=name)
+            np.testing.assert_array_equal(t.data, fresh[name].data, err_msg=name)
 
     def test_empty_dataset_raises(self):
         scene, fov = synthetic_zband_scene(n_points=16)
