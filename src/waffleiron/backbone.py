@@ -6,7 +6,11 @@ by a single linear layer. Token mixing projects tokens onto a 2D plane,
 runs a small depthwise-convolution FFN on the grid, and copies the result
 back to the points; channel mixing is a per-point MLP. Both residual
 branches carry a trainable layerscale; :class:`WaffleIron` drops whole
-mixing layers stochastically. Eval folds BN and layerscale into weights.
+mixing layers stochastically. Training and eval run one layer structure:
+each batch norm's map folds into what reads it (``global``/``local1``, the
+token flatten, ``lin1``) and the stochastic-depth factor times each
+layerscale into ``conv2``/``lin2``, so both mixing layers add their branch
+to ``x`` as it is.
 
 Features and tokens are N x C and N x F blocks of point rows from the
 embedding to the classifier; the logits are the K x N transpose of the
@@ -18,9 +22,9 @@ winning neighbor slot of each pooled entry, and backward recomputes
 The mixing layers apply their hidden ReLU in place to the fresh output of
 ``lin1`` (channel) or ``conv1`` (token), so a training forward keeps that
 one array both as the next layer's input and as the ReLU mask, and backward
-masks the fresh gradient in place. The residual ``x + factor * branch`` is
-written into the branch's fresh output, and the backward's ``dy + branch
-gradient`` into the branch gradient when it already has the promoted dtype.
+masks the fresh gradient in place. The residual ``x + branch`` is written
+into the branch's fresh output, and the backward's ``dy + branch gradient``
+into the branch gradient when it already has the promoted dtype.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ import numpy as np
 
 from .geometry import FEATURE_DIMS, Fov, PointCloud, knn
 from .nn import (
+    LAYERSCALE_INIT,
     BatchNorm,
     DepthwiseConv3x3,
-    LayerScale,
     ParamStore,
     PointwiseLinear,
-    fold,
     out_if_promoted,
     slot_max,
 )
@@ -103,17 +106,19 @@ class EmbeddingLayer:
     point to half the token width (global branch) while an MLP applied to the
     differences ``h_j - h_i`` over the k nearest neighbors, max-pooled per
     point, fills the other half (local branch). A final linear layer mixes
-    the concatenation.
+    the concatenation. The batch norm's map folds wholly into the global
+    linear layer and only its scale into ``local1``: the shift cancels.
 
     The local branch runs in blocks of ``_LOCAL_BLOCK`` points, in both
     modes, so its k rows per point never exist for the whole cloud at once.
-    A training forward keeps only the normalized features, the neighbor
-    list and the winning slot of every pooled entry; :meth:`backward` walks
-    the same blocks, recomputes the differences and ``relu(local1)`` and
-    routes the gradient through the kept slots, so ``local2`` is not re-run.
+    A training forward keeps only the batch norm's rows, the neighbor list,
+    ``local1``'s weight with the scale and the winning slot of every pooled entry;
+    :meth:`backward` walks the same blocks, recomputes the differences and
+    ``relu(local1)`` and routes the gradient through the kept slots, so
+    ``local2`` is not re-run.
     """
 
-    def __init__(self, store: ParamStore, name: str, in_dim: int, width: int, rng: np.random.Generator):
+    def __init__(self, store: ParamStore, name: str, in_dim: int, width: int, rng: Optional[np.random.Generator]):
         half = width // 2
         self.half = half
         self.pre_bn = BatchNorm(store, f"{name}.pre_bn", in_dim)
@@ -128,12 +133,9 @@ class EmbeddingLayer:
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
         n, k = neighbors.shape
-        if training:
-            h, glob, w1 = self.pre_bn.forward(feats, valid), None, self.local1.w.data
-        else:  # pre_bn folded wholly into global, only its scale into local1 (the shift cancels in h_j - h_i)
-            (a, s), lin, h = self.pre_bn.eval_affine(), self.global_lin, feats
-            glob, w1 = fold(lin.w.data, lin.b.data, h.dtype, a, s), (self.local1.w.data * a).astype(h.dtype)
-        g = self.global_lin.forward(h, training, glob)
+        h, scale, shift = self.pre_bn.forward(feats, valid, training)
+        w1 = (self.local1.w.data * scale).astype(h.dtype)
+        g = self.global_lin.forward(h, training, (scale, shift))
         local = np.empty((n, self.half), dtype=h.dtype)
         slots = np.empty((n, self.half), dtype=np.int64) if training else None
         for start, stop, _, r in self._pair_blocks(h, neighbors, w1):
@@ -143,7 +145,7 @@ class EmbeddingLayer:
                 local[start:stop], slots[start:stop] = slot_max(a2, neighbors[start:stop])
             else:  # local2's bias commutes with the max (rounding a + b is monotonic in a): added after pooling
                 a2.max(axis=1, out=local[start:stop])
-        self._cache = (h, neighbors, slots) if training else None
+        self._cache = (h, neighbors, slots, scale, w1) if training else None
         cat = np.concatenate([g, local if training else local + self.local2.b.data], axis=1)
         return self.merge.forward(cat, training)
 
@@ -161,12 +163,13 @@ class EmbeddingLayer:
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("embedding backward needs a training forward")
-        (hb, neighbors, slots), self._cache = self._cache, None
+        (hb, neighbors, slots, scale, w1), self._cache = self._cache, None
         k = neighbors.shape[1]
         dcat = self.merge.backward(dy)
         dlocal = dcat[:, None, self.half :]
+        # gradients with respect to the batch norm's output, whose differences local1 reads
         dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]))
-        w1, w2 = self.local1.w.data, self.local2.w.data
+        w2 = self.local2.w.data
         dw1 = np.zeros(w1.shape, dtype=dy.dtype)
         dw2 = np.zeros(w2.shape, dtype=dy.dtype)
         db1 = np.zeros(self.half, dtype=dy.dtype)
@@ -182,10 +185,10 @@ class EmbeddingLayer:
             da1 *= r > 0
             dw1 += da1.T @ d
             db1 += da1.sum(axis=0)
-            ddiff = (da1 @ w1).reshape(stop - start, k, -1)
+            ddiff = (da1 @ self.local1.w.data).reshape(stop - start, k, -1)
             np.add.at(dhb, neighbors[start:stop], ddiff)
             ddiff.sum(axis=1, out=dself[start:stop])
-        self.local1.w.grad += dw1
+        self.local1.w.grad += dw1 * scale  # local1 ran on W1 diag(scale)
         self.local1.b.grad += db1
         self.local2.w.grad += dw2
         self.local2.b.grad += db2
@@ -194,31 +197,29 @@ class EmbeddingLayer:
 
 
 class _TokenMixBranch:
-    """One plane's BN -> flatten -> conv FFN -> inflate -> layerscale chain."""
+    """One plane's BN -> flatten -> conv FFN -> inflate -> layerscale chain, times ``factor``.
+
+    The flatten maps the cell means by BN's map, so empty cells stay padding, not BN(0).
+    """
 
     def __init__(self, store, name, width, rng):
         self.bn = BatchNorm(store, f"{name}.bn", width)
         self.conv1 = DepthwiseConv3x3(store, f"{name}.conv1", width, rng)
         self.conv2 = DepthwiseConv3x3(store, f"{name}.conv2", width, rng)
-        self.scale = LayerScale(store, f"{name}.layerscale", width)
+        self.layerscale = store.register(f"{name}.layerscale.diag", np.full(width, LAYERSCALE_INIT, dtype=np.float32))
         self._cache = None
 
     def forward(self, x, proj: ProjectionPair, valid, training, factor):
-        if training:
-            xb, affine, conv2 = self.bn.forward(x, valid), None, None
-        else:  # BN maps occupied cells only (an empty cell is padding, not BN(0)); factor * layerscale goes into conv2
-            xb, affine, k2 = x, self.bn.eval_affine(), self.conv2.k.data.reshape(x.shape[1], 9)
-            conv2 = fold(k2, self.conv2.b.data, x.dtype, out_scale=self.scale.eval_scale(factor))
-        r = self.conv1.forward(proj.flatten(xb, affine), proj.d_from_o, training)
+        rows, scale, shift = self.bn.forward(x, valid, training)
+        r = self.conv1.forward(proj.flatten(rows, (scale, shift)), proj.d_from_o, training)
         np.maximum(r, 0, out=r)
-        pts = proj.inflate(self.conv2.forward(r, proj.o_from_d, training, conv2))
         # r is also conv2's cached input; r > 0 is the ReLU mask
         self._cache = (proj, r) if training else None
-        return self.scale.forward(pts) if training else pts  # at eval already scaled by factor
+        return proj.inflate(self.conv2.forward(r, proj.o_from_d, training, self.layerscale, factor))
 
     def backward(self, dy):
         (proj, r), self._cache = self._cache, None
-        dr = self.conv2.backward(proj.inflate_backward(self.scale.backward(dy)), proj.d_from_o)
+        dr = self.conv2.backward(proj.inflate_backward(dy), proj.d_from_o)
         dr *= r > 0
         return self.bn.backward(proj.flatten_backward(self.conv1.backward(dr, proj.o_from_d)))
 
@@ -231,60 +232,45 @@ class TokenMixLayer:
         self.branches = [
             _TokenMixBranch(store, f"{name}.plane_{a0}{a1}", width, rng) for a0, a1 in self.planes
         ]
-        self._factor = 1.0
 
     def forward(self, x, projections, valid, training, factor=1.0):
-        self._factor = factor
         total = None
         for axes, branch in zip(self.planes, self.branches):
             out = branch.forward(x, projections[axes], valid, training, factor)
             total = out if total is None else _add_into(total, out)
-        return _residual(x, factor if training else 1.0, total)
+        return _add_into(total, x)
 
     def backward(self, dy):
-        dres = _scaled(self._factor, dy)
         dx = None
         for branch in self.branches:
-            grad = branch.backward(dres)
+            grad = branch.backward(dy)
             dx = _add_into(grad, dy) if dx is None else _add_into(dx, grad)
         return dx
 
 
 class ChannelMixLayer:
-    """Residual per-point MLP: x + factor * layerscale(MLP(BN(x)))."""
+    """Residual per-point MLP: x + factor * layerscale(MLP(BN(x))), as x + relu(x W1'^T + b1') W2'^T + b2'."""
 
     def __init__(self, store, name, width, rng):
         self.bn = BatchNorm(store, f"{name}.bn", width)
         self.lin1 = PointwiseLinear(store, f"{name}.lin1", width, width, rng)
         self.lin2 = PointwiseLinear(store, f"{name}.lin2", width, width, rng)
-        self.scale = LayerScale(store, f"{name}.layerscale", width)
-        self._factor = 1.0
+        self.layerscale = store.register(f"{name}.layerscale.diag", np.full(width, LAYERSCALE_INIT, dtype=np.float32))
         self._relu_out = None
 
     def forward(self, x, valid, training, factor=1.0):
-        self._factor = factor
-        if training:
-            h, lin1, lin2 = self.bn.forward(x, valid), None, None
-        else:  # x + relu(x W1'^T + b1') W2'^T + b2': BN into lin1, factor * layerscale into lin2
-            h, lin1 = x, fold(self.lin1.w.data, self.lin1.b.data, x.dtype, *self.bn.eval_affine())
-            lin2 = fold(self.lin2.w.data, self.lin2.b.data, x.dtype, out_scale=self.scale.eval_scale(factor))
-        r = self.lin1.forward(h, training, lin1)
+        rows, scale, shift = self.bn.forward(x, valid, training)
+        r = self.lin1.forward(rows, training, (scale, shift))
         np.maximum(r, 0, out=r)
         # r is also lin2's cached input; r > 0 is the ReLU mask
         self._relu_out = r if training else None
-        a2 = self.lin2.forward(r, training, lin2)
-        return _residual(x, factor, self.scale.forward(a2)) if training else _add_into(a2, x)
+        return _add_into(self.lin2.forward(r, training, None, self.layerscale, factor), x)
 
     def backward(self, dy):
         r, self._relu_out = self._relu_out, None
-        dr = self.lin2.backward(self.scale.backward(_scaled(self._factor, dy)))
+        dr = self.lin2.backward(dy)
         dr *= r > 0
         return _add_into(self.bn.backward(self.lin1.backward(dr)), dy)
-
-
-def _scaled(factor, a):
-    """``factor * a``; ``a`` itself when ``factor`` is 1, a product that would change no bit."""
-    return a if factor == 1.0 else factor * a
 
 
 def _add_into(owned, other):
@@ -292,19 +278,10 @@ def _add_into(owned, other):
     return np.add(owned, other, out=out_if_promoted(owned, owned, other))
 
 
-def _residual(x, factor, branch):
-    """``x + factor * branch``, written into ``branch``, the fresh output of the caller's branch."""
-    if factor != 1.0:
-        branch *= factor
-    return _add_into(branch, x)
-
-
 class WaffleIron:
-    """The full network: embedding, mixing layers, linear classifier."""
+    """The full network: embedding, mixing layers, linear classifier; without ``rng`` every weight is zero."""
 
     def __init__(self, config: WaffleIronConfig, rng: Optional[np.random.Generator] = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.config = config
         self.store = ParamStore()
         self.embedding = EmbeddingLayer(self.store, "embed", config.in_channels, config.width, rng)
@@ -341,10 +318,11 @@ class WaffleIron:
     ) -> np.ndarray:
         """Run the network on N x C features of one cloud, returning K x N logits.
 
-        Two modes. A training forward normalizes by batch statistics,
-        updates the running statistics and makes every layer keep what
-        :meth:`backward` needs. An eval forward keeps nothing and runs each
-        batch norm and layerscale folded into the adjacent weights.
+        Two modes over one layer structure, in which every batch norm and
+        layerscale folds into the adjacent weights. A training forward
+        normalizes by batch statistics, updates the running statistics and
+        makes every layer keep what :meth:`backward` needs. An eval forward
+        normalizes by the running statistics and keeps nothing.
 
         Stochastic depth engages whenever ``drop_rng`` is given and
         ``drop_prob > 0`` (also used by test-time augmentation): one draw
@@ -387,7 +365,7 @@ class WaffleIron:
 
 def param_count(config: WaffleIronConfig) -> int:
     """Number of trainable scalars in a network with this configuration."""
-    return WaffleIron(config, np.random.default_rng(0)).store.num_trainable()
+    return WaffleIron(config).store.num_trainable()
 
 
 def prepare_inputs(model: WaffleIron, pc: PointCloud):

@@ -3,7 +3,10 @@
 The network architecture is fixed, so instead of a tape-based autodiff each
 layer caches what its own backward pass needs. Parameters live in a
 :class:`ParamStore` as named float32 tensors; gradient buffers accumulate
-until explicitly zeroed. Eval folds batch norm and layerscale (:func:`fold`).
+until explicitly zeroed. A batch norm returns its rows with the affine map
+that its consumer folds, and a layerscale is an output scale: both fold into
+the adjacent weights per call, in training and at eval (:func:`fold`), and
+backward maps the gradient of the resulting weights back (:func:`fold_adjoint`).
 
 Aliasing rule: a layer writes only into arrays it made itself, never into
 its arguments, and only when the array already has the result's dtype
@@ -22,7 +25,6 @@ import numpy as np
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LAYERSCALE_INIT = 1e-2
-
 
 class Tensor:
     """Dense array with an optional same-shaped gradient buffer."""
@@ -74,41 +76,59 @@ class ParamStore:
         return sum(t.size for _, t in self.trainable_items())
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def uniform_init(rng: Optional[np.random.Generator], shape, fan_in: int) -> np.ndarray:
+    """Uniform draws in +-1/sqrt(fan_in), or zeros without ``rng`` (for a model that is loaded or only counted)."""
+    if rng is None:
+        return np.zeros(shape, dtype=np.float32)
     bound = math.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-class PointwiseLinear:
-    """y[i] = W x[i] + b for every point row i, a 1x1 convolution; an eval forward may pass ``folded`` (W, b)."""
+def _out_scale(scale: Optional[Tensor], factor: float):
+    """The output scale ``factor * scale`` in float64, or 1.0 without ``scale``."""
+    return 1.0 if scale is None else factor * scale.data.astype(np.float64)
 
-    def __init__(self, store: ParamStore, name: str, in_dim: int, out_dim: int, rng: np.random.Generator):
+
+class PointwiseLinear:
+    """y[i] = W x[i] + b for every point row i, a 1x1 convolution, over weights built per call by :func:`fold`.
+
+    ``affine = (a, s)`` maps the input as ``a x + s`` first (a batch norm's map) and ``factor * scale`` scales
+    each output channel (a layerscale). Backward returns the gradient with respect to ``a x + s``.
+    """
+
+    def __init__(self, store: ParamStore, name: str, in_dim: int, out_dim: int, rng: Optional[np.random.Generator]):
         self.w = store.register(f"{name}.weight", uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = store.register(f"{name}.bias", np.zeros(out_dim, dtype=np.float32))
-        self._x = None
+        self._cache = None
 
-    def forward(self, x: np.ndarray, training: bool = True, folded=None) -> np.ndarray:
-        w, b = folded or (self.w.data, self.b.data)
-        if x.shape[1] != w.shape[1]:
-            raise ValueError(f"expected {w.shape[1]} input channels, got {x.shape[1]}")
-        self._x = x if training else None
+    def forward(self, x: np.ndarray, training: bool = True, affine=None, scale=None, factor=1.0) -> np.ndarray:
+        if x.shape[1] != self.w.shape[1]:
+            raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[1]}")
+        a, s = affine or (1.0, 0.0)
+        o = _out_scale(scale, factor)
+        w, b = fold(self.w.data, self.b.data, x.dtype, a, s, o)
+        self._cache = (x, a, s, o, scale, factor) if training else None
         y = x @ w.T
         y += b
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
-        self.w.grad += dy.T @ x
-        self.b.grad += dy.sum(axis=0)
-        return dy @ self.w.data
+        (x, a, s, o, scale, factor), self._cache = self._cache, None
+        dw, db, do = fold_adjoint(self.w.data, self.b.data, dy.T @ x, dy.sum(axis=0), a, s, o)
+        self.w.grad += dw
+        self.b.grad += db
+        if scale is not None:
+            scale.grad += factor * do
+        return dy @ fold(self.w.data, self.b.data, np.result_type(dy, self.w.data), out_scale=o)[0]
 
 
 class BatchNorm:
-    """Per-channel batch normalization over the valid point rows, training only.
+    """Per-channel batch normalization over the valid point rows; its consumer folds the affine map.
 
-    A forward normalizes by the batch mean and biased variance of the valid
-    rows, folds them into the running statistics with momentum and keeps
-    what :meth:`backward` needs. At eval the layer is :meth:`eval_affine`.
+    ``forward`` returns ``(rows, scale, shift)``, the normalized input being ``scale * rows + shift``. Training:
+    the rows normalized by the batch mean and biased variance of the valid rows, and ``(gamma, beta)``; the
+    statistics go into the running ones with momentum, and the layer keeps what :meth:`backward`, which takes
+    the normalized input's gradient, needs. Eval: the input and the running statistics' float64 map.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -118,7 +138,11 @@ class BatchNorm:
         self.running_var = store.register(f"{name}.running_var", np.ones(dim, dtype=np.float32), trainable=False)
         self._cache = None
 
-    def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None, training: bool = True):
+        if not training:
+            self._cache = None
+            a = self.gamma.data / np.sqrt(self.running_var.data.astype(np.float64) + BN_EPS)
+            return x, a, self.beta.data - self.running_mean.data * a
         valid = np.ones(x.shape[0], dtype=bool) if valid is None else valid
         count = int(valid.sum())
         if count == 0:
@@ -134,15 +158,7 @@ class BatchNorm:
         xhat = x - mean64.astype(x.dtype)
         xhat *= inv_std
         self._cache = (xhat, inv_std, valid, count)
-        y = xhat * self.gamma.data
-        y += self.beta.data
-        return y
-
-    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 ``(a, s)`` of the eval map ``a x + s`` by the running statistics; drops any training cache."""
-        self._cache = None
-        a = self.gamma.data / np.sqrt(self.running_var.data.astype(np.float64) + BN_EPS)
-        return a, self.beta.data - self.running_mean.data * a
+        return xhat, self.gamma.data, self.beta.data
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, valid, count = self._cache
@@ -166,28 +182,6 @@ class BatchNorm:
         corr /= count
         np.subtract(dx, corr, out=dx, where=valid[:, None])
         return dx
-
-
-class LayerScale:
-    """Trainable per-channel diagonal scaling of a residual branch; its forward is training only."""
-
-    def __init__(self, store: ParamStore, name: str, dim: int):
-        self.diag = store.register(f"{name}.diag", np.full(dim, LAYERSCALE_INIT, dtype=np.float32))
-        self._x = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return self.diag.data * x
-
-    def eval_scale(self, factor: float) -> np.ndarray:
-        """The eval scaling ``factor * diag`` in float64; drops any training cache."""
-        self._x = None
-        return factor * self.diag.data.astype(np.float64)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
-        self.diag.grad += (dy * x).sum(axis=0)
-        return self.diag.data * dy
 
 
 # Tap t = 3u + v of the 3x3 kernel reads the cell at offset (u - 1, v - 1).
@@ -217,26 +211,28 @@ class DepthwiseConv3x3:
     (u, v) order into the input's dtype. On the rows it evaluates, the result
     is therefore bit-identical to the dense zero-padded convolution of the
     whole grid, provided every cell the rows read and do not list is zero.
-    Kernel and bias gradients are sums over rows. An eval forward may pass ``folded`` (F x 9 kernel, bias).
+    Kernel and bias gradients are sums over rows. ``factor * scale`` scales
+    the output through kernel and bias, as in :class:`PointwiseLinear`.
     """
 
-    def __init__(self, store: ParamStore, name: str, channels: int, rng: np.random.Generator):
+    def __init__(self, store: ParamStore, name: str, channels: int, rng: Optional[np.random.Generator]):
         self.k = store.register(f"{name}.kernel", uniform_init(rng, (channels, 3, 3), 9))
         self.b = store.register(f"{name}.bias", np.zeros(channels, dtype=np.float32))
         self._cache = None
 
-    def forward(self, x: np.ndarray, taps: np.ndarray, training: bool = True, folded=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, taps: np.ndarray, training: bool = True, scale=None, factor=1.0) -> np.ndarray:
         f = self.k.shape[0]
         check_rows(x, f)
         _check_taps(taps, x.shape[0] - 1)
-        kern, bias = folded or (self.k.data.reshape(f, 9).astype(x.dtype), self.b.data.astype(x.dtype))
+        o = _out_scale(scale, factor)
+        kern, bias = fold(self.k.data.reshape(f, 9), self.b.data, x.dtype, out_scale=o)
         y = _tap_sum(x, taps, _TAPS, kern, x.dtype)
         y[:-1] += bias
-        self._cache = (x, taps) if training else None
+        self._cache = (x, taps, o, scale, factor) if training else None
         return y
 
     def backward(self, dy: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        x, fwd_taps = self._cache
+        x, fwd_taps, o, scale, factor = self._cache
         f = self.k.shape[0]
         check_rows(dy, f, fwd_taps.shape[0])
         _check_taps(taps, fwd_taps.shape[0])
@@ -251,10 +247,13 @@ class DepthwiseConv3x3:
             np.take(x, fwd_taps[:, t], axis=0, out=xt, mode="clip")
             np.multiply(rows, xt, out=prod)
             ksum[:, t] += prod.sum(axis=0)
-        self.k.grad += ksum.reshape(f, 3, 3)
-        self.b.grad += rows.sum(axis=0)
-        kern = self.k.data.reshape(f, 9).astype(dy.dtype)
-        return _tap_sum(dy, taps, _FLIPPED_TAPS, kern, x.dtype)
+        kern = self.k.data.reshape(f, 9)
+        dk, db, do = fold_adjoint(kern, self.b.data, ksum, rows.sum(axis=0), out_scale=o)
+        self.k.grad += dk.reshape(f, 3, 3)
+        self.b.grad += db
+        if scale is not None:
+            scale.grad += factor * do
+        return _tap_sum(dy, taps, _FLIPPED_TAPS, fold(kern, self.b.data, dy.dtype, out_scale=o)[0], x.dtype)
 
 
 def check_rows(x: np.ndarray, f: Optional[int] = None, n: Optional[int] = None) -> None:
@@ -292,9 +291,23 @@ def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype
 
 
 def fold(weight: np.ndarray, bias: np.ndarray, dtype, in_scale=1.0, in_shift=0.0, out_scale=1.0):
-    """``(W', b')`` with ``x W'^T + b' = out_scale * ((in_scale * x + in_shift) W^T + b)``, rounded once to ``dtype``."""
-    b = (bias + weight @ np.broadcast_to(in_shift, weight.shape[1:])) * out_scale
+    """``(W', b')`` with ``x W'^T + b' = out_scale * ((in_scale * x + in_shift) W^T + b)``.
+
+    Computed in float64, whatever the dtypes of the scales, and rounded once to ``dtype``.
+    """
+    b = (bias + weight @ np.broadcast_to(np.asarray(in_shift, dtype=np.float64), weight.shape[1:])) * out_scale
     return (weight * np.reshape(out_scale, (-1, 1)) * in_scale).astype(dtype), b.astype(dtype)
+
+
+def fold_adjoint(weight, bias, dweight, dbias, in_scale=1.0, in_shift=0.0, out_scale=1.0):
+    """``(dW, db, d out_scale)`` from the gradients ``(G, g)`` of the ``(W', b')`` of :func:`fold`.
+
+    With ``a, s, o`` the input scale and shift and the output scale: ``dW = o (G a + g s^T)``, ``db = o g`` and
+    ``d o = row sums of (W a) G, plus (b + W s) g``. Nothing divides by a scale, so a zero one is fine.
+    """
+    wa, bs = fold(weight, bias, np.float64, in_scale, in_shift)
+    dw = dweight * in_scale + np.outer(dbias, np.broadcast_to(in_shift, wa.shape[1:]))
+    return np.reshape(out_scale, (-1, 1)) * dw, dbias * out_scale, (wa * dweight).sum(axis=1) + bs * dbias
 
 
 def out_if_promoted(buf: np.ndarray, *operands) -> Optional[np.ndarray]:

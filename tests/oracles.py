@@ -16,6 +16,9 @@ Each oracle is written independently of the runtime path it checks:
 * the unfused eval forward: batch norm by the running statistics and
   layerscale each as a pass of their own, as the layers ran them before
   the package folded both into the adjacent weights;
+* the unfused training step, forward and backward: batch norm by the batch
+  statistics, layerscale and the stochastic-depth factor each as a pass of
+  their own, and the depthwise convolutions through the unblocked tap sum;
 * nearest-neighbor label propagation, with a full search over every
   destination point;
 * the depthwise-conv tap sum over all rows at once, without row blocks;
@@ -37,7 +40,7 @@ from waffleiron.dataio import RunConfig
 from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices, point_features
 from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, slot_max
 from waffleiron.projection import ProjectionPair
-from waffleiron.training import TrainConfig, _counted_mask, train_loop
+from waffleiron.training import TrainConfig, _counted_mask, segmentation_loss, train_loop
 
 # -- CSR flatten / inflate ------------------------------------------------------------
 
@@ -140,13 +143,13 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0)
 
 
-def bn_backward_masked(bn: BatchNorm, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``BatchNorm.backward`` as first written, from the cache of ``bn``'s training forward, which it leaves.
+def bn_backward_masked(bn: BatchNorm, dy: np.ndarray, cache=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``BatchNorm.backward`` as first written, from ``cache`` or else from ``bn``'s training forward, which it leaves.
 
     Every intermediate is a new array and the correction is subtracted
     through a boolean gather. Returns (dx, gamma gradient, beta gradient).
     """
-    xhat, inv_std, valid, count = bn._cache
+    xhat, inv_std, valid, count = bn._cache if cache is None else cache
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
     dxhat = dy * bn.gamma.data
@@ -255,7 +258,7 @@ def token_eval(layer: TokenMixLayer, x: np.ndarray, projections, factor: float =
     for axes, br in zip(layer.planes, layer.branches):
         proj = projections[axes]
         r = relu(br.conv1.forward(proj.flatten(bn_eval(br.bn, x)), proj.d_from_o, training=False))
-        out = br.scale.diag.data * proj.inflate(br.conv2.forward(r, proj.o_from_d, training=False))
+        out = br.layerscale.data * proj.inflate(br.conv2.forward(r, proj.o_from_d, training=False))
         total = out if total is None else total + out
     return x + factor * total
 
@@ -263,7 +266,7 @@ def token_eval(layer: TokenMixLayer, x: np.ndarray, projections, factor: float =
 def channel_eval(layer: ChannelMixLayer, x: np.ndarray, factor: float = 1.0) -> np.ndarray:
     """``x + factor * layerscale(lin2(relu(lin1(BN(x)))))``."""
     r = relu(bn_eval(layer.bn, x) @ layer.lin1.w.data.T + layer.lin1.b.data)
-    return x + factor * (layer.scale.diag.data * (r @ layer.lin2.w.data.T + layer.lin2.b.data))
+    return x + factor * (layer.layerscale.data * (r @ layer.lin2.w.data.T + layer.lin2.b.data))
 
 
 def unfused_eval(model: WaffleIron, feats, neighbors, projections, drop_rng=None) -> np.ndarray:
@@ -278,6 +281,137 @@ def unfused_eval(model: WaffleIron, feats, neighbors, projections, drop_rng=None
         if not (dropping and drop_rng.random() < p):
             x = channel_eval(channel, x, factor)
     return (x @ model.classifier.w.data.T + model.classifier.b.data).T
+
+
+# -- unfused training -----------------------------------------------------------------------
+
+
+def bn_train(bn: BatchNorm, x: np.ndarray, valid: np.ndarray):
+    """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the cache ``bn_backward_masked`` reads."""
+    xv = x[valid].astype(np.float64)
+    mean = xv.mean(axis=0)
+    var = np.maximum((xv * xv).mean(axis=0) - mean * mean, 0.0)
+    inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + BN_EPS)
+    xhat = (x - mean.astype(x.dtype)) * inv_std
+    return xhat * bn.gamma.data + bn.beta.data, (xhat, inv_std, valid, int(valid.sum()))
+
+
+def conv_rows(conv, x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The depthwise conv of grid rows ``x`` read through ``taps``, unblocked and unfolded: taps from 0.0, bias last."""
+    f = x.shape[1]
+    y = tap_sum_unblocked(x, taps, range(9), conv.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
+    y[:-1] += conv.b.data
+    return y
+
+
+def conv_rows_backward(conv, x: np.ndarray, fwd_taps: np.ndarray, bwd_taps: np.ndarray, dy: np.ndarray):
+    """(input gradient, kernel gradient, bias gradient) of :func:`conv_rows`."""
+    f = x.shape[1]
+    rows = dy[:-1]
+    dk = np.stack([(rows * x[fwd_taps[:, t]]).sum(axis=0) for t in range(9)], axis=1).reshape(f, 3, 3)
+    kern = conv.k.data.reshape(f, 9).astype(dy.dtype)
+    return tap_sum_unblocked(dy, bwd_taps, range(8, -1, -1), kern, x.dtype), dk, rows.sum(axis=0)
+
+
+def token_train(layer: TokenMixLayer, x, projections, valid, factor, add):
+    """``x + factor * sum over planes of layerscale(inflate(conv2(relu(conv1(flatten(BN(x)))))))`` and its backward.
+
+    The backward maps dy to dx and hands each parameter gradient to ``add(tensor, gradient)``.
+    """
+    total, saved = 0.0, []
+    for axes, br in zip(layer.planes, layer.branches):
+        proj = projections[axes]
+        z, cache = bn_train(br.bn, x, valid)
+        rows = proj.flatten(z)
+        c1 = conv_rows(br.conv1, rows, proj.d_from_o)
+        pts = proj.inflate(conv_rows(br.conv2, relu(c1), proj.o_from_d))
+        total = total + br.layerscale.data * pts
+        saved.append((br, proj, cache, rows, c1, pts))
+
+    def backward(dy):
+        dres, dx = factor * dy, dy
+        for br, proj, cache, rows, c1, pts in saved:
+            add(br.layerscale, (dres * pts).sum(axis=0))
+            dc2 = proj.inflate_backward(br.layerscale.data * dres)
+            dr, dk2, db2 = conv_rows_backward(br.conv2, relu(c1), proj.o_from_d, proj.d_from_o, dc2)
+            drows, dk1, db1 = conv_rows_backward(br.conv1, rows, proj.d_from_o, proj.o_from_d, relu_backward(dr, c1))
+            dxb, dgamma, dbeta = bn_backward_masked(br.bn, proj.flatten_backward(drows), cache)
+            for tensor, grad in ((br.conv2.k, dk2), (br.conv2.b, db2), (br.conv1.k, dk1), (br.conv1.b, db1),
+                                 (br.bn.gamma, dgamma), (br.bn.beta, dbeta)):
+                add(tensor, grad)
+            dx = dx + dxb
+        return dx
+
+    return x + factor * total, backward
+
+
+def channel_train(layer: ChannelMixLayer, x, valid, factor, add):
+    """``x + factor * layerscale(lin2(relu(lin1(BN(x)))))`` and its backward, as :func:`token_train`."""
+    (w1, b1), (w2, b2) = ((lin.w.data, lin.b.data) for lin in (layer.lin1, layer.lin2))
+    z, cache = bn_train(layer.bn, x, valid)
+    a1 = z @ w1.T + b1
+    a2 = relu(a1) @ w2.T + b2
+
+    def backward(dy):
+        dres = factor * dy
+        da2 = layer.layerscale.data * dres
+        da1 = relu_backward(da2 @ w2, a1)
+        dxb, dgamma, dbeta = bn_backward_masked(layer.bn, da1 @ w1, cache)
+        for tensor, grad in ((layer.layerscale, (dres * a2).sum(axis=0)),
+                             (layer.lin2.w, da2.T @ relu(a1)), (layer.lin2.b, da2.sum(axis=0)),
+                             (layer.lin1.w, da1.T @ z), (layer.lin1.b, da1.sum(axis=0)),
+                             (layer.bn.gamma, dgamma), (layer.bn.beta, dbeta)):
+            add(tensor, grad)
+        return dy + dxb
+
+    return x + factor * (layer.layerscale.data * a2), backward
+
+
+def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, labels, drop_rng=None):
+    """Loss and name -> gradient of every trainable tensor for one training step, every layer unfused.
+
+    The step is ``model.forward(..., training=True, drop_rng=drop_rng)``,
+    :func:`segmentation_loss` and ``model.backward``, as the layers ran them
+    before the package folded batch norm and layerscale into the adjacent
+    weights. The model is left untouched, running statistics included; a
+    dropped layer's tensors get zero gradients.
+    """
+    grads = {}
+
+    def add(tensor, grad):
+        grads[id(tensor)] = grads.get(id(tensor), 0.0) + grad
+
+    p = model.config.drop_prob
+    dropping = drop_rng is not None and p > 0.0
+    factor = 1.0 / (1.0 - p) if dropping else 1.0
+    emb = model.embedding
+    hb, emb_cache = bn_train(emb.pre_bn, feats, valid)
+    x = embedding_oneshot(emb, hb, neighbors)
+    backwards = []
+    for token, channel in model.layers:
+        if not (dropping and drop_rng.random() < p):
+            x, backward = token_train(token, x, projections, valid, factor, add)
+            backwards.append(backward)
+        if not (dropping and drop_rng.random() < p):
+            x, backward = channel_train(channel, x, valid, factor, add)
+            backwards.append(backward)
+    cls = model.classifier
+    loss, dlogits, _ = segmentation_loss((x @ cls.w.data.T + cls.b.data).T, labels, valid)
+    dy = dlogits.T
+    add(cls.w, dy.T @ x)
+    add(cls.b, dy.sum(axis=0))
+    dx = dy @ cls.w.data
+    for backward in reversed(backwards):
+        dx = backward(dx)
+    _, dhb, emb_grads = embedding_oneshot(emb, hb, neighbors, dx)
+    lins = {"merge": emb.merge, "global": emb.global_lin, "local1": emb.local1, "local2": emb.local2}
+    for name, (dw, db) in emb_grads.items():
+        add(lins[name].w, dw)
+        add(lins[name].b, db)
+    _, dgamma, dbeta = bn_backward_masked(emb.pre_bn, dhb, emb_cache)
+    add(emb.pre_bn.gamma, dgamma)
+    add(emb.pre_bn.beta, dbeta)
+    return loss, {name: grads.get(id(t), np.zeros(t.shape)) for name, t in model.store.trainable_items()}
 
 
 # -- label propagation ----------------------------------------------------------------------

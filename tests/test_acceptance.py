@@ -17,7 +17,6 @@ from waffleiron.geometry import Fov, knn, voxel_downsample
 from waffleiron.nn import (
     BatchNorm,
     DepthwiseConv3x3,
-    LayerScale,
     ParamStore,
     PointwiseLinear,
 )
@@ -130,7 +129,8 @@ def test_criterion_05_gradient_checks():
         r = rng.standard_normal((11, 3))
 
         def loss(want):
-            y = layer.forward(x.data)
+            xhat, gamma, beta = layer.forward(x.data)
+            y = gamma * xhat + beta
             if want:
                 x.grad += layer.backward(r)
             return float((y * r).sum())
@@ -151,16 +151,22 @@ def test_criterion_05_gradient_checks():
         return loss
 
     def layerscale(store, rng):
-        layer = LayerScale(store, "ls", 4)
-        layer.diag.data[...] = rng.standard_normal(4)
+        # diag as the output scale folded into a linear layer and a conv, with a stochastic-depth factor
+        lin = PointwiseLinear(store, "lin", 4, 3, rng)
+        conv = DepthwiseConv3x3(store, "conv", 3, rng)
+        lin.b.data[...], conv.b.data[...] = rng.standard_normal((2, 3))
+        diag = store.register("diag", rng.standard_normal(3).astype(np.float32))
         x = store.register("x", rng.standard_normal((9, 4)).astype(np.float32))
-        r = rng.standard_normal((9, 4))
+        grid = store.register("grid", rng.standard_normal((3, 4, 5)).astype(np.float32))
+        r, r_grid = rng.standard_normal((9, 3)), rng.standard_normal((3, 4, 5))
 
         def loss(want):
-            y = layer.forward(x.data)
+            y = lin.forward(x.data, scale=diag, factor=1.25)
+            y_grid = grid_forward(conv, grid.data, scale=diag, factor=1.25)
             if want:
-                x.grad += layer.backward(r)
-            return float((y * r).sum())
+                x.grad += lin.backward(r)
+                grid.grad += grid_backward(conv, r_grid)
+            return float((y * r).sum() + (y_grid * r_grid).sum())
 
         return loss
 

@@ -17,12 +17,22 @@ from waffleiron.backbone import (
     prepare_inputs,
 )
 from waffleiron.geometry import Fov, PointCloud
-from waffleiron.nn import BatchNorm, DepthwiseConv3x3, LayerScale, ParamStore, PointwiseLinear
+from waffleiron.nn import BatchNorm, DepthwiseConv3x3, ParamStore, PointwiseLinear, fold
 from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
 from waffleiron.training import segmentation_loss
 
 from conftest import random_cloud
-from oracles import bn_eval, embedding_eval, embedding_oneshot, grad_check, relu, relu_backward, token_eval, unfused_eval
+from oracles import (
+    bn_eval,
+    embedding_eval,
+    embedding_oneshot,
+    grad_check,
+    relu,
+    relu_backward,
+    token_eval,
+    unfused_eval,
+    unfused_training,
+)
 from test_nn import per_tap_backward, per_tap_forward
 from test_projection import bitwise_equal, occupied_rows, scatter_rows
 
@@ -116,8 +126,8 @@ class TestEmbedding:
 
     def test_nograd_path_matches(self, monkeypatch):
         # momentum 1: the training forward leaves the running statistics
-        # equal to its batch statistics, so the unfused eval must match it
-        # bit for bit, and the folded eval within FOLD_TOL
+        # equal to its batch statistics, so the unfused eval must match it;
+        # both forwards fold the batch norm, so within FOLD_TOL
         monkeypatch.setattr(nn, "BN_MOMENTUM", 1.0)
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 8, np.random.default_rng(6))
@@ -130,7 +140,7 @@ class TestEmbedding:
         b = emb.forward(feats, nbr, valid, training=False)
         assert held_arrays(emb) == []
         oracle = embedding_eval(emb, feats, nbr)
-        np.testing.assert_array_equal(a, oracle)
+        np.testing.assert_allclose(a, oracle, atol=FOLD_TOL)
         np.testing.assert_allclose(b, oracle, atol=FOLD_TOL)
 
 
@@ -172,8 +182,9 @@ class TestEmbeddingBlocks:
             bn_forward, bn_backward = emb.pre_bn.forward, emb.pre_bn.backward
 
             def forward(*args):
-                seen["hb"] = bn_forward(*args)
-                return seen["hb"]
+                rows, scale, shift = bn_forward(*args)
+                seen["hb"] = scale * rows + shift
+                return rows, scale, shift
 
             def backward(dhb):
                 seen["dhb"] = dhb.copy()
@@ -185,7 +196,8 @@ class TestEmbeddingBlocks:
             dy = np.random.default_rng(seed + 2).standard_normal(tokens.shape)
             emb.backward(dy)
             want_tokens, want_dhb, want_grads = embedding_oneshot(emb, seen["hb"], nbr, dy)
-            np.testing.assert_array_equal(tokens, want_tokens)
+            # the oracle reads the batch norm's output, the layer folds its map
+            np.testing.assert_allclose(tokens, want_tokens, rtol=1e-10)
             np.testing.assert_allclose(seen["dhb"], want_dhb, rtol=1e-10)
             tensors = dict(store.items())
             for name, (dw, db) in want_grads.items():
@@ -234,7 +246,7 @@ class TestTokenMix:
 
     def test_zero_layerscale_is_identity(self, small_fov):
         layer, x, proj, valid = self._layer_and_inputs(small_fov)
-        layer.branches[0].scale.diag.data[...] = 0.0
+        layer.branches[0].layerscale.data[...] = 0.0
         out = layer.forward(x, proj, valid, training=False)
         np.testing.assert_array_equal(out, x)
 
@@ -248,7 +260,7 @@ class TestTokenMix:
             conv.k.data[...] = 0.0
             conv.k.data[:, 1, 1] = 1.0
             conv.b.data[...] = 0.0
-        br.scale.diag.data[...] = 1.0
+        br.layerscale.data[...] = 1.0
         model_like = WaffleIron(cfg, np.random.default_rng(0))
         pos = np.array([[1.3, 2.1, 0.5]], dtype=np.float32)
         projections = model_like.build_projections(pos, np.ones(1, dtype=bool))
@@ -266,6 +278,17 @@ class TestTokenMix:
         assert mask_source is br.conv2._cache[0]
         assert (mask_source >= 0).all() and not mask_source[-1].any()
 
+    def test_training_branch_holds_only_xhat_per_point(self, small_fov):
+        # BN's map folds into the flatten and the layerscale into conv2, so
+        # the normalized rows, which the flatten reads, are the only N x F array
+        layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=4)
+        layer.forward(x, projections, valid, training=True)
+        br = layer.branches[0]
+        proj = projections[(0, 1)]
+        assert x.shape[0] not in (proj.n_occupied + 1, proj.dilated_cells.size + 1)
+        rows = list({id(a): a for _, a in held(br) if a.shape == x.shape}.values())
+        assert len(rows) == 1 and rows[0] is br.bn._cache[0]
+
     def test_matches_naive_recomposition_bitwise(self, small_fov):
         # the unfused oracle on the rows of O and D equals the dense grid bit
         # for bit; the folded eval matches it within FOLD_TOL
@@ -273,14 +296,16 @@ class TestTokenMix:
         out = layer.forward(x, projections, valid, training=False)
         br = layer.branches[0]
         pts, _ = dense_branch(br, projections[(0, 1)], bn_eval(br.bn, x))
-        want = x + br.scale.diag.data * pts
+        want = x + br.layerscale.data * pts
         np.testing.assert_array_equal(token_eval(layer, x, projections), want)
         np.testing.assert_allclose(out, want, atol=FOLD_TOL)
 
 
-def dense_branch(br, proj, xb):
+def dense_branch(br, proj, xb, affine=None, out_scale=1.0):
     """The conv FFN of one token-mixing branch on the whole zero-padded grid, with the tests' dense conv.
 
+    ``affine`` maps the cell means as in ``ProjectionPair.flatten``, and
+    conv2 runs with the kernel and bias of ``fold`` with ``out_scale``.
     Returns the inflated N x F output and a function from its gradient to
     (gradient of ``xb``, dense grid gradient rows of O, conv parameter gradients).
     """
@@ -293,18 +318,24 @@ def dense_branch(br, proj, xb):
     def to_rows(grid):
         return occupied_rows(proj, grid.reshape(f, h * w).T)
 
-    grid = to_grid(proj.flatten(xb))
+    def kernel2(dtype):
+        return fold(br.conv2.k.data.reshape(f, 9), br.conv2.b.data, dtype, out_scale=out_scale)
+
+    grid = to_grid(proj.flatten(xb, affine))
     c1 = per_tap_forward(grid, br.conv1.k.data, br.conv1.b.data)
     r = relu(c1)
-    c2 = per_tap_forward(r, br.conv2.k.data, br.conv2.b.data)
+    k2, b2 = kernel2(r.dtype)
+    c2 = per_tap_forward(r, k2.reshape(f, 3, 3), b2)
     out = proj.inflate(to_rows(c2))
 
     def backward(dout):
         dc2 = to_grid(proj.inflate_backward(dout))
-        dr, dk2, db2 = per_tap_backward(r, dc2, br.conv2.k.data)
+        dr, dk2, db2 = per_tap_backward(r, dc2, kernel2(dc2.dtype)[0].reshape(f, 3, 3))
         dgrid, dk1, db1 = per_tap_backward(grid, relu_backward(dr, c1), br.conv1.k.data)
         drows = to_rows(dgrid)
-        return proj.flatten_backward(drows), drows, (dk1, db1, dk2, db2)
+        # the folded kernel and bias are the stored ones times out_scale
+        o = np.reshape(out_scale, -1)
+        return proj.flatten_backward(drows), drows, (dk1, db1, o[:, None, None] * dk2, o * db2)
 
     return out, backward
 
@@ -312,22 +343,22 @@ def dense_branch(br, proj, xb):
 def dense_token_layer(layer, x, projections, valid, dy, training):
     """``TokenMixLayer`` forward with every branch on the dense grid, and in training its backward.
 
-    In training the normalized tokens and their gradient come from each
-    branch's own ``BatchNorm`` and ``LayerScale``; at eval from the unfused
-    oracle's running-statistics batch norm and a plain layerscale product.
+    Each branch's own ``BatchNorm`` gives the rows and the map that the
+    flatten applies, and the layerscale scales conv2's kernel and bias, as
+    the layer folds them; in training the gradient of the rows goes through
+    that ``BatchNorm``'s backward.
     """
     total, dx, drows, grads = None, dy.copy(), [], []
     for axes, br in zip(layer.planes, layer.branches):
-        xb = br.bn.forward(x, valid) if training else bn_eval(br.bn, x)
-        out, backward = dense_branch(br, projections[axes], xb)
-        out = br.scale.forward(out) if training else br.scale.diag.data * out
+        rows, scale, shift = br.bn.forward(x, valid, training)
+        out, backward = dense_branch(br, projections[axes], rows, (scale, shift), br.layerscale.data.astype(np.float64))
         total = out if total is None else total + out
         if training:
-            dxb, rows, g = backward(br.scale.backward(dy))
+            dxb, rows, g = backward(dy)
             dx += br.bn.backward(dxb)
             drows.append(rows)
             grads.append(g)
-    return x + 1.0 * total, dx, drows, grads
+    return x + total, dx, drows, grads
 
 
 def promote_to_float64(store):
@@ -382,7 +413,7 @@ class TestActiveCellBranch:
         for br in layer.branches:
             for conv in (br.conv1, br.conv2):
                 conv.b.data[...] = rng.standard_normal(width)
-            br.scale.diag.data[...] = rng.standard_normal(width)
+            br.layerscale.data[...] = rng.standard_normal(width)
             br.bn.running_mean.data[...] = 0.3 * rng.standard_normal(width)
         if dtype == np.float64:
             promote_to_float64(store)
@@ -438,7 +469,7 @@ class TestChannelMix:
     def test_zero_layerscale_is_identity(self):
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(0))
-        layer.scale.diag.data[...] = 0.0
+        layer.layerscale.data[...] = 0.0
         x = np.random.default_rng(1).standard_normal((9, 6)).astype(np.float32)
         out = layer.forward(x, None, training=False)
         np.testing.assert_array_equal(out, x)
@@ -450,7 +481,7 @@ class TestChannelMix:
         layer.lin1.b.data[...] = 0.0
         layer.lin2.w.data[...] = 2.0 * np.eye(2)
         layer.lin2.b.data[...] = [0.1, -0.1]
-        layer.scale.diag.data[...] = 0.5
+        layer.layerscale.data[...] = 0.5
         x = np.array([[0.3, -0.4]], dtype=np.float32)
         out = layer.forward(x, None, training=False)
         # hand computation: xb = x / sqrt(1 + 1e-5); relu zeroes the second
@@ -460,16 +491,17 @@ class TestChannelMix:
             out, [[0.3 + 0.5 * (2 * 0.3 / s + 0.1), -0.4 + 0.5 * (-0.1)]], atol=1e-6
         )
 
-    def test_training_forward_holds_four_point_arrays(self):
+    def test_training_forward_holds_two_point_arrays(self):
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal((9, 6)).astype(np.float32)
         layer.forward(x, None, training=True)
         rows = list({id(a): a for _, a in held(layer) if a.shape == x.shape}.values())
-        # BN xhat, lin1's input, the ReLU output (lin2's input and the mask), the layerscale input
-        assert len(rows) == 4
+        # BN xhat, which is also lin1's input, and the ReLU output (lin2's input and the mask)
+        assert len(rows) == 2
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
-        assert layer._relu_out is layer.lin2._x
+        assert layer.bn._cache[0] is layer.lin1._cache[0]
+        assert layer._relu_out is layer.lin2._cache[0]
 
     def test_column_independence_eval(self):
         store = ParamStore()
@@ -604,7 +636,8 @@ class TestLayout:
         grid_rows = 0
         for name, obj, args, out in calls:
             arrays = {i: a for i, a in enumerate(args) if isinstance(a, np.ndarray)}
-            arrays["out"] = out
+            # a batch norm returns its rows with the map its consumer folds
+            arrays["out"] = out[0] if isinstance(obj, BatchNorm) and name.endswith("forward") else out
             if obj is model.classifier and name.endswith("backward"):
                 # the K x N dlogits arrive as their N x K view
                 assert np.shares_memory(arrays.pop(0), dlogits)
@@ -626,8 +659,8 @@ class TestNoGradForward:
     def test_keeps_no_cache_and_matches_caching_eval(self, small_fov, monkeypatch):
         # momentum 1: the caching (training) forward leaves the running
         # statistics equal to its batch statistics, so the unfused eval
-        # oracle must reproduce it bit for bit, and the folded eval forward
-        # that follows it within FOLD_TOL
+        # oracle must reproduce it, and the folded eval forward that follows
+        # it; both forwards fold, so within FOLD_TOL
         monkeypatch.setattr(nn, "BN_MOMENTUM", 1.0)
         for strategy in ("parallel", "baseline"):
             cfg = tiny_config(small_fov, depth=3, width=8, strategy=strategy)
@@ -639,7 +672,7 @@ class TestNoGradForward:
             logits = model.forward(feats, nbr, proj, valid, training=False)
             assert held_arrays(model) == []
             oracle = unfused_eval(model, feats, nbr, proj)
-            assert np.array_equal(oracle, cached)
+            np.testing.assert_allclose(cached, oracle, atol=FOLD_TOL)
             np.testing.assert_allclose(logits, oracle, atol=FOLD_TOL)
             with pytest.raises(RuntimeError):
                 model.backward(np.ones_like(logits))
@@ -657,6 +690,8 @@ def same_bits(before, after, path):
         assert len(before) == len(after), path
         for i, (a, b) in enumerate(zip(before, after)):
             same_bits(a, b, f"{path}[{i}]")
+    elif isinstance(before, nn.Tensor):
+        same_bits((before.data, before.grad), (after.data, after.grad), path)
     elif hasattr(before, "__dict__"):
         same_bits(vars(before), vars(after), path)
     else:
@@ -694,20 +729,26 @@ class TestNoArgumentWrites:
         yield TokenMixLayer(store, "tm", self.PLANES, self.WIDTH, rng), (x, projections, valid), {"factor": 1.25}, ()
         yield ChannelMixLayer(store, "cm", self.WIDTH, rng), (x, valid), {"factor": 1.25}, ()
         yield BatchNorm(store, "bn", self.WIDTH), (x, valid), {}, ()
-        yield LayerScale(store, "ls", self.WIDTH), (x,), {}, ()
+        # the fold's inputs: a batch norm's map and a layerscale with a factor
+        scale = store.register("scale", rng.uniform(0.5, 1.5, 4).astype(np.float32))
+        affine = {"affine": (rng.uniform(0.5, 1.5, self.WIDTH), rng.standard_normal(self.WIDTH)),
+                  "scale": scale, "factor": 1.25}
         yield PointwiseLinear(store, "lin", self.WIDTH, 4, rng), (x,), {}, ()
+        yield PointwiseLinear(store, "lin_folded", self.WIDTH, 4, rng), (x,), affine, ()
         conv = DepthwiseConv3x3(store, "conv", self.WIDTH, rng)
         yield conv, (proj.flatten(x), proj.d_from_o), {}, (proj.o_from_d,)
+        conv = DepthwiseConv3x3(store, "conv_scaled", self.WIDTH, rng)
+        scale = store.register("conv_scale", rng.uniform(0.5, 1.5, self.WIDTH).astype(np.float32))
+        yield conv, (proj.flatten(x), proj.d_from_o), {"scale": scale, "factor": 1.25}, (proj.o_from_d,)
 
     @pytest.mark.parametrize("dy_dtype", [np.float32, np.float64])
     def test_forward_and_backward_leave_arguments(self, small_fov, dy_dtype):
         rng = np.random.default_rng(82)
         for layer, args, kwargs, backward_args in self.cases(small_fov):
-            # batch norm and layerscale have a training forward only
-            if not isinstance(layer, (BatchNorm, LayerScale)):
-                call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
-                kwargs = dict(kwargs, training=True)
-            out = call_leaving_arguments(layer.forward, *args, **kwargs)
+            call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
+            out = call_leaving_arguments(layer.forward, *args, training=True, **kwargs)
+            # a batch norm returns its rows with the map its consumer folds
+            out = out[0] if isinstance(layer, BatchNorm) else out
             dy = rng.standard_normal(out.shape).astype(dy_dtype)
             if isinstance(layer, DepthwiseConv3x3):
                 dy[-1] = 0.0
@@ -733,7 +774,8 @@ class TestResidualBackward:
         layer.forward(x, valid, training=True, factor=self.FACTOR)
         dx = layer.backward(dy)
         layer.forward(x, valid, training=True, factor=self.FACTOR)
-        dr = layer.lin2.backward(layer.scale.backward(self.FACTOR * dy))
+        # the factor and layerscale are folded into lin2, which takes dy as it is
+        dr = layer.lin2.backward(dy)
         branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, layer._relu_out)))
         assert dx.dtype == np.float64 and bitwise_equal(dx, dy + branch)
 
@@ -745,7 +787,8 @@ class TestResidualBackward:
         layer.forward(x, projections, valid, training=True, factor=self.FACTOR)
         dx = layer.backward(dy)
         layer.forward(x, projections, valid, training=True, factor=self.FACTOR)
-        grads = [br.backward(self.FACTOR * dy) for br in layer.branches]
+        # the factor and layerscale are folded into conv2, so each branch takes dy as it is
+        grads = [br.backward(dy) for br in layer.branches]
         # the branch gradients come back in the tokens' float32, so the sum cannot be written into them
         assert {g.dtype for g in grads} == {np.dtype(np.float32)}
         assert dx.dtype == np.float64 and bitwise_equal(dx, dy + grads[0] + grads[1] + grads[2])
@@ -844,6 +887,13 @@ class TestStochasticDepth:
 
 
 class TestParamCount:
+    def test_model_without_rng_is_all_zero(self, small_fov):
+        # a model that is loaded or only counted draws no weights
+        model = WaffleIron(tiny_config(small_fov, depth=3, width=8))
+        drawn = [name for name, t in model.store.items() if name.endswith(("weight", "kernel"))]
+        assert drawn and all(not dict(model.store.items())[name].data.any() for name in drawn)
+        assert param_count(model.config) == model.store.num_trainable()
+
     def test_kitti_model_near_target(self, kitti_fov):
         cfg = WaffleIronConfig(depth=48, width=256, rho=0.40, fov=kitti_fov, num_classes=19)
         n = param_count(cfg)
@@ -978,6 +1028,55 @@ class TestFoldedEval:
             np.testing.assert_allclose(got, want, rtol=0, atol=FOLD_TOL)
             assert np.array_equal(got.argmax(axis=0), want.argmax(axis=0))
         assert not np.allclose(plain, tta, atol=1e-2)
+
+
+class TestFoldedTraining:
+    """Training runs the folded structure too; the unfused oracle runs BN, layerscale and the factor as passes."""
+
+    # float32 parameter gradients reach ~0.07; the fold rounds differently from the unfused passes
+    ATOL32 = 1e-7
+
+    def model_and_inputs(self, fov, strategy, dtype):
+        cfg = tiny_config(fov, depth=3, width=8, k=4, drop=0.5, strategy=strategy)
+        model = WaffleIron(cfg, np.random.default_rng(100))
+        perturb_eval_state(model.store, np.random.default_rng(101))
+        rng = np.random.default_rng(102)
+        for name, t in model.store.items():
+            if name.endswith("bias"):
+                t.data[...] = 0.1 * rng.standard_normal(t.shape)
+        if dtype == np.float64:
+            promote_to_float64(model.store)
+        pc = build_scene(fov, n=90, seed=102)
+        # padding points: zero features, flagged invalid
+        valid = np.arange(pc.n_points) < pc.n_points - 12
+        pc = PointCloud(pc.positions, np.where(valid[:, None], pc.features, 0.0), pc.labels, valid)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        return model, (feats.astype(dtype), nbr, proj, valid), pc.labels
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("strategy", ["baseline", "parallel"])
+    def test_parameter_gradients_match_unfused_oracle(self, small_fov, strategy, dtype):
+        model, inputs, labels = self.model_and_inputs(small_fov, strategy, dtype)
+        # drop_prob 0.5 with this generator drops some layers and scales the kept ones by 2
+        want_loss, want = unfused_training(model, *inputs, labels, drop_rng=np.random.default_rng(3))
+        logits = model.forward(*inputs, training=True, drop_rng=np.random.default_rng(3))
+        loss, dlogits, _ = segmentation_loss(logits, labels, inputs[3])
+        model.backward(dlogits)
+        tol = dict(rtol=1e-10, atol=0) if dtype == np.float64 else dict(rtol=1e-5, atol=self.ATOL32)
+        np.testing.assert_allclose(loss, want_loss, **tol)
+        dropped = [name for name, g in want.items() if not g.any()]
+        assert 0 < len(dropped) < len(want)
+        for name, t in model.store.trainable_items():
+            np.testing.assert_allclose(t.grad, want[name], err_msg=name, **tol)
+
+    def test_training_forward_changes_only_the_running_statistics(self, small_fov):
+        model, inputs, _ = self.model_and_inputs(small_fov, "parallel", np.float32)
+        before = store_bits(model.store)
+        model.forward(*inputs, training=True, drop_rng=np.random.default_rng(3))
+        # folded weights are built per call and never reach the store
+        for name, after in store_bits(model.store).items():
+            if not name.endswith(("running_mean", "running_var")):
+                same_bits(before[name], after, name)
 
 
 class TestParallelStrategy:

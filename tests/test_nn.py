@@ -4,16 +4,17 @@ central finite differences."""
 import numpy as np
 import pytest
 
+from waffleiron.backbone import ChannelMixLayer, TokenMixLayer
 from waffleiron.nn import (
     BatchNorm,
     DepthwiseConv3x3,
-    LayerScale,
     ParamStore,
     PointwiseLinear,
     _FLIPPED_TAPS,
     _TAPS,
     _tap_sum,
     fold,
+    fold_adjoint,
     slot_max,
 )
 
@@ -41,6 +42,12 @@ def check_layer(build, seeds=SEEDS, eps=1e-3, threshold=1e-4):
         worst = max(worst, grad_check(loss_fn, store, eps))
     assert worst < threshold, f"max relative gradient error {worst}"
     return worst
+
+
+def bn_apply(bn, x, valid=None, training=True):
+    """The normalized ``x``: ``scale * rows + shift`` of what ``bn.forward`` returns, composed here."""
+    rows, scale, shift = bn.forward(x, valid, training)
+    return scale * rows + shift
 
 
 class TestPointwiseLinear:
@@ -88,7 +95,7 @@ class TestBatchNorm:
         bn = BatchNorm(store, "bn", 2)
         bn.beta.data[...] = [0.5, -1.0]
         x = np.full((6, 2), 3.0, dtype=np.float32)
-        y = bn.forward(x)
+        y = bn_apply(bn, x)
         np.testing.assert_allclose(y[:, 0], 0.5, atol=1e-6)
         np.testing.assert_allclose(y[:, 1], -1.0, atol=1e-6)
 
@@ -98,11 +105,12 @@ class TestBatchNorm:
         x = np.random.default_rng(0).standard_normal((20, 3)).astype(np.float32)
         y = bn_eval(bn, x)
         np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
-        a, s = bn.eval_affine()
+        rows, a, s = bn.forward(x, training=False)
+        assert rows is x
         np.testing.assert_allclose(a, 1.0, rtol=1e-5)
         assert not s.any()
 
-    def test_eval_affine_matches_unfused_eval(self):
+    def test_eval_forward_matches_unfused_eval(self):
         rng = np.random.default_rng(9)
         bn = BatchNorm(ParamStore(), "bn", 4)
         bn.running_mean.data[...] = rng.standard_normal(4)
@@ -111,7 +119,7 @@ class TestBatchNorm:
         bn.beta.data[...] = rng.standard_normal(4)
         x = rng.standard_normal((30, 4)).astype(np.float32)
         bn.forward(x)
-        a, s = bn.eval_affine()
+        _, a, s = bn.forward(x, training=False)
         assert a.dtype == s.dtype == np.float64 and bn._cache is None
         np.testing.assert_allclose(a * x + s, bn_eval(bn, x), atol=1e-5)
 
@@ -122,7 +130,7 @@ class TestBatchNorm:
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
         bn.beta.data[...] = rng.standard_normal(3)
         x = rng.standard_normal((50, 3)).astype(np.float32)
-        y = bn.forward(x)
+        y = bn_apply(bn, x)
         x64 = x.astype(np.float64)
         mean = x64.mean(axis=0)
         var = ((x64 - mean) ** 2).mean(axis=0)
@@ -138,7 +146,7 @@ class TestBatchNorm:
         valid = np.ones(40, dtype=bool)
         valid[30:] = False
         x[30:] = 100.0  # junk that must not leak into the statistics
-        y = bn.forward(x, valid=valid)
+        y = bn_apply(bn, x, valid)
         yv = y[valid].astype(np.float64)
         assert np.abs(yv.mean(axis=0)).max() < 1e-5
         assert np.abs(yv.var(axis=0) - 1.0).max() < 1e-4
@@ -191,7 +199,7 @@ class TestBatchNorm:
             r[9:] = 0.0  # padding rows never receive loss gradient
 
             def loss_fn(want_grad):
-                y = bn.forward(x.data, valid=valid)
+                y = bn_apply(bn, x.data, valid)
                 if want_grad:
                     x.grad += bn.backward(r)
                 return float((y * r).sum())
@@ -243,10 +251,10 @@ def full_grid_taps(h, w):
     return np.stack([padded[i + u, j + v] for u in range(3) for v in range(3)], axis=1)
 
 
-def grid_forward(conv, x, training=True, layout=np.ascontiguousarray):
-    """The row conv evaluated on every cell of an F x H x W grid, returned as the grid."""
+def grid_forward(conv, x, training=True, layout=np.ascontiguousarray, **scale):
+    """The row conv evaluated on every cell of an F x H x W grid, returned as the grid; ``scale`` is passed on."""
     f, h, w = x.shape
-    return to_grid(conv.forward(layout(to_rows(x)), full_grid_taps(h, w), training), x.shape)
+    return to_grid(conv.forward(layout(to_rows(x)), full_grid_taps(h, w), training, **scale), x.shape)
 
 
 def grid_backward(conv, dy, layout=np.ascontiguousarray):
@@ -417,32 +425,50 @@ class TestDepthwiseConv:
 
 
 class TestLayerScale:
-    def test_ones_is_identity(self):
+    """A layerscale is the output scale ``factor * diag`` of the weights before it, folded in float64."""
+
+    def layers(self, f=3):
         store = ParamStore()
-        ls = LayerScale(store, "ls", 3)
-        ls.diag.data[...] = 1.0
-        x = np.random.default_rng(0).standard_normal((7, 3)).astype(np.float32)
-        np.testing.assert_array_equal(ls.forward(x), x)
+        rng = np.random.default_rng(0)
+        lin = PointwiseLinear(store, "lin", 4, f, rng)
+        conv = DepthwiseConv3x3(store, "conv", f, rng)
+        lin.b.data[...] = conv.b.data[...] = rng.standard_normal(f)
+        diag = store.register("diag", np.ones(f, dtype=np.float32))
+        x = rng.standard_normal((7, 4)).astype(np.float32)
+        grid = rng.standard_normal((f, 4, 5)).astype(np.float32)
+        return lin, conv, diag, x, grid
+
+    def test_ones_is_identity(self):
+        lin, conv, diag, x, grid = self.layers()
+        assert np.array_equal(lin.forward(x, scale=diag), lin.forward(x))
+        assert np.array_equal(grid_forward(conv, grid, scale=diag), grid_forward(conv, grid))
 
     def test_zeros_kill_the_branch(self):
-        store = ParamStore()
-        ls = LayerScale(store, "ls", 3)
-        ls.diag.data[...] = 0.0
-        x = np.ones((7, 3), dtype=np.float32)
-        assert (ls.forward(x) == 0).all()
+        lin, conv, diag, x, grid = self.layers()
+        diag.data[...] = 0.0
+        assert not lin.forward(x, scale=diag).any()
+        assert not grid_forward(conv, grid, scale=diag).any()
 
     def test_default_init(self):
         store = ParamStore()
-        ls = LayerScale(store, "ls", 5)
-        np.testing.assert_allclose(ls.diag.data, 1e-2)
+        rng = np.random.default_rng(0)
+        token = TokenMixLayer(store, "tm", ((0, 1), (0, 2)), 5, rng)
+        channel = ChannelMixLayer(store, "cm", 5, rng)
+        scales = [br.layerscale for br in token.branches] + [channel.layerscale]
+        names = {name for name, t in store.items() if any(t is s for s in scales)}
+        assert names == {"tm.plane_01.layerscale.diag", "tm.plane_02.layerscale.diag", "cm.layerscale.diag"}
+        assert all(np.array_equal(t.data, np.full(5, 1e-2, dtype=np.float32)) for t in scales)
 
-    def test_eval_scale_is_float64_factor_times_diag_and_drops_cache(self):
-        ls = LayerScale(ParamStore(), "ls", 3)
-        ls.diag.data[...] = [0.1, -0.2, 0.3]
-        ls.forward(np.ones((2, 3), dtype=np.float32))
-        g = ls.eval_scale(1.25)
-        assert g.dtype == np.float64 and ls._x is None
-        assert np.array_equal(g, 1.25 * ls.diag.data.astype(np.float64))
+    def test_output_scale_is_float64_factor_times_diag(self):
+        lin, conv, diag, x, grid = self.layers()
+        diag.data[...] = [0.1, -0.2, 0.3]
+        o = 1.25 * diag.data.astype(np.float64)
+        w, b = fold(lin.w.data, lin.b.data, np.float32, out_scale=o)
+        assert np.array_equal(lin.forward(x, scale=diag, factor=1.25), x @ w.T + b)
+        k, kb = fold(conv.k.data.reshape(3, 9), conv.b.data, np.float32, out_scale=o)
+        conv_o = DepthwiseConv3x3(ParamStore(), "conv", 3, None)
+        conv_o.k.data[...], conv_o.b.data[...] = k.reshape(3, 3, 3), kb
+        assert np.array_equal(grid_forward(conv, grid, scale=diag, factor=1.25), grid_forward(conv_o, grid))
 
 
 class TestFold:
@@ -467,23 +493,67 @@ class TestFold:
         assert np.array_equal(wf, w) and np.array_equal(bf, b)
         assert not np.shares_memory(wf, w) and not np.shares_memory(bf, b)
 
-    def test_gradients_tight(self):
+    def test_float32_affine_folds_in_float64(self):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((4, 6)).astype(np.float32)
+        b, a, s = (rng.standard_normal(n).astype(np.float32) for n in (4, 6, 6))
+        wf, bf = fold(w, b, np.float32, a, s)
+        w64, b64 = fold(w, b, np.float64, a.astype(np.float64), s.astype(np.float64))
+        assert np.array_equal(wf, w64.astype(np.float32)) and np.array_equal(bf, b64.astype(np.float32))
+
+    def test_adjoint_gradients_in_every_fold_input(self):
+        # loss <r, PointwiseLinear(x) folded with (a, s) and factor * o>: the
+        # layer gives W, b and o; a and s follow from its gradient with
+        # respect to a x + s. The map is multilinear, so central differences
+        # in float64 are essentially exact.
         def build(store, rng):
-            ls = LayerScale(store, "ls", 4)
-            ls.diag.data[...] = rng.standard_normal(4)
+            lin = PointwiseLinear(store, "lin", 4, 3, rng)
+            lin.b.data[...] = rng.standard_normal(3)
+            a = store.register("in_scale", rng.uniform(0.5, 1.5, 4).astype(np.float32))
+            s = store.register("in_shift", rng.standard_normal(4).astype(np.float32))
+            o = store.register("out_scale", rng.uniform(-1.5, 1.5, 3).astype(np.float32))
             x = store.register("x", rng.standard_normal((9, 4)).astype(np.float32))
-            r = rng.standard_normal((9, 4))
+            r = rng.standard_normal((9, 3))
 
             def loss_fn(want_grad):
-                y = ls.forward(x.data)
+                y = lin.forward(x.data, True, (a.data, s.data), o, 1.25)
                 if want_grad:
-                    x.grad += ls.backward(r)
+                    dz = lin.backward(r)
+                    a.grad += (dz * x.data).sum(axis=0)
+                    s.grad += dz.sum(axis=0)
+                    x.grad += dz * a.data
                 return float((y * r).sum())
 
             return loss_fn
 
-        # the map is bilinear, so central differences are essentially exact
-        check_layer(build, threshold=1e-6)
+        check_layer(build, threshold=1e-8)
+
+    def test_adjoint_gradients_of_a_scaled_conv(self):
+        def build(store, rng):
+            conv = DepthwiseConv3x3(store, "conv", 2, rng)
+            conv.b.data[...] = rng.standard_normal(2)
+            o = store.register("out_scale", rng.uniform(-1.5, 1.5, 2).astype(np.float32))
+            x = store.register("x", rng.standard_normal((2, 4, 5)).astype(np.float32))
+            r = rng.standard_normal((2, 4, 5))
+
+            def loss_fn(want_grad):
+                y = grid_forward(conv, x.data, scale=o, factor=1.25)
+                if want_grad:
+                    x.grad += grid_backward(conv, r)
+                return float((y * r).sum())
+
+            return loss_fn
+
+        check_layer(build, threshold=1e-8)
+
+    def test_zero_scales_leave_every_gradient(self):
+        # nothing divides by a scale: zero input and output scales give finite gradients, o's among them
+        rng = np.random.default_rng(13)
+        w, dw = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        b, db, s = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(4)
+        gw, gb, go = fold_adjoint(w, b, dw, db, np.zeros(4), s, np.zeros(3))
+        assert not gw.any() and not gb.any()
+        np.testing.assert_allclose(go, (b + w @ s) * db, rtol=1e-12)
 
 
 class TestNeighborhoodMax:
