@@ -41,6 +41,8 @@ from .nn import (
     DepthwiseConv3x3,
     ParamStore,
     PointwiseLinear,
+    fold,
+    fold_adjoint,
     out_if_promoted,
     slot_max,
 )
@@ -134,7 +136,7 @@ class EmbeddingLayer:
             raise ValueError("neighbor list must be N x k aligned with the points")
         n, k = neighbors.shape
         h, scale, shift = self.pre_bn.forward(feats, valid, training)
-        w1 = (self.local1.w.data * scale).astype(h.dtype)
+        w1 = fold(self.local1.w.data, self.local1.b.data, h.dtype, scale)[0]
         g = self.global_lin.forward(h, training, (scale, shift))
         local = np.empty((n, self.half), dtype=h.dtype)
         slots = np.empty((n, self.half), dtype=np.int64) if training else None
@@ -188,7 +190,8 @@ class EmbeddingLayer:
             ddiff = (da1 @ self.local1.w.data).reshape(stop - start, k, -1)
             np.add.at(dhb, neighbors[start:stop], ddiff)
             ddiff.sum(axis=1, out=dself[start:stop])
-        self.local1.w.grad += dw1 * scale  # local1 ran on W1 diag(scale)
+        dw1, db1, _ = fold_adjoint(self.local1.w.data, self.local1.b.data, dw1, db1, scale)
+        self.local1.w.grad += dw1
         self.local1.b.grad += db1
         self.local2.w.grad += dw2
         self.local2.b.grad += db2
@@ -279,9 +282,9 @@ def _add_into(owned, other):
 
 
 class WaffleIron:
-    """The full network: embedding, mixing layers, linear classifier; without ``rng`` every weight is zero."""
+    """The full network: embedding, mixing layers, linear classifier; with ``rng=None`` every weight is zero."""
 
-    def __init__(self, config: WaffleIronConfig, rng: Optional[np.random.Generator] = None):
+    def __init__(self, config: WaffleIronConfig, rng: Optional[np.random.Generator]):
         self.config = config
         self.store = ParamStore()
         self.embedding = EmbeddingLayer(self.store, "embed", config.in_channels, config.width, rng)
@@ -365,7 +368,7 @@ class WaffleIron:
 
 def param_count(config: WaffleIronConfig) -> int:
     """Number of trainable scalars in a network with this configuration."""
-    return WaffleIron(config).store.num_trainable()
+    return WaffleIron(config, None).store.num_trainable()
 
 
 def prepare_inputs(model: WaffleIron, pc: PointCloud):

@@ -410,7 +410,7 @@ def checkpoint_load(path) -> tuple[WaffleIron, Optional[AdamW], RunConfig]:
     run_config = parse_run_config(reader.block().decode("utf-8"))
     if version > 1 and struct.unpack("<B", reader.take(1))[0]:
         run_config.class_map_ids = parse_class_map(reader.block().decode("utf-8"), f"{path} class map")
-    model = WaffleIron(run_config.model)
+    model = WaffleIron(run_config.model, None)
     reader.tensors_into("tensor", {name: (t.data,) for name, t in model.store.items()})
     optimizer = None
     if struct.unpack("<B", reader.take(1))[0]:

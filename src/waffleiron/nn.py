@@ -26,6 +26,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LAYERSCALE_INIT = 1e-2
 
+
 class Tensor:
     """Dense array with an optional same-shaped gradient buffer."""
 

@@ -126,8 +126,9 @@ class TestEmbedding:
 
     def test_nograd_path_matches(self, monkeypatch):
         # momentum 1: the training forward leaves the running statistics
-        # equal to its batch statistics, so the unfused eval must match it;
-        # both forwards fold the batch norm, so within FOLD_TOL
+        # equal to its batch statistics, so the unfused eval must match it:
+        # the training forward bit for bit (gamma 1 and beta 0 fold exactly),
+        # the folded eval within FOLD_TOL
         monkeypatch.setattr(nn, "BN_MOMENTUM", 1.0)
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, 8, np.random.default_rng(6))
@@ -140,7 +141,7 @@ class TestEmbedding:
         b = emb.forward(feats, nbr, valid, training=False)
         assert held_arrays(emb) == []
         oracle = embedding_eval(emb, feats, nbr)
-        np.testing.assert_allclose(a, oracle, atol=FOLD_TOL)
+        np.testing.assert_array_equal(a, oracle)
         np.testing.assert_allclose(b, oracle, atol=FOLD_TOL)
 
 
@@ -196,8 +197,9 @@ class TestEmbeddingBlocks:
             dy = np.random.default_rng(seed + 2).standard_normal(tokens.shape)
             emb.backward(dy)
             want_tokens, want_dhb, want_grads = embedding_oneshot(emb, seen["hb"], nbr, dy)
-            # the oracle reads the batch norm's output, the layer folds its map
-            np.testing.assert_allclose(tokens, want_tokens, rtol=1e-10)
+            # the oracle reads the batch norm's output, the layer folds its
+            # map, which is exact at the fresh layer's gamma 1 and beta 0
+            np.testing.assert_array_equal(tokens, want_tokens)
             np.testing.assert_allclose(seen["dhb"], want_dhb, rtol=1e-10)
             tensors = dict(store.items())
             for name, (dw, db) in want_grads.items():
@@ -888,8 +890,12 @@ class TestStochasticDepth:
 
 class TestParamCount:
     def test_model_without_rng_is_all_zero(self, small_fov):
-        # a model that is loaded or only counted draws no weights
-        model = WaffleIron(tiny_config(small_fov, depth=3, width=8))
+        # a model that is loaded or only counted draws no weights, and only
+        # an explicit None asks for that
+        cfg = tiny_config(small_fov, depth=3, width=8)
+        with pytest.raises(TypeError):
+            WaffleIron(cfg)
+        model = WaffleIron(cfg, None)
         drawn = [name for name, t in model.store.items() if name.endswith(("weight", "kernel"))]
         assert drawn and all(not dict(model.store.items())[name].data.any() for name in drawn)
         assert param_count(model.config) == model.store.num_trainable()
