@@ -24,7 +24,7 @@ The mixing layers apply their hidden ReLU in place to the fresh output of
 one array both as the next layer's input and as the ReLU mask, and backward
 masks the fresh gradient in place. The residual ``x + branch`` is written
 into the branch's fresh output, and the backward's ``dy + branch gradient``
-into the branch gradient when it already has the promoted dtype.
+into the branch gradient.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .nn import (
     PointwiseLinear,
     fold,
     fold_adjoint,
-    out_if_promoted,
     slot_max,
 )
 from .projection import (
@@ -240,14 +239,14 @@ class TokenMixLayer:
         total = None
         for axes, branch in zip(self.planes, self.branches):
             out = branch.forward(x, projections[axes], valid, training, factor)
-            total = out if total is None else _add_into(total, out)
-        return _add_into(total, x)
+            total = out if total is None else np.add(total, out, out=total)
+        return np.add(total, x, out=total)
 
     def backward(self, dy):
         dx = None
         for branch in self.branches:
             grad = branch.backward(dy)
-            dx = _add_into(grad, dy) if dx is None else _add_into(dx, grad)
+            dx = np.add(grad, dy, out=grad) if dx is None else np.add(dx, grad, out=dx)
         return dx
 
 
@@ -267,18 +266,15 @@ class ChannelMixLayer:
         np.maximum(r, 0, out=r)
         # r is also lin2's cached input; r > 0 is the ReLU mask
         self._relu_out = r if training else None
-        return _add_into(self.lin2.forward(r, training, None, self.layerscale, factor), x)
+        y = self.lin2.forward(r, training, None, self.layerscale, factor)
+        return np.add(y, x, out=y)
 
     def backward(self, dy):
         r, self._relu_out = self._relu_out, None
         dr = self.lin2.backward(dy)
         dr *= r > 0
-        return _add_into(self.bn.backward(self.lin1.backward(dr)), dy)
-
-
-def _add_into(owned, other):
-    """``owned + other``, written into ``owned`` (an array the caller made) when it has the promoted dtype."""
-    return np.add(owned, other, out=out_if_promoted(owned, owned, other))
+        dx = self.bn.backward(self.lin1.backward(dr))
+        return np.add(dx, dy, out=dx)
 
 
 class WaffleIron:

@@ -195,6 +195,10 @@ class RunConfig:
     # raw id -> train id pairs read from ``class_map``; checkpoints embed them
     class_map_ids: Optional[dict[int, int]] = None
 
+    def __post_init__(self):
+        if not 0 < self.voxel_size < np.inf:
+            raise ValueError(f"voxel_size must be positive and finite, got {self.voxel_size}")
+
 
 _PARTS = {"": RunConfig, "model": WaffleIronConfig, "train": TrainConfig, "augment": AugmentConfig}
 
@@ -256,9 +260,12 @@ def _parse_value(key: str, raw: str):
             return False
         raise ValueError(f"config key {key!r}: expected true/false, got {raw!r}")
     try:
-        return typ(raw)
+        val = typ(raw)
     except ValueError as err:
         raise ValueError(f"config key {key!r}: {err}") from err
+    if typ is float and not np.isfinite(val):
+        raise ValueError(f"config key {key!r}: expected a finite number, got {raw!r}")
+    return val
 
 
 def load_run_config(path, overrides: Optional[dict] = None) -> RunConfig:

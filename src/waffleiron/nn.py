@@ -8,11 +8,12 @@ that its consumer folds, and a layerscale is an output scale: both fold into
 the adjacent weights per call, in training and at eval (:func:`fold`), and
 backward maps the gradient of the resulting weights back (:func:`fold_adjoint`).
 
-Aliasing rule: a layer writes only into arrays it made itself, never into
-its arguments, and only when the array already has the result's dtype
-(:func:`out_if_promoted`), so nothing is silently rounded. A training cache
-may share an array with the next layer's cache: an in-place ReLU output is
-both the mask its layer keeps and the input the next linear layer keeps.
+Backward runs in the forward's dtype; :meth:`PointwiseLinear.backward`
+casts to it, so a float64 loss gradient stops at the classifier. Aliasing
+rule: a layer writes only into arrays it made itself, never into its
+arguments. A training cache may share an array with the next layer's
+cache: an in-place ReLU output is both the mask its layer keeps and the
+input the next linear layer keeps.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class PointwiseLinear:
     """y[i] = W x[i] + b for every point row i, a 1x1 convolution, over weights built per call by :func:`fold`.
 
     ``affine = (a, s)`` maps the input as ``a x + s`` first (a batch norm's map) and ``factor * scale`` scales
-    each output channel (a layerscale). Backward returns the gradient with respect to ``a x + s``.
+    each output channel (a layerscale). Backward returns the gradient with respect to ``a x + s``, in ``x``'s dtype.
     """
 
     def __init__(self, store: ParamStore, name: str, in_dim: int, out_dim: int, rng: Optional[np.random.Generator]):
@@ -120,7 +121,7 @@ class PointwiseLinear:
         self.b.grad += db
         if scale is not None:
             scale.grad += factor * do
-        return dy @ fold(self.w.data, self.b.data, np.result_type(dy, self.w.data), out_scale=o)[0]
+        return (dy @ fold(self.w.data, self.b.data, dy.dtype, out_scale=o)[0]).astype(x.dtype, copy=False)
 
 
 class BatchNorm:
@@ -173,9 +174,9 @@ class BatchNorm:
         # batch statistics were computed over the valid rows only, so the
         # mean/variance sensitivities distribute back onto those rows
         sum_dxhat = dxhat.sum(axis=0)
-        tmp = np.multiply(dxhat, xhat, out=out_if_promoted(tmp, dxhat, xhat))
+        np.multiply(dxhat, xhat, out=tmp)
         sum_dxhat_xhat = tmp.sum(axis=0)
-        dx = np.multiply(dxhat, inv_std, out=out_if_promoted(dxhat, dxhat, inv_std))
+        dx = np.multiply(dxhat, inv_std, out=dxhat)
         # corr = (sum_dxhat + xhat * sum_dxhat_xhat) * inv_std / count
         corr = np.multiply(xhat, sum_dxhat_xhat, out=tmp)
         corr += sum_dxhat
@@ -209,9 +210,10 @@ class DepthwiseConv3x3:
     reads it with flipped taps. Each output row starts from 0.0, adds the
     products ``kernel[:, u, v] * x`` in (u, v) order and the bias last; the
     input gradient adds ``kernel[:, u, v] * dy`` at offset (1 - u, 1 - v) in
-    (u, v) order into the input's dtype. On the rows it evaluates, the result
-    is therefore bit-identical to the dense zero-padded convolution of the
-    whole grid, provided every cell the rows read and do not list is zero.
+    (u, v) order, and ``dy`` must have the input's dtype. On the rows it
+    evaluates, the result is therefore bit-identical to the dense zero-padded
+    convolution of the whole grid, provided every cell the rows read and do
+    not list is zero.
     Kernel and bias gradients are sums over rows. ``factor * scale`` scales
     the output through kernel and bias, as in :class:`PointwiseLinear`.
     """
@@ -227,7 +229,7 @@ class DepthwiseConv3x3:
         _check_taps(taps, x.shape[0] - 1)
         o = _out_scale(scale, factor)
         kern, bias = fold(self.k.data.reshape(f, 9), self.b.data, x.dtype, out_scale=o)
-        y = _tap_sum(x, taps, _TAPS, kern, x.dtype)
+        y = _tap_sum(x, taps, _TAPS, kern)
         y[:-1] += bias
         self._cache = (x, taps, o, scale, factor) if training else None
         return y
@@ -235,26 +237,27 @@ class DepthwiseConv3x3:
     def backward(self, dy: np.ndarray, taps: np.ndarray) -> np.ndarray:
         x, fwd_taps, o, scale, factor = self._cache
         f = self.k.shape[0]
+        if dy.dtype != x.dtype:
+            raise ValueError(f"expected a {x.dtype} gradient like the forward's input, got {dy.dtype}")
         check_rows(dy, f, fwd_taps.shape[0])
         _check_taps(taps, fwd_taps.shape[0])
         if taps.shape[0] != x.shape[0] - 1:
             raise ValueError(f"expected a {x.shape[0] - 1} x 9 table, got {taps.shape}")
         self._cache = None
         rows = dy[:-1]
-        ksum = np.zeros((f, 9), dtype=np.result_type(dy, x))
+        ksum = np.zeros((f, 9), dtype=x.dtype)
         xt = np.empty(rows.shape, dtype=x.dtype)
-        prod = np.empty(rows.shape, dtype=ksum.dtype)
         for t in _TAPS:
             np.take(x, fwd_taps[:, t], axis=0, out=xt, mode="clip")
-            np.multiply(rows, xt, out=prod)
-            ksum[:, t] += prod.sum(axis=0)
+            xt *= rows
+            ksum[:, t] += xt.sum(axis=0)
         kern = self.k.data.reshape(f, 9)
         dk, db, do = fold_adjoint(kern, self.b.data, ksum, rows.sum(axis=0), out_scale=o)
         self.k.grad += dk.reshape(f, 3, 3)
         self.b.grad += db
         if scale is not None:
             scale.grad += factor * do
-        return _tap_sum(dy, taps, _FLIPPED_TAPS, fold(kern, self.b.data, dy.dtype, out_scale=o)[0], x.dtype)
+        return _tap_sum(dy, taps, _FLIPPED_TAPS, fold(kern, self.b.data, x.dtype, out_scale=o)[0])
 
 
 def check_rows(x: np.ndarray, f: Optional[int] = None, n: Optional[int] = None) -> None:
@@ -272,14 +275,14 @@ def _check_taps(taps: np.ndarray, n_in: int) -> None:
         raise ValueError(f"tap table index outside 0..{n_in}")
 
 
-def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype) -> np.ndarray:
+def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray) -> np.ndarray:
     """``out[r] = sum over t of kern[:, t] * src[taps[r, c_t]]``, from 0.0, in the order of ``columns``.
 
-    One row per row of ``taps``, and the zero row last; rows go in blocks of ``_TAP_BLOCK``.
+    One row per row of ``taps``, and the zero row last, in ``src``'s dtype; rows go in blocks of ``_TAP_BLOCK``.
     """
     n = taps.shape[0]
-    out = np.zeros((n + 1, src.shape[1]), dtype=dtype)
-    buf = np.empty((min(n, _TAP_BLOCK), src.shape[1]), dtype=np.result_type(kern, src))
+    out = np.zeros((n + 1, src.shape[1]), dtype=src.dtype)
+    buf = np.empty((min(n, _TAP_BLOCK), src.shape[1]), dtype=src.dtype)
     for lo in range(0, n, _TAP_BLOCK):
         rows = out[lo : min(lo + _TAP_BLOCK, n)]
         block = taps[lo : lo + rows.shape[0]]
@@ -309,15 +312,6 @@ def fold_adjoint(weight, bias, dweight, dbias, in_scale=1.0, in_shift=0.0, out_s
     wa, bs = fold(weight, bias, np.float64, in_scale, in_shift)
     dw = dweight * in_scale + np.outer(dbias, np.broadcast_to(in_shift, wa.shape[1:]))
     return np.reshape(out_scale, (-1, 1)) * dw, dbias * out_scale, (wa * dweight).sum(axis=1) + bs * dbias
-
-
-def out_if_promoted(buf: np.ndarray, *operands) -> Optional[np.ndarray]:
-    """``buf`` as the ``out=`` of an elementwise operation on ``operands``, or ``None`` for a new array.
-
-    ``buf`` serves only when it has the operands' promoted dtype: a narrower
-    buffer would silently round the result.
-    """
-    return buf if buf.dtype == np.result_type(*operands) else None
 
 
 def slot_max(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

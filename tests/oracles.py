@@ -299,7 +299,7 @@ def bn_train(bn: BatchNorm, x: np.ndarray, valid: np.ndarray):
 def conv_rows(conv, x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """The depthwise conv of grid rows ``x`` read through ``taps``, unblocked and unfolded: taps from 0.0, bias last."""
     f = x.shape[1]
-    y = tap_sum_unblocked(x, taps, range(9), conv.k.data.reshape(f, 9).astype(x.dtype), x.dtype)
+    y = tap_sum_unblocked(x, taps, range(9), conv.k.data.reshape(f, 9).astype(x.dtype))
     y[:-1] += conv.b.data
     return y
 
@@ -310,7 +310,7 @@ def conv_rows_backward(conv, x: np.ndarray, fwd_taps: np.ndarray, bwd_taps: np.n
     rows = dy[:-1]
     dk = np.stack([(rows * x[fwd_taps[:, t]]).sum(axis=0) for t in range(9)], axis=1).reshape(f, 3, 3)
     kern = conv.k.data.reshape(f, 9).astype(dy.dtype)
-    return tap_sum_unblocked(dy, bwd_taps, range(8, -1, -1), kern, x.dtype), dk, rows.sum(axis=0)
+    return tap_sum_unblocked(dy, bwd_taps, range(8, -1, -1), kern), dk, rows.sum(axis=0)
 
 
 def token_train(layer: TokenMixLayer, x, projections, valid, factor, add):
@@ -373,8 +373,9 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, la
     The step is ``model.forward(..., training=True, drop_rng=drop_rng)``,
     :func:`segmentation_loss` and ``model.backward``, as the layers ran them
     before the package folded batch norm and layerscale into the adjacent
-    weights. The model is left untouched, running statistics included; a
-    dropped layer's tensors get zero gradients.
+    weights. Backward runs in the forward's dtype from the classifier's
+    input gradient on, as in the package. The model is left untouched,
+    running statistics included; a dropped layer's tensors get zero gradients.
     """
     grads = {}
 
@@ -400,7 +401,7 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, la
     dy = dlogits.T
     add(cls.w, dy.T @ x)
     add(cls.b, dy.sum(axis=0))
-    dx = dy @ cls.w.data
+    dx = (dy @ cls.w.data).astype(x.dtype, copy=False)
     for backward in reversed(backwards):
         dx = backward(dx)
     _, dhb, emb_grads = embedding_oneshot(emb, hb, neighbors, dx)
@@ -432,11 +433,11 @@ def nn_propagate_labels(src: PointCloud, src_labels: np.ndarray, dst_points: np.
 # -- geometry and conv kernels -------------------------------------------------------------
 
 
-def tap_sum_unblocked(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, dtype) -> np.ndarray:
-    """``nn._tap_sum`` with one N x F temporary over all rows, taps in the order of ``columns``."""
-    out = np.zeros((taps.shape[0] + 1, src.shape[1]), dtype=dtype)
+def tap_sum_unblocked(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray) -> np.ndarray:
+    """``nn._tap_sum`` with one N x F temporary over all rows, taps in the order of ``columns``, in ``src``'s dtype."""
+    out = np.zeros((taps.shape[0] + 1, src.shape[1]), dtype=src.dtype)
     rows = out[:-1]
-    tmp = np.empty(rows.shape, dtype=np.result_type(kern, src))
+    tmp = np.empty(rows.shape, dtype=src.dtype)
     for t, c in enumerate(columns):
         np.take(src, taps[:, c], axis=0, out=tmp, mode="clip")
         np.multiply(kern[:, t], tmp, out=tmp)

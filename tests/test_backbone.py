@@ -421,7 +421,7 @@ class TestActiveCellBranch:
             promote_to_float64(store)
         projections = {axes: build_projection(pts, PlaneSpec.from_fov(axes, fov, rho), valid) for axes in planes}
         x = rng.standard_normal((len(pts), width)).astype(dtype)
-        dy = rng.standard_normal((len(pts), width))
+        dy = rng.standard_normal((len(pts), width)).astype(dtype)
         # batch statistics need a valid row: an all-padding cloud has only the eval forward
         training = bool(valid.any())
         want_y, want_dx, want_rows, want_grads = dense_token_layer(layer, x, projections, valid, dy, training)
@@ -714,8 +714,8 @@ class TestNoArgumentWrites:
     N, WIDTH, K = 30, 6, 4
     PLANES = ((0, 1), (0, 2), (1, 2))
 
-    def cases(self, fov):
-        """(layer, forward arguments, forward keywords, backward arguments after dy) of every layer."""
+    def cases(self, fov, dtype):
+        """(layer, forward arguments, forward keywords, backward arguments after dy) of every layer, inputs in ``dtype``."""
         rng = np.random.default_rng(80)
         store = ParamStore()
         pc = build_scene(fov, n=self.N, seed=81)
@@ -725,9 +725,9 @@ class TestNoArgumentWrites:
             axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, fov, 0.8), valid) for axes in self.PLANES
         }
         neighbors = (np.arange(self.N)[:, None] + np.arange(1, self.K + 1)) % self.N
-        x = rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
+        x = rng.standard_normal((self.N, self.WIDTH)).astype(dtype)
         proj = projections[(0, 1)]
-        yield EmbeddingLayer(store, "embed", 5, self.WIDTH, rng), (pc.features, neighbors, valid), {}, ()
+        yield EmbeddingLayer(store, "embed", 5, self.WIDTH, rng), (pc.features.astype(dtype), neighbors, valid), {}, ()
         yield TokenMixLayer(store, "tm", self.PLANES, self.WIDTH, rng), (x, projections, valid), {"factor": 1.25}, ()
         yield ChannelMixLayer(store, "cm", self.WIDTH, rng), (x, valid), {"factor": 1.25}, ()
         yield BatchNorm(store, "bn", self.WIDTH), (x, valid), {}, ()
@@ -743,22 +743,22 @@ class TestNoArgumentWrites:
         scale = store.register("conv_scale", rng.uniform(0.5, 1.5, self.WIDTH).astype(np.float32))
         yield conv, (proj.flatten(x), proj.d_from_o), {"scale": scale, "factor": 1.25}, (proj.o_from_d,)
 
-    @pytest.mark.parametrize("dy_dtype", [np.float32, np.float64])
-    def test_forward_and_backward_leave_arguments(self, small_fov, dy_dtype):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_leave_arguments(self, small_fov, dtype):
         rng = np.random.default_rng(82)
-        for layer, args, kwargs, backward_args in self.cases(small_fov):
+        for layer, args, kwargs, backward_args in self.cases(small_fov, dtype):
             call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
             out = call_leaving_arguments(layer.forward, *args, training=True, **kwargs)
             # a batch norm returns its rows with the map its consumer folds
             out = out[0] if isinstance(layer, BatchNorm) else out
-            dy = rng.standard_normal(out.shape).astype(dy_dtype)
+            dy = rng.standard_normal(out.shape).astype(dtype)
             if isinstance(layer, DepthwiseConv3x3):
                 dy[-1] = 0.0
             call_leaving_arguments(layer.backward, dy, *backward_args)
 
 
 class TestResidualBackward:
-    """float64 dy through float32 layers: the input gradient is the float64 ``dy + branch gradient``, bit for bit."""
+    """The input gradient is ``dy + branch gradient`` in the tokens' float32, bit for bit."""
 
     N, WIDTH, FACTOR = 30, 6, 1.25
 
@@ -768,7 +768,7 @@ class TestResidualBackward:
         valid = np.ones(self.N, dtype=bool)
         valid[-4:] = False
         x = rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
-        return pc, valid, x, rng.standard_normal((self.N, self.WIDTH))
+        return pc, valid, x, rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
 
     def test_channel_mix(self, small_fov):
         _, valid, x, dy = self.inputs(small_fov)
@@ -779,7 +779,7 @@ class TestResidualBackward:
         # the factor and layerscale are folded into lin2, which takes dy as it is
         dr = layer.lin2.backward(dy)
         branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, layer._relu_out)))
-        assert dx.dtype == np.float64 and bitwise_equal(dx, dy + branch)
+        assert dx.dtype == np.float32 and bitwise_equal(dx, dy + branch)
 
     def test_token_mix_three_planes(self, small_fov):
         pc, valid, x, dy = self.inputs(small_fov)
@@ -791,9 +791,8 @@ class TestResidualBackward:
         layer.forward(x, projections, valid, training=True, factor=self.FACTOR)
         # the factor and layerscale are folded into conv2, so each branch takes dy as it is
         grads = [br.backward(dy) for br in layer.branches]
-        # the branch gradients come back in the tokens' float32, so the sum cannot be written into them
         assert {g.dtype for g in grads} == {np.dtype(np.float32)}
-        assert dx.dtype == np.float64 and bitwise_equal(dx, dy + grads[0] + grads[1] + grads[2])
+        assert dx.dtype == np.float32 and bitwise_equal(dx, dy + grads[0] + grads[1] + grads[2])
 
 
 class TestStochasticDepth:
@@ -1074,6 +1073,29 @@ class TestFoldedTraining:
         assert 0 < len(dropped) < len(want)
         for name, t in model.store.trainable_items():
             np.testing.assert_allclose(t.grad, want[name], err_msg=name, **tol)
+
+    def test_backward_runs_in_float32_after_the_classifier(self, small_fov, monkeypatch):
+        # the loss's float64 gradient reaches the model and its classifier; every other layer gets float32
+        classes = [
+            cls
+            for module in (nn, backbone)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and "backward" in vars(cls)
+        ]
+        seen = []
+        for cls in classes:
+
+            def spy(self, dy, *args, _backward=cls.backward):
+                seen.append((self, dy.dtype))
+                return _backward(self, dy, *args)
+
+            monkeypatch.setattr(cls, "backward", spy)
+        model, inputs, labels = self.model_and_inputs(small_fov, "baseline", np.float32)
+        logits = model.forward(*inputs, training=True, drop_rng=np.random.default_rng(3))
+        model.backward(segmentation_loss(logits, labels, inputs[3])[1])
+        assert {type(layer) for layer, _ in seen} == set(classes)
+        assert [layer for layer, dtype in seen if dtype != np.float32] == [model, model.classifier]
+        assert seen[1] == (model.classifier, np.float64)
 
     def test_training_forward_changes_only_the_running_statistics(self, small_fov):
         model, inputs, _ = self.model_and_inputs(small_fov, "parallel", np.float32)

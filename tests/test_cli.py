@@ -86,6 +86,12 @@ class TestArgumentErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG.replace("fov_xmax 8.0", "fov_xmax inf"))
+        assert main(["paramcount", "--config", str(cfg)]) == 1
+        assert "error: config key 'fov_xmax': expected a finite number, got 'inf'" in capsys.readouterr().err
+
 
 class TestTrainInputErrors:
     @pytest.mark.parametrize(
@@ -102,11 +108,18 @@ class TestTrainInputErrors:
             (None, ["classes=2"], "scan_0: label 2 outside the class range [0, 1]"),
             (None, ["batch=0"], "batch_size must be >= 1"),
             (None, ["checkpoint_every=-1"], "checkpoint_every must be >= 0"),
+            (None, ["fov_xmax=inf"], "config key 'fov_xmax': expected a finite number, got 'inf'"),
+            (None, ["rho=nan"], "config key 'rho': expected a finite number, got 'nan'"),
+            (None, ["lr=nan"], "config key 'lr': expected a finite number, got 'nan'"),
+            (None, ["voxel_size=0"], "voxel_size must be positive and finite, got 0.0"),
+            (None, ["voxel_size=-0.1"], "voxel_size must be positive and finite, got -0.1"),
+            (None, ["voxel_size=nan"], "config key 'voxel_size': expected a finite number, got 'nan'"),
         ],
         ids=["negative-raw-id", "raw-id-past-16-bits", "negative-train-id", "non-integer-raw-id", "non-integer-train-id",
              "train-id-is-ignore-label", "train-id-past-int32",
              "mapped-label-past-classes",
-             "raw-label-past-classes", "batch-zero", "negative-checkpoint-every"],
+             "raw-label-past-classes", "batch-zero", "negative-checkpoint-every",
+             "infinite-fov", "nan-rho", "nan-lr", "zero-voxel-size", "negative-voxel-size", "nan-voxel-size"],
     )
     def test_exits_1_with_message(self, tmp_path, capsys, class_map, overrides, message):
         cfg = TINY_CFG.replace("epochs 2", "epochs 1")
@@ -121,6 +134,7 @@ class TestTrainInputErrors:
             argv += ["--set", item]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*.wfli"))
 
 
 class TestCutmixBank:

@@ -10,7 +10,7 @@ import pytest
 
 from waffleiron import dataio
 from waffleiron.backbone import WaffleIron, WaffleIronConfig, prepare_inputs
-from waffleiron.geometry import IGNORE_LABEL
+from waffleiron.geometry import IGNORE_LABEL, Fov
 from waffleiron.training import AdamW, segmentation_loss
 
 from conftest import random_cloud
@@ -411,6 +411,12 @@ class TestRunConfig:
         assert (rc.scan_format, rc.voxel_size, rc.class_map) == ("kitti4", 0.10, "")
         with pytest.raises(ValueError, match="missing required config keys: classes"):
             dataio.parse_run_config(required.replace("classes 3\n", ""))
+
+    @pytest.mark.parametrize("voxel_size", [0.0, -0.1, float("nan"), float("inf")])
+    def test_voxel_size_must_be_positive_and_finite(self, voxel_size):
+        model = WaffleIronConfig(depth=3, width=8, rho=0.8, fov=Fov([-1.0] * 3, [1.0] * 3), num_classes=3)
+        with pytest.raises(ValueError, match="voxel_size must be positive and finite"):
+            dataio.RunConfig(model, voxel_size=voxel_size)
 
 
 class TestScanDataset:

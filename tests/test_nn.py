@@ -88,6 +88,17 @@ class TestPointwiseLinear:
 
         check_layer(build)
 
+    def test_backward_casts_to_the_input_dtype(self):
+        # the classifier's case: the loss hands a float64 gradient to a float32 layer
+        rng = np.random.default_rng(3)
+        lin = PointwiseLinear(ParamStore(), "lin", 4, 5, rng)
+        x = rng.standard_normal((7, 4)).astype(np.float32)
+        dy = rng.standard_normal((5, 7)).T
+        lin.forward(x)
+        dx = lin.backward(dy)
+        want = (dy @ fold(lin.w.data, lin.b.data, np.float64)[0]).astype(np.float32)
+        assert dx.dtype == np.float32 and dx.tobytes() == want.tobytes()
+
 
 class TestBatchNorm:
     def test_constant_channel_returns_shift(self):
@@ -164,19 +175,23 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             bn.forward(np.zeros((4, 2), dtype=np.float32), valid=np.zeros(4, dtype=bool))
 
-    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("dy_dtype", [np.float32, np.float64])
+    # dy has the forward input's dtype; a float64 input may meet float32 parameters, not the reverse
+    @pytest.mark.parametrize(
+        "param_dtype, dtype",
+        [(np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float64)],
+        ids=["float32", "float64-input", "float64"],
+    )
     @pytest.mark.parametrize("n_padding", [0, 7])
-    def test_backward_matches_masked_formula_bitwise(self, param_dtype, dy_dtype, n_padding):
+    def test_backward_matches_masked_formula_bitwise(self, param_dtype, dtype, n_padding):
         rng = np.random.default_rng(8)
         store = ParamStore()
         bn = BatchNorm(store, "bn", 5)
         bn.gamma.data = rng.uniform(0.5, 1.5, 5).astype(param_dtype)
         bn.gamma.grad = np.zeros_like(bn.gamma.data)
         bn.beta.grad = np.zeros_like(bn.gamma.data)
-        x = rng.standard_normal((40, 5)).astype(np.float32)
+        x = rng.standard_normal((40, 5)).astype(dtype)
         valid = np.arange(40) < 40 - n_padding
-        dy = rng.standard_normal((40, 5)).astype(dy_dtype)
+        dy = rng.standard_normal((40, 5)).astype(dtype)
         bn.forward(x, valid=valid)
         want_dx, want_dgamma, want_dbeta = bn_backward_masked(bn, dy)
         dx = bn.backward(dy)
@@ -349,15 +364,16 @@ class TestDepthwiseConv:
         conv = DepthwiseConv3x3(store, "conv", 5, rng)
         conv.b.data[...] = rng.standard_normal(5)
         x0 = rng.standard_normal((5, 181, 190)).astype(np.float32)
-        dy0 = rng.standard_normal(x0.shape)
+        dy0 = rng.standard_normal(x0.shape).astype(np.float32)
         f, h, w = x0.shape
-        xp = np.zeros((f, h + 2, w + 2), dtype=np.float32)
+        xp = np.zeros((f, h + 2, w + 2), dtype=np.float64)
         xp[:, 1 : h + 1, 1 : w + 1] = x0
+        # parameter gradients in float64 for reference; the input gradient in float32, taps in (u, v) order
         want_k = np.stack([(dy0 * xp[:, u : u + h, v : v + w]).sum(axis=(1, 2)) for u in range(3) for v in range(3)], 1)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(xp.shape, dtype=np.float32)
         for u in range(3):
             for v in range(3):
-                dxp[:, u : u + h, v : v + w] += conv.k.data[:, u, v].astype(np.float64)[:, None, None] * dy0
+                dxp[:, u : u + h, v : v + w] += conv.k.data[:, u, v][:, None, None] * dy0
         for layout in ROW_LAYOUTS:
             store.zero_grad()
             y = grid_forward(conv, x0, layout=layout)
@@ -367,7 +383,7 @@ class TestDepthwiseConv:
             assert np.array_equal(dx, dxp[:, 1 : h + 1, 1 : w + 1])
             assert np.array_equal(dx, per_tap_backward(x0, dy0, conv.k.data)[0])
             np.testing.assert_allclose(conv.k.grad.reshape(f, 9), want_k, rtol=1e-5, atol=1e-3)
-            np.testing.assert_allclose(conv.b.grad, dy0.sum(axis=(1, 2)), rtol=1e-5, atol=1e-3)
+            np.testing.assert_allclose(conv.b.grad, dy0.sum(axis=(1, 2), dtype=np.float64), rtol=1e-5, atol=1e-3)
 
     def test_gradients(self):
         for layout in ROW_LAYOUTS:
@@ -394,11 +410,13 @@ class TestDepthwiseConv:
         src = np.vstack([rng.standard_normal((n_in, f)), np.zeros((1, f))]).astype(np.float32)
         taps = rng.integers(0, n_in + 1, size=(n_rows, 9))
         kern = rng.standard_normal((f, 9)).astype(np.float32)
-        # forward: float32 throughout; input gradient: float64 dy and kernel into float32
-        for columns, x, w in ((_TAPS, src, kern), (_FLIPPED_TAPS, src.astype(np.float64), kern.astype(np.float64))):
-            got = _tap_sum(x, taps, columns, w, np.float32)
-            assert got.shape == (n_rows + 1, f) and not got[-1].any()
-            assert np.array_equal(got, tap_sum_unblocked(x, taps, columns, w, np.float32))
+        # forward and input-gradient taps, in float32 and in float64: the output takes the source's dtype
+        for dtype in (np.float32, np.float64):
+            for columns in (_TAPS, _FLIPPED_TAPS):
+                x, w = src.astype(dtype), kern.astype(dtype)
+                got = _tap_sum(x, taps, columns, w)
+                assert got.shape == (n_rows + 1, f) and got.dtype == dtype and not got[-1].any()
+                assert np.array_equal(got, tap_sum_unblocked(x, taps, columns, w))
 
     def test_rejects_bad_rows_and_tables(self):
         store = ParamStore()
@@ -417,11 +435,20 @@ class TestDepthwiseConv:
             conv.forward(last_row_set, taps)
         conv.forward(x, taps)
         with pytest.raises(ValueError):
-            conv.backward(np.zeros((12, 2)), taps)
+            conv.backward(np.zeros((12, 2), dtype=np.float32), taps)
         with pytest.raises(ValueError):
-            conv.backward(np.zeros((13, 2)), taps[:11])
+            conv.backward(np.zeros((13, 2), dtype=np.float32), taps[:11])
         with pytest.raises(ValueError, match="zero row"):
             conv.backward(last_row_set, taps)
+
+    @pytest.mark.parametrize("dtype, dy_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_backward_rejects_a_gradient_of_another_dtype(self, dtype, dy_dtype):
+        conv = DepthwiseConv3x3(ParamStore(), "conv", 2, np.random.default_rng(6))
+        taps = full_grid_taps(3, 4)
+        conv.forward(np.zeros((13, 2), dtype=dtype), taps)
+        with pytest.raises(ValueError, match="gradient like the forward's input"):
+            conv.backward(np.zeros((13, 2), dtype=dy_dtype), taps)
+        assert not conv.k.grad.any() and not conv.b.grad.any()
 
 
 class TestLayerScale:
