@@ -6,18 +6,18 @@ by a single linear layer. Token mixing projects tokens onto a 2D plane,
 runs a small depthwise-convolution FFN on the grid, and copies the result
 back to the points; channel mixing is a per-point MLP. Both residual
 branches carry a trainable layerscale; :class:`WaffleIron` drops whole
-mixing layers stochastically. Training and eval run one layer structure:
-each batch norm's map folds into what reads it (``global``/``local1``, the
-token flatten, ``lin1``) and the stochastic-depth factor times each
+mixing layers stochastically. Training and eval run one data path: each
+batch norm's map folds into what reads its input (``global``/``local1``,
+the token flatten, ``lin1``) and the stochastic-depth factor times each
 layerscale into ``conv2``/``lin2``, so both mixing layers add their branch
-to ``x`` as it is.
+to ``x`` as it is; the modes differ only in the statistics they map by.
 
 Features and tokens are N x C and N x F blocks of point rows from the
 embedding to the classifier; the logits are the K x N transpose of the
 classifier's rows. The embedding's local branch, k pair rows per point,
 runs in blocks of points and is never held whole: training keeps only the
-winning neighbor slot of each pooled entry, and backward recomputes
-``relu(local1)`` block by block.
+winning neighbor slot of each pooled entry, as the smallest unsigned type
+holding ``k - 1``, and backward recomputes ``relu(local1)`` block by block.
 
 The mixing layers apply their hidden ReLU in place to the fresh output of
 ``lin1`` (channel) or ``conv1`` (token), so a training forward keeps that
@@ -112,8 +112,10 @@ class EmbeddingLayer:
 
     The local branch runs in blocks of ``_LOCAL_BLOCK`` points, in both
     modes, so its k rows per point never exist for the whole cloud at once.
-    A training forward keeps only the batch norm's rows, the neighbor list,
-    ``local1``'s weight with the scale and the winning slot of every pooled entry;
+    Both add ``local2``'s bias after the max, which pools the same values as
+    the biased rows (rounding ``a + b`` is monotonic in ``a``). A training
+    forward keeps only the features, the neighbor list, ``local1``'s weight
+    with the scale and the winning slot of every pooled entry;
     :meth:`backward` walks the same blocks, recomputes the differences and
     ``relu(local1)`` and routes the gradient through the kept slots, so
     ``local2`` is not re-run.
@@ -134,28 +136,27 @@ class EmbeddingLayer:
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
         n, k = neighbors.shape
-        h, scale, shift = self.pre_bn.forward(feats, valid, training)
-        w1 = fold(self.local1.w.data, self.local1.b.data, h.dtype, scale)[0]
-        g = self.global_lin.forward(h, training, (scale, shift))
-        local = np.empty((n, self.half), dtype=h.dtype)
-        slots = np.empty((n, self.half), dtype=np.int64) if training else None
-        for start, stop, _, r in self._pair_blocks(h, neighbors, w1):
+        scale, shift = self.pre_bn.forward(feats, valid, training)
+        w1 = fold(self.local1.w.data, self.local1.b.data, feats.dtype, scale)[0]
+        g = self.global_lin.forward(feats, training, (scale, shift))
+        local = np.empty((n, self.half), dtype=feats.dtype)
+        slots = np.empty((n, self.half), dtype=np.min_scalar_type(k - 1)) if training else None
+        for start, stop, _, r in self._pair_blocks(feats, neighbors, w1):
             a2 = (r @ self.local2.w.data.T).reshape(stop - start, k, self.half)
             if training:
-                a2 += self.local2.b.data
                 local[start:stop], slots[start:stop] = slot_max(a2, neighbors[start:stop])
-            else:  # local2's bias commutes with the max (rounding a + b is monotonic in a): added after pooling
+            else:
                 a2.max(axis=1, out=local[start:stop])
-        self._cache = (h, neighbors, slots, scale, w1) if training else None
-        cat = np.concatenate([g, local if training else local + self.local2.b.data], axis=1)
-        return self.merge.forward(cat, training)
+        local += self.local2.b.data
+        self._cache = (feats, neighbors, slots, scale, w1) if training else None
+        return self.merge.forward(np.concatenate([g, local], axis=1), training)
 
-    def _pair_blocks(self, h, neighbors, w1):
+    def _pair_blocks(self, x, neighbors, w1):
         """Per block of points: its range, the (rows*k) x C differences and ``relu(local1)`` of them, weight ``w1``."""
         n, k = neighbors.shape
         for start in range(0, n, _LOCAL_BLOCK):
             stop = min(start + _LOCAL_BLOCK, n)
-            d = (h[neighbors[start:stop]] - h[start:stop, None, :]).reshape((stop - start) * k, -1)
+            d = (x[neighbors[start:stop]] - x[start:stop, None, :]).reshape((stop - start) * k, -1)
             r = d @ w1.T
             r += self.local1.b.data
             np.maximum(r, 0, out=r)
@@ -164,7 +165,7 @@ class EmbeddingLayer:
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("embedding backward needs a training forward")
-        (hb, neighbors, slots, scale, w1), self._cache = self._cache, None
+        (x, neighbors, slots, scale, w1), self._cache = self._cache, None
         k = neighbors.shape[1]
         dcat = self.merge.backward(dy)
         dlocal = dcat[:, None, self.half :]
@@ -176,7 +177,7 @@ class EmbeddingLayer:
         db1 = np.zeros(self.half, dtype=dy.dtype)
         db2 = np.zeros(self.half, dtype=dy.dtype)
         dself = np.empty(dhb.shape, dtype=dhb.dtype)
-        for start, stop, d, r in self._pair_blocks(hb, neighbors, w1):
+        for start, stop, d, r in self._pair_blocks(x, neighbors, w1):
             da2 = np.zeros((stop - start, k, self.half), dtype=dy.dtype)
             np.put_along_axis(da2, slots[start:stop, None, :], dlocal[start:stop], axis=1)
             da2 = da2.reshape(-1, self.half)
@@ -212,8 +213,7 @@ class _TokenMixBranch:
         self._cache = None
 
     def forward(self, x, proj: ProjectionPair, valid, training, factor):
-        rows, scale, shift = self.bn.forward(x, valid, training)
-        r = self.conv1.forward(proj.flatten(rows, (scale, shift)), proj.d_from_o, training)
+        r = self.conv1.forward(proj.flatten(x, self.bn.forward(x, valid, training)), proj.d_from_o, training)
         np.maximum(r, 0, out=r)
         # r is also conv2's cached input; r > 0 is the ReLU mask
         self._cache = (proj, r) if training else None
@@ -261,8 +261,7 @@ class ChannelMixLayer:
         self._relu_out = None
 
     def forward(self, x, valid, training, factor=1.0):
-        rows, scale, shift = self.bn.forward(x, valid, training)
-        r = self.lin1.forward(rows, training, (scale, shift))
+        r = self.lin1.forward(x, training, self.bn.forward(x, valid, training))
         np.maximum(r, 0, out=r)
         # r is also lin2's cached input; r > 0 is the ReLU mask
         self._relu_out = r if training else None
@@ -317,11 +316,12 @@ class WaffleIron:
     ) -> np.ndarray:
         """Run the network on N x C features of one cloud, returning K x N logits.
 
-        Two modes over one layer structure, in which every batch norm and
-        layerscale folds into the adjacent weights. A training forward
-        normalizes by batch statistics, updates the running statistics and
-        makes every layer keep what :meth:`backward` needs. An eval forward
-        normalizes by the running statistics and keeps nothing.
+        Two modes over one data path, in which every batch norm's map and
+        layerscale folds into the adjacent weights. A training forward maps
+        by batch statistics, updates the running statistics and makes every
+        layer keep what :meth:`backward` needs. An eval forward maps by the
+        running statistics and keeps nothing. By equal statistics both give
+        the same logits bit for bit.
 
         Stochastic depth engages whenever ``drop_rng`` is given and
         ``drop_prob > 0`` (also used by test-time augmentation): one draw

@@ -196,6 +196,8 @@ class RunConfig:
     class_map_ids: Optional[dict[int, int]] = None
 
     def __post_init__(self):
+        if self.scan_format not in _SCAN_STRIDE:
+            raise ValueError(f"unknown scan format {self.scan_format!r}; expected one of {', '.join(_SCAN_STRIDE)}")
         if not 0 < self.voxel_size < np.inf:
             raise ValueError(f"voxel_size must be positive and finite, got {self.voxel_size}")
 

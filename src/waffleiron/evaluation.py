@@ -116,11 +116,10 @@ def segment_scan(
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        drop_rng = rng if model.config.drop_prob > 0 else None
         probs = np.zeros((model.config.num_classes, down.n_points), dtype=np.float64)
         for _ in range(TTA_PASSES):
             variant = random_flip(random_rotate_z(down, rng), rng)
-            probs += infer_probs(model, variant, drop_rng=drop_rng)
+            probs += infer_probs(model, variant, drop_rng=rng)
     labels = np.argmax(probs, axis=0).astype(np.int32)
     survivors = np.zeros(pc.n_points, dtype=bool)
     survivors[kept] = True

@@ -3,10 +3,11 @@
 The network architecture is fixed, so instead of a tape-based autodiff each
 layer caches what its own backward pass needs. Parameters live in a
 :class:`ParamStore` as named float32 tensors; gradient buffers accumulate
-until explicitly zeroed. A batch norm returns its rows with the affine map
-that its consumer folds, and a layerscale is an output scale: both fold into
-the adjacent weights per call, in training and at eval (:func:`fold`), and
-backward maps the gradient of the resulting weights back (:func:`fold_adjoint`).
+until explicitly zeroed. A batch norm returns only the float64 map of its
+statistics, which its consumer applies to the batch norm's own input, and a
+layerscale is an output scale: both fold into the adjacent weights per call,
+in training and at eval (:func:`fold`), and backward maps the gradient of the
+resulting weights back (:func:`fold_adjoint`).
 
 Backward runs in the forward's dtype; :meth:`PointwiseLinear.backward`
 casts to it, so a float64 loss gradient stops at the classifier. Aliasing
@@ -125,12 +126,13 @@ class PointwiseLinear:
 
 
 class BatchNorm:
-    """Per-channel batch normalization over the valid point rows; its consumer folds the affine map.
+    """Per-channel batch normalization over the valid point rows, returned as a map that its consumer folds.
 
-    ``forward`` returns ``(rows, scale, shift)``, the normalized input being ``scale * rows + shift``. Training:
-    the rows normalized by the batch mean and biased variance of the valid rows, and ``(gamma, beta)``; the
-    statistics go into the running ones with momentum, and the layer keeps what :meth:`backward`, which takes
-    the normalized input's gradient, needs. Eval: the input and the running statistics' float64 map.
+    ``forward`` returns the float64 ``(scale, shift)`` with ``scale * x + shift`` the normalized input,
+    ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean * scale``. Eval: ``mean, var`` are the running
+    statistics. Training: the batch mean and biased variance of the valid rows, rounded to ``x``'s dtype; they go
+    into the running statistics with momentum, and the layer keeps ``x`` and them for :meth:`backward`, which
+    takes the normalized input's gradient and recomputes ``xhat``.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -141,32 +143,32 @@ class BatchNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None, training: bool = True):
-        if not training:
+        if training:
+            valid = np.ones(x.shape[0], dtype=bool) if valid is None else valid
+            count = int(valid.sum())
+            if count == 0:
+                raise ValueError("batchnorm needs at least one valid row in train mode")
+            # statistics in float64: more headroom, and the sums of float32
+            # inputs are then (generically) exact, hence order-independent
+            xv = x[valid].astype(np.float64)
+            mean64 = xv.mean(axis=0)
+            var64 = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
+            self.running_mean.data[...] = (1 - BN_MOMENTUM) * self.running_mean.data + BN_MOMENTUM * mean64
+            self.running_var.data[...] = (1 - BN_MOMENTUM) * self.running_var.data + BN_MOMENTUM * var64
+            mean, var = mean64.astype(x.dtype), var64.astype(x.dtype)
+            self._cache = (x, mean, 1.0 / np.sqrt(var + BN_EPS), valid, count)
+        else:
             self._cache = None
-            a = self.gamma.data / np.sqrt(self.running_var.data.astype(np.float64) + BN_EPS)
-            return x, a, self.beta.data - self.running_mean.data * a
-        valid = np.ones(x.shape[0], dtype=bool) if valid is None else valid
-        count = int(valid.sum())
-        if count == 0:
-            raise ValueError("batchnorm needs at least one valid row in train mode")
-        # statistics in float64: more headroom, and the sums of float32
-        # inputs are then (generically) exact, hence order-independent
-        xv = x[valid].astype(np.float64)
-        mean64 = xv.mean(axis=0)
-        var64 = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
-        self.running_mean.data[...] = (1 - BN_MOMENTUM) * self.running_mean.data + BN_MOMENTUM * mean64
-        self.running_var.data[...] = (1 - BN_MOMENTUM) * self.running_var.data + BN_MOMENTUM * var64
-        inv_std = 1.0 / np.sqrt(var64.astype(x.dtype) + BN_EPS)
-        xhat = x - mean64.astype(x.dtype)
-        xhat *= inv_std
-        self._cache = (xhat, inv_std, valid, count)
-        return xhat, self.gamma.data, self.beta.data
+            mean, var = self.running_mean.data, self.running_var.data
+        scale = self.gamma.data / np.sqrt(var.astype(np.float64) + BN_EPS)
+        return scale, self.beta.data - mean * scale
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std, valid, count = self._cache
-        self._cache = None
-        # one temporary holds dy * xhat, dxhat * xhat and the correction in
-        # turn, and dx overwrites dxhat
+        (x, mean, inv_std, valid, count), self._cache = self._cache, None
+        # the normalized rows in x's dtype; one temporary holds dy * xhat,
+        # dxhat * xhat and the correction in turn, and dx overwrites dxhat
+        xhat = x - mean
+        xhat *= inv_std
         tmp = dy * xhat
         self.gamma.grad += tmp.sum(axis=0)
         self.beta.grad += dy.sum(axis=0)

@@ -182,17 +182,20 @@ class AdamW:
         self.v = {name: np.zeros_like(t.data) for name, t in store.trainable_items()}
 
     def step(self, lr: Optional[float] = None):
+        """One update of every trainable tensor; a non-finite gradient raises before anything changes."""
         if lr is None:
             lr = self.base_lr
+        params = self.store.trainable_items()
+        for name, tensor in params:
+            if not np.isfinite(tensor.grad).all():
+                raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - b1**t
         bias2 = 1.0 - b2**t
-        for name, tensor in self.store.trainable_items():
+        for name, tensor in params:
             g = tensor.grad
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
             if self.weight_decay:
                 tensor.data *= 1.0 - lr * self.weight_decay
             m = self.m[name]
@@ -328,14 +331,7 @@ def train_loop(
                         (feats, neighbors, projections, valid), fixed = prepare_training_scene(
                             scene, model, train_config.n_points, rng, augment, bank, partner
                         )
-                        logits = model.forward(
-                            feats,
-                            neighbors,
-                            projections,
-                            valid,
-                            training=True,
-                            drop_rng=rng if model_config.drop_prob > 0 else None,
-                        )
+                        logits = model.forward(feats, neighbors, projections, valid, training=True, drop_rng=rng)
                         loss, dlogits, _ = segmentation_loss(logits, fixed.labels, valid)
                         model.backward(dlogits / batch.size)
                     except ValueError as err:

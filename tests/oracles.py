@@ -149,7 +149,8 @@ def bn_backward_masked(bn: BatchNorm, dy: np.ndarray, cache=None) -> tuple[np.nd
     Every intermediate is a new array and the correction is subtracted
     through a boolean gather. Returns (dx, gamma gradient, beta gradient).
     """
-    xhat, inv_std, valid, count = bn._cache if cache is None else cache
+    x, mean, inv_std, valid, count = bn._cache if cache is None else cache
+    xhat = (x - mean) * inv_std
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
     dxhat = dy * bn.gamma.data
@@ -289,11 +290,12 @@ def unfused_eval(model: WaffleIron, feats, neighbors, projections, drop_rng=None
 def bn_train(bn: BatchNorm, x: np.ndarray, valid: np.ndarray):
     """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the cache ``bn_backward_masked`` reads."""
     xv = x[valid].astype(np.float64)
-    mean = xv.mean(axis=0)
-    var = np.maximum((xv * xv).mean(axis=0) - mean * mean, 0.0)
+    mean64 = xv.mean(axis=0)
+    var = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
+    mean = mean64.astype(x.dtype)
     inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + BN_EPS)
-    xhat = (x - mean.astype(x.dtype)) * inv_std
-    return xhat * bn.gamma.data + bn.beta.data, (xhat, inv_std, valid, int(valid.sum()))
+    xhat = (x - mean) * inv_std
+    return xhat * bn.gamma.data + bn.beta.data, (x, mean, inv_std, valid, int(valid.sum()))
 
 
 def conv_rows(conv, x: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -136,6 +136,15 @@ class TestTrainInputErrors:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*.wfli"))
 
+    def test_unknown_scan_format_exits_before_the_out_dir(self, tmp_path, capsys):
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("epochs 2", "epochs 1"))
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=1)
+        argv = ["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                "--out", str(tmp_path / "out"), "--set", "scan_format=kitti5"]
+        assert main(argv) == 1
+        assert "unknown scan format 'kitti5'; expected one of kitti4, nuscenes5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCutmixBank:
     def test_no_loaded_scan_outlives_the_bank(self, tmp_path, monkeypatch, capsys):
@@ -161,6 +170,48 @@ class TestCutmixBank:
         assert main(["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
                      "--out", str(tmp_path / "out")]) == 0
         assert seen == [3] and alive == []
+
+
+class TestNuScenesPipeline:
+    """``train``, ``infer`` and ``eval`` on ``nuscenes5`` scans with the nuScenes config, shrunk to depth 3 width 8."""
+
+    N_POINTS = 400
+
+    def test_train_infer_eval(self, tmp_path, capsys):
+        data = tmp_path / "data" / "train"
+        data.mkdir(parents=True)
+        rng = np.random.default_rng(11)
+        for i in range(2):
+            r = 45.0 * np.sqrt(rng.uniform(0, 1, self.N_POINTS))
+            phi = rng.uniform(0, 2 * np.pi, self.N_POINTS)
+            z = rng.uniform(-4.5, 4.5, self.N_POINTS)
+            positions = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+            dataio.write_scan(data / f"scan_{i}.bin", positions, rng.random(self.N_POINTS), scan_format="nuscenes5")
+            # 16 z bands, one per class
+            dataio.write_labels(data / f"scan_{i}.label", np.digitize(z, np.linspace(-4.5, 4.5, 17)[1:-1]))
+        cfg = REPO / "configs" / "nuscenes_48_384.cfg"
+        rc = dataio.load_run_config(cfg)
+        assert rc.scan_format == "nuscenes5" and rc.model.num_classes == 16 and rc.model.rho == 0.6
+        assert (rc.model.fov.min.tolist(), rc.model.fov.max.tolist()) == ([-50, -50, -5], [50, 50, 5])
+        shrink = ["depth=3", "width=8", "epochs=1", "batch=1", "warmup_epochs=1", "n_points=256"]
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(out)]
+        assert main(argv + [arg for item in shrink for arg in ("--set", item)]) == 0
+        ckpt = out / "ckpt_final.wfli"
+        model, _, trained = dataio.checkpoint_load(ckpt)
+        assert (model.config.depth, model.config.width, trained.scan_format) == (3, 8, "nuscenes5")
+        assert len((out / "train.log").read_text().splitlines()) == 1
+
+        pred = tmp_path / "pred.label"
+        assert main(["infer", "--ckpt", str(ckpt), "--scan", str(data / "scan_0.bin"), "--out", str(pred)]) == 0
+        sem, inst = dataio.read_labels(pred)
+        assert sem.shape == (self.N_POINTS,) and (sem < 16).all() and not inst.any()
+
+        metrics = tmp_path / "metrics"
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"), "--split", "train",
+                     "--out", str(metrics)]) == 0
+        assert "mIoU" in capsys.readouterr().out
+        assert len((metrics / "metrics.csv").read_text().splitlines()) == 1 + 16
 
 
 class TestParamCount:

@@ -345,21 +345,21 @@ def test_nearest_indices_tie_breaks_low():
 
 def test_import_leaves_scipy_spatial_unloaded():
     # importing scipy.spatial is slow, so only the first neighbor search pays for it
-    code = "import sys, waffleiron; sys.exit('scipy.spatial' in sys.modules)"
+    code = "import sys, waffleiron.cli; sys.exit('scipy.spatial' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_import_leaves_scipy_unloaded():
     # every scipy import waits for the first search or projection that needs it
-    code = "import sys, waffleiron; sys.exit('scipy' in sys.modules)"
+    code = "import sys, waffleiron.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_import_leaves_scipy_sparse_unloaded():
     # the cell-sum operator imports scipy.sparse (~0.2 s) on the first projection
-    code = "import sys, waffleiron; sys.exit('scipy.sparse' in sys.modules)"
+    code = "import sys, waffleiron.cli; sys.exit('scipy.sparse' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -45,9 +45,9 @@ def check_layer(build, seeds=SEEDS, eps=1e-3, threshold=1e-4):
 
 
 def bn_apply(bn, x, valid=None, training=True):
-    """The normalized ``x``: ``scale * rows + shift`` of what ``bn.forward`` returns, composed here."""
-    rows, scale, shift = bn.forward(x, valid, training)
-    return scale * rows + shift
+    """The normalized ``x``: ``scale * x + shift`` with the map that ``bn.forward`` returns, composed here."""
+    scale, shift = bn.forward(x, valid, training)
+    return scale * x + shift
 
 
 class TestPointwiseLinear:
@@ -116,8 +116,7 @@ class TestBatchNorm:
         x = np.random.default_rng(0).standard_normal((20, 3)).astype(np.float32)
         y = bn_eval(bn, x)
         np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
-        rows, a, s = bn.forward(x, training=False)
-        assert rows is x
+        a, s = bn.forward(x, training=False)
         np.testing.assert_allclose(a, 1.0, rtol=1e-5)
         assert not s.any()
 
@@ -130,9 +129,16 @@ class TestBatchNorm:
         bn.beta.data[...] = rng.standard_normal(4)
         x = rng.standard_normal((30, 4)).astype(np.float32)
         bn.forward(x)
-        _, a, s = bn.forward(x, training=False)
+        a, s = bn.forward(x, training=False)
         assert a.dtype == s.dtype == np.float64 and bn._cache is None
         np.testing.assert_allclose(a * x + s, bn_eval(bn, x), atol=1e-5)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_returns_only_a_float64_map(self, training):
+        bn = BatchNorm(ParamStore(), "bn", 3)
+        x = np.random.default_rng(3).standard_normal((10, 3)).astype(np.float32)
+        out = bn.forward(x, training=training)
+        assert len(out) == 2 and all(a.dtype == np.float64 and a.shape == (3,) for a in out)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
 """Losses against direct-evaluation oracles, optimizer and schedule math."""
 
+import copy
 import math
 
 import numpy as np
@@ -203,6 +204,27 @@ class TestAdamW:
         opt = AdamW(store)
         with pytest.raises(FloatingPointError, match="'p'"):
             opt.step(lr=0.01)
+
+    def test_nonfinite_gradient_changes_nothing(self):
+        # the check covers every gradient before the first update, so a NaN in
+        # the last trainable tensor leaves the earlier ones, the moments and the step
+        store = ParamStore()
+        for name, value in (("a", 1.0), ("b", 2.0)):
+            store.register(name, np.array([value, -value], dtype=np.float32)).grad[...] = 0.5
+        store.register("running", np.array([5.0], dtype=np.float32), trainable=False)
+        opt = AdamW(store, weight_decay=0.1)
+        opt.step(lr=0.1)
+        dict(store.items())["b"].grad[1] = np.nan
+        before = copy.deepcopy((dict(store.items()), opt.m, opt.v, opt.step_count))
+        with pytest.raises(FloatingPointError, match="'b'"):
+            opt.step(lr=0.1)
+        for name, t in store.items():
+            assert t.data.tobytes() == before[0][name].data.tobytes(), name
+            if t.trainable:
+                assert t.grad.tobytes() == before[0][name].grad.tobytes(), name
+                assert opt.m[name].tobytes() == before[1][name].tobytes(), name
+                assert opt.v[name].tobytes() == before[2][name].tobytes(), name
+        assert opt.step_count == before[3] == 1
 
     def test_running_stats_not_decayed(self):
         store = ParamStore()
