@@ -1,10 +1,10 @@
 """Training-time scene and instance augmentations.
 
-Scene-level transforms (z-rotation, axis flips, global scaling) move every
-point and rebuild the coordinate-derived feature columns so positions and
-features never drift apart. Instance cutmix pastes stored rare-class objects
-onto drivable surfaces; polarmix swaps an azimuth sector between two scans
-and rotate-copies rare-class points from the second scan into the first.
+Every point motion is one float64 :func:`motion` matrix: z-rotation, then
+x/y flips, then scale. A scene moves once and its coordinate features are
+rebuilt. Instance cutmix pastes stored rare-class objects onto drivable
+surfaces; polarmix swaps an azimuth sector between two scans and
+rotate-copies rare-class points from the second scan into the first.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .geometry import PointCloud, point_features
 CUTMIX_CLASSES = (1, 2, 4, 5, 6)  # bicycle, motorcycle, other-vehicle, person, bicyclist
 GROUND_CLASSES = (8, 9, 10)  # road, parking, sidewalk
 
-# global scale factors of random_scale and of each pasted cutmix instance
+# global scale factors of the scene motion and of each pasted cutmix instance
 SCALE_RANGE = (0.95, 1.05)
 # azimuth widths of the sector polarmix swaps
 SECTOR_WIDTH_RANGE = (np.pi / 4, 3 * np.pi / 4)
@@ -70,32 +70,26 @@ class InstanceBank:
         return sum(len(v) for v in self.instances.values())
 
 
-def _rot_z(theta: float) -> np.ndarray:
+def motion(theta: float = 0.0, flip: tuple[bool, bool] = (False, False), scale: float = 1.0) -> np.ndarray:
+    """``scale * F * R(theta)`` as one float64 3 x 3 matrix ``M``, applied to positions as ``p @ M.T``.
+
+    ``R`` rotates about z and ``F`` flips x and/or y; scaling the rows of ``R`` keeps a flip exact.
+    """
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=np.float64)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=np.float64)
+    sign = np.array([-1.0 if flip[0] else 1.0, -1.0 if flip[1] else 1.0, 1.0])
+    return rotation * (sign * scale)[:, None]
 
 
-def random_rotate_z(pc: PointCloud, rng: np.random.Generator) -> PointCloud:
-    """Rotate the whole scene around the z-axis by a uniform random angle."""
-    theta = float(rng.uniform(0.0, _TWO_PI))
-    rotated = pc.positions.astype(np.float64) @ _rot_z(theta).T
-    return pc.with_positions(rotated)
+def scene_motion(rng: np.random.Generator, rotate: bool = True, flip: bool = True, scale: bool = True) -> np.ndarray:
+    """Draw one scene :func:`motion` from ``rng``, drawing only for the switches that are on.
 
-
-def random_flip(pc: PointCloud, rng: np.random.Generator) -> PointCloud:
-    """Independently flip the sign of the x and the y axis, each with probability 1/2."""
-    sign = np.ones(3, dtype=np.float64)
-    if rng.random() < 0.5:
-        sign[0] = -1.0
-    if rng.random() < 0.5:
-        sign[1] = -1.0
-    return pc.with_positions(pc.positions.astype(np.float64) * sign)
-
-
-def random_scale(pc: PointCloud, rng: np.random.Generator) -> PointCloud:
-    """Scale the whole scene by a uniform random factor from ``SCALE_RANGE``."""
-    s = float(rng.uniform(*SCALE_RANGE))
-    return pc.with_positions(pc.positions.astype(np.float64) * s)
+    In order: an angle uniform in [0, 2 pi), an x and a y flip with probability 1/2 each, a scale in ``SCALE_RANGE``.
+    """
+    theta = float(rng.uniform(0.0, _TWO_PI)) if rotate else 0.0
+    flips = (rng.random() < 0.5, rng.random() < 0.5) if flip else (False, False)
+    factor = float(rng.uniform(*SCALE_RANGE)) if scale else 1.0
+    return motion(theta, flips, factor)
 
 
 def build_instance_bank(
@@ -172,11 +166,10 @@ def instance_cutmix(
         chosen = rng.permutation(len(pool))[:n_take]
         for j in chosen:
             inst = pool[int(j)]
-            pos = inst.positions.astype(np.float64)
-            pos = pos @ _rot_z(float(rng.uniform(0.0, _TWO_PI))).T
+            theta = float(rng.uniform(0.0, _TWO_PI))
             axis = int(rng.integers(2))
-            pos[:, axis] = -pos[:, axis]
-            pos *= float(rng.uniform(*SCALE_RANGE))
+            matrix = motion(theta, (axis == 0, axis == 1), float(rng.uniform(*SCALE_RANGE)))
+            pos = inst.positions.astype(np.float64) @ matrix.T
             target = pc.positions[int(rng.choice(ground_rows))].astype(np.float64)
             offset = np.array([target[0], target[1], target[2] - pos[:, 2].min()])
             pos = pos + offset
@@ -229,7 +222,7 @@ def polarmix(
         src = scene_b.positions[inst_rows].astype(np.float64)
         angles = (0.0,) + tuple(paste_angles)
         for theta in angles:
-            pos.append((src @ _rot_z(theta).T).astype(np.float32))
+            pos.append((src @ motion(theta).T).astype(np.float32))
             inten.append(scene_b.features[inst_rows, 0])
             labels.append(scene_b.labels[inst_rows])
 
@@ -253,18 +246,14 @@ def apply_augmentations(
     """The full training-time pipeline for one scene.
 
     Polarmix (when enabled and a partner scene is available) and instance
-    cutmix run before the scene-level transforms so the pasted points follow
-    the same global motion; everything happens before cropping.
+    cutmix run before the scene motion so the pasted points follow it too;
+    with rotate, flip and scale all off the scene is not moved at all.
     """
     if config.polarmix and partner is not None:
         classes = bank.classes if bank is not None else CUTMIX_CLASSES
         pc = polarmix(pc, partner, classes, rng)
     if config.cutmix and bank is not None:
         pc = instance_cutmix(pc, bank, config, rng)
-    if config.rotate:
-        pc = random_rotate_z(pc, rng)
-    if config.flip:
-        pc = random_flip(pc, rng)
-    if config.scale:
-        pc = random_scale(pc, rng)
+    if config.rotate or config.flip or config.scale:
+        pc = pc.moved(scene_motion(rng, config.rotate, config.flip, config.scale))
     return pc

@@ -134,6 +134,7 @@ def _cmd_eval(args) -> int:
         tta=args.tta,
         voxel_size=rc.voxel_size,
         rng=np.random.default_rng(args.seed),
+        scan_names=dataset.names(),
     )
     print(report.to_table(), end="")
     if args.out:

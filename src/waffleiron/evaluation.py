@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .augment import random_flip, random_rotate_z
+from .augment import scene_motion
 from .backbone import WaffleIron, prepare_inputs
 from .geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, voxel_downsample
-from .training import softmax
+from .training import check_class_range, softmax
 
 TTA_PASSES = 10
 
@@ -38,9 +38,8 @@ class ConfusionMatrix:
             raise ValueError("prediction/label length mismatch")
         scored = gt != IGNORE_LABEL
         p, g = pred[scored], gt[scored]
-        k = self.num_classes
-        if ((g < 0) | (g >= k)).any() or ((p < 0) | (p >= k)).any():
-            raise ValueError("label outside [0, num_classes) and not ignore")
+        check_class_range(g, self.num_classes)
+        check_class_range(p, self.num_classes, "prediction")
         np.add.at(self.counts, (g, p), 1)
         return self
 
@@ -118,8 +117,7 @@ def segment_scan(
             rng = np.random.default_rng(0)
         probs = np.zeros((model.config.num_classes, down.n_points), dtype=np.float64)
         for _ in range(TTA_PASSES):
-            variant = random_flip(random_rotate_z(down, rng), rng)
-            probs += infer_probs(model, variant, drop_rng=rng)
+            probs += infer_probs(model, down.moved(scene_motion(rng, scale=False)), drop_rng=rng)
     labels = np.argmax(probs, axis=0).astype(np.int32)
     survivors = np.zeros(pc.n_points, dtype=bool)
     survivors[kept] = True
@@ -158,18 +156,24 @@ def evaluate_split(
     tta: bool = False,
     voxel_size: float = 0.10,
     rng: Optional[np.random.Generator] = None,
+    scan_names: Optional[Sequence[str]] = None,
 ) -> MetricsReport:
     """Score a model over labeled scans.
 
     Per scan: :func:`segment_scan`, then accumulate the confusion matrix
-    against the scan's labels. One ``rng`` serves the whole split.
+    against the scan's labels. One ``rng`` serves the whole split. A scan
+    that fails is named in the error by ``scan_names``, or else by its index.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     cm = ConfusionMatrix(model.config.num_classes)
-    for pc in dataset:
-        if pc.labels is None:
-            raise ValueError("evaluation needs labeled scans")
-        cm.update(segment_scan(pc, model, voxel_size, tta, rng), pc.labels)
+    for i, pc in enumerate(dataset):
+        try:
+            if pc.labels is None:
+                raise ValueError("evaluation needs labeled scans")
+            cm.update(segment_scan(pc, model, voxel_size, tta, rng), pc.labels)
+        except ValueError as err:
+            name = scan_names[i] if scan_names else f"scene {i}"
+            raise ValueError(f"{name}: {err}") from err
     per_class, miou = iou(cm)
     return MetricsReport(per_class, miou, cm)

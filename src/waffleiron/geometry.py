@@ -130,14 +130,15 @@ class PointCloud:
             valid=self.valid[index],
         )
 
-    def with_positions(self, positions: np.ndarray) -> "PointCloud":
-        """Replace positions and recompute the coordinate-derived features.
+    def moved(self, matrix: np.ndarray) -> "PointCloud":
+        """This cloud with every position mapped by the float64 3 x 3 ``matrix`` (``p @ matrix.T``).
 
         Intensity (column 0) is carried over untouched; x/y/z/range columns
         are rebuilt so the feature block stays consistent with the geometry.
         """
+        positions = (self.positions.astype(np.float64) @ matrix.T).astype(np.float32)
         feats = point_features(positions, self.features[:, 0], self.feature_mode)
-        return replace(self, positions=np.asarray(positions, dtype=np.float32), features=feats)
+        return replace(self, positions=positions, features=feats)
 
 
 def voxel_downsample(pc: PointCloud, voxel_size: float) -> tuple[PointCloud, np.ndarray]:

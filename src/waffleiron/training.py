@@ -32,6 +32,13 @@ def _counted_mask(labels: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return valid & (labels != IGNORE_LABEL)
 
 
+def check_class_range(ids: np.ndarray, num_classes: int, what: str = "label") -> None:
+    """Raise naming the first of ``ids`` outside [0, num_classes)."""
+    bad = ids[(ids < 0) | (ids >= num_classes)]
+    if bad.size:
+        raise ValueError(f"{what} {int(bad[0])} outside the class range [0, {num_classes - 1}]")
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Columnwise softmax, computed in float64 for stability."""
     z = logits.astype(np.float64)
@@ -52,9 +59,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, valid: np.ndarray) -> 
         raise ValueError("cross_entropy: no valid labeled points")
     cols = np.flatnonzero(counted)
     y = labels[cols]
-    bad = y[(y < 0) | (y >= logits.shape[0])]
-    if bad.size:
-        raise ValueError(f"label {int(bad[0])} outside the class range [0, {logits.shape[0] - 1}]")
+    check_class_range(y, logits.shape[0])
     z = logits[:, cols].astype(np.float64)
     z = z - z.max(axis=0, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=0))
@@ -308,60 +313,56 @@ def train_loop(
     )
 
     history: list[EpochStats] = []
-    log_file = open(Path(out_dir) / "train.log", "w") if out_dir else None
     step = 0
-    try:
-        for epoch in range(train_config.epochs):
-            t0 = time.perf_counter()
-            order = rng.permutation(len(dataset))
-            losses = []
-            correct = 0
-            scored = 0
-            for s in range(steps_per_epoch):
-                lr = lr_at(step, schedule)
-                model.store.zero_grad()
-                batch = order[s * train_config.batch_size : (s + 1) * train_config.batch_size]
-                for idx in batch:
-                    scene = dataset[int(idx)]
-                    partner = None
-                    if augment.polarmix and len(dataset) > 1:
-                        j = int(rng.integers(len(dataset) - 1))
-                        partner = dataset[j + (j >= int(idx))]
-                    try:
-                        (feats, neighbors, projections, valid), fixed = prepare_training_scene(
-                            scene, model, train_config.n_points, rng, augment, bank, partner
-                        )
-                        logits = model.forward(feats, neighbors, projections, valid, training=True, drop_rng=rng)
-                        loss, dlogits, _ = segmentation_loss(logits, fixed.labels, valid)
-                        model.backward(dlogits / batch.size)
-                    except ValueError as err:
-                        name = scan_names[int(idx)] if scan_names else f"scene {int(idx)}"
-                        raise ValueError(f"{name}: {err}") from err
-                    losses.append(loss)
-                    counted = _counted_mask(fixed.labels, valid)
-                    pred = logits.argmax(axis=0)
-                    correct += int((pred[counted] == fixed.labels[counted]).sum())
-                    scored += int(counted.sum())
-                optimizer.step(lr)
-                step += 1
-            stats = EpochStats(
-                epoch=epoch,
-                mean_loss=float(np.mean(losses)),
-                lr=lr,
-                train_acc=correct / max(scored, 1),
-                wall_seconds=time.perf_counter() - t0,
-            )
-            history.append(stats)
-            if log_file:
-                log_file.write(stats.log_line() + "\n")
-                log_file.flush()
-            if out_dir and train_config.checkpoint_every and (epoch + 1) % train_config.checkpoint_every == 0:
-                dataio.checkpoint_save(
-                    Path(out_dir) / f"ckpt_epoch_{epoch:04d}.wfli", model, optimizer, run_config
-                )
+    for epoch in range(train_config.epochs):
+        t0 = time.perf_counter()
+        order = rng.permutation(len(dataset))
+        losses = []
+        correct = 0
+        scored = 0
+        for s in range(steps_per_epoch):
+            lr = lr_at(step, schedule)
+            model.store.zero_grad()
+            batch = order[s * train_config.batch_size : (s + 1) * train_config.batch_size]
+            for idx in batch:
+                scene = dataset[int(idx)]
+                partner = None
+                if augment.polarmix and len(dataset) > 1:
+                    j = int(rng.integers(len(dataset) - 1))
+                    partner = dataset[j + (j >= int(idx))]
+                try:
+                    (feats, neighbors, projections, valid), fixed = prepare_training_scene(
+                        scene, model, train_config.n_points, rng, augment, bank, partner
+                    )
+                    logits = model.forward(feats, neighbors, projections, valid, training=True, drop_rng=rng)
+                    loss, dlogits, _ = segmentation_loss(logits, fixed.labels, valid)
+                    model.backward(dlogits / batch.size)
+                except ValueError as err:
+                    name = scan_names[int(idx)] if scan_names else f"scene {int(idx)}"
+                    raise ValueError(f"{name}: {err}") from err
+                losses.append(loss)
+                counted = _counted_mask(fixed.labels, valid)
+                pred = logits.argmax(axis=0)
+                correct += int((pred[counted] == fixed.labels[counted]).sum())
+                scored += int(counted.sum())
+            optimizer.step(lr)
+            step += 1
+        stats = EpochStats(
+            epoch=epoch,
+            mean_loss=float(np.mean(losses)),
+            lr=lr,
+            train_acc=correct / max(scored, 1),
+            wall_seconds=time.perf_counter() - t0,
+        )
+        history.append(stats)
         if out_dir:
-            dataio.checkpoint_save(Path(out_dir) / "ckpt_final.wfli", model, optimizer, run_config)
-    finally:
-        if log_file:
-            log_file.close()
+            # the log appears with the first finished epoch, so a run that fails on its data leaves none
+            with open(Path(out_dir) / "train.log", "a" if epoch else "w") as log:
+                log.write(stats.log_line() + "\n")
+        if out_dir and train_config.checkpoint_every and (epoch + 1) % train_config.checkpoint_every == 0:
+            dataio.checkpoint_save(
+                Path(out_dir) / f"ckpt_epoch_{epoch:04d}.wfli", model, optimizer, run_config
+            )
+    if out_dir:
+        dataio.checkpoint_save(Path(out_dir) / "ckpt_final.wfli", model, optimizer, run_config)
     return model, optimizer, history

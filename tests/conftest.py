@@ -45,6 +45,20 @@ def small_fov():
     return Fov(np.array([-8.0, -8.0, -2.4]), np.array([8.0, 8.0, 2.4]))
 
 
+@pytest.fixture
+def moves(monkeypatch):
+    """The matrix of every ``PointCloud.moved`` call made during the test, in call order."""
+    seen = []
+    move = PointCloud.moved
+
+    def counting(self, matrix):
+        seen.append(matrix)
+        return move(self, matrix)
+
+    monkeypatch.setattr(PointCloud, "moved", counting)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def harness_runs(tmp_path_factory):
     """Two identically seeded overfit runs with checkpoints on disk."""

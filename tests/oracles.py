@@ -21,6 +21,8 @@ Each oracle is written independently of the runtime path it checks:
   their own, and the depthwise convolutions through the unblocked tap sum;
 * nearest-neighbor label propagation, with a full search over every
   destination point;
+* the test-time scene motion as a rotation and a flip that each rebuild the
+  cloud;
 * the depthwise-conv tap sum over all rows at once, without row blocks;
 * voxel deduplication by ``np.unique`` over the quantized coordinates;
 * neighbor ranking by one exhaustive lexsort over every point per query;
@@ -430,6 +432,32 @@ def nn_propagate_labels(src: PointCloud, src_labels: np.ndarray, dst_points: np.
         raise ValueError("empty cloud")
     nearest = nearest_indices(src.positions[vidx], dst_points)
     return src_labels[vidx[nearest]]
+
+
+# -- scene motion ---------------------------------------------------------------------------
+
+
+def _rebuilt(pc: PointCloud, positions: np.ndarray) -> PointCloud:
+    feats = point_features(positions, pc.features[:, 0], pc.feature_mode)
+    return PointCloud(positions.astype(np.float32), feats, pc.labels, pc.valid)
+
+
+def rotate_then_flip(pc: PointCloud, rng) -> PointCloud:
+    """The test-time motion as two rebuilds: a z-rotation, rounded to float32, then the x and y flips.
+
+    Draws a uniform angle in [0, 2 pi), then an x flip and a y flip with
+    probability 1/2 each, as the rotation and the flip once did on their own.
+    """
+    theta = float(rng.uniform(0.0, 2.0 * np.pi))
+    c, s = np.cos(theta), np.sin(theta)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=np.float64)
+    pc = _rebuilt(pc, pc.positions.astype(np.float64) @ rotation.T)
+    sign = np.ones(3, dtype=np.float64)
+    if rng.random() < 0.5:
+        sign[0] = -1.0
+    if rng.random() < 0.5:
+        sign[1] = -1.0
+    return _rebuilt(pc, pc.positions.astype(np.float64) * sign)
 
 
 # -- geometry and conv kernels -------------------------------------------------------------

@@ -10,19 +10,24 @@ from waffleiron.augment import (
     apply_augmentations,
     build_instance_bank,
     instance_cutmix,
+    motion,
     polarmix,
-    random_flip,
-    random_rotate_z,
-    random_scale,
+    scene_motion,
 )
 from waffleiron.geometry import PointCloud
 
 from conftest import FixedDraws, random_cloud
+from oracles import rotate_then_flip
 
 
 def labeled_cloud(rng, n, fov, labels):
     pc = random_cloud(rng, n, fov)
     return PointCloud(pc.positions, pc.features, np.asarray(labels, dtype=np.int32))
+
+
+def moved(pc, rng, rotate=False, flip=False, scale=False):
+    """``pc`` moved once by a scene motion in which only the named switches draw."""
+    return pc.moved(scene_motion(rng, rotate, flip, scale))
 
 
 def pairwise_distances(positions):
@@ -34,40 +39,40 @@ class TestSceneTransforms:
     def test_identity_draws(self, small_fov):
         rng = np.random.default_rng(0)
         pc = random_cloud(rng, 50, small_fov)
-        out = random_rotate_z(pc, FixedDraws(0.0))
+        out = moved(pc, FixedDraws(0.0), rotate=True)
         np.testing.assert_allclose(out.positions, pc.positions, atol=1e-6)
-        out = random_scale(pc, FixedDraws(1.0))
+        out = moved(pc, FixedDraws(1.0), scale=True)
         np.testing.assert_allclose(out.positions, pc.positions, atol=1e-6)
-        out = random_flip(pc, FixedDraws(0.5, 0.5))
+        out = moved(pc, FixedDraws(0.5, 0.5), flip=True)
         np.testing.assert_array_equal(out.positions, pc.positions)
 
     def test_half_turn_twice_restores(self, small_fov):
         rng = np.random.default_rng(4)
         pc = random_cloud(rng, 40, small_fov)
-        once = random_rotate_z(pc, FixedDraws(np.pi))
-        twice = random_rotate_z(once, FixedDraws(np.pi))
+        once = moved(pc, FixedDraws(np.pi), rotate=True)
+        twice = moved(once, FixedDraws(np.pi), rotate=True)
         np.testing.assert_allclose(twice.positions, pc.positions, atol=1e-6)
 
     def test_rotation_and_flip_are_isometries(self, small_fov):
         rng = np.random.default_rng(5)
         pc = random_cloud(rng, 30, small_fov)
         base = pairwise_distances(pc.positions)
-        rot = random_rotate_z(pc, np.random.default_rng(6))
+        rot = moved(pc, np.random.default_rng(6), rotate=True)
         np.testing.assert_allclose(pairwise_distances(rot.positions), base, atol=1e-5)
-        flip = random_flip(pc, FixedDraws(0.0, 0.5))
+        flip = moved(pc, FixedDraws(0.0, 0.5), flip=True)
         np.testing.assert_allclose(pairwise_distances(flip.positions), base, atol=1e-5)
 
     def test_scaling_scales_distances(self, small_fov):
         rng = np.random.default_rng(8)
         pc = random_cloud(rng, 30, small_fov)
         base = pairwise_distances(pc.positions)
-        out = random_scale(pc, FixedDraws(1.05))
+        out = moved(pc, FixedDraws(1.05), scale=True)
         np.testing.assert_allclose(pairwise_distances(out.positions), base * 1.05, atol=1e-5)
 
     def test_features_follow_positions(self, small_fov):
         rng = np.random.default_rng(10)
         pc = random_cloud(rng, 25, small_fov)
-        out = random_rotate_z(pc, np.random.default_rng(11))
+        out = moved(pc, np.random.default_rng(11), rotate=True)
         np.testing.assert_array_equal(out.features[:, 1:4], out.positions)
         np.testing.assert_allclose(
             out.features[:, 4], np.linalg.norm(out.positions.astype(np.float64), axis=1), atol=1e-6
@@ -93,6 +98,65 @@ class TestSceneTransforms:
         b = apply_augmentations(pc, cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.features, b.features)
+
+
+class TestSceneMotion:
+    @pytest.mark.parametrize("feature_mode", ["5dim", "3dim"])
+    def test_test_time_motion_matches_rotate_then_flip_bitwise(self, kitti_fov, feature_mode):
+        # a flip is exact, so one matrix F R rounds to float32 once where the rotation and the flip each did
+        for seed in range(100):
+            pc = random_cloud(np.random.default_rng(seed), 64, kitti_fov, feature_mode)
+            got = pc.moved(scene_motion(np.random.default_rng(1000 + seed), scale=False))
+            want = rotate_then_flip(pc, np.random.default_rng(1000 + seed))
+            assert got.positions.tobytes() == want.positions.tobytes(), seed
+            assert got.features.tobytes() == want.features.tobytes(), seed
+
+    def test_matrix_is_scale_times_flip_times_rotation(self):
+        theta = 2.3
+        c, s = np.cos(theta), np.sin(theta)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        for flip in [(False, False), (True, False), (False, True), (True, True)]:
+            sign = np.array([-1.0 if flip[0] else 1.0, -1.0 if flip[1] else 1.0, 1.0])
+            np.testing.assert_array_equal(motion(theta, flip, 1.03), 1.03 * np.diag(sign) @ rotation)
+        np.testing.assert_array_equal(motion(theta), rotation)
+
+    @pytest.mark.parametrize(
+        "switches, draws, want",
+        [
+            ((True, True, True), (2.3, 0.2, 0.7, 1.02), (2.3, (True, False), 1.02)),
+            ((True, False, False), (2.3,), (2.3, (False, False), 1.0)),
+            ((False, True, False), (0.7, 0.2), (0.0, (False, True), 1.0)),
+            ((False, False, True), (0.97,), (0.0, (False, False), 0.97)),
+            ((True, True, False), (1.1, 0.4, 0.4), (1.1, (True, True), 1.0)),
+        ],
+    )
+    def test_only_the_switches_that_are_on_draw_in_order(self, switches, draws, want):
+        rng = FixedDraws(*draws)
+        np.testing.assert_array_equal(scene_motion(rng, *switches), motion(*want))
+        assert rng._values == []
+
+    def test_draws_angle_then_x_and_y_flip_then_scale(self):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        got = scene_motion(rng)
+        theta = ref.uniform(0.0, 2 * np.pi)
+        flip = (ref.random() < 0.5, ref.random() < 0.5)
+        np.testing.assert_array_equal(got, motion(theta, flip, ref.uniform(0.95, 1.05)))
+        assert rng.random() == ref.random()
+
+    def test_one_move_per_scene_and_none_when_switched_off(self, small_fov, moves):
+        rng = np.random.default_rng(29)
+        labels = np.zeros(40, dtype=np.int32)
+        labels[:10] = 8  # road for the pasted instances to land on
+        pc = labeled_cloud(rng, 40, small_fov, labels)
+        donor = labeled_cloud(rng, 6, small_fov, [5] * 6)
+        bank = build_instance_bank([(donor, np.zeros(6, dtype=np.int32))], classes=(5,))
+        partner = labeled_cloud(rng, 30, small_fov, [5] * 30)
+        cfg = AugmentConfig(cutmix=True, polarmix=True)
+        out = apply_augmentations(pc, cfg, np.random.default_rng(30), bank=bank, partner=partner)
+        assert len(moves) == 1 and out.n_points > pc.n_points
+        off = AugmentConfig(rotate=False, flip=False, scale=False)
+        assert apply_augmentations(pc, off, np.random.default_rng(30)) is pc
+        assert len(moves) == 1
 
 
 class TestInstanceBank:

@@ -16,7 +16,7 @@ from waffleiron.backbone import (
     param_count,
     prepare_inputs,
 )
-from waffleiron.geometry import Fov, PointCloud
+from waffleiron.geometry import Fov, PointCloud, sample_fixed
 from waffleiron.nn import BatchNorm, DepthwiseConv3x3, ParamStore, PointwiseLinear, fold
 from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
 from waffleiron.training import segmentation_loss
@@ -1018,6 +1018,20 @@ def store_bits(store):
     return {name: (t.data.copy(), None if t.grad is None else t.grad.copy()) for name, t in store.items()}
 
 
+def perturbed_model(fov, strategy, dtype, drop):
+    """A depth-3 width-8 model with perturbed statistics, gammas, betas, layerscales and biases, in ``dtype``."""
+    cfg = tiny_config(fov, depth=3, width=8, k=4, drop=drop, strategy=strategy)
+    model = WaffleIron(cfg, np.random.default_rng(100))
+    perturb_eval_state(model.store, np.random.default_rng(101))
+    rng = np.random.default_rng(102)
+    for name, t in model.store.items():
+        if name.endswith("bias"):
+            t.data[...] = 0.1 * rng.standard_normal(t.shape)
+    if dtype == np.float64:
+        promote_to_float64(model.store)
+    return model
+
+
 class TestFoldedEval:
     """The eval forward folds BN and layerscale into the adjacent weights; the unfused oracle runs them as passes."""
 
@@ -1055,15 +1069,7 @@ class TestFoldedTraining:
     ATOL32 = 1e-7
 
     def model_and_inputs(self, fov, strategy, dtype, drop=0.5):
-        cfg = tiny_config(fov, depth=3, width=8, k=4, drop=drop, strategy=strategy)
-        model = WaffleIron(cfg, np.random.default_rng(100))
-        perturb_eval_state(model.store, np.random.default_rng(101))
-        rng = np.random.default_rng(102)
-        for name, t in model.store.items():
-            if name.endswith("bias"):
-                t.data[...] = 0.1 * rng.standard_normal(t.shape)
-        if dtype == np.float64:
-            promote_to_float64(model.store)
+        model = perturbed_model(fov, strategy, dtype, drop)
         pc = build_scene(fov, n=90, seed=102)
         # padding points: zero features, flagged invalid
         valid = np.arange(pc.n_points) < pc.n_points - 12
@@ -1171,3 +1177,34 @@ class TestBuildProjections:
             assert want == self.FIRST_USE_48[strategy]
         for axes, proj in projections.items():
             assert proj.plane == PlaneSpec.from_fov(axes, cfg.fov, cfg.rho)
+
+
+class TestPaddedTraining:
+    """A training step on a scene padded by ``sample_fixed`` equals the step on the scene itself."""
+
+    @staticmethod
+    def step(model, pc, dtype):
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        logits = model.forward(feats.astype(dtype), nbr, proj, valid, training=True, drop_rng=np.random.default_rng(3))
+        loss, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
+        model.backward(dlogits)
+        stats = {name: t.data for name, t in model.store.items() if "running" in name}
+        return loss, logits[:, valid], stats, dict(model.store.trainable_items())
+
+    @pytest.mark.parametrize("drop", [0.0, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("strategy", ["baseline", "parallel"])
+    def test_padding_changes_nothing(self, small_fov, strategy, dtype, drop):
+        pc = build_scene(small_fov, n=90, seed=102)
+        padded = sample_fixed(pc, 130, np.random.default_rng(0))
+        assert padded.n_points == 130 and padded.n_valid == 90
+        model = perturbed_model(small_fov, strategy, dtype, drop)
+        twin = copy.deepcopy(model)
+        loss, logits, stats, params = self.step(model, pc, dtype)
+        padded_loss, padded_logits, padded_stats, padded_params = self.step(twin, padded, dtype)
+        assert padded_loss == loss
+        assert padded_logits.tobytes() == logits.tobytes()
+        assert all(padded_stats[name].tobytes() == stats[name].tobytes() for name in stats)
+        tol = dict(rtol=1e-12, atol=0) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-7)
+        for name, t in params.items():
+            np.testing.assert_allclose(padded_params[name].grad, t.grad, err_msg=name, **tol)

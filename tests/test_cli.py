@@ -135,6 +135,7 @@ class TestTrainInputErrors:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*.wfli"))
+        assert not (tmp_path / "out" / "train.log").exists()
 
     def test_unknown_scan_format_exits_before_the_out_dir(self, tmp_path, capsys):
         (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("epochs 2", "epochs 1"))
@@ -268,6 +269,16 @@ class TestTrainInferEval:
         csv = (metrics_dir / "metrics.csv").read_text()
         assert csv.splitlines()[0] == "class,iou"
         assert (metrics_dir / "miou.txt").read_text().startswith("mIoU ")
+
+    def test_eval_names_the_scan_and_the_label(self, trained_dir, tmp_path, capsys):
+        split = tmp_path / "data" / "bad"
+        write_tiny_dataset(split, n_scans=2, seed=5)
+        labels, _ = dataio.read_labels(split / "scan_1.label")
+        labels[17] = 7
+        dataio.write_labels(split / "scan_1.label", labels)
+        assert main(["eval", "--ckpt", str(trained_dir / "out" / "ckpt_final.wfli"), "--data",
+                     str(tmp_path / "data"), "--split", "bad"]) == 1
+        assert "error: scan_1: label 7 outside the class range [0, 2]" in capsys.readouterr().err
 
     def test_eval_uses_class_map_embedded_at_training(self, tmp_path, monkeypatch, capsys):
         config_dir = tmp_path / "configs"

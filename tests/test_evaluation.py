@@ -1,9 +1,12 @@
 """Confusion matrix, IoU and the segmentation path."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from waffleiron.evaluation import (
+    TTA_PASSES,
     ConfusionMatrix,
     MetricsReport,
     evaluate_split,
@@ -13,9 +16,9 @@ from waffleiron.evaluation import (
 )
 from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, point_features, voxel_downsample
 from waffleiron.training import _counted_mask
-from waffleiron import dataio
+from waffleiron import dataio, evaluation
 
-from oracles import nn_propagate_labels
+from oracles import nn_propagate_labels, rotate_then_flip
 
 VOXEL = 0.10
 
@@ -117,6 +120,33 @@ class TestInference:
         tta = segment_scan(scene, model, VOXEL, tta=True, rng=np.random.default_rng(3))
         tta_acc = (tta[counted] == scene.labels[counted]).mean()
         assert tta_acc >= plain_acc - 0.01
+
+    def test_tta_moves_the_voxel_cloud_once_per_pass(self, trained, moves):
+        model, scene = trained
+        segment_scan(scene, model, VOXEL)
+        assert moves == []
+        segment_scan(scene, model, VOXEL, tta=True, rng=np.random.default_rng(3))
+        assert len(moves) == TTA_PASSES
+
+    @pytest.mark.parametrize("drop", [0.0, 0.3])
+    def test_tta_passes_equal_rotate_then_flip_passes(self, trained, monkeypatch, drop):
+        model, scene = trained
+        model = copy.deepcopy(model)
+        # with stochastic depth on, each pass's drop draws follow its motion draws from the one generator
+        model.config.drop_prob = drop
+        down, _ = voxel_downsample(scene, VOXEL)
+        rng = np.random.default_rng(3)
+        want = [infer_probs(model, rotate_then_flip(down, rng), drop_rng=rng) for _ in range(TTA_PASSES)]
+        seen = []
+
+        def recording(model, pc, drop_rng=None):
+            seen.append(infer_probs(model, pc, drop_rng))
+            return seen[-1]
+
+        monkeypatch.setattr(evaluation, "infer_probs", recording)
+        got = segment_scan(down, model, VOXEL, tta=True, rng=np.random.default_rng(3))
+        assert [p.tobytes() for p in seen] == [p.tobytes() for p in want]
+        np.testing.assert_array_equal(got, np.argmax(sum(want), axis=0))
 
     def test_outside_fov_points_inherit_labels(self, trained):
         model, scene = trained
