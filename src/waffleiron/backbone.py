@@ -166,9 +166,9 @@ class EmbeddingLayer:
         if self._cache is None:
             raise RuntimeError("embedding backward needs a training forward")
         (x, neighbors, slots, scale, w1), self._cache = self._cache, None
-        k = neighbors.shape[1]
+        n, k = neighbors.shape
         dcat = self.merge.backward(dy)
-        dlocal = dcat[:, None, self.half :]
+        dlocal = dcat[:, self.half :]
         # gradients with respect to the batch norm's output, whose differences local1 reads
         dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]))
         w2 = self.local2.w.data
@@ -176,26 +176,32 @@ class EmbeddingLayer:
         dw2 = np.zeros(w2.shape, dtype=dy.dtype)
         db1 = np.zeros(self.half, dtype=dy.dtype)
         db2 = np.zeros(self.half, dtype=dy.dtype)
-        dself = np.empty(dhb.shape, dtype=dhb.dtype)
+        # one buffer, zeroed per block, routes the pooled gradient to the
+        # winning slots; every pooled entry has exactly one slot, so local2's
+        # bias gradient is the block sum of the pooled gradient
+        da2 = np.empty((min(n, _LOCAL_BLOCK), k, self.half), dtype=dy.dtype)
+        ddiff = np.empty((n, k, x.shape[1]), dtype=dhb.dtype)
         for start, stop, d, r in self._pair_blocks(x, neighbors, w1):
-            da2 = np.zeros((stop - start, k, self.half), dtype=dy.dtype)
-            np.put_along_axis(da2, slots[start:stop, None, :], dlocal[start:stop], axis=1)
-            da2 = da2.reshape(-1, self.half)
-            dw2 += da2.T @ r
-            db2 += da2.sum(axis=0)
-            da1 = da2 @ w2
+            block = da2[: stop - start]
+            block.fill(0)
+            np.put_along_axis(block, slots[start:stop, None, :], dlocal[start:stop, None], axis=1)
+            rows = block.reshape(-1, self.half)
+            dw2 += rows.T @ r
+            db2 += dlocal[start:stop].sum(axis=0)
+            da1 = rows @ w2
             da1 *= r > 0
             dw1 += da1.T @ d
             db1 += da1.sum(axis=0)
-            ddiff = (da1 @ self.local1.w.data).reshape(stop - start, k, -1)
-            np.add.at(dhb, neighbors[start:stop], ddiff)
-            ddiff.sum(axis=1, out=dself[start:stop])
+            ddiff[start:stop] = (da1 @ self.local1.w.data).reshape(stop - start, k, -1)
+        # each point's row gathers the differences that read it, once for the cloud
+        for c in range(x.shape[1]):
+            dhb[:, c] += np.bincount(neighbors.reshape(-1), ddiff[:, :, c].reshape(-1), minlength=n)
         dw1, db1, _ = fold_adjoint(self.local1.w.data, self.local1.b.data, dw1, db1, scale)
         self.local1.w.grad += dw1
         self.local1.b.grad += db1
         self.local2.w.grad += dw2
         self.local2.b.grad += db2
-        dhb -= dself
+        dhb -= ddiff.sum(axis=1)
         return self.pre_bn.backward(dhb)
 
 

@@ -160,9 +160,10 @@ def evaluate_split(
 ) -> MetricsReport:
     """Score a model over labeled scans.
 
-    Per scan: :func:`segment_scan`, then accumulate the confusion matrix
-    against the scan's labels. One ``rng`` serves the whole split. A scan
-    that fails is named in the error by ``scan_names``, or else by its index.
+    Per scan: check its labels, :func:`segment_scan`, then accumulate the
+    confusion matrix against the labels. One ``rng`` serves the whole split.
+    A scan that fails is named in the error by ``scan_names``, or else by its
+    index; a bad label fails before its scan is segmented.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -171,6 +172,7 @@ def evaluate_split(
         try:
             if pc.labels is None:
                 raise ValueError("evaluation needs labeled scans")
+            check_class_range(pc.labels[pc.labels != IGNORE_LABEL], cm.num_classes)
             cm.update(segment_scan(pc, model, voxel_size, tta, rng), pc.labels)
         except ValueError as err:
             name = scan_names[i] if scan_names else f"scene {i}"

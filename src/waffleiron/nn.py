@@ -132,7 +132,7 @@ class BatchNorm:
     ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean * scale``. Eval: ``mean, var`` are the running
     statistics. Training: the batch mean and biased variance of the valid rows, rounded to ``x``'s dtype; they go
     into the running statistics with momentum, and the layer keeps ``x`` and them for :meth:`backward`, which
-    takes the normalized input's gradient and recomputes ``xhat``.
+    takes the normalized input's gradient and never forms ``xhat``: the input gradient is affine in ``(dy, x)``.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -144,19 +144,21 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None, training: bool = True):
         if training:
-            valid = np.ones(x.shape[0], dtype=bool) if valid is None else valid
-            count = int(valid.sum())
+            count = x.shape[0] if valid is None else int(valid.sum())
             if count == 0:
                 raise ValueError("batchnorm needs at least one valid row in train mode")
-            # statistics in float64: more headroom, and the sums of float32
-            # inputs are then (generically) exact, hence order-independent
-            xv = x[valid].astype(np.float64)
-            mean64 = xv.mean(axis=0)
-            var64 = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
+            # the valid rows: a view when every row is valid, else a gather
+            rows = slice(None) if count == x.shape[0] else valid
+            xv = x[rows]
+            # statistics in float64, which numpy widens to in buffered chunks, so
+            # no N x F float64 array is made; the sums of float32 inputs are then
+            # (generically) exact, hence order-independent
+            mean64 = xv.sum(axis=0, dtype=np.float64) / count
+            var64 = np.maximum(np.einsum("ij,ij->j", xv, xv, dtype=np.float64) / count - mean64 * mean64, 0.0)
             self.running_mean.data[...] = (1 - BN_MOMENTUM) * self.running_mean.data + BN_MOMENTUM * mean64
             self.running_var.data[...] = (1 - BN_MOMENTUM) * self.running_var.data + BN_MOMENTUM * var64
             mean, var = mean64.astype(x.dtype), var64.astype(x.dtype)
-            self._cache = (x, mean, 1.0 / np.sqrt(var + BN_EPS), valid, count)
+            self._cache = (x, mean, 1.0 / np.sqrt(var + BN_EPS), rows, count)
         else:
             self._cache = None
             mean, var = self.running_mean.data, self.running_var.data
@@ -164,27 +166,23 @@ class BatchNorm:
         return scale, self.beta.data - mean * scale
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x, mean, inv_std, valid, count), self._cache = self._cache, None
-        # the normalized rows in x's dtype; one temporary holds dy * xhat,
-        # dxhat * xhat and the correction in turn, and dx overwrites dxhat
-        xhat = x - mean
-        xhat *= inv_std
-        tmp = dy * xhat
-        self.gamma.grad += tmp.sum(axis=0)
-        self.beta.grad += dy.sum(axis=0)
-        dxhat = dy * self.gamma.data
-        # batch statistics were computed over the valid rows only, so the
-        # mean/variance sensitivities distribute back onto those rows
-        sum_dxhat = dxhat.sum(axis=0)
-        np.multiply(dxhat, xhat, out=tmp)
-        sum_dxhat_xhat = tmp.sum(axis=0)
-        dx = np.multiply(dxhat, inv_std, out=dxhat)
-        # corr = (sum_dxhat + xhat * sum_dxhat_xhat) * inv_std / count
-        corr = np.multiply(xhat, sum_dxhat_xhat, out=tmp)
-        corr += sum_dxhat
-        corr *= inv_std
-        corr /= count
-        np.subtract(dx, corr, out=dx, where=valid[:, None])
+        (x, mean, inv_std, rows, count), self._cache = self._cache, None
+        # dx = c1 dy + c2 x + c3 per channel on the valid rows (Ioffe & Szegedy
+        # 2015), with c1 = gamma inv_std and c2, c3 from sum(dy) and sum(dy x),
+        # all in float64; the other rows get c1 dy. The sums run over every row,
+        # as every row's output depends on the statistics of the valid ones.
+        sum_dy = dy.sum(axis=0, dtype=np.float64)
+        mean, inv_std = mean.astype(np.float64), inv_std.astype(np.float64)
+        sum_dy_xhat = (np.einsum("ij,ij->j", dy, x, dtype=np.float64) - mean * sum_dy) * inv_std
+        self.gamma.grad += sum_dy_xhat
+        self.beta.grad += sum_dy
+        c1 = self.gamma.data * inv_std
+        c2 = -c1 * inv_std * sum_dy_xhat / count
+        c3 = -c1 * sum_dy / count - c2 * mean
+        dx = np.multiply(dy, c1.astype(dy.dtype))
+        tmp = np.multiply(x, c2.astype(x.dtype))
+        tmp += c3.astype(x.dtype)
+        dx[rows] += tmp[rows]
         return dx
 
 
@@ -251,8 +249,7 @@ class DepthwiseConv3x3:
         xt = np.empty(rows.shape, dtype=x.dtype)
         for t in _TAPS:
             np.take(x, fwd_taps[:, t], axis=0, out=xt, mode="clip")
-            xt *= rows
-            ksum[:, t] += xt.sum(axis=0)
+            ksum[:, t] += np.einsum("ij,ij->j", xt, rows)
         kern = self.k.data.reshape(f, 9)
         dk, db, do = fold_adjoint(kern, self.b.data, ksum, rows.sum(axis=0), out_scale=o)
         self.k.grad += dk.reshape(f, 3, 3)
@@ -325,13 +322,23 @@ def slot_max(values: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.
     """
     if values.ndim != 3 or values.shape[1] == 0:
         raise ValueError("values must be N x k x F with k >= 1")
+    n, k, f = values.shape
     y = values.max(axis=1)
-    maximal = values == y[:, None, :]
-    slots = maximal.argmax(axis=1)
-    # argmax picks the first maximal slot; only entries with more than one
-    # maximal slot need the smallest-point-index tie-break
-    ni, fi = np.nonzero(np.count_nonzero(maximal, axis=1) > 1)
-    if ni.size:
+    # one N x F pass per slot counts each entry's maximal slots and sums their
+    # indices, which is the winning slot where the count is 1; only entries
+    # with more than one maximal slot need the smallest-point-index tie-break
+    count = np.zeros((n, f), dtype=np.min_scalar_type(k))
+    total = np.zeros((n, f), dtype=np.min_scalar_type(k * (k - 1) // 2))
+    eq = np.empty((n, f), dtype=bool)
+    term = np.empty_like(total)
+    for s in range(k):
+        np.equal(values[:, s], y, out=eq)
+        count += eq
+        total += np.multiply(eq, total.dtype.type(s), out=term)
+    slots = total.astype(np.intp)
+    several = count > 1
+    if several.any():
+        ni, fi = np.nonzero(several)
         tied = values[ni, :, fi] == y[ni, fi, None]
         points = np.where(tied, neighbors[ni], np.iinfo(np.int64).max)
         slots[ni, fi] = np.argmax(points == points.min(axis=1, keepdims=True), axis=1)

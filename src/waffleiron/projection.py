@@ -210,13 +210,18 @@ class ProjectionPair:
         Each cell starts from 0.0 and adds its points in ascending point
         index, so the sums equal a sequential scatter-add bit for bit. The
         product needs a contiguous float64 operand, so ``arr`` goes through
-        in blocks of ``_SUM_BLOCK`` columns rather than as one N x F copy.
+        in blocks of ``_SUM_BLOCK`` columns, copied into one buffer, rather
+        than as one N x F copy.
         """
         arr = self._check_points(arr)
-        sums = np.empty((self.n_occupied + 1, arr.shape[1]), dtype=np.float64)
-        for start in range(0, arr.shape[1], _SUM_BLOCK):
-            block = np.ascontiguousarray(arr[:, start : start + _SUM_BLOCK], dtype=np.float64)
-            sums[:, start : start + _SUM_BLOCK] = self._sum_rows @ block
+        n, f = arr.shape
+        sums = np.empty((self.n_occupied + 1, f), dtype=np.float64)
+        buf = np.empty(n * min(f, _SUM_BLOCK), dtype=np.float64)
+        for start in range(0, f, _SUM_BLOCK):
+            stop = min(start + _SUM_BLOCK, f)
+            block = buf[: n * (stop - start)].reshape(n, stop - start)
+            np.copyto(block, arr[:, start:stop])
+            sums[:, start:stop] = self._sum_rows @ block
         return sums
 
     def _check_points(self, arr: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ Each oracle is written independently of the runtime path it checks:
   (``TestScatterAddOracle``), which shares no code or technique with them;
 * the central finite-difference gradient checker;
 * ReLU and its backward as new arrays;
-* the batch-norm backward with its boolean-mask correction;
+* the batch-norm statistics through a float64 copy of the valid rows, and
+  the batch-norm backward with its boolean-mask correction, as the layer
+  computed them before its statistics and its backward went to a few passes;
 * the neighborhood max over point rows and its backward;
 * the two-array ``np.where`` tie-break that ``slot_max`` replaced;
 * the embedding with its local branch as one (N*k)-row MLP, and its backward;
@@ -147,6 +149,9 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def bn_backward_masked(bn: BatchNorm, dy: np.ndarray, cache=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``BatchNorm.backward`` as first written, from ``cache`` or else from ``bn``'s training forward, which it leaves.
+
+    The cache is ``(x, mean, inv_std, valid, count)``, where ``valid`` may
+    also be the slice that a training forward keeps when every row is valid.
 
     Every intermediate is a new array and the correction is subtracted
     through a boolean gather. Returns (dx, gamma gradient, beta gradient).
@@ -289,11 +294,16 @@ def unfused_eval(model: WaffleIron, feats, neighbors, projections, drop_rng=None
 # -- unfused training -----------------------------------------------------------------------
 
 
-def bn_train(bn: BatchNorm, x: np.ndarray, valid: np.ndarray):
-    """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the cache ``bn_backward_masked`` reads."""
+def bn_statistics_widened(x: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 batch mean and biased variance of the valid rows, through an N x F float64 copy and its square."""
     xv = x[valid].astype(np.float64)
     mean64 = xv.mean(axis=0)
-    var = np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
+    return mean64, np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
+
+
+def bn_train(bn: BatchNorm, x: np.ndarray, valid: np.ndarray):
+    """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the cache ``bn_backward_masked`` reads."""
+    mean64, var = bn_statistics_widened(x, valid)
     mean = mean64.astype(x.dtype)
     inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + BN_EPS)
     xhat = (x - mean) * inv_std

@@ -206,6 +206,23 @@ class TestEvaluateSplit:
         cm_mem = ConfusionMatrix(model.config.num_classes).update(pred, scene.labels)
         np.testing.assert_array_equal(cm_file.counts, cm_mem.counts)
 
+    def test_bad_label_fails_before_its_scan_is_segmented(self, trained, monkeypatch):
+        model, scene = trained
+        labels = scene.labels.copy()
+        labels[17] = 7
+        split = [scene, PointCloud(scene.positions, scene.features, labels)]
+        segmented = []
+
+        def counted(pc, *args):
+            segmented.append(pc)
+            return segment_scan(pc, *args)
+
+        monkeypatch.setattr(evaluation, "segment_scan", counted)
+        k = model.config.num_classes
+        with pytest.raises(ValueError, match=rf"^scan_1: label 7 outside the class range \[0, {k - 1}\]$"):
+            evaluate_split(split, model, scan_names=["scan_0", "scan_1"])
+        assert len(segmented) == 1 and segmented[0] is scene
+
     def test_unlabeled_scan_rejected(self, trained):
         model, scene = trained
         bare = PointCloud(scene.positions, scene.features)
