@@ -1,8 +1,8 @@
 """Training-time scene and instance augmentations.
 
 Every point motion is one float64 :func:`motion` matrix: z-rotation, then
-x/y flips, then scale. A scene moves once and its coordinate features are
-rebuilt. Instance cutmix pastes stored rare-class objects onto drivable
+x/y flips, then scale. A scene moves once; intensity rides along with its
+points. Instance cutmix pastes stored rare-class objects onto drivable
 surfaces; polarmix swaps an azimuth sector between two scans and
 rotate-copies rare-class points from the second scan into the first.
 """
@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import PointCloud, point_features
+from .geometry import PointCloud
 
 # Default class ids follow the usual 19-class driving remap: the cutmix
 # donors are the rare movable things, the landing surfaces are drivable.
@@ -118,7 +118,7 @@ def build_instance_bank(
                 bank.instances[c].append(
                     Instance(
                         positions=(pos - centroid).astype(np.float32),
-                        intensity=pc.features[members, 0].copy(),
+                        intensity=pc.intensity[members],
                         class_id=c,
                     )
                 )
@@ -126,10 +126,9 @@ def build_instance_bank(
 
 
 def _append_points(pc: PointCloud, positions: np.ndarray, intensity: np.ndarray, labels: np.ndarray) -> PointCloud:
-    feats = point_features(positions, intensity, pc.feature_mode)
     return PointCloud(
         positions=np.vstack([pc.positions, positions.astype(np.float32)]),
-        features=np.vstack([pc.features, feats]),
+        intensity=np.concatenate([pc.intensity, intensity]),
         labels=np.concatenate([pc.labels, labels.astype(np.int32)]),
         valid=np.concatenate([pc.valid, np.ones(len(labels), dtype=bool)]),
     )
@@ -214,7 +213,7 @@ def polarmix(
     take_b &= scene_b.valid
 
     pos = [scene_a.positions[keep_a], scene_b.positions[take_b]]
-    inten = [scene_a.features[keep_a, 0], scene_b.features[take_b, 0]]
+    inten = [scene_a.intensity[keep_a], scene_b.intensity[take_b]]
     labels = [scene_a.labels[keep_a], scene_b.labels[take_b]]
 
     inst_rows = np.flatnonzero(np.isin(scene_b.labels, np.asarray(classes)) & scene_b.valid)
@@ -223,15 +222,12 @@ def polarmix(
         angles = (0.0,) + tuple(paste_angles)
         for theta in angles:
             pos.append((src @ motion(theta).T).astype(np.float32))
-            inten.append(scene_b.features[inst_rows, 0])
+            inten.append(scene_b.intensity[inst_rows])
             labels.append(scene_b.labels[inst_rows])
 
-    positions = np.vstack(pos)
-    intensity = np.concatenate(inten)
-    feats = point_features(positions, intensity, scene_a.feature_mode)
     return PointCloud(
-        positions=positions.astype(np.float32),
-        features=feats,
+        positions=np.vstack(pos),
+        intensity=np.concatenate(inten),
         labels=np.concatenate(labels),
     )
 

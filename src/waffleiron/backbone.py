@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import FEATURE_DIMS, Fov, PointCloud, knn
+from .geometry import Fov, PointCloud, knn
 from .nn import (
     LAYERSCALE_INIT,
     BatchNorm,
@@ -46,6 +46,7 @@ from .nn import (
     slot_max,
 )
 from .projection import (
+    STRATEGIES,
     PlaneSpec,
     ProjectionPair,
     build_projection,
@@ -55,6 +56,24 @@ from .projection import (
 # Points per block of the embedding's local branch: 256 points at k = 16 make
 # 4096 pair rows, whose half-width activations fit in cache.
 _LOCAL_BLOCK = 256
+
+# Per-point input feature layouts: column count for each mode.
+FEATURE_DIMS = {"3dim": 3, "5dim": 5}
+
+
+def point_features(positions: np.ndarray, intensity: np.ndarray, mode: str) -> np.ndarray:
+    """The N x C input feature matrix of one cloud.
+
+    ``3dim`` is (intensity, z, range); ``5dim`` is (intensity, x, y, z, range)
+    with range the Euclidean norm of the position. Each row depends only on
+    its own point, so the features of a subset are that subset's rows.
+    """
+    pos = np.asarray(positions, dtype=np.float32)
+    inten = np.asarray(intensity, dtype=np.float32).reshape(-1)
+    rng = np.linalg.norm(pos.astype(np.float64), axis=1).astype(np.float32)
+    if mode == "3dim":
+        return np.stack([inten, pos[:, 2], rng], axis=1)
+    return np.concatenate([inten[:, None], pos, rng[:, None]], axis=1)
 
 
 @dataclass
@@ -90,6 +109,8 @@ class WaffleIronConfig:
             raise ValueError("num_classes must be >= 1")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ValueError("drop_prob must lie in [0, 1)")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy in ("baseline", "reverse") and self.depth % 3:
             raise ValueError(f"depth must be a multiple of 3 for strategy {self.strategy!r}")
         if self.input_feature_mode not in FEATURE_DIMS:
@@ -374,7 +395,8 @@ def param_count(config: WaffleIronConfig) -> int:
 
 
 def prepare_inputs(model: WaffleIron, pc: PointCloud):
-    """Neighbor lists and projections for a cropped cloud, ready for forward."""
+    """Input features, neighbor lists and projections for a cropped cloud, ready for forward."""
+    feats = point_features(pc.positions, pc.intensity, model.config.input_feature_mode)
     neighbors = knn(pc, model.config.k_neighbors)
     projections = model.build_projections(pc.positions, pc.valid)
-    return pc.features, neighbors, projections, pc.valid
+    return feats, neighbors, projections, pc.valid

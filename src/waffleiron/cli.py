@@ -90,7 +90,6 @@ def _cmd_train(args) -> int:
     dataset = dataio.ScanDataset(
         data_dir,
         scan_format=rc.scan_format,
-        feature_mode=rc.model.input_feature_mode,
         class_map=rc.class_map_ids,
         voxel_size=rc.voxel_size,
     )
@@ -109,8 +108,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"output directory {out_dir} does not exist")
     model, _, rc = dataio.checkpoint_load(args.ckpt)
-    pc = dataio.read_scan(args.scan, rc.scan_format, model.config.input_feature_mode)
+    pc = dataio.read_scan(args.scan, rc.scan_format)
     pred = segment_scan(pc, model, rc.voxel_size, tta=args.tta, rng=np.random.default_rng(args.seed))
     dataio.write_labels(args.out, pred)
     print(f"wrote {pc.n_points} labels to {args.out}")
@@ -125,7 +127,6 @@ def _cmd_eval(args) -> int:
     dataset = dataio.ScanDataset(
         Path(args.data) / args.split,
         scan_format=rc.scan_format,
-        feature_mode=model.config.input_feature_mode,
         class_map=class_map,
     )
     report = evaluate_split(

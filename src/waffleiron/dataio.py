@@ -27,7 +27,7 @@ import numpy as np
 
 from .augment import AugmentConfig
 from .backbone import WaffleIron, WaffleIronConfig
-from .geometry import IGNORE_LABEL, Fov, PointCloud, point_features, voxel_downsample
+from .geometry import IGNORE_LABEL, Fov, PointCloud, voxel_downsample
 from .training import AdamW, TrainConfig
 
 _MAGIC = b"WFLI"
@@ -39,8 +39,8 @@ _SCAN_STRIDE = {"kitti4": 4, "nuscenes5": 5}
 # -- scans and labels ------------------------------------------------------------
 
 
-def read_scan(path, scan_format: str = "kitti4", feature_mode: str = "5dim") -> PointCloud:
-    """Parse a binary scan into a cloud with derived input features."""
+def read_scan(path, scan_format: str = "kitti4") -> PointCloud:
+    """Parse a binary scan into a cloud of positions and intensity."""
     if scan_format not in _SCAN_STRIDE:
         raise ValueError(f"unknown scan format {scan_format!r}")
     stride = _SCAN_STRIDE[scan_format]
@@ -52,10 +52,7 @@ def read_scan(path, scan_format: str = "kitti4", feature_mode: str = "5dim") -> 
     bad = ~np.isfinite(rec).all(axis=1)
     if bad.any():
         raise ValueError(f"non-finite value at point {int(np.flatnonzero(bad)[0])} in {path}")
-    positions = rec[:, :3]
-    intensity = rec[:, 3]
-    feats = point_features(positions, intensity, feature_mode)
-    return PointCloud(positions=positions, features=feats)
+    return PointCloud(positions=rec[:, :3], intensity=rec[:, 3])
 
 
 def write_scan(path, positions: np.ndarray, intensity: np.ndarray, scan_format: str = "kitti4"):
@@ -442,13 +439,11 @@ class ScanDataset:
         self,
         root,
         scan_format: str = "kitti4",
-        feature_mode: str = "5dim",
         class_map: Optional[dict] = None,
         voxel_size: float = 0.0,
     ):
         self.root = Path(root)
         self.scan_format = scan_format
-        self.feature_mode = feature_mode
         self.class_map = class_map
         self.voxel_size = voxel_size
         self.paths = sorted(self.root.glob("*.bin"))
@@ -466,9 +461,9 @@ class ScanDataset:
 
     def load_with_instances(self, i: int) -> tuple[PointCloud, np.ndarray]:
         path = self.paths[i]
-        pc = read_scan(path, self.scan_format, self.feature_mode)
+        pc = read_scan(path, self.scan_format)
         semantic, instances = read_labels(path.with_suffix(".label"), self.class_map, pc.n_points)
-        pc = PointCloud(pc.positions, pc.features, semantic, pc.valid)
+        pc = PointCloud(pc.positions, pc.intensity, semantic, pc.valid)
         if self.voxel_size > 0:
             pc, kept = voxel_downsample(pc, self.voxel_size)
             instances = instances[kept]

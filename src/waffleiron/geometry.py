@@ -24,33 +24,6 @@ import numpy as np
 # Label id reserved for "do not score this point" (unmapped classes, padding).
 IGNORE_LABEL = 255
 
-# Low-level per-point feature layouts: column order for each mode.
-FEATURE_DIMS = {"3dim": 3, "5dim": 5}
-
-
-def point_features(positions: np.ndarray, intensity: np.ndarray, mode: str) -> np.ndarray:
-    """Build the low-level feature matrix for one cloud.
-
-    ``3dim`` is (intensity, z, range); ``5dim`` is (intensity, x, y, z, range)
-    with range the Euclidean norm of the position. Augmentations call this
-    again after moving points so features always agree with positions.
-    """
-    if mode not in FEATURE_DIMS:
-        raise ValueError(f"unknown feature mode {mode!r}")
-    pos = np.asarray(positions, dtype=np.float32)
-    inten = np.asarray(intensity, dtype=np.float32).reshape(-1)
-    rng = np.linalg.norm(pos.astype(np.float64), axis=1).astype(np.float32)
-    if mode == "3dim":
-        return np.stack([inten, pos[:, 2], rng], axis=1)
-    return np.concatenate([inten[:, None], pos, rng[:, None]], axis=1)
-
-
-def feature_mode_for(n_columns: int) -> str:
-    for mode, dim in FEATURE_DIMS.items():
-        if dim == n_columns:
-            return mode
-    raise ValueError(f"no feature mode with {n_columns} columns")
-
 
 @dataclass
 class Fov:
@@ -73,27 +46,26 @@ class Fov:
 
 @dataclass
 class PointCloud:
-    """N points with positions, low-level features, optional labels and a
-    validity mask.
+    """N points with positions, intensity, optional labels and a validity mask.
 
-    ``positions`` is N x 3 float32, ``features`` N x C float32 with C in
-    {3, 5}, ``labels`` an optional N vector of class ids (including
-    ``IGNORE_LABEL``), and ``valid`` flags real points versus zero padding.
+    ``positions`` is N x 3 float32, ``intensity`` an N float32 vector,
+    ``labels`` an optional N vector of class ids (including ``IGNORE_LABEL``),
+    and ``valid`` flags real points versus zero padding. The network's input
+    features are built from positions and intensity by
+    :func:`waffleiron.backbone.prepare_inputs`.
     """
 
     positions: np.ndarray
-    features: np.ndarray
+    intensity: np.ndarray
     labels: Optional[np.ndarray] = None
     valid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.positions = np.ascontiguousarray(self.positions, dtype=np.float32).reshape(-1, 3)
         n = self.positions.shape[0]
-        self.features = np.ascontiguousarray(self.features, dtype=np.float32)
-        if self.features.ndim != 2 or self.features.shape[0] != n:
-            raise ValueError("features must be N x C aligned with positions")
-        if self.features.shape[1] not in FEATURE_DIMS.values():
-            raise ValueError(f"unsupported feature width {self.features.shape[1]}")
+        self.intensity = np.ascontiguousarray(self.intensity, dtype=np.float32).reshape(-1)
+        if self.intensity.shape[0] != n:
+            raise ValueError("intensity must align with positions")
         if self.labels is not None:
             self.labels = np.ascontiguousarray(self.labels, dtype=np.int32).reshape(-1)
             if self.labels.shape[0] != n:
@@ -106,8 +78,8 @@ class PointCloud:
                 raise ValueError("valid mask must align with positions")
         if self.valid.any():
             rows = self.valid
-            if not (np.isfinite(self.positions[rows]).all() and np.isfinite(self.features[rows]).all()):
-                raise ValueError("non-finite coordinates or features on valid points")
+            if not (np.isfinite(self.positions[rows]).all() and np.isfinite(self.intensity[rows]).all()):
+                raise ValueError("non-finite coordinates or intensity on valid points")
 
     @property
     def n_points(self) -> int:
@@ -117,28 +89,19 @@ class PointCloud:
     def n_valid(self) -> int:
         return int(self.valid.sum())
 
-    @property
-    def feature_mode(self) -> str:
-        return feature_mode_for(self.features.shape[1])
-
     def select(self, index: np.ndarray) -> "PointCloud":
         """New cloud containing the rows picked by ``index`` (order kept)."""
         return PointCloud(
             positions=self.positions[index],
-            features=self.features[index],
+            intensity=self.intensity[index],
             labels=None if self.labels is None else self.labels[index],
             valid=self.valid[index],
         )
 
     def moved(self, matrix: np.ndarray) -> "PointCloud":
-        """This cloud with every position mapped by the float64 3 x 3 ``matrix`` (``p @ matrix.T``).
-
-        Intensity (column 0) is carried over untouched; x/y/z/range columns
-        are rebuilt so the feature block stays consistent with the geometry.
-        """
+        """This cloud with every position mapped by the float64 3 x 3 ``matrix`` (``p @ matrix.T``)."""
         positions = (self.positions.astype(np.float64) @ matrix.T).astype(np.float32)
-        feats = point_features(positions, self.features[:, 0], self.feature_mode)
-        return replace(self, positions=positions, features=feats)
+        return replace(self, positions=positions)
 
 
 def voxel_downsample(pc: PointCloud, voxel_size: float) -> tuple[PointCloud, np.ndarray]:
@@ -194,12 +157,12 @@ def sample_fixed(pc: PointCloud, n_target: int, rng: np.random.Generator) -> Poi
         return pc.select(kept)
     pad = n_target - n
     positions = np.vstack([pc.positions, np.zeros((pad, 3), dtype=np.float32)])
-    features = np.vstack([pc.features, np.zeros((pad, pc.features.shape[1]), dtype=np.float32)])
+    intensity = np.concatenate([pc.intensity, np.zeros(pad, dtype=np.float32)])
     labels = None
     if pc.labels is not None:
         labels = np.concatenate([pc.labels, np.full(pad, IGNORE_LABEL, dtype=np.int32)])
     valid = np.concatenate([pc.valid, np.zeros(pad, dtype=bool)])
-    return PointCloud(positions, features, labels, valid)
+    return PointCloud(positions, intensity, labels, valid)
 
 
 def _sq_dist_to(points: np.ndarray, query: np.ndarray) -> np.ndarray:

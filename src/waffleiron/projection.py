@@ -45,7 +45,7 @@ AXIS_NAMES = {(0, 1): "xy", (0, 2): "xz", (1, 2): "yz"}
 # columns per sparse product in ``ProjectionPair._cell_sums``
 _SUM_BLOCK = 64
 
-_STRATEGIES = ("baseline", "reverse", "parallel", "bev")
+STRATEGIES = ("baseline", "reverse", "parallel", "bev")
 _CYCLE = {
     "baseline": ((0, 1), (0, 2), (1, 2)),
     "reverse": ((1, 2), (0, 2), (0, 1)),
@@ -248,7 +248,7 @@ def plane_schedule(layer: int, strategy: str) -> tuple[tuple[int, int], ...]:
     """
     if layer < 0:
         raise ValueError("layer must be >= 0")
-    if strategy not in _STRATEGIES:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "bev":
         return ((0, 1),)

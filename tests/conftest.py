@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from waffleiron.geometry import Fov, PointCloud, point_features
+from waffleiron.geometry import Fov, PointCloud
 
 from oracles import run_overfit_harness, synthetic_zband_scene
 
@@ -27,12 +27,11 @@ class FixedDraws:
     random = uniform
 
 
-def random_cloud(rng, n, fov: Fov, feature_mode="5dim", n_classes=3, margin=1e-3):
+def random_cloud(rng, n, fov: Fov, n_classes=3, margin=1e-3):
     positions = rng.uniform(fov.min + margin, fov.max - margin, size=(n, 3))
     intensity = rng.uniform(0.0, 1.0, n).astype(np.float32)
-    feats = point_features(positions, intensity, feature_mode)
     labels = rng.integers(0, n_classes, n).astype(np.int32)
-    return PointCloud(positions.astype(np.float32), feats, labels)
+    return PointCloud(positions.astype(np.float32), intensity, labels)
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from waffleiron.augment import AugmentConfig
 from waffleiron.backbone import ChannelMixLayer, EmbeddingLayer, TokenMixLayer, WaffleIron, WaffleIronConfig, prepare_inputs
 from waffleiron.dataio import RunConfig
-from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices, point_features
+from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices
 from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, slot_max
 from waffleiron.projection import ProjectionPair
 from waffleiron.training import TrainConfig, _counted_mask, segmentation_loss, train_loop
@@ -448,8 +448,7 @@ def nn_propagate_labels(src: PointCloud, src_labels: np.ndarray, dst_points: np.
 
 
 def _rebuilt(pc: PointCloud, positions: np.ndarray) -> PointCloud:
-    feats = point_features(positions, pc.features[:, 0], pc.feature_mode)
-    return PointCloud(positions.astype(np.float32), feats, pc.labels, pc.valid)
+    return PointCloud(positions.astype(np.float32), pc.intensity, pc.labels, pc.valid)
 
 
 def rotate_then_flip(pc: PointCloud, rng) -> PointCloud:
@@ -517,7 +516,6 @@ def ranked_neighbors_exhaustive(points: np.ndarray, queries: np.ndarray, k: int,
 def synthetic_zband_scene(
     n_points: int = 768,
     seed: int = 7,
-    feature_mode: str = "5dim",
     fov: Optional[Fov] = None,
 ) -> tuple[PointCloud, Fov]:
     """Random scene whose three classes are separated by horizontal z-bands.
@@ -537,8 +535,7 @@ def synthetic_zband_scene(
     third = (fov.max[2] - fov.min[2]) / 3.0
     labels = np.digitize(z, [fov.min[2] + third, fov.min[2] + 2 * third]).astype(np.int32)
     intensity = rng.uniform(0.0, 1.0, n_points).astype(np.float32)
-    feats = point_features(positions, intensity, feature_mode)
-    return PointCloud(positions.astype(np.float32), feats, labels), fov
+    return PointCloud(positions.astype(np.float32), intensity, labels), fov
 
 
 def overfit_harness_config(fov: Fov, drop_prob: float = 0.0) -> RunConfig:

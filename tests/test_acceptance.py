@@ -302,11 +302,11 @@ def test_criterion_10_format_round_trips(tmp_path, small_fov):
     scan_path = tmp_path / "scan.bin"
     golden = struct.pack("<8f", 1.0, 2.0, 3.0, 0.5, -4.0, 0.25, 1.5, 0.125)
     scan_path.write_bytes(golden)
-    pc = dataio.read_scan(scan_path, "kitti4", "5dim")
+    pc = dataio.read_scan(scan_path, "kitti4")
     np.testing.assert_allclose(pc.positions[0], [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(pc.features[1, 0], 0.125)
+    np.testing.assert_allclose(pc.intensity[1], 0.125)
     rewrite = tmp_path / "scan2.bin"
-    dataio.write_scan(rewrite, pc.positions, pc.features[:, 0], "kitti4")
+    dataio.write_scan(rewrite, pc.positions, pc.intensity, "kitti4")
     assert rewrite.read_bytes() == golden
 
     # uint32 labels: golden bytes -> parse -> rewrite byte-exactly

@@ -1,5 +1,5 @@
-"""Scene and instance augmentations: isometry checks, feature consistency,
-bank extraction and the two mixing strategies."""
+"""Scene and instance augmentations: isometry checks, intensity carried with
+the points, bank extraction and the two mixing strategies."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from waffleiron.augment import (
     polarmix,
     scene_motion,
 )
+from waffleiron.backbone import WaffleIron, WaffleIronConfig, prepare_inputs
 from waffleiron.geometry import PointCloud
 
 from conftest import FixedDraws, random_cloud
@@ -22,7 +23,13 @@ from oracles import rotate_then_flip
 
 def labeled_cloud(rng, n, fov, labels):
     pc = random_cloud(rng, n, fov)
-    return PointCloud(pc.positions, pc.features, np.asarray(labels, dtype=np.int32))
+    return PointCloud(pc.positions, pc.intensity, np.asarray(labels, dtype=np.int32))
+
+
+def model_features(pc, fov, feature_mode="5dim"):
+    """The input features ``prepare_inputs`` builds for ``pc`` under ``feature_mode``."""
+    model = WaffleIron(WaffleIronConfig(depth=0, width=2, rho=1.0, fov=fov, input_feature_mode=feature_mode), None)
+    return prepare_inputs(model, pc)[0]
 
 
 def moved(pc, rng, rotate=False, flip=False, scale=False):
@@ -73,11 +80,11 @@ class TestSceneTransforms:
         rng = np.random.default_rng(10)
         pc = random_cloud(rng, 25, small_fov)
         out = moved(pc, np.random.default_rng(11), rotate=True)
-        np.testing.assert_array_equal(out.features[:, 1:4], out.positions)
-        np.testing.assert_allclose(
-            out.features[:, 4], np.linalg.norm(out.positions.astype(np.float64), axis=1), atol=1e-6
-        )
-        np.testing.assert_array_equal(out.features[:, 0], pc.features[:, 0])
+        feats = model_features(out, small_fov)
+        np.testing.assert_array_equal(feats[:, 1:4], out.positions)
+        np.testing.assert_allclose(feats[:, 4], np.linalg.norm(out.positions.astype(np.float64), axis=1), atol=1e-6)
+        np.testing.assert_array_equal(out.intensity, pc.intensity)
+        np.testing.assert_array_equal(feats[:, 0], pc.intensity)
         assert out.labels is not None
         np.testing.assert_array_equal(out.labels, pc.labels)
 
@@ -97,7 +104,7 @@ class TestSceneTransforms:
         a = apply_augmentations(pc, cfg, np.random.default_rng(42))
         b = apply_augmentations(pc, cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.intensity, b.intensity)
 
 
 class TestSceneMotion:
@@ -105,11 +112,13 @@ class TestSceneMotion:
     def test_test_time_motion_matches_rotate_then_flip_bitwise(self, kitti_fov, feature_mode):
         # a flip is exact, so one matrix F R rounds to float32 once where the rotation and the flip each did
         for seed in range(100):
-            pc = random_cloud(np.random.default_rng(seed), 64, kitti_fov, feature_mode)
+            pc = random_cloud(np.random.default_rng(seed), 64, kitti_fov)
             got = pc.moved(scene_motion(np.random.default_rng(1000 + seed), scale=False))
             want = rotate_then_flip(pc, np.random.default_rng(1000 + seed))
             assert got.positions.tobytes() == want.positions.tobytes(), seed
-            assert got.features.tobytes() == want.features.tobytes(), seed
+            assert got.intensity.tobytes() == want.intensity.tobytes(), seed
+            got_feats, want_feats = (model_features(c, kitti_fov, feature_mode) for c in (got, want))
+            assert got_feats.tobytes() == want_feats.tobytes(), seed
 
     def test_matrix_is_scale_times_flip_times_rotation(self):
         theta = 2.3
@@ -314,6 +323,7 @@ class TestPolarmix:
         rng = np.random.default_rng(28)
         a, b = self._two_scenes(rng, small_fov)
         out = polarmix(a, b, classes=(1,), rng=np.random.default_rng(5))
-        np.testing.assert_array_equal(out.features[:, 1:4], out.positions)
-        assert out.labels.shape[0] == out.n_points
-        assert np.isfinite(out.features).all()
+        assert out.labels.shape[0] == out.intensity.shape[0] == out.n_points
+        # every motion is about z, so each row keeps its source row's height next to its intensity
+        source = {(z, i) for pc in (a, b) for z, i in zip(pc.positions[:, 2], pc.intensity)}
+        assert set(zip(out.positions[:, 2], out.intensity)) <= source

@@ -61,6 +61,13 @@ def build_scene(fov, n=60, seed=0, classes=3):
     return random_cloud(rng, n, fov, n_classes=classes)
 
 
+def with_padding(pc, n_pad):
+    """``pc`` with its last ``n_pad`` rows made padding: zero position and intensity, flagged invalid."""
+    valid = np.arange(pc.n_points) < pc.n_points - n_pad
+    positions = np.where(valid[:, None], pc.positions, 0.0)
+    return PointCloud(positions, np.where(valid, pc.intensity, 0.0), pc.labels, valid)
+
+
 class TestConfig:
     def test_depth_multiple_of_three_for_cyclic(self, small_fov):
         with pytest.raises(ValueError):
@@ -75,6 +82,19 @@ class TestConfig:
     def test_drop_prob_range(self, small_fov):
         with pytest.raises(ValueError):
             tiny_config(small_fov, drop=1.0)
+
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_unknown_strategy(self, small_fov, depth):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            tiny_config(small_fov, depth=depth, strategy="bogus")
+
+
+def test_point_features_layouts():
+    positions = np.array([[3.0, 0.0, 4.0]])
+    f3 = backbone.point_features(positions, np.array([0.5]), "3dim")
+    np.testing.assert_allclose(f3, [[0.5, 4.0, 5.0]])
+    f5 = backbone.point_features(positions, np.array([0.5]), "5dim")
+    np.testing.assert_allclose(f5, [[0.5, 3.0, 0.0, 4.0, 5.0]])
 
 
 class TestEmbedding:
@@ -474,7 +494,7 @@ class TestActiveCellBranch:
         projections = model.build_projections(pc.positions, valid)
         assert all(p.n_occupied == 0 for p in projections.values())
         nbr = np.zeros((20, cfg.k_neighbors), dtype=np.int64)
-        feats = pc.features
+        feats = backbone.point_features(pc.positions, pc.intensity, cfg.input_feature_mode)
         logits = model.forward(feats, nbr, projections, valid, training=False)
         assert logits.shape == (3, 20) and np.isfinite(logits).all()
 
@@ -740,7 +760,8 @@ class TestNoArgumentWrites:
         neighbors = (np.arange(self.N)[:, None] + np.arange(1, self.K + 1)) % self.N
         x = rng.standard_normal((self.N, self.WIDTH)).astype(dtype)
         proj = projections[(0, 1)]
-        yield EmbeddingLayer(store, "embed", 5, self.WIDTH, rng), (pc.features.astype(dtype), neighbors, valid), {}, ()
+        feats = backbone.point_features(pc.positions, pc.intensity, "5dim")
+        yield EmbeddingLayer(store, "embed", 5, self.WIDTH, rng), (feats.astype(dtype), neighbors, valid), {}, ()
         yield TokenMixLayer(store, "tm", self.PLANES, self.WIDTH, rng), (x, projections, valid), {"factor": 1.25}, ()
         yield ChannelMixLayer(store, "cm", self.WIDTH, rng), (x, valid), {"factor": 1.25}, ()
         yield BatchNorm(store, "bn", self.WIDTH), (x, valid), {}, ()
@@ -1041,10 +1062,7 @@ class TestFoldedEval:
         model = WaffleIron(cfg, np.random.default_rng(100))
         perturb_eval_state(model.store, np.random.default_rng(101))
         pc = build_scene(small_fov, n=90, seed=102)
-        # padding points: zero features, flagged invalid
-        valid = np.arange(pc.n_points) < pc.n_points - 12
-        feats = np.where(valid[:, None], pc.features, 0.0)
-        pc = PointCloud(pc.positions, feats, pc.labels, valid)
+        pc = with_padding(pc, 12)
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         # occupied cells with an empty neighbour cell, whose tap reads the zero row
         assert all((p.d_from_o == p.n_occupied).any() for p in proj.values())
@@ -1071,9 +1089,7 @@ class TestFoldedTraining:
     def model_and_inputs(self, fov, strategy, dtype, drop=0.5):
         model = perturbed_model(fov, strategy, dtype, drop)
         pc = build_scene(fov, n=90, seed=102)
-        # padding points: zero features, flagged invalid
-        valid = np.arange(pc.n_points) < pc.n_points - 12
-        pc = PointCloud(pc.positions, np.where(valid[:, None], pc.features, 0.0), pc.labels, valid)
+        pc = with_padding(pc, 12)
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         return model, (feats.astype(dtype), nbr, proj, valid), pc.labels
 

@@ -10,7 +10,7 @@ import pytest
 from waffleiron import cli, dataio
 from waffleiron.backbone import param_count
 from waffleiron.cli import main
-from waffleiron.evaluation import ConfusionMatrix, MetricsReport, iou
+from waffleiron.evaluation import ConfusionMatrix, MetricsReport, iou, segment_scan
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -146,6 +146,16 @@ class TestTrainInputErrors:
         assert "unknown scan format 'kitti5'; expected one of kitti4, nuscenes5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_unknown_strategy_exits_before_the_out_dir(self, tmp_path, capsys, depth):
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("epochs 2", "epochs 1"))
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=1)
+        argv = ["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                "--out", str(tmp_path / "out"), "--set", "strategy=bogus", "--set", f"depth={depth}"]
+        assert main(argv) == 1
+        assert "unknown strategy 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCutmixBank:
     def test_no_loaded_scan_outlives_the_bank(self, tmp_path, monkeypatch, capsys):
@@ -255,6 +265,23 @@ class TestTrainInferEval:
         )
         assert code == 0
         assert out_label.stat().st_size == 4 * (scan.stat().st_size // 16)
+
+    def test_infer_into_a_missing_directory_fails_before_segmenting(self, trained_dir, monkeypatch, capsys):
+        segmented = []
+
+        def counted(*args, **kwargs):
+            segmented.append(args)
+            return segment_scan(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "segment_scan", counted)
+        missing = trained_dir / "nodir"
+        code = main(
+            ["infer", "--ckpt", str(trained_dir / "out" / "ckpt_final.wfli"),
+             "--scan", str(trained_dir / "data" / "train" / "scan_0.bin"), "--out", str(missing / "x.label"), "--tta"]
+        )
+        assert code == 1
+        assert f"error: output directory {missing} does not exist" in capsys.readouterr().err
+        assert segmented == [] and not missing.exists()
 
     def test_eval_reports_metrics(self, trained_dir, capsys):
         metrics_dir = trained_dir / "metrics"

@@ -94,10 +94,9 @@ class TestReadScan:
     def test_golden_single_point(self, tmp_path):
         path = tmp_path / "scan.bin"
         path.write_bytes(struct.pack("<4f", 1.0, 2.0, 3.0, 0.5))
-        pc = dataio.read_scan(path, "kitti4", "5dim")
+        pc = dataio.read_scan(path, "kitti4")
         np.testing.assert_allclose(pc.positions, [[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(pc.features[0, 0], 0.5)
-        np.testing.assert_allclose(pc.features[0, 4], np.sqrt(14.0), rtol=1e-6)
+        np.testing.assert_allclose(pc.intensity, [0.5])
 
     def test_two_points_from_32_bytes(self, tmp_path):
         path = tmp_path / "scan.bin"
@@ -108,9 +107,10 @@ class TestReadScan:
     def test_nuscenes_ring_dropped(self, tmp_path):
         path = tmp_path / "scan.bin"
         path.write_bytes(struct.pack("<5f", 1.0, 0.0, 0.0, 0.25, 17.0))
-        pc = dataio.read_scan(path, "nuscenes5", "3dim")
+        pc = dataio.read_scan(path, "nuscenes5")
         assert pc.n_points == 1
-        np.testing.assert_allclose(pc.features, [[0.25, 0.0, 1.0]])
+        np.testing.assert_allclose(pc.positions, [[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(pc.intensity, [0.25])
 
     def test_truncated_scan(self, tmp_path):
         path = tmp_path / "scan.bin"

@@ -14,9 +14,9 @@ from waffleiron.evaluation import (
     iou,
     segment_scan,
 )
-from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, point_features, voxel_downsample
+from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, voxel_downsample
 from waffleiron.training import _counted_mask
-from waffleiron import dataio, evaluation
+from waffleiron import backbone, dataio, evaluation
 
 from oracles import nn_propagate_labels, rotate_then_flip
 
@@ -128,6 +128,24 @@ class TestInference:
         segment_scan(scene, model, VOXEL, tta=True, rng=np.random.default_rng(3))
         assert len(moves) == TTA_PASSES
 
+    def test_tta_builds_the_input_features_once_per_pass_on_the_cropped_cloud(self, trained, monkeypatch):
+        model, scene = trained
+        positions = scene.positions.copy()
+        positions[0] = [100.0, 100.0, 50.0]  # far outside the FOV at every rotation
+        pc = PointCloud(positions, scene.intensity, scene.labels)
+        built = []
+        build = backbone.point_features
+
+        def recording(positions, intensity, mode):
+            built.append(positions)
+            return build(positions, intensity, mode)
+
+        monkeypatch.setattr(backbone, "point_features", recording)
+        n_voxels = voxel_downsample(pc, VOXEL)[0].n_points
+        segment_scan(pc, model, VOXEL, tta=True, rng=np.random.default_rng(3))
+        assert len(built) == TTA_PASSES
+        assert all(p.shape[0] == n_voxels - 1 and model.config.fov.contains(p).all() for p in built)
+
     @pytest.mark.parametrize("drop", [0.0, 0.3])
     def test_tta_passes_equal_rotate_then_flip_passes(self, trained, monkeypatch, drop):
         model, scene = trained
@@ -152,11 +170,11 @@ class TestInference:
         model, scene = trained
         positions = scene.positions.copy()
         positions[0] = [100.0, 100.0, 50.0]  # far outside the FOV
-        moved = PointCloud(positions, scene.features, scene.labels)
+        moved = PointCloud(positions, scene.intensity, scene.labels)
         probs = infer_probs(model, moved)
         inside, _ = crop_fov(moved, model.config.fov)
         src = nearest_indices(inside.positions, positions[:1])
-        inside_probs = infer_probs(model, PointCloud(inside.positions, inside.features, None))
+        inside_probs = infer_probs(model, PointCloud(inside.positions, inside.intensity, None))
         np.testing.assert_array_equal(probs[:, 0], inside_probs[:, src[0]])
         # the points inside the FOV keep their own probabilities
         np.testing.assert_array_equal(probs[:, 1:], inside_probs)
@@ -172,8 +190,8 @@ class TestInference:
         on_boundary = np.round(scene.positions[::3] / voxel) * voxel
         positions = np.vstack([scene.positions, crowded, on_boundary]).astype(np.float32)
         perm = rng.permutation(len(positions))
-        intensity = np.concatenate([scene.features[:, 0], scene.features[:, 0], scene.features[::3, 0]])
-        pc = PointCloud(positions[perm], point_features(positions[perm], intensity[perm], scene.feature_mode))
+        intensity = np.concatenate([scene.intensity, scene.intensity, scene.intensity[::3]])
+        pc = PointCloud(positions[perm], intensity[perm])
         down, kept = voxel_downsample(pc, voxel)
         assert kept.size < 0.8 * pc.n_points
         # a voxelized scan keeps every row, so its labels are the voxel labels
@@ -210,7 +228,7 @@ class TestEvaluateSplit:
         model, scene = trained
         labels = scene.labels.copy()
         labels[17] = 7
-        split = [scene, PointCloud(scene.positions, scene.features, labels)]
+        split = [scene, PointCloud(scene.positions, scene.intensity, labels)]
         segmented = []
 
         def counted(pc, *args):
@@ -225,7 +243,7 @@ class TestEvaluateSplit:
 
     def test_unlabeled_scan_rejected(self, trained):
         model, scene = trained
-        bare = PointCloud(scene.positions, scene.features)
+        bare = PointCloud(scene.positions, scene.intensity)
         with pytest.raises(ValueError):
             evaluate_split([bare], model)
 

@@ -16,7 +16,6 @@ from waffleiron.geometry import (
     crop_fov,
     knn,
     nearest_indices,
-    point_features,
     sample_fixed,
     voxel_downsample,
 )
@@ -25,10 +24,9 @@ from conftest import random_cloud
 from oracles import nn_propagate_labels, ranked_neighbors_exhaustive, voxel_first_rows
 
 
-def cloud_from_positions(positions, labels=None, valid=None, mode="5dim"):
+def cloud_from_positions(positions, labels=None, valid=None):
     positions = np.asarray(positions, dtype=np.float32)
-    feats = point_features(positions, np.zeros(len(positions)), mode)
-    return PointCloud(positions, feats, labels, valid)
+    return PointCloud(positions, np.zeros(len(positions)), labels, valid)
 
 
 def knn_oracle(positions, valid, k):
@@ -114,7 +112,7 @@ class TestVoxelDownsample:
         np.testing.assert_array_equal(once.positions, twice.positions)
 
     def test_empty_input(self):
-        pc = PointCloud(np.zeros((0, 3)), np.zeros((0, 5)))
+        pc = PointCloud(np.zeros((0, 3)), np.zeros(0))
         down, kept = voxel_downsample(pc, 0.1)
         assert down.n_points == 0 and kept.size == 0
 
@@ -160,13 +158,13 @@ class TestSampleFixed:
 
     def test_padding(self):
         pc = cloud_from_positions(np.eye(3, 3) @ np.diag([1.0, 2.0, 3.0]))
-        pc = PointCloud(pc.positions, pc.features, np.array([0, 1, 2]), None)
+        pc = PointCloud(pc.positions, pc.intensity, np.array([0, 1, 2]), None)
         out = sample_fixed(pc, 8, np.random.default_rng(0))
         assert out.n_points == 8
         assert out.valid.sum() == 3
         assert (out.labels[3:] == IGNORE_LABEL).all()
         assert (out.positions[3:] == 0).all()
-        assert (out.features[3:] == 0).all()
+        assert (out.intensity[3:] == 0).all()
 
     def test_anchor_neighborhood_matches_sort_oracle(self):
         positions = np.stack([np.arange(50, dtype=np.float32), np.zeros(50), np.zeros(50)], axis=1)
@@ -362,11 +360,3 @@ def test_import_leaves_scipy_sparse_unloaded():
     code = "import sys, waffleiron.cli; sys.exit('scipy.sparse' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(waffleiron.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_point_features_layouts():
-    positions = np.array([[3.0, 0.0, 4.0]])
-    f3 = point_features(positions, np.array([0.5]), "3dim")
-    np.testing.assert_allclose(f3, [[0.5, 4.0, 5.0]])
-    f5 = point_features(positions, np.array([0.5]), "5dim")
-    np.testing.assert_allclose(f5, [[0.5, 3.0, 0.0, 4.0, 5.0]])

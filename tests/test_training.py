@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from waffleiron.geometry import IGNORE_LABEL
+from waffleiron import backbone
+from waffleiron.augment import AugmentConfig, build_instance_bank
+from waffleiron.geometry import IGNORE_LABEL, PointCloud
 from waffleiron.nn import ParamStore
 from waffleiron.training import (
     AdamW,
@@ -15,6 +17,7 @@ from waffleiron.training import (
     lovasz_grad_from_sorted,
     lovasz_softmax,
     lr_at,
+    prepare_training_scene,
     segmentation_loss,
     softmax,
     train_loop,
@@ -328,3 +331,27 @@ class TestTrainLoop:
         assert len(scenes) == len(partners) == 6
         assert sorted(scenes) == [0, 0, 1, 1, 2, 2]
         assert all(p != s and 0 <= p < 3 for s, p in zip(scenes, partners))
+
+
+class TestPrepareTrainingScene:
+    def test_builds_the_input_features_once(self, monkeypatch):
+        # polarmix and cutmix add points and the scene motion moves them all; the features come after the last
+        built = []
+        build = backbone.point_features
+
+        def counting(positions, intensity, mode):
+            built.append(positions)
+            return build(positions, intensity, mode)
+
+        monkeypatch.setattr(backbone, "point_features", counting)
+        scene, fov = synthetic_zband_scene(n_points=64)
+        labels = scene.labels.copy()
+        labels[:16] = 8  # road for the pasted instances to land on
+        labels[16:24] = 5
+        scene = PointCloud(scene.positions, scene.intensity, labels)
+        bank = build_instance_bank([(scene, np.zeros(64, dtype=np.int32))], classes=(5,))
+        model = WaffleIron(overfit_harness_config(fov).model, np.random.default_rng(0))
+        augment = AugmentConfig(rotate=True, flip=True, scale=True, cutmix=True, polarmix=True)
+        (feats, *_), fixed = prepare_training_scene(scene, model, 96, np.random.default_rng(1), augment, bank, scene)
+        assert len(built) == 1 and built[0] is fixed.positions
+        np.testing.assert_array_equal(feats, build(fixed.positions, fixed.intensity, "5dim"))
