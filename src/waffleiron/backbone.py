@@ -152,12 +152,12 @@ class EmbeddingLayer:
         self.merge = PointwiseLinear(store, f"{name}.merge", width, width, rng)
         self._cache = None
 
-    def forward(self, feats, neighbors, valid, training):
+    def forward(self, feats, neighbors, training):
         neighbors = np.asarray(neighbors, dtype=np.int64)
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
         n, k = neighbors.shape
-        scale, shift = self.pre_bn.forward(feats, valid, training)
+        scale, shift = self.pre_bn.forward(feats, training)
         w1 = fold(self.local1.w.data, self.local1.b.data, feats.dtype, scale)[0]
         g = self.global_lin.forward(feats, training, (scale, shift))
         local = np.empty((n, self.half), dtype=feats.dtype)
@@ -239,8 +239,8 @@ class _TokenMixBranch:
         self.layerscale = store.register(f"{name}.layerscale.diag", np.full(width, LAYERSCALE_INIT, dtype=np.float32))
         self._cache = None
 
-    def forward(self, x, proj: ProjectionPair, valid, training, factor):
-        r = self.conv1.forward(proj.flatten(x, self.bn.forward(x, valid, training)), proj.d_from_o, training)
+    def forward(self, x, proj: ProjectionPair, training, factor):
+        r = self.conv1.forward(proj.flatten(x, self.bn.forward(x, training)), proj.d_from_o, training)
         np.maximum(r, 0, out=r)
         # r is also conv2's cached input; r > 0 is the ReLU mask
         self._cache = (proj, r) if training else None
@@ -262,10 +262,10 @@ class TokenMixLayer:
             _TokenMixBranch(store, f"{name}.plane_{a0}{a1}", width, rng) for a0, a1 in self.planes
         ]
 
-    def forward(self, x, projections, valid, training, factor=1.0):
+    def forward(self, x, projections, training, factor=1.0):
         total = None
         for axes, branch in zip(self.planes, self.branches):
-            out = branch.forward(x, projections[axes], valid, training, factor)
+            out = branch.forward(x, projections[axes], training, factor)
             total = out if total is None else np.add(total, out, out=total)
         return np.add(total, x, out=total)
 
@@ -287,8 +287,8 @@ class ChannelMixLayer:
         self.layerscale = store.register(f"{name}.layerscale.diag", np.full(width, LAYERSCALE_INIT, dtype=np.float32))
         self._relu_out = None
 
-    def forward(self, x, valid, training, factor=1.0):
-        r = self.lin1.forward(x, training, self.bn.forward(x, valid, training))
+    def forward(self, x, training, factor=1.0):
+        r = self.lin1.forward(x, training, self.bn.forward(x, training))
         np.maximum(r, 0, out=r)
         # r is also lin2's cached input; r > 0 is the ReLU mask
         self._relu_out = r if training else None
@@ -326,8 +326,8 @@ class WaffleIron:
 
     # -- plumbing -------------------------------------------------------------
 
-    def build_projections(self, positions: np.ndarray, valid: np.ndarray) -> dict[tuple[int, int], ProjectionPair]:
-        return {axes: build_projection(positions, spec, valid) for axes, spec in self._planes.items()}
+    def build_projections(self, positions: np.ndarray) -> dict[tuple[int, int], ProjectionPair]:
+        return {axes: build_projection(positions, spec) for axes, spec in self._planes.items()}
 
     # -- forward / backward ----------------------------------------------------
 
@@ -341,7 +341,9 @@ class WaffleIron:
         training: bool = False,
         drop_rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Run the network on N x C features of one cloud, returning K x N logits.
+        """Run the network on the M x C features of a cloud's real rows, returning K x N logits.
+
+        ``valid`` flags the cloud's N rows (:func:`prepare_inputs`); padding rows get zero logits.
 
         Two modes over one data path, in which every batch norm's map and
         layerscale folds into the adjacent weights. A training forward maps
@@ -360,6 +362,9 @@ class WaffleIron:
             raise ValueError(
                 f"expected {self.config.in_channels} input channels, got {feats.shape[1]}"
             )
+        n_real = int(np.count_nonzero(valid))
+        if feats.shape[0] != n_real:
+            raise ValueError(f"expected {n_real} feature rows, one per valid point, got {feats.shape[0]}")
         p = self.config.drop_prob
         if training and p > 0.0 and drop_rng is None:
             raise ValueError("drop_prob > 0 requires drop_rng in training mode")
@@ -367,22 +372,31 @@ class WaffleIron:
         factor = 1.0 / (1.0 - p) if dropping else 1.0
 
         kept = []
-        x = self.embedding.forward(feats, neighbors, valid, training)
+        x = self.embedding.forward(feats, neighbors, training)
         for token, channel in self.layers:
             if not (dropping and drop_rng.random() < p):
-                x = token.forward(x, projections, valid, training, factor)
+                x = token.forward(x, projections, training, factor)
                 kept.append(token)
             if not (dropping and drop_rng.random() < p):
-                x = channel.forward(x, valid, training, factor)
+                x = channel.forward(x, training, factor)
                 kept.append(channel)
-        self._kept = kept if training else None
-        return self.classifier.forward(x, training).T
+        logits = self.classifier.forward(x, training).T
+        real = None if n_real == valid.size else np.flatnonzero(valid)
+        self._kept = (kept, real) if training else None
+        if real is None:
+            return logits
+        padded = np.zeros((logits.shape[0], valid.size), dtype=logits.dtype)
+        padded[:, real] = logits
+        return padded
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``."""
         if self._kept is None:
             raise RuntimeError("backward needs a training forward")
-        kept, self._kept = self._kept, None
+        (kept, real), self._kept = self._kept, None
+        if real is not None:
+            # the real columns, gathered C-contiguous: the classifier sums them as for an unpadded cloud
+            dlogits = dlogits.take(real, axis=1)
         dx = self.classifier.backward(dlogits.T)
         for layer in reversed(kept):
             dx = layer.backward(dx)
@@ -395,8 +409,11 @@ def param_count(config: WaffleIronConfig) -> int:
 
 
 def prepare_inputs(model: WaffleIron, pc: PointCloud):
-    """Input features, neighbor lists and projections for a cropped cloud, ready for forward."""
+    """Input features, neighbor lists and projections of a cropped cloud's real rows, and its ``valid``, for forward."""
+    valid = pc.valid
+    if not valid.all():
+        pc = pc.select(np.flatnonzero(valid))
     feats = point_features(pc.positions, pc.intensity, model.config.input_feature_mode)
     neighbors = knn(pc, model.config.k_neighbors)
-    projections = model.build_projections(pc.positions, pc.valid)
-    return feats, neighbors, projections, pc.valid
+    projections = model.build_projections(pc.positions)
+    return feats, neighbors, projections, valid

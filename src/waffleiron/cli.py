@@ -78,12 +78,21 @@ def _resolve_class_map(rc: dataio.RunConfig, config_dir: Path):
     return dataio.load_class_map(path)
 
 
+def _check_out_dir(path: Path) -> None:
+    """Raise unless ``path`` is a directory or can be made one, before any expensive work."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output directory {path} cannot be made: {existing} is not a directory")
+
+
 def _cmd_train(args) -> int:
     config_path = Path(args.config)
     rc = dataio.load_run_config(config_path, _overrides(args))
     if args.seed is not None:
         rc.train.seed = args.seed
     rc.class_map_ids = _resolve_class_map(rc, config_path.parent)
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     data_dir = Path(args.data)
     if (data_dir / "train").is_dir():
         data_dir = data_dir / "train"
@@ -98,7 +107,6 @@ def _cmd_train(args) -> int:
         # one scan at a time: the bank keeps only the instances it extracts
         scans = (dataset.load_with_instances(i) for i in range(len(dataset)))
         bank = build_instance_bank(scans, CUTMIX_CLASSES)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, _, history = train_loop(dataset, rc, bank=bank, out_dir=str(out_dir), scan_names=dataset.names())
     for stats in history:
@@ -108,9 +116,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise FileNotFoundError(f"output directory {out_dir} does not exist")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise IsADirectoryError(f"output file {out} is a directory")
     model, _, rc = dataio.checkpoint_load(args.ckpt)
     pc = dataio.read_scan(args.scan, rc.scan_format)
     pred = segment_scan(pc, model, rc.voxel_size, tta=args.tta, rng=np.random.default_rng(args.seed))
@@ -120,6 +130,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.out:
+        _check_out_dir(Path(args.out))
     model, _, rc = dataio.checkpoint_load(args.ckpt)
     class_map = rc.class_map_ids
     if class_map is None:  # written before checkpoints embedded the map

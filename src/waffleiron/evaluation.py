@@ -72,10 +72,7 @@ def infer_probs(model: WaffleIron, pc: PointCloud, drop_rng=None) -> np.ndarray:
     inside, outside = crop_fov(pc, model.config.fov)
     if inside.n_valid == 0:
         raise ValueError("no points inside the FOV")
-    feats, neighbors, projections, valid = prepare_inputs(model, inside)
-    logits = model.forward(
-        feats, neighbors, projections, valid, training=False, drop_rng=drop_rng
-    )
+    logits = model.forward(*prepare_inputs(model, inside), training=False, drop_rng=drop_rng)
     kept = np.ones(pc.n_points, dtype=bool)
     kept[outside] = False
     return softmax(logits)[:, _source_rows(pc.positions, kept, inside.positions)]

@@ -126,11 +126,11 @@ class PointwiseLinear:
 
 
 class BatchNorm:
-    """Per-channel batch normalization over the valid point rows, returned as a map that its consumer folds.
+    """Per-channel batch normalization over the point rows, returned as a map that its consumer folds.
 
     ``forward`` returns the float64 ``(scale, shift)`` with ``scale * x + shift`` the normalized input,
     ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean * scale``. Eval: ``mean, var`` are the running
-    statistics. Training: the batch mean and biased variance of the valid rows, rounded to ``x``'s dtype; they go
+    statistics. Training: the batch mean and biased variance of the rows, rounded to ``x``'s dtype; they go
     into the running statistics with momentum, and the layer keeps ``x`` and them for :meth:`backward`, which
     takes the normalized input's gradient and never forms ``xhat``: the input gradient is affine in ``(dy, x)``.
     """
@@ -142,23 +142,20 @@ class BatchNorm:
         self.running_var = store.register(f"{name}.running_var", np.ones(dim, dtype=np.float32), trainable=False)
         self._cache = None
 
-    def forward(self, x: np.ndarray, valid: Optional[np.ndarray] = None, training: bool = True):
+    def forward(self, x: np.ndarray, training: bool = True):
         if training:
-            count = x.shape[0] if valid is None else int(valid.sum())
+            count = x.shape[0]
             if count == 0:
-                raise ValueError("batchnorm needs at least one valid row in train mode")
-            # the valid rows: a view when every row is valid, else a gather
-            rows = slice(None) if count == x.shape[0] else valid
-            xv = x[rows]
+                raise ValueError("batchnorm needs at least one row in train mode")
             # statistics in float64, which numpy widens to in buffered chunks, so
             # no N x F float64 array is made; the sums of float32 inputs are then
             # (generically) exact, hence order-independent
-            mean64 = xv.sum(axis=0, dtype=np.float64) / count
-            var64 = np.maximum(np.einsum("ij,ij->j", xv, xv, dtype=np.float64) / count - mean64 * mean64, 0.0)
+            mean64 = x.sum(axis=0, dtype=np.float64) / count
+            var64 = np.maximum(np.einsum("ij,ij->j", x, x, dtype=np.float64) / count - mean64 * mean64, 0.0)
             self.running_mean.data[...] = (1 - BN_MOMENTUM) * self.running_mean.data + BN_MOMENTUM * mean64
             self.running_var.data[...] = (1 - BN_MOMENTUM) * self.running_var.data + BN_MOMENTUM * var64
             mean, var = mean64.astype(x.dtype), var64.astype(x.dtype)
-            self._cache = (x, mean, 1.0 / np.sqrt(var + BN_EPS), rows, count)
+            self._cache = (x, mean, 1.0 / np.sqrt(var + BN_EPS))
         else:
             self._cache = None
             mean, var = self.running_mean.data, self.running_var.data
@@ -166,11 +163,10 @@ class BatchNorm:
         return scale, self.beta.data - mean * scale
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x, mean, inv_std, rows, count), self._cache = self._cache, None
-        # dx = c1 dy + c2 x + c3 per channel on the valid rows (Ioffe & Szegedy
-        # 2015), with c1 = gamma inv_std and c2, c3 from sum(dy) and sum(dy x),
-        # all in float64; the other rows get c1 dy. The sums run over every row,
-        # as every row's output depends on the statistics of the valid ones.
+        (x, mean, inv_std), self._cache = self._cache, None
+        # dx = c1 dy + c2 x + c3 per channel (Ioffe & Szegedy 2015), with
+        # c1 = gamma inv_std and c2, c3 from sum(dy) and sum(dy x), all in float64
+        count = x.shape[0]
         sum_dy = dy.sum(axis=0, dtype=np.float64)
         mean, inv_std = mean.astype(np.float64), inv_std.astype(np.float64)
         sum_dy_xhat = (np.einsum("ij,ij->j", dy, x, dtype=np.float64) - mean * sum_dy) * inv_std
@@ -182,8 +178,7 @@ class BatchNorm:
         dx = np.multiply(dy, c1.astype(dy.dtype))
         tmp = np.multiply(x, c2.astype(x.dtype))
         tmp += c3.astype(x.dtype)
-        dx[rows] += tmp[rows]
-        return dx
+        return np.add(dx, tmp, out=dx)
 
 
 # Tap t = 3u + v of the 3x3 kernel reads the cell at offset (u - 1, v - 1).

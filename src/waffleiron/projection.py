@@ -8,7 +8,7 @@ are averaged per cell (flatten) or copied back from cells to points
 Layout: every array is a block of C-contiguous rows, one row of F channels
 per point or per cell. Point-side arrays are N x F. Grid-side arrays are
 (|O| + 1) x F: one row per occupied cell of ``occupied_cells`` (ascending)
-and a last row that is zero, which padding points and empty neighbours read.
+and a last row that is zero, which empty neighbours read.
 ``flatten`` and ``inflate_backward`` return such blocks and ``inflate`` and
 ``flatten_backward`` take them. Cell sums are the product of a CSR matrix of
 ones, one row per grid row listing its points in ascending index, with the
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,35 +82,23 @@ class PlaneSpec:
         return AXIS_NAMES[self.axes]
 
 
-def cell_indices(
-    points: np.ndarray, plane: PlaneSpec, valid: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened 2D cell index of every point on ``plane``, and the valid mask.
+def cell_indices(points: np.ndarray, plane: PlaneSpec) -> np.ndarray:
+    """Flattened 2D cell index of every point on ``plane``.
 
     ``cell_index[i] = q0 * W + q1`` with ``q = floor((p[axes] - origin) / rho)``.
-    Padding points are parked in cell 0 and flagged invalid. Raises if any
-    valid point quantizes outside the grid; callers must crop to the FOV
-    first.
+    Raises if any point quantizes outside the grid; callers must crop to the
+    FOV first.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be N x 3")
-    n = pts.shape[0]
-    if valid is None:
-        valid = np.ones(n, dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool).reshape(-1)
-        if valid.shape[0] != n:
-            raise ValueError("valid mask must align with points")
     origin = np.array(plane.origin, dtype=np.float64)
     quant = np.floor((pts[:, plane.axes] - origin) / plane.resolution).astype(np.int64)
     dims = np.array(plane.grid_shape, dtype=np.int64)
-    bad = valid & np.any((quant < 0) | (quant >= dims), axis=1)
+    bad = np.any((quant < 0) | (quant >= dims), axis=1)
     if bad.any():
         raise ValueError(f"point outside grid (first offender: row {int(np.flatnonzero(bad)[0])})")
-    index = quant[:, 0] * plane.grid_shape[1] + quant[:, 1]
-    index[~valid] = 0
-    return index, valid
+    return quant[:, 0] * plane.grid_shape[1] + quant[:, 1]
 
 
 class ProjectionPair:
@@ -123,24 +110,18 @@ class ProjectionPair:
     (module docstring).
     """
 
-    def __init__(self, plane: PlaneSpec, cell_index: np.ndarray, valid: np.ndarray):
+    def __init__(self, plane: PlaneSpec, cell_index: np.ndarray):
         self.plane = plane
         self.cell_index = cell_index
-        self.valid = valid
-        self.counts = np.bincount(self.cell_index[self.valid], minlength=self.plane.n_cells).astype(np.int64)
+        self.counts = np.bincount(self.cell_index, minlength=self.plane.n_cells).astype(np.int64)
         self.occupied_cells = np.flatnonzero(self.counts)
-        valid_rows = np.flatnonzero(self.valid)
-        valid_slots = (np.cumsum(self.counts > 0) - 1)[self.cell_index[valid_rows]]
-        # the row of every point (padding points: the zero row) and the count
-        # of every row (the zero row: 1)
-        self._point_slots = np.full(self.n_points, self.n_occupied, dtype=np.intp)
-        self._point_slots[valid_rows] = valid_slots
+        # the row of every point, and the count of every row (the zero row: 1)
+        self._point_slots = (np.cumsum(self.counts > 0) - 1)[self.cell_index]
         self._row_counts = np.append(self.counts[self.occupied_cells], 1)
         from scipy.sparse import csr_array  # a slow import, so only on first projection
 
-        self._sum_rows = csr_array(
-            (np.ones(valid_rows.size), (valid_slots, valid_rows)), shape=(self.n_occupied + 1, self.n_points)
-        )
+        n = self.n_points
+        self._sum_rows = csr_array((np.ones(n), (self._point_slots, np.arange(n))), shape=(self.n_occupied + 1, n))
         self._build_taps()
 
     def _build_taps(self):
@@ -177,7 +158,7 @@ class ProjectionPair:
     # -- mean flatten -------------------------------------------------------
 
     def flatten(self, features: np.ndarray, affine=None) -> np.ndarray:
-        """Per-cell mean of the valid point rows, (|O| + 1) x F; ``affine = (a, s)`` maps occupied means to a m + s."""
+        """Per-cell mean of the point rows, (|O| + 1) x F; ``affine = (a, s)`` maps occupied means to a m + s."""
         means = self._cell_sums(features) / self._row_counts[:, None]
         if affine is not None:
             means[:-1] = affine[0] * means[:-1] + affine[1]
@@ -191,7 +172,7 @@ class ProjectionPair:
     # -- inflate ------------------------------------------------------------
 
     def inflate(self, rows: np.ndarray) -> np.ndarray:
-        """Copy each cell's row to all its points, N x F; padding points read the zero row."""
+        """Copy each cell's row to all its points, N x F."""
         check_rows(rows, n=self.n_occupied)
         return np.take(rows, self._point_slots, axis=0)
 
@@ -205,7 +186,7 @@ class ProjectionPair:
     # ------------------------------------------------------------------------
 
     def _cell_sums(self, arr: np.ndarray) -> np.ndarray:
-        """Float64 sums of the valid rows of N x F ``arr``, one row per cell of ``occupied_cells``, then the zero row.
+        """Float64 sums of the rows of N x F ``arr``, one row per cell of ``occupied_cells``, then the zero row.
 
         Each cell starts from 0.0 and adds its points in ascending point
         index, so the sums equal a sequential scatter-add bit for bit. The
@@ -231,12 +212,8 @@ class ProjectionPair:
         return arr
 
 
-def build_projection(
-    positions: np.ndarray,
-    plane: PlaneSpec,
-    valid: Optional[np.ndarray] = None,
-) -> ProjectionPair:
-    return ProjectionPair(plane, *cell_indices(positions, plane, valid))
+def build_projection(positions: np.ndarray, plane: PlaneSpec) -> ProjectionPair:
+    return ProjectionPair(plane, cell_indices(positions, plane))
 
 
 def plane_schedule(layer: int, strategy: str) -> tuple[tuple[int, int], ...]:

@@ -2,16 +2,16 @@
 
 Each oracle is written independently of the runtime path it checks:
 
-* the CSR flatten/inflate kernel, built from the public ``cell_index``,
-  ``valid`` and ``occupied_cells`` of a :class:`ProjectionPair` only. The
+* the CSR flatten/inflate kernel, built from the public ``cell_index``
+  and ``occupied_cells`` of a :class:`ProjectionPair` only. The
   runtime cell sums are a CSR product as well, so the bitwise reference for
   them is the ``np.add.at`` scatter-add oracle of ``test_projection.py``
   (``TestScatterAddOracle``), which shares no code or technique with them;
 * the central finite-difference gradient checker;
 * ReLU and its backward as new arrays;
-* the batch-norm statistics through a float64 copy of the valid rows, and
-  the batch-norm backward with its boolean-mask correction, as the layer
-  computed them before its statistics and its backward went to a few passes;
+* the batch-norm statistics through a float64 copy of the rows, and the
+  batch-norm backward through ``xhat``, as the layer computed them before
+  its statistics and its backward went to a few passes;
 * the neighborhood max over point rows and its backward;
 * the two-array ``np.where`` tie-break that ``slot_max`` replaced;
 * the embedding with its local branch as one (N*k)-row MLP, and its backward;
@@ -50,10 +50,10 @@ from waffleiron.training import TrainConfig, _counted_mask, segmentation_loss, t
 
 
 def csr_matrices(proj: ProjectionPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Inflate matrix S (N x |O|, one 1 per valid point) and S^T, columns in ``occupied_cells`` order."""
+    """Inflate matrix S (N x |O|, one 1 per point) and S^T, columns in ``occupied_cells`` order."""
     slot = np.empty(proj.plane.n_cells, dtype=np.int64)
     slot[proj.occupied_cells] = np.arange(proj.n_occupied)
-    rows = np.flatnonzero(proj.valid)
+    rows = np.arange(proj.n_points)
     data = np.ones(rows.size, dtype=np.float64)
     s = sp.coo_matrix((data, (rows, slot[proj.cell_index[rows]])), shape=(proj.n_points, proj.n_occupied)).tocsr()
     s.sort_indices()
@@ -147,16 +147,14 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0)
 
 
-def bn_backward_masked(bn: BatchNorm, dy: np.ndarray, cache=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bn_backward_xhat(bn: BatchNorm, dy: np.ndarray, cache=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``BatchNorm.backward`` as first written, from ``cache`` or else from ``bn``'s training forward, which it leaves.
 
-    The cache is ``(x, mean, inv_std, valid, count)``, where ``valid`` may
-    also be the slice that a training forward keeps when every row is valid.
-
-    Every intermediate is a new array and the correction is subtracted
-    through a boolean gather. Returns (dx, gamma gradient, beta gradient).
+    The cache is ``(x, mean, inv_std)``. Every intermediate, ``xhat``
+    first, is a new array. Returns (dx, gamma gradient, beta gradient).
     """
-    x, mean, inv_std, valid, count = bn._cache if cache is None else cache
+    x, mean, inv_std = bn._cache if cache is None else cache
+    count = x.shape[0]
     xhat = (x - mean) * inv_std
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
@@ -165,7 +163,7 @@ def bn_backward_masked(bn: BatchNorm, dy: np.ndarray, cache=None) -> tuple[np.nd
     sum_dxhat_xhat = (dxhat * xhat).sum(axis=0)
     dx = dxhat * inv_std
     corr = (sum_dxhat + xhat * sum_dxhat_xhat) * inv_std / count
-    dx[valid] -= corr[valid]
+    dx -= corr
     return dx, dgamma, dbeta
 
 
@@ -294,20 +292,20 @@ def unfused_eval(model: WaffleIron, feats, neighbors, projections, drop_rng=None
 # -- unfused training -----------------------------------------------------------------------
 
 
-def bn_statistics_widened(x: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 batch mean and biased variance of the valid rows, through an N x F float64 copy and its square."""
-    xv = x[valid].astype(np.float64)
+def bn_statistics_widened(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 batch mean and biased variance of the rows, through an N x F float64 copy and its square."""
+    xv = x.astype(np.float64)
     mean64 = xv.mean(axis=0)
     return mean64, np.maximum((xv * xv).mean(axis=0) - mean64 * mean64, 0.0)
 
 
-def bn_train(bn: BatchNorm, x: np.ndarray, valid: np.ndarray):
-    """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the cache ``bn_backward_masked`` reads."""
-    mean64, var = bn_statistics_widened(x, valid)
+def bn_train(bn: BatchNorm, x: np.ndarray):
+    """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the cache ``bn_backward_xhat`` reads."""
+    mean64, var = bn_statistics_widened(x)
     mean = mean64.astype(x.dtype)
     inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + BN_EPS)
     xhat = (x - mean) * inv_std
-    return xhat * bn.gamma.data + bn.beta.data, (x, mean, inv_std, valid, int(valid.sum()))
+    return xhat * bn.gamma.data + bn.beta.data, (x, mean, inv_std)
 
 
 def conv_rows(conv, x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -327,7 +325,7 @@ def conv_rows_backward(conv, x: np.ndarray, fwd_taps: np.ndarray, bwd_taps: np.n
     return tap_sum_unblocked(dy, bwd_taps, range(8, -1, -1), kern), dk, rows.sum(axis=0)
 
 
-def token_train(layer: TokenMixLayer, x, projections, valid, factor, add):
+def token_train(layer: TokenMixLayer, x, projections, factor, add):
     """``x + factor * sum over planes of layerscale(inflate(conv2(relu(conv1(flatten(BN(x)))))))`` and its backward.
 
     The backward maps dy to dx and hands each parameter gradient to ``add(tensor, gradient)``.
@@ -335,7 +333,7 @@ def token_train(layer: TokenMixLayer, x, projections, valid, factor, add):
     total, saved = 0.0, []
     for axes, br in zip(layer.planes, layer.branches):
         proj = projections[axes]
-        z, cache = bn_train(br.bn, x, valid)
+        z, cache = bn_train(br.bn, x)
         rows = proj.flatten(z)
         c1 = conv_rows(br.conv1, rows, proj.d_from_o)
         pts = proj.inflate(conv_rows(br.conv2, relu(c1), proj.o_from_d))
@@ -349,7 +347,7 @@ def token_train(layer: TokenMixLayer, x, projections, valid, factor, add):
             dc2 = proj.inflate_backward(br.layerscale.data * dres)
             dr, dk2, db2 = conv_rows_backward(br.conv2, relu(c1), proj.o_from_d, proj.d_from_o, dc2)
             drows, dk1, db1 = conv_rows_backward(br.conv1, rows, proj.d_from_o, proj.o_from_d, relu_backward(dr, c1))
-            dxb, dgamma, dbeta = bn_backward_masked(br.bn, proj.flatten_backward(drows), cache)
+            dxb, dgamma, dbeta = bn_backward_xhat(br.bn, proj.flatten_backward(drows), cache)
             for tensor, grad in ((br.conv2.k, dk2), (br.conv2.b, db2), (br.conv1.k, dk1), (br.conv1.b, db1),
                                  (br.bn.gamma, dgamma), (br.bn.beta, dbeta)):
                 add(tensor, grad)
@@ -359,10 +357,10 @@ def token_train(layer: TokenMixLayer, x, projections, valid, factor, add):
     return x + factor * total, backward
 
 
-def channel_train(layer: ChannelMixLayer, x, valid, factor, add):
+def channel_train(layer: ChannelMixLayer, x, factor, add):
     """``x + factor * layerscale(lin2(relu(lin1(BN(x)))))`` and its backward, as :func:`token_train`."""
     (w1, b1), (w2, b2) = ((lin.w.data, lin.b.data) for lin in (layer.lin1, layer.lin2))
-    z, cache = bn_train(layer.bn, x, valid)
+    z, cache = bn_train(layer.bn, x)
     a1 = z @ w1.T + b1
     a2 = relu(a1) @ w2.T + b2
 
@@ -370,7 +368,7 @@ def channel_train(layer: ChannelMixLayer, x, valid, factor, add):
         dres = factor * dy
         da2 = layer.layerscale.data * dres
         da1 = relu_backward(da2 @ w2, a1)
-        dxb, dgamma, dbeta = bn_backward_masked(layer.bn, da1 @ w1, cache)
+        dxb, dgamma, dbeta = bn_backward_xhat(layer.bn, da1 @ w1, cache)
         for tensor, grad in ((layer.layerscale, (dres * a2).sum(axis=0)),
                              (layer.lin2.w, da2.T @ relu(a1)), (layer.lin2.b, da2.sum(axis=0)),
                              (layer.lin1.w, da1.T @ z), (layer.lin1.b, da1.sum(axis=0)),
@@ -400,18 +398,20 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, la
     dropping = drop_rng is not None and p > 0.0
     factor = 1.0 / (1.0 - p) if dropping else 1.0
     emb = model.embedding
-    hb, emb_cache = bn_train(emb.pre_bn, feats, valid)
+    hb, emb_cache = bn_train(emb.pre_bn, feats)
     x = embedding_oneshot(emb, hb, neighbors)
     backwards = []
     for token, channel in model.layers:
         if not (dropping and drop_rng.random() < p):
-            x, backward = token_train(token, x, projections, valid, factor, add)
+            x, backward = token_train(token, x, projections, factor, add)
             backwards.append(backward)
         if not (dropping and drop_rng.random() < p):
-            x, backward = channel_train(channel, x, valid, factor, add)
+            x, backward = channel_train(channel, x, factor, add)
             backwards.append(backward)
     cls = model.classifier
-    loss, dlogits, _ = segmentation_loss((x @ cls.w.data.T + cls.b.data).T, labels, valid)
+    # the features cover the real rows only, so the loss scores their labels
+    real = np.asarray(valid, dtype=bool)
+    loss, dlogits, _ = segmentation_loss((x @ cls.w.data.T + cls.b.data).T, labels[real], real[real])
     dy = dlogits.T
     add(cls.w, dy.T @ x)
     add(cls.b, dy.sum(axis=0))
@@ -423,7 +423,7 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, la
     for name, (dw, db) in emb_grads.items():
         add(lins[name].w, dw)
         add(lins[name].b, db)
-    _, dgamma, dbeta = bn_backward_masked(emb.pre_bn, dhb, emb_cache)
+    _, dgamma, dbeta = bn_backward_xhat(emb.pre_bn, dhb, emb_cache)
     add(emb.pre_bn.gamma, dgamma)
     add(emb.pre_bn.beta, dbeta)
     return loss, {name: grads.get(id(t), np.zeros(t.shape)) for name, t in model.store.trainable_items()}

@@ -266,7 +266,7 @@ def test_criterion_07_oracle_equivalence():
         pts = rng.uniform(0, 7.999, size=(120, 3))
         proj = build_projection(pts, plane)
         feats = rng.standard_normal((120, 6)).astype(np.float32)
-        want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.plane.n_cells)
+        want = flatten_oracle(feats, proj.cell_index, proj.plane.n_cells)
         np.testing.assert_allclose(scatter_rows(proj, proj.flatten(feats)), want, rtol=1e-6, atol=1e-7)
 
     report(7, "knn, label propagation, voxel grid, depthwise conv, flatten match oracles (10 seeds each)")

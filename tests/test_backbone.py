@@ -104,8 +104,7 @@ class TestEmbedding:
         n = 12
         feats = np.tile(np.array([0.3, 1.0, -1.0, 0.5, 2.0], dtype=np.float32), (n, 1))
         nbr = np.random.default_rng(1).integers(0, n, size=(n, 3))
-        valid = np.ones(n, dtype=bool)
-        tokens = emb.forward(feats, nbr, valid, training=False)
+        tokens = emb.forward(feats, nbr, training=False)
         assert tokens.shape == (n, 8)
         assert np.abs(tokens - tokens[:1]).max() == 0
         # the local branch reduces to the MLP at zero
@@ -121,7 +120,7 @@ class TestEmbedding:
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((40, 5)).astype(np.float32)
         nbr = rng.integers(0, 40, size=(40, 6))
-        out = emb.forward(feats, nbr, np.ones(40, dtype=bool), training=True)
+        out = emb.forward(feats, nbr, training=True)
         assert out.shape == (40, 16)
 
     def test_permutation_equivariance(self):
@@ -131,17 +130,16 @@ class TestEmbedding:
         n = 30
         feats = rng.standard_normal((n, 5)).astype(np.float32)
         nbr = rng.integers(0, n, size=(n, 4))
-        valid = np.ones(n, dtype=bool)
         perm = rng.permutation(n)
         inv = np.argsort(perm)
         nbr_p = inv[nbr[perm]]
         # eval statistics make the map exactly equivariant; train-mode batch
         # statistics agree only up to accumulation rounding
-        base = emb.forward(feats, nbr, valid, training=False)
-        out = emb.forward(feats[perm], nbr_p, valid, training=False)
+        base = emb.forward(feats, nbr, training=False)
+        out = emb.forward(feats[perm], nbr_p, training=False)
         np.testing.assert_array_equal(out, base[perm])
-        base_t = emb.forward(feats, nbr, valid, training=True)
-        out_t = emb.forward(feats[perm], nbr_p, valid, training=True)
+        base_t = emb.forward(feats, nbr, training=True)
+        out_t = emb.forward(feats[perm], nbr_p, training=True)
         np.testing.assert_allclose(out_t, base_t[perm], atol=1e-5)
 
     @pytest.mark.parametrize("k, dtype", [(16, np.uint8), (256, np.uint8), (257, np.uint16)])
@@ -149,7 +147,7 @@ class TestEmbedding:
         emb = EmbeddingLayer(ParamStore(), "embed", 5, 8, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((20, 5)).astype(np.float32)
-        emb.forward(feats, rng.integers(0, 20, size=(20, k)), np.ones(20, dtype=bool), training=True)
+        emb.forward(feats, rng.integers(0, 20, size=(20, k)), training=True)
         tables = [a for _, a in held(emb) if a.shape == (20, 4) and a.dtype.kind in "iu"]
         assert [a.dtype for a in tables] == [dtype]
 
@@ -165,10 +163,9 @@ class TestEmbedding:
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((25, 5)).astype(np.float32)
         nbr = rng.integers(0, 25, size=(25, 3))
-        valid = np.ones(25, dtype=bool)
-        a = emb.forward(feats, nbr, valid, training=True)
+        a = emb.forward(feats, nbr, training=True)
         assert held_arrays(emb) != []
-        b = emb.forward(feats, nbr, valid, training=False)
+        b = emb.forward(feats, nbr, training=False)
         assert held_arrays(emb) == []
         assert a.tobytes() == b.tobytes()
         np.testing.assert_allclose(a, embedding_eval(emb, feats, nbr), atol=FOLD_TOL)
@@ -192,22 +189,22 @@ class TestEmbeddingBlocks:
         # no point lists itself, as in a kNN list: a zero difference puts
         # local1 exactly on the ReLU kink while its bias is zero
         nbr = (np.arange(self.N)[:, None] + rng.integers(1, self.N, size=(self.N, self.K))) % self.N
-        return store, emb, feats, nbr, np.ones(self.N, dtype=bool)
+        return store, emb, feats, nbr
 
     def test_eval_matches_oneshot_bit_for_bit(self, monkeypatch):
         # the folded eval in blocks of 7 equals it in one block bit for bit,
         # and the unfused one-shot oracle within FOLD_TOL
         for seed in range(3):
-            store, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed)
+            store, emb, feats, nbr = self._layer_and_inputs(monkeypatch, seed)
             perturb_eval_state(store, np.random.default_rng(seed + 3))
-            blocked = emb.forward(feats, nbr, valid, training=False)
+            blocked = emb.forward(feats, nbr, training=False)
             monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.N)
-            np.testing.assert_array_equal(emb.forward(feats, nbr, valid, training=False), blocked)
+            np.testing.assert_array_equal(emb.forward(feats, nbr, training=False), blocked)
             np.testing.assert_allclose(blocked, embedding_eval(emb, feats, nbr), atol=FOLD_TOL)
 
     def test_training_gradients_match_oneshot(self, monkeypatch):
         for seed in range(3):
-            store, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed, np.float64)
+            store, emb, feats, nbr = self._layer_and_inputs(monkeypatch, seed, np.float64)
             seen = {}
             bn_forward, bn_backward = emb.pre_bn.forward, emb.pre_bn.backward
 
@@ -223,9 +220,9 @@ class TestEmbeddingBlocks:
             monkeypatch.setattr(emb.pre_bn, "forward", forward)
             monkeypatch.setattr(emb.pre_bn, "backward", backward)
             monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.N)
-            oneblock = emb.forward(feats, nbr, valid, training=True)
+            oneblock = emb.forward(feats, nbr, training=True)
             monkeypatch.setattr(backbone, "_LOCAL_BLOCK", 7)
-            tokens = emb.forward(feats, nbr, valid, training=True)
+            tokens = emb.forward(feats, nbr, training=True)
             np.testing.assert_array_equal(tokens, oneblock)
             dy = np.random.default_rng(seed + 2).standard_normal(tokens.shape)
             emb.backward(dy)
@@ -242,12 +239,12 @@ class TestEmbeddingBlocks:
         # seed 2 is left out: one local1 pre-activation lies 1e-5 from the
         # ReLU kink, inside the finite-difference step
         for seed in (0, 1, 3):
-            store, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, seed)
+            store, emb, feats, nbr = self._layer_and_inputs(monkeypatch, seed)
             x = store.register("x", feats)
             r = np.random.default_rng(seed + 2).standard_normal((self.N, self.WIDTH))
 
             def loss_fn(want):
-                y = emb.forward(x.data, nbr, valid, training=True)
+                y = emb.forward(x.data, nbr, training=True)
                 if want:
                     x.grad += emb.backward(r)
                 return float((y * r).sum())
@@ -257,12 +254,12 @@ class TestEmbeddingBlocks:
 
     def test_keeps_no_pair_rows(self, monkeypatch):
         # the k rows per point of the local MLP live only inside a block
-        _, emb, feats, nbr, valid = self._layer_and_inputs(monkeypatch, 0)
-        emb.forward(feats, nbr, valid, training=True)
+        _, emb, feats, nbr = self._layer_and_inputs(monkeypatch, 0)
+        emb.forward(feats, nbr, training=True)
         kept = held(emb, "emb")
         assert kept != []
         assert all(a.shape[0] <= self.N for _, a in kept), [(p, a.shape) for p, a in kept]
-        emb.forward(feats, nbr, valid, training=False)
+        emb.forward(feats, nbr, training=False)
         assert held_arrays(emb) == []
 
 
@@ -274,14 +271,14 @@ class TestTokenMix:
         rng = np.random.default_rng(seed + 1)
         pc = random_cloud(rng, n, fov)
         model_like = WaffleIron(cfg, np.random.default_rng(0))
-        projections = model_like.build_projections(pc.positions, pc.valid)
+        projections = model_like.build_projections(pc.positions)
         x = rng.standard_normal((n, width)).astype(np.float32)
-        return layer, x, projections, pc.valid
+        return layer, x, projections
 
     def test_zero_layerscale_is_identity(self, small_fov):
-        layer, x, proj, valid = self._layer_and_inputs(small_fov)
+        layer, x, proj = self._layer_and_inputs(small_fov)
         layer.branches[0].layerscale.data[...] = 0.0
-        out = layer.forward(x, proj, valid, training=False)
+        out = layer.forward(x, proj, training=False)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_ffn_passes_normalized_tokens(self, small_fov):
@@ -297,16 +294,16 @@ class TestTokenMix:
         br.layerscale.data[...] = 1.0
         model_like = WaffleIron(cfg, np.random.default_rng(0))
         pos = np.array([[1.3, 2.1, 0.5]], dtype=np.float32)
-        projections = model_like.build_projections(pos, np.ones(1, dtype=bool))
+        projections = model_like.build_projections(pos)
         # positive tokens so the FFN's hidden ReLU is transparent
         x = np.abs(np.random.default_rng(2).standard_normal((1, 4))).astype(np.float32)
-        out = layer.forward(x, projections, np.ones(1, dtype=bool), training=False)
+        out = layer.forward(x, projections, training=False)
         want = x + bn_eval(br.bn, x)
         np.testing.assert_allclose(out, want, atol=1e-6)
 
     def test_branch_holds_relu_output_once(self, small_fov):
-        layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=4)
-        layer.forward(x, projections, valid, training=True)
+        layer, x, projections = self._layer_and_inputs(small_fov, seed=4)
+        layer.forward(x, projections, training=True)
         br = layer.branches[0]
         mask_source = br._cache[1]
         assert mask_source is br.conv2._cache[0]
@@ -315,8 +312,8 @@ class TestTokenMix:
     def test_training_branch_holds_only_its_input_per_point(self, small_fov):
         # BN's map folds into the flatten and the layerscale into conv2, so
         # the input, which BN keeps and the flatten reads, is the only N x F array
-        layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=4)
-        layer.forward(x, projections, valid, training=True)
+        layer, x, projections = self._layer_and_inputs(small_fov, seed=4)
+        layer.forward(x, projections, training=True)
         br = layer.branches[0]
         proj = projections[(0, 1)]
         assert x.shape[0] not in (proj.n_occupied + 1, proj.dilated_cells.size + 1)
@@ -326,8 +323,8 @@ class TestTokenMix:
     def test_matches_naive_recomposition_bitwise(self, small_fov):
         # the unfused oracle on the rows of O and D equals the dense grid bit
         # for bit; the folded eval matches it within FOLD_TOL
-        layer, x, projections, valid = self._layer_and_inputs(small_fov, seed=3)
-        out = layer.forward(x, projections, valid, training=False)
+        layer, x, projections = self._layer_and_inputs(small_fov, seed=3)
+        out = layer.forward(x, projections, training=False)
         br = layer.branches[0]
         pts, _ = dense_branch(br, projections[(0, 1)], bn_eval(br.bn, x))
         want = x + br.layerscale.data * pts
@@ -374,24 +371,23 @@ def dense_branch(br, proj, xb, affine=None, out_scale=1.0):
     return out, backward
 
 
-def dense_token_layer(layer, x, projections, valid, dy, training):
-    """``TokenMixLayer`` forward with every branch on the dense grid, and in training its backward.
+def dense_token_layer(layer, x, projections, dy):
+    """``TokenMixLayer`` training forward with every branch on the dense grid, and its backward.
 
     Each branch's own ``BatchNorm`` gives the map that the flatten applies
     to ``x``, and the layerscale scales conv2's kernel and bias, as
-    the layer folds them; in training the gradient of the rows goes through
-    that ``BatchNorm``'s backward.
+    the layer folds them; the gradient of the rows goes through that
+    ``BatchNorm``'s backward.
     """
     total, dx, drows, grads = None, dy.copy(), [], []
     for axes, br in zip(layer.planes, layer.branches):
-        out, backward = dense_branch(br, projections[axes], x, br.bn.forward(x, valid, training),
+        out, backward = dense_branch(br, projections[axes], x, br.bn.forward(x, True),
                                      br.layerscale.data.astype(np.float64))
         total = out if total is None else total + out
-        if training:
-            dxb, rows, g = backward(dy)
-            dx += br.bn.backward(dxb)
-            drows.append(rows)
-            grads.append(g)
+        dxb, rows, g = backward(dy)
+        dx += br.bn.backward(dxb)
+        drows.append(rows)
+        grads.append(g)
     return x + total, dx, drows, grads
 
 
@@ -423,22 +419,17 @@ class TestActiveCellBranch:
     """Token mixing on the rows of O and D equals the dense zero-padded grid conv bit for bit."""
 
     def scenes(self, kitti_fov):
-        """(name, fov, rho, positions, valid) of each case; every case runs all three planes."""
+        """(name, fov, rho, positions) of each case; every case runs all three planes."""
         rng = np.random.default_rng(40)
         fov = box_fov((5.0, 6.0, 4.0))
         corners = np.array([[a, b, c] for a in (0.1, 4.9) for b in (0.1, 5.9) for c in (0.1, 3.9)])
         edges = (corners[:, None, :] + corners[None, :, :]).reshape(-1, 3) / 2
-        pts = np.concatenate([corners, edges, rng.uniform(0.2, 3.8, (6, 3))])
-        valid = np.ones(len(pts), dtype=bool)
-        valid[-2:] = False
-        yield "edges and corners", fov, 1.0, pts, valid
-        yield "lone interior cell", fov, 1.0, np.array([[2.5, 3.5, 1.5]]), np.ones(1, dtype=bool)
-        yield "lone corner cell", fov, 1.0, np.array([[4.9, 0.1, 3.9]]), np.ones(1, dtype=bool)
-        pts = lidar_like_cloud(rng)
-        yield "lidar-like", kitti_fov, 0.4, pts, np.ones(len(pts), dtype=bool)
-        yield "all padding", fov, 1.0, rng.uniform(0, 3.9, (7, 3)), np.zeros(7, dtype=bool)
+        yield "edges and corners", fov, 1.0, np.concatenate([corners, edges, rng.uniform(0.2, 3.8, (4, 3))])
+        yield "lone interior cell", fov, 1.0, np.array([[2.5, 3.5, 1.5]])
+        yield "lone corner cell", fov, 1.0, np.array([[4.9, 0.1, 3.9]])
+        yield "lidar-like", kitti_fov, 0.4, lidar_like_cloud(rng)
 
-    def run_case(self, fov, rho, pts, valid, dtype, seed):
+    def run_case(self, fov, rho, pts, dtype, seed):
         width = 4
         store = ParamStore()
         planes = ((0, 1), (0, 2), (1, 2))
@@ -451,52 +442,37 @@ class TestActiveCellBranch:
             br.bn.running_mean.data[...] = 0.3 * rng.standard_normal(width)
         if dtype == np.float64:
             promote_to_float64(store)
-        projections = {axes: build_projection(pts, PlaneSpec.from_fov(axes, fov, rho), valid) for axes in planes}
+        projections = {axes: build_projection(pts, PlaneSpec.from_fov(axes, fov, rho)) for axes in planes}
         x = rng.standard_normal((len(pts), width)).astype(dtype)
         dy = rng.standard_normal((len(pts), width)).astype(dtype)
-        # batch statistics need a valid row: an all-padding cloud has only the eval forward
-        training = bool(valid.any())
-        want_y, want_dx, want_rows, want_grads = dense_token_layer(layer, x, projections, valid, dy, training)
+        want_y, want_dx, want_rows, want_grads = dense_token_layer(layer, x, projections, dy)
         seen = []
         for proj in projections.values():
             proj.flatten_backward = lambda drows, f=proj.flatten_backward: seen.append(drows) or f(drows)
         store.zero_grad()
-        y = layer.forward(x, projections, valid, training)
+        y = layer.forward(x, projections, True)
         assert bitwise_equal(y, want_y)
-        if training:
-            assert bitwise_equal(layer.backward(dy), want_dx)
-            assert len(seen) == len(want_rows) == len(planes)
+        assert bitwise_equal(layer.backward(dy), want_dx)
+        assert len(seen) == len(want_rows) == len(planes)
         for rows, want in zip(seen, want_rows):
             assert rows.dtype == dtype and bitwise_equal(rows, want)
         return layer, want_grads, projections
 
     def test_forward_and_grid_gradient_bitwise_float32(self, kitti_fov):
-        for i, (_, fov, rho, pts, valid) in enumerate(self.scenes(kitti_fov)):
-            self.run_case(fov, rho, pts, valid, np.float32, seed=50 + i)
+        for i, (_, fov, rho, pts) in enumerate(self.scenes(kitti_fov)):
+            self.run_case(fov, rho, pts, np.float32, seed=50 + i)
 
     def test_float64_parameter_gradients(self, kitti_fov):
         shares = {}
-        for i, (name, fov, rho, pts, valid) in enumerate(self.scenes(kitti_fov)):
-            layer, want_grads, projections = self.run_case(fov, rho, pts, valid, np.float64, seed=60 + i)
+        for i, (name, fov, rho, pts) in enumerate(self.scenes(kitti_fov)):
+            layer, want_grads, projections = self.run_case(fov, rho, pts, np.float64, seed=60 + i)
             for br, (dk1, db1, dk2, db2) in zip(layer.branches, want_grads):
                 for got, want in ((br.conv1.k.grad, dk1), (br.conv1.b.grad, db1), (br.conv2.k.grad, dk2), (br.conv2.b.grad, db2)):
                     assert got.dtype == np.float64
                     np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
             shares[name] = projections[(0, 1)].dilated_cells.size / projections[(0, 1)].plane.n_cells
-        # the LiDAR-like xy grid is sparse, the all-padding one has no rows at all
-        assert 0 < shares["lidar-like"] < 0.1 and shares["all padding"] == 0
-
-    def test_all_padding_cloud_eval_forward(self, small_fov):
-        cfg = tiny_config(small_fov, depth=3, width=8, strategy="parallel")
-        model = WaffleIron(cfg, np.random.default_rng(41))
-        pc = build_scene(small_fov, n=20, seed=42)
-        valid = np.zeros(20, dtype=bool)
-        projections = model.build_projections(pc.positions, valid)
-        assert all(p.n_occupied == 0 for p in projections.values())
-        nbr = np.zeros((20, cfg.k_neighbors), dtype=np.int64)
-        feats = backbone.point_features(pc.positions, pc.intensity, cfg.input_feature_mode)
-        logits = model.forward(feats, nbr, projections, valid, training=False)
-        assert logits.shape == (3, 20) and np.isfinite(logits).all()
+        # the LiDAR-like xy grid is sparse
+        assert 0 < shares["lidar-like"] < 0.1
 
 
 class TestChannelMix:
@@ -505,7 +481,7 @@ class TestChannelMix:
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(0))
         layer.layerscale.data[...] = 0.0
         x = np.random.default_rng(1).standard_normal((9, 6)).astype(np.float32)
-        out = layer.forward(x, None, training=False)
+        out = layer.forward(x, training=False)
         np.testing.assert_array_equal(out, x)
 
     def test_two_channel_hand_computation(self):
@@ -517,7 +493,7 @@ class TestChannelMix:
         layer.lin2.b.data[...] = [0.1, -0.1]
         layer.layerscale.data[...] = 0.5
         x = np.array([[0.3, -0.4]], dtype=np.float32)
-        out = layer.forward(x, None, training=False)
+        out = layer.forward(x, training=False)
         # hand computation: xb = x / sqrt(1 + 1e-5); relu zeroes the second
         # channel; mlp = [2 * xb0 + 0.1, -0.1]; out = x + 0.5 * mlp
         s = 1.0000049999875
@@ -529,7 +505,7 @@ class TestChannelMix:
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal((9, 6)).astype(np.float32)
-        layer.forward(x, None, training=True)
+        layer.forward(x, training=True)
         rows = list({id(a): a for _, a in held(layer) if a.shape == x.shape}.values())
         # the input, which BN and lin1 keep, and the ReLU output (lin2's input and the mask)
         assert len(rows) == 2
@@ -542,10 +518,10 @@ class TestChannelMix:
         layer = ChannelMixLayer(store, "cm", 4, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 4)).astype(np.float32)
-        base = layer.forward(x, None, training=False)
+        base = layer.forward(x, training=False)
         x2 = x.copy()
         x2[4] += 1.0
-        out = layer.forward(x2, None, training=False)
+        out = layer.forward(x2, training=False)
         changed = np.flatnonzero(np.any(out != base, axis=1))
         assert changed.tolist() == [4]
 
@@ -581,7 +557,7 @@ class TestForward:
         pc = build_scene(small_fov, n=40, seed=7)
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         logits = model.forward(feats, nbr, proj, valid, training=False)
-        tokens = model.embedding.forward(feats, nbr, valid, training=False)
+        tokens = model.embedding.forward(feats, nbr, training=False)
         want = model.classifier.forward(tokens).T
         np.testing.assert_array_equal(logits, want)
 
@@ -752,19 +728,15 @@ class TestNoArgumentWrites:
         rng = np.random.default_rng(80)
         store = ParamStore()
         pc = build_scene(fov, n=self.N, seed=81)
-        valid = np.ones(self.N, dtype=bool)
-        valid[-5:] = False
-        projections = {
-            axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, fov, 0.8), valid) for axes in self.PLANES
-        }
+        projections = {axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, fov, 0.8)) for axes in self.PLANES}
         neighbors = (np.arange(self.N)[:, None] + np.arange(1, self.K + 1)) % self.N
         x = rng.standard_normal((self.N, self.WIDTH)).astype(dtype)
         proj = projections[(0, 1)]
         feats = backbone.point_features(pc.positions, pc.intensity, "5dim")
-        yield EmbeddingLayer(store, "embed", 5, self.WIDTH, rng), (feats.astype(dtype), neighbors, valid), {}, ()
-        yield TokenMixLayer(store, "tm", self.PLANES, self.WIDTH, rng), (x, projections, valid), {"factor": 1.25}, ()
-        yield ChannelMixLayer(store, "cm", self.WIDTH, rng), (x, valid), {"factor": 1.25}, ()
-        yield BatchNorm(store, "bn", self.WIDTH), (x, valid), {}, ()
+        yield EmbeddingLayer(store, "embed", 5, self.WIDTH, rng), (feats.astype(dtype), neighbors), {}, ()
+        yield TokenMixLayer(store, "tm", self.PLANES, self.WIDTH, rng), (x, projections), {"factor": 1.25}, ()
+        yield ChannelMixLayer(store, "cm", self.WIDTH, rng), (x,), {"factor": 1.25}, ()
+        yield BatchNorm(store, "bn", self.WIDTH), (x,), {}, ()
         # the fold's inputs: a batch norm's map and a layerscale with a factor
         scale = store.register("scale", rng.uniform(0.5, 1.5, 4).astype(np.float32))
         affine = {"affine": (rng.uniform(0.5, 1.5, self.WIDTH), rng.standard_normal(self.WIDTH)),
@@ -799,30 +771,28 @@ class TestResidualBackward:
     def inputs(self, fov):
         rng = np.random.default_rng(90)
         pc = build_scene(fov, n=self.N, seed=91)
-        valid = np.ones(self.N, dtype=bool)
-        valid[-4:] = False
         x = rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
-        return pc, valid, x, rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
+        return pc, x, rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
 
     def test_channel_mix(self, small_fov):
-        _, valid, x, dy = self.inputs(small_fov)
+        _, x, dy = self.inputs(small_fov)
         layer = ChannelMixLayer(ParamStore(), "cm", self.WIDTH, np.random.default_rng(92))
-        layer.forward(x, valid, training=True, factor=self.FACTOR)
+        layer.forward(x, training=True, factor=self.FACTOR)
         dx = layer.backward(dy)
-        layer.forward(x, valid, training=True, factor=self.FACTOR)
+        layer.forward(x, training=True, factor=self.FACTOR)
         # the factor and layerscale are folded into lin2, which takes dy as it is
         dr = layer.lin2.backward(dy)
         branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, layer._relu_out)))
         assert dx.dtype == np.float32 and bitwise_equal(dx, dy + branch)
 
     def test_token_mix_three_planes(self, small_fov):
-        pc, valid, x, dy = self.inputs(small_fov)
+        pc, x, dy = self.inputs(small_fov)
         planes = ((0, 1), (0, 2), (1, 2))
-        projections = {axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, small_fov, 0.8), valid) for axes in planes}
+        projections = {axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, small_fov, 0.8)) for axes in planes}
         layer = TokenMixLayer(ParamStore(), "tm", planes, self.WIDTH, np.random.default_rng(93))
-        layer.forward(x, projections, valid, training=True, factor=self.FACTOR)
+        layer.forward(x, projections, training=True, factor=self.FACTOR)
         dx = layer.backward(dy)
-        layer.forward(x, projections, valid, training=True, factor=self.FACTOR)
+        layer.forward(x, projections, training=True, factor=self.FACTOR)
         # the factor and layerscale are folded into conv2, so each branch takes dy as it is
         grads = [br.backward(dy) for br in layer.branches]
         assert {g.dtype for g in grads} == {np.dtype(np.float32)}
@@ -1074,6 +1044,9 @@ class TestFoldedEval:
         assert held_arrays(model) == []
         for got, want in ((plain, unfused_eval(model, feats, nbr, proj)),
                           (tta, unfused_eval(model, feats, nbr, proj, drop_rng=np.random.default_rng(7)))):
+            # the oracle runs the real rows; padding rows get zero logits
+            assert not got[:, ~valid].any()
+            got = got[:, valid]
             assert np.abs(want).max() > 1.0
             np.testing.assert_allclose(got, want, rtol=0, atol=FOLD_TOL)
             assert np.array_equal(got.argmax(axis=0), want.argmax(axis=0))
@@ -1186,7 +1159,7 @@ class TestBuildProjections:
         cfg = tiny_config(small_fov, depth=depth, strategy=strategy)
         model = WaffleIron(cfg, np.random.default_rng(24))
         pc = build_scene(small_fov, n=20, seed=25)
-        projections = model.build_projections(pc.positions, pc.valid)
+        projections = model.build_projections(pc.positions)
         want = tuple(dict.fromkeys(axes for token, _ in model.layers for axes in token.planes))
         assert tuple(projections) == want
         if depth == 48:
@@ -1205,7 +1178,7 @@ class TestPaddedTraining:
         loss, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
         model.backward(dlogits)
         stats = {name: t.data for name, t in model.store.items() if "running" in name}
-        return loss, logits[:, valid], stats, dict(model.store.trainable_items())
+        return loss, logits, stats, dict(model.store.trainable_items())
 
     @pytest.mark.parametrize("drop", [0.0, 0.5])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1219,8 +1192,26 @@ class TestPaddedTraining:
         loss, logits, stats, params = self.step(model, pc, dtype)
         padded_loss, padded_logits, padded_stats, padded_params = self.step(twin, padded, dtype)
         assert padded_loss == loss
-        assert padded_logits.tobytes() == logits.tobytes()
+        assert padded_logits.shape == (3, 130) and not padded_logits[:, 90:].any()
+        assert padded_logits[:, :90].tobytes() == logits.tobytes()
         assert all(padded_stats[name].tobytes() == stats[name].tobytes() for name in stats)
-        tol = dict(rtol=1e-12, atol=0) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-7)
         for name, t in params.items():
-            np.testing.assert_allclose(padded_params[name].grad, t.grad, err_msg=name, **tol)
+            assert padded_params[name].grad.tobytes() == t.grad.tobytes(), name
+
+    def test_inputs_cover_the_real_rows_only(self, small_fov):
+        model = perturbed_model(small_fov, "parallel", np.float32, 0.0)
+        pc = build_scene(small_fov, n=90, seed=103)
+        padded = sample_fixed(pc, 130, np.random.default_rng(0))
+        feats, nbr, proj, valid = prepare_inputs(model, padded)
+        assert valid is padded.valid and valid.sum() == 90
+        assert feats.shape == (90, 5) and nbr.shape == (90, 4) and nbr.max() < 90
+        assert all(p.n_points == 90 and p.counts.sum() == 90 for p in proj.values())
+        want = prepare_inputs(model, pc)
+        assert feats.tobytes() == want[0].tobytes() and nbr.tobytes() == want[1].tobytes()
+
+    def test_forward_needs_one_feature_row_per_valid_point(self, small_fov):
+        model = perturbed_model(small_fov, "baseline", np.float32, 0.0)
+        padded = sample_fixed(build_scene(small_fov, n=40, seed=104), 50, np.random.default_rng(0))
+        feats, nbr, proj, valid = prepare_inputs(model, padded)
+        with pytest.raises(ValueError, match="expected 50 feature rows, one per valid point, got 40"):
+            model.forward(feats, nbr, proj, np.ones(50, dtype=bool))

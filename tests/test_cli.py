@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waffleiron import cli, dataio
+from waffleiron import cli, dataio, training
 from waffleiron.backbone import param_count
 from waffleiron.cli import main
 from waffleiron.evaluation import ConfusionMatrix, MetricsReport, iou, segment_scan
@@ -182,6 +182,59 @@ class TestCutmixBank:
                      "--out", str(tmp_path / "out")]) == 0
         assert seen == [3] and alive == []
 
+    def test_unusable_out_dir_fails_before_the_bank(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("epochs 2", "epochs 1") + "aug_cutmix true\n")
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=1)
+        banked = []
+        monkeypatch.setattr(cli, "build_instance_bank", lambda *args, **kwargs: banked.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out"
+        assert main(["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == 1
+        assert f"error: output directory {out} cannot be made: {taken} is not a directory" in capsys.readouterr().err
+        assert banked == []
+
+
+class TestPaddedPipeline:
+    """``train`` on the pipeline's config pads every scene, and how far it pads changes nothing."""
+
+    def test_padding_size_changes_nothing(self, tmp_path, monkeypatch, capsys):
+        from test_reach import CLASS_MAP, PIPELINE_KEYS  # imported here: test_reach imports this module
+
+        (tmp_path / "tiny.map").write_text(CLASS_MAP)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG.replace("classes 3\n", "") + PIPELINE_KEYS)
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=3)
+        sampled = []
+
+        def recording(*args, _sample=training.sample_fixed):
+            out = _sample(*args)
+            sampled.append((out.n_points, out.n_valid))
+            return out
+
+        monkeypatch.setattr(training, "sample_fixed", recording)
+        runs = {}
+        for n in (512, 1024):
+            out = tmp_path / f"out_{n}"
+            assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(out),
+                         "--set", f"n_points={n}"]) == 0
+            model, optimizer, rc = dataio.checkpoint_load(out / "ckpt_final.wfli")
+            assert rc.train.n_points == n
+            tensors = [t.data.tobytes() for _, t in model.store.items()]
+            moments = [a.tobytes() for state in (optimizer.m, optimizer.v) for a in state.values()]
+            # every column but the wall seconds
+            log = [line.split("\t")[:4] for line in (out / "train.log").read_text().splitlines()]
+            runs[n] = tensors, moments, log
+        assert len(sampled) == 12 and all(n_valid < n_points for n_points, n_valid in sampled)
+        assert runs[512] == runs[1024]
+        ckpt = str(tmp_path / "out_512" / "ckpt_final.wfli")
+        scan = str(tmp_path / "data" / "train" / "scan_0.bin")
+        assert main(["infer", "--ckpt", ckpt, "--scan", scan, "--out", str(tmp_path / "pred.label")]) == 0
+        assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "data"), "--split", "train",
+                     "--out", str(tmp_path / "metrics")]) == 0
+        assert "mIoU" in capsys.readouterr().out
+
 
 class TestNuScenesPipeline:
     """``train``, ``infer`` and ``eval`` on ``nuscenes5`` scans with the nuScenes config, shrunk to depth 3 width 8."""
@@ -282,6 +335,31 @@ class TestTrainInferEval:
         assert code == 1
         assert f"error: output directory {missing} does not exist" in capsys.readouterr().err
         assert segmented == [] and not missing.exists()
+
+    def test_infer_into_a_directory_fails_before_segmenting(self, trained_dir, monkeypatch, capsys):
+        segmented = []
+        monkeypatch.setattr(cli, "segment_scan", lambda *args, **kwargs: segmented.append(args))
+        out = trained_dir / "out"
+        code = main(
+            ["infer", "--ckpt", str(out / "ckpt_final.wfli"),
+             "--scan", str(trained_dir / "data" / "train" / "scan_0.bin"), "--out", str(out)]
+        )
+        assert code == 1
+        assert f"error: output file {out} is a directory" in capsys.readouterr().err
+        assert segmented == []
+
+    def test_eval_into_a_file_fails_before_evaluating(self, trained_dir, tmp_path, monkeypatch, capsys):
+        evaluated = []
+        monkeypatch.setattr(cli, "evaluate_split", lambda *args, **kwargs: evaluated.append(args))
+        out = tmp_path / "metrics"
+        out.write_text("")
+        code = main(
+            ["eval", "--ckpt", str(trained_dir / "out" / "ckpt_final.wfli"),
+             "--data", str(trained_dir / "data"), "--split", "train", "--out", str(out)]
+        )
+        assert code == 1
+        assert f"error: output directory {out} cannot be made: {out} is not a directory" in capsys.readouterr().err
+        assert evaluated == []
 
     def test_eval_reports_metrics(self, trained_dir, capsys):
         metrics_dir = trained_dir / "metrics"

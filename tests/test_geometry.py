@@ -205,20 +205,12 @@ class TestKnn:
             nbr = knn(pc, 5)
             np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, pc.valid, 5))
 
-    def test_padding_excluded_and_queried(self):
-        rng = np.random.default_rng(6)
-        positions = rng.uniform(-2, 2, size=(40, 3)).astype(np.float32)
-        valid = np.ones(40, dtype=bool)
-        valid[35:] = False
-        positions[35:] = 0.0
-        # padding also sits on a lattice site and among duplicates of the origin
-        tied = np.vstack([lattice(4), np.zeros((8, 3), dtype=np.float32)])
-        tied_valid = np.arange(len(tied)) < len(tied) - 3
-        for positions, valid in ((positions, valid), (tied, tied_valid)):
-            pc = cloud_from_positions(positions, valid=valid)
-            nbr = knn(pc, 4)
-            assert np.isin(nbr, np.flatnonzero(valid)).all()
-            np.testing.assert_array_equal(nbr, knn_oracle(positions, valid, 4))
+    def test_padded_cloud_raises(self):
+        # padding never reaches the network: prepare_inputs drops it before the search
+        pc = sample_fixed(cloud_from_positions(lattice(2)), 12, np.random.default_rng(6))
+        assert pc.n_valid == 8
+        with pytest.raises(ValueError, match="unpadded"):
+            knn(pc, 4)
 
     def test_fill_when_too_few_candidates(self):
         pc = cloud_from_positions([[0, 0, 0], [1, 0, 0]])
@@ -231,7 +223,7 @@ class TestKnn:
         assert knn(pc, 2).ravel().tolist() == [0, 0]
 
     def test_empty_cloud_raises(self):
-        pc = cloud_from_positions(np.zeros((3, 3)), valid=np.zeros(3, dtype=bool))
+        pc = cloud_from_positions(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty cloud"):
             knn(pc, 1)
 

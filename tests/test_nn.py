@@ -23,7 +23,7 @@ from waffleiron.nn import (
 )
 
 from oracles import (
-    bn_backward_masked,
+    bn_backward_xhat,
     bn_eval,
     bn_statistics_widened,
     grad_check,
@@ -49,9 +49,9 @@ def check_layer(build, seeds=SEEDS, eps=1e-3, threshold=1e-4):
     return worst
 
 
-def bn_apply(bn, x, valid=None, training=True):
+def bn_apply(bn, x, training=True):
     """The normalized ``x``: ``scale * x + shift`` with the map that ``bn.forward`` returns, composed here."""
-    scale, shift = bn.forward(x, valid, training)
+    scale, shift = bn.forward(x, training)
     return scale * x + shift
 
 
@@ -160,19 +160,6 @@ class TestBatchNorm:
         want += bn.beta.data
         np.testing.assert_allclose(y, want, atol=1e-6)
 
-    def test_normalizes_valid_columns_only(self):
-        rng = np.random.default_rng(2)
-        store = ParamStore()
-        bn = BatchNorm(store, "bn", 4)
-        x = rng.standard_normal((40, 4)).astype(np.float32)
-        valid = np.ones(40, dtype=bool)
-        valid[30:] = False
-        x[30:] = 100.0  # junk that must not leak into the statistics
-        y = bn_apply(bn, x, valid)
-        yv = y[valid].astype(np.float64)
-        assert np.abs(yv.mean(axis=0)).max() < 1e-5
-        assert np.abs(yv.var(axis=0) - 1.0).max() < 1e-4
-
     def test_running_stats_update(self):
         store = ParamStore()
         bn = BatchNorm(store, "bn", 1)
@@ -184,30 +171,28 @@ class TestBatchNorm:
         store = ParamStore()
         bn = BatchNorm(store, "bn", 2)
         with pytest.raises(ValueError):
-            bn.forward(np.zeros((4, 2), dtype=np.float32), valid=np.zeros(4, dtype=bool))
+            bn.forward(np.zeros((0, 2), dtype=np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_statistics_match_the_widened_formula_bitwise(self, dtype):
-        # mean, inv_std and both running statistics equal those of the float64 copy of the valid rows
+        # mean, inv_std and both running statistics equal those of the float64 copy of the rows
         cases = [(n, f) for n in (1, 7, 40, 513, 4096, 33000) for f in (5, 64, 256, 384) if n * f <= 33000 * 64]
         for n, f in cases:
-            for n_padding in (0, 3) if n > 3 else (0,):
-                rng = np.random.default_rng(n + f)
-                x = rng.standard_normal((n, f)) * rng.uniform(0.1, 10, f) + rng.uniform(-5, 5, f)
-                x = x.astype(dtype)
-                valid = np.arange(n) < n - n_padding
-                bn = BatchNorm(ParamStore(), "bn", f)
-                bn.forward(x, valid if n_padding else None)
-                mean64, var64 = bn_statistics_widened(x, valid)
-                want = BatchNorm(ParamStore(), "want", f)
-                want.running_mean.data[...] = (1 - BN_MOMENTUM) * want.running_mean.data + BN_MOMENTUM * mean64
-                want.running_var.data[...] = (1 - BN_MOMENTUM) * want.running_var.data + BN_MOMENTUM * var64
-                inv_std = 1.0 / np.sqrt(var64.astype(dtype) + BN_EPS)
-                case = (n, f, n_padding)
-                assert bn._cache[1].tobytes() == mean64.astype(dtype).tobytes(), case
-                assert bn._cache[2].tobytes() == inv_std.tobytes(), case
-                assert bn.running_mean.data.tobytes() == want.running_mean.data.tobytes(), case
-                assert bn.running_var.data.tobytes() == want.running_var.data.tobytes(), case
+            rng = np.random.default_rng(n + f)
+            x = rng.standard_normal((n, f)) * rng.uniform(0.1, 10, f) + rng.uniform(-5, 5, f)
+            x = x.astype(dtype)
+            bn = BatchNorm(ParamStore(), "bn", f)
+            bn.forward(x)
+            mean64, var64 = bn_statistics_widened(x)
+            want = BatchNorm(ParamStore(), "want", f)
+            want.running_mean.data[...] = (1 - BN_MOMENTUM) * want.running_mean.data + BN_MOMENTUM * mean64
+            want.running_var.data[...] = (1 - BN_MOMENTUM) * want.running_var.data + BN_MOMENTUM * var64
+            inv_std = 1.0 / np.sqrt(var64.astype(dtype) + BN_EPS)
+            case = (n, f)
+            assert bn._cache[1].tobytes() == mean64.astype(dtype).tobytes(), case
+            assert bn._cache[2].tobytes() == inv_std.tobytes(), case
+            assert bn.running_mean.data.tobytes() == want.running_mean.data.tobytes(), case
+            assert bn.running_var.data.tobytes() == want.running_var.data.tobytes(), case
 
     # dy has the forward input's dtype; a float64 input may meet float32 parameters, not the reverse
     @pytest.mark.parametrize(
@@ -215,9 +200,8 @@ class TestBatchNorm:
         [(np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float64)],
         ids=["float32", "float64-input", "float64"],
     )
-    @pytest.mark.parametrize("n_padding", [0, 7])
-    def test_backward_matches_masked_formula(self, param_dtype, dtype, n_padding):
-        # the affine form rounds differently, so within a few ulps; rows outside valid get gamma * inv_std * dy
+    def test_backward_matches_the_xhat_formula(self, param_dtype, dtype):
+        # the affine form rounds differently, so within a few ulps
         rng = np.random.default_rng(8)
         store = ParamStore()
         bn = BatchNorm(store, "bn", 5)
@@ -225,10 +209,9 @@ class TestBatchNorm:
         bn.gamma.grad = np.zeros_like(bn.gamma.data)
         bn.beta.grad = np.zeros_like(bn.gamma.data)
         x = rng.standard_normal((40, 5)).astype(dtype)
-        valid = np.arange(40) < 40 - n_padding
         dy = rng.standard_normal((40, 5)).astype(dtype)
-        bn.forward(x, valid=valid)
-        want_dx, want_dgamma, want_dbeta = bn_backward_masked(bn, dy)
+        bn.forward(x)
+        want_dx, want_dgamma, want_dbeta = bn_backward_xhat(bn, dy)
         dx = bn.backward(dy)
         def tol(dt):
             return dict(rtol=1e-5, atol=1e-6) if dt == np.float32 else dict(rtol=1e-12, atol=1e-13)
@@ -240,11 +223,11 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.beta.grad, want_dbeta, **tol(param_dtype))
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_backward_is_as_accurate_as_the_masked_formula(self, seed):
+    def test_backward_is_as_accurate_as_the_xhat_formula(self, seed):
         # against a float64 reference from the same float32 batch statistics, the
-        # affine backward's dx is within twice the masked formula's error and
+        # affine backward's dx is within twice the xhat formula's error and
         # 2 float32 ulps, and its float64 sums make gamma's and beta's gradients
-        # no less accurate than the masked formula's float32 sums
+        # no less accurate than the xhat formula's float32 sums
         n, f = 20000, 256
         rng = np.random.default_rng(seed)
         x = (rng.standard_normal((n, f)) * rng.uniform(0.1, 10, f) + rng.uniform(-5, 5, f)).astype(np.float32)
@@ -253,7 +236,7 @@ class TestBatchNorm:
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, f)
         bn.forward(x)
         cache = bn._cache
-        old = bn_backward_masked(bn, dy)
+        old = bn_backward_xhat(bn, dy)
         new = (bn.backward(dy), bn.gamma.grad, bn.beta.grad)
         mean, inv_std = cache[1].astype(np.float64), cache[2].astype(np.float64)
         xhat = x - mean
@@ -304,13 +287,10 @@ class TestBatchNorm:
             bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
             bn.beta.data[...] = rng.standard_normal(3)
             x = store.register("x", rng.standard_normal((12, 3)).astype(np.float32))
-            valid = np.ones(12, dtype=bool)
-            valid[9:] = False
             r = rng.standard_normal((12, 3))
-            r[9:] = 0.0  # padding rows never receive loss gradient
 
             def loss_fn(want_grad):
-                y = bn_apply(bn, x.data, valid)
+                y = bn_apply(bn, x.data)
                 if want_grad:
                     x.grad += bn.backward(r)
                 return float((y * r).sum())

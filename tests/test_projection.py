@@ -20,15 +20,14 @@ def kitti_plane(kitti_fov):
     return PlaneSpec.from_fov((0, 1), kitti_fov, 0.40)
 
 
-def flatten_oracle(features, cells, valid, m):
+def flatten_oracle(features, cells, m):
     """Accumulate-and-divide reference of N x F point rows, M x F, float64."""
     f = features.shape[1]
     acc = np.zeros((m, f), dtype=np.float64)
     cnt = np.zeros(m, dtype=np.int64)
     for i in range(features.shape[0]):
-        if valid[i]:
-            acc[cells[i]] += features[i].astype(np.float64)
-            cnt[cells[i]] += 1
+        acc[cells[i]] += features[i].astype(np.float64)
+        cnt[cells[i]] += 1
     out = np.zeros((m, f), dtype=np.float64)
     occ = cnt > 0
     out[occ] = acc[occ] / cnt[occ, None]
@@ -48,26 +47,26 @@ class TestPlaneSpec:
 
 class TestCellIndices:
     def test_fov_corner_is_cell_zero(self, kitti_plane):
-        index, _ = cell_indices(np.array([[-50.0, -50.0, 0.0]]), kitti_plane)
+        index = cell_indices(np.array([[-50.0, -50.0, 0.0]]), kitti_plane)
         assert index.tolist() == [0]
 
     def test_second_row_third_column(self, kitti_plane):
         # interior point of cell q = (1, 2): index 1 * 250 + 2
-        index, _ = cell_indices(np.array([[-49.5, -49.0, 0.0]]), kitti_plane)
+        index = cell_indices(np.array([[-49.5, -49.0, 0.0]]), kitti_plane)
         assert index.tolist() == [252]
 
     def test_half_open_cell_boundaries(self, kitti_fov):
         # rho = 0.5 makes cell edges exactly representable: a point sitting on
         # an edge belongs to the upper cell
         plane = PlaneSpec.from_fov((0, 1), kitti_fov, 0.5)
-        index, _ = cell_indices(np.array([[-49.5, -49.0, 0.0]]), plane)
+        index = cell_indices(np.array([[-49.5, -49.0, 0.0]]), plane)
         q0, q1 = divmod(index[0], plane.grid_shape[1])
         assert (q0, q1) == (1, 2)
 
     def test_matches_floor_oracle(self, kitti_plane, kitti_fov):
         rng = np.random.default_rng(0)
         pts = rng.uniform(kitti_fov.min, kitti_fov.max - 1e-3, size=(500, 3))
-        index, _ = cell_indices(pts, kitti_plane)
+        index = cell_indices(pts, kitti_plane)
         w = kitti_plane.grid_shape[1]
         for i, p in enumerate(pts):
             q0 = int(np.floor((p[0] - (-50.0)) / 0.40))
@@ -78,32 +77,21 @@ class TestCellIndices:
         with pytest.raises(ValueError, match="outside grid"):
             cell_indices(np.array([[55.0, 0.0, 0.0]]), kitti_plane)
 
-    def test_padding_parked_in_cell_zero(self, kitti_plane):
-        pts = np.array([[55.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        index, valid = cell_indices(pts, kitti_plane, valid=np.array([False, True]))
-        assert index[0] == 0
-        assert not valid[0]
 
-
-def small_projection(rng, n=64, f=8, cells=(4, 4), n_invalid=0):
+def small_projection(rng, n=64, f=8, cells=(4, 4)):
     fov = Fov(np.array([0.0, 0.0, 0.0]), np.array([4.0, 4.0, 4.0]))
     plane = PlaneSpec.from_fov((0, 1), fov, 1.0)
     assert plane.grid_shape == cells
     pts = rng.uniform(0, 3.999, size=(n, 3))
-    valid = np.ones(n, dtype=bool)
-    if n_invalid:
-        valid[-n_invalid:] = False
-        pts[-n_invalid:] = 0.0
-    proj = build_projection(pts, plane, valid)
+    proj = build_projection(pts, plane)
     feats = rng.standard_normal((n, f)).astype(np.float32)
     return proj, feats
 
 
 def add_at_flatten_sum(proj, features):
     """Per-cell float64 sums, M x F, by sequential scatter-add, as the gather kernel was first written."""
-    rows = np.flatnonzero(proj.valid)
     acc = np.zeros((proj.plane.n_cells, features.shape[1]), dtype=np.float64)
-    np.add.at(acc, proj.cell_index[rows], features[rows].astype(np.float64))
+    np.add.at(acc, proj.cell_index, features.astype(np.float64))
     return acc
 
 
@@ -134,16 +122,14 @@ def bitwise_equal(a, b):
     return same and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def crowded_projection(rng, n=1500, f=3, n_invalid=0):
+def crowded_projection(rng, n=1500, f=3):
     """More than 1000 points in a handful of cells of a 4 x 4 grid."""
     fov = Fov(np.zeros(3), np.ones(3) * 4)
     plane = PlaneSpec.from_fov((0, 1), fov, 1.0)
     centers = np.array([[0.5, 0.5], [2.5, 1.5], [3.5, 3.5]])
     pts = np.zeros((n, 3))
     pts[:, :2] = centers[rng.integers(0, 3, n)] + rng.uniform(-0.4, 0.4, (n, 2))
-    valid = np.ones(n, dtype=bool)
-    valid[rng.permutation(n)[:n_invalid]] = False
-    return build_projection(pts, plane, valid), rng.standard_normal((n, f))
+    return build_projection(pts, plane), rng.standard_normal((n, f))
 
 
 class TestScatterAddOracle:
@@ -155,15 +141,15 @@ class TestScatterAddOracle:
             yield small_projection(rng, n=int(rng.integers(20, 200)), f=16)
         yield small_projection(rng, n=1, f=3)
         yield crowded_projection(rng)
-        yield crowded_projection(rng, n_invalid=400)
-        yield small_projection(rng, n=40, f=6, n_invalid=9)
-        yield small_projection(rng, n=12, f=5, n_invalid=12)
+        yield crowded_projection(rng, n=1100)
+        yield small_projection(rng, n=31, f=6)
+        yield small_projection(rng, n=0, f=5)
 
     def test_flatten_flatten_sum_and_inflate_backward(self):
         crowded = empty = 0
         for proj, feats in self.cases():
             crowded += proj.counts.max() > 300
-            empty += not proj.valid.any()
+            empty += proj.n_points == 0
             for dtype in (np.float32, np.float64):
                 x = feats.astype(dtype)
                 x[::7] = -0.0
@@ -184,7 +170,7 @@ class TestScatterAddOracle:
 def test_cell_sums_in_column_blocks(monkeypatch):
     monkeypatch.setattr(projection, "_SUM_BLOCK", 5)
     rng = np.random.default_rng(15)
-    for proj, feats in (small_projection(rng, n=90, f=16, n_invalid=7), crowded_projection(rng, f=11)):
+    for proj, feats in (small_projection(rng, n=83, f=16), crowded_projection(rng, f=11)):
         for dtype in (np.float32, np.float64):
             x = feats.astype(dtype)
             assert bitwise_equal(scatter_rows(proj, proj.flatten(x)), add_at_flatten(proj, x))
@@ -216,7 +202,7 @@ class TestFlattenInflate:
         rng = np.random.default_rng(1)
         proj, feats = small_projection(rng, n=64, f=8)
         got = scatter_rows(proj, proj.flatten(feats))
-        want = flatten_oracle(feats, proj.cell_index, proj.valid, proj.plane.n_cells)
+        want = flatten_oracle(feats, proj.cell_index, proj.plane.n_cells)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
     def test_inflate_one_hot(self):
@@ -226,20 +212,17 @@ class TestFlattenInflate:
         grid = np.zeros((proj.plane.n_cells, 4), dtype=np.float32)
         grid[j] = [1, 2, 3, 4]
         out = proj.inflate(occupied_rows(proj, grid))
-        members = (proj.cell_index == j) & proj.valid
+        members = proj.cell_index == j
         np.testing.assert_array_equal(out[members], np.tile([1, 2, 3, 4], (members.sum(), 1)))
 
     def test_inflate_matches_lookup_oracle_bitwise(self):
         rng = np.random.default_rng(3)
-        proj, _ = small_projection(rng, n=40, f=6, n_invalid=5)
+        proj, _ = small_projection(rng, n=35, f=6)
         grid = rng.standard_normal((proj.plane.n_cells, 6)).astype(np.float32)
         out = proj.inflate(occupied_rows(proj, grid))
         assert out.flags.c_contiguous
         for i in range(proj.n_points):
-            if proj.valid[i]:
-                assert (out[i] == grid[proj.cell_index[i]]).all()
-            else:
-                assert (out[i] == 0).all()
+            assert (out[i] == grid[proj.cell_index[i]]).all()
 
     def test_flatten_of_inflate_is_identity_on_occupied_cells(self):
         rng = np.random.default_rng(4)
@@ -264,30 +247,29 @@ class TestFlattenInflate:
 
     def test_rows_follow_ascending_occupied_cells(self):
         rng = np.random.default_rng(8)
-        proj, feats = small_projection(rng, n=120, f=4, n_invalid=10)
+        proj, feats = small_projection(rng, n=110, f=4)
         cells = proj.occupied_cells
         assert (np.diff(cells) > 0).all()
         assert np.array_equal(cells, np.flatnonzero(proj.counts))
         rows = proj.flatten(feats.astype(np.float64))
         for r, cell in enumerate(cells):
-            members = proj.valid & (proj.cell_index == cell)
+            members = proj.cell_index == cell
             np.testing.assert_allclose(rows[r], feats[members].mean(axis=0, dtype=np.float64), rtol=1e-12)
         assert not rows[-1].any()
 
     def test_flatten_backward_divides_each_point_by_its_count(self):
         rng = np.random.default_rng(9)
-        proj, _ = small_projection(rng, n=60, f=5, n_invalid=6)
+        proj, _ = small_projection(rng, n=54, f=5)
         for dtype in (np.float32, np.float64):
             grid = rng.standard_normal((proj.plane.n_cells, 5)).astype(dtype)
-            count = np.maximum(proj.counts[proj.cell_index], 1)
+            count = proj.counts[proj.cell_index]
             want = (grid[proj.cell_index] / count[:, None]).astype(dtype)
-            want[~proj.valid] = 0
             assert bitwise_equal(proj.flatten_backward(occupied_rows(proj, grid)), want)
 
-    def test_every_valid_point_in_exactly_one_cell(self):
+    def test_every_point_in_exactly_one_cell(self):
         rng = np.random.default_rng(6)
-        proj, _ = small_projection(rng, n=64, f=2, n_invalid=8)
-        assert proj.counts.sum() == proj.valid.sum()
+        proj, _ = small_projection(rng, n=56, f=2)
+        assert proj.counts.sum() == proj.n_points
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(7)
@@ -314,15 +296,13 @@ def neighbour_oracle(proj, cell, t):
     return i * w + j if 0 <= i < h and 0 <= j < w else None
 
 
-def edge_projection(cells, shape=(5, 6), points_per_cell=2, n_invalid=0):
-    """Points in the given (row, column) cells of a rho-1 grid, plus padding rows."""
+def edge_projection(cells, shape=(5, 6), points_per_cell=2):
+    """Points in the given (row, column) cells of a rho-1 grid."""
     fov = Fov(np.zeros(3), np.array([shape[0], shape[1], 1.0]))
     plane = PlaneSpec.from_fov((0, 1), fov, 1.0)
     assert plane.grid_shape == shape
     pts = [(i + 0.25 + 0.5 * r / points_per_cell, j + 0.5, 0.5) for i, j in cells for r in range(points_per_cell)]
-    pts = np.array(pts + [(0.0, 0.0, 0.0)] * n_invalid, dtype=np.float64).reshape(-1, 3)
-    valid = np.arange(len(pts)) < len(pts) - n_invalid
-    return build_projection(pts, plane, valid)
+    return build_projection(np.array(pts, dtype=np.float64).reshape(-1, 3), plane)
 
 
 EDGE_CELLS = [(0, 0), (0, 5), (4, 0), (4, 5), (0, 2), (2, 0), (4, 3), (3, 5), (2, 3)]
@@ -333,14 +313,14 @@ class TestTapTables:
 
     def cases(self):
         rng = np.random.default_rng(14)
-        yield edge_projection(EDGE_CELLS, n_invalid=3)
+        yield edge_projection(EDGE_CELLS)
         yield edge_projection([(2, 3)])
         yield edge_projection([(0, 0)])
         yield edge_projection([(4, 5)], shape=(5, 6), points_per_cell=4)
         yield edge_projection([(0, 0)], shape=(1, 1))
         for _ in range(3):
             yield small_projection(rng, n=int(rng.integers(1, 12)), f=1)[0]
-        yield small_projection(rng, n=12, f=1, n_invalid=12)[0]
+        yield small_projection(rng, n=0, f=1)[0]
 
     def test_tables_match_neighbourhood_oracle(self):
         lone = empty = 0
@@ -363,15 +343,15 @@ class TestTapTables:
             empty += occupied.size == 0
         assert lone >= 4 and empty == 1
 
-    def test_all_padding_cloud_has_no_rows(self):
-        proj, feats = small_projection(np.random.default_rng(15), n=12, f=5, n_invalid=12)
+    def test_empty_cloud_has_no_rows(self):
+        proj, feats = small_projection(np.random.default_rng(15), n=0, f=5)
         assert proj.n_occupied == 0 and proj.dilated_cells.size == 0
         assert proj.d_from_o.shape == (0, 9) and proj.o_from_d.shape == (0, 9)
         rows = proj.flatten(feats)
         assert np.array_equal(rows, np.zeros((1, 5), dtype=np.float32))
         assert csr_flatten_sum(proj, feats).shape == (0, 5)
-        assert np.array_equal(proj.inflate(rows), np.zeros((12, 5), dtype=np.float32))
-        assert np.array_equal(proj.flatten_backward(rows), np.zeros((12, 5), dtype=np.float32))
+        assert np.array_equal(proj.inflate(rows), np.zeros((0, 5), dtype=np.float32))
+        assert np.array_equal(proj.flatten_backward(rows), np.zeros((0, 5), dtype=np.float32))
         assert np.array_equal(proj.inflate_backward(feats), np.zeros((1, 5), dtype=np.float32))
 
 
@@ -401,7 +381,7 @@ class TestAdjoint:
     def test_sum_flatten_is_adjoint_of_inflate(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            proj, feats = small_projection(rng, n=int(rng.integers(10, 150)), f=12, n_invalid=3)
+            proj, feats = small_projection(rng, n=int(rng.integers(7, 147)), f=12)
             grid = rng.standard_normal((proj.plane.n_cells, 12))
             rows = occupied_rows(proj, grid)
             lhs = float((proj.inflate_backward(feats.astype(np.float64)) * rows).sum())
@@ -438,7 +418,7 @@ class TestPlaneSchedule:
 
 def test_backward_operators_match_adjoint_definition():
     rng = np.random.default_rng(12)
-    proj, feats = small_projection(rng, n=50, f=4, n_invalid=4)
+    proj, feats = small_projection(rng, n=46, f=4)
     dgrid = occupied_rows(proj, rng.standard_normal((proj.plane.n_cells, 4)))
     # <flatten(F), dG> == <F, flatten_backward(dG)> (linear map adjoint)
     lhs = float((proj.flatten(feats.astype(np.float64)) * dgrid).sum())

@@ -353,5 +353,8 @@ class TestPrepareTrainingScene:
         model = WaffleIron(overfit_harness_config(fov).model, np.random.default_rng(0))
         augment = AugmentConfig(rotate=True, flip=True, scale=True, cutmix=True, polarmix=True)
         (feats, *_), fixed = prepare_training_scene(scene, model, 96, np.random.default_rng(1), augment, bank, scene)
-        assert len(built) == 1 and built[0] is fixed.positions
-        np.testing.assert_array_equal(feats, build(fixed.positions, fixed.intensity, "5dim"))
+        # built once, from the real rows of the padded scene
+        real = fixed.valid
+        assert len(built) == 1 and not real.all()
+        np.testing.assert_array_equal(built[0], fixed.positions[real])
+        np.testing.assert_array_equal(feats, build(fixed.positions[real], fixed.intensity[real], "5dim"))
