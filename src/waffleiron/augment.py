@@ -108,7 +108,7 @@ def build_instance_bank(
             raise ValueError("instance extraction needs labeled scans")
         instance_ids = np.asarray(instance_ids).reshape(-1)
         for c in bank.classes:
-            rows = np.flatnonzero((pc.labels == c) & pc.valid)
+            rows = np.flatnonzero(pc.labels == c)
             if rows.size == 0:
                 continue
             for inst in np.unique(instance_ids[rows]):
@@ -130,7 +130,6 @@ def _append_points(pc: PointCloud, positions: np.ndarray, intensity: np.ndarray,
         positions=np.vstack([pc.positions, positions.astype(np.float32)]),
         intensity=np.concatenate([pc.intensity, intensity]),
         labels=np.concatenate([pc.labels, labels.astype(np.int32)]),
-        valid=np.concatenate([pc.valid, np.ones(len(labels), dtype=bool)]),
     )
 
 
@@ -151,7 +150,7 @@ def instance_cutmix(
         return pc
     if pc.labels is None:
         raise ValueError("instance_cutmix needs a labeled scene")
-    ground_rows = np.flatnonzero(np.isin(pc.labels, GROUND_CLASSES) & pc.valid)
+    ground_rows = np.flatnonzero(np.isin(pc.labels, GROUND_CLASSES))
     if ground_rows.size == 0:
         return pc
     new_pos = []
@@ -208,15 +207,13 @@ def polarmix(
     start = float(rng.uniform(0.0, _TWO_PI))
     width = float(rng.uniform(*SECTOR_WIDTH_RANGE))
     keep_a = np.mod(_azimuth(scene_a.positions) - start, _TWO_PI) >= width
-    keep_a &= scene_a.valid
     take_b = np.mod(_azimuth(scene_b.positions) - start, _TWO_PI) < width
-    take_b &= scene_b.valid
 
     pos = [scene_a.positions[keep_a], scene_b.positions[take_b]]
     inten = [scene_a.intensity[keep_a], scene_b.intensity[take_b]]
     labels = [scene_a.labels[keep_a], scene_b.labels[take_b]]
 
-    inst_rows = np.flatnonzero(np.isin(scene_b.labels, np.asarray(classes)) & scene_b.valid)
+    inst_rows = np.flatnonzero(np.isin(scene_b.labels, np.asarray(classes)))
     if inst_rows.size:
         src = scene_b.positions[inst_rows].astype(np.float64)
         angles = (0.0,) + tuple(paste_angles)

@@ -341,9 +341,10 @@ class WaffleIron:
         training: bool = False,
         drop_rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Run the network on the M x C features of a cloud's real rows, returning K x N logits.
+        """Run the network on the N x C features of a cloud, returning K x N logits.
 
-        ``valid`` flags the cloud's N rows (:func:`prepare_inputs`); padding rows get zero logits.
+        ``valid`` is the all-True mask :func:`prepare_inputs` returns: one
+        entry per feature row, every row a real point. Anything else raises.
 
         Two modes over one data path, in which every batch norm's map and
         layerscale folds into the adjacent weights. A training forward maps
@@ -362,9 +363,8 @@ class WaffleIron:
             raise ValueError(
                 f"expected {self.config.in_channels} input channels, got {feats.shape[1]}"
             )
-        n_real = int(np.count_nonzero(valid))
-        if feats.shape[0] != n_real:
-            raise ValueError(f"expected {n_real} feature rows, one per valid point, got {feats.shape[0]}")
+        if np.shape(valid) != (feats.shape[0],) or not np.all(valid):
+            raise ValueError(f"valid must be all True with one entry per feature row ({feats.shape[0]})")
         p = self.config.drop_prob
         if training and p > 0.0 and drop_rng is None:
             raise ValueError("drop_prob > 0 requires drop_rng in training mode")
@@ -380,23 +380,14 @@ class WaffleIron:
             if not (dropping and drop_rng.random() < p):
                 x = channel.forward(x, training, factor)
                 kept.append(channel)
-        logits = self.classifier.forward(x, training).T
-        real = None if n_real == valid.size else np.flatnonzero(valid)
-        self._kept = (kept, real) if training else None
-        if real is None:
-            return logits
-        padded = np.zeros((logits.shape[0], valid.size), dtype=logits.dtype)
-        padded[:, real] = logits
-        return padded
+        self._kept = kept if training else None
+        return self.classifier.forward(x, training).T
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``."""
         if self._kept is None:
             raise RuntimeError("backward needs a training forward")
-        (kept, real), self._kept = self._kept, None
-        if real is not None:
-            # the real columns, gathered C-contiguous: the classifier sums them as for an unpadded cloud
-            dlogits = dlogits.take(real, axis=1)
+        kept, self._kept = self._kept, None
         dx = self.classifier.backward(dlogits.T)
         for layer in reversed(kept):
             dx = layer.backward(dx)
@@ -409,11 +400,8 @@ def param_count(config: WaffleIronConfig) -> int:
 
 
 def prepare_inputs(model: WaffleIron, pc: PointCloud):
-    """Input features, neighbor lists and projections of a cropped cloud's real rows, and its ``valid``, for forward."""
-    valid = pc.valid
-    if not valid.all():
-        pc = pc.select(np.flatnonzero(valid))
+    """Input features, neighbor lists and projections of a cropped cloud, and its all-True ``valid``, for forward."""
     feats = point_features(pc.positions, pc.intensity, model.config.input_feature_mode)
     neighbors = knn(pc, model.config.k_neighbors)
     projections = model.build_projections(pc.positions)
-    return feats, neighbors, projections, valid
+    return feats, neighbors, projections, pc.valid

@@ -8,6 +8,7 @@ errors exit with status 2 (argparse), runtime failures with status 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,6 +22,17 @@ from .geometry import nearest_indices  # noqa: F401  (benchmark/tests/test_bench
 from .training import train_loop
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="waffleiron", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -29,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--data", required=True, help="directory of *.bin scans with *.label files")
     p_train.add_argument("--out", required=True, help="output directory for checkpoints and logs")
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed, default=None)
     p_train.add_argument(
         "--set",
         action="append",
@@ -43,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--scan", required=True)
     p_infer.add_argument("--out", required=True, help="output label file (uint32 per input point)")
     p_infer.add_argument("--tta", action="store_true")
-    p_infer.add_argument("--seed", type=int, default=0)
+    p_infer.add_argument("--seed", type=_seed, default=0)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a labeled split")
     p_eval.add_argument("--ckpt", required=True)
@@ -51,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", required=True)
     p_eval.add_argument("--tta", action="store_true")
     p_eval.add_argument("--out", default=None, help="directory for metrics.csv and miou.txt")
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed, default=0)
 
     p_count = sub.add_parser("paramcount", help="print the trainable parameter count")
     p_count.add_argument("--config", required=True)
@@ -89,7 +101,7 @@ def _cmd_train(args) -> int:
     config_path = Path(args.config)
     rc = dataio.load_run_config(config_path, _overrides(args))
     if args.seed is not None:
-        rc.train.seed = args.seed
+        rc.train = dataclasses.replace(rc.train, seed=args.seed)
     rc.class_map_ids = _resolve_class_map(rc, config_path.parent)
     out_dir = Path(args.out)
     _check_out_dir(out_dir)

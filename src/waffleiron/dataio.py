@@ -463,7 +463,7 @@ class ScanDataset:
         path = self.paths[i]
         pc = read_scan(path, self.scan_format)
         semantic, instances = read_labels(path.with_suffix(".label"), self.class_map, pc.n_points)
-        pc = PointCloud(pc.positions, pc.intensity, semantic, pc.valid)
+        pc = PointCloud(pc.positions, pc.intensity, semantic)
         if self.voxel_size > 0:
             pc, kept = voxel_downsample(pc, self.voxel_size)
             instances = instances[kept]

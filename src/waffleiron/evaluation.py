@@ -70,7 +70,7 @@ def infer_probs(model: WaffleIron, pc: PointCloud, drop_rng=None) -> np.ndarray:
     nearest inside neighbor.
     """
     inside, outside = crop_fov(pc, model.config.fov)
-    if inside.n_valid == 0:
+    if inside.n_points == 0:
         raise ValueError("no points inside the FOV")
     logits = model.forward(*prepare_inputs(model, inside), training=False, drop_rng=drop_rng)
     kept = np.ones(pc.n_points, dtype=bool)

@@ -2,7 +2,7 @@
 
 Holds the :class:`PointCloud` record plus the operations applied before the
 network ever sees a scene: voxel downsampling, field-of-view cropping,
-fixed-size sampling/padding, and exact k-nearest-neighbor and nearest-point
+sampling down to a size cap, and exact k-nearest-neighbor and nearest-point
 search.
 
 Conventions used throughout the package:
@@ -10,9 +10,8 @@ Conventions used throughout the package:
 * all spatial ranges are half-open, ``min <= p < max``, matching the floor
   quantization used for 2D cell assignment;
 * every nearest-neighbor tie breaks toward the smaller point index;
-* padding rows (``valid == False``) come only from :func:`sample_fixed`;
-  neighbor search and voxelization reject them, and ``prepare_inputs``
-  drops them, so the network never sees one.
+* every row of a cloud is a real point: a scene smaller than the sampling
+  cap runs at its own size, so no row is ever padding.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-# Label id reserved for "do not score this point" (unmapped classes, padding).
+# Label id reserved for "do not score this point" (unmapped classes).
 IGNORE_LABEL = 255
 
 
@@ -47,19 +46,17 @@ class Fov:
 
 @dataclass
 class PointCloud:
-    """N points with positions, intensity, optional labels and a validity mask.
+    """N points with positions, intensity and optional labels.
 
-    ``positions`` is N x 3 float32, ``intensity`` an N float32 vector,
-    ``labels`` an optional N vector of class ids (including ``IGNORE_LABEL``),
-    and ``valid`` flags real points versus zero padding. The network's input
-    features are built from positions and intensity by
+    ``positions`` is N x 3 float32, ``intensity`` an N float32 vector and
+    ``labels`` an optional N vector of class ids (including ``IGNORE_LABEL``).
+    The network's input features are built from positions and intensity by
     :func:`waffleiron.backbone.prepare_inputs`.
     """
 
     positions: np.ndarray
     intensity: np.ndarray
     labels: Optional[np.ndarray] = None
-    valid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.positions = np.ascontiguousarray(self.positions, dtype=np.float32).reshape(-1, 3)
@@ -71,24 +68,17 @@ class PointCloud:
             self.labels = np.ascontiguousarray(self.labels, dtype=np.int32).reshape(-1)
             if self.labels.shape[0] != n:
                 raise ValueError("labels must align with positions")
-        if self.valid is None:
-            self.valid = np.ones(n, dtype=bool)
-        else:
-            self.valid = np.ascontiguousarray(self.valid, dtype=bool).reshape(-1)
-            if self.valid.shape[0] != n:
-                raise ValueError("valid mask must align with positions")
-        if self.valid.any():
-            rows = self.valid
-            if not (np.isfinite(self.positions[rows]).all() and np.isfinite(self.intensity[rows]).all()):
-                raise ValueError("non-finite coordinates or intensity on valid points")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.intensity).all()):
+            raise ValueError("non-finite coordinates or intensity")
 
     @property
     def n_points(self) -> int:
         return self.positions.shape[0]
 
     @property
-    def n_valid(self) -> int:
-        return int(self.valid.sum())
+    def valid(self) -> np.ndarray:
+        """All True, one entry per row: every row is a real point."""
+        return np.ones(self.n_points, dtype=bool)
 
     def select(self, index: np.ndarray) -> "PointCloud":
         """New cloud containing the rows picked by ``index`` (order kept)."""
@@ -96,7 +86,6 @@ class PointCloud:
             positions=self.positions[index],
             intensity=self.intensity[index],
             labels=None if self.labels is None else self.labels[index],
-            valid=self.valid[index],
         )
 
     def moved(self, matrix: np.ndarray) -> "PointCloud":
@@ -116,8 +105,6 @@ def voxel_downsample(pc: PointCloud, voxel_size: float) -> tuple[PointCloud, np.
         raise ValueError("voxel_size must be positive")
     if pc.n_points == 0:
         return pc, np.zeros(0, dtype=np.int64)
-    if not pc.valid.all():
-        raise ValueError("voxel_downsample expects an unpadded cloud")
     quant = np.floor(pc.positions.astype(np.float64) / voxel_size).astype(np.int64)
     order = np.lexsort(quant.T)
     runs = quant[order]
@@ -138,32 +125,22 @@ def crop_fov(pc: PointCloud, fov: Fov) -> tuple[PointCloud, np.ndarray]:
 
 
 def sample_fixed(pc: PointCloud, n_target: int, rng: np.random.Generator) -> PointCloud:
-    """Force a cloud to exactly ``n_target`` rows.
+    """Cap a cloud at ``n_target`` rows.
 
-    Oversized clouds keep a random anchor point plus its n_target - 1 nearest
-    points; undersized clouds are zero padded with ``valid = False`` rows
-    labeled ``IGNORE_LABEL``.
+    An oversized cloud keeps a random anchor point plus its n_target - 1
+    nearest points, in input order. A cloud of at most ``n_target`` rows is
+    returned as it is, without drawing from ``rng``: it runs at its own size.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
     n = pc.n_points
-    if n == n_target:
+    if n <= n_target:
         return pc
-    if n > n_target:
-        anchor = int(rng.integers(n))
-        d2 = _sq_dist_to(pc.positions, pc.positions[anchor])
-        d2[anchor] = -1.0  # anchor always first
-        order = np.argsort(d2, kind="stable")
-        kept = np.sort(order[:n_target])
-        return pc.select(kept)
-    pad = n_target - n
-    positions = np.vstack([pc.positions, np.zeros((pad, 3), dtype=np.float32)])
-    intensity = np.concatenate([pc.intensity, np.zeros(pad, dtype=np.float32)])
-    labels = None
-    if pc.labels is not None:
-        labels = np.concatenate([pc.labels, np.full(pad, IGNORE_LABEL, dtype=np.int32)])
-    valid = np.concatenate([pc.valid, np.zeros(pad, dtype=bool)])
-    return PointCloud(positions, intensity, labels, valid)
+    anchor = int(rng.integers(n))
+    d2 = _sq_dist_to(pc.positions, pc.positions[anchor])
+    d2[anchor] = -1.0  # anchor always first
+    order = np.argsort(d2, kind="stable")
+    return pc.select(np.sort(order[:n_target]))
 
 
 def _sq_dist_to(points: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -172,7 +149,7 @@ def _sq_dist_to(points: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 
 def knn(pc: PointCloud, k: int) -> np.ndarray:
-    """Exact k nearest neighbors of every row of an unpadded cloud, self excluded.
+    """Exact k nearest neighbors of every row of a cloud, self excluded.
 
     Returns an N x k integer array. Ties break toward the smaller point
     index; when fewer than k candidates exist the farthest found neighbor is
@@ -180,8 +157,6 @@ def knn(pc: PointCloud, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not pc.valid.all():
-        raise ValueError("knn expects an unpadded cloud")
     if pc.n_points == 0:
         raise ValueError("empty cloud")
     pts = pc.positions.astype(np.float64)

@@ -1,6 +1,6 @@
 """Losses, optimizer, learning-rate schedule and the training loop.
 
-The loss is the sum of a masked cross-entropy and the Lovasz extension of
+The loss is the sum of a cross-entropy and the Lovasz extension of
 the Jaccard index applied to softmax probabilities. Optimization uses AdamW
 with decoupled weight decay, a linear warmup and cosine annealing. Batches
 are realized as gradient accumulation over single clouds, which keeps memory
@@ -28,10 +28,6 @@ if TYPE_CHECKING:
 # -- losses --------------------------------------------------------------------
 
 
-def _counted_mask(labels: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    return valid & (labels != IGNORE_LABEL)
-
-
 def check_class_range(ids: np.ndarray, num_classes: int, what: str = "label") -> None:
     """Raise naming the first of ``ids`` outside [0, num_classes)."""
     bad = ids[(ids < 0) | (ids >= num_classes)]
@@ -47,17 +43,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, valid: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood over valid, non-ignore points.
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood over the non-ignore points.
 
     Returns the scalar loss and its exact gradient with respect to the
-    logits (zero on excluded columns).
+    logits (zero on ``IGNORE_LABEL`` columns).
     """
-    counted = _counted_mask(labels, valid)
-    m = int(counted.sum())
+    cols = np.flatnonzero(labels != IGNORE_LABEL)
+    m = cols.size
     if m == 0:
-        raise ValueError("cross_entropy: no valid labeled points")
-    cols = np.flatnonzero(counted)
+        raise ValueError("cross_entropy: no labeled points")
     y = labels[cols]
     check_class_range(y, logits.shape[0])
     z = logits[:, cols].astype(np.float64)
@@ -88,18 +83,17 @@ def lovasz_grad_from_sorted(fg_sorted: np.ndarray) -> np.ndarray:
     return jaccard
 
 
-def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, valid: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lovasz-softmax loss, averaged over the classes present in the batch.
+def lovasz_softmax(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lovasz-softmax loss over the non-ignore points, averaged over the classes present in the batch.
 
     For each present class the per-point errors (1 - p for the class's own
     points, p elsewhere) are sorted in decreasing order and weighted by the
     Jaccard-extension gradient. Also returns the gradient with respect to
-    ``probs``.
+    ``probs`` (zero on ``IGNORE_LABEL`` columns).
     """
-    counted = _counted_mask(labels, valid)
-    cols = np.flatnonzero(counted)
+    cols = np.flatnonzero(labels != IGNORE_LABEL)
     if cols.size == 0:
-        raise ValueError("lovasz_softmax: no valid labeled points")
+        raise ValueError("lovasz_softmax: no labeled points")
     y = labels[cols]
     p = probs[:, cols].astype(np.float64)
     present = np.unique(y)
@@ -127,10 +121,16 @@ def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 
 def segmentation_loss(logits: np.ndarray, labels: np.ndarray, valid: np.ndarray):
-    """Cross-entropy plus Lovasz-softmax; returns (loss, dlogits, parts)."""
-    ce, dce = cross_entropy(logits, labels, valid)
+    """Cross-entropy plus Lovasz-softmax over the non-ignore columns; returns (loss, dlogits, parts).
+
+    ``valid`` is the all-True mask :func:`waffleiron.backbone.prepare_inputs`
+    returns: one entry per logit column. Anything else raises.
+    """
+    if np.shape(valid) != (logits.shape[1],) or not np.all(valid):
+        raise ValueError(f"valid must be all True with one entry per logit column ({logits.shape[1]})")
+    ce, dce = cross_entropy(logits, labels)
     probs = softmax(logits)
-    lz, dprobs = lovasz_softmax(probs, labels, valid)
+    lz, dprobs = lovasz_softmax(probs, labels)
     dlogits = dce + softmax_backward(probs, dprobs)
     return ce + lz, dlogits, {"ce": ce, "lovasz": lz}
 
@@ -237,6 +237,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        for name in ("peak_lr", "final_lr", "weight_decay", "warmup_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -263,10 +266,14 @@ def prepare_training_scene(
     bank: Optional[InstanceBank] = None,
     partner: Optional[PointCloud] = None,
 ):
-    """Scene pipeline: augment, crop to FOV, force a fixed size, build inputs."""
+    """Scene pipeline: augment, crop to FOV, cap at ``n_points``, build inputs.
+
+    Returns ``prepare_inputs``' four arrays and the sampled cloud. A cropped
+    scene of at most ``n_points`` points is used whole, at its own size.
+    """
     pc = apply_augmentations(pc, augment, rng, bank=bank, partner=partner)
     inside, _ = crop_fov(pc, model.config.fov)
-    if inside.n_valid == 0:
+    if inside.n_points == 0:
         raise ValueError("no points left inside the FOV")
     fixed = sample_fixed(inside, n_points, rng)
     return prepare_inputs(model, fixed), fixed
@@ -341,7 +348,7 @@ def train_loop(
                     name = scan_names[int(idx)] if scan_names else f"scene {int(idx)}"
                     raise ValueError(f"{name}: {err}") from err
                 losses.append(loss)
-                counted = _counted_mask(fixed.labels, valid)
+                counted = fixed.labels != IGNORE_LABEL
                 pred = logits.argmax(axis=0)
                 correct += int((pred[counted] == fixed.labels[counted]).sum())
                 scored += int(counted.sum())

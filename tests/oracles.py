@@ -41,10 +41,10 @@ import scipy.sparse as sp
 from waffleiron.augment import AugmentConfig
 from waffleiron.backbone import ChannelMixLayer, EmbeddingLayer, TokenMixLayer, WaffleIron, WaffleIronConfig, prepare_inputs
 from waffleiron.dataio import RunConfig
-from waffleiron.geometry import Fov, PointCloud, crop_fov, nearest_indices
+from waffleiron.geometry import IGNORE_LABEL, Fov, PointCloud, crop_fov, nearest_indices
 from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, slot_max
 from waffleiron.projection import ProjectionPair
-from waffleiron.training import TrainConfig, _counted_mask, segmentation_loss, train_loop
+from waffleiron.training import TrainConfig, segmentation_loss, train_loop
 
 # -- CSR flatten / inflate ------------------------------------------------------------
 
@@ -379,7 +379,7 @@ def channel_train(layer: ChannelMixLayer, x, factor, add):
     return x + factor * (layer.layerscale.data * a2), backward
 
 
-def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, labels, drop_rng=None):
+def unfused_training(model: WaffleIron, feats, neighbors, projections, labels, drop_rng=None):
     """Loss and name -> gradient of every trainable tensor for one training step, every layer unfused.
 
     The step is ``model.forward(..., training=True, drop_rng=drop_rng)``,
@@ -409,9 +409,7 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, la
             x, backward = channel_train(channel, x, factor, add)
             backwards.append(backward)
     cls = model.classifier
-    # the features cover the real rows only, so the loss scores their labels
-    real = np.asarray(valid, dtype=bool)
-    loss, dlogits, _ = segmentation_loss((x @ cls.w.data.T + cls.b.data).T, labels[real], real[real])
+    loss, dlogits, _ = segmentation_loss((x @ cls.w.data.T + cls.b.data).T, labels, np.ones(labels.size, dtype=bool))
     dy = dlogits.T
     add(cls.w, dy.T @ x)
     add(cls.b, dy.sum(axis=0))
@@ -433,22 +431,20 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, valid, la
 
 
 def nn_propagate_labels(src: PointCloud, src_labels: np.ndarray, dst_points: np.ndarray) -> np.ndarray:
-    """Give every dst point the label of its nearest valid src point."""
+    """Give every dst point the label of its nearest src point."""
     src_labels = np.asarray(src_labels).reshape(-1)
     if src_labels.shape[0] != src.n_points:
         raise ValueError("labels must align with the source cloud")
-    vidx = np.flatnonzero(src.valid)
-    if vidx.size == 0:
+    if src.n_points == 0:
         raise ValueError("empty cloud")
-    nearest = nearest_indices(src.positions[vidx], dst_points)
-    return src_labels[vidx[nearest]]
+    return src_labels[nearest_indices(src.positions, dst_points)]
 
 
 # -- scene motion ---------------------------------------------------------------------------
 
 
 def _rebuilt(pc: PointCloud, positions: np.ndarray) -> PointCloud:
-    return PointCloud(positions.astype(np.float32), pc.intensity, pc.labels, pc.valid)
+    return PointCloud(positions.astype(np.float32), pc.intensity, pc.labels)
 
 
 def rotate_then_flip(pc: PointCloud, rng) -> PointCloud:
@@ -568,7 +564,7 @@ def run_overfit_harness(out_dir: Optional[str] = None, seed: int = 0):
     """Train WaffleIron-3-32 on the z-band scene; returns model and accuracy.
 
     The returned accuracy is measured with an eval-mode forward pass over the
-    training scene, scoring every valid non-ignore point.
+    training scene, scoring every non-ignore point.
     """
     scene, fov = synthetic_zband_scene()
     run_config = overfit_harness_config(fov)
@@ -577,6 +573,6 @@ def run_overfit_harness(out_dir: Optional[str] = None, seed: int = 0):
     inside, _ = crop_fov(scene, fov)
     feats, neighbors, projections, valid = prepare_inputs(model, inside)
     logits = model.forward(feats, neighbors, projections, valid, training=False)
-    counted = _counted_mask(inside.labels, valid)
+    counted = inside.labels != IGNORE_LABEL
     acc = float((logits.argmax(axis=0)[counted] == inside.labels[counted]).mean())
     return model, optimizer, history, acc

@@ -228,7 +228,7 @@ def test_criterion_07_oracle_equivalence():
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(40, 160))
         pc = cloud_from_positions(rng.uniform(-5, 5, size=(n, 3)))
-        np.testing.assert_array_equal(knn(pc, 8), knn_oracle(pc.positions, pc.valid, 8))
+        np.testing.assert_array_equal(knn(pc, 8), knn_oracle(pc.positions, 8))
 
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)

@@ -16,7 +16,7 @@ from waffleiron.backbone import (
     param_count,
     prepare_inputs,
 )
-from waffleiron.geometry import Fov, PointCloud, sample_fixed
+from waffleiron.geometry import Fov
 from waffleiron.nn import BatchNorm, DepthwiseConv3x3, ParamStore, PointwiseLinear, fold
 from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
 from waffleiron.training import segmentation_loss
@@ -59,13 +59,6 @@ def tiny_config(fov, depth=3, width=8, classes=3, k=4, drop=0.0, strategy="basel
 def build_scene(fov, n=60, seed=0, classes=3):
     rng = np.random.default_rng(seed)
     return random_cloud(rng, n, fov, n_classes=classes)
-
-
-def with_padding(pc, n_pad):
-    """``pc`` with its last ``n_pad`` rows made padding: zero position and intensity, flagged invalid."""
-    valid = np.arange(pc.n_points) < pc.n_points - n_pad
-    positions = np.where(valid[:, None], pc.positions, 0.0)
-    return PointCloud(positions, np.where(valid, pc.intensity, 0.0), pc.labels, valid)
 
 
 class TestConfig:
@@ -583,6 +576,15 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(feats[:, :3], nbr, proj, valid)
 
+    @pytest.mark.parametrize("mask", ["one_false", "short", "long"])
+    def test_valid_must_be_all_true_with_one_entry_per_row(self, small_fov, mask):
+        model = WaffleIron(tiny_config(small_fov), np.random.default_rng(0))
+        feats, nbr, proj, valid = prepare_inputs(model, build_scene(small_fov, n=20, seed=0))
+        assert valid.shape == (20,) and valid.all()
+        bad = {"one_false": np.arange(20) != 7, "short": valid[:19], "long": np.ones(21, dtype=bool)}[mask]
+        with pytest.raises(ValueError, match="valid must be all True with one entry per feature row"):
+            model.forward(feats, nbr, proj, bad)
+
 
 def held(value, path="model", private=False):
     """(path, array) of every array that layers reachable from ``value`` keep in private attributes."""
@@ -1031,8 +1033,7 @@ class TestFoldedEval:
         cfg = tiny_config(small_fov, depth=3, width=16, k=4, drop=0.3, strategy=strategy)
         model = WaffleIron(cfg, np.random.default_rng(100))
         perturb_eval_state(model.store, np.random.default_rng(101))
-        pc = build_scene(small_fov, n=90, seed=102)
-        pc = with_padding(pc, 12)
+        pc = build_scene(small_fov, n=90, seed=102).select(np.arange(78))
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         # occupied cells with an empty neighbour cell, whose tap reads the zero row
         assert all((p.d_from_o == p.n_occupied).any() for p in proj.values())
@@ -1044,9 +1045,6 @@ class TestFoldedEval:
         assert held_arrays(model) == []
         for got, want in ((plain, unfused_eval(model, feats, nbr, proj)),
                           (tta, unfused_eval(model, feats, nbr, proj, drop_rng=np.random.default_rng(7)))):
-            # the oracle runs the real rows; padding rows get zero logits
-            assert not got[:, ~valid].any()
-            got = got[:, valid]
             assert np.abs(want).max() > 1.0
             np.testing.assert_allclose(got, want, rtol=0, atol=FOLD_TOL)
             assert np.array_equal(got.argmax(axis=0), want.argmax(axis=0))
@@ -1061,8 +1059,7 @@ class TestFoldedTraining:
 
     def model_and_inputs(self, fov, strategy, dtype, drop=0.5):
         model = perturbed_model(fov, strategy, dtype, drop)
-        pc = build_scene(fov, n=90, seed=102)
-        pc = with_padding(pc, 12)
+        pc = build_scene(fov, n=90, seed=102).select(np.arange(78))
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         return model, (feats.astype(dtype), nbr, proj, valid), pc.labels
 
@@ -1071,7 +1068,7 @@ class TestFoldedTraining:
     def test_parameter_gradients_match_unfused_oracle(self, small_fov, strategy, dtype):
         model, inputs, labels = self.model_and_inputs(small_fov, strategy, dtype)
         # drop_prob 0.5 with this generator drops some layers and scales the kept ones by 2
-        want_loss, want = unfused_training(model, *inputs, labels, drop_rng=np.random.default_rng(3))
+        want_loss, want = unfused_training(model, *inputs[:3], labels, drop_rng=np.random.default_rng(3))
         logits = model.forward(*inputs, training=True, drop_rng=np.random.default_rng(3))
         loss, dlogits, _ = segmentation_loss(logits, labels, inputs[3])
         model.backward(dlogits)
@@ -1166,52 +1163,3 @@ class TestBuildProjections:
             assert want == self.FIRST_USE_48[strategy]
         for axes, proj in projections.items():
             assert proj.plane == PlaneSpec.from_fov(axes, cfg.fov, cfg.rho)
-
-
-class TestPaddedTraining:
-    """A training step on a scene padded by ``sample_fixed`` equals the step on the scene itself."""
-
-    @staticmethod
-    def step(model, pc, dtype):
-        feats, nbr, proj, valid = prepare_inputs(model, pc)
-        logits = model.forward(feats.astype(dtype), nbr, proj, valid, training=True, drop_rng=np.random.default_rng(3))
-        loss, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
-        model.backward(dlogits)
-        stats = {name: t.data for name, t in model.store.items() if "running" in name}
-        return loss, logits, stats, dict(model.store.trainable_items())
-
-    @pytest.mark.parametrize("drop", [0.0, 0.5])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("strategy", ["baseline", "parallel"])
-    def test_padding_changes_nothing(self, small_fov, strategy, dtype, drop):
-        pc = build_scene(small_fov, n=90, seed=102)
-        padded = sample_fixed(pc, 130, np.random.default_rng(0))
-        assert padded.n_points == 130 and padded.n_valid == 90
-        model = perturbed_model(small_fov, strategy, dtype, drop)
-        twin = copy.deepcopy(model)
-        loss, logits, stats, params = self.step(model, pc, dtype)
-        padded_loss, padded_logits, padded_stats, padded_params = self.step(twin, padded, dtype)
-        assert padded_loss == loss
-        assert padded_logits.shape == (3, 130) and not padded_logits[:, 90:].any()
-        assert padded_logits[:, :90].tobytes() == logits.tobytes()
-        assert all(padded_stats[name].tobytes() == stats[name].tobytes() for name in stats)
-        for name, t in params.items():
-            assert padded_params[name].grad.tobytes() == t.grad.tobytes(), name
-
-    def test_inputs_cover_the_real_rows_only(self, small_fov):
-        model = perturbed_model(small_fov, "parallel", np.float32, 0.0)
-        pc = build_scene(small_fov, n=90, seed=103)
-        padded = sample_fixed(pc, 130, np.random.default_rng(0))
-        feats, nbr, proj, valid = prepare_inputs(model, padded)
-        assert valid is padded.valid and valid.sum() == 90
-        assert feats.shape == (90, 5) and nbr.shape == (90, 4) and nbr.max() < 90
-        assert all(p.n_points == 90 and p.counts.sum() == 90 for p in proj.values())
-        want = prepare_inputs(model, pc)
-        assert feats.tobytes() == want[0].tobytes() and nbr.tobytes() == want[1].tobytes()
-
-    def test_forward_needs_one_feature_row_per_valid_point(self, small_fov):
-        model = perturbed_model(small_fov, "baseline", np.float32, 0.0)
-        padded = sample_fixed(build_scene(small_fov, n=40, seed=104), 50, np.random.default_rng(0))
-        feats, nbr, proj, valid = prepare_inputs(model, padded)
-        with pytest.raises(ValueError, match="expected 50 feature rows, one per valid point, got 40"):
-            model.forward(feats, nbr, proj, np.ones(50, dtype=bool))

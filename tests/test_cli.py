@@ -108,6 +108,11 @@ class TestTrainInputErrors:
             (None, ["classes=2"], "scan_0: label 2 outside the class range [0, 1]"),
             (None, ["batch=0"], "batch_size must be >= 1"),
             (None, ["checkpoint_every=-1"], "checkpoint_every must be >= 0"),
+            (None, ["lr=-0.5"], "peak_lr must be >= 0"),
+            (None, ["lr_final=-1e-5"], "final_lr must be >= 0"),
+            (None, ["wd=-3"], "weight_decay must be >= 0"),
+            (None, ["warmup_epochs=-1"], "warmup_epochs must be >= 0"),
+            (None, ["seed=-1"], "seed must be >= 0"),
             (None, ["fov_xmax=inf"], "config key 'fov_xmax': expected a finite number, got 'inf'"),
             (None, ["rho=nan"], "config key 'rho': expected a finite number, got 'nan'"),
             (None, ["lr=nan"], "config key 'lr': expected a finite number, got 'nan'"),
@@ -119,6 +124,7 @@ class TestTrainInputErrors:
              "train-id-is-ignore-label", "train-id-past-int32",
              "mapped-label-past-classes",
              "raw-label-past-classes", "batch-zero", "negative-checkpoint-every",
+             "negative-lr", "negative-lr-final", "negative-wd", "negative-warmup-epochs", "negative-seed",
              "infinite-fov", "nan-rho", "nan-lr", "zero-voxel-size", "negative-voxel-size", "nan-voxel-size"],
     )
     def test_exits_1_with_message(self, tmp_path, capsys, class_map, overrides, message):
@@ -155,6 +161,41 @@ class TestTrainInputErrors:
         assert main(argv) == 1
         assert "unknown strategy 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["train", "infer", "eval"])
+    def test_negative_seed_is_an_argument_error(self, tmp_path, capsys, command):
+        argv = {
+            "train": ["train", "--config", "x.cfg", "--data", "data", "--out", str(tmp_path / "out")],
+            "infer": ["infer", "--ckpt", "x.wfli", "--scan", "x.bin", "--out", str(tmp_path / "x.label")],
+            "eval": ["eval", "--ckpt", "x.wfli", "--data", "data", "--split", "val", "--out", str(tmp_path / "out")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_train_checks_the_seed_before_the_out_dir(self, tmp_path):
+        # the seed goes through TrainConfig's own check, also when argparse is bypassed
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+        args = cli.build_parser().parse_args(
+            ["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+             "--out", str(tmp_path / "out")])
+        args.seed = -1
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            cli._cmd_train(args)
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_overrides_the_config(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+        write_tiny_dataset(tmp_path / "data" / "train", n_scans=1)
+        seeds = []
+        monkeypatch.setattr(cli, "train_loop", lambda dataset, rc, **kwargs: (seeds.append(rc.train.seed), None, []))
+        assert main(["train", "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out"), "--seed", "5"]) == 0
+        assert seeds == [5]
 
 
 class TestCutmixBank:
@@ -196,10 +237,10 @@ class TestCutmixBank:
         assert banked == []
 
 
-class TestPaddedPipeline:
-    """``train`` on the pipeline's config pads every scene, and how far it pads changes nothing."""
+class TestUndersizedPipeline:
+    """``train`` on the pipeline's config runs every scene whole, below ``n_points``, so the cap changes nothing."""
 
-    def test_padding_size_changes_nothing(self, tmp_path, monkeypatch, capsys):
+    def test_cap_above_the_scene_size_changes_nothing(self, tmp_path, monkeypatch, capsys):
         from test_reach import CLASS_MAP, PIPELINE_KEYS  # imported here: test_reach imports this module
 
         (tmp_path / "tiny.map").write_text(CLASS_MAP)
@@ -208,9 +249,9 @@ class TestPaddedPipeline:
         write_tiny_dataset(tmp_path / "data" / "train", n_scans=3)
         sampled = []
 
-        def recording(*args, _sample=training.sample_fixed):
-            out = _sample(*args)
-            sampled.append((out.n_points, out.n_valid))
+        def recording(pc, n_target, rng, _sample=training.sample_fixed):
+            out = _sample(pc, n_target, rng)
+            sampled.append((out is pc, out.n_points < n_target))
             return out
 
         monkeypatch.setattr(training, "sample_fixed", recording)
@@ -226,7 +267,7 @@ class TestPaddedPipeline:
             # every column but the wall seconds
             log = [line.split("\t")[:4] for line in (out / "train.log").read_text().splitlines()]
             runs[n] = tensors, moments, log
-        assert len(sampled) == 12 and all(n_valid < n_points for n_points, n_valid in sampled)
+        assert sampled == [(True, True)] * 12
         assert runs[512] == runs[1024]
         ckpt = str(tmp_path / "out_512" / "ckpt_final.wfli")
         scan = str(tmp_path / "data" / "train" / "scan_0.bin")

@@ -15,7 +15,6 @@ from waffleiron.evaluation import (
     segment_scan,
 )
 from waffleiron.geometry import IGNORE_LABEL, PointCloud, crop_fov, nearest_indices, voxel_downsample
-from waffleiron.training import _counted_mask
 from waffleiron import backbone, dataio, evaluation
 
 from oracles import nn_propagate_labels, rotate_then_flip
@@ -114,7 +113,7 @@ class TestInference:
 
     def test_tta_close_to_plain_on_overfit_scene(self, trained):
         model, scene = trained
-        counted = _counted_mask(scene.labels, np.ones(scene.n_points, dtype=bool))
+        counted = scene.labels != IGNORE_LABEL
         plain = segment_scan(scene, model, VOXEL)
         plain_acc = (plain[counted] == scene.labels[counted]).mean()
         tta = segment_scan(scene, model, VOXEL, tta=True, rng=np.random.default_rng(3))

@@ -10,7 +10,6 @@ import pytest
 
 import waffleiron
 from waffleiron.geometry import (
-    IGNORE_LABEL,
     PointCloud,
     _ranked_neighbors,
     crop_fov,
@@ -24,25 +23,20 @@ from conftest import random_cloud
 from oracles import nn_propagate_labels, ranked_neighbors_exhaustive, voxel_first_rows
 
 
-def cloud_from_positions(positions, labels=None, valid=None):
+def cloud_from_positions(positions, labels=None):
     positions = np.asarray(positions, dtype=np.float32)
-    return PointCloud(positions, np.zeros(len(positions)), labels, valid)
+    return PointCloud(positions, np.zeros(len(positions)), labels)
 
 
-def knn_oracle(positions, valid, k):
+def knn_oracle(positions, k):
     """Exhaustive all-pairs search with (distance, index) ordering."""
     pts = np.asarray(positions, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
     n = len(pts)
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    d2[:, ~valid] = np.inf
     np.fill_diagonal(d2, np.inf)
     ranked = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)
-    n_cands = valid.sum() - valid
-    # short rows repeat their last candidate; a row without any lists itself
-    out = np.take_along_axis(ranked, np.minimum(np.arange(k), np.maximum(n_cands - 1, 0)[:, None]), axis=1)
-    out[n_cands == 0] = np.flatnonzero(n_cands == 0)[:, None]
-    return out
+    # short rows repeat their last candidate; a lone point lists itself
+    return ranked[:, np.minimum(np.arange(k), max(n - 2, 0))]
 
 
 def lattice(side):
@@ -55,6 +49,24 @@ def duplicate_sites(rng, n_sites, copies):
     """``copies`` exact copies of each random site, interleaved in index order."""
     sites = rng.uniform(-3, 3, size=(n_sites, 3)).astype(np.float32)
     return np.repeat(sites, copies, axis=0)[rng.permutation(n_sites * copies)]
+
+
+class TestPointCloud:
+    @pytest.mark.parametrize("field", ["positions", "intensity"])
+    @pytest.mark.parametrize("row", [0, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_on_any_row_raises(self, field, row, value):
+        arrays = {"positions": np.zeros((5, 3)), "intensity": np.zeros(5)}
+        arrays[field][row] = value
+        with pytest.raises(ValueError, match="non-finite coordinates or intensity"):
+            PointCloud(**arrays)
+
+    def test_valid_is_all_true_and_read_only(self):
+        pc = cloud_from_positions(np.zeros((4, 3)))
+        assert pc.valid.dtype == bool and pc.valid.shape == (4,) and pc.valid.all()
+        assert pc.select(np.array([], dtype=np.intp)).valid.shape == (0,)
+        with pytest.raises(AttributeError):
+            pc.valid = np.zeros(4, dtype=bool)
 
 
 class TestVoxelDownsample:
@@ -156,15 +168,14 @@ class TestSampleFixed:
         out = sample_fixed(pc, 200, rng)
         np.testing.assert_array_equal(out.positions, pc.positions)
 
-    def test_padding(self):
-        pc = cloud_from_positions(np.eye(3, 3) @ np.diag([1.0, 2.0, 3.0]))
-        pc = PointCloud(pc.positions, pc.intensity, np.array([0, 1, 2]), None)
-        out = sample_fixed(pc, 8, np.random.default_rng(0))
-        assert out.n_points == 8
-        assert out.valid.sum() == 3
-        assert (out.labels[3:] == IGNORE_LABEL).all()
-        assert (out.positions[3:] == 0).all()
-        assert (out.intensity[3:] == 0).all()
+    @pytest.mark.parametrize("n_target", [3, 4, 8])
+    def test_undersized_cloud_is_returned_whole(self, n_target):
+        # a scene of at most n_target points runs at its own size, drawing nothing
+        pc = cloud_from_positions(np.eye(3, 3) @ np.diag([1.0, 2.0, 3.0]), labels=np.array([0, 1, 2]))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert sample_fixed(pc, n_target, rng) is pc
+        assert rng.bit_generator.state == state
 
     def test_anchor_neighborhood_matches_sort_oracle(self):
         positions = np.stack([np.arange(50, dtype=np.float32), np.zeros(50), np.zeros(50)], axis=1)
@@ -196,21 +207,14 @@ class TestKnn:
         for positions in (rng.uniform(-5, 5, size=(200, 3)), lattice(8), duplicate_sites(rng, 10, 20)):
             pc = cloud_from_positions(positions)
             nbr = knn(pc, 16)
-            np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, pc.valid, 16))
+            np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, 16))
 
     def test_grid_path_matches_oracle(self):
         rng = np.random.default_rng(5)
         for positions in (rng.uniform(-20, 20, size=(2500, 3)), lattice(14), duplicate_sites(rng, 250, 10)):
             pc = cloud_from_positions(positions)
             nbr = knn(pc, 5)
-            np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, pc.valid, 5))
-
-    def test_padded_cloud_raises(self):
-        # padding never reaches the network: prepare_inputs drops it before the search
-        pc = sample_fixed(cloud_from_positions(lattice(2)), 12, np.random.default_rng(6))
-        assert pc.n_valid == 8
-        with pytest.raises(ValueError, match="unpadded"):
-            knn(pc, 4)
+            np.testing.assert_array_equal(nbr, knn_oracle(pc.positions, 5))
 
     def test_fill_when_too_few_candidates(self):
         pc = cloud_from_positions([[0, 0, 0], [1, 0, 0]])
@@ -315,17 +319,10 @@ class TestNnPropagate:
                 d2 = ((spts - d) ** 2).sum(axis=1)
                 assert out[i] == labels[int(np.argmin(d2))]
 
-    def test_invalid_rows_ignored(self):
-        positions = np.array([[0, 0, 0], [5, 5, 5]], dtype=np.float32)
-        valid = np.array([False, True])
-        src = cloud_from_positions(positions, valid=valid)
-        out = nn_propagate_labels(src, np.array([1, 2]), np.array([[0.1, 0.0, 0.0]]))
-        assert out.tolist() == [2]
-
     def test_empty_source_raises(self):
-        src = cloud_from_positions(np.zeros((1, 3)), valid=np.array([False]))
+        src = cloud_from_positions(np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            nn_propagate_labels(src, np.array([0]), np.zeros((1, 3)))
+            nn_propagate_labels(src, np.zeros(0, dtype=np.int32), np.zeros((1, 3)))
 
 
 def test_nearest_indices_tie_breaks_low():

@@ -73,8 +73,9 @@ def run_pipeline(root: Path):
     (config_dir / "tiny.cfg").write_text(cfg)
     write_tiny_dataset(root / "data" / "train", n_scans=3)
     out = root / "out"
+    # --seed 0 repeats the config's seed, so the flag is parsed without changing the run
     assert main(["train", "--config", str(config_dir / "tiny.cfg"), "--data", str(root / "data"),
-                 "--out", str(out)]) == 0
+                 "--out", str(out), "--seed", "0"]) == 0
     ckpt = str(out / "ckpt_final.wfli")
     # the inferred scan repeats a point (two raw points in one voxel) and has
     # one point outside the FOV, so both label propagations search

@@ -27,37 +27,33 @@ from waffleiron.backbone import WaffleIron
 from oracles import grad_check, overfit_harness_config, synthetic_zband_scene
 
 
-def rand_problem(rng, k=4, n=10, ignore=0, invalid=0):
+def rand_problem(rng, k=4, n=10, ignore=0):
     logits = rng.standard_normal((k, n)).astype(np.float32)
     labels = rng.integers(0, k, n).astype(np.int32)
-    valid = np.ones(n, dtype=bool)
-    if invalid:
-        valid[:invalid] = False
-    if ignore:
-        labels[invalid : invalid + ignore] = IGNORE_LABEL
-    return logits, labels, valid
+    labels[:ignore] = IGNORE_LABEL
+    return logits, labels
 
 
 class TestCrossEntropy:
     def test_confident_correct_prediction(self):
         logits = np.array([[30.0], [0.0], [0.0]], dtype=np.float32)
-        loss, _ = cross_entropy(logits, np.array([0]), np.ones(1, dtype=bool))
+        loss, _ = cross_entropy(logits, np.array([0]))
         assert loss < 1e-9
 
     def test_uniform_logits_give_log_k(self):
         for k in (3, 19):
             logits = np.zeros((k, 7), dtype=np.float32)
             labels = np.arange(7, dtype=np.int32) % k
-            loss, _ = cross_entropy(logits, labels, np.ones(7, dtype=bool))
+            loss, _ = cross_entropy(logits, labels)
             assert loss == pytest.approx(math.log(k), rel=1e-9)
 
     def test_matches_logsumexp_oracle(self):
         rng = np.random.default_rng(0)
-        logits, labels, valid = rand_problem(rng, ignore=2, invalid=1)
-        loss, _ = cross_entropy(logits, labels, valid)
+        logits, labels = rand_problem(rng, ignore=2)
+        loss, _ = cross_entropy(logits, labels)
         terms = []
         for i in range(10):
-            if valid[i] and labels[i] != IGNORE_LABEL:
+            if labels[i] != IGNORE_LABEL:
                 z = logits[:, i].astype(np.float64)
                 terms.append(math.log(np.exp(z).sum()) - z[labels[i]])
         assert loss == pytest.approx(float(np.mean(terms)), abs=1e-6)
@@ -67,10 +63,9 @@ class TestCrossEntropy:
         store = ParamStore()
         x = store.register("logits", rng.standard_normal((4, 10)).astype(np.float32))
         labels = rng.integers(0, 4, 10).astype(np.int32)
-        valid = np.ones(10, dtype=bool)
 
         def loss_fn(want_grad):
-            loss, grad = cross_entropy(x.data, labels, valid)
+            loss, grad = cross_entropy(x.data, labels)
             if want_grad:
                 x.grad += grad
             return loss
@@ -80,26 +75,26 @@ class TestCrossEntropy:
     def test_no_scored_points_raises(self):
         logits = np.zeros((3, 2), dtype=np.float32)
         with pytest.raises(ValueError):
-            cross_entropy(logits, np.array([IGNORE_LABEL, IGNORE_LABEL]), np.ones(2, dtype=bool))
+            cross_entropy(logits, np.array([IGNORE_LABEL, IGNORE_LABEL]))
 
     def test_excluded_columns_have_zero_gradient(self):
         rng = np.random.default_rng(2)
-        logits, labels, valid = rand_problem(rng, ignore=2, invalid=2)
-        _, grad = cross_entropy(logits, labels, valid)
-        assert (grad[:, :4] == 0).all()
+        logits, labels = rand_problem(rng, ignore=4)
+        _, grad = cross_entropy(logits, labels)
+        assert (grad[:, :4] == 0).all() and (grad[:, 4:] != 0).any(axis=0).all()
 
 
 class TestLovasz:
     def test_perfect_one_hot_prediction(self):
         probs = np.eye(3, dtype=np.float64)[:, [0, 1, 2, 0]]
         labels = np.array([0, 1, 2, 0], dtype=np.int32)
-        loss, _ = lovasz_softmax(probs, labels, np.ones(4, dtype=bool))
+        loss, _ = lovasz_softmax(probs, labels)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_single_point_totally_wrong(self):
         probs = np.array([[0.0], [1.0]])
         labels = np.array([0], dtype=np.int32)
-        loss, _ = lovasz_softmax(probs, labels, np.ones(1, dtype=bool))
+        loss, _ = lovasz_softmax(probs, labels)
         assert loss == pytest.approx(1.0)
 
     def test_matches_enumerated_extension(self):
@@ -107,8 +102,7 @@ class TestLovasz:
         logits = rng.standard_normal((3, 8))
         probs = softmax(logits)
         labels = rng.integers(0, 3, 8).astype(np.int32)
-        valid = np.ones(8, dtype=bool)
-        loss, _ = lovasz_softmax(probs, labels, valid)
+        loss, _ = lovasz_softmax(probs, labels)
         # direct evaluation from the cumulative-sums definition, class by class
         total = []
         for c in np.unique(labels):
@@ -132,10 +126,9 @@ class TestLovasz:
         rng = np.random.default_rng(4)
         probs = softmax(rng.standard_normal((4, 20)))
         labels = rng.integers(0, 4, 20).astype(np.int32)
-        valid = np.ones(20, dtype=bool)
-        loss, _ = lovasz_softmax(probs, labels, valid)
+        loss, _ = lovasz_softmax(probs, labels)
         perm = rng.permutation(20)
-        loss_p, _ = lovasz_softmax(probs[:, perm], labels[perm], valid)
+        loss_p, _ = lovasz_softmax(probs[:, perm], labels[perm])
         assert loss_p == pytest.approx(loss, abs=1e-12)
 
     def test_single_element_gradient_is_one(self):
@@ -143,7 +136,7 @@ class TestLovasz:
 
     def test_no_labels_raises(self):
         with pytest.raises(ValueError):
-            lovasz_softmax(np.ones((2, 1)), np.array([IGNORE_LABEL]), np.ones(1, dtype=bool))
+            lovasz_softmax(np.ones((2, 1)), np.array([IGNORE_LABEL]))
 
 
 class TestTotalLoss:
@@ -152,11 +145,10 @@ class TestTotalLoss:
         store = ParamStore()
         x = store.register("logits", rng.standard_normal((3, 12)).astype(np.float32))
         labels = rng.integers(0, 3, 12).astype(np.int32)
-        valid = np.ones(12, dtype=bool)
-        valid[10:] = False
+        labels[10:] = IGNORE_LABEL
 
         def loss_fn(want_grad):
-            loss, grad, _ = segmentation_loss(x.data, labels, valid)
+            loss, grad, _ = segmentation_loss(x.data, labels, np.ones(12, dtype=bool))
             if want_grad:
                 x.grad += grad
             return loss
@@ -165,9 +157,16 @@ class TestTotalLoss:
 
     def test_parts_reported(self):
         rng = np.random.default_rng(6)
-        logits, labels, valid = rand_problem(rng)
-        loss, _, parts = segmentation_loss(logits, labels, valid)
+        logits, labels = rand_problem(rng)
+        loss, _, parts = segmentation_loss(logits, labels, np.ones(10, dtype=bool))
         assert loss == pytest.approx(parts["ce"] + parts["lovasz"])
+
+    @pytest.mark.parametrize("mask", ["one_false", "short", "long"])
+    def test_valid_must_be_all_true_with_one_entry_per_column(self, mask):
+        logits, labels = rand_problem(np.random.default_rng(7))
+        bad = {"one_false": np.arange(10) != 3, "short": np.ones(9, dtype=bool), "long": np.ones(11, dtype=bool)}[mask]
+        with pytest.raises(ValueError, match="valid must be all True with one entry per logit column"):
+            segmentation_loss(logits, labels, bad)
 
 
 class TestAdamW:
@@ -353,8 +352,7 @@ class TestPrepareTrainingScene:
         model = WaffleIron(overfit_harness_config(fov).model, np.random.default_rng(0))
         augment = AugmentConfig(rotate=True, flip=True, scale=True, cutmix=True, polarmix=True)
         (feats, *_), fixed = prepare_training_scene(scene, model, 96, np.random.default_rng(1), augment, bank, scene)
-        # built once, from the real rows of the padded scene
-        real = fixed.valid
-        assert len(built) == 1 and not real.all()
-        np.testing.assert_array_equal(built[0], fixed.positions[real])
-        np.testing.assert_array_equal(feats, build(fixed.positions[real], fixed.intensity[real], "5dim"))
+        # built once, from the whole sampled scene: it is below the cap, so it runs at its own size
+        assert len(built) == 1 and 64 < fixed.n_points < 96
+        np.testing.assert_array_equal(built[0], fixed.positions)
+        np.testing.assert_array_equal(feats, build(fixed.positions, fixed.intensity, "5dim"))
