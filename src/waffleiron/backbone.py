@@ -19,6 +19,14 @@ runs in blocks of points and is never held whole: training keeps only the
 winning neighbor slot of each pooled entry, as the smallest unsigned type
 holding ``k - 1``, and backward recomputes ``relu(local1)`` block by block.
 
+The point-wise layers run in blocks of rows (:func:`nn.row_blocks`): the
+channel layer runs ``lin1`` -> ReLU -> ``lin2`` -> residual per block, and the
+embedding writes its global and local halves and ``merge``'s output per
+block. The rows that backward reads (the ReLU output, ``merge``'s input) go
+into one kept N x width array in training and into one block buffer at eval;
+that is the only difference between the modes. So an eval forward holds a
+layer's input, its output and one block.
+
 The mixing layers apply their hidden ReLU in place to the fresh output of
 ``lin1`` (channel) or ``conv1`` (token), so a training forward keeps that
 one array both as the next layer's input and as the ReLU mask, and backward
@@ -41,8 +49,10 @@ from .nn import (
     DepthwiseConv3x3,
     ParamStore,
     PointwiseLinear,
+    affine_rows,
     fold,
     fold_adjoint,
+    row_blocks,
     slot_max,
 )
 from .projection import (
@@ -54,7 +64,8 @@ from .projection import (
 )
 
 # Points per block of the embedding's local branch: 256 points at k = 16 make
-# 4096 pair rows, whose half-width activations fit in cache.
+# 4096 pair rows, whose half-width activations fit in cache. As with row
+# blocks, a shorter rest joins the last block.
 _LOCAL_BLOCK = 256
 
 # Per-point input feature layouts: column count for each mode.
@@ -131,13 +142,15 @@ class EmbeddingLayer:
     the concatenation. The batch norm's map folds wholly into the global
     linear layer and only its scale into ``local1``: the shift cancels.
 
-    The local branch runs in blocks of ``_LOCAL_BLOCK`` points, in both
-    modes, so its k rows per point never exist for the whole cloud at once.
+    The local branch runs in blocks of ``_LOCAL_BLOCK`` points within each
+    row block, in both modes, so its k rows per point never exist for the
+    whole cloud at once.
     Both add ``local2``'s bias after the max, which pools the same values as
     the biased rows (rounding ``a + b`` is monotonic in ``a``). A training
     forward keeps only the features, the neighbor list, ``local1``'s weight
     with the scale and the winning slot of every pooled entry;
-    :meth:`backward` walks the same blocks, recomputes the differences and
+    :meth:`backward` walks the cloud's blocks (the same ones while
+    ``_ROW_BLOCK`` is a multiple of ``_LOCAL_BLOCK``), recomputes the differences and
     ``relu(local1)`` and routes the gradient through the kept slots, so
     ``local2`` is not re-run.
     """
@@ -157,26 +170,35 @@ class EmbeddingLayer:
         if neighbors.ndim != 2 or neighbors.shape[0] != feats.shape[0]:
             raise ValueError("neighbor list must be N x k aligned with the points")
         n, k = neighbors.shape
+        blocks = row_blocks(n)
         scale, shift = self.pre_bn.forward(feats, training)
         w1 = fold(self.local1.w.data, self.local1.b.data, feats.dtype, scale)[0]
-        g = self.global_lin.forward(feats, training, (scale, shift))
-        local = np.empty((n, self.half), dtype=feats.dtype)
+        wg, bg = self.global_lin.folded(feats, training, (scale, shift))
+        # merge's input rows, [global | local]: kept whole for backward in training, one block at eval
+        cat = np.empty((n if training else n - blocks[-1][0], 2 * self.half), dtype=feats.dtype)
+        wm, bm = self.merge.folded(cat, training)
         slots = np.empty((n, self.half), dtype=np.min_scalar_type(k - 1)) if training else None
-        for start, stop, _, r in self._pair_blocks(feats, neighbors, w1):
-            a2 = (r @ self.local2.w.data.T).reshape(stop - start, k, self.half)
-            if training:
-                local[start:stop], slots[start:stop] = slot_max(a2, neighbors[start:stop])
-            else:
-                a2.max(axis=1, out=local[start:stop])
-        local += self.local2.b.data
+        y = np.empty((n, wm.shape[0]), dtype=feats.dtype)
+        for lo, hi in blocks:
+            rows = cat[lo:hi] if training else cat[: hi - lo]
+            affine_rows(feats[lo:hi], wg, bg, rows[:, : self.half])
+            local = rows[:, self.half :]
+            for start, stop, _, r in self._pair_blocks(feats, neighbors, w1, lo, hi):
+                a2 = (r @ self.local2.w.data.T).reshape(stop - start, k, self.half)
+                if training:
+                    local[start - lo : stop - lo], slots[start:stop] = slot_max(a2, neighbors[start:stop])
+                else:
+                    a2.max(axis=1, out=local[start - lo : stop - lo])
+            local += self.local2.b.data
+            affine_rows(rows, wm, bm, y[lo:hi])
         self._cache = (feats, neighbors, slots, scale, w1) if training else None
-        return self.merge.forward(np.concatenate([g, local], axis=1), training)
+        return y
 
-    def _pair_blocks(self, x, neighbors, w1):
-        """Per block of points: its range, the (rows*k) x C differences and ``relu(local1)`` of them, weight ``w1``."""
-        n, k = neighbors.shape
-        for start in range(0, n, _LOCAL_BLOCK):
-            stop = min(start + _LOCAL_BLOCK, n)
+    def _pair_blocks(self, x, neighbors, w1, lo, hi):
+        """Per block of points in ``lo:hi``: its range, the (rows*k) x C differences and ``relu(local1)`` of them."""
+        k = neighbors.shape[1]
+        for start, stop in row_blocks(hi - lo, _LOCAL_BLOCK):
+            start, stop = lo + start, lo + stop
             d = (x[neighbors[start:stop]] - x[start:stop, None, :]).reshape((stop - start) * k, -1)
             r = d @ w1.T
             r += self.local1.b.data
@@ -200,9 +222,10 @@ class EmbeddingLayer:
         # one buffer, zeroed per block, routes the pooled gradient to the
         # winning slots; every pooled entry has exactly one slot, so local2's
         # bias gradient is the block sum of the pooled gradient
-        da2 = np.empty((min(n, _LOCAL_BLOCK), k, self.half), dtype=dy.dtype)
+        last = row_blocks(n, _LOCAL_BLOCK)[-1]
+        da2 = np.empty((last[1] - last[0], k, self.half), dtype=dy.dtype)
         ddiff = np.empty((n, k, x.shape[1]), dtype=dhb.dtype)
-        for start, stop, d, r in self._pair_blocks(x, neighbors, w1):
+        for start, stop, d, r in self._pair_blocks(x, neighbors, w1, 0, n):
             block = da2[: stop - start]
             block.fill(0)
             np.put_along_axis(block, slots[start:stop, None, :], dlocal[start:stop, None], axis=1)
@@ -244,7 +267,9 @@ class _TokenMixBranch:
         np.maximum(r, 0, out=r)
         # r is also conv2's cached input; r > 0 is the ReLU mask
         self._cache = (proj, r) if training else None
-        return proj.inflate(self.conv2.forward(r, proj.o_from_d, training, self.layerscale, factor))
+        rows = self.conv2.forward(r, proj.o_from_d, training, self.layerscale, factor)
+        del r  # at eval nothing else holds conv1's rows while inflate makes its N x F output
+        return proj.inflate(rows)
 
     def backward(self, dy):
         (proj, r), self._cache = self._cache, None
@@ -288,12 +313,21 @@ class ChannelMixLayer:
         self._relu_out = None
 
     def forward(self, x, training, factor=1.0):
-        r = self.lin1.forward(x, training, self.bn.forward(x, training))
-        np.maximum(r, 0, out=r)
-        # r is also lin2's cached input; r > 0 is the ReLU mask
+        n, f = x.shape
+        blocks = row_blocks(n)
+        w1, b1 = self.lin1.folded(x, training, self.bn.forward(x, training))
+        # the ReLU output, lin2's input and the mask: kept whole for backward in training, one block at eval
+        r = np.empty((n if training else n - blocks[-1][0], f), dtype=x.dtype)
+        w2, b2 = self.lin2.folded(r, training, None, self.layerscale, factor)
+        y = np.empty_like(x)
+        for lo, hi in blocks:
+            h = r[lo:hi] if training else r[: hi - lo]
+            affine_rows(x[lo:hi], w1, b1, h)
+            np.maximum(h, 0, out=h)
+            out = affine_rows(h, w2, b2, y[lo:hi])
+            np.add(out, x[lo:hi], out=out)
         self._relu_out = r if training else None
-        y = self.lin2.forward(r, training, None, self.layerscale, factor)
-        return np.add(y, x, out=y)
+        return y
 
     def backward(self, dy):
         r, self._relu_out = self._relu_out, None

@@ -160,7 +160,8 @@ def knn(pc: PointCloud, k: int) -> np.ndarray:
     if pc.n_points == 0:
         raise ValueError("empty cloud")
     pts = pc.positions.astype(np.float64)
-    # copied once the search's temporaries are freed: its own array kept deep_eval's peak RSS 2.3 MB higher
+    # copied once the search's temporaries are freed: without the copy deep_eval's peak RSS was 0.1-1.0 MB
+    # (median 0.9) higher in 10 of 10 alternating pairs, on the row-blocked forward
     return _ranked_neighbors(pts, pts, k, np.arange(pc.n_points)).copy()
 
 

@@ -15,6 +15,15 @@ rule: a layer writes only into arrays it made itself, never into its
 arguments. A training cache may share an array with the next layer's
 cache: an in-place ReLU output is both the mask its layer keeps and the
 input the next linear layer keeps.
+
+Point-wise products run in blocks of ``_ROW_BLOCK`` rows (:func:`row_blocks`),
+so an eval forward needs one block of a hidden layer, not all N rows of it.
+No block is shorter than ``_ROW_BLOCK`` unless the whole cloud is: a shorter
+remainder joins the last block. OpenBLAS hands very small products to other
+kernels, whose rows can differ in the last bit from the same rows of a large
+product (seen at up to 18 rows at width 64 and 4 rows at width 256); at 64
+rows and more, every shape tried gave the whole product's rows bit for bit,
+so blocked and unblocked forwards agree.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import numpy as np
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LAYERSCALE_INIT = 1e-2
+# Rows per block of a point-wise product: at F = 256 a float32 block is 1 MB.
+_ROW_BLOCK = 1024
 
 
 class Tensor:
@@ -104,15 +115,24 @@ class PointwiseLinear:
         self.b = store.register(f"{name}.bias", np.zeros(out_dim, dtype=np.float32))
         self._cache = None
 
-    def forward(self, x: np.ndarray, training: bool = True, affine=None, scale=None, factor=1.0) -> np.ndarray:
+    def folded(self, x: np.ndarray, training: bool, affine=None, scale=None, factor=1.0):
+        """The weights ``(W', b')`` of :func:`fold` in ``x``'s dtype; a training call keeps ``x`` for backward.
+
+        In training ``x`` is the whole N-row input, which the caller may still be filling; at eval only its
+        width and dtype are read, so one block of rows will do.
+        """
         if x.shape[1] != self.w.shape[1]:
             raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[1]}")
         a, s = affine or (1.0, 0.0)
         o = _out_scale(scale, factor)
-        w, b = fold(self.w.data, self.b.data, x.dtype, a, s, o)
         self._cache = (x, a, s, o, scale, factor) if training else None
-        y = x @ w.T
-        y += b
+        return fold(self.w.data, self.b.data, x.dtype, a, s, o)
+
+    def forward(self, x: np.ndarray, training: bool = True, affine=None, scale=None, factor=1.0) -> np.ndarray:
+        w, b = self.folded(x, training, affine, scale, factor)
+        y = np.empty((x.shape[0], w.shape[0]), dtype=x.dtype)
+        for lo, hi in row_blocks(x.shape[0]):
+            affine_rows(x[lo:hi], w, b, y[lo:hi])
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -123,6 +143,20 @@ class PointwiseLinear:
         if scale is not None:
             scale.grad += factor * do
         return (dy @ fold(self.w.data, self.b.data, dy.dtype, out_scale=o)[0]).astype(x.dtype, copy=False)
+
+
+def row_blocks(n: int, size: Optional[int] = None) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of ``size`` (``_ROW_BLOCK``) rows over ``n``; a shorter rest joins the last."""
+    size = size or _ROW_BLOCK
+    starts = [i * size for i in range(max(1, n // size))]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def affine_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = x W^T + b`` for a block of rows, written into ``out`` (rows of a larger array, or a block buffer)."""
+    np.matmul(x, w.T, out=out)
+    out += b
+    return out
 
 
 class BatchNorm:

@@ -159,9 +159,13 @@ class ProjectionPair:
 
     def flatten(self, features: np.ndarray, affine=None) -> np.ndarray:
         """Per-cell mean of the point rows, (|O| + 1) x F; ``affine = (a, s)`` maps occupied means to a m + s."""
-        means = self._cell_sums(features) / self._row_counts[:, None]
+        # in place in the float64 sums: no other (|O| + 1) x F float64 array is made
+        means = self._cell_sums(features)
+        means /= self._row_counts[:, None]
         if affine is not None:
-            means[:-1] = affine[0] * means[:-1] + affine[1]
+            occupied = means[:-1]
+            occupied *= affine[0]
+            occupied += affine[1]
         return means.astype(features.dtype, copy=False)
 
     def flatten_backward(self, drows: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from oracles import (
     unfused_eval,
     unfused_training,
 )
-from test_nn import per_tap_backward, per_tap_forward
+from test_nn import BLOCKED_ROWS, ROW_BLOCK, assert_same_bits, blocked_and_whole, per_tap_backward, per_tap_forward
 from test_projection import bitwise_equal, occupied_rows, scatter_rows
 
 
@@ -165,7 +166,7 @@ class TestEmbedding:
 
 
 class TestEmbeddingBlocks:
-    """The local branch runs in point blocks; 25 points in blocks of 7 make three full blocks and a partial one."""
+    """The local branch runs in point blocks; 25 points in blocks of 7 make two blocks of 7 and one of 11."""
 
     N, K, WIDTH = 25, 5, 8
 
@@ -689,6 +690,87 @@ class TestNoGradForward:
             np.testing.assert_allclose(logits, oracle, atol=FOLD_TOL)
             with pytest.raises(RuntimeError):
                 model.backward(np.ones_like(logits))
+
+
+class TestRowBlocks:
+    """Blocks of ``ROW_BLOCK`` rows against one block, at width 64: outputs and every gradient, bit for bit."""
+
+    @staticmethod
+    def outputs(store, y, training, backward):
+        if not training:
+            return (y,)
+        dx = backward(np.random.default_rng(9).standard_normal(y.shape).astype(np.float32))
+        return (y, dx, *(t.grad for _, t in store.trainable_items()))
+
+    @pytest.mark.parametrize("n", BLOCKED_ROWS)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_row_block_channel_mix_equals_one_block_bitwise(self, monkeypatch, n, training):
+        def run():
+            store = ParamStore()
+            layer = ChannelMixLayer(store, "cm", 64, np.random.default_rng(n))
+            perturb_eval_state(store, np.random.default_rng(n + 1))
+            x = np.random.default_rng(n + 2).standard_normal((n, 64)).astype(np.float32)
+            return self.outputs(store, layer.forward(x, training, 1.25), training, layer.backward)
+
+        blocked, whole, rows = blocked_and_whole(monkeypatch, run)
+        assert_same_bits(blocked, whole)
+        # lin1 and lin2 in each of two blocks
+        assert len(rows) == 4 and min(rows) >= ROW_BLOCK, rows
+
+    @pytest.mark.parametrize("n", BLOCKED_ROWS)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_row_block_embedding_equals_one_block_bitwise(self, monkeypatch, n, training):
+        def run():
+            store = ParamStore()
+            emb = EmbeddingLayer(store, "embed", 5, 64, np.random.default_rng(n))
+            perturb_eval_state(store, np.random.default_rng(n + 1))
+            rng = np.random.default_rng(n + 2)
+            feats = rng.standard_normal((n, 5)).astype(np.float32)
+            nbr = (np.arange(n)[:, None] + rng.integers(1, n, size=(n, 8))) % n
+            return self.outputs(store, emb.forward(feats, nbr, training), training, emb.backward)
+
+        blocked, whole, rows = blocked_and_whole(monkeypatch, run)
+        assert_same_bits(blocked, whole)
+        # the global half and merge in each of two blocks
+        assert len(rows) == 4 and min(rows) >= ROW_BLOCK, rows
+
+
+class TestEvalMemory:
+    """An eval forward's peak is two N x F arrays plus block buffers, at any depth."""
+
+    N, WIDTH, K = 4096, 256, 8
+    ROW_BLOCK, LOCAL_BLOCK = 128, 64
+
+    def eval_peak(self, fov, depth):
+        """Peak traced bytes of one eval forward above its prepared inputs, and the projections."""
+        model = WaffleIron(tiny_config(fov, depth=depth, width=self.WIDTH, k=self.K), np.random.default_rng(40))
+        inputs = prepare_inputs(model, build_scene(fov, n=self.N, seed=41))
+        model.forward(*inputs)  # first calls allocate numpy's and Python's lazy caches
+        tracemalloc.start()
+        try:
+            model.forward(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, inputs[2]
+
+    def test_eval_peak_is_two_point_arrays_plus_block_buffers(self, small_fov, monkeypatch):
+        monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
+        monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.LOCAL_BLOCK)
+        n, f = self.N, self.WIDTH
+        peak3, projections = self.eval_peak(small_fov, 3)
+        peak6, _ = self.eval_peak(small_fov, 6)
+        grid_rows = max(p.dilated_cells.size for p in projections.values()) + 1
+        buffers = (
+            (2 * self.ROW_BLOCK - 1) * f * 4  # the longest row block of a hidden layer
+            + 2 * f * f * 4  # a layer's two folded weights
+            + grid_rows * f * 8  # a plane's float64 cell sums, or its grid rows
+        )
+        # a kept N x F hidden array, or the embedding's concatenation, adds n * f * 4
+        assert buffers < n * f * 4 / 2
+        assert peak3 <= 2 * n * f * 4 + buffers, (peak3 - 2 * n * f * 4, buffers)
+        # nothing that an eval forward makes outlives its layer
+        assert abs(peak6 - peak3) < 4096, (peak3, peak6)
 
 
 def same_bits(before, after, path):

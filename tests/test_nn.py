@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from waffleiron import backbone, nn
 from waffleiron.backbone import ChannelMixLayer, TokenMixLayer
 from waffleiron.nn import (
     BN_EPS,
@@ -34,6 +35,7 @@ from oracles import (
     slot_max_where,
     tap_sum_unblocked,
 )
+from test_projection import bitwise_equal
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -103,6 +105,69 @@ class TestPointwiseLinear:
         dx = lin.backward(dy)
         want = (dy @ fold(lin.w.data, lin.b.data, np.float64)[0]).astype(np.float32)
         assert dx.dtype == np.float32 and dx.tobytes() == want.tobytes()
+
+
+# Rows per block in the row-block tests, at width 64, and their row counts:
+# a 40-row and a 1-row remainder, each of which joins the last block.
+ROW_BLOCK = 128
+BLOCKED_ROWS = (2 * ROW_BLOCK + 40, 2 * ROW_BLOCK + 1)
+
+
+def blocked_and_whole(monkeypatch, run):
+    """``run()`` in blocks of ``ROW_BLOCK`` rows, then in one block; both results and the blocked products' rows."""
+    rows = []
+    affine_rows = nn.affine_rows
+
+    def recording(x, *args):
+        rows.append(x.shape[0])
+        return affine_rows(x, *args)
+
+    monkeypatch.setattr(nn, "affine_rows", recording)
+    monkeypatch.setattr(backbone, "affine_rows", recording)
+    monkeypatch.setattr(nn, "_ROW_BLOCK", ROW_BLOCK)
+    blocked, blocked_rows = run(), rows.copy()
+    monkeypatch.setattr(nn, "_ROW_BLOCK", 10**9)
+    return blocked, run(), blocked_rows
+
+
+def assert_same_bits(blocked, whole):
+    assert len(blocked) == len(whole)
+    for i, (a, b) in enumerate(zip(blocked, whole)):
+        assert bitwise_equal(a, b), i
+
+
+class TestRowBlocks:
+    def test_row_blocks_are_never_shorter_than_row_block(self, monkeypatch):
+        monkeypatch.setattr(nn, "_ROW_BLOCK", ROW_BLOCK)
+        for n in range(1, 4 * ROW_BLOCK + 2):
+            blocks = nn.row_blocks(n)
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == n
+            lengths = [hi - lo for lo, hi in blocks]
+            if n < ROW_BLOCK:
+                assert lengths == [n]
+            else:
+                assert ROW_BLOCK <= min(lengths) and max(lengths) < 2 * ROW_BLOCK, (n, lengths)
+
+    @pytest.mark.parametrize("n", BLOCKED_ROWS)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_row_block_linear_equals_one_block_bitwise(self, monkeypatch, n, training):
+        def run():
+            rng = np.random.default_rng(n)
+            store = ParamStore()
+            lin = PointwiseLinear(store, "lin", 64, 64, rng)
+            lin.b.data[...] = rng.standard_normal(64)
+            diag = store.register("diag", rng.uniform(-0.6, 0.6, 64))
+            affine = (rng.uniform(0.5, 1.5, 64), rng.standard_normal(64))
+            x = rng.standard_normal((n, 64)).astype(np.float32)
+            y = lin.forward(x, training, affine, diag, 1.25)
+            if not training:
+                return (y,)
+            dx = lin.backward(rng.standard_normal((n, 64)).astype(np.float32))
+            return y, dx, lin.w.grad, lin.b.grad, diag.grad
+
+        blocked, whole, rows = blocked_and_whole(monkeypatch, run)
+        assert_same_bits(blocked, whole)
+        assert sum(rows) == n and len(rows) == 2 and min(rows) >= ROW_BLOCK, rows
 
 
 class TestBatchNorm:
