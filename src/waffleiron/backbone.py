@@ -12,24 +12,28 @@ the token flatten, ``lin1``) and the stochastic-depth factor times each
 layerscale into ``conv2``/``lin2``, so both mixing layers add their branch
 to ``x`` as it is; the modes differ only in the statistics they map by.
 
+Layers keep nothing between calls (see :mod:`.nn`): :class:`WaffleIron`
+holds the one list of ``(layer, context)`` from a training forward to its
+backward, which pops each context as that layer's backward runs.
+
 Features and tokens are N x C and N x F blocks of point rows from the
 embedding to the classifier; the logits are the K x N transpose of the
 classifier's rows. The embedding's local branch, k pair rows per point,
-runs in blocks of points and is never held whole: training keeps only the
-winning neighbor slot of each pooled entry, as the smallest unsigned type
-holding ``k - 1``, and backward recomputes ``relu(local1)`` block by block.
+runs in blocks of points and is never held whole: its context keeps only
+the winning neighbor slot of each pooled entry, as the smallest unsigned
+type holding ``k - 1``, and backward recomputes ``relu(local1)`` by block.
 
 The point-wise layers run in blocks of rows (:func:`nn.row_blocks`): the
 channel layer runs ``lin1`` -> ReLU -> ``lin2`` -> residual per block, and the
 embedding writes its global and local halves and ``merge``'s output per
 block. The rows that backward reads (the ReLU output, ``merge``'s input) go
-into one kept N x width array in training and into one block buffer at eval;
-that is the only difference between the modes. So an eval forward holds a
-layer's input, its output and one block.
+into one N x width array of the context in training and into one block
+buffer at eval; that is the only difference between the modes. So an eval
+forward holds a layer's input, its output and one block.
 
 The mixing layers apply their hidden ReLU in place to the fresh output of
-``lin1`` (channel) or ``conv1`` (token), so a training forward keeps that
-one array both as the next layer's input and as the ReLU mask, and backward
+``lin1`` (channel) or ``conv1`` (token), so a training context holds that
+one array as both the next layer's input and the ReLU mask, and backward
 masks the fresh gradient in place. The residual ``x + branch`` is written
 into the branch's fresh output, and the backward's ``dy + branch gradient``
 into the branch gradient.
@@ -144,15 +148,14 @@ class EmbeddingLayer:
 
     The local branch runs in blocks of ``_LOCAL_BLOCK`` points within each
     row block, in both modes, so its k rows per point never exist for the
-    whole cloud at once.
-    Both add ``local2``'s bias after the max, which pools the same values as
-    the biased rows (rounding ``a + b`` is monotonic in ``a``). A training
-    forward keeps only the features, the neighbor list, ``local1``'s weight
-    with the scale and the winning slot of every pooled entry;
-    :meth:`backward` walks the cloud's blocks (the same ones while
-    ``_ROW_BLOCK`` is a multiple of ``_LOCAL_BLOCK``), recomputes the differences and
-    ``relu(local1)`` and routes the gradient through the kept slots, so
-    ``local2`` is not re-run.
+    whole cloud at once. Both add ``local2``'s bias after the max, which
+    pools the same values as the biased rows (rounding ``a + b`` is monotonic
+    in ``a``). A training context keeps only the features, the neighbor list,
+    ``local1``'s weight with the scale, the winning slot of every pooled entry
+    and the contexts of ``pre_bn``, ``global`` and ``merge``; :meth:`backward`
+    walks the cloud's blocks (the same ones while ``_ROW_BLOCK`` is a multiple
+    of ``_LOCAL_BLOCK``), recomputes the differences and ``relu(local1)`` and
+    routes the gradient through the kept slots, so ``local2`` is not re-run.
     """
 
     def __init__(self, store: ParamStore, name: str, in_dim: int, width: int, rng: Optional[np.random.Generator]):
@@ -163,7 +166,6 @@ class EmbeddingLayer:
         self.local1 = PointwiseLinear(store, f"{name}.local1", in_dim, half, rng)
         self.local2 = PointwiseLinear(store, f"{name}.local2", half, half, rng)
         self.merge = PointwiseLinear(store, f"{name}.merge", width, width, rng)
-        self._cache = None
 
     def forward(self, feats, neighbors, training):
         neighbors = np.asarray(neighbors, dtype=np.int64)
@@ -171,12 +173,12 @@ class EmbeddingLayer:
             raise ValueError("neighbor list must be N x k aligned with the points")
         n, k = neighbors.shape
         blocks = row_blocks(n)
-        scale, shift = self.pre_bn.forward(feats, training)
+        (scale, shift), bn_ctx = self.pre_bn.forward(feats, training)
         w1 = fold(self.local1.w.data, self.local1.b.data, feats.dtype, scale)[0]
-        wg, bg = self.global_lin.folded(feats, training, (scale, shift))
+        (wg, bg), global_ctx = self.global_lin.folded(feats, training, (scale, shift))
         # merge's input rows, [global | local]: kept whole for backward in training, one block at eval
         cat = np.empty((n if training else n - blocks[-1][0], 2 * self.half), dtype=feats.dtype)
-        wm, bm = self.merge.folded(cat, training)
+        (wm, bm), merge_ctx = self.merge.folded(cat, training)
         slots = np.empty((n, self.half), dtype=np.min_scalar_type(k - 1)) if training else None
         y = np.empty((n, wm.shape[0]), dtype=feats.dtype)
         for lo, hi in blocks:
@@ -191,8 +193,7 @@ class EmbeddingLayer:
                     a2.max(axis=1, out=local[start - lo : stop - lo])
             local += self.local2.b.data
             affine_rows(rows, wm, bm, y[lo:hi])
-        self._cache = (feats, neighbors, slots, scale, w1) if training else None
-        return y
+        return y, ((feats, neighbors, slots, scale, w1, bn_ctx, global_ctx, merge_ctx) if training else None)
 
     def _pair_blocks(self, x, neighbors, w1, lo, hi):
         """Per block of points in ``lo:hi``: its range, the (rows*k) x C differences and ``relu(local1)`` of them."""
@@ -205,15 +206,13 @@ class EmbeddingLayer:
             np.maximum(r, 0, out=r)
             yield start, stop, d, r
 
-    def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError("embedding backward needs a training forward")
-        (x, neighbors, slots, scale, w1), self._cache = self._cache, None
+    def backward(self, dy, ctx):
+        x, neighbors, slots, scale, w1, bn_ctx, global_ctx, merge_ctx = ctx
         n, k = neighbors.shape
-        dcat = self.merge.backward(dy)
+        dcat = self.merge.backward(dy, merge_ctx)
         dlocal = dcat[:, self.half :]
         # gradients with respect to the batch norm's output, whose differences local1 reads
-        dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]))
+        dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]), global_ctx)
         w2 = self.local2.w.data
         dw1 = np.zeros(w1.shape, dtype=dy.dtype)
         dw2 = np.zeros(w2.shape, dtype=dy.dtype)
@@ -246,7 +245,7 @@ class EmbeddingLayer:
         self.local2.w.grad += dw2
         self.local2.b.grad += db2
         dhb -= ddiff.sum(axis=1)
-        return self.pre_bn.backward(dhb)
+        return self.pre_bn.backward(dhb, bn_ctx)
 
 
 class _TokenMixBranch:
@@ -260,22 +259,25 @@ class _TokenMixBranch:
         self.conv1 = DepthwiseConv3x3(store, f"{name}.conv1", width, rng)
         self.conv2 = DepthwiseConv3x3(store, f"{name}.conv2", width, rng)
         self.layerscale = store.register(f"{name}.layerscale.diag", np.full(width, LAYERSCALE_INIT, dtype=np.float32))
-        self._cache = None
 
     def forward(self, x, proj: ProjectionPair, training, factor):
-        r = self.conv1.forward(proj.flatten(x, self.bn.forward(x, training)), proj.d_from_o, training)
+        bn_map, bn_ctx = self.bn.forward(x, training)
+        # each conv's context is its arguments
+        args1 = (proj.flatten(x, bn_map), proj.d_from_o, None, 1.0)
+        r = self.conv1.forward(*args1)
         np.maximum(r, 0, out=r)
-        # r is also conv2's cached input; r > 0 is the ReLU mask
-        self._cache = (proj, r) if training else None
-        rows = self.conv2.forward(r, proj.o_from_d, training, self.layerscale, factor)
-        del r  # at eval nothing else holds conv1's rows while inflate makes its N x F output
-        return proj.inflate(rows)
+        args2 = (r, proj.o_from_d, self.layerscale, factor)
+        ctx = (proj, bn_ctx, args1, args2) if training else None
+        del args1, r  # at eval nothing else holds conv1's input while conv2 runs
+        rows = self.conv2.forward(*args2)
+        del args2  # nor conv1's rows while inflate makes its N x F output
+        return proj.inflate(rows), ctx
 
-    def backward(self, dy):
-        (proj, r), self._cache = self._cache, None
-        dr = self.conv2.backward(proj.inflate_backward(dy), proj.d_from_o)
-        dr *= r > 0
-        return self.bn.backward(proj.flatten_backward(self.conv1.backward(dr, proj.o_from_d)))
+    def backward(self, dy, ctx):
+        proj, bn_ctx, ctx1, ctx2 = ctx
+        dr = self.conv2.backward(proj.inflate_backward(dy), proj.d_from_o, ctx2)
+        dr *= ctx2[0] > 0  # conv2's input is the ReLU output
+        return self.bn.backward(proj.flatten_backward(self.conv1.backward(dr, proj.o_from_d, ctx1)), bn_ctx)
 
 
 class TokenMixLayer:
@@ -288,16 +290,17 @@ class TokenMixLayer:
         ]
 
     def forward(self, x, projections, training, factor=1.0):
-        total = None
+        total, ctx = None, []
         for axes, branch in zip(self.planes, self.branches):
-            out = branch.forward(x, projections[axes], training, factor)
+            out, branch_ctx = branch.forward(x, projections[axes], training, factor)
+            ctx.append(branch_ctx)
             total = out if total is None else np.add(total, out, out=total)
-        return np.add(total, x, out=total)
+        return np.add(total, x, out=total), (ctx if training else None)
 
-    def backward(self, dy):
+    def backward(self, dy, ctx):
         dx = None
-        for branch in self.branches:
-            grad = branch.backward(dy)
+        for branch, branch_ctx in zip(self.branches, ctx):
+            grad = branch.backward(dy, branch_ctx)
             dx = np.add(grad, dy, out=grad) if dx is None else np.add(dx, grad, out=dx)
         return dx
 
@@ -310,15 +313,15 @@ class ChannelMixLayer:
         self.lin1 = PointwiseLinear(store, f"{name}.lin1", width, width, rng)
         self.lin2 = PointwiseLinear(store, f"{name}.lin2", width, width, rng)
         self.layerscale = store.register(f"{name}.layerscale.diag", np.full(width, LAYERSCALE_INIT, dtype=np.float32))
-        self._relu_out = None
 
     def forward(self, x, training, factor=1.0):
         n, f = x.shape
         blocks = row_blocks(n)
-        w1, b1 = self.lin1.folded(x, training, self.bn.forward(x, training))
+        bn_map, bn_ctx = self.bn.forward(x, training)
+        (w1, b1), ctx1 = self.lin1.folded(x, training, bn_map)
         # the ReLU output, lin2's input and the mask: kept whole for backward in training, one block at eval
         r = np.empty((n if training else n - blocks[-1][0], f), dtype=x.dtype)
-        w2, b2 = self.lin2.folded(r, training, None, self.layerscale, factor)
+        (w2, b2), ctx2 = self.lin2.folded(r, training, None, self.layerscale, factor)
         y = np.empty_like(x)
         for lo, hi in blocks:
             h = r[lo:hi] if training else r[: hi - lo]
@@ -326,14 +329,13 @@ class ChannelMixLayer:
             np.maximum(h, 0, out=h)
             out = affine_rows(h, w2, b2, y[lo:hi])
             np.add(out, x[lo:hi], out=out)
-        self._relu_out = r if training else None
-        return y
+        return y, ((bn_ctx, ctx1, ctx2) if training else None)
 
-    def backward(self, dy):
-        r, self._relu_out = self._relu_out, None
-        dr = self.lin2.backward(dy)
-        dr *= r > 0
-        dx = self.bn.backward(self.lin1.backward(dr))
+    def backward(self, dy, ctx):
+        bn_ctx, ctx1, ctx2 = ctx
+        dr = self.lin2.backward(dy, ctx2)
+        dr *= ctx2[0] > 0  # lin2's input is the ReLU output
+        dx = self.bn.backward(self.lin1.backward(dr, ctx1), bn_ctx)
         return np.add(dx, dy, out=dx)
 
 
@@ -356,7 +358,7 @@ class WaffleIron:
             channel = ChannelMixLayer(self.store, f"layers.{i}.channel", config.width, rng)
             self.layers.append((token, channel))
         self.classifier = PointwiseLinear(self.store, "classifier", config.width, config.num_classes, rng)
-        self._kept = None
+        self._contexts = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -382,8 +384,8 @@ class WaffleIron:
 
         Two modes over one data path, in which every batch norm's map and
         layerscale folds into the adjacent weights. A training forward maps
-        by batch statistics, updates the running statistics and makes every
-        layer keep what :meth:`backward` needs. An eval forward maps by the
+        by batch statistics, updates the running statistics and keeps every
+        layer's context for :meth:`backward`. An eval forward maps by the
         running statistics and keeps nothing. By equal statistics both give
         the same logits bit for bit.
 
@@ -405,27 +407,28 @@ class WaffleIron:
         dropping = drop_rng is not None and p > 0.0
         factor = 1.0 / (1.0 - p) if dropping else 1.0
 
-        kept = []
-        x = self.embedding.forward(feats, neighbors, training)
+        x, ctx = self.embedding.forward(feats, neighbors, training)
+        contexts = [(self.embedding, ctx)]
         for token, channel in self.layers:
             if not (dropping and drop_rng.random() < p):
-                x = token.forward(x, projections, training, factor)
-                kept.append(token)
+                x, ctx = token.forward(x, projections, training, factor)
+                contexts.append((token, ctx))
             if not (dropping and drop_rng.random() < p):
-                x = channel.forward(x, training, factor)
-                kept.append(channel)
-        self._kept = kept if training else None
-        return self.classifier.forward(x, training).T
+                x, ctx = channel.forward(x, training, factor)
+                contexts.append((channel, ctx))
+        logits, ctx = self.classifier.forward(x, training)
+        self._contexts = contexts + [(self.classifier, ctx)] if training else None
+        return logits.T
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``."""
-        if self._kept is None:
+        if self._contexts is None:
             raise RuntimeError("backward needs a training forward")
-        kept, self._kept = self._kept, None
-        dx = self.classifier.backward(dlogits.T)
-        for layer in reversed(kept):
-            dx = layer.backward(dx)
-        self.embedding.backward(dx)
+        contexts, self._contexts = self._contexts, None
+        dx = dlogits.T
+        while contexts:
+            layer, ctx = contexts.pop()
+            dx = layer.backward(dx, ctx)
 
 
 def param_count(config: WaffleIronConfig) -> int:

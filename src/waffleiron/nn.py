@@ -1,7 +1,10 @@
 """Minimal dense layer set with hand-written forward/backward passes.
 
 The network architecture is fixed, so instead of a tape-based autodiff each
-layer caches what its own backward pass needs. Parameters live in a
+layer has a hand-written backward pass and keeps nothing between calls: a
+forward returns its output and a context, what ``backward`` reads (``None``
+at eval), and ``backward`` takes the context back; the convolution returns
+only its output, as its arguments are its context. Parameters live in a
 :class:`ParamStore` as named float32 tensors; gradient buffers accumulate
 until explicitly zeroed. A batch norm returns only the float64 map of its
 statistics, which its consumer applies to the batch norm's own input, and a
@@ -12,9 +15,9 @@ resulting weights back (:func:`fold_adjoint`).
 Backward runs in the forward's dtype; :meth:`PointwiseLinear.backward`
 casts to it, so a float64 loss gradient stops at the classifier. Aliasing
 rule: a layer writes only into arrays it made itself, never into its
-arguments. A training cache may share an array with the next layer's
-cache: an in-place ReLU output is both the mask its layer keeps and the
-input the next linear layer keeps.
+arguments. A context may share an array with the next layer's context: an
+in-place ReLU output is both its layer's mask and the next linear layer's
+input.
 
 Point-wise products run in blocks of ``_ROW_BLOCK`` rows (:func:`row_blocks`),
 so an eval forward needs one block of a hidden layer, not all N rows of it.
@@ -113,10 +116,9 @@ class PointwiseLinear:
     def __init__(self, store: ParamStore, name: str, in_dim: int, out_dim: int, rng: Optional[np.random.Generator]):
         self.w = store.register(f"{name}.weight", uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = store.register(f"{name}.bias", np.zeros(out_dim, dtype=np.float32))
-        self._cache = None
 
     def folded(self, x: np.ndarray, training: bool, affine=None, scale=None, factor=1.0):
-        """The weights ``(W', b')`` of :func:`fold` in ``x``'s dtype; a training call keeps ``x`` for backward.
+        """The weights ``(W', b')`` of :func:`fold` in ``x``'s dtype, and the context, which keeps ``x`` in training.
 
         In training ``x`` is the whole N-row input, which the caller may still be filling; at eval only its
         width and dtype are read, so one block of rows will do.
@@ -125,18 +127,17 @@ class PointwiseLinear:
             raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[1]}")
         a, s = affine or (1.0, 0.0)
         o = _out_scale(scale, factor)
-        self._cache = (x, a, s, o, scale, factor) if training else None
-        return fold(self.w.data, self.b.data, x.dtype, a, s, o)
+        return fold(self.w.data, self.b.data, x.dtype, a, s, o), ((x, a, s, o, scale, factor) if training else None)
 
-    def forward(self, x: np.ndarray, training: bool = True, affine=None, scale=None, factor=1.0) -> np.ndarray:
-        w, b = self.folded(x, training, affine, scale, factor)
+    def forward(self, x: np.ndarray, training: bool = True, affine=None, scale=None, factor=1.0):
+        (w, b), ctx = self.folded(x, training, affine, scale, factor)
         y = np.empty((x.shape[0], w.shape[0]), dtype=x.dtype)
         for lo, hi in row_blocks(x.shape[0]):
             affine_rows(x[lo:hi], w, b, y[lo:hi])
-        return y
+        return y, ctx
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x, a, s, o, scale, factor), self._cache = self._cache, None
+    def backward(self, dy: np.ndarray, ctx) -> np.ndarray:
+        x, a, s, o, scale, factor = ctx
         dw, db, do = fold_adjoint(self.w.data, self.b.data, dy.T @ x, dy.sum(axis=0), a, s, o)
         self.w.grad += dw
         self.b.grad += db
@@ -162,10 +163,10 @@ def affine_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
 class BatchNorm:
     """Per-channel batch normalization over the point rows, returned as a map that its consumer folds.
 
-    ``forward`` returns the float64 ``(scale, shift)`` with ``scale * x + shift`` the normalized input,
+    ``forward`` returns the float64 map ``(scale, shift)`` and the context, with ``scale * x + shift`` the normalized input,
     ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean * scale``. Eval: ``mean, var`` are the running
     statistics. Training: the batch mean and biased variance of the rows, rounded to ``x``'s dtype; they go
-    into the running statistics with momentum, and the layer keeps ``x`` and them for :meth:`backward`, which
+    into the running statistics with momentum, and the context holds ``x`` and them for :meth:`backward`, which
     takes the normalized input's gradient and never forms ``xhat``: the input gradient is affine in ``(dy, x)``.
     """
 
@@ -174,7 +175,6 @@ class BatchNorm:
         self.beta = store.register(f"{name}.beta", np.zeros(dim, dtype=np.float32))
         self.running_mean = store.register(f"{name}.running_mean", np.zeros(dim, dtype=np.float32), trainable=False)
         self.running_var = store.register(f"{name}.running_var", np.ones(dim, dtype=np.float32), trainable=False)
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = True):
         if training:
@@ -189,15 +189,14 @@ class BatchNorm:
             self.running_mean.data[...] = (1 - BN_MOMENTUM) * self.running_mean.data + BN_MOMENTUM * mean64
             self.running_var.data[...] = (1 - BN_MOMENTUM) * self.running_var.data + BN_MOMENTUM * var64
             mean, var = mean64.astype(x.dtype), var64.astype(x.dtype)
-            self._cache = (x, mean, 1.0 / np.sqrt(var + BN_EPS))
+            ctx = (x, mean, 1.0 / np.sqrt(var + BN_EPS))
         else:
-            self._cache = None
-            mean, var = self.running_mean.data, self.running_var.data
+            ctx, mean, var = None, self.running_mean.data, self.running_var.data
         scale = self.gamma.data / np.sqrt(var.astype(np.float64) + BN_EPS)
-        return scale, self.beta.data - mean * scale
+        return (scale, self.beta.data - mean * scale), ctx
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x, mean, inv_std), self._cache = self._cache, None
+    def backward(self, dy: np.ndarray, ctx) -> np.ndarray:
+        x, mean, inv_std = ctx
         # dx = c1 dy + c2 x + c3 per channel (Ioffe & Szegedy 2015), with
         # c1 = gamma inv_std and c2, c3 from sum(dy) and sum(dy x), all in float64
         count = x.shape[0]
@@ -234,15 +233,16 @@ class DepthwiseConv3x3:
     like :meth:`ProjectionPair.flatten`. ``forward(x, taps)`` takes an
     ``n_out x 9`` int table: ``taps[r, 3u + v]`` is the input row at offset
     (u - 1, v - 1) from output row r, and the index ``n_in`` of the zero row
-    stands for an empty or out-of-grid cell. ``backward(dy, taps)`` takes the
-    table of the other direction, ``n_in x 9`` rows of the output set, and
-    reads it with flipped taps. Each output row starts from 0.0, adds the
-    products ``kernel[:, u, v] * x`` in (u, v) order and the bias last; the
-    input gradient adds ``kernel[:, u, v] * dy`` at offset (1 - u, 1 - v) in
-    (u, v) order, and ``dy`` must have the input's dtype. On the rows it
-    evaluates, the result is therefore bit-identical to the dense zero-padded
-    convolution of the whole grid, provided every cell the rows read and do
-    not list is zero.
+    stands for an empty or out-of-grid cell. ``forward`` returns only its
+    output, so its context is its own arguments: ``backward(dy, taps, ctx)``
+    takes ``ctx = (x, taps, scale, factor)`` and the table of the other
+    direction, ``n_in x 9`` rows of the output set, read with flipped taps.
+    Each output row starts from 0.0, adds the products ``kernel[:, u, v] * x``
+    in (u, v) order and the bias last; the input gradient adds
+    ``kernel[:, u, v] * dy`` at offset (1 - u, 1 - v) in (u, v) order, and
+    ``dy`` must have the input's dtype. On the rows it evaluates, the result
+    is therefore bit-identical to the dense zero-padded convolution of the
+    whole grid, provided every cell the rows read and do not list is zero.
     Kernel and bias gradients are sums over rows. ``factor * scale`` scales
     the output through kernel and bias, as in :class:`PointwiseLinear`.
     """
@@ -250,9 +250,8 @@ class DepthwiseConv3x3:
     def __init__(self, store: ParamStore, name: str, channels: int, rng: Optional[np.random.Generator]):
         self.k = store.register(f"{name}.kernel", uniform_init(rng, (channels, 3, 3), 9))
         self.b = store.register(f"{name}.bias", np.zeros(channels, dtype=np.float32))
-        self._cache = None
 
-    def forward(self, x: np.ndarray, taps: np.ndarray, training: bool = True, scale=None, factor=1.0) -> np.ndarray:
+    def forward(self, x: np.ndarray, taps: np.ndarray, scale=None, factor=1.0) -> np.ndarray:
         f = self.k.shape[0]
         check_rows(x, f)
         _check_taps(taps, x.shape[0] - 1)
@@ -260,11 +259,10 @@ class DepthwiseConv3x3:
         kern, bias = fold(self.k.data.reshape(f, 9), self.b.data, x.dtype, out_scale=o)
         y = _tap_sum(x, taps, _TAPS, kern)
         y[:-1] += bias
-        self._cache = (x, taps, o, scale, factor) if training else None
         return y
 
-    def backward(self, dy: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        x, fwd_taps, o, scale, factor = self._cache
+    def backward(self, dy: np.ndarray, taps: np.ndarray, ctx) -> np.ndarray:
+        x, fwd_taps, scale, factor = ctx
         f = self.k.shape[0]
         if dy.dtype != x.dtype:
             raise ValueError(f"expected a {x.dtype} gradient like the forward's input, got {dy.dtype}")
@@ -272,14 +270,13 @@ class DepthwiseConv3x3:
         _check_taps(taps, fwd_taps.shape[0])
         if taps.shape[0] != x.shape[0] - 1:
             raise ValueError(f"expected a {x.shape[0] - 1} x 9 table, got {taps.shape}")
-        self._cache = None
         rows = dy[:-1]
         ksum = np.zeros((f, 9), dtype=x.dtype)
         xt = np.empty(rows.shape, dtype=x.dtype)
         for t in _TAPS:
             np.take(x, fwd_taps[:, t], axis=0, out=xt, mode="clip")
             ksum[:, t] += np.einsum("ij,ij->j", xt, rows)
-        kern = self.k.data.reshape(f, 9)
+        kern, o = self.k.data.reshape(f, 9), _out_scale(scale, factor)
         dk, db, do = fold_adjoint(kern, self.b.data, ksum, rows.sum(axis=0), out_scale=o)
         self.k.grad += dk.reshape(f, 3, 3)
         self.b.grad += db

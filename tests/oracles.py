@@ -147,13 +147,13 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0)
 
 
-def bn_backward_xhat(bn: BatchNorm, dy: np.ndarray, cache=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``BatchNorm.backward`` as first written, from ``cache`` or else from ``bn``'s training forward, which it leaves.
+def bn_backward_xhat(bn: BatchNorm, dy: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``BatchNorm.backward`` as first written, from the context ``(x, mean, inv_std)`` of a training forward.
 
-    The cache is ``(x, mean, inv_std)``. Every intermediate, ``xhat``
-    first, is a new array. Returns (dx, gamma gradient, beta gradient).
+    Every intermediate, ``xhat`` first, is a new array. Returns (dx, gamma
+    gradient, beta gradient).
     """
-    x, mean, inv_std = bn._cache if cache is None else cache
+    x, mean, inv_std = ctx
     count = x.shape[0]
     xhat = (x - mean) * inv_std
     dgamma = (dy * xhat).sum(axis=0)
@@ -263,8 +263,8 @@ def token_eval(layer: TokenMixLayer, x: np.ndarray, projections, factor: float =
     total = None
     for axes, br in zip(layer.planes, layer.branches):
         proj = projections[axes]
-        r = relu(br.conv1.forward(proj.flatten(bn_eval(br.bn, x)), proj.d_from_o, training=False))
-        out = br.layerscale.data * proj.inflate(br.conv2.forward(r, proj.o_from_d, training=False))
+        r = relu(br.conv1.forward(proj.flatten(bn_eval(br.bn, x)), proj.d_from_o))
+        out = br.layerscale.data * proj.inflate(br.conv2.forward(r, proj.o_from_d))
         total = out if total is None else total + out
     return x + factor * total
 
@@ -300,7 +300,7 @@ def bn_statistics_widened(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bn_train(bn: BatchNorm, x: np.ndarray):
-    """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the cache ``bn_backward_xhat`` reads."""
+    """Training batch norm as a pass of its own: ``gamma * xhat + beta`` and the context ``bn_backward_xhat`` reads."""
     mean64, var = bn_statistics_widened(x)
     mean = mean64.astype(x.dtype)
     inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + BN_EPS)
@@ -333,21 +333,21 @@ def token_train(layer: TokenMixLayer, x, projections, factor, add):
     total, saved = 0.0, []
     for axes, br in zip(layer.planes, layer.branches):
         proj = projections[axes]
-        z, cache = bn_train(br.bn, x)
+        z, bn_ctx = bn_train(br.bn, x)
         rows = proj.flatten(z)
         c1 = conv_rows(br.conv1, rows, proj.d_from_o)
         pts = proj.inflate(conv_rows(br.conv2, relu(c1), proj.o_from_d))
         total = total + br.layerscale.data * pts
-        saved.append((br, proj, cache, rows, c1, pts))
+        saved.append((br, proj, bn_ctx, rows, c1, pts))
 
     def backward(dy):
         dres, dx = factor * dy, dy
-        for br, proj, cache, rows, c1, pts in saved:
+        for br, proj, bn_ctx, rows, c1, pts in saved:
             add(br.layerscale, (dres * pts).sum(axis=0))
             dc2 = proj.inflate_backward(br.layerscale.data * dres)
             dr, dk2, db2 = conv_rows_backward(br.conv2, relu(c1), proj.o_from_d, proj.d_from_o, dc2)
             drows, dk1, db1 = conv_rows_backward(br.conv1, rows, proj.d_from_o, proj.o_from_d, relu_backward(dr, c1))
-            dxb, dgamma, dbeta = bn_backward_xhat(br.bn, proj.flatten_backward(drows), cache)
+            dxb, dgamma, dbeta = bn_backward_xhat(br.bn, proj.flatten_backward(drows), bn_ctx)
             for tensor, grad in ((br.conv2.k, dk2), (br.conv2.b, db2), (br.conv1.k, dk1), (br.conv1.b, db1),
                                  (br.bn.gamma, dgamma), (br.bn.beta, dbeta)):
                 add(tensor, grad)
@@ -360,7 +360,7 @@ def token_train(layer: TokenMixLayer, x, projections, factor, add):
 def channel_train(layer: ChannelMixLayer, x, factor, add):
     """``x + factor * layerscale(lin2(relu(lin1(BN(x)))))`` and its backward, as :func:`token_train`."""
     (w1, b1), (w2, b2) = ((lin.w.data, lin.b.data) for lin in (layer.lin1, layer.lin2))
-    z, cache = bn_train(layer.bn, x)
+    z, bn_ctx = bn_train(layer.bn, x)
     a1 = z @ w1.T + b1
     a2 = relu(a1) @ w2.T + b2
 
@@ -368,7 +368,7 @@ def channel_train(layer: ChannelMixLayer, x, factor, add):
         dres = factor * dy
         da2 = layer.layerscale.data * dres
         da1 = relu_backward(da2 @ w2, a1)
-        dxb, dgamma, dbeta = bn_backward_xhat(layer.bn, da1 @ w1, cache)
+        dxb, dgamma, dbeta = bn_backward_xhat(layer.bn, da1 @ w1, bn_ctx)
         for tensor, grad in ((layer.layerscale, (dres * a2).sum(axis=0)),
                              (layer.lin2.w, da2.T @ relu(a1)), (layer.lin2.b, da2.sum(axis=0)),
                              (layer.lin1.w, da1.T @ z), (layer.lin1.b, da1.sum(axis=0)),
@@ -398,7 +398,7 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, labels, d
     dropping = drop_rng is not None and p > 0.0
     factor = 1.0 / (1.0 - p) if dropping else 1.0
     emb = model.embedding
-    hb, emb_cache = bn_train(emb.pre_bn, feats)
+    hb, emb_ctx = bn_train(emb.pre_bn, feats)
     x = embedding_oneshot(emb, hb, neighbors)
     backwards = []
     for token, channel in model.layers:
@@ -421,7 +421,7 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, labels, d
     for name, (dw, db) in emb_grads.items():
         add(lins[name].w, dw)
         add(lins[name].b, db)
-    _, dgamma, dbeta = bn_backward_xhat(emb.pre_bn, dhb, emb_cache)
+    _, dgamma, dbeta = bn_backward_xhat(emb.pre_bn, dhb, emb_ctx)
     add(emb.pre_bn.gamma, dgamma)
     add(emb.pre_bn.beta, dbeta)
     return loss, {name: grads.get(id(t), np.zeros(t.shape)) for name, t in model.store.trainable_items()}

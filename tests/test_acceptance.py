@@ -114,9 +114,9 @@ def test_criterion_05_gradient_checks():
         r = rng.standard_normal((7, 5))
 
         def loss(want):
-            y = lin.forward(x.data)
+            y, ctx = lin.forward(x.data)
             if want:
-                x.grad += lin.backward(r)
+                x.grad += lin.backward(r, ctx)
             return float((y * r).sum())
 
         return loss
@@ -129,10 +129,10 @@ def test_criterion_05_gradient_checks():
         r = rng.standard_normal((11, 3))
 
         def loss(want):
-            scale, shift = layer.forward(x.data)
+            (scale, shift), ctx = layer.forward(x.data)
             y = scale * x.data + shift
             if want:
-                x.grad += layer.backward(r)
+                x.grad += layer.backward(r, ctx)
             return float((y * r).sum())
 
         return loss
@@ -145,7 +145,7 @@ def test_criterion_05_gradient_checks():
         def loss(want):
             y = grid_forward(layer, x.data)
             if want:
-                x.grad += grid_backward(layer, r)
+                x.grad += grid_backward(layer, x.data, r)
             return float((y * r).sum())
 
         return loss
@@ -161,11 +161,11 @@ def test_criterion_05_gradient_checks():
         r, r_grid = rng.standard_normal((9, 3)), rng.standard_normal((3, 4, 5))
 
         def loss(want):
-            y = lin.forward(x.data, scale=diag, factor=1.25)
+            y, ctx = lin.forward(x.data, scale=diag, factor=1.25)
             y_grid = grid_forward(conv, grid.data, scale=diag, factor=1.25)
             if want:
-                x.grad += lin.backward(r)
-                grid.grad += grid_backward(conv, r_grid)
+                x.grad += lin.backward(r, ctx)
+                grid.grad += grid_backward(conv, grid.data, r_grid, scale=diag, factor=1.25)
             return float((y * r).sum() + (y_grid * r_grid).sum())
 
         return loss

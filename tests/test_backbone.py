@@ -98,7 +98,7 @@ class TestEmbedding:
         n = 12
         feats = np.tile(np.array([0.3, 1.0, -1.0, 0.5, 2.0], dtype=np.float32), (n, 1))
         nbr = np.random.default_rng(1).integers(0, n, size=(n, 3))
-        tokens = emb.forward(feats, nbr, training=False)
+        tokens, _ = emb.forward(feats, nbr, training=False)
         assert tokens.shape == (n, 8)
         assert np.abs(tokens - tokens[:1]).max() == 0
         # the local branch reduces to the MLP at zero
@@ -114,7 +114,7 @@ class TestEmbedding:
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((40, 5)).astype(np.float32)
         nbr = rng.integers(0, 40, size=(40, 6))
-        out = emb.forward(feats, nbr, training=True)
+        out, _ = emb.forward(feats, nbr, training=True)
         assert out.shape == (40, 16)
 
     def test_permutation_equivariance(self):
@@ -129,11 +129,11 @@ class TestEmbedding:
         nbr_p = inv[nbr[perm]]
         # eval statistics make the map exactly equivariant; train-mode batch
         # statistics agree only up to accumulation rounding
-        base = emb.forward(feats, nbr, training=False)
-        out = emb.forward(feats[perm], nbr_p, training=False)
+        base, _ = emb.forward(feats, nbr, training=False)
+        out, _ = emb.forward(feats[perm], nbr_p, training=False)
         np.testing.assert_array_equal(out, base[perm])
-        base_t = emb.forward(feats, nbr, training=True)
-        out_t = emb.forward(feats[perm], nbr_p, training=True)
+        base_t, _ = emb.forward(feats, nbr, training=True)
+        out_t, _ = emb.forward(feats[perm], nbr_p, training=True)
         np.testing.assert_allclose(out_t, base_t[perm], atol=1e-5)
 
     @pytest.mark.parametrize("k, dtype", [(16, np.uint8), (256, np.uint8), (257, np.uint16)])
@@ -141,8 +141,8 @@ class TestEmbedding:
         emb = EmbeddingLayer(ParamStore(), "embed", 5, 8, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((20, 5)).astype(np.float32)
-        emb.forward(feats, rng.integers(0, 20, size=(20, k)), training=True)
-        tables = [a for _, a in held(emb) if a.shape == (20, 4) and a.dtype.kind in "iu"]
+        _, ctx = emb.forward(feats, rng.integers(0, 20, size=(20, k)), training=True)
+        tables = [a for _, a in held(ctx) if a.shape == (20, 4) and a.dtype.kind in "iu"]
         assert [a.dtype for a in tables] == [dtype]
 
     def test_nograd_path_matches(self, monkeypatch):
@@ -157,10 +157,10 @@ class TestEmbedding:
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((25, 5)).astype(np.float32)
         nbr = rng.integers(0, 25, size=(25, 3))
-        a = emb.forward(feats, nbr, training=True)
-        assert held_arrays(emb) != []
-        b = emb.forward(feats, nbr, training=False)
-        assert held_arrays(emb) == []
+        a, ctx = emb.forward(feats, nbr, training=True)
+        assert held_arrays(ctx) != [] and held_arrays(emb) == []
+        b, ctx = emb.forward(feats, nbr, training=False)
+        assert ctx is None and held_arrays(emb) == []
         assert a.tobytes() == b.tobytes()
         np.testing.assert_allclose(a, embedding_eval(emb, feats, nbr), atol=FOLD_TOL)
 
@@ -191,9 +191,9 @@ class TestEmbeddingBlocks:
         for seed in range(3):
             store, emb, feats, nbr = self._layer_and_inputs(monkeypatch, seed)
             perturb_eval_state(store, np.random.default_rng(seed + 3))
-            blocked = emb.forward(feats, nbr, training=False)
+            blocked, _ = emb.forward(feats, nbr, training=False)
             monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.N)
-            np.testing.assert_array_equal(emb.forward(feats, nbr, training=False), blocked)
+            np.testing.assert_array_equal(emb.forward(feats, nbr, training=False)[0], blocked)
             np.testing.assert_allclose(blocked, embedding_eval(emb, feats, nbr), atol=FOLD_TOL)
 
     def test_training_gradients_match_oneshot(self, monkeypatch):
@@ -203,23 +203,23 @@ class TestEmbeddingBlocks:
             bn_forward, bn_backward = emb.pre_bn.forward, emb.pre_bn.backward
 
             def forward(x, *args):
-                scale, shift = bn_forward(x, *args)
+                (scale, shift), ctx = bn_forward(x, *args)
                 seen["hb"] = scale * x + shift
-                return scale, shift
+                return (scale, shift), ctx
 
-            def backward(dhb):
+            def backward(dhb, ctx):
                 seen["dhb"] = dhb.copy()
-                return bn_backward(dhb)
+                return bn_backward(dhb, ctx)
 
             monkeypatch.setattr(emb.pre_bn, "forward", forward)
             monkeypatch.setattr(emb.pre_bn, "backward", backward)
             monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.N)
-            oneblock = emb.forward(feats, nbr, training=True)
+            oneblock, _ = emb.forward(feats, nbr, training=True)
             monkeypatch.setattr(backbone, "_LOCAL_BLOCK", 7)
-            tokens = emb.forward(feats, nbr, training=True)
+            tokens, ctx = emb.forward(feats, nbr, training=True)
             np.testing.assert_array_equal(tokens, oneblock)
             dy = np.random.default_rng(seed + 2).standard_normal(tokens.shape)
-            emb.backward(dy)
+            emb.backward(dy, ctx)
             want_tokens, want_dhb, want_grads = embedding_oneshot(emb, seen["hb"], nbr, dy)
             # the oracle reads the batch norm's output, the layer folds its map
             np.testing.assert_allclose(tokens, want_tokens, rtol=1e-10)
@@ -238,9 +238,9 @@ class TestEmbeddingBlocks:
             r = np.random.default_rng(seed + 2).standard_normal((self.N, self.WIDTH))
 
             def loss_fn(want):
-                y = emb.forward(x.data, nbr, training=True)
+                y, ctx = emb.forward(x.data, nbr, training=True)
                 if want:
-                    x.grad += emb.backward(r)
+                    x.grad += emb.backward(r, ctx)
                 return float((y * r).sum())
 
             err = grad_check(loss_fn, store, eps=1e-4)
@@ -249,12 +249,12 @@ class TestEmbeddingBlocks:
     def test_keeps_no_pair_rows(self, monkeypatch):
         # the k rows per point of the local MLP live only inside a block
         _, emb, feats, nbr = self._layer_and_inputs(monkeypatch, 0)
-        emb.forward(feats, nbr, training=True)
-        kept = held(emb, "emb")
+        _, ctx = emb.forward(feats, nbr, training=True)
+        kept = held(ctx, "ctx")
         assert kept != []
         assert all(a.shape[0] <= self.N for _, a in kept), [(p, a.shape) for p, a in kept]
-        emb.forward(feats, nbr, training=False)
-        assert held_arrays(emb) == []
+        _, ctx = emb.forward(feats, nbr, training=False)
+        assert ctx is None and held_arrays(emb) == []
 
 
 class TestTokenMix:
@@ -272,7 +272,7 @@ class TestTokenMix:
     def test_zero_layerscale_is_identity(self, small_fov):
         layer, x, proj = self._layer_and_inputs(small_fov)
         layer.branches[0].layerscale.data[...] = 0.0
-        out = layer.forward(x, proj, training=False)
+        out, _ = layer.forward(x, proj, training=False)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_ffn_passes_normalized_tokens(self, small_fov):
@@ -291,34 +291,40 @@ class TestTokenMix:
         projections = model_like.build_projections(pos)
         # positive tokens so the FFN's hidden ReLU is transparent
         x = np.abs(np.random.default_rng(2).standard_normal((1, 4))).astype(np.float32)
-        out = layer.forward(x, projections, training=False)
+        out, _ = layer.forward(x, projections, training=False)
         want = x + bn_eval(br.bn, x)
         np.testing.assert_allclose(out, want, atol=1e-6)
 
-    def test_branch_holds_relu_output_once(self, small_fov):
+    def test_branch_holds_relu_output_once(self, small_fov, monkeypatch):
         layer, x, projections = self._layer_and_inputs(small_fov, seed=4)
-        layer.forward(x, projections, training=True)
+        _, ctx = layer.forward(x, projections, training=True)
         br = layer.branches[0]
-        mask_source = br._cache[1]
-        assert mask_source is br.conv2._cache[0]
+        mask_source = ctx[0][3][0]
+        assert sum(a is mask_source for _, a in held(ctx)) == 1
         assert (mask_source >= 0).all() and not mask_source[-1].any()
+        # the mask is also the input that conv2's backward reads as its context
+        seen = []
+        conv2_backward = br.conv2.backward
+        monkeypatch.setattr(br.conv2, "backward", lambda dy, taps, c: seen.append(c[0]) or conv2_backward(dy, taps, c))
+        layer.backward(np.ones_like(x), ctx)
+        assert len(seen) == 1 and seen[0] is mask_source
 
     def test_training_branch_holds_only_its_input_per_point(self, small_fov):
         # BN's map folds into the flatten and the layerscale into conv2, so
         # the input, which BN keeps and the flatten reads, is the only N x F array
         layer, x, projections = self._layer_and_inputs(small_fov, seed=4)
-        layer.forward(x, projections, training=True)
-        br = layer.branches[0]
+        _, ctx = layer.forward(x, projections, training=True)
         proj = projections[(0, 1)]
         assert x.shape[0] not in (proj.n_occupied + 1, proj.dilated_cells.size + 1)
-        rows = list({id(a): a for _, a in held(br) if a.shape == x.shape}.values())
-        assert len(rows) == 1 and rows[0] is br.bn._cache[0] is x
+        rows = list({id(a): a for _, a in held(ctx) if a.shape == x.shape}.values())
+        bn_ctx = ctx[0][1]
+        assert len(rows) == 1 and rows[0] is bn_ctx[0] is x
 
     def test_matches_naive_recomposition_bitwise(self, small_fov):
         # the unfused oracle on the rows of O and D equals the dense grid bit
         # for bit; the folded eval matches it within FOLD_TOL
         layer, x, projections = self._layer_and_inputs(small_fov, seed=3)
-        out = layer.forward(x, projections, training=False)
+        out, _ = layer.forward(x, projections, training=False)
         br = layer.branches[0]
         pts, _ = dense_branch(br, projections[(0, 1)], bn_eval(br.bn, x))
         want = x + br.layerscale.data * pts
@@ -375,11 +381,11 @@ def dense_token_layer(layer, x, projections, dy):
     """
     total, dx, drows, grads = None, dy.copy(), [], []
     for axes, br in zip(layer.planes, layer.branches):
-        out, backward = dense_branch(br, projections[axes], x, br.bn.forward(x, True),
-                                     br.layerscale.data.astype(np.float64))
+        bn_map, bn_ctx = br.bn.forward(x, True)
+        out, backward = dense_branch(br, projections[axes], x, bn_map, br.layerscale.data.astype(np.float64))
         total = out if total is None else total + out
         dxb, rows, g = backward(dy)
-        dx += br.bn.backward(dxb)
+        dx += br.bn.backward(dxb, bn_ctx)
         drows.append(rows)
         grads.append(g)
     return x + total, dx, drows, grads
@@ -444,9 +450,9 @@ class TestActiveCellBranch:
         for proj in projections.values():
             proj.flatten_backward = lambda drows, f=proj.flatten_backward: seen.append(drows) or f(drows)
         store.zero_grad()
-        y = layer.forward(x, projections, True)
+        y, ctx = layer.forward(x, projections, True)
         assert bitwise_equal(y, want_y)
-        assert bitwise_equal(layer.backward(dy), want_dx)
+        assert bitwise_equal(layer.backward(dy, ctx), want_dx)
         assert len(seen) == len(want_rows) == len(planes)
         for rows, want in zip(seen, want_rows):
             assert rows.dtype == dtype and bitwise_equal(rows, want)
@@ -475,7 +481,7 @@ class TestChannelMix:
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(0))
         layer.layerscale.data[...] = 0.0
         x = np.random.default_rng(1).standard_normal((9, 6)).astype(np.float32)
-        out = layer.forward(x, training=False)
+        out, _ = layer.forward(x, training=False)
         np.testing.assert_array_equal(out, x)
 
     def test_two_channel_hand_computation(self):
@@ -487,7 +493,7 @@ class TestChannelMix:
         layer.lin2.b.data[...] = [0.1, -0.1]
         layer.layerscale.data[...] = 0.5
         x = np.array([[0.3, -0.4]], dtype=np.float32)
-        out = layer.forward(x, training=False)
+        out, _ = layer.forward(x, training=False)
         # hand computation: xb = x / sqrt(1 + 1e-5); relu zeroes the second
         # channel; mlp = [2 * xb0 + 0.1, -0.1]; out = x + 0.5 * mlp
         s = 1.0000049999875
@@ -499,23 +505,26 @@ class TestChannelMix:
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal((9, 6)).astype(np.float32)
-        layer.forward(x, training=True)
-        rows = list({id(a): a for _, a in held(layer) if a.shape == x.shape}.values())
-        # the input, which BN and lin1 keep, and the ReLU output (lin2's input and the mask)
+        _, ctx = layer.forward(x, training=True)
+        rows = list({id(a): a for _, a in held(ctx) if a.shape == x.shape}.values())
+        # the input, which BN's and lin1's contexts hold, and the ReLU output (lin2's input and the mask)
         assert len(rows) == 2
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
-        assert layer.bn._cache[0] is layer.lin1._cache[0] is x
-        assert layer._relu_out is layer.lin2._cache[0]
+        bn_ctx, lin1_ctx, lin2_ctx = ctx
+        assert bn_ctx[0] is lin1_ctx[0] is x
+        relu_out = lin2_ctx[0]
+        assert any(a is relu_out for a in rows) and (relu_out >= 0).all()
+        assert held_arrays(layer) == []
 
     def test_column_independence_eval(self):
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 4, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 4)).astype(np.float32)
-        base = layer.forward(x, training=False)
+        base, _ = layer.forward(x, training=False)
         x2 = x.copy()
         x2[4] += 1.0
-        out = layer.forward(x2, training=False)
+        out, _ = layer.forward(x2, training=False)
         changed = np.flatnonzero(np.any(out != base, axis=1))
         assert changed.tolist() == [4]
 
@@ -551,8 +560,8 @@ class TestForward:
         pc = build_scene(small_fov, n=40, seed=7)
         feats, nbr, proj, valid = prepare_inputs(model, pc)
         logits = model.forward(feats, nbr, proj, valid, training=False)
-        tokens = model.embedding.forward(feats, nbr, training=False)
-        want = model.classifier.forward(tokens).T
+        tokens, _ = model.embedding.forward(feats, nbr, training=False)
+        want = model.classifier.forward(tokens)[0].T
         np.testing.assert_array_equal(logits, want)
 
     def test_doubling_rho_changes_cells_not_shapes(self, small_fov):
@@ -587,19 +596,24 @@ class TestForward:
             model.forward(feats, nbr, proj, bad)
 
 
-def held(value, path="model", private=False):
-    """(path, array) of every array that layers reachable from ``value`` keep in private attributes."""
+def held(value, path="model"):
+    """(path, array) of every array that ``value`` reaches through lists, tuples and the attributes of layers.
+
+    Parameters live in a ``ParamStore``, which is not walked, so from a model these are the arrays of the
+    contexts it holds from a training forward to its backward, and any array a layer keeps itself;
+    from a context, the arrays it holds.
+    """
     if isinstance(value, np.ndarray):
-        return [(path, value)] if private else []
+        return [(path, value)]
     if isinstance(value, (list, tuple)):
-        return [h for i, item in enumerate(value) for h in held(item, f"{path}[{i}]", private)]
+        return [h for i, item in enumerate(value) for h in held(item, f"{path}[{i}]")]
     if type(value).__module__ in ("waffleiron.backbone", "waffleiron.nn") and hasattr(value, "__dict__"):
-        return [h for name, item in vars(value).items() for h in held(item, f"{path}.{name}", name.startswith("_"))]
+        return [h for name, item in vars(value).items() for h in held(item, f"{path}.{name}")]
     return []
 
 
 def held_arrays(value):
-    """Paths of the arrays that layers reachable from ``value`` keep in private attributes."""
+    """Paths of the arrays that ``value`` reaches, as :func:`held`."""
     return [path for path, _ in held(value)]
 
 
@@ -649,8 +663,11 @@ class TestLayout:
         grid_rows = 0
         for name, obj, args, out in calls:
             arrays = {i: a for i, a in enumerate(args) if isinstance(a, np.ndarray)}
-            # a batch norm's forward returns only the map its consumer folds, no rows
-            if not (isinstance(obj, BatchNorm) and name.endswith("forward")):
+            # a linear layer's forward returns its output and its context; a batch norm's returns only the map
+            # its consumer folds and the context, no rows
+            if name == "PointwiseLinear.forward":
+                arrays["out"] = out[0]
+            elif name != "BatchNorm.forward":
                 arrays["out"] = out
             if obj is model.classifier and name.endswith("backward"):
                 # the K x N dlogits arrive as their N x K view
@@ -671,7 +688,7 @@ class TestLayout:
 
 class TestNoGradForward:
     def test_keeps_no_cache_and_matches_caching_eval(self, small_fov, monkeypatch):
-        # momentum 1: the caching (training) forward leaves the running
+        # momentum 1: the training forward leaves the running
         # statistics equal to its batch statistics, so the unfused eval
         # oracle must reproduce it, and the folded eval forward that follows
         # it; both forwards fold, so within FOLD_TOL
@@ -696,10 +713,11 @@ class TestRowBlocks:
     """Blocks of ``ROW_BLOCK`` rows against one block, at width 64: outputs and every gradient, bit for bit."""
 
     @staticmethod
-    def outputs(store, y, training, backward):
+    def outputs(store, forward, training, backward):
+        y, ctx = forward
         if not training:
             return (y,)
-        dx = backward(np.random.default_rng(9).standard_normal(y.shape).astype(np.float32))
+        dx = backward(np.random.default_rng(9).standard_normal(y.shape).astype(np.float32), ctx)
         return (y, dx, *(t.grad for _, t in store.trainable_items()))
 
     @pytest.mark.parametrize("n", BLOCKED_ROWS)
@@ -786,7 +804,8 @@ def same_bits(before, after, path):
         for i, (a, b) in enumerate(zip(before, after)):
             same_bits(a, b, f"{path}[{i}]")
     elif isinstance(before, nn.Tensor):
-        same_bits((before.data, before.grad), (after.data, after.grad), path)
+        # a parameter, in a context or a folding argument: backward accumulates into its gradient, nothing writes its data
+        same_bits(before.data, after.data, path)
     elif hasattr(before, "__dict__"):
         same_bits(vars(before), vars(after), path)
     else:
@@ -835,16 +854,143 @@ class TestNoArgumentWrites:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_and_backward_leave_arguments(self, small_fov, dtype):
+        # the context is an argument of backward too
         rng = np.random.default_rng(82)
         for layer, args, kwargs, backward_args in self.cases(small_fov, dtype):
-            call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
-            out = call_leaving_arguments(layer.forward, *args, training=True, **kwargs)
+            if isinstance(layer, DepthwiseConv3x3):
+                # the conv has one mode and returns only its output: its context is its arguments
+                out = call_leaving_arguments(layer.forward, *args, **kwargs)
+                ctx = (*args, kwargs.get("scale"), kwargs.get("factor", 1.0))
+            else:
+                call_leaving_arguments(layer.forward, *args, training=False, **kwargs)
+                out, ctx = call_leaving_arguments(layer.forward, *args, training=True, **kwargs)
             # a batch norm returns only the map its consumer folds; its gradient has the input's shape
             out = args[0] if isinstance(layer, BatchNorm) else out
             dy = rng.standard_normal(out.shape).astype(dtype)
             if isinstance(layer, DepthwiseConv3x3):
                 dy[-1] = 0.0
-            call_leaving_arguments(layer.backward, dy, *backward_args)
+            call_leaving_arguments(layer.backward, dy, *backward_args, ctx)
+
+
+class TestContexts:
+    """Layers keep nothing: each training forward returns a context of its own, and backward reads only that."""
+
+    WIDTH, K = 6, 4
+    PLANES = ((0, 1), (0, 2), (1, 2))
+
+    def cases(self, fov):
+        """(name, store, forward, backward, inputs) of each layer, on two clouds of different sizes.
+
+        ``forward(*args)`` is a training forward that returns ``(output, context)``, ``backward(dy, context)``
+        returns the input gradient, and ``inputs`` holds ``(args, dy)`` for each cloud.
+        """
+        rng = np.random.default_rng(110)
+        clouds = [build_scene(fov, n=n, seed=n) for n in (30, 26)]
+        projections = [
+            {axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, fov, 0.8)) for axes in self.PLANES}
+            for pc in clouds
+        ]
+        xs = [rng.standard_normal((pc.n_points, self.WIDTH)).astype(np.float32) for pc in clouds]
+
+        def noise(rows, width=self.WIDTH):
+            return rng.standard_normal((rows, width)).astype(np.float32)
+
+        store = ParamStore()
+        bn = BatchNorm(store, "bn", self.WIDTH)
+        perturb_eval_state(store, rng)
+        yield "bn", store, bn.forward, bn.backward, [((x,), noise(len(x))) for x in xs]
+
+        store = ParamStore()
+        lin = PointwiseLinear(store, "lin", self.WIDTH, 4, rng)
+        scale = store.register("scale", rng.uniform(0.5, 1.5, 4).astype(np.float32))
+        affines = [(rng.uniform(0.5, 1.5, self.WIDTH), rng.standard_normal(self.WIDTH)) for _ in xs]
+        yield ("linear", store, lambda x, affine: lin.forward(x, True, affine, scale, 1.25), lin.backward,
+               [((x, affine), noise(len(x), 4)) for x, affine in zip(xs, affines)])
+
+        store = ParamStore()
+        conv = DepthwiseConv3x3(store, "conv", self.WIDTH, rng)
+        scale = store.register("scale", rng.uniform(0.5, 1.5, self.WIDTH).astype(np.float32))
+
+        def conv_forward(rows, proj):
+            # the conv returns only its output: its context is its arguments, here with the backward's table
+            return conv.forward(rows, proj.d_from_o, scale, 1.25), ((rows, proj.d_from_o, scale, 1.25), proj.o_from_d)
+
+        def conv_backward(dy, ctx):
+            return conv.backward(dy, ctx[1], ctx[0])
+
+        conv_inputs = []
+        for x, p in zip(xs, projections):
+            proj = p[(0, 1)]
+            dy = noise(proj.d_from_o.shape[0] + 1)
+            dy[-1] = 0.0
+            conv_inputs.append(((proj.flatten(x), proj), dy))
+        yield "conv", store, conv_forward, conv_backward, conv_inputs
+
+        store = ParamStore()
+        emb = EmbeddingLayer(store, "embed", 5, self.WIDTH, rng)
+        perturb_eval_state(store, rng)
+        emb_inputs = []
+        for pc in clouds:
+            feats = backbone.point_features(pc.positions, pc.intensity, "5dim")
+            neighbors = (np.arange(pc.n_points)[:, None] + np.arange(1, self.K + 1)) % pc.n_points
+            emb_inputs.append(((feats, neighbors), noise(pc.n_points)))
+        yield "embedding", store, lambda f, nbr: emb.forward(f, nbr, True), emb.backward, emb_inputs
+
+        store = ParamStore()
+        token = TokenMixLayer(store, "tm", self.PLANES, self.WIDTH, rng)
+        perturb_eval_state(store, rng)
+        yield ("token", store, lambda x, p: token.forward(x, p, True, 1.25), token.backward,
+               [((x, p), noise(len(x))) for x, p in zip(xs, projections)])
+
+        store = ParamStore()
+        channel = ChannelMixLayer(store, "cm", self.WIDTH, rng)
+        perturb_eval_state(store, rng)
+        yield "channel", store, lambda x: channel.forward(x, True, 1.25), channel.backward, [((x,), noise(len(x))) for x in xs]
+
+    def test_interleaved_contexts_give_each_input_its_own_gradients(self, small_fov):
+        # forwards on A and B, then backward B and backward A, equal A's forward and backward followed by B's
+        names = []
+        for name, store, forward, backward, inputs in self.cases(small_fov):
+            names.append(name)
+
+            def results(out, dy, ctx):
+                store.zero_grad()
+                dx = backward(dy, ctx)
+                return [*(out if isinstance(out, tuple) else (out,)), dx, *(t.grad.copy() for _, t in store.trainable_items())]
+
+            want = []
+            for args, dy in inputs:
+                out, ctx = forward(*args)
+                want.append(results(out, dy, ctx))
+            (out_a, ctx_a), (out_b, ctx_b) = (forward(*args) for args, _ in inputs)
+            got_b = results(out_b, inputs[1][1], ctx_b)
+            got_a = results(out_a, inputs[0][1], ctx_a)
+            for expected, got in zip(want, (got_a, got_b)):
+                assert len(got) == len(expected) > 2, name
+                for i, (a, b) in enumerate(zip(expected, got)):
+                    assert bitwise_equal(a, b), (name, i)
+        assert names == ["bn", "linear", "conv", "embedding", "token", "channel"]
+
+    @pytest.mark.parametrize("drop", [0.0, 0.5])
+    @pytest.mark.parametrize("depth", [3, 6])
+    def test_training_forward_keeps_each_point_array_once(self, small_fov, depth, drop):
+        # the distinct N x F float arrays of the contexts: each kept token layer's input, each kept channel
+        # layer's input and ReLU output, the embedding's merge input and the classifier's input
+        cfg = tiny_config(small_fov, depth=depth, width=8, k=4, drop=drop)
+        model = WaffleIron(cfg, np.random.default_rng(120))
+        pc = build_scene(small_fov, n=50, seed=121)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        n, f = pc.n_points, cfg.width
+        assert all(n not in (p.n_occupied + 1, p.dilated_cells.size + 1) for p in proj.values())
+        # one draw before each token and each channel layer, as in the forward
+        kept = np.random.default_rng(5).random(2 * depth) >= drop
+        tokens, channels = int(kept[0::2].sum()), int(kept[1::2].sum())
+        assert drop == 0.0 or 0 < tokens + channels < 2 * depth
+        logits = model.forward(feats, nbr, proj, valid, training=True, drop_rng=np.random.default_rng(5))
+        rows = {id(a) for _, a in held(model) if a.shape == (n, f) and a.dtype.kind == "f"}
+        assert len(rows) == tokens + 2 * channels + 2
+        model.backward(segmentation_loss(logits, pc.labels, valid)[1])
+        assert held_arrays(model) == []
 
 
 class TestResidualBackward:
@@ -861,12 +1007,12 @@ class TestResidualBackward:
     def test_channel_mix(self, small_fov):
         _, x, dy = self.inputs(small_fov)
         layer = ChannelMixLayer(ParamStore(), "cm", self.WIDTH, np.random.default_rng(92))
-        layer.forward(x, training=True, factor=self.FACTOR)
-        dx = layer.backward(dy)
-        layer.forward(x, training=True, factor=self.FACTOR)
-        # the factor and layerscale are folded into lin2, which takes dy as it is
-        dr = layer.lin2.backward(dy)
-        branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, layer._relu_out)))
+        _, ctx = layer.forward(x, training=True, factor=self.FACTOR)
+        dx = layer.backward(dy, ctx)
+        bn_ctx, lin1_ctx, lin2_ctx = ctx
+        # the factor and layerscale are folded into lin2, which takes dy as it is; its input is the ReLU output
+        dr = layer.lin2.backward(dy, lin2_ctx)
+        branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, lin2_ctx[0]), lin1_ctx), bn_ctx)
         assert dx.dtype == np.float32 and bitwise_equal(dx, dy + branch)
 
     def test_token_mix_three_planes(self, small_fov):
@@ -874,11 +1020,10 @@ class TestResidualBackward:
         planes = ((0, 1), (0, 2), (1, 2))
         projections = {axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, small_fov, 0.8)) for axes in planes}
         layer = TokenMixLayer(ParamStore(), "tm", planes, self.WIDTH, np.random.default_rng(93))
-        layer.forward(x, projections, training=True, factor=self.FACTOR)
-        dx = layer.backward(dy)
-        layer.forward(x, projections, training=True, factor=self.FACTOR)
+        _, ctx = layer.forward(x, projections, training=True, factor=self.FACTOR)
+        dx = layer.backward(dy, ctx)
         # the factor and layerscale are folded into conv2, so each branch takes dy as it is
-        grads = [br.backward(dy) for br in layer.branches]
+        grads = [br.backward(dy, branch_ctx) for br, branch_ctx in zip(layer.branches, ctx)]
         assert {g.dtype for g in grads} == {np.dtype(np.float32)}
         assert dx.dtype == np.float32 and bitwise_equal(dx, dy + grads[0] + grads[1] + grads[2])
 

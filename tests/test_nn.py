@@ -52,9 +52,9 @@ def check_layer(build, seeds=SEEDS, eps=1e-3, threshold=1e-4):
 
 
 def bn_apply(bn, x, training=True):
-    """The normalized ``x``: ``scale * x + shift`` with the map that ``bn.forward`` returns, composed here."""
-    scale, shift = bn.forward(x, training)
-    return scale * x + shift
+    """The normalized ``x``, ``scale * x + shift`` with the map that ``bn.forward`` returns, and the context."""
+    (scale, shift), ctx = bn.forward(x, training)
+    return scale * x + shift, ctx
 
 
 class TestPointwiseLinear:
@@ -64,14 +64,15 @@ class TestPointwiseLinear:
         lin.w.data[...] = np.eye(3)
         lin.b.data[...] = 0
         x = np.random.default_rng(1).standard_normal((9, 3)).astype(np.float32)
-        np.testing.assert_array_equal(lin.forward(x), x)
+        np.testing.assert_array_equal(lin.forward(x)[0], x)
 
     def test_basis_column_reads_weight_column(self):
         store = ParamStore()
         lin = PointwiseLinear(store, "lin", 4, 5, np.random.default_rng(2))
         x = np.zeros((1, 4), dtype=np.float32)
         x[0, 2] = 1.0
-        np.testing.assert_allclose(lin.forward(x)[0], lin.w.data[:, 2] + lin.b.data)
+        y, _ = lin.forward(x)
+        np.testing.assert_allclose(y[0], lin.w.data[:, 2] + lin.b.data)
 
     def test_shape_mismatch(self):
         store = ParamStore()
@@ -86,9 +87,9 @@ class TestPointwiseLinear:
             r = rng.standard_normal((7, 5))
 
             def loss_fn(want_grad):
-                y = lin.forward(x.data)
+                y, ctx = lin.forward(x.data)
                 if want_grad:
-                    x.grad += lin.backward(r.astype(y.dtype))
+                    x.grad += lin.backward(r.astype(y.dtype), ctx)
                 return float((y * r).sum())
 
             return loss_fn
@@ -101,8 +102,8 @@ class TestPointwiseLinear:
         lin = PointwiseLinear(ParamStore(), "lin", 4, 5, rng)
         x = rng.standard_normal((7, 4)).astype(np.float32)
         dy = rng.standard_normal((5, 7)).T
-        lin.forward(x)
-        dx = lin.backward(dy)
+        _, ctx = lin.forward(x)
+        dx = lin.backward(dy, ctx)
         want = (dy @ fold(lin.w.data, lin.b.data, np.float64)[0]).astype(np.float32)
         assert dx.dtype == np.float32 and dx.tobytes() == want.tobytes()
 
@@ -159,10 +160,10 @@ class TestRowBlocks:
             diag = store.register("diag", rng.uniform(-0.6, 0.6, 64))
             affine = (rng.uniform(0.5, 1.5, 64), rng.standard_normal(64))
             x = rng.standard_normal((n, 64)).astype(np.float32)
-            y = lin.forward(x, training, affine, diag, 1.25)
+            y, ctx = lin.forward(x, training, affine, diag, 1.25)
             if not training:
                 return (y,)
-            dx = lin.backward(rng.standard_normal((n, 64)).astype(np.float32))
+            dx = lin.backward(rng.standard_normal((n, 64)).astype(np.float32), ctx)
             return y, dx, lin.w.grad, lin.b.grad, diag.grad
 
         blocked, whole, rows = blocked_and_whole(monkeypatch, run)
@@ -176,7 +177,7 @@ class TestBatchNorm:
         bn = BatchNorm(store, "bn", 2)
         bn.beta.data[...] = [0.5, -1.0]
         x = np.full((6, 2), 3.0, dtype=np.float32)
-        y = bn_apply(bn, x)
+        y, _ = bn_apply(bn, x)
         np.testing.assert_allclose(y[:, 0], 0.5, atol=1e-6)
         np.testing.assert_allclose(y[:, 1], -1.0, atol=1e-6)
 
@@ -186,7 +187,7 @@ class TestBatchNorm:
         x = np.random.default_rng(0).standard_normal((20, 3)).astype(np.float32)
         y = bn_eval(bn, x)
         np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
-        a, s = bn.forward(x, training=False)
+        (a, s), _ = bn.forward(x, training=False)
         np.testing.assert_allclose(a, 1.0, rtol=1e-5)
         assert not s.any()
 
@@ -199,16 +200,21 @@ class TestBatchNorm:
         bn.beta.data[...] = rng.standard_normal(4)
         x = rng.standard_normal((30, 4)).astype(np.float32)
         bn.forward(x)
-        a, s = bn.forward(x, training=False)
-        assert a.dtype == s.dtype == np.float64 and bn._cache is None
+        (a, s), ctx = bn.forward(x, training=False)
+        assert a.dtype == s.dtype == np.float64 and ctx is None
         np.testing.assert_allclose(a * x + s, bn_eval(bn, x), atol=1e-5)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_forward_returns_only_a_float64_map(self, training):
         bn = BatchNorm(ParamStore(), "bn", 3)
         x = np.random.default_rng(3).standard_normal((10, 3)).astype(np.float32)
-        out = bn.forward(x, training=training)
+        out, ctx = bn.forward(x, training=training)
         assert len(out) == 2 and all(a.dtype == np.float64 and a.shape == (3,) for a in out)
+        # a training context holds the input itself and its statistics, no rows of the output
+        if training:
+            assert ctx[0] is x and [a.shape for a in ctx[1:]] == [(3,), (3,)]
+        else:
+            assert ctx is None
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(1)
@@ -217,7 +223,7 @@ class TestBatchNorm:
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
         bn.beta.data[...] = rng.standard_normal(3)
         x = rng.standard_normal((50, 3)).astype(np.float32)
-        y = bn_apply(bn, x)
+        y, _ = bn_apply(bn, x)
         x64 = x.astype(np.float64)
         mean = x64.mean(axis=0)
         var = ((x64 - mean) ** 2).mean(axis=0)
@@ -247,15 +253,15 @@ class TestBatchNorm:
             x = rng.standard_normal((n, f)) * rng.uniform(0.1, 10, f) + rng.uniform(-5, 5, f)
             x = x.astype(dtype)
             bn = BatchNorm(ParamStore(), "bn", f)
-            bn.forward(x)
+            _, ctx = bn.forward(x)
             mean64, var64 = bn_statistics_widened(x)
             want = BatchNorm(ParamStore(), "want", f)
             want.running_mean.data[...] = (1 - BN_MOMENTUM) * want.running_mean.data + BN_MOMENTUM * mean64
             want.running_var.data[...] = (1 - BN_MOMENTUM) * want.running_var.data + BN_MOMENTUM * var64
             inv_std = 1.0 / np.sqrt(var64.astype(dtype) + BN_EPS)
             case = (n, f)
-            assert bn._cache[1].tobytes() == mean64.astype(dtype).tobytes(), case
-            assert bn._cache[2].tobytes() == inv_std.tobytes(), case
+            assert ctx[1].tobytes() == mean64.astype(dtype).tobytes(), case
+            assert ctx[2].tobytes() == inv_std.tobytes(), case
             assert bn.running_mean.data.tobytes() == want.running_mean.data.tobytes(), case
             assert bn.running_var.data.tobytes() == want.running_var.data.tobytes(), case
 
@@ -275,9 +281,9 @@ class TestBatchNorm:
         bn.beta.grad = np.zeros_like(bn.gamma.data)
         x = rng.standard_normal((40, 5)).astype(dtype)
         dy = rng.standard_normal((40, 5)).astype(dtype)
-        bn.forward(x)
-        want_dx, want_dgamma, want_dbeta = bn_backward_xhat(bn, dy)
-        dx = bn.backward(dy)
+        _, ctx = bn.forward(x)
+        want_dx, want_dgamma, want_dbeta = bn_backward_xhat(bn, dy, ctx)
+        dx = bn.backward(dy, ctx)
         def tol(dt):
             return dict(rtol=1e-5, atol=1e-6) if dt == np.float32 else dict(rtol=1e-12, atol=1e-13)
 
@@ -299,11 +305,10 @@ class TestBatchNorm:
         dy = rng.standard_normal((n, f)).astype(np.float32)
         bn = BatchNorm(ParamStore(), "bn", f)
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, f)
-        bn.forward(x)
-        cache = bn._cache
-        old = bn_backward_xhat(bn, dy)
-        new = (bn.backward(dy), bn.gamma.grad, bn.beta.grad)
-        mean, inv_std = cache[1].astype(np.float64), cache[2].astype(np.float64)
+        _, ctx = bn.forward(x)
+        old = bn_backward_xhat(bn, dy, ctx)
+        new = (bn.backward(dy, ctx), bn.gamma.grad, bn.beta.grad)
+        mean, inv_std = ctx[1].astype(np.float64), ctx[2].astype(np.float64)
         xhat = x - mean
         xhat *= inv_std
         dx = dy.astype(np.float64)
@@ -334,11 +339,11 @@ class TestBatchNorm:
         one = x.nbytes
         tracemalloc.start()
         try:
-            bn.forward(x)
+            _, ctx = bn.forward(x)
             forward_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            dx = bn.backward(dy)
+            dx = bn.backward(dy, ctx)
             backward_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -355,9 +360,9 @@ class TestBatchNorm:
             r = rng.standard_normal((12, 3))
 
             def loss_fn(want_grad):
-                y = bn_apply(bn, x.data)
+                y, ctx = bn_apply(bn, x.data)
                 if want_grad:
-                    x.grad += bn.backward(r)
+                    x.grad += bn.backward(r, ctx)
                 return float((y * r).sum())
 
             return loss_fn
@@ -407,15 +412,17 @@ def full_grid_taps(h, w):
     return np.stack([padded[i + u, j + v] for u in range(3) for v in range(3)], axis=1)
 
 
-def grid_forward(conv, x, training=True, layout=np.ascontiguousarray, **scale):
+def grid_forward(conv, x, layout=np.ascontiguousarray, **scale):
     """The row conv evaluated on every cell of an F x H x W grid, returned as the grid; ``scale`` is passed on."""
     f, h, w = x.shape
-    return to_grid(conv.forward(layout(to_rows(x)), full_grid_taps(h, w), training, **scale), x.shape)
+    return to_grid(conv.forward(layout(to_rows(x)), full_grid_taps(h, w), **scale), x.shape)
 
 
-def grid_backward(conv, dy, layout=np.ascontiguousarray):
+def grid_backward(conv, x, dy, layout=np.ascontiguousarray, scale=None, factor=1.0):
+    """The input gradient grid of :func:`grid_forward` at ``x``, whose arguments are the conv's context."""
     f, h, w = dy.shape
-    return to_grid(conv.backward(layout(to_rows(dy)), full_grid_taps(h, w)), dy.shape)
+    taps = full_grid_taps(h, w)
+    return to_grid(conv.backward(layout(to_rows(dy)), taps, (layout(to_rows(x)), taps, scale, factor)), dy.shape)
 
 
 def per_tap_forward(x, kern, bias):
@@ -519,7 +526,7 @@ class TestDepthwiseConv:
             store.zero_grad()
             y = grid_forward(conv, x0, layout=layout)
             assert np.array_equal(y, per_tap_forward(x0, conv.k.data, conv.b.data))
-            dx = grid_backward(conv, dy0, layout=layout)
+            dx = grid_backward(conv, x0, dy0, layout=layout)
             assert dx.dtype == np.float32
             assert np.array_equal(dx, dxp[:, 1 : h + 1, 1 : w + 1])
             assert np.array_equal(dx, per_tap_backward(x0, dy0, conv.k.data)[0])
@@ -537,7 +544,7 @@ class TestDepthwiseConv:
                 def loss_fn(want_grad):
                     y = grid_forward(conv, x.data, layout=layout)
                     if want_grad:
-                        x.grad += grid_backward(conv, r, layout=layout)
+                        x.grad += grid_backward(conv, x.data, r, layout=layout)
                     return float((y * r).sum())
 
                 return loss_fn
@@ -575,20 +582,22 @@ class TestDepthwiseConv:
         with pytest.raises(ValueError, match="zero row"):
             conv.forward(last_row_set, taps)
         conv.forward(x, taps)
+        ctx = (x, taps, None, 1.0)
         with pytest.raises(ValueError):
-            conv.backward(np.zeros((12, 2), dtype=np.float32), taps)
+            conv.backward(np.zeros((12, 2), dtype=np.float32), taps, ctx)
         with pytest.raises(ValueError):
-            conv.backward(np.zeros((13, 2), dtype=np.float32), taps[:11])
+            conv.backward(np.zeros((13, 2), dtype=np.float32), taps[:11], ctx)
         with pytest.raises(ValueError, match="zero row"):
-            conv.backward(last_row_set, taps)
+            conv.backward(last_row_set, taps, ctx)
 
     @pytest.mark.parametrize("dtype, dy_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
     def test_backward_rejects_a_gradient_of_another_dtype(self, dtype, dy_dtype):
         conv = DepthwiseConv3x3(ParamStore(), "conv", 2, np.random.default_rng(6))
         taps = full_grid_taps(3, 4)
-        conv.forward(np.zeros((13, 2), dtype=dtype), taps)
+        x = np.zeros((13, 2), dtype=dtype)
+        conv.forward(x, taps)
         with pytest.raises(ValueError, match="gradient like the forward's input"):
-            conv.backward(np.zeros((13, 2), dtype=dy_dtype), taps)
+            conv.backward(np.zeros((13, 2), dtype=dy_dtype), taps, (x, taps, None, 1.0))
         assert not conv.k.grad.any() and not conv.b.grad.any()
 
 
@@ -608,13 +617,13 @@ class TestLayerScale:
 
     def test_ones_is_identity(self):
         lin, conv, diag, x, grid = self.layers()
-        assert np.array_equal(lin.forward(x, scale=diag), lin.forward(x))
+        assert np.array_equal(lin.forward(x, scale=diag)[0], lin.forward(x)[0])
         assert np.array_equal(grid_forward(conv, grid, scale=diag), grid_forward(conv, grid))
 
     def test_zeros_kill_the_branch(self):
         lin, conv, diag, x, grid = self.layers()
         diag.data[...] = 0.0
-        assert not lin.forward(x, scale=diag).any()
+        assert not lin.forward(x, scale=diag)[0].any()
         assert not grid_forward(conv, grid, scale=diag).any()
 
     def test_default_init(self):
@@ -632,7 +641,7 @@ class TestLayerScale:
         diag.data[...] = [0.1, -0.2, 0.3]
         o = 1.25 * diag.data.astype(np.float64)
         w, b = fold(lin.w.data, lin.b.data, np.float32, out_scale=o)
-        assert np.array_equal(lin.forward(x, scale=diag, factor=1.25), x @ w.T + b)
+        assert np.array_equal(lin.forward(x, scale=diag, factor=1.25)[0], x @ w.T + b)
         k, kb = fold(conv.k.data.reshape(3, 9), conv.b.data, np.float32, out_scale=o)
         conv_o = DepthwiseConv3x3(ParamStore(), "conv", 3, None)
         conv_o.k.data[...], conv_o.b.data[...] = k.reshape(3, 3, 3), kb
@@ -684,9 +693,9 @@ class TestFold:
             r = rng.standard_normal((9, 3))
 
             def loss_fn(want_grad):
-                y = lin.forward(x.data, True, (a.data, s.data), o, 1.25)
+                y, ctx = lin.forward(x.data, True, (a.data, s.data), o, 1.25)
                 if want_grad:
-                    dz = lin.backward(r)
+                    dz = lin.backward(r, ctx)
                     a.grad += (dz * x.data).sum(axis=0)
                     s.grad += dz.sum(axis=0)
                     x.grad += dz * a.data
@@ -707,7 +716,7 @@ class TestFold:
             def loss_fn(want_grad):
                 y = grid_forward(conv, x.data, scale=o, factor=1.25)
                 if want_grad:
-                    x.grad += grid_backward(conv, r)
+                    x.grad += grid_backward(conv, x.data, r, scale=o, factor=1.25)
                 return float((y * r).sum())
 
             return loss_fn
