@@ -163,8 +163,8 @@ def affine_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
 class BatchNorm:
     """Per-channel batch normalization over the point rows, returned as a map that its consumer folds.
 
-    ``forward`` returns the float64 map ``(scale, shift)`` and the context, with ``scale * x + shift`` the normalized input,
-    ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean * scale``. Eval: ``mean, var`` are the running
+    ``forward`` returns the float64 map ``(scale, shift)`` and the context: ``scale * x + shift`` is the normalized
+    input, ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean * scale``. Eval: ``mean, var`` are the running
     statistics. Training: the batch mean and biased variance of the rows, rounded to ``x``'s dtype; they go
     into the running statistics with momentum, and the context holds ``x`` and them for :meth:`backward`, which
     takes the normalized input's gradient and never forms ``xhat``: the input gradient is affine in ``(dy, x)``.

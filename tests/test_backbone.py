@@ -804,7 +804,8 @@ def same_bits(before, after, path):
         for i, (a, b) in enumerate(zip(before, after)):
             same_bits(a, b, f"{path}[{i}]")
     elif isinstance(before, nn.Tensor):
-        # a parameter, in a context or a folding argument: backward accumulates into its gradient, nothing writes its data
+        # a parameter, in a context or a folding argument: backward accumulates into its gradient,
+        # and nothing writes its data
         same_bits(before.data, after.data, path)
     elif hasattr(before, "__dict__"):
         same_bits(vars(before), vars(after), path)
@@ -945,7 +946,8 @@ class TestContexts:
         store = ParamStore()
         channel = ChannelMixLayer(store, "cm", self.WIDTH, rng)
         perturb_eval_state(store, rng)
-        yield "channel", store, lambda x: channel.forward(x, True, 1.25), channel.backward, [((x,), noise(len(x))) for x in xs]
+        yield ("channel", store, lambda x: channel.forward(x, True, 1.25), channel.backward,
+               [((x,), noise(len(x))) for x in xs])
 
     def test_interleaved_contexts_give_each_input_its_own_gradients(self, small_fov):
         # forwards on A and B, then backward B and backward A, equal A's forward and backward followed by B's
@@ -956,7 +958,8 @@ class TestContexts:
             def results(out, dy, ctx):
                 store.zero_grad()
                 dx = backward(dy, ctx)
-                return [*(out if isinstance(out, tuple) else (out,)), dx, *(t.grad.copy() for _, t in store.trainable_items())]
+                outs = out if isinstance(out, tuple) else (out,)
+                return [*outs, dx, *(t.grad.copy() for _, t in store.trainable_items())]
 
             want = []
             for args, dy in inputs:
