@@ -207,9 +207,10 @@ class EmbeddingLayer:
             yield start, stop, d, r
 
     def backward(self, dy, ctx):
-        x, neighbors, slots, scale, w1, bn_ctx, global_ctx, merge_ctx = ctx
+        x, neighbors, slots, scale, w1, bn_ctx, global_ctx = ctx[:-1]
         n, k = neighbors.shape
-        dcat = self.merge.backward(dy, merge_ctx)
+        dcat = self.merge.backward(dy, ctx[-1])
+        del ctx  # merge's N x width input is not held through the local blocks
         dlocal = dcat[:, self.half :]
         # gradients with respect to the batch norm's output, whose differences local1 reads
         dhb = self.global_lin.backward(np.ascontiguousarray(dcat[:, : self.half]), global_ctx)
@@ -426,9 +427,8 @@ class WaffleIron:
             raise RuntimeError("backward needs a training forward")
         contexts, self._contexts = self._contexts, None
         dx = dlogits.T
-        while contexts:
-            layer, ctx = contexts.pop()
-            dx = layer.backward(dx, ctx)
+        while contexts:  # a popped context is held only by its layer's backward
+            dx = contexts[-1][0].backward(dx, contexts.pop()[1])
 
 
 def param_count(config: WaffleIronConfig) -> int:

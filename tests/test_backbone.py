@@ -791,33 +791,45 @@ class TestEvalMemory:
         assert abs(peak6 - peak3) < 4096, (peak3, peak6)
 
 
-def same_bits(before, after, path):
-    """``after`` holds bit for bit what the deep copy ``before`` holds: arrays, containers and object attributes."""
+def same_bits(before, after, path, grads=True):
+    """``after`` holds bit for bit what the deep copy ``before`` holds: arrays, containers and object attributes.
+
+    A ``Tensor``'s gradient is compared too unless ``grads`` is false.
+    """
     if isinstance(before, np.ndarray):
         assert bitwise_equal(before, after), path
     elif isinstance(before, dict):
         assert before.keys() == after.keys(), path
         for key in before:
-            same_bits(before[key], after[key], f"{path}[{key!r}]")
+            same_bits(before[key], after[key], f"{path}[{key!r}]", grads)
     elif isinstance(before, (list, tuple)):
         assert len(before) == len(after), path
         for i, (a, b) in enumerate(zip(before, after)):
-            same_bits(a, b, f"{path}[{i}]")
+            same_bits(a, b, f"{path}[{i}]", grads)
     elif isinstance(before, nn.Tensor):
-        # a parameter, in a context or a folding argument: backward accumulates into its gradient,
-        # and nothing writes its data
         same_bits(before.data, after.data, path)
+        if grads:
+            same_bits(before.grad, after.grad, f"{path}.grad")
     elif hasattr(before, "__dict__"):
-        same_bits(vars(before), vars(after), path)
+        same_bits(vars(before), vars(after), path, grads)
     else:
         assert before == after, path
 
 
-def call_leaving_arguments(method, *args, **kwargs):
-    """``method(*args, **kwargs)``, after which every argument must equal a copy taken before the call."""
+def call_leaving_arguments(method, *args, context_last=False, **kwargs):
+    """``method(*args, **kwargs)``, after which every argument must equal a copy taken before the call.
+
+    With ``context_last`` the last argument is a context for backward: the parameters it holds (a folded
+    layerscale) accumulate their gradients, so only their data must stay; every other argument is compared whole.
+    """
     before = copy.deepcopy((args, kwargs))
     out = method(*args, **kwargs)
-    same_bits(before, (args, kwargs), method.__qualname__)
+    if context_last:
+        same_bits(before[1], kwargs, method.__qualname__)
+        same_bits(before[0][:-1], args[:-1], method.__qualname__)
+        same_bits(before[0][-1], args[-1], f"{method.__qualname__} context", grads=False)
+    else:
+        same_bits(before, (args, kwargs), method.__qualname__)
     return out
 
 
@@ -870,7 +882,7 @@ class TestNoArgumentWrites:
             dy = rng.standard_normal(out.shape).astype(dtype)
             if isinstance(layer, DepthwiseConv3x3):
                 dy[-1] = 0.0
-            call_leaving_arguments(layer.backward, dy, *backward_args, ctx)
+            call_leaving_arguments(layer.backward, dy, *backward_args, ctx, context_last=True)
 
 
 class TestContexts:
