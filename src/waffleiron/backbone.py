@@ -24,19 +24,22 @@ the winning neighbor slot of each pooled entry, as the smallest unsigned
 type holding ``k - 1``, and backward recomputes ``relu(local1)`` by block.
 
 The point-wise layers run in blocks of rows (:func:`nn.row_blocks`): the
-channel layer runs ``lin1`` -> ReLU -> ``lin2`` -> residual per block, and the
-embedding writes its global and local halves and ``merge``'s output per
-block. The rows that backward reads (the ReLU output, ``merge``'s input) go
-into one N x width array of the context in training and into one block
-buffer at eval; that is the only difference between the modes. So an eval
-forward holds a layer's input, its output and one block.
+channel layer runs ``lin1`` -> ReLU -> ``lin2`` -> residual per block through
+one block buffer in both modes, and the embedding writes its global and local
+halves and ``merge``'s output per block. ``merge``'s input, which backward
+reads, goes into one N x width array of the context in training and into one
+block buffer at eval; that is the only difference between the modes. So an
+eval forward holds a layer's input, its output and one block, and a training
+context two N x F arrays per mixing pair: the token and the channel layer's
+inputs. The channel layer's backward rebuilds the ReLU rows from its input
+by the same blocks and folded weights, bit for bit (a per-layer gradient
+checkpoint, Chen et al. 2016), and masks its gradient by block.
 
-The mixing layers apply their hidden ReLU in place to the fresh output of
-``lin1`` (channel) or ``conv1`` (token), so a training context holds that
-one array as both the next layer's input and the ReLU mask, and backward
-masks the fresh gradient in place. The residual ``x + branch`` is written
-into the branch's fresh output, and the backward's ``dy + branch gradient``
-into the branch gradient.
+The token branch applies its hidden ReLU in place to the fresh output of
+``conv1``, so its training context holds that one array as both ``conv2``'s
+input and the ReLU mask, and backward masks the fresh gradient in place. The
+residual ``x + branch`` is written into the branch's fresh output, and the
+backward's ``dy + branch gradient`` into the branch gradient.
 """
 
 from __future__ import annotations
@@ -307,7 +310,12 @@ class TokenMixLayer:
 
 
 class ChannelMixLayer:
-    """Residual per-point MLP: x + factor * layerscale(MLP(BN(x))), as x + relu(x W1'^T + b1') W2'^T + b2'."""
+    """Residual per-point MLP: x + factor * layerscale(MLP(BN(x))), as x + relu(x W1'^T + b1') W2'^T + b2'.
+
+    Both modes fill the ReLU rows a row block at a time. A training context keeps the input, which BN's and
+    ``lin1``'s contexts share, the folded ``(W1', b1')`` and ``lin2``'s context without its input; backward
+    rebuilds the rows whole by the same blocks, one more N x F x F product, and frees them once read.
+    """
 
     def __init__(self, store, name, width, rng):
         self.bn = BatchNorm(store, f"{name}.bn", width)
@@ -320,23 +328,34 @@ class ChannelMixLayer:
         blocks = row_blocks(n)
         bn_map, bn_ctx = self.bn.forward(x, training)
         (w1, b1), ctx1 = self.lin1.folded(x, training, bn_map)
-        # the ReLU output, lin2's input and the mask: kept whole for backward in training, one block at eval
-        r = np.empty((n if training else n - blocks[-1][0], f), dtype=x.dtype)
+        # the ReLU output, lin2's input: one block in both modes, which backward rebuilds whole
+        r = np.empty((n - blocks[-1][0], f), dtype=x.dtype)
         (w2, b2), ctx2 = self.lin2.folded(r, training, None, self.layerscale, factor)
         y = np.empty_like(x)
         for lo, hi in blocks:
-            h = r[lo:hi] if training else r[: hi - lo]
-            affine_rows(x[lo:hi], w1, b1, h)
-            np.maximum(h, 0, out=h)
+            h = self._relu_rows(x[lo:hi], w1, b1, r[: hi - lo])
             out = affine_rows(h, w2, b2, y[lo:hi])
             np.add(out, x[lo:hi], out=out)
-        return y, ((bn_ctx, ctx1, ctx2) if training else None)
+        return y, ((bn_ctx, ctx1, (w1, b1), ctx2[1:]) if training else None)
+
+    @staticmethod
+    def _relu_rows(x, w1, b1, out):
+        return np.maximum(affine_rows(x, w1, b1, out), 0, out=out)
 
     def backward(self, dy, ctx):
-        bn_ctx, ctx1, ctx2 = ctx
-        dr = self.lin2.backward(dy, ctx2)
-        dr *= ctx2[0] > 0  # lin2's input is the ReLU output
-        dx = self.bn.backward(self.lin1.backward(dr, ctx1), bn_ctx)
+        bn_ctx, ctx1, (w1, b1), ctx2 = ctx
+        x = ctx1[0]
+        blocks = row_blocks(x.shape[0])
+        r = np.empty(x.shape, dtype=x.dtype)
+        for lo, hi in blocks:
+            self._relu_rows(x[lo:hi], w1, b1, r[lo:hi])
+        dr = self.lin2.backward(dy, (r, *ctx2))
+        for lo, hi in blocks:  # lin2's input is the ReLU output
+            np.multiply(dr[lo:hi], r[lo:hi] > 0, out=dr[lo:hi])
+        del r
+        dh = self.lin1.backward(dr, ctx1)
+        del dr
+        dx = self.bn.backward(dh, bn_ctx)
         return np.add(dx, dy, out=dx)
 
 

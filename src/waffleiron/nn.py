@@ -12,12 +12,13 @@ layerscale is an output scale: both fold into the adjacent weights per call,
 in training and at eval (:func:`fold`), and backward maps the gradient of the
 resulting weights back (:func:`fold_adjoint`).
 
-Backward runs in the forward's dtype; :meth:`PointwiseLinear.backward`
-casts to it, so a float64 loss gradient stops at the classifier. Aliasing
-rule: a layer writes only into arrays it made itself, never into its
+Backward runs in the forward's dtype: :meth:`PointwiseLinear.backward` writes
+the input gradient into an array of its input's dtype a row block at a time and
+widens its input 64 columns at a time for the weight gradient, so a float64
+loss gradient stops at the classifier without any N x F float64 array.
+Aliasing rule: a layer writes only into arrays it made itself, never into its
 arguments. A context may share an array with the next layer's context: an
-in-place ReLU output is both its layer's mask and the next linear layer's
-input.
+in-place ReLU output is both its layer's mask and the next layer's input.
 
 Point-wise products run in blocks of ``_ROW_BLOCK`` rows (:func:`row_blocks`),
 so an eval forward needs one block of a hidden layer, not all N rows of it.
@@ -120,8 +121,8 @@ class PointwiseLinear:
     def folded(self, x: np.ndarray, training: bool, affine=None, scale=None, factor=1.0):
         """The weights ``(W', b')`` of :func:`fold` in ``x``'s dtype, and the context, which keeps ``x`` in training.
 
-        In training ``x`` is the whole N-row input, which the caller may still be filling; at eval only its
-        width and dtype are read, so one block of rows will do.
+        In training ``x`` is the whole N-row input, which the caller may still be filling (or a block that it drops
+        from the context, passing backward the whole input); at eval only its width and dtype are read.
         """
         if x.shape[1] != self.w.shape[1]:
             raise ValueError(f"expected {self.w.shape[1]} input channels, got {x.shape[1]}")
@@ -138,12 +139,20 @@ class PointwiseLinear:
 
     def backward(self, dy: np.ndarray, ctx) -> np.ndarray:
         x, a, s, o, scale, factor = ctx
-        dw, db, do = fold_adjoint(self.w.data, self.b.data, dy.T @ x, dy.sum(axis=0), a, s, o)
+        # dy.T @ x by 64 columns of x, each a full sum over the rows, so a float64 dy widens x 64 columns at a time
+        dw = np.empty(self.w.shape, dtype=np.result_type(dy, x))
+        for lo, hi in row_blocks(x.shape[1], 64):
+            dw[:, lo:hi] = dy.T @ x[:, lo:hi]
+        dw, db, do = fold_adjoint(self.w.data, self.b.data, dw, dy.sum(axis=0), a, s, o)
         self.w.grad += dw
         self.b.grad += db
         if scale is not None:
             scale.grad += factor * do
-        return (dy @ fold(self.w.data, self.b.data, dy.dtype, out_scale=o)[0]).astype(x.dtype, copy=False)
+        w = fold(self.w.data, self.b.data, dy.dtype, out_scale=o)[0]
+        dx = np.empty(x.shape, dtype=x.dtype)
+        for lo, hi in row_blocks(x.shape[0]):
+            np.matmul(dy[lo:hi], w, out=dx[lo:hi])
+        return dx
 
 
 def row_blocks(n: int, size: Optional[int] = None) -> list[tuple[int, int]]:
@@ -167,7 +176,8 @@ class BatchNorm:
     input, ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean * scale``. Eval: ``mean, var`` are the running
     statistics. Training: the batch mean and biased variance of the rows, rounded to ``x``'s dtype; they go
     into the running statistics with momentum, and the context holds ``x`` and them for :meth:`backward`, which
-    takes the normalized input's gradient and never forms ``xhat``: the input gradient is affine in ``(dy, x)``.
+    takes the normalized input's gradient and never forms ``xhat``: the input gradient is affine in ``(dy, x)``,
+    evaluated a row block at a time.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -208,10 +218,16 @@ class BatchNorm:
         c1 = self.gamma.data * inv_std
         c2 = -c1 * inv_std * sum_dy_xhat / count
         c3 = -c1 * sum_dy / count - c2 * mean
-        dx = np.multiply(dy, c1.astype(dy.dtype))
-        tmp = np.multiply(x, c2.astype(x.dtype))
-        tmp += c3.astype(x.dtype)
-        return np.add(dx, tmp, out=dx)
+        c1, c2, c3 = c1.astype(dy.dtype), c2.astype(x.dtype), c3.astype(x.dtype)
+        # (dy c1) + (x c2 + c3), rounded as whole arrays would be, a row block at a time
+        blocks = row_blocks(count)
+        dx = np.empty(dy.shape, dtype=dy.dtype)
+        tmp = np.empty((count - blocks[-1][0], x.shape[1]), dtype=x.dtype)
+        for lo, hi in blocks:
+            t = np.multiply(x[lo:hi], c2, out=tmp[: hi - lo])
+            t += c3
+            np.add(np.multiply(dy[lo:hi], c1, out=dx[lo:hi]), t, out=dx[lo:hi])
+        return dx
 
 
 # Tap t = 3u + v of the 3x3 kernel reads the cell at offset (u - 1, v - 1).

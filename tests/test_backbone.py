@@ -1,7 +1,6 @@
 """Embedding, mixing layers and the assembled network."""
 
 import copy
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -501,19 +500,18 @@ class TestChannelMix:
             out, [[0.3 + 0.5 * (2 * 0.3 / s + 0.1), -0.4 + 0.5 * (-0.1)]], atol=1e-6
         )
 
-    def test_training_forward_holds_two_point_arrays(self):
+    def test_training_forward_holds_one_point_array(self):
         store = ParamStore()
         layer = ChannelMixLayer(store, "cm", 6, np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal((9, 6)).astype(np.float32)
         _, ctx = layer.forward(x, training=True)
-        rows = list({id(a): a for _, a in held(ctx) if a.shape == x.shape}.values())
-        # the input, which BN's and lin1's contexts hold, and the ReLU output (lin2's input and the mask)
-        assert len(rows) == 2
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
-        bn_ctx, lin1_ctx, lin2_ctx = ctx
+        rows = list({id(a): a for _, a in held(ctx) if a.shape[0] == len(x)}.values())
+        # the input, which BN's and lin1's contexts hold; backward rebuilds the ReLU output from it
+        assert len(rows) == 1 and rows[0] is x
+        bn_ctx, lin1_ctx, (w1, b1), lin2_ctx = ctx
         assert bn_ctx[0] is lin1_ctx[0] is x
-        relu_out = lin2_ctx[0]
-        assert any(a is relu_out for a in rows) and (relu_out >= 0).all()
+        # lin1's folded weights, from which backward rebuilds the ReLU rows, and lin2's context without its input
+        assert w1.shape == (6, 6) and b1.shape == (6,) and len(lin2_ctx) == 5
         assert held_arrays(layer) == []
 
     def test_column_independence_eval(self):
@@ -732,8 +730,8 @@ class TestRowBlocks:
 
         blocked, whole, rows = blocked_and_whole(monkeypatch, run)
         assert_same_bits(blocked, whole)
-        # lin1 and lin2 in each of two blocks
-        assert len(rows) == 4 and min(rows) >= ROW_BLOCK, rows
+        # lin1 and lin2 in each of two blocks, and in training lin1 again in each block of backward
+        assert len(rows) == (6 if training else 4) and min(rows) >= ROW_BLOCK, rows
 
     @pytest.mark.parametrize("n", BLOCKED_ROWS)
     @pytest.mark.parametrize("training", [True, False])
@@ -789,6 +787,55 @@ class TestEvalMemory:
         assert peak3 <= 2 * n * f * 4 + buffers, (peak3 - 2 * n * f * 4, buffers)
         # nothing that an eval forward makes outlives its layer
         assert abs(peak6 - peak3) < 4096, (peak3, peak6)
+
+
+class TestTrainingMemory:
+    """A training forward keeps two N x F arrays per layer pair; its backward adds about three more plus buffers."""
+
+    N, WIDTH, K = 4096, 256, 8
+    ROW_BLOCK, LOCAL_BLOCK = 128, 64
+
+    def step_bytes(self, fov, depth):
+        """Traced bytes that one training forward keeps, its backward's peak above them, and the projections."""
+        model = WaffleIron(tiny_config(fov, depth=depth, width=self.WIDTH, k=self.K), np.random.default_rng(40))
+        pc = build_scene(fov, n=self.N, seed=41)
+        inputs = prepare_inputs(model, pc)
+        dlogits = segmentation_loss(model.forward(*inputs, training=True), pc.labels, pc.valid)[1]
+        model.backward(dlogits)  # first calls allocate numpy's and Python's lazy caches
+        tracemalloc.start()
+        try:
+            model.forward(*inputs, training=True)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.backward(dlogits)
+            peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        return kept, peak, inputs[2]
+
+    def test_kept_pairs_and_backward_peak(self, small_fov, monkeypatch):
+        monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
+        monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.LOCAL_BLOCK)
+        n, f = self.N, self.WIDTH
+        kept3, peak3, projections = self.step_bytes(small_fov, 3)
+        kept6, peak6, _ = self.step_bytes(small_fov, 6)
+        # the three added pairs: per pair the token layer's and the channel layer's input, lin1's folded
+        # weights and per-channel vectors, and once per plane its flatten rows and ReLU rows
+        grid_rows = sum(p.n_occupied + p.dilated_cells.size + 2 for p in projections.values())
+        assert kept6 - kept3 <= 3 * (2 * n * f * 4 + f * f * 4 + 32 * f * 8) + grid_rows * f * 4, (kept3, kept6)
+        buffers = (
+            3 * f * f * 8  # a linear layer's folded weights and their float64 adjoint
+            + 2 * self.ROW_BLOCK * f * 8  # a row block of float64 products or of a temporary
+            + (max(p.dilated_cells.size for p in projections.values()) + 1) * f * 8  # a plane's float64 cell sums
+        )
+        # so that one more N x F array breaks the bound
+        assert buffers < n * f * 4
+        # the incoming gradient and two arrays of a layer's own (the rebuilt ReLU rows and their gradient,
+        # say) beside the contexts not yet consumed; the classifier's input is gone before the first of them
+        for peak in (peak3, peak6):
+            assert peak <= (3 - 1) * n * f * 4 + buffers, (peak - 2 * n * f * 4, buffers)
+        # and the same at any depth
+        assert abs(peak6 - peak3) < 16384, (peak3, peak6)
 
 
 def same_bits(before, after, path, grads=True):
@@ -990,7 +1037,7 @@ class TestContexts:
     @pytest.mark.parametrize("depth", [3, 6])
     def test_training_forward_keeps_each_point_array_once(self, small_fov, depth, drop):
         # the distinct N x F float arrays of the contexts: each kept token layer's input, each kept channel
-        # layer's input and ReLU output, the embedding's merge input and the classifier's input
+        # layer's input, the embedding's merge input and the classifier's input
         cfg = tiny_config(small_fov, depth=depth, width=8, k=4, drop=drop)
         model = WaffleIron(cfg, np.random.default_rng(120))
         pc = build_scene(small_fov, n=50, seed=121)
@@ -1003,7 +1050,7 @@ class TestContexts:
         assert drop == 0.0 or 0 < tokens + channels < 2 * depth
         logits = model.forward(feats, nbr, proj, valid, training=True, drop_rng=np.random.default_rng(5))
         rows = {id(a) for _, a in held(model) if a.shape == (n, f) and a.dtype.kind == "f"}
-        assert len(rows) == tokens + 2 * channels + 2
+        assert len(rows) == tokens + channels + 2
         model.backward(segmentation_loss(logits, pc.labels, valid)[1])
         assert held_arrays(model) == []
 
@@ -1024,10 +1071,12 @@ class TestResidualBackward:
         layer = ChannelMixLayer(ParamStore(), "cm", self.WIDTH, np.random.default_rng(92))
         _, ctx = layer.forward(x, training=True, factor=self.FACTOR)
         dx = layer.backward(dy, ctx)
-        bn_ctx, lin1_ctx, lin2_ctx = ctx
-        # the factor and layerscale are folded into lin2, which takes dy as it is; its input is the ReLU output
-        dr = layer.lin2.backward(dy, lin2_ctx)
-        branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, lin2_ctx[0]), lin1_ctx), bn_ctx)
+        bn_ctx, lin1_ctx, (w1, b1), lin2_ctx = ctx
+        # the factor and layerscale are folded into lin2, which takes dy as it is; its input is the ReLU output,
+        # rebuilt from the layer's input and lin1's folded weights
+        r = relu(x @ w1.T + b1)
+        dr = layer.lin2.backward(dy, (r, *lin2_ctx))
+        branch = layer.bn.backward(layer.lin1.backward(relu_backward(dr, r), lin1_ctx), bn_ctx)
         assert dx.dtype == np.float32 and bitwise_equal(dx, dy + branch)
 
     def test_token_mix_three_planes(self, small_fov):

@@ -170,6 +170,54 @@ class TestRowBlocks:
         assert_same_bits(blocked, whole)
         assert sum(rows) == n and len(rows) == 2 and min(rows) >= ROW_BLOCK, rows
 
+    @pytest.mark.parametrize("n", BLOCKED_ROWS)
+    def test_row_block_batch_norm_backward_equals_one_block_bitwise(self, monkeypatch, n):
+        def run():
+            rng = np.random.default_rng(n)
+            bn = BatchNorm(ParamStore(), "bn", 64)
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, 64)
+            x = rng.standard_normal((n, 64)) * rng.uniform(0.1, 10, 64) + rng.uniform(-5, 5, 64)
+            _, ctx = bn.forward(x.astype(np.float32))
+            dx = bn.backward(rng.standard_normal((n, 64)).astype(np.float32), ctx)
+            return dx, bn.gamma.grad, bn.beta.grad
+
+        blocked, whole, _ = blocked_and_whole(monkeypatch, run)
+        assert_same_bits(blocked, whole)
+
+    # one row block and one column block; three of each, the last with a remainder
+    @pytest.mark.parametrize("n, f", [(100, 48), (3 * ROW_BLOCK + 40, 3 * 64 + 20)])
+    def test_float64_gradient_backward_equals_the_whole_products_bitwise(self, monkeypatch, n, f):
+        # the classifier's case: WaffleIron.backward passes the transpose of the loss's K x N float64 gradient
+        monkeypatch.setattr(nn, "_ROW_BLOCK", ROW_BLOCK)
+        rng = np.random.default_rng(n)
+        lin = PointwiseLinear(ParamStore(), "lin", f, 19, rng)
+        lin.b.data[...] = rng.standard_normal(19)
+        x = rng.standard_normal((n, f)).astype(np.float32)
+        dy = rng.standard_normal((19, n)).T
+        _, ctx = lin.forward(x)
+        dx = lin.backward(dy, ctx)
+        assert bitwise_equal(dx, (dy @ lin.w.data.astype(np.float64)).astype(np.float32))
+        assert bitwise_equal(lin.w.grad, (dy.T @ x).astype(np.float32))
+        assert bitwise_equal(lin.b.grad, dy.sum(axis=0).astype(np.float32))
+
+    def test_float64_gradient_backward_makes_no_point_sized_float64_array(self):
+        # dx is n x f float32; x widens 64 columns at a time and the float64 products come one row block at a time
+        n, f = 4096, 256
+        rng = np.random.default_rng(5)
+        lin = PointwiseLinear(ParamStore(), "lin", f, 19, rng)
+        x = rng.standard_normal((n, f)).astype(np.float32)
+        dy = rng.standard_normal((19, n)).T
+        _, ctx = lin.forward(x)
+        lin.backward(dy, ctx)  # the first call allocates numpy's lazy caches
+        tracemalloc.start()
+        try:
+            dx = lin.backward(dy, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dx.dtype == np.float32 and dx.shape == x.shape
+        assert peak < n * f * 8, peak
+
 
 class TestBatchNorm:
     def test_constant_channel_returns_shift(self):
