@@ -10,11 +10,21 @@ per point or per cell. Point-side arrays are N x F. Grid-side arrays are
 (|O| + 1) x F: one row per occupied cell of ``occupied_cells`` (ascending)
 and a last row that is zero, which empty neighbours read.
 ``flatten`` and ``inflate_backward`` return such blocks and ``inflate`` and
-``flatten_backward`` take them. Cell sums are the product of a CSR matrix of
-ones, one row per grid row listing its points in ascending index, with the
-point rows: scipy starts each row from 0.0 and adds its entries in stored
-order, the order a sequential scatter-add would use, so the sums equal it bit
-for bit.
+``flatten_backward`` take them.
+
+Cell sums stream the point rows in the row blocks of ``nn.row_blocks``. A CSR
+matrix of ones has one row per (row block, grid row) pair, listing the
+block's points of that cell in ascending index. Per block, the block's rows
+are widened to one contiguous block x F float64 buffer, and scipy's
+``csr_matvecs`` adds the block's rows of the matrix times that buffer into
+the float64 sums, entry by entry in stored order. So each cell starts from
+0.0 and adds its points in ascending index across all blocks: the order a
+sequential scatter-add uses, bit for bit. ``csr_matvecs`` is a private scipy
+name. It is used because it adds into its output: the public product starts
+every block from zero, and adding the blocks' partial sums rounds
+differently. Since scipy may change a private name without notice,
+``test_csr_matvecs_adds_into_its_output_in_stored_order`` in
+``tests/test_projection.py`` pins that behaviour.
 
 Token mixing runs two 3x3 convolutions on the dense zero-padded grid, and
 inflate reads the second one only at O. That value reads the first
@@ -37,12 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Fov
-from .nn import check_rows
+from .nn import check_rows, row_blocks
 
 AXIS_NAMES = {(0, 1): "xy", (0, 2): "xz", (1, 2): "yz"}
-
-# columns per sparse product in ``ProjectionPair._cell_sums``
-_SUM_BLOCK = 64
 
 STRATEGIES = ("baseline", "reverse", "parallel", "bev")
 _CYCLE = {
@@ -120,8 +127,16 @@ class ProjectionPair:
         self._row_counts = np.append(self.counts[self.occupied_cells], 1)
         from scipy.sparse import csr_array  # a slow import, so only on first projection
 
-        n = self.n_points
-        self._sum_rows = csr_array((np.ones(n), (self._point_slots, np.arange(n))), shape=(self.n_occupied + 1, n))
+        # one row per (row block, grid row), listing the block's points by their index in the block;
+        # scipy's COO to CSR conversion keeps each row's points in ascending order
+        n, m = self.n_points, self.n_occupied + 1
+        self._blocks = row_blocks(n)
+        starts = np.array([lo for lo, _ in self._blocks])
+        block = np.repeat(np.arange(len(self._blocks)), [hi - lo for lo, hi in self._blocks])
+        self._sum_rows = csr_array(
+            (np.ones(n), (block * m + self._point_slots, np.arange(n) - starts[block])),
+            shape=(len(self._blocks) * m, max(hi - lo for lo, hi in self._blocks)),
+        )
         self._build_taps()
 
     def _build_taps(self):
@@ -193,20 +208,22 @@ class ProjectionPair:
         """Float64 sums of the rows of N x F ``arr``, one row per cell of ``occupied_cells``, then the zero row.
 
         Each cell starts from 0.0 and adds its points in ascending point
-        index, so the sums equal a sequential scatter-add bit for bit. The
-        product needs a contiguous float64 operand, so ``arr`` goes through
-        in blocks of ``_SUM_BLOCK`` columns, copied into one buffer, rather
-        than as one N x F copy.
+        index, so the sums equal a sequential scatter-add bit for bit. ``arr``
+        goes through one row block at a time (module docstring), widened into
+        one block x F float64 buffer.
         """
+        from scipy.sparse._sparsetools import csr_matvecs  # private: see the module docstring
+
         arr = self._check_points(arr)
-        n, f = arr.shape
-        sums = np.empty((self.n_occupied + 1, f), dtype=np.float64)
-        buf = np.empty(n * min(f, _SUM_BLOCK), dtype=np.float64)
-        for start in range(0, f, _SUM_BLOCK):
-            stop = min(start + _SUM_BLOCK, f)
-            block = buf[: n * (stop - start)].reshape(n, stop - start)
-            np.copyto(block, arr[:, start:stop])
-            sums[:, start:stop] = self._sum_rows @ block
+        f = arr.shape[1]
+        m = self.n_occupied + 1
+        rows = self._sum_rows
+        sums = np.zeros((m, f), dtype=np.float64)
+        buf = np.empty((rows.shape[1], f), dtype=np.float64)  # as many rows as the longest block
+        for b, (lo, hi) in enumerate(self._blocks):
+            np.copyto(buf[: hi - lo], arr[lo:hi])
+            # block b's rows of the CSR: their pointers index the whole ``indices`` and ``data``
+            csr_matvecs(m, hi - lo, f, rows.indptr[b * m : (b + 1) * m + 1], rows.indices, rows.data, buf, sums)
         return sums
 
     def _check_points(self, arr: np.ndarray) -> np.ndarray:

@@ -752,14 +752,14 @@ class TestRowBlocks:
 
 
 class TestEvalMemory:
-    """An eval forward's peak is two N x F arrays plus block buffers, at any depth."""
+    """An eval forward's peak is two N x F arrays plus block buffers, at any depth and width."""
 
-    N, WIDTH, K = 4096, 256, 8
+    N, K = 4096, 8
     ROW_BLOCK, LOCAL_BLOCK = 128, 64
 
-    def eval_peak(self, fov, depth):
+    def eval_peak(self, fov, depth, width):
         """Peak traced bytes of one eval forward above its prepared inputs, and the projections."""
-        model = WaffleIron(tiny_config(fov, depth=depth, width=self.WIDTH, k=self.K), np.random.default_rng(40))
+        model = WaffleIron(tiny_config(fov, depth=depth, width=width, k=self.K), np.random.default_rng(40))
         inputs = prepare_inputs(model, build_scene(fov, n=self.N, seed=41))
         model.forward(*inputs)  # first calls allocate numpy's and Python's lazy caches
         tracemalloc.start()
@@ -770,17 +770,19 @@ class TestEvalMemory:
             tracemalloc.stop()
         return peak, inputs[2]
 
-    def test_eval_peak_is_two_point_arrays_plus_block_buffers(self, small_fov, monkeypatch):
+    # at width 64 an N x 64 float64 copy of the flatten's input would alone take 2·N·F·4 bytes
+    @pytest.mark.parametrize("f", [256, 64])
+    def test_eval_peak_is_two_point_arrays_plus_block_buffers(self, small_fov, monkeypatch, f):
         monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
         monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.LOCAL_BLOCK)
-        n, f = self.N, self.WIDTH
-        peak3, projections = self.eval_peak(small_fov, 3)
-        peak6, _ = self.eval_peak(small_fov, 6)
+        n = self.N
+        peak3, projections = self.eval_peak(small_fov, 3, f)
+        peak6, _ = self.eval_peak(small_fov, 6, f)
         grid_rows = max(p.dilated_cells.size for p in projections.values()) + 1
-        buffers = (
-            (2 * self.ROW_BLOCK - 1) * f * 4  # the longest row block of a hidden layer
-            + 2 * f * f * 4  # a layer's two folded weights
-            + grid_rows * f * 8  # a plane's float64 cell sums, or its grid rows
+        # a plane's float64 cell sums or its grid rows, and the larger of two buffers that never coexist
+        buffers = grid_rows * f * 8 + max(
+            (2 * self.ROW_BLOCK - 1) * f * 4 + 2 * f * f * 4,  # a channel layer's hidden row block and folded weights
+            (2 * self.ROW_BLOCK - 1) * f * 8,  # a flatten's longest row block of its input, in float64
         )
         # a kept N x F hidden array, or the embedding's concatenation, adds n * f * 4
         assert buffers < n * f * 4 / 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from waffleiron import projection
+from waffleiron import nn
 from waffleiron.geometry import Fov
 from waffleiron.projection import (
     PlaneSpec,
@@ -167,14 +167,45 @@ class TestScatterAddOracle:
         assert crowded == 2 and empty == 1
 
 
-def test_cell_sums_in_column_blocks(monkeypatch):
-    monkeypatch.setattr(projection, "_SUM_BLOCK", 5)
+def test_cell_sums_in_row_blocks(monkeypatch):
+    """Sums chained over many row blocks equal the sequential scatter-add, crowded cells and one short cloud."""
+    monkeypatch.setattr(nn, "_ROW_BLOCK", 16)
     rng = np.random.default_rng(15)
-    for proj, feats in (small_projection(rng, n=83, f=16), crowded_projection(rng, f=11)):
+    cases = (crowded_projection(rng, n=300, f=11), small_projection(rng, n=83, f=16), small_projection(rng, n=9, f=5))
+    # a crowded cell spans at least three blocks of 16-31 points; the short cloud is one block
+    assert cases[0][0].counts.max() > 2 * 31 and cases[2][0].n_points < 16
+    for proj, feats in cases:
+        # magnitudes from e^-8 to e^8 of either sign, and both zeros
+        values = np.exp(rng.uniform(-8, 8, feats.shape)) * np.sign(feats)
+        values[::5] = 0.0
+        values[2::5] = -0.0
         for dtype in (np.float32, np.float64):
-            x = feats.astype(dtype)
+            x = values.astype(dtype)
             assert bitwise_equal(scatter_rows(proj, proj.flatten(x)), add_at_flatten(proj, x))
             assert bitwise_equal(scatter_rows(proj, proj.inflate_backward(x)), add_at_inflate_backward(proj, x))
+
+
+def test_csr_matvecs_adds_into_its_output_in_stored_order():
+    """The private scipy kernel that ``_cell_sums`` chains over row blocks: each output row continues from its
+    value and adds the row's entries in stored order."""
+    from scipy.sparse import csr_array
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    # row 0 stores its columns unsorted (2, 0, 1); rounding at 1e16 makes its sum depend on start and order
+    indptr, indices = np.array([0, 3, 4, 4]), np.array([2, 0, 1, 1])
+    a = csr_array((np.ones(4), indices, indptr), shape=(3, 3))
+    x = np.array([[1e16, 1.0], [1.0, 1e16], [-1e16, -1e16]])
+    y0 = np.array([[1.0, 3.0], [5.0, -0.0], [7.0, 7.0]])
+    want = y0.copy()
+    for i in range(3):
+        for k in range(indptr[i], indptr[i + 1]):
+            want[i] += x[indices[k]]
+    # the public product starts from zero, and ascending order differs too
+    assert not np.array_equal(want, y0 + a @ x)
+    assert not np.array_equal(want[0], y0[0] + x[0] + x[1] + x[2])
+    y = y0.copy()
+    csr_matvecs(3, 3, 2, a.indptr, a.indices, a.data, x, y)
+    assert bitwise_equal(y, want)
 
 
 class TestFlattenInflate:
