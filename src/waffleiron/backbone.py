@@ -12,9 +12,13 @@ the token flatten, ``lin1``) and the stochastic-depth factor times each
 layerscale into ``conv2``/``lin2``, so both mixing layers add their branch
 to ``x`` as it is; the modes differ only in the statistics they map by.
 
-Layers keep nothing between calls (see :mod:`.nn`): :class:`WaffleIron`
-holds the one list of ``(layer, context)`` from a training forward to its
-backward, which pops each context as that layer's backward runs.
+Layers keep nothing between calls (see :mod:`.nn`). From a training forward
+to its backward, :class:`WaffleIron` runs the kept mixing layers in segments
+of about the square root of their count and holds the contexts of the
+embedding, the last segment and the classifier, and only the input of each
+earlier segment; backward re-runs such a segment's forward from that input to
+rebuild its contexts (a gradient checkpoint per segment, Chen et al. 2016)
+and pops each context as that layer's backward runs.
 
 Features and tokens are N x C and N x F blocks of point rows from the
 embedding to the classifier; the logits are the K x N transpose of the
@@ -44,6 +48,7 @@ backward's ``dy + branch gradient`` into the branch gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -378,6 +383,8 @@ class WaffleIron:
             channel = ChannelMixLayer(self.store, f"layers.{i}.channel", config.width, rng)
             self.layers.append((token, channel))
         self.classifier = PointwiseLinear(self.store, "classifier", config.width, config.num_classes, rng)
+        # the running statistics, which a segment's re-run in backward moves again
+        self._running = [t for _, t in self.store.items() if not t.trainable]
         self._contexts = None
 
     # -- plumbing -------------------------------------------------------------
@@ -404,10 +411,13 @@ class WaffleIron:
 
         Two modes over one data path, in which every batch norm's map and
         layerscale folds into the adjacent weights. A training forward maps
-        by batch statistics, updates the running statistics and keeps every
-        layer's context for :meth:`backward`. An eval forward maps by the
-        running statistics and keeps nothing. By equal statistics both give
-        the same logits bit for bit.
+        by batch statistics and updates the running statistics. It runs the
+        L kept mixing layers in segments of s = ceil(sqrt(L)), counted from
+        the output, and keeps for :meth:`backward` the embedding's and the
+        classifier's contexts, the last segment's contexts and only the input
+        of each earlier segment. An eval forward maps by the running
+        statistics and keeps nothing. By equal statistics both give the same
+        logits bit for bit.
 
         Stochastic depth engages whenever ``drop_rng`` is given and
         ``drop_prob > 0`` (also used by test-time augmentation): one draw
@@ -428,26 +438,62 @@ class WaffleIron:
         factor = 1.0 / (1.0 - p) if dropping else 1.0
 
         x, ctx = self.embedding.forward(feats, neighbors, training)
-        contexts = [(self.embedding, ctx)]
-        for token, channel in self.layers:
-            if not (dropping and drop_rng.random() < p):
-                x, ctx = token.forward(x, projections, training, factor)
-                contexts.append((token, ctx))
-            if not (dropping and drop_rng.random() < p):
-                x, ctx = channel.forward(x, training, factor)
-                contexts.append((channel, ctx))
+        head = [(self.embedding, ctx)]
+        # every draw first, in layer order; a token layer's forward also takes the projections
+        kept = [
+            (layer, args)
+            for token, channel in self.layers
+            for layer, args in ((token, (projections,)), (channel, ()))
+            if not (dropping and drop_rng.random() < p)
+        ]
+        # segments of s = ceil(sqrt(L)) kept layers counted from the output, so the short rest comes first
+        s = math.isqrt(len(kept) - 1) + 1 if kept else 1
+        starts = [0, *range(len(kept) % s or s, len(kept), s)]
+        segments, contexts = [], []
+        for lo, hi in zip(starts, starts[1:] + [len(kept)]):
+            last = hi == len(kept)
+            if training and not last:
+                segments.append((x, kept[lo:hi]))
+            for layer, args in kept[lo:hi]:
+                x, ctx = layer.forward(x, *args, training, factor)
+                if training and last:
+                    contexts.append((layer, ctx))
+                del ctx  # an earlier segment's contexts are rebuilt in backward
         logits, ctx = self.classifier.forward(x, training)
-        self._contexts = contexts + [(self.classifier, ctx)] if training else None
+        self._contexts = (head, segments, factor, contexts + [(self.classifier, ctx)]) if training else None
         return logits.T
 
     def backward(self, dlogits: np.ndarray) -> None:
-        """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``."""
+        """Accumulate parameter gradients for the most recent forward pass from K x N ``dlogits``.
+
+        The classifier and the last segment backpropagate through their kept contexts. Each earlier segment,
+        from the end, re-runs its training forward from its kept input and backpropagates through the rebuilt
+        contexts, which are bit for bit those of the first forward. The re-runs move the running statistics
+        again, so they are restored to what the forward left.
+        """
         if self._contexts is None:
             raise RuntimeError("backward needs a training forward")
-        contexts, self._contexts = self._contexts, None
-        dx = dlogits.T
-        while contexts:  # a popped context is held only by its layer's backward
-            dx = contexts[-1][0].backward(dx, contexts.pop()[1])
+        (head, segments, factor, contexts), self._contexts = self._contexts, None
+        running = [t.data.copy() for t in self._running]
+        dx = _backprop(contexts, dlogits.T)
+        while segments:
+            x, layers = segments.pop()
+            for layer, args in layers:
+                x, ctx = layer.forward(x, *args, True, factor)
+                contexts.append((layer, ctx))
+            del x, ctx
+            dx = _backprop(contexts, dx)
+        for t, data in zip(self._running, running):
+            t.data[...] = data
+        _backprop(head, dx)
+
+
+def _backprop(contexts: list, dx: np.ndarray) -> np.ndarray:
+    """``dx`` through the ``(layer, context)`` list from its end, which it empties; a popped context is held only
+    by its layer's backward."""
+    while contexts:
+        dx = contexts[-1][0].backward(dx, contexts.pop()[1])
+    return dx
 
 
 def param_count(config: WaffleIronConfig) -> int:

@@ -133,7 +133,7 @@ def _cmd_infer(args) -> int:
         raise FileNotFoundError(f"output directory {out.parent} does not exist")
     if out.is_dir():
         raise IsADirectoryError(f"output file {out} is a directory")
-    model, _, rc = dataio.checkpoint_load(args.ckpt)
+    model, rc = dataio.checkpoint_load(args.ckpt)[::2]  # no optimizer state outlives the load
     pc = dataio.read_scan(args.scan, rc.scan_format)
     pred = segment_scan(pc, model, rc.voxel_size, tta=args.tta, rng=np.random.default_rng(args.seed))
     dataio.write_labels(args.out, pred)
@@ -144,7 +144,7 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     if args.out:
         _check_out_dir(Path(args.out))
-    model, _, rc = dataio.checkpoint_load(args.ckpt)
+    model, rc = dataio.checkpoint_load(args.ckpt)[::2]  # no optimizer state outlives the load
     class_map = rc.class_map_ids
     if class_map is None:  # written before checkpoints embedded the map
         class_map = _resolve_class_map(rc, Path(args.ckpt).parent)

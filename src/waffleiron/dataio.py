@@ -18,7 +18,9 @@ field's default; keys without one, and ``classes``, are required.
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -292,44 +294,55 @@ def serialize_run_config(rc: RunConfig) -> str:
 # -- checkpoints --------------------------------------------------------------------
 
 
-def _write_block(out: bytearray, payload: bytes):
-    out += struct.pack("<I", len(payload))
-    out += payload
+def _write_block(out, payload: bytes):
+    out.write(struct.pack("<I", len(payload)))
+    out.write(payload)
 
 
-def _write_tensor(out: bytearray, name: str, data: np.ndarray, trainable: bool):
+def _write_tensor(out, name: str, data: np.ndarray, trainable: bool):
     _write_block(out, name.encode("utf-8"))
-    out += struct.pack("<BI", int(trainable), data.ndim)
-    out += struct.pack(f"<{data.ndim}I", *data.shape)
-    out += np.ascontiguousarray(data, dtype="<f4").tobytes()
+    out.write(struct.pack("<BI", int(trainable), data.ndim))
+    out.write(struct.pack(f"<{data.ndim}I", *data.shape))
+    out.write(np.ascontiguousarray(data, dtype="<f4"))
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+    """The records of an open checkpoint in order; a tensor's data is read straight into its target array."""
+
+    def __init__(self, file):
+        self.file = file
+        self.size = os.fstat(file.fileno()).st_size
+
+    def left(self) -> int:
+        """Bytes after the current record."""
+        return self.size - self.file.tell()
+
+    def _need(self, n: int):
+        # checked before reading, so a corrupt length reads and allocates nothing
+        if n > self.left():
+            raise ValueError("checkpoint truncated")
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ValueError("checkpoint truncated")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self._need(n)
+        return self.file.read(n)
 
     def block(self) -> bytes:
         (n,) = struct.unpack("<I", self.take(4))
         return self.take(n)
 
-    def tensor(self) -> tuple[str, np.ndarray]:
-        """One record's name and read-only data; the trainable flag is not needed to load it."""
-        name = self.block().decode("utf-8")
-        _trainable, ndim = struct.unpack("<BI", self.take(5))
+    def _data_into(self, dest: np.ndarray, what: str):
+        """A record's shape, which must be ``dest``'s, and its little-endian float32 data, read into ``dest``."""
+        _trainable, ndim = struct.unpack("<BI", self.take(5))  # the trainable flag is not needed to load it
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        return name, np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
+        if dest.shape != shape:
+            raise ValueError(f"dimension mismatch for {what}: model {dest.shape}, checkpoint {shape}")
+        self._need(dest.nbytes)
+        self.file.readinto(memoryview(dest).cast("B"))
+        if sys.byteorder == "big":
+            dest.byteswap(inplace=True)
 
     def tensors_into(self, kind: str, targets: dict[str, tuple[np.ndarray, ...]]):
-        """Copy a counted section of records into ``targets``, name -> arrays.
+        """Read a counted section of records into ``targets``, name -> float32 arrays.
 
         Each name has one record per target array, in a row under the same
         name (a parameter's value; a moment pair's m and v). An unknown name,
@@ -339,19 +352,15 @@ class _Reader:
         width = len(next(iter(targets.values())))
         loaded = set()
         for _ in range(count):
-            records = [self.tensor() for _ in range(width)]
-            name = records[0][0]
-            for other, _ in records[1:]:
-                if other != name:
-                    raise ValueError(f"{kind} name mismatch: {name!r} vs {other!r}")
-            if name not in targets:
-                raise ValueError(f"unexpected {kind} {name!r} in checkpoint")
-            for dest, (_, data) in zip(targets[name], records):
-                if dest.shape != data.shape:
-                    raise ValueError(
-                        f"dimension mismatch for {kind} {name!r}: model {dest.shape}, checkpoint {data.shape}"
-                    )
-                dest[...] = data
+            for i in range(width):
+                record = self.block().decode("utf-8")
+                if i == 0:
+                    name = record
+                elif record != name:
+                    raise ValueError(f"{kind} name mismatch: {name!r} vs {record!r}")
+                if name not in targets:
+                    raise ValueError(f"unexpected {kind} {name!r} in checkpoint")
+                self._data_into(targets[name][i], f"{kind} {name!r}")
             loaded.add(name)
         missing = [name for name in targets if name not in loaded]
         if missing:
@@ -361,39 +370,30 @@ class _Reader:
 def checkpoint_save(
     path, model: WaffleIron, optimizer: Optional[AdamW] = None, run_config: Optional[RunConfig] = None
 ):
-    """Serialize a model (and optionally its optimizer state) to ``path``."""
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
+    """Serialize a model (and optionally its optimizer state) to ``path``, one record at a time."""
     if run_config is None:
         run_config = RunConfig(model.config)
-    _write_block(out, serialize_run_config(run_config).encode("utf-8"))
-    if run_config.class_map_ids is None:
-        out += struct.pack("<B", 0)
-    else:
-        out += struct.pack("<B", 1)
-        _write_block(out, serialize_class_map(run_config.class_map_ids).encode("utf-8"))
-    tensors = list(model.store.items())
-    out += struct.pack("<I", len(tensors))
-    for name, t in tensors:
-        _write_tensor(out, name, t.data, t.trainable)
-    if optimizer is None:
-        out += struct.pack("<B", 0)
-    else:
-        out += struct.pack("<B", 1)
-        out += struct.pack(
-            "<Q5d",
-            optimizer.step_count,
-            *optimizer.betas,
-            optimizer.eps,
-            optimizer.weight_decay,
-            optimizer.base_lr,
-        )
-        out += struct.pack("<I", len(optimizer.m))
-        for name, m in optimizer.m.items():
-            _write_tensor(out, name, m, True)
-            _write_tensor(out, name, optimizer.v[name], True)
-    Path(path).write_bytes(bytes(out))
+    with open(path, "wb") as out:
+        out.write(_MAGIC)
+        out.write(struct.pack("<I", _VERSION))
+        _write_block(out, serialize_run_config(run_config).encode("utf-8"))
+        if run_config.class_map_ids is None:
+            out.write(struct.pack("<B", 0))
+        else:
+            out.write(struct.pack("<B", 1))
+            _write_block(out, serialize_class_map(run_config.class_map_ids).encode("utf-8"))
+        tensors = list(model.store.items())
+        out.write(struct.pack("<I", len(tensors)))
+        for name, t in tensors:
+            _write_tensor(out, name, t.data, t.trainable)
+        out.write(struct.pack("<B", optimizer is not None))
+        if optimizer is not None:
+            out.write(struct.pack("<Q5d", optimizer.step_count, *optimizer.betas, optimizer.eps,
+                                  optimizer.weight_decay, optimizer.base_lr))
+            out.write(struct.pack("<I", len(optimizer.m)))
+            for name, m in optimizer.m.items():
+                _write_tensor(out, name, m, True)
+                _write_tensor(out, name, optimizer.v[name], True)
 
 
 def checkpoint_load(path) -> tuple[WaffleIron, Optional[AdamW], RunConfig]:
@@ -407,25 +407,26 @@ def checkpoint_load(path) -> tuple[WaffleIron, Optional[AdamW], RunConfig]:
     holding the stored step, hyperparameters and moments, or None when the
     file holds no optimizer state.
     """
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(4) != _MAGIC:
-        raise ValueError(f"bad magic in {path}")
-    (version,) = struct.unpack("<I", reader.take(4))
-    if version not in (1, _VERSION):
-        raise ValueError(f"unsupported checkpoint version {version}")
-    run_config = parse_run_config(reader.block().decode("utf-8"))
-    if version > 1 and struct.unpack("<B", reader.take(1))[0]:
-        run_config.class_map_ids = parse_class_map(reader.block().decode("utf-8"), f"{path} class map")
-    model = WaffleIron(run_config.model, None)
-    reader.tensors_into("tensor", {name: (t.data,) for name, t in model.store.items()})
-    optimizer = None
-    if struct.unpack("<B", reader.take(1))[0]:
-        step, b1, b2, eps, wd, base_lr = struct.unpack("<Q5d", reader.take(8 + 5 * 8))
-        optimizer = AdamW(model.store, (b1, b2), eps, wd, base_lr)
-        optimizer.step_count = step
-        reader.tensors_into("optimizer moment", {name: (m, optimizer.v[name]) for name, m in optimizer.m.items()})
-    if reader.pos != len(reader.buf):
-        raise ValueError(f"{len(reader.buf) - reader.pos} trailing bytes after the last record in {path}")
+    with open(path, "rb") as file:
+        reader = _Reader(file)
+        if reader.take(4) != _MAGIC:
+            raise ValueError(f"bad magic in {path}")
+        (version,) = struct.unpack("<I", reader.take(4))
+        if version not in (1, _VERSION):
+            raise ValueError(f"unsupported checkpoint version {version}")
+        run_config = parse_run_config(reader.block().decode("utf-8"))
+        if version > 1 and struct.unpack("<B", reader.take(1))[0]:
+            run_config.class_map_ids = parse_class_map(reader.block().decode("utf-8"), f"{path} class map")
+        model = WaffleIron(run_config.model, None)
+        reader.tensors_into("tensor", {name: (t.data,) for name, t in model.store.items()})
+        optimizer = None
+        if struct.unpack("<B", reader.take(1))[0]:
+            step, b1, b2, eps, wd, base_lr = struct.unpack("<Q5d", reader.take(8 + 5 * 8))
+            optimizer = AdamW(model.store, (b1, b2), eps, wd, base_lr)
+            optimizer.step_count = step
+            reader.tensors_into("optimizer moment", {name: (m, optimizer.v[name]) for name, m in optimizer.m.items()})
+        if reader.left():
+            raise ValueError(f"{reader.left()} trailing bytes after the last record in {path}")
     return model, optimizer, run_config
 
 

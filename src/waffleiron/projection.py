@@ -128,13 +128,15 @@ class ProjectionPair:
         from scipy.sparse import csr_array  # a slow import, so only on first projection
 
         # one row per (row block, grid row), listing the block's points by their index in the block;
-        # scipy's COO to CSR conversion keeps each row's points in ascending order
+        # scipy's COO to CSR conversion keeps each row's points in ascending order and the coordinates' type
         n, m = self.n_points, self.n_occupied + 1
         self._blocks = row_blocks(n)
         starts = np.array([lo for lo, _ in self._blocks])
         block = np.repeat(np.arange(len(self._blocks)), [hi - lo for lo, hi in self._blocks])
+        rows, columns = block * m + self._point_slots, np.arange(n) - starts[block]
+        index = np.int32 if len(self._blocks) * m <= np.iinfo(np.int32).max else np.int64
         self._sum_rows = csr_array(
-            (np.ones(n), (block * m + self._point_slots, np.arange(n) - starts[block])),
+            (np.ones(n), (rows.astype(index), columns.astype(index))),
             shape=(len(self._blocks) * m, max(hi - lo for lo, hi in self._blocks)),
         )
         self._build_taps()

@@ -21,6 +21,9 @@ Each oracle is written independently of the runtime path it checks:
 * the unfused training step, forward and backward: batch norm by the batch
   statistics, layerscale and the stochastic-depth factor each as a pass of
   their own, and the depthwise convolutions through the unblocked tap sum;
+* the unsegmented training step: the layers' own forwards and backwards,
+  with every layer's context kept from the forward to its backward, as the
+  network ran before it went to segments of layers;
 * nearest-neighbor label propagation, with a full search over every
   destination point;
 * the test-time scene motion as a rotation and a flip that each rebuild the
@@ -425,6 +428,33 @@ def unfused_training(model: WaffleIron, feats, neighbors, projections, labels, d
     add(emb.pre_bn.gamma, dgamma)
     add(emb.pre_bn.beta, dbeta)
     return loss, {name: grads.get(id(t), np.zeros(t.shape)) for name, t in model.store.trainable_items()}
+
+
+def unsegmented_step(model: WaffleIron, feats, neighbors, projections, labels, drop_rng=None) -> float:
+    """The loss of one training step through the model's own layers, every context kept until its backward.
+
+    Forward, :func:`segmentation_loss` and backward, with the stochastic-depth draws of ``model.forward``:
+    the gradients accumulate into ``model``'s tensors, and each batch norm moves its running statistics once.
+    """
+    p = model.config.drop_prob
+    dropping = drop_rng is not None and p > 0.0
+    factor = 1.0 / (1.0 - p) if dropping else 1.0
+    x, ctx = model.embedding.forward(feats, neighbors, True)
+    contexts = [(model.embedding, ctx)]
+    for token, channel in model.layers:
+        if not (dropping and drop_rng.random() < p):
+            x, ctx = token.forward(x, projections, True, factor)
+            contexts.append((token, ctx))
+        if not (dropping and drop_rng.random() < p):
+            x, ctx = channel.forward(x, True, factor)
+            contexts.append((channel, ctx))
+    logits, ctx = model.classifier.forward(x, True)
+    contexts.append((model.classifier, ctx))
+    loss, dlogits, _ = segmentation_loss(logits.T, labels, np.ones(labels.size, dtype=bool))
+    dx = dlogits.T
+    for layer, ctx in reversed(contexts):
+        dx = layer.backward(dx, ctx)
+    return loss
 
 
 # -- label propagation ----------------------------------------------------------------------

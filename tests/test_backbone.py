@@ -1,6 +1,7 @@
 """Embedding, mixing layers and the assembled network."""
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from waffleiron.backbone import (
 from waffleiron.geometry import Fov
 from waffleiron.nn import BatchNorm, DepthwiseConv3x3, ParamStore, PointwiseLinear, fold
 from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
-from waffleiron.training import segmentation_loss
+from waffleiron.training import AdamW, segmentation_loss
 
 from conftest import random_cloud
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     token_eval,
     unfused_eval,
     unfused_training,
+    unsegmented_step,
 )
 from test_nn import BLOCKED_ROWS, ROW_BLOCK, assert_same_bits, blocked_and_whole, per_tap_backward, per_tap_forward
 from test_projection import bitwise_equal, occupied_rows, scatter_rows
@@ -680,8 +682,9 @@ class TestLayout:
                     assert rows.shape[0] == args[1].shape[0] + 1, (name, key, rows.shape)
                 assert not rows[-1].any(), (name, key)
                 grid_rows += 1
-        # 3 layers x 3 planes x (flatten, 2 conv inputs and outputs, inflate) forward and backward
-        assert grid_rows == 3 * 3 * 2 * 6
+        # 3 layers x 3 planes x (flatten, 2 conv inputs and outputs, inflate) forward and backward, and forward
+        # again for the 2 token layers of the first of the two segments of 3 kept layers, which backward re-runs
+        assert grid_rows == 3 * 3 * 2 * 6 + 2 * 3 * 6
 
 
 class TestNoGradForward:
@@ -697,7 +700,9 @@ class TestNoGradForward:
             pc = build_scene(small_fov, n=50, seed=31)
             feats, nbr, proj, valid = prepare_inputs(model, pc)
             cached = model.forward(feats, nbr, proj, valid, training=True)
-            assert len(held_arrays(model)) > 50
+            # the embedding's context, one segment input and the contexts of the last segment's three
+            # layers: 53 arrays with three planes per token layer, 39 with one
+            assert len(held_arrays(model)) > 35
             logits = model.forward(feats, nbr, proj, valid, training=False)
             assert held_arrays(model) == []
             oracle = unfused_eval(model, feats, nbr, proj)
@@ -792,7 +797,10 @@ class TestEvalMemory:
 
 
 class TestTrainingMemory:
-    """A training forward keeps two N x F arrays per layer pair; its backward adds about three more plus buffers."""
+    """A training forward keeps the input of each segment but the last and the last segment's contexts.
+
+    Its backward adds about three N x F arrays plus buffers, also while it re-runs an earlier segment.
+    """
 
     N, WIDTH, K = 4096, 256, 8
     ROW_BLOCK, LOCAL_BLOCK = 128, 64
@@ -815,16 +823,24 @@ class TestTrainingMemory:
             tracemalloc.stop()
         return kept, peak, inputs[2]
 
-    def test_kept_pairs_and_backward_peak(self, small_fov, monkeypatch):
+    def test_kept_segments_and_backward_peak(self, small_fov, monkeypatch):
         monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
         monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.LOCAL_BLOCK)
         n, f = self.N, self.WIDTH
+        # without mixing layers the classifier's input is the embedding's output, the first segment's input
+        kept0 = self.step_bytes(small_fov, 0)[0]
+        # L = 6 kept layers make 2 segments of s = 3; L = 12 make 3 of s = 4
         kept3, peak3, projections = self.step_bytes(small_fov, 3)
         kept6, peak6, _ = self.step_bytes(small_fov, 6)
-        # the three added pairs: per pair the token layer's and the channel layer's input, lin1's folded
-        # weights and per-channel vectors, and once per plane its flatten rows and ReLU rows
+        # per layer of the last segment its input, lin1's folded weights and per-channel vectors, and once
+        # per plane its flatten rows and ReLU rows
         grid_rows = sum(p.n_occupied + p.dilated_cells.size + 2 for p in projections.values())
-        assert kept6 - kept3 <= 3 * (2 * n * f * 4 + f * f * 4 + 32 * f * 8) + grid_rows * f * 4, (kept3, kept6)
+        extras = f * f * 4 + 32 * f * 8
+        # so that keeping one more layer's input breaks the bound
+        assert 4 * extras + grid_rows * f * 4 < n * f * 4
+        for kept, segments, size in ((kept3, 2, 3), (kept6, 3, 4)):
+            bound = (segments - 1 + size) * n * f * 4 + size * extras + grid_rows * f * 4
+            assert kept - kept0 <= bound, (kept - kept0, bound)
         buffers = (
             3 * f * f * 8  # a linear layer's folded weights and their float64 adjoint
             + 2 * self.ROW_BLOCK * f * 8  # a row block of float64 products or of a temporary
@@ -833,11 +849,79 @@ class TestTrainingMemory:
         # so that one more N x F array breaks the bound
         assert buffers < n * f * 4
         # the incoming gradient and two arrays of a layer's own (the rebuilt ReLU rows and their gradient,
-        # say) beside the contexts not yet consumed; the classifier's input is gone before the first of them
+        # say) beside the contexts not yet consumed; the classifier's input is gone before the first of them,
+        # and a re-run segment's contexts take the place of the last segment's, which are gone before it
         for peak in (peak3, peak6):
             assert peak <= (3 - 1) * n * f * 4 + buffers, (peak - 2 * n * f * 4, buffers)
         # and the same at any depth
         assert abs(peak6 - peak3) < 16384, (peak3, peak6)
+
+
+class TestSegments:
+    """Segmented training equals the unsegmented oracle bit for bit: gradients, running statistics, an AdamW step."""
+
+    @staticmethod
+    def model(fov, depth, drop):
+        cfg = tiny_config(fov, depth=depth, width=8, k=4, drop=drop, strategy="parallel" if depth % 3 else "baseline")
+        model = WaffleIron(cfg, np.random.default_rng(130))
+        perturb_eval_state(model.store, np.random.default_rng(131))
+        return model
+
+    @staticmethod
+    def drop_seed(depth, drop, layers):
+        """A generator seed whose draws keep exactly ``layers`` of the ``2 * depth`` mixing layers."""
+        return next(seed for seed in range(1000) if (np.random.default_rng(seed).random(2 * depth) >= drop).sum() == layers)
+
+    @pytest.mark.parametrize(
+        "depth, drop, layers",
+        # L kept layers: without stochastic depth L = 2 * depth; 12 and 11 are not squares
+        [(0, 0.0, 0), (1, 0.0, 2), (6, 0.0, 12), (1, 0.5, 0), (1, 0.5, 1), (2, 0.5, 2), (3, 0.3, 5), (6, 0.3, 11)],
+    )
+    def test_matches_unsegmented_oracle_bit_for_bit(self, small_fov, depth, drop, layers):
+        model = self.model(small_fov, depth, drop)
+        oracle = copy.deepcopy(model)
+        pc = build_scene(small_fov, n=60, seed=132)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        seed = self.drop_seed(depth, drop, layers) if drop else None
+
+        def rng():
+            return None if seed is None else np.random.default_rng(seed)
+
+        want = unsegmented_step(oracle, feats, nbr, proj, pc.labels, rng())
+        logits = model.forward(feats, nbr, proj, valid, training=True, drop_rng=rng())
+        loss, dlogits, _ = segmentation_loss(logits, pc.labels, valid)
+        model.backward(dlogits)
+        assert loss == want
+        # gradients and running statistics, then the parameters after a step
+        same_bits(oracle.store, model.store, "store")
+        for m in (oracle, model):
+            AdamW(m.store).step()
+        same_bits(oracle.store, model.store, "store")
+        assert any(t.grad.any() for _, t in model.store.trainable_items())
+
+    def test_running_statistics_move_once_per_forward_and_backward(self, small_fov, monkeypatch):
+        # L = 12 kept layers in 3 segments of 4: backward re-runs the batch norms of the first 8
+        model = self.model(small_fov, 6, 0.0)
+        pc = build_scene(small_fov, n=60, seed=133)
+        feats, nbr, proj, valid = prepare_inputs(model, pc)
+        calls = []
+        forward = BatchNorm.forward
+
+        def counting(bn, x, training=True):
+            calls.append(training)
+            return forward(bn, x, training)
+
+        monkeypatch.setattr(BatchNorm, "forward", counting)
+        before = store_bits(model.store)
+        logits = model.forward(feats, nbr, proj, valid, training=True)
+        after_forward = store_bits(model.store)
+        model.backward(segmentation_loss(logits, pc.labels, valid)[1])
+        # the embedding's and one per layer forward, and again the first 8 layers' in backward
+        assert calls == [True] * (1 + 12 + 8)
+        for name, (data, _) in store_bits(model.store).items():
+            if name.endswith(("running_mean", "running_var")):
+                assert not bitwise_equal(before[name][0], data), name
+                assert bitwise_equal(after_forward[name][0], data), name
 
 
 def same_bits(before, after, path, grads=True):
@@ -1038,8 +1122,9 @@ class TestContexts:
     @pytest.mark.parametrize("drop", [0.0, 0.5])
     @pytest.mark.parametrize("depth", [3, 6])
     def test_training_forward_keeps_each_point_array_once(self, small_fov, depth, drop):
-        # the distinct N x F float arrays of the contexts: each kept token layer's input, each kept channel
-        # layer's input, the embedding's merge input and the classifier's input
+        # the distinct N x F float arrays that backward reads: the input of each segment of s = ceil(sqrt(L))
+        # kept layers but the last, the input of each layer of the last segment (s layers, counted from the
+        # output), the embedding's merge input and the classifier's input
         cfg = tiny_config(small_fov, depth=depth, width=8, k=4, drop=drop)
         model = WaffleIron(cfg, np.random.default_rng(120))
         pc = build_scene(small_fov, n=50, seed=121)
@@ -1051,8 +1136,10 @@ class TestContexts:
         tokens, channels = int(kept[0::2].sum()), int(kept[1::2].sum())
         assert drop == 0.0 or 0 < tokens + channels < 2 * depth
         logits = model.forward(feats, nbr, proj, valid, training=True, drop_rng=np.random.default_rng(5))
+        layers = tokens + channels
+        size = math.ceil(math.sqrt(layers))
         rows = {id(a) for _, a in held(model) if a.shape == (n, f) and a.dtype.kind == "f"}
-        assert len(rows) == tokens + channels + 2
+        assert len(rows) == math.ceil(layers / size) - 1 + size + 2
         model.backward(segmentation_loss(logits, pc.labels, valid)[1])
         assert held_arrays(model) == []
 

@@ -1,7 +1,9 @@
 """Byte-level golden files, checkpoint round trips and config parsing."""
 
 import dataclasses
+import io
 import struct
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -82,12 +84,12 @@ def stepped_model_and_optimizer(fov):
 def write_with_moments(path, model, records):
     """Save ``model`` with an optimizer section of (m name, m, v name, v) moment records."""
     dataio.checkpoint_save(path, model)
-    out = bytearray(path.read_bytes()[:-1])  # drop the no-optimizer flag
-    out += struct.pack("<BQ5dI", 1, 1, 0.9, 0.999, 1e-8, 0.01, 2e-3, len(records))
-    for m_name, m, v_name, v in records:
-        dataio._write_tensor(out, m_name, m, True)
-        dataio._write_tensor(out, v_name, v, True)
-    path.write_bytes(bytes(out))
+    with open(path, "r+b") as out:
+        out.seek(-1, io.SEEK_END)  # over the no-optimizer flag
+        out.write(struct.pack("<BQ5dI", 1, 1, 0.9, 0.999, 1e-8, 0.01, 2e-3, len(records)))
+        for m_name, m, v_name, v in records:
+            dataio._write_tensor(out, m_name, m, True)
+            dataio._write_tensor(out, v_name, v, True)
 
 
 class TestReadScan:
@@ -291,6 +293,41 @@ class TestCheckpoint:
         write_with_moments(path, model, records)
         with pytest.raises(ValueError, match=message):
             dataio.checkpoint_load(path)
+
+    @pytest.mark.parametrize("with_optimizer", [False, True])
+    def test_load_holds_only_what_it_returns(self, tmp_path, small_fov, with_optimizer):
+        # at width 256 the tensors, not the objects around them, make the file's 1.9 MB (5.6 MB with moments)
+        model = small_model(small_fov, width=256)
+        path = tmp_path / "m.wfli"
+        dataio.checkpoint_save(path, model, AdamW(model.store) if with_optimizer else None)
+        dataio.checkpoint_load(path)  # first calls allocate numpy's and Python's lazy caches
+        tracemalloc.start()
+        try:
+            loaded, optimizer, _ = dataio.checkpoint_load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = [t.data for _, t in loaded.store.items()]
+        if with_optimizer:
+            stored += [*optimizer.m.values(), *optimizer.v.values()]
+        assert sum(a.nbytes for a in stored) > 0.95 * path.stat().st_size
+        # each stored tensor once, where the load put it, and the gradient buffers of the model it builds:
+        # no copy of the file or of a record
+        grads = sum(t.grad.nbytes for _, t in loaded.store.trainable_items())
+        assert peak <= sum(a.nbytes for a in stored) + grads + 128 * 1024, peak
+
+    def test_truncated_checkpoint_rejected(self, tmp_path, small_fov):
+        model, opt = stepped_model_and_optimizer(small_fov)
+        path = tmp_path / "m.wfli"
+        dataio.checkpoint_save(path, model, opt)
+        data = path.read_bytes()
+        # inside a moment's data, inside a tensor's header, and a block length past the end of the file
+        name = b"embed.global.bias"
+        header = data.index(name) + len(name) + 2
+        for cut in (data[:-3], data[:header], data[:4 + 4] + struct.pack("<I", 2**31) + data[12:]):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match="checkpoint truncated"):
+                dataio.checkpoint_load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path, small_fov):
         model, opt = stepped_model_and_optimizer(small_fov)

@@ -175,6 +175,8 @@ def test_cell_sums_in_row_blocks(monkeypatch):
     # a crowded cell spans at least three blocks of 16-31 points; the short cloud is one block
     assert cases[0][0].counts.max() > 2 * 31 and cases[2][0].n_points < 16
     for proj, feats in cases:
+        # the row pointers and column indices are int32 at every size that fits
+        assert proj._sum_rows.indptr.dtype == proj._sum_rows.indices.dtype == np.int32
         # magnitudes from e^-8 to e^8 of either sign, and both zeros
         values = np.exp(rng.uniform(-8, 8, feats.shape)) * np.sign(feats)
         values[::5] = 0.0
