@@ -29,21 +29,26 @@ type holding ``k - 1``, and backward recomputes ``relu(local1)`` by block.
 
 The point-wise layers run in blocks of rows (:func:`nn.row_blocks`): the
 channel layer runs ``lin1`` -> ReLU -> ``lin2`` -> residual per block through
-one block buffer in both modes, and the embedding writes its global and local
+block buffers in both modes, and the embedding writes its global and local
 halves and ``merge``'s output per block. ``merge``'s input, which backward
 reads, goes into one N x width array of the context in training and into one
-block buffer at eval; that is the only difference between the modes. So an
-eval forward holds a layer's input, its output and one block, and a training
-context two N x F arrays per mixing pair: the token and the channel layer's
-inputs. The channel layer's backward rebuilds the ReLU rows from its input
-by the same blocks and folded weights, bit for bit (a per-layer gradient
-checkpoint, Chen et al. 2016), and masks its gradient by block.
+block buffer at eval. Both mixing layers write ``x + branch`` one row block at
+a time into an ``out`` array: at eval :class:`WaffleIron` hands each layer the
+token array that the embedding made, so an eval forward holds one N x F token
+array, the features and block buffers. In training (and in backward's re-runs)
+each layer writes a fresh array, and a training context holds two N x F
+arrays per mixing pair: the token and the channel layer's inputs. The channel
+layer's backward rebuilds the ReLU rows from its input by the same blocks and
+folded weights, bit for bit (a per-layer gradient checkpoint, Chen et al.
+2016), and masks its gradient by block.
 
 The token branch applies its hidden ReLU in place to the fresh output of
 ``conv1``, so its training context holds that one array as both ``conv2``'s
 input and the ReLU mask, and backward masks the fresh gradient in place. The
-residual ``x + branch`` is written into the branch's fresh output, and the
-backward's ``dy + branch gradient`` into the branch gradient.
+branch returns ``conv2``'s grid rows; the layer inflates them a row block at
+a time (:meth:`ProjectionPair.inflate` over a row range) once every branch has
+read ``x``. The backward's ``dy + branch gradient`` goes into the branch
+gradient.
 """
 
 from __future__ import annotations
@@ -258,9 +263,10 @@ class EmbeddingLayer:
 
 
 class _TokenMixBranch:
-    """One plane's BN -> flatten -> conv FFN -> inflate -> layerscale chain, times ``factor``.
+    """One plane's BN -> flatten -> conv FFN -> layerscale chain, times ``factor``: conv2's grid rows.
 
-    The flatten maps the cell means by BN's map, so empty cells stay padding, not BN(0).
+    The flatten maps the cell means by BN's map, so empty cells stay padding, not BN(0). The layer inflates the
+    returned rows to the points.
     """
 
     def __init__(self, store, name, width, rng):
@@ -278,9 +284,7 @@ class _TokenMixBranch:
         args2 = (r, proj.o_from_d, self.layerscale, factor)
         ctx = (proj, bn_ctx, args1, args2) if training else None
         del args1, r  # at eval nothing else holds conv1's input while conv2 runs
-        rows = self.conv2.forward(*args2)
-        del args2  # nor conv1's rows while inflate makes its N x F output
-        return proj.inflate(rows), ctx
+        return self.conv2.forward(*args2), ctx
 
     def backward(self, dy, ctx):
         proj, bn_ctx, ctx1, ctx2 = ctx
@@ -290,7 +294,12 @@ class _TokenMixBranch:
 
 
 class TokenMixLayer:
-    """Residual token mixing: x + factor * sum of per-plane branches."""
+    """Residual token mixing: x + factor * sum of per-plane branches.
+
+    Every branch reads ``x`` and returns its grid rows first; then each row block of the output is written once,
+    as the planes' inflated rows summed in plane order plus ``x`` last, ``((p0 + p1) + p2) + x``, through one block
+    buffer (two with several planes). The output is ``out`` if given, which may be ``x`` itself, else a fresh array.
+    """
 
     def __init__(self, store, name, planes, width, rng):
         self.planes = tuple(planes)
@@ -298,13 +307,23 @@ class TokenMixLayer:
             _TokenMixBranch(store, f"{name}.plane_{a0}{a1}", width, rng) for a0, a1 in self.planes
         ]
 
-    def forward(self, x, projections, training, factor=1.0):
-        total, ctx = None, []
+    def forward(self, x, projections, training, factor=1.0, out=None):
+        grids, ctx = [], []
         for axes, branch in zip(self.planes, self.branches):
-            out, branch_ctx = branch.forward(x, projections[axes], training, factor)
+            rows, branch_ctx = branch.forward(x, projections[axes], training, factor)
+            grids.append((projections[axes], rows))
             ctx.append(branch_ctx)
-            total = out if total is None else np.add(total, out, out=total)
-        return np.add(total, x, out=total), (ctx if training else None)
+        y = np.empty_like(x) if out is None else out
+        blocks = row_blocks(x.shape[0])
+        total = np.empty((x.shape[0] - blocks[-1][0], x.shape[1]), dtype=x.dtype)
+        plane = np.empty_like(total) if len(grids) > 1 else None
+        for lo, hi in blocks:
+            proj, rows = grids[0]
+            block = proj.inflate(rows, lo, hi, total[: hi - lo])
+            for proj, rows in grids[1:]:
+                np.add(block, proj.inflate(rows, lo, hi, plane[: hi - lo]), out=block)
+            np.add(block, x[lo:hi], out=y[lo:hi])
+        return y, (ctx if training else None)
 
     def backward(self, dy, ctx):
         dx = None
@@ -320,6 +339,9 @@ class ChannelMixLayer:
     Both modes fill the ReLU rows a row block at a time. A training context keeps the input, which BN's and
     ``lin1``'s contexts share, the folded ``(W1', b1')`` and ``lin2``'s context without its input; backward
     rebuilds the rows whole by the same blocks, one more N x F x F product, and frees them once read.
+
+    ``lin2`` writes each block into the fresh output, or, given ``out`` (which may be ``x`` itself), into a
+    second block buffer; the block of ``x`` is added after it either way.
     """
 
     def __init__(self, store, name, width, rng):
@@ -328,7 +350,7 @@ class ChannelMixLayer:
         self.lin2 = PointwiseLinear(store, f"{name}.lin2", width, width, rng)
         self.layerscale = store.register(f"{name}.layerscale.diag", np.full(width, LAYERSCALE_INIT, dtype=np.float32))
 
-    def forward(self, x, training, factor=1.0):
+    def forward(self, x, training, factor=1.0, out=None):
         n, f = x.shape
         blocks = row_blocks(n)
         bn_map, bn_ctx = self.bn.forward(x, training)
@@ -336,11 +358,12 @@ class ChannelMixLayer:
         # the ReLU output, lin2's input: one block in both modes, which backward rebuilds whole
         r = np.empty((n - blocks[-1][0], f), dtype=x.dtype)
         (w2, b2), ctx2 = self.lin2.folded(r, training, None, self.layerscale, factor)
-        y = np.empty_like(x)
+        y = np.empty_like(x) if out is None else out
+        branch = None if out is None else np.empty_like(r)
         for lo, hi in blocks:
             h = self._relu_rows(x[lo:hi], w1, b1, r[: hi - lo])
-            out = affine_rows(h, w2, b2, y[lo:hi])
-            np.add(out, x[lo:hi], out=out)
+            rows = affine_rows(h, w2, b2, y[lo:hi] if branch is None else branch[: hi - lo])
+            np.add(rows, x[lo:hi], out=y[lo:hi])
         return y, ((bn_ctx, ctx1, (w1, b1), ctx2[1:]) if training else None)
 
     @staticmethod
@@ -416,8 +439,9 @@ class WaffleIron:
         the output, and keeps for :meth:`backward` the embedding's and the
         classifier's contexts, the last segment's contexts and only the input
         of each earlier segment. An eval forward maps by the running
-        statistics and keeps nothing. By equal statistics both give the same
-        logits bit for bit.
+        statistics, keeps nothing and has every mixing layer write its output
+        over the one token array that the embedding made; ``feats`` is never
+        written. By equal statistics both give the same logits bit for bit.
 
         Stochastic depth engages whenever ``drop_rng`` is given and
         ``drop_prob > 0`` (also used by test-time augmentation): one draw
@@ -455,7 +479,8 @@ class WaffleIron:
             if training and not last:
                 segments.append((x, kept[lo:hi]))
             for layer, args in kept[lo:hi]:
-                x, ctx = layer.forward(x, *args, training, factor)
+                # at eval every layer writes its output over its input, the embedding's fresh tokens
+                x, ctx = layer.forward(x, *args, training, factor, out=None if training else x)
                 if training and last:
                     contexts.append((layer, ctx))
                 del ctx  # an earlier segment's contexts are rebuilt in backward

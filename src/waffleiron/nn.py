@@ -5,20 +5,21 @@ layer has a hand-written backward pass and keeps nothing between calls: a
 forward returns its output and a context, what ``backward`` reads (``None``
 at eval), and ``backward`` takes the context back; the convolution returns
 only its output, as its arguments are its context. Parameters live in a
-:class:`ParamStore` as named float32 tensors; gradient buffers accumulate
-until explicitly zeroed. A batch norm returns only the float64 map of its
-statistics, which its consumer applies to the batch norm's own input, and a
-layerscale is an output scale: both fold into the adjacent weights per call,
-in training and at eval (:func:`fold`), and backward maps the gradient of the
-resulting weights back (:func:`fold_adjoint`).
+:class:`ParamStore` as named float32 tensors; a gradient buffer is made on
+first use and accumulates until explicitly zeroed. A batch norm returns only
+the float64 map of its statistics, which its consumer applies to the batch
+norm's own input, and a layerscale is an output scale: both fold into the
+adjacent weights per call, in training and at eval (:func:`fold`), and
+backward maps the gradient of the resulting weights back (:func:`fold_adjoint`).
 
 Backward runs in the forward's dtype: :meth:`PointwiseLinear.backward` writes
 the input gradient into an array of its input's dtype a row block at a time and
 widens its input 64 columns at a time for the weight gradient, so a float64
 loss gradient stops at the classifier without any N x F float64 array.
-Aliasing rule: a layer writes only into arrays it made itself, never into its
-arguments. A context may share an array with the next layer's context: an
-in-place ReLU output is both its layer's mask and the next layer's input.
+Aliasing rule: a layer writes only into arrays it made itself and into an
+``out`` array that its caller hands it, never into its other arguments. A
+context may share an array with the next layer's context: an in-place ReLU
+output is both its layer's mask and the next layer's input.
 
 Point-wise products run in blocks of ``_ROW_BLOCK`` rows (:func:`row_blocks`),
 so an eval forward needs one block of a hidden layer, not all N rows of it.
@@ -45,14 +46,29 @@ _ROW_BLOCK = 1024
 
 
 class Tensor:
-    """Dense array with an optional same-shaped gradient buffer."""
+    """Dense array with a same-shaped gradient buffer if trainable.
 
-    __slots__ = ("data", "grad", "trainable")
+    The buffer is made, zeroed, on first use of ``grad``, which a backward
+    pass or an optimizer step makes; a model that only runs eval forwards
+    holds none. ``grad`` is ``None`` for a tensor that is not trainable.
+    """
+
+    __slots__ = ("data", "trainable", "_grad")
 
     def __init__(self, data: np.ndarray, trainable: bool = True):
         self.data = np.ascontiguousarray(data, dtype=np.float32)
         self.trainable = trainable
-        self.grad = np.zeros_like(self.data) if trainable else None
+        self._grad = None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        if self._grad is None and self.trainable:
+            self._grad = np.zeros(self.data.shape, dtype=self.data.dtype)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]):
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -63,8 +79,9 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        """Zero the gradient buffer, if one was made."""
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
 
 class ParamStore:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -113,8 +114,8 @@ class ProjectionPair:
 
     Immutable after construction. Grid-side arrays are (|O| + 1) x F rows, one
     per cell of ``occupied_cells`` and the zero row; ``d_from_o`` and
-    ``o_from_d`` are the tap tables of the two convolutions of token mixing
-    (module docstring).
+    ``o_from_d`` are the int32 tap tables of the two convolutions of token
+    mixing (module docstring).
     """
 
     def __init__(self, plane: PlaneSpec, cell_index: np.ndarray):
@@ -156,9 +157,10 @@ class ProjectionPair:
         hit[around_o] = True
         dil_pad = np.flatnonzero(hit & inside)
         n_o, n_d = occ_pad.size, dil_pad.size
-        o_row = np.full(inside.size, n_o, dtype=np.intp)
+        # int32 tables: np.take widens each block of indices it reads
+        o_row = np.full(inside.size, n_o, dtype=np.int32)
         o_row[occ_pad] = np.arange(n_o)
-        d_row = np.full(inside.size, n_d, dtype=np.intp)
+        d_row = np.full(inside.size, n_d, dtype=np.int32)
         d_row[dil_pad] = np.arange(n_d)
         self.dilated_cells = (dil_pad // wp - 1) * w + (dil_pad % wp - 1)
         self.d_from_o = o_row[dil_pad[:, None] + offsets]
@@ -192,10 +194,13 @@ class ProjectionPair:
 
     # -- inflate ------------------------------------------------------------
 
-    def inflate(self, rows: np.ndarray) -> np.ndarray:
-        """Copy each cell's row to all its points, N x F."""
+    def inflate(
+        self, rows: np.ndarray, start: int = 0, stop: Optional[int] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Copy each cell's row to its points ``start:stop`` (all N by default), into ``out`` if given."""
         check_rows(rows, n=self.n_occupied)
-        return np.take(rows, self._point_slots, axis=0)
+        # every slot is in range; "clip" spares the copy of ``out`` that the default mode makes
+        return np.take(rows, self._point_slots[start:stop], axis=0, out=out, mode="clip")
 
     def inflate_backward(self, dpoints: np.ndarray) -> np.ndarray:
         """Gradient of inflate: per-cell sums of the point rows, (|O| + 1) x F.

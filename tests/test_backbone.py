@@ -650,6 +650,9 @@ class TestLayout:
         for cls, methods in self.OPERATORS.items():
             for attr in methods:
                 monkeypatch.setattr(cls, attr, recording(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+        # 50 points in row blocks of 16, 16 and 18, which a token layer inflates one at a time
+        monkeypatch.setattr(nn, "_ROW_BLOCK", 16)
+        blocks = 3
 
         cfg = tiny_config(small_fov, depth=3, width=8, strategy="parallel")
         model = WaffleIron(cfg, np.random.default_rng(70))
@@ -682,9 +685,10 @@ class TestLayout:
                     assert rows.shape[0] == args[1].shape[0] + 1, (name, key, rows.shape)
                 assert not rows[-1].any(), (name, key)
                 grid_rows += 1
-        # 3 layers x 3 planes x (flatten, 2 conv inputs and outputs, inflate) forward and backward, and forward
-        # again for the 2 token layers of the first of the two segments of 3 kept layers, which backward re-runs
-        assert grid_rows == 3 * 3 * 2 * 6 + 2 * 3 * 6
+        # 3 layers x 3 planes x (flatten, 2 conv inputs and outputs, inflate per row block) forward, and forward
+        # again for the 2 token layers of the first of the two segments of 3 kept layers, which backward re-runs;
+        # 3 layers x 3 planes x (inflate_backward, 2 conv inputs and outputs, flatten_backward) backward
+        assert grid_rows == (3 + 2) * 3 * (5 + blocks) + 3 * 3 * 6
 
 
 class TestNoGradForward:
@@ -757,7 +761,10 @@ class TestRowBlocks:
 
 
 class TestEvalMemory:
-    """An eval forward's peak is two N x F arrays plus block buffers, at any depth and width."""
+    """An eval forward's peak is one N x F array plus block buffers, at any depth and width.
+
+    Every mixing layer writes its output over its input, the one token array that the embedding made.
+    """
 
     N, K = 4096, 8
     ROW_BLOCK, LOCAL_BLOCK = 128, 64
@@ -777,7 +784,7 @@ class TestEvalMemory:
 
     # at width 64 an N x 64 float64 copy of the flatten's input would alone take 2·N·F·4 bytes
     @pytest.mark.parametrize("f", [256, 64])
-    def test_eval_peak_is_two_point_arrays_plus_block_buffers(self, small_fov, monkeypatch, f):
+    def test_eval_peak_is_one_point_array_plus_block_buffers(self, small_fov, monkeypatch, f):
         monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
         monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.LOCAL_BLOCK)
         n = self.N
@@ -786,12 +793,15 @@ class TestEvalMemory:
         grid_rows = max(p.dilated_cells.size for p in projections.values()) + 1
         # a plane's float64 cell sums or its grid rows, and the larger of two buffers that never coexist
         buffers = grid_rows * f * 8 + max(
-            (2 * self.ROW_BLOCK - 1) * f * 4 + 2 * f * f * 4,  # a channel layer's hidden row block and folded weights
+            # a channel layer's hidden and output row blocks and folded weights
+            2 * (2 * self.ROW_BLOCK - 1) * f * 4 + 2 * f * f * 4,
             (2 * self.ROW_BLOCK - 1) * f * 8,  # a flatten's longest row block of its input, in float64
         )
-        # a kept N x F hidden array, or the embedding's concatenation, adds n * f * 4
+        # a second N x F array (a layer's fresh output, a kept hidden array or the embedding's
+        # concatenation) adds n * f * 4
         assert buffers < n * f * 4 / 2
-        assert peak3 <= 2 * n * f * 4 + buffers, (peak3 - 2 * n * f * 4, buffers)
+        for peak in (peak3, peak6):
+            assert peak <= n * f * 4 + buffers, (peak - n * f * 4, buffers)
         # nothing that an eval forward makes outlives its layer
         assert abs(peak6 - peak3) < 4096, (peak3, peak6)
 
@@ -964,6 +974,49 @@ def call_leaving_arguments(method, *args, context_last=False, **kwargs):
     else:
         same_bits(before, (args, kwargs), method.__qualname__)
     return out
+
+
+class TestOutArray:
+    """A mixing layer writes the same rows into ``out``, even ``out`` = ``x``, as into a fresh array."""
+
+    N, WIDTH = 50, 8
+
+    @pytest.mark.parametrize("planes", [((0, 1),), ((0, 1), (0, 2), (1, 2))])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_out_x_gives_the_fresh_rows_bitwise(self, small_fov, monkeypatch, planes, training):
+        # 50 points in row blocks of 16, 16 and 18; the three planes of ``parallel`` sum in plane order
+        monkeypatch.setattr(nn, "_ROW_BLOCK", 16)
+        rng = np.random.default_rng(150)
+        store = ParamStore()
+        pc = build_scene(small_fov, n=self.N, seed=151)
+        projections = {axes: build_projection(pc.positions, PlaneSpec.from_fov(axes, small_fov, 0.8)) for axes in planes}
+        layers = [
+            (TokenMixLayer(store, "tm", planes, self.WIDTH, rng), (projections,)),
+            (ChannelMixLayer(store, "cm", self.WIDTH, rng), ()),
+        ]
+        perturb_eval_state(store, rng)
+        x = rng.standard_normal((self.N, self.WIDTH)).astype(np.float32)
+        # the token layer sums its planes' inflated rows in plane order and adds x last: ((p0 + p1) + p2) + x
+        total = None
+        for axes, branch in zip(planes, layers[0][0].branches):
+            rows = projections[axes].inflate(branch.forward(x, projections[axes], training, 1.25)[0])
+            total = rows if total is None else total + rows
+        assert bitwise_equal(layers[0][0].forward(x, projections, training, 1.25)[0], total + x)
+        for layer, args in layers:
+            fresh, _ = layer.forward(x, *args, training, 1.25)
+            assert not np.shares_memory(fresh, x)
+            tokens = x.copy()
+            y, _ = layer.forward(tokens, *args, training, 1.25, out=tokens)
+            assert y is tokens and bitwise_equal(y, fresh), type(layer).__name__
+
+    def test_eval_forward_leaves_the_features(self, small_fov):
+        model = WaffleIron(tiny_config(small_fov, depth=3, width=8, strategy="parallel"), np.random.default_rng(152))
+        perturb_eval_state(model.store, np.random.default_rng(153))
+        feats, nbr, proj, valid = prepare_inputs(model, build_scene(small_fov, n=50, seed=154))
+        before = feats.copy()
+        logits = model.forward(feats, nbr, proj, valid)
+        assert bitwise_equal(feats, before)
+        assert bitwise_equal(model.forward(feats, nbr, proj, valid), logits)
 
 
 class TestNoArgumentWrites:
@@ -1271,6 +1324,35 @@ class TestStochasticDepth:
                 model.backward(dlogits)
         model.forward(feats, nbr, proj, valid, training=False, drop_rng=np.random.default_rng(3))
         assert held_arrays(model) == []
+
+
+class TestGradientBuffers:
+    """A model makes its gradient buffers at its first backward: building, loading and eval forwards make none."""
+
+    def test_first_backward_makes_every_buffer(self, small_fov):
+        model = WaffleIron(tiny_config(small_fov, depth=3, width=8, strategy="parallel"), np.random.default_rng(161))
+        pc = build_scene(small_fov, n=50, seed=162)
+        inputs = prepare_inputs(model, pc)
+        model.forward(*inputs)
+        assert all(t._grad is None for _, t in model.store.items())
+        model.backward(segmentation_loss(model.forward(*inputs, training=True), pc.labels, pc.valid)[1])
+        assert all((t._grad is not None) == t.trainable for _, t in model.store.items())
+
+    def test_building_a_model_makes_no_gradient_buffer(self, small_fov):
+        cfg = tiny_config(small_fov, depth=3, width=256)
+        WaffleIron(cfg, np.random.default_rng(160))  # first calls allocate numpy's and Python's lazy caches
+        tracemalloc.start()
+        try:
+            model = WaffleIron(cfg, np.random.default_rng(160))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensors = [t.data for _, t in model.store.items()]
+        # the weights, and the float64 draws of the largest of them before their cast
+        bound = sum(a.nbytes for a in tensors) + max(a.size for a in tensors) * 8 + 128 * 1024
+        # so that the gradient buffers of the trainable weights break the bound
+        assert bound - sum(a.nbytes for a in tensors) < sum(t.data.nbytes for _, t in model.store.trainable_items())
+        assert peak <= bound, (peak, bound)
 
 
 class TestParamCount:

@@ -15,6 +15,7 @@ from waffleiron.nn import (
     DepthwiseConv3x3,
     ParamStore,
     PointwiseLinear,
+    Tensor,
     _FLIPPED_TAPS,
     _TAPS,
     _tap_sum,
@@ -55,6 +56,26 @@ def bn_apply(bn, x, training=True):
     """The normalized ``x``, ``scale * x + shift`` with the map that ``bn.forward`` returns, and the context."""
     (scale, shift), ctx = bn.forward(x, training)
     return scale * x + shift, ctx
+
+
+class TestTensor:
+    def test_gradient_buffer_is_made_on_first_use(self):
+        data = np.ones((64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            t = Tensor(data)
+            t.zero_grad()  # no buffer to zero yet
+            made = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.data is data and made < data.nbytes / 4, made
+        grad = t.grad
+        assert grad.dtype == np.float32 and grad.shape == t.shape and not grad.any()
+        t.grad += 1.0
+        assert t.grad is grad and (grad == 1.0).all()
+        t.zero_grad()
+        assert t.grad is grad and not grad.any()
+        assert Tensor(np.ones(3), trainable=False).grad is None
 
 
 class TestPointwiseLinear:
