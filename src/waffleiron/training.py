@@ -1,7 +1,9 @@
 """Losses, optimizer, learning-rate schedule and the training loop.
 
 The loss is the sum of a cross-entropy and the Lovasz extension of
-the Jaccard index applied to softmax probabilities. Optimization uses AdamW
+the Jaccard index applied to softmax probabilities. Ignored columns are
+dropped once, in ``segmentation_loss``: both losses see the labeled columns
+only, one class id per column. Optimization uses AdamW
 with decoupled weight decay, a linear warmup and cosine annealing. Batches
 are realized as gradient accumulation over single clouds, which keeps memory
 bounded while matching the effective batch size.
@@ -44,27 +46,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood over the non-ignore points.
+    """Mean negative log-likelihood; ``labels`` holds one class id per column of ``logits``.
 
-    Returns the scalar loss and its exact gradient with respect to the
-    logits (zero on ``IGNORE_LABEL`` columns).
+    Returns the scalar loss and its exact gradient with respect to the logits.
     """
-    cols = np.flatnonzero(labels != IGNORE_LABEL)
-    m = cols.size
-    if m == 0:
-        raise ValueError("cross_entropy: no labeled points")
-    y = labels[cols]
-    check_class_range(y, logits.shape[0])
-    z = logits[:, cols].astype(np.float64)
+    m = labels.size
+    z = logits.astype(np.float64)
     z = z - z.max(axis=0, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=0))
-    picked = z[y, np.arange(m)]
+    picked = z[labels, np.arange(m)]
     loss = float((logsumexp - picked).mean())
     probs = np.exp(z - logsumexp[None, :])
-    probs[y, np.arange(m)] -= 1.0
-    grad = np.zeros(logits.shape, dtype=np.float64)
-    grad[:, cols] = probs / m
-    return loss, grad
+    probs[labels, np.arange(m)] -= 1.0
+    return loss, probs / m
 
 
 def lovasz_grad_from_sorted(fg_sorted: np.ndarray) -> np.ndarray:
@@ -84,54 +78,51 @@ def lovasz_grad_from_sorted(fg_sorted: np.ndarray) -> np.ndarray:
 
 
 def lovasz_softmax(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lovasz-softmax loss over the non-ignore points, averaged over the classes present in the batch.
+    """Lovasz-softmax loss averaged over the classes present in ``labels``, one class id per column of ``probs``.
 
     For each present class the per-point errors (1 - p for the class's own
     points, p elsewhere) are sorted in decreasing order and weighted by the
     Jaccard-extension gradient. Also returns the gradient with respect to
-    ``probs`` (zero on ``IGNORE_LABEL`` columns).
+    ``probs``.
     """
-    cols = np.flatnonzero(labels != IGNORE_LABEL)
-    if cols.size == 0:
-        raise ValueError("lovasz_softmax: no labeled points")
-    y = labels[cols]
-    p = probs[:, cols].astype(np.float64)
-    present = np.unique(y)
+    present = np.unique(labels)
     total = 0.0
     grad = np.zeros(probs.shape, dtype=np.float64)
     for c in present:
-        fg = (y == c).astype(np.float64)
-        errors = np.where(fg > 0, 1.0 - p[c], p[c])
+        fg = (labels == c).astype(np.float64)
+        errors = np.where(fg > 0, 1.0 - probs[c], probs[c])
         order = np.argsort(-errors, kind="stable")
         g = lovasz_grad_from_sorted(fg[order])
         total += float(errors[order] @ g)
         derr = np.zeros_like(errors)
         derr[order] = g
-        grad[c, cols] += np.where(fg > 0, -derr, derr)
+        grad[c] += np.where(fg > 0, -derr, derr)
     total /= present.size
     grad /= present.size
     return total, grad
 
 
-def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Pull a gradient on softmax outputs back to the logits."""
-    p = probs.astype(np.float64)
-    inner = (p * dprobs).sum(axis=0, keepdims=True)
-    return p * (dprobs - inner)
-
-
 def segmentation_loss(logits: np.ndarray, labels: np.ndarray, valid: np.ndarray):
-    """Cross-entropy plus Lovasz-softmax over the non-ignore columns; returns (loss, dlogits, parts).
+    """Cross-entropy plus Lovasz-softmax over the labeled columns; returns (loss, dlogits, parts).
 
     ``valid`` is the all-True mask :func:`waffleiron.backbone.prepare_inputs`
-    returns: one entry per logit column. Anything else raises.
+    returns: one entry per logit column. Anything else raises, as does a
+    scene without a labeled point. ``dlogits`` is 0.0 on ``IGNORE_LABEL`` columns.
     """
     if np.shape(valid) != (logits.shape[1],) or not np.all(valid):
         raise ValueError(f"valid must be all True with one entry per logit column ({logits.shape[1]})")
-    ce, dce = cross_entropy(logits, labels)
-    probs = softmax(logits)
-    lz, dprobs = lovasz_softmax(probs, labels)
-    dlogits = dce + softmax_backward(probs, dprobs)
+    cols = np.flatnonzero(labels != IGNORE_LABEL)
+    if cols.size == 0:
+        raise ValueError("segmentation_loss: no labeled points")
+    y = labels[cols]
+    check_class_range(y, logits.shape[0])
+    ce, dce = cross_entropy(logits[:, cols], y)
+    # the softmax runs full-width and the backward's product stays C-ordered (as lovasz_softmax's gradient
+    # is), so their column sums add row by row, as they would not on the Fortran-ordered logits[:, cols]
+    probs = softmax(logits)[:, cols]
+    lz, dprobs = lovasz_softmax(probs, y)
+    dlogits = np.zeros(logits.shape, dtype=np.float64)
+    dlogits[:, cols] = dce + probs * (dprobs - (probs * dprobs).sum(axis=0, keepdims=True))
     return ce + lz, dlogits, {"ce": ce, "lovasz": lz}
 
 

@@ -18,6 +18,9 @@ Each oracle is written independently of the runtime path it checks:
 * the unfused eval forward: batch norm by the running statistics and
   layerscale each as a pass of their own, as the layers ran them before
   the package folded both into the adjacent weights;
+* the training loss as each of its losses ran it over all K x N columns,
+  dropping the ignored ones itself, with the softmax backward over every
+  column;
 * the unfused training step, forward and backward: batch norm by the batch
   statistics, layerscale and the stochastic-depth factor each as a pass of
   their own, and the depthwise convolutions through the unblocked tap sum;
@@ -47,7 +50,7 @@ from waffleiron.dataio import RunConfig
 from waffleiron.geometry import IGNORE_LABEL, Fov, PointCloud, crop_fov, nearest_indices
 from waffleiron.nn import BN_EPS, BatchNorm, ParamStore, slot_max
 from waffleiron.projection import ProjectionPair
-from waffleiron.training import TrainConfig, segmentation_loss, train_loop
+from waffleiron.training import TrainConfig, check_class_range, lovasz_grad_from_sorted, segmentation_loss, train_loop
 
 # -- CSR flatten / inflate ------------------------------------------------------------
 
@@ -380,6 +383,75 @@ def channel_train(layer: ChannelMixLayer, x, factor, add):
         return dy + dxb
 
     return x + factor * (layer.layerscale.data * a2), backward
+
+
+def _cross_entropy_full_width(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    cols = np.flatnonzero(labels != IGNORE_LABEL)
+    m = cols.size
+    if m == 0:
+        raise ValueError("cross_entropy: no labeled points")
+    y = labels[cols]
+    check_class_range(y, logits.shape[0])
+    z = logits[:, cols].astype(np.float64)
+    z = z - z.max(axis=0, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=0))
+    picked = z[y, np.arange(m)]
+    loss = float((logsumexp - picked).mean())
+    probs = np.exp(z - logsumexp[None, :])
+    probs[y, np.arange(m)] -= 1.0
+    grad = np.zeros(logits.shape, dtype=np.float64)
+    grad[:, cols] = probs / m
+    return loss, grad
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits.astype(np.float64)
+    z = z - z.max(axis=0, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def _lovasz_softmax_full_width(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    cols = np.flatnonzero(labels != IGNORE_LABEL)
+    if cols.size == 0:
+        raise ValueError("lovasz_softmax: no labeled points")
+    y = labels[cols]
+    p = probs[:, cols].astype(np.float64)
+    present = np.unique(y)
+    total = 0.0
+    grad = np.zeros(probs.shape, dtype=np.float64)
+    for c in present:
+        fg = (y == c).astype(np.float64)
+        errors = np.where(fg > 0, 1.0 - p[c], p[c])
+        order = np.argsort(-errors, kind="stable")
+        g = lovasz_grad_from_sorted(fg[order])
+        total += float(errors[order] @ g)
+        derr = np.zeros_like(errors)
+        derr[order] = g
+        grad[c, cols] += np.where(fg > 0, -derr, derr)
+    total /= present.size
+    grad /= present.size
+    return total, grad
+
+
+def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
+    p = probs.astype(np.float64)
+    inner = (p * dprobs).sum(axis=0, keepdims=True)
+    return p * (dprobs - inner)
+
+
+def segmentation_loss_reference(logits: np.ndarray, labels: np.ndarray):
+    """(loss, dlogits, parts) of :func:`segmentation_loss`, each loss over all K x N columns.
+
+    Cross-entropy and Lovasz-softmax each drop the ``IGNORE_LABEL`` columns
+    themselves and scatter their gradient back into K x N zeros; the softmax
+    backward then runs over every column, the ignored ones included.
+    """
+    ce, dce = _cross_entropy_full_width(logits, labels)
+    probs = _softmax(logits)
+    lz, dprobs = _lovasz_softmax_full_width(probs, labels)
+    dlogits = dce + _softmax_backward(probs, dprobs)
+    return ce + lz, dlogits, {"ce": ce, "lovasz": lz}
 
 
 def unfused_training(model: WaffleIron, feats, neighbors, projections, labels, drop_rng=None):

@@ -24,7 +24,7 @@ from waffleiron.training import (
 )
 from waffleiron.backbone import WaffleIron
 
-from oracles import grad_check, overfit_harness_config, synthetic_zband_scene
+from oracles import grad_check, overfit_harness_config, segmentation_loss_reference, synthetic_zband_scene
 
 
 def rand_problem(rng, k=4, n=10, ignore=0):
@@ -47,17 +47,6 @@ class TestCrossEntropy:
             loss, _ = cross_entropy(logits, labels)
             assert loss == pytest.approx(math.log(k), rel=1e-9)
 
-    def test_matches_logsumexp_oracle(self):
-        rng = np.random.default_rng(0)
-        logits, labels = rand_problem(rng, ignore=2)
-        loss, _ = cross_entropy(logits, labels)
-        terms = []
-        for i in range(10):
-            if labels[i] != IGNORE_LABEL:
-                z = logits[:, i].astype(np.float64)
-                terms.append(math.log(np.exp(z).sum()) - z[labels[i]])
-        assert loss == pytest.approx(float(np.mean(terms)), abs=1e-6)
-
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(1)
         store = ParamStore()
@@ -71,17 +60,6 @@ class TestCrossEntropy:
             return loss
 
         assert grad_check(loss_fn, store) < 1e-4
-
-    def test_no_scored_points_raises(self):
-        logits = np.zeros((3, 2), dtype=np.float32)
-        with pytest.raises(ValueError):
-            cross_entropy(logits, np.array([IGNORE_LABEL, IGNORE_LABEL]))
-
-    def test_excluded_columns_have_zero_gradient(self):
-        rng = np.random.default_rng(2)
-        logits, labels = rand_problem(rng, ignore=4)
-        _, grad = cross_entropy(logits, labels)
-        assert (grad[:, :4] == 0).all() and (grad[:, 4:] != 0).any(axis=0).all()
 
 
 class TestLovasz:
@@ -134,10 +112,6 @@ class TestLovasz:
     def test_single_element_gradient_is_one(self):
         assert lovasz_grad_from_sorted(np.array([1.0])).tolist() == [1.0]
 
-    def test_no_labels_raises(self):
-        with pytest.raises(ValueError):
-            lovasz_softmax(np.ones((2, 1)), np.array([IGNORE_LABEL]))
-
 
 class TestTotalLoss:
     def test_gradient_against_finite_differences(self):
@@ -160,6 +134,52 @@ class TestTotalLoss:
         logits, labels = rand_problem(rng)
         loss, _, parts = segmentation_loss(logits, labels, np.ones(10, dtype=bool))
         assert loss == pytest.approx(parts["ce"] + parts["lovasz"])
+
+    def test_ce_part_matches_logsumexp_oracle(self):
+        rng = np.random.default_rng(0)
+        logits, labels = rand_problem(rng, ignore=2)
+        _, _, parts = segmentation_loss(logits, labels, np.ones(10, dtype=bool))
+        terms = []
+        for i in range(10):
+            if labels[i] != IGNORE_LABEL:
+                z = logits[:, i].astype(np.float64)
+                terms.append(math.log(np.exp(z).sum()) - z[labels[i]])
+        assert parts["ce"] == pytest.approx(float(np.mean(terms)), abs=1e-6)
+
+    @pytest.mark.parametrize("logits", [np.zeros((3, 2), dtype=np.float32), np.ones((2, 1))], ids=["3x2", "2x1"])
+    def test_no_labeled_points_raises(self, logits):
+        labels = np.full(logits.shape[1], IGNORE_LABEL)
+        with pytest.raises(ValueError, match="no labeled points"):
+            segmentation_loss(logits, labels, np.ones(labels.size, dtype=bool))
+
+    def test_ignored_columns_have_zero_gradient(self):
+        rng = np.random.default_rng(2)
+        logits, labels = rand_problem(rng, ignore=4)
+        _, grad, _ = segmentation_loss(logits, labels, np.ones(10, dtype=bool))
+        assert (grad[:, :4] == 0).all() and (grad[:, 4:] != 0).any(axis=0).all()
+
+    def test_matches_full_width_reference_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        problems = []
+        for _ in range(100):
+            k, n = int(rng.integers(2, 20)), int(rng.integers(1, 3001))
+            logits = (3.0 * rng.standard_normal((k, n))).astype(np.float32)
+            labels = rng.integers(0, k, n).astype(np.int32)
+            labels[rng.random(n) < rng.uniform(0.0, 0.5)] = IGNORE_LABEL
+            if (labels == IGNORE_LABEL).all():
+                labels[0] = 0
+            problems.append((logits, labels))
+        for n in (1, 2, 500):  # every column ignored but one
+            logits, labels = rand_problem(rng, k=5, n=n, ignore=n)
+            labels[n // 2] = 3
+            problems.append((logits, labels))
+        for logits, labels in problems:
+            loss, dlogits, parts = segmentation_loss(logits, labels, np.ones(labels.size, dtype=bool))
+            ref_loss, ref_dlogits, ref_parts = segmentation_loss_reference(logits, labels)
+            got = np.array([loss, parts["ce"], parts["lovasz"]])
+            want = np.array([ref_loss, ref_parts["ce"], ref_parts["lovasz"]])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(dlogits.view(np.int64), ref_dlogits.view(np.int64))
 
     @pytest.mark.parametrize("mask", ["one_false", "short", "long"])
     def test_valid_must_be_all_true_with_one_entry_per_column(self, mask):
