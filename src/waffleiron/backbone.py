@@ -42,19 +42,26 @@ layer's backward rebuilds the ReLU rows from its input by the same blocks and
 folded weights, bit for bit (a per-layer gradient checkpoint, Chen et al.
 2016), and masks its gradient by block.
 
-The token branch applies its hidden ReLU in place to the fresh output of
-``conv1``, so its training context holds that one array as both ``conv2``'s
-input and the ReLU mask, and backward masks the fresh gradient in place. The
-branch returns ``conv2``'s grid rows; the layer inflates them a row block at
-a time (:meth:`ProjectionPair.inflate` over a row range) once every branch has
-read ``x``. The backward's ``dy + branch gradient`` goes into the branch
-gradient.
+The token branch runs ``conv1`` -> ReLU -> ``conv2`` by bands of
+``nn._TAP_BLOCK`` occupied rows, in both modes. ``conv1`` computes the dilated
+rows in ascending order, each once, into one window buffer that holds only the
+rows from the lowest to the highest that the next band reads, and applies the
+ReLU there in place; the band's ``conv2`` rows go straight into the
+(|O| + 1) x F output. So conv1's (|D| + 1) x F rows never exist whole in a
+forward, and a training context keeps only the flatten rows. The branch
+returns ``conv2``'s grid rows; the layer inflates them a row block at a time
+(:meth:`ProjectionPair.inflate` over a row range) once every branch has read
+``x``. Backward rebuilds conv1's ReLU rows whole from the flatten rows, bit
+for bit (one more ``conv1`` per token layer), as ``conv2``'s input and the
+mask of its gradient. The backward's ``dy + branch gradient`` goes into the
+branch gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -71,6 +78,7 @@ from .nn import (
     fold_adjoint,
     row_blocks,
     slot_max,
+    tap_blocks,
 )
 from .projection import (
     STRATEGIES,
@@ -265,8 +273,9 @@ class EmbeddingLayer:
 class _TokenMixBranch:
     """One plane's BN -> flatten -> conv FFN -> layerscale chain, times ``factor``: conv2's grid rows.
 
-    The flatten maps the cell means by BN's map, so empty cells stay padding, not BN(0). The layer inflates the
-    returned rows to the points.
+    The flatten maps the cell means by BN's map, so empty cells stay padding, not BN(0). The FFN runs by bands of
+    occupied rows (module docstring), both convolutions through ``DepthwiseConv3x3.forward`` given a row range of
+    a tap table and an ``out`` block. The layer inflates the returned rows to the points.
     """
 
     def __init__(self, store, name, width, rng):
@@ -277,20 +286,41 @@ class _TokenMixBranch:
 
     def forward(self, x, proj: ProjectionPair, training, factor):
         bn_map, bn_ctx = self.bn.forward(x, training)
-        # each conv's context is its arguments
-        args1 = (proj.flatten(x, bn_map), proj.d_from_o, None, 1.0)
-        r = self.conv1.forward(*args1)
-        np.maximum(r, 0, out=r)
-        args2 = (r, proj.o_from_d, self.layerscale, factor)
-        ctx = (proj, bn_ctx, args1, args2) if training else None
-        del args1, r  # at eval nothing else holds conv1's input while conv2 runs
-        return self.conv2.forward(*args2), ctx
+        flat = proj.flatten(x, bn_map)
+        n_d = proj.d_from_o.shape[0]
+        bands = tap_blocks(proj.n_occupied)
+        reads = [proj.o_from_d[lo:hi] for lo, hi in bands]
+        # a band's window of D rows runs from the lowest row that it or a later band reads (a row dropped from
+        # the window is not computed again) to the highest that it or an earlier band reads
+        lows = list(accumulate([int(taps.min()) for taps in reads][::-1], min))[::-1]
+        highs = list(accumulate((int(taps[taps < n_d].max()) + 1 for taps in reads), max))
+        size = max((high - low for low, high in zip(lows, highs)), default=0)
+        window = np.empty((size + 1, x.shape[1]), dtype=flat.dtype)
+        window[-1] = 0
+        y = np.empty_like(flat)
+        y[-1] = 0
+        base = done = 0  # the window holds conv1's ReLU rows base:done of D
+        for (lo, hi), taps, low, high in zip(bands, reads, lows, highs):
+            if low > base:
+                window[: done - low] = window[low - base : done - base]
+                base = low
+            rows = self.conv1.forward(flat, proj.d_from_o[done:high], out=window[done - base : high - base])
+            np.maximum(rows, 0, out=rows)
+            done = high
+            self.conv2.forward(window, np.where(taps == n_d, size, taps - base), self.layerscale, factor, out=y[lo:hi])
+        return y, ((proj, bn_ctx, flat, factor) if training else None)
 
     def backward(self, dy, ctx):
-        proj, bn_ctx, ctx1, ctx2 = ctx
-        dr = self.conv2.backward(proj.inflate_backward(dy), proj.d_from_o, ctx2)
-        dr *= ctx2[0] > 0  # conv2's input is the ReLU output
-        return self.bn.backward(proj.flatten_backward(self.conv1.backward(dr, proj.o_from_d, ctx1)), bn_ctx)
+        proj, bn_ctx, flat, factor = ctx
+        drows = proj.inflate_backward(dy)
+        # conv1's ReLU rows, rebuilt whole: conv2's input and the mask of its gradient
+        r = self.conv1.forward(flat, proj.d_from_o)
+        np.maximum(r, 0, out=r)
+        dr = self.conv2.backward(drows, proj.d_from_o, (r, proj.o_from_d, self.layerscale, factor))
+        dr *= r > 0
+        del drows, r
+        dflat = self.conv1.backward(dr, proj.o_from_d, (flat, proj.d_from_o, None, 1.0))
+        return self.bn.backward(proj.flatten_backward(dflat), bn_ctx)
 
 
 class TokenMixLayer:

@@ -17,9 +17,12 @@ the input gradient into an array of its input's dtype a row block at a time and
 widens its input 64 columns at a time for the weight gradient, so a float64
 loss gradient stops at the classifier without any N x F float64 array.
 Aliasing rule: a layer writes only into arrays it made itself and into an
-``out`` array that its caller hands it, never into its other arguments. A
-context may share an array with the next layer's context: an in-place ReLU
-output is both its layer's mask and the next layer's input.
+``out`` array that its caller hands it, never into its other arguments. An
+``out`` may be a block of rows of a larger array (a convolution given a row
+range of its tap table writes just those rows), and a convolution's ``out``
+must not overlap its input, whose rows other output rows read. A context may
+share an array with the next layer's context: an in-place ReLU output is both
+its layer's mask and the next layer's input.
 
 Point-wise products run in blocks of ``_ROW_BLOCK`` rows (:func:`row_blocks`),
 so an eval forward needs one block of a hidden layer, not all N rows of it.
@@ -266,10 +269,14 @@ class DepthwiseConv3x3:
     like :meth:`ProjectionPair.flatten`. ``forward(x, taps)`` takes an
     ``n_out x 9`` int table: ``taps[r, 3u + v]`` is the input row at offset
     (u - 1, v - 1) from output row r, and the index ``n_in`` of the zero row
-    stands for an empty or out-of-grid cell. ``forward`` returns only its
-    output, so its context is its own arguments: ``backward(dy, taps, ctx)``
-    takes ``ctx = (x, taps, scale, factor)`` and the table of the other
-    direction, ``n_in x 9`` rows of the output set, read with flipped taps.
+    stands for an empty or out-of-grid cell. Given ``out``, an ``n_out x F``
+    block (rows of a larger array, say), ``forward`` writes the rows of
+    ``taps`` into it, with no zero row, and returns it: a caller passes a row
+    range of a table to compute those output rows only. ``forward`` returns
+    only its output, so its context is its own arguments (without ``out``):
+    ``backward(dy, taps, ctx)`` takes ``ctx = (x, taps, scale, factor)`` for
+    the whole table and the table of the other direction, ``n_in x 9`` rows
+    of the output set, read with flipped taps.
     Each output row starts from 0.0, adds the products ``kernel[:, u, v] * x``
     in (u, v) order and the bias last; the input gradient adds
     ``kernel[:, u, v] * dy`` at offset (1 - u, 1 - v) in (u, v) order, and
@@ -284,14 +291,17 @@ class DepthwiseConv3x3:
         self.k = store.register(f"{name}.kernel", uniform_init(rng, (channels, 3, 3), 9))
         self.b = store.register(f"{name}.bias", np.zeros(channels, dtype=np.float32))
 
-    def forward(self, x: np.ndarray, taps: np.ndarray, scale=None, factor=1.0) -> np.ndarray:
+    def forward(self, x: np.ndarray, taps: np.ndarray, scale=None, factor=1.0, out=None) -> np.ndarray:
         f = self.k.shape[0]
         check_rows(x, f)
         _check_taps(taps, x.shape[0] - 1)
+        if out is not None and (out.shape != (taps.shape[0], f) or out.dtype != x.dtype):
+            raise ValueError(f"expected a {taps.shape[0]} x {f} {x.dtype} out block, got {out.shape} {out.dtype}")
         o = _out_scale(scale, factor)
         kern, bias = fold(self.k.data.reshape(f, 9), self.b.data, x.dtype, out_scale=o)
-        y = _tap_sum(x, taps, _TAPS, kern)
-        y[:-1] += bias
+        y = np.zeros((taps.shape[0] + 1, f), dtype=x.dtype) if out is None else out
+        rows = _tap_sum(x, taps, _TAPS, kern, y[: taps.shape[0]])
+        rows += bias
         return y
 
     def backward(self, dy: np.ndarray, taps: np.ndarray, ctx) -> np.ndarray:
@@ -315,7 +325,9 @@ class DepthwiseConv3x3:
         self.b.grad += db
         if scale is not None:
             scale.grad += factor * do
-        return _tap_sum(dy, taps, _FLIPPED_TAPS, fold(kern, self.b.data, x.dtype, out_scale=o)[0])
+        dx = np.zeros((taps.shape[0] + 1, f), dtype=x.dtype)
+        _tap_sum(dy, taps, _FLIPPED_TAPS, fold(kern, self.b.data, x.dtype, out_scale=o)[0], dx[:-1])
+        return dx
 
 
 def check_rows(x: np.ndarray, f: Optional[int] = None, n: Optional[int] = None) -> None:
@@ -333,18 +345,21 @@ def _check_taps(taps: np.ndarray, n_in: int) -> None:
         raise ValueError(f"tap table index outside 0..{n_in}")
 
 
-def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray) -> np.ndarray:
+def tap_blocks(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of ``_TAP_BLOCK`` rows over ``n``; only the last may be shorter."""
+    return [(lo, min(lo + _TAP_BLOCK, n)) for lo in range(0, n, _TAP_BLOCK)]
+
+
+def _tap_sum(src: np.ndarray, taps: np.ndarray, columns, kern: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[r] = sum over t of kern[:, t] * src[taps[r, c_t]]``, from 0.0, in the order of ``columns``.
 
-    One row per row of ``taps``, and the zero row last, in ``src``'s dtype; rows go in blocks of ``_TAP_BLOCK``.
+    One row of ``out`` per row of ``taps``, in ``src``'s dtype; rows go in blocks of ``_TAP_BLOCK``.
     """
     n = taps.shape[0]
-    out = np.zeros((n + 1, src.shape[1]), dtype=src.dtype)
     buf = np.empty((min(n, _TAP_BLOCK), src.shape[1]), dtype=src.dtype)
-    for lo in range(0, n, _TAP_BLOCK):
-        rows = out[lo : min(lo + _TAP_BLOCK, n)]
-        block = taps[lo : lo + rows.shape[0]]
-        tmp = buf[: rows.shape[0]]
+    for lo, hi in tap_blocks(n):
+        rows, block, tmp = out[lo:hi], taps[lo:hi], buf[: hi - lo]
+        rows.fill(0)
         for t, c in enumerate(columns):
             np.take(src, block[:, c], axis=0, out=tmp, mode="clip")
             np.multiply(kern[:, t], tmp, out=tmp)

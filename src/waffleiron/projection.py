@@ -36,7 +36,12 @@ offset (u - 1, v - 1) from D row r, and ``o_from_d[r, 3u + v]`` the D row of
 the cell at that offset from O row r. An empty or out-of-grid neighbour
 points at the zero row, index |O| or |D| respectively.
 ``DepthwiseConv3x3`` documents how the tables are read and why its rows equal
-the dense grid result bit for bit.
+the dense grid result bit for bit. Both tables list their rows in ascending
+cell order, so the D rows that a band of consecutive O rows reads lie in a
+short range of D rows: the token branch computes the first convolution a row
+range of ``d_from_o`` at a time, into a window that holds only the D rows the
+next band reads, and the second a band's row range of ``o_from_d`` at a time,
+re-based to that window.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ Each oracle is written independently of the runtime path it checks:
 * the neighborhood max over point rows and its backward;
 * the two-array ``np.where`` tie-break that ``slot_max`` replaced;
 * the embedding with its local branch as one (N*k)-row MLP, and its backward;
+* the token branch's conv FFN over the whole grid rows: conv1 over every
+  dilated cell into one array, ReLU in place, then conv2 over every occupied
+  cell, as the branch ran it before it went to bands of occupied rows;
 * the unfused eval forward: batch norm by the running statistics and
   layerscale each as a pass of their own, as the layers ran them before
   the package folded both into the adjacent weights;
@@ -262,6 +265,13 @@ def bn_eval(bn: BatchNorm, x: np.ndarray) -> np.ndarray:
 
 def embedding_eval(emb: EmbeddingLayer, feats: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     return embedding_oneshot(emb, bn_eval(emb.pre_bn, feats), neighbors)
+
+
+def token_ffn_whole(br, proj, flat: np.ndarray, factor: float) -> np.ndarray:
+    """conv2's (|O| + 1) x F rows from the flatten rows ``flat``: conv1's (|D| + 1) x F rows made whole first."""
+    r = br.conv1.forward(flat, proj.d_from_o)
+    np.maximum(r, 0, out=r)
+    return br.conv2.forward(r, proj.o_from_d, br.layerscale, factor)
 
 
 def token_eval(layer: TokenMixLayer, x: np.ndarray, projections, factor: float = 1.0) -> np.ndarray:

@@ -17,9 +17,9 @@ from waffleiron.backbone import (
     param_count,
     prepare_inputs,
 )
-from waffleiron.geometry import Fov
+from waffleiron.geometry import Fov, PointCloud
 from waffleiron.nn import BatchNorm, DepthwiseConv3x3, ParamStore, PointwiseLinear, fold
-from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection
+from waffleiron.projection import PlaneSpec, ProjectionPair, build_projection, plane_schedule
 from waffleiron.training import AdamW, segmentation_loss
 
 from conftest import random_cloud
@@ -31,6 +31,7 @@ from oracles import (
     relu,
     relu_backward,
     token_eval,
+    token_ffn_whole,
     unfused_eval,
     unfused_training,
     unsegmented_step,
@@ -296,19 +297,33 @@ class TestTokenMix:
         want = x + bn_eval(br.bn, x)
         np.testing.assert_allclose(out, want, atol=1e-6)
 
-    def test_branch_holds_relu_output_once(self, small_fov, monkeypatch):
+    def test_training_context_keeps_no_dilated_rows(self, small_fov, monkeypatch):
+        # bands of 8 occupied rows, so conv2's forward reads several windows of conv1's rows
+        monkeypatch.setattr(nn, "_TAP_BLOCK", 8)
         layer, x, projections = self._layer_and_inputs(small_fov, seed=4)
+        proj, br = projections[(0, 1)], layer.branches[0]
+        n_d = proj.dilated_cells.size
+        assert n_d + 1 not in (x.shape[0], proj.n_occupied + 1) and proj.n_occupied > 2 * 8
+        # the rows that each forward conv2 call reads, in call order
+        reads = []
+        conv2_forward = br.conv2.forward
+
+        def recording(rows, taps, *args, **kwargs):
+            reads.append(np.take(rows, taps, axis=0))
+            return conv2_forward(rows, taps, *args, **kwargs)
+
+        monkeypatch.setattr(br.conv2, "forward", recording)
         _, ctx = layer.forward(x, projections, training=True)
-        br = layer.branches[0]
-        mask_source = ctx[0][3][0]
-        assert sum(a is mask_source for _, a in held(ctx)) == 1
-        assert (mask_source >= 0).all() and not mask_source[-1].any()
-        # the mask is also the input that conv2's backward reads as its context
+        assert len(reads) == len(nn.tap_blocks(proj.n_occupied))
+        assert all(a.shape[0] != n_d + 1 for _, a in held(ctx))
+        # backward rebuilds conv1's ReLU rows whole; conv2's backward reads them where its forward read the window
         seen = []
         conv2_backward = br.conv2.backward
         monkeypatch.setattr(br.conv2, "backward", lambda dy, taps, c: seen.append(c[0]) or conv2_backward(dy, taps, c))
         layer.backward(np.ones_like(x), ctx)
-        assert len(seen) == 1 and seen[0] is mask_source
+        assert len(seen) == 1 and seen[0].shape == (n_d + 1, x.shape[1])
+        rebuilt = np.take(seen[0], proj.o_from_d, axis=0)
+        assert np.array_equal(rebuilt.view(np.uint32), np.concatenate(reads).view(np.uint32))
 
     def test_training_branch_holds_only_its_input_per_point(self, small_fov):
         # BN's map folds into the flatten and the layerscale into conv2, so
@@ -474,6 +489,90 @@ class TestActiveCellBranch:
             shares[name] = projections[(0, 1)].dilated_cells.size / projections[(0, 1)].plane.n_cells
         # the LiDAR-like xy grid is sparse
         assert 0 < shares["lidar-like"] < 0.1
+
+
+class TestBandedTokenFFN:
+    """The branch runs conv1 -> ReLU -> conv2 by bands of ``_TAP_BLOCK`` occupied rows; its grid rows equal the
+    whole-grid composition's bit for bit, and each dilated row is computed once per forward."""
+
+    WIDTH = 5
+    PLANES = ((0, 1), (0, 2), (1, 2))
+
+    def scenes(self, kitti_fov):
+        """(name, fov, rho, positions) of each case; every case runs all three planes."""
+        rng = np.random.default_rng(90)
+        box = box_fov((6.0, 7.0, 5.0))
+        yield "one cell", box, 1.0, np.array([2.5, 3.5, 1.5]) + rng.uniform(-0.3, 0.3, (4, 3))
+        # every point on a face of the box, so every plane has occupied cells on all four grid borders
+        high = np.array([5.95, 6.95, 4.95])
+        pts = rng.uniform(0.05, high, (48, 3))
+        i = np.arange(48)
+        pts[i, i % 3] = np.where((i // 3) % 2, high[i % 3], 0.05)
+        yield "four borders", box, 1.0, pts
+        # a dense patch and isolated cells many grid rows apart: a band of 4 occupied rows spans many grid rows
+        far = box_fov((60.0, 60.0, 8.0))
+        patch = rng.uniform([28.0, 28.0, 3.0], [33.0, 33.0, 5.0], (80, 3))
+        lone = np.stack([np.arange(12) * 5.0 + 0.5, rng.uniform(0.5, 59.5, 12), rng.uniform(0.5, 7.5, 12)], 1)
+        yield "sparse far", far, 1.0, np.concatenate([patch, lone])
+        yield "lidar-like", kitti_fov, 0.4, lidar_like_cloud(rng)
+
+    def branches(self, strategy, seed):
+        """A token layer's branches for every plane under ``strategy``, with biases and eval state drawn."""
+        store = ParamStore()
+        rng = np.random.default_rng(seed)
+        layers = [TokenMixLayer(store, f"tm{i}", plane_schedule(i, strategy), self.WIDTH, rng) for i in range(3)]
+        branches = {axes: br for layer in layers for axes, br in zip(layer.planes, layer.branches)}
+        assert set(branches) == set(self.PLANES)
+        for br in branches.values():
+            for conv in (br.conv1, br.conv2):
+                conv.b.data[...] = rng.standard_normal(self.WIDTH)
+        perturb_eval_state(store, rng)
+        return branches
+
+    @pytest.mark.parametrize("strategy", ["baseline", "parallel"])
+    @pytest.mark.parametrize("tap_block", [4, 256])
+    def test_banded_rows_equal_whole_grid_rows_bitwise(self, kitti_fov, monkeypatch, strategy, tap_block):
+        monkeypatch.setattr(nn, "_TAP_BLOCK", tap_block)
+        spans = {}
+        for i, (name, fov, rho, pts) in enumerate(self.scenes(kitti_fov)):
+            projections = {axes: build_projection(pts, PlaneSpec.from_fov(axes, fov, rho)) for axes in self.PLANES}
+            rng = np.random.default_rng(100 + i)
+            x = rng.standard_normal((len(pts), self.WIDTH)).astype(np.float32)
+            for axes, br in self.branches(strategy, 110 + i).items():
+                proj = projections[axes]
+                for training in (False, True):
+                    y, _ = br.forward(x, proj, training, 1.25)
+                    want = token_ffn_whole(br, proj, proj.flatten(x, br.bn.forward(x, training)[0]), 1.25)
+                    assert np.array_equal(y.view(np.uint32), want.view(np.uint32)), (name, axes, training)
+                # grid rows between the first and the last occupied row of a band
+                h, w = proj.plane.grid_shape
+                grid_rows = proj.occupied_cells // w
+                spans[name, axes] = max(grid_rows[hi - 1] - grid_rows[lo] for lo, hi in nn.tap_blocks(proj.n_occupied))
+                if name == "one cell":
+                    assert proj.n_occupied == 1
+                if name == "four borders":
+                    q0, q1 = np.divmod(proj.occupied_cells, w)
+                    assert (q0.min(), q0.max(), q1.min(), q1.max()) == (0, h - 1, 0, w - 1), axes
+        if tap_block == 4:
+            assert spans["sparse far", (0, 1)] >= 3 * tap_block, spans
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_each_dilated_row_is_computed_once(self, kitti_fov, monkeypatch, training):
+        monkeypatch.setattr(nn, "_TAP_BLOCK", 4)
+        for i, (name, fov, rho, pts) in enumerate(self.scenes(kitti_fov)):
+            x = np.random.default_rng(120 + i).standard_normal((len(pts), self.WIDTH)).astype(np.float32)
+            for axes, br in self.branches("parallel", 130 + i).items():
+                proj = build_projection(pts, PlaneSpec.from_fov(axes, fov, rho))
+                tables = []
+                conv1_forward = br.conv1.forward
+                monkeypatch.setattr(
+                    br.conv1, "forward", lambda rows, taps, *a, **k: tables.append(taps) or conv1_forward(rows, taps, *a, **k)
+                )
+                br.forward(x, proj, training, 1.0)
+                # one call per band, over consecutive row ranges of the table: D in ascending order, each row once
+                assert len(tables) == len(nn.tap_blocks(proj.n_occupied)), (name, axes)
+                assert sum(len(t) for t in tables) == proj.dilated_cells.size
+                assert np.array_equal(np.concatenate(tables), proj.d_from_o), (name, axes)
 
 
 class TestChannelMix:
@@ -642,7 +741,7 @@ class TestLayout:
         def recording(name, method):
             def wrapper(obj, *args, **kwargs):
                 out = method(obj, *args, **kwargs)
-                calls.append((name, obj, args, out))
+                calls.append((name, obj, args, kwargs, out))
                 return out
 
             return wrapper
@@ -650,8 +749,10 @@ class TestLayout:
         for cls, methods in self.OPERATORS.items():
             for attr in methods:
                 monkeypatch.setattr(cls, attr, recording(f"{cls.__name__}.{attr}", getattr(cls, attr)))
-        # 50 points in row blocks of 16, 16 and 18, which a token layer inflates one at a time
+        # 50 points in row blocks of 16, 16 and 18, which a token layer inflates one at a time, and bands of 8
+        # occupied rows, each of which runs conv1 and conv2 once
         monkeypatch.setattr(nn, "_ROW_BLOCK", 16)
+        monkeypatch.setattr(nn, "_TAP_BLOCK", 8)
         blocks = 3
 
         cfg = tiny_config(small_fov, depth=3, width=8, strategy="parallel")
@@ -664,7 +765,7 @@ class TestLayout:
 
         assert {name for name, *_ in calls} == {f"{c.__name__}.{a}" for c, ms in self.OPERATORS.items() for a in ms}
         grid_rows = 0
-        for name, obj, args, out in calls:
+        for name, obj, args, kwargs, out in calls:
             arrays = {i: a for i, a in enumerate(args) if isinstance(a, np.ndarray)}
             # a linear layer's forward returns its output and its context; a batch norm's returns only the map
             # its consumer folds and the context, no rows
@@ -677,7 +778,13 @@ class TestLayout:
                 assert np.shares_memory(arrays.pop(0), dlogits)
             for key, a in arrays.items():
                 assert a.flags.c_contiguous, (name, key, a.shape)
+            if kwargs.get("out") is not None:
+                # a band's conv rows go into a block of rows of a larger array, with no zero row
+                assert out is kwargs["out"] and out.flags.c_contiguous and out.shape[0] == args[1].shape[0]
+                arrays.pop("out")
             for key in self.GRID_SIDE.get(name, ()):
+                if key not in arrays:
+                    continue
                 rows = arrays[key]
                 if isinstance(obj, ProjectionPair):
                     assert rows.shape[0] == obj.n_occupied + 1, (name, key, rows.shape)
@@ -685,10 +792,15 @@ class TestLayout:
                     assert rows.shape[0] == args[1].shape[0] + 1, (name, key, rows.shape)
                 assert not rows[-1].any(), (name, key)
                 grid_rows += 1
-        # 3 layers x 3 planes x (flatten, 2 conv inputs and outputs, inflate per row block) forward, and forward
-        # again for the 2 token layers of the first of the two segments of 3 kept layers, which backward re-runs;
-        # 3 layers x 3 planes x (inflate_backward, 2 conv inputs and outputs, flatten_backward) backward
-        assert grid_rows == (3 + 2) * 3 * (5 + blocks) + 3 * 3 * 6
+        # per plane forward: the flatten's output, per band the inputs of conv1 (the flatten rows) and of conv2
+        # (the window), and conv2's rows per row block that inflate reads
+        bands = [len(nn.tap_blocks(p.n_occupied)) for p in proj.values()]
+        assert min(bands) > 1
+        forward = sum(1 + 2 * b + blocks for b in bands)
+        # 3 token layers forward, and forward again for the 2 of the first of the two segments of 3 kept layers,
+        # which backward re-runs; 3 layers x 3 planes x (inflate_backward, the rebuilt conv1's input and output,
+        # 2 conv backward inputs and outputs, flatten_backward) backward
+        assert grid_rows == (3 + 2) * forward + 3 * 3 * 8
 
 
 class TestNoGradForward:
@@ -760,19 +872,43 @@ class TestRowBlocks:
         assert len(rows) == 4 and min(rows) >= ROW_BLOCK, rows
 
 
+def band_window(proj):
+    """Rows of the largest window of conv1's rows that the token branch holds while it runs bands of occupied rows.
+
+    A band's window runs from the lowest dilated row that it or a later band reads to the highest that it or an
+    earlier band reads.
+    """
+    n_d = proj.dilated_cells.size
+    reads = [proj.o_from_d[lo:hi] for lo, hi in nn.tap_blocks(proj.n_occupied)]
+    lows = np.minimum.accumulate([t.min() for t in reads][::-1])[::-1]
+    highs = np.maximum.accumulate([t[t < n_d].max() + 1 for t in reads])
+    return int((highs - lows).max())
+
+
+def scattered_objects(fov, n, objects, seed):
+    """``n`` points in ``objects`` small clusters scattered over ``fov``, each cluster within a few centimetres."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(fov.min + 0.5, fov.max - 0.5, (objects, 3))
+    positions = centers[np.arange(n) % objects] + rng.uniform(-0.02, 0.02, (n, 3))
+    return PointCloud(positions.astype(np.float32), rng.uniform(0, 1, n).astype(np.float32), rng.integers(0, 3, n).astype(np.int32))
+
+
 class TestEvalMemory:
     """An eval forward's peak is one N x F array plus block buffers, at any depth and width.
 
-    Every mixing layer writes its output over its input, the one token array that the embedding made.
+    Every mixing layer writes its output over its input, the one token array that the embedding made. The scene
+    is sparse, as a LiDAR scan is on its xy grid: 256 objects of 16 points over the KITTI FOV, so the dilated cells
+    D number several times the occupied cells O, and bands of 32 occupied rows make a window of conv1's rows a
+    small share of D, as bands of 256 do on a paper-scale grid.
     """
 
     N, K = 4096, 8
-    ROW_BLOCK, LOCAL_BLOCK = 128, 64
+    ROW_BLOCK, LOCAL_BLOCK, TAP_BLOCK = 128, 64, 32
 
     def eval_peak(self, fov, depth, width):
         """Peak traced bytes of one eval forward above its prepared inputs, and the projections."""
         model = WaffleIron(tiny_config(fov, depth=depth, width=width, k=self.K), np.random.default_rng(40))
-        inputs = prepare_inputs(model, build_scene(fov, n=self.N, seed=41))
+        inputs = prepare_inputs(model, scattered_objects(fov, self.N, 256, seed=41))
         model.forward(*inputs)  # first calls allocate numpy's and Python's lazy caches
         tracemalloc.start()
         try:
@@ -784,15 +920,22 @@ class TestEvalMemory:
 
     # at width 64 an N x 64 float64 copy of the flatten's input would alone take 2·N·F·4 bytes
     @pytest.mark.parametrize("f", [256, 64])
-    def test_eval_peak_is_one_point_array_plus_block_buffers(self, small_fov, monkeypatch, f):
+    def test_eval_peak_is_one_point_array_plus_block_buffers(self, kitti_fov, monkeypatch, f):
         monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
+        monkeypatch.setattr(nn, "_TAP_BLOCK", self.TAP_BLOCK)
         monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.LOCAL_BLOCK)
         n = self.N
-        peak3, projections = self.eval_peak(small_fov, 3, f)
-        peak6, _ = self.eval_peak(small_fov, 6, f)
-        grid_rows = max(p.dilated_cells.size for p in projections.values()) + 1
-        # a plane's float64 cell sums or its grid rows, and the larger of two buffers that never coexist
-        buffers = grid_rows * f * 8 + max(
+        peak3, projections = self.eval_peak(kitti_fov, 3, f)
+        peak6, _ = self.eval_peak(kitti_fov, 6, f)
+        # conv1's rows whole would take more than a window and the flatten's sums
+        assert all(p.dilated_cells.size > 2 * p.n_occupied + band_window(p) for p in projections.values())
+        # per plane, its float64 cell sums and float32 flatten rows, or the flatten rows, conv2's rows, the window
+        # of conv1's rows and a tap block; and the larger of two buffers that never coexist
+        grid = max(
+            max((p.n_occupied + 1) * f * 12, (p.n_occupied + 1) * f * 8 + (band_window(p) + 1 + self.TAP_BLOCK) * f * 4)
+            for p in projections.values()
+        )
+        buffers = grid + max(
             # a channel layer's hidden and output row blocks and folded weights
             2 * (2 * self.ROW_BLOCK - 1) * f * 4 + 2 * f * f * 4,
             (2 * self.ROW_BLOCK - 1) * f * 8,  # a flatten's longest row block of its input, in float64
@@ -843,8 +986,8 @@ class TestTrainingMemory:
         kept3, peak3, projections = self.step_bytes(small_fov, 3)
         kept6, peak6, _ = self.step_bytes(small_fov, 6)
         # per layer of the last segment its input, lin1's folded weights and per-channel vectors, and once
-        # per plane its flatten rows and ReLU rows
-        grid_rows = sum(p.n_occupied + p.dilated_cells.size + 2 for p in projections.values())
+        # per plane its flatten rows; backward rebuilds conv1's rows over D
+        grid_rows = sum(p.n_occupied + 1 for p in projections.values())
         extras = f * f * 4 + 32 * f * 8
         # so that keeping one more layer's input breaks the bound
         assert 4 * extras + grid_rows * f * 4 < n * f * 4

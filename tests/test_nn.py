@@ -631,9 +631,35 @@ class TestDepthwiseConv:
         for dtype in (np.float32, np.float64):
             for columns in (_TAPS, _FLIPPED_TAPS):
                 x, w = src.astype(dtype), kern.astype(dtype)
-                got = _tap_sum(x, taps, columns, w)
-                assert got.shape == (n_rows + 1, f) and got.dtype == dtype and not got[-1].any()
-                assert np.array_equal(got, tap_sum_unblocked(x, taps, columns, w))
+                # every row starts from 0.0, whatever ``out`` held
+                out = np.full((n_rows, f), np.nan, dtype=dtype)
+                assert _tap_sum(x, taps, columns, w, out) is out
+                assert np.array_equal(out, tap_sum_unblocked(x, taps, columns, w)[:-1])
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_row_range_into_out_equals_whole_rows_bitwise(self, monkeypatch, scaled):
+        # rows lo:hi of the table into a block of a larger array give rows lo:hi of the whole output, across
+        # tap blocks of 16 rows; the rest of the array is left as it was
+        monkeypatch.setattr(nn, "_TAP_BLOCK", 16)
+        rng = np.random.default_rng(7)
+        store = ParamStore()
+        conv = DepthwiseConv3x3(store, "conv", 5, rng)
+        conv.b.data[...] = rng.standard_normal(5)
+        kwargs = {"scale": store.register("scale", rng.uniform(0.5, 1.5, 5).astype(np.float32)), "factor": 1.25}
+        kwargs = kwargs if scaled else {}
+        x = np.vstack([rng.standard_normal((40, 5)), np.zeros((1, 5))]).astype(np.float32)
+        taps = rng.integers(0, 41, size=(70, 9)).astype(np.int32)
+        whole = conv.forward(x, taps, **kwargs)
+        for lo, hi in ((0, 70), (0, 1), (13, 50), (69, 70), (30, 30)):
+            y = np.full((71, 5), np.nan, dtype=np.float32)
+            out = y[lo:hi]
+            assert conv.forward(x, taps[lo:hi], **kwargs, out=out) is out
+            assert np.array_equal(out.view(np.uint32), whole[lo:hi].view(np.uint32))
+            assert np.isnan(y[:lo]).all() and np.isnan(y[hi:]).all()
+        with pytest.raises(ValueError, match="out block"):
+            conv.forward(x, taps[:10], out=np.empty((11, 5), dtype=np.float32))
+        with pytest.raises(ValueError, match="out block"):
+            conv.forward(x, taps[:10], out=np.empty((10, 5), dtype=np.float64))
 
     def test_rejects_bad_rows_and_tables(self):
         store = ParamStore()
