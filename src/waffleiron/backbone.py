@@ -26,6 +26,11 @@ classifier's rows. The embedding's local branch, k pair rows per point,
 runs in blocks of points and is never held whole: its context keeps only
 the winning neighbor slot of each pooled entry, as the smallest unsigned
 type holding ``k - 1``, and backward recomputes ``relu(local1)`` by block.
+The forward runs blocks of ``_LOCAL_BLOCK`` (64) points, whose pair arrays are
+small beside the token array, and its rows do not depend on the block size:
+every product has at least 64 rows (see :mod:`.nn`). The backward runs blocks
+of ``_LOCAL_BACKWARD_BLOCK`` (256) points of its own, because its weight
+gradients sum over a block's pair rows, so its block size decides their bits.
 
 The point-wise layers run in blocks of rows (:func:`nn.row_blocks`): the
 channel layer runs ``lin1`` -> ReLU -> ``lin2`` -> residual per block through
@@ -88,10 +93,14 @@ from .projection import (
     plane_schedule,
 )
 
-# Points per block of the embedding's local branch: 256 points at k = 16 make
-# 4096 pair rows, whose half-width activations fit in cache. As with row
-# blocks, a shorter rest joins the last block.
-_LOCAL_BLOCK = 256
+# Points per block of the embedding's local branch. As with row blocks, a
+# shorter rest joins the last block. The forward's 64 points at k = 16 make
+# 1024 pair rows, 0.5 MB per half-width float32 pair array at width 256; its
+# rows are the same at any block size of 64 points or more. The backward keeps
+# 256-point blocks (4096 pair rows): its weight-gradient products sum over a
+# block's pair rows, so this size fixes the bits of the gradients.
+_LOCAL_BLOCK = 64
+_LOCAL_BACKWARD_BLOCK = 256
 
 # Per-point input feature layouts: column count for each mode.
 FEATURE_DIMS = {"3dim": 3, "5dim": 5}
@@ -167,16 +176,20 @@ class EmbeddingLayer:
     the concatenation. The batch norm's map folds wholly into the global
     linear layer and only its scale into ``local1``: the shift cancels.
 
-    The local branch runs in blocks of ``_LOCAL_BLOCK`` points within each
-    row block, in both modes, so its k rows per point never exist for the
-    whole cloud at once. Both add ``local2``'s bias after the max, which
-    pools the same values as the biased rows (rounding ``a + b`` is monotonic
-    in ``a``). A training context keeps only the features, the neighbor list,
-    ``local1``'s weight with the scale, the winning slot of every pooled entry
-    and the contexts of ``pre_bn``, ``global`` and ``merge``; :meth:`backward`
-    walks the cloud's blocks (the same ones while ``_ROW_BLOCK`` is a multiple
-    of ``_LOCAL_BLOCK``), recomputes the differences and ``relu(local1)`` and
-    routes the gradient through the kept slots, so ``local2`` is not re-run.
+    The forward runs the local branch in blocks of ``_LOCAL_BLOCK`` points
+    within each row block, in both modes, so its k rows per point never exist
+    for the whole cloud at once; each pair row and each pooled entry depends
+    only on its own point, so the forward's output and kept slots are the
+    same at any block size. Both modes add ``local2``'s bias after the max,
+    which pools the same values as the biased rows (rounding ``a + b`` is
+    monotonic in ``a``). A training context keeps only the features, the
+    neighbor list, ``local1``'s weight with the scale, the winning slot of
+    every pooled entry and the contexts of ``pre_bn``, ``global`` and
+    ``merge``; :meth:`backward` walks the cloud in blocks of
+    ``_LOCAL_BACKWARD_BLOCK`` points, recomputes the differences and
+    ``relu(local1)`` and routes the gradient through the kept slots, so
+    ``local2`` is not re-run. Its weight gradients add one product over each
+    block's pair rows, so that block size, not the forward's, sets their bits.
     """
 
     def __init__(self, store: ParamStore, name: str, in_dim: int, width: int, rng: Optional[np.random.Generator]):
@@ -206,20 +219,21 @@ class EmbeddingLayer:
             rows = cat[lo:hi] if training else cat[: hi - lo]
             affine_rows(feats[lo:hi], wg, bg, rows[:, : self.half])
             local = rows[:, self.half :]
-            for start, stop, _, r in self._pair_blocks(feats, neighbors, w1, lo, hi):
+            for start, stop, _, r in self._pair_blocks(feats, neighbors, w1, lo, hi, _LOCAL_BLOCK):
                 a2 = (r @ self.local2.w.data.T).reshape(stop - start, k, self.half)
                 if training:
                     local[start - lo : stop - lo], slots[start:stop] = slot_max(a2, neighbors[start:stop])
                 else:
                     a2.max(axis=1, out=local[start - lo : stop - lo])
+                del a2  # gone before the next block's pair rows are made
             local += self.local2.b.data
             affine_rows(rows, wm, bm, y[lo:hi])
         return y, ((feats, neighbors, slots, scale, w1, bn_ctx, global_ctx, merge_ctx) if training else None)
 
-    def _pair_blocks(self, x, neighbors, w1, lo, hi):
-        """Per block of points in ``lo:hi``: its range, the (rows*k) x C differences and ``relu(local1)`` of them."""
+    def _pair_blocks(self, x, neighbors, w1, lo, hi, size):
+        """Per block of ``size`` points in ``lo:hi``: its range, the (rows*k) x C differences and ``relu(local1)``."""
         k = neighbors.shape[1]
-        for start, stop in row_blocks(hi - lo, _LOCAL_BLOCK):
+        for start, stop in row_blocks(hi - lo, size):
             start, stop = lo + start, lo + stop
             d = (x[neighbors[start:stop]] - x[start:stop, None, :]).reshape((stop - start) * k, -1)
             r = d @ w1.T
@@ -243,10 +257,10 @@ class EmbeddingLayer:
         # one buffer, zeroed per block, routes the pooled gradient to the
         # winning slots; every pooled entry has exactly one slot, so local2's
         # bias gradient is the block sum of the pooled gradient
-        last = row_blocks(n, _LOCAL_BLOCK)[-1]
+        last = row_blocks(n, _LOCAL_BACKWARD_BLOCK)[-1]
         da2 = np.empty((last[1] - last[0], k, self.half), dtype=dy.dtype)
         ddiff = np.empty((n, k, x.shape[1]), dtype=dhb.dtype)
-        for start, stop, d, r in self._pair_blocks(x, neighbors, w1, 0, n):
+        for start, stop, d, r in self._pair_blocks(x, neighbors, w1, 0, n, _LOCAL_BACKWARD_BLOCK):
             block = da2[: stop - start]
             block.fill(0)
             np.put_along_axis(block, slots[start:stop, None, :], dlocal[start:stop, None], axis=1)

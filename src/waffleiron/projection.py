@@ -12,14 +12,19 @@ and a last row that is zero, which empty neighbours read.
 ``flatten`` and ``inflate_backward`` return such blocks and ``inflate`` and
 ``flatten_backward`` take them.
 
-Cell sums stream the point rows in the row blocks of ``nn.row_blocks``. A CSR
-matrix of ones has one row per (row block, grid row) pair, listing the
-block's points of that cell in ascending index. Per block, the block's rows
-are widened to one contiguous block x F float64 buffer, and scipy's
-``csr_matvecs`` adds the block's rows of the matrix times that buffer into
-the float64 sums, entry by entry in stored order. So each cell starts from
-0.0 and adds its points in ascending index across all blocks: the order a
-sequential scatter-add uses, bit for bit. ``csr_matvecs`` is a private scipy
+Cell sums run ``_SUM_COLUMNS`` channels at a time, and within a slice of
+channels they stream the point rows in the row blocks of ``nn.row_blocks``. A
+CSR matrix of ones has one row per (row block, grid row) pair, listing the
+block's points of that cell in ascending index. Per block, the block's rows of
+the slice are widened to one contiguous block x 64 float64 buffer, and
+scipy's ``csr_matvecs`` adds the block's rows of the matrix times that buffer
+into the slice's (|O| + 1) x 64 float64 sums, entry by entry in stored order.
+So each cell starts from 0.0 and adds its points in ascending index across
+all blocks: the order a sequential scatter-add uses, bit for bit, in every
+column, as each column's sums never read another column. ``flatten`` divides
+the slice by the counts and maps it, ``inflate_backward`` takes it as it is,
+and both write it into their output in the input's dtype, so no
+(|O| + 1) x F float64 array is made. ``csr_matvecs`` is a private scipy
 name. It is used because it adds into its output: the public product starts
 every block from zero, and adding the blocks' partial sums rounds
 differently. Since scipy may change a private name without notice,
@@ -56,6 +61,9 @@ from .geometry import Fov
 from .nn import check_rows, row_blocks
 
 AXIS_NAMES = {(0, 1): "xy", (0, 2): "xz", (1, 2): "yz"}
+
+# Channels per slice of the float64 cell sums: at 3,387 occupied rows a slice takes 1.7 MB, all 256 channels 6.9 MB.
+_SUM_COLUMNS = 64
 
 STRATEGIES = ("baseline", "reverse", "parallel", "bev")
 _CYCLE = {
@@ -182,15 +190,20 @@ class ProjectionPair:
     # -- mean flatten -------------------------------------------------------
 
     def flatten(self, features: np.ndarray, affine=None) -> np.ndarray:
-        """Per-cell mean of the point rows, (|O| + 1) x F; ``affine = (a, s)`` maps occupied means to a m + s."""
-        # in place in the float64 sums: no other (|O| + 1) x F float64 array is made
-        means = self._cell_sums(features)
-        means /= self._row_counts[:, None]
-        if affine is not None:
-            occupied = means[:-1]
-            occupied *= affine[0]
-            occupied += affine[1]
-        return means.astype(features.dtype, copy=False)
+        """Per-cell mean of the point rows, (|O| + 1) x F.
+
+        ``affine = (a, s)``, per channel, maps occupied means to a m + s. Each slice of float64 sums is divided and
+        mapped in place, then rounded once into the output.
+        """
+
+        def means(sums, columns):
+            sums /= self._row_counts[:, None]
+            if affine is not None:
+                occupied = sums[:-1]
+                occupied *= affine[0][columns]
+                occupied += affine[1][columns]
+
+        return self._cell_sums(features, means)
 
     def flatten_backward(self, drows: np.ndarray) -> np.ndarray:
         """Gradient of the mean flatten: divide each cell's row by its count, gather it to the cell's points."""
@@ -212,17 +225,18 @@ class ProjectionPair:
 
         In float64 these are the unnormalized flatten, the adjoint of inflate.
         """
-        return self._cell_sums(dpoints).astype(dpoints.dtype, copy=False)
+        return self._cell_sums(dpoints)
 
     # ------------------------------------------------------------------------
 
-    def _cell_sums(self, arr: np.ndarray) -> np.ndarray:
-        """Float64 sums of the rows of N x F ``arr``, one row per cell of ``occupied_cells``, then the zero row.
+    def _cell_sums(self, arr: np.ndarray, finish=None) -> np.ndarray:
+        """Sums of the rows of N x F ``arr`` in its dtype, one row per cell of ``occupied_cells``, then the zero row.
 
         Each cell starts from 0.0 and adds its points in ascending point
-        index, so the sums equal a sequential scatter-add bit for bit. ``arr``
-        goes through one row block at a time (module docstring), widened into
-        one block x F float64 buffer.
+        index in float64, so the sums equal a sequential scatter-add bit for
+        bit. They run ``_SUM_COLUMNS`` channels at a time (module docstring):
+        ``finish(sums, columns)``, if given, changes a slice's float64 sums in
+        place before they are written into the output.
         """
         from scipy.sparse._sparsetools import csr_matvecs  # private: see the module docstring
 
@@ -230,13 +244,26 @@ class ProjectionPair:
         f = arr.shape[1]
         m = self.n_occupied + 1
         rows = self._sum_rows
-        sums = np.zeros((m, f), dtype=np.float64)
-        buf = np.empty((rows.shape[1], f), dtype=np.float64)  # as many rows as the longest block
-        for b, (lo, hi) in enumerate(self._blocks):
-            np.copyto(buf[: hi - lo], arr[lo:hi])
-            # block b's rows of the CSR: their pointers index the whole ``indices`` and ``data``
-            csr_matvecs(m, hi - lo, f, rows.indptr[b * m : (b + 1) * m + 1], rows.indices, rows.data, buf, sums)
-        return sums
+        out = np.empty((m, f), dtype=arr.dtype)
+        width = min(f, _SUM_COLUMNS)
+        # one flat buffer each for the sums and the widened block, viewed at a slice's width
+        sums_buf = np.empty(m * width, dtype=np.float64)
+        block_buf = np.empty(rows.shape[1] * width, dtype=np.float64)  # as many rows as the longest block
+        for lo in range(0, f, _SUM_COLUMNS):
+            columns = slice(lo, min(lo + _SUM_COLUMNS, f))
+            w = columns.stop - lo
+            sums = sums_buf[: m * w].reshape(m, w)
+            buf = block_buf[: rows.shape[1] * w].reshape(-1, w)
+            sums.fill(0)
+            for b, (start, stop) in enumerate(self._blocks):
+                np.copyto(buf[: stop - start], arr[start:stop, columns])
+                # block b's rows of the CSR: their pointers index the whole ``indices`` and ``data``
+                indptr = rows.indptr[b * m : (b + 1) * m + 1]
+                csr_matvecs(m, stop - start, w, indptr, rows.indices, rows.data, buf, sums)
+            if finish is not None:
+                finish(sums, columns)
+            out[:, columns] = sums
+        return out
 
     def _check_points(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)

@@ -7,6 +7,10 @@ Each oracle is written independently of the runtime path it checks:
   runtime cell sums are a CSR product as well, so the bitwise reference for
   them is the ``np.add.at`` scatter-add oracle of ``test_projection.py``
   (``TestScatterAddOracle``), which shares no code or technique with them;
+* the cell sums of every channel at once into one (|O| + 1) x F float64
+  array, and the flatten and inflate gradient made from them, as the
+  package ran them before it went to slices of 64 channels. This one shares
+  the package's CSR operator and kernel: it checks the slicing alone;
 * the central finite-difference gradient checker;
 * ReLU and its backward as new arrays;
 * the batch-norm statistics through a float64 copy of the rows, and the
@@ -99,6 +103,38 @@ def kernel_equivalence(features: np.ndarray, proj: ProjectionPair) -> float:
     if inflated.size:
         dev = max(dev, float(np.abs(inflated - csr_inflate(proj, rows[:-1])).max()))
     return dev
+
+
+def cell_sums_whole(proj: ProjectionPair, arr: np.ndarray) -> np.ndarray:
+    """Float64 cell sums of N x F ``arr``, (|O| + 1) x F, every channel in one array: the row-block CSR chain over
+    one block x F float64 buffer."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    f = arr.shape[1]
+    m = proj.n_occupied + 1
+    rows = proj._sum_rows
+    sums = np.zeros((m, f), dtype=np.float64)
+    buf = np.empty((rows.shape[1], f), dtype=np.float64)
+    for b, (lo, hi) in enumerate(proj._blocks):
+        np.copyto(buf[: hi - lo], arr[lo:hi])
+        csr_matvecs(m, hi - lo, f, rows.indptr[b * m : (b + 1) * m + 1], rows.indices, rows.data, buf, sums)
+    return sums
+
+
+def flatten_whole(proj: ProjectionPair, features: np.ndarray, affine=None) -> np.ndarray:
+    """``ProjectionPair.flatten`` from the whole-width sums: divided and mapped in place, then rounded once."""
+    means = cell_sums_whole(proj, features)
+    means /= proj._row_counts[:, None]
+    if affine is not None:
+        occupied = means[:-1]
+        occupied *= affine[0]
+        occupied += affine[1]
+    return means.astype(features.dtype, copy=False)
+
+
+def inflate_backward_whole(proj: ProjectionPair, dpoints: np.ndarray) -> np.ndarray:
+    """``ProjectionPair.inflate_backward`` from the whole-width sums."""
+    return cell_sums_whole(proj, dpoints).astype(dpoints.dtype, copy=False)
 
 
 # -- gradients and pooling --------------------------------------------------------------

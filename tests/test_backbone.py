@@ -168,12 +168,16 @@ class TestEmbedding:
 
 
 class TestEmbeddingBlocks:
-    """The local branch runs in point blocks; 25 points in blocks of 7 make two blocks of 7 and one of 11."""
+    """The local branch runs in point blocks; 25 points in blocks of 7 make two blocks of 7 and one of 11.
+
+    The forward's blocks and the backward's are two constants, both set to 7 here unless a test sets one itself.
+    """
 
     N, K, WIDTH = 25, 5, 8
 
     def _layer_and_inputs(self, monkeypatch, seed, dtype=np.float32):
         monkeypatch.setattr(backbone, "_LOCAL_BLOCK", 7)
+        monkeypatch.setattr(backbone, "_LOCAL_BACKWARD_BLOCK", 7)
         store = ParamStore()
         emb = EmbeddingLayer(store, "embed", 5, self.WIDTH, np.random.default_rng(seed))
         for _, t in store.items():
@@ -230,6 +234,21 @@ class TestEmbeddingBlocks:
             for name, (dw, db) in want_grads.items():
                 np.testing.assert_allclose(tensors[f"embed.{name}.weight"].grad, dw, rtol=1e-10, err_msg=name)
                 np.testing.assert_allclose(tensors[f"embed.{name}.bias"].grad, db, rtol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_block_size_leaves_training_bits(self, monkeypatch, dtype):
+        # the forward's blocks (7 points, or all N in one) change neither the training tokens nor, with the
+        # backward's blocks fixed at 7, the input gradient or any parameter gradient
+        runs = []
+        for block in (7, self.N):
+            store, emb, feats, nbr = self._layer_and_inputs(monkeypatch, 0, dtype)
+            monkeypatch.setattr(backbone, "_LOCAL_BLOCK", block)
+            tokens, ctx = emb.forward(feats, nbr, training=True)
+            dy = np.random.default_rng(2).standard_normal(tokens.shape).astype(dtype)
+            dx = emb.backward(dy, ctx)
+            runs.append([tokens, dx] + [t.grad for _, t in store.items() if t.trainable])
+        assert len(runs[0]) == 2 + 10  # pre_bn's weight and bias, and the four linear layers'
+        assert_same_bits(runs[0], runs[1])
 
     def test_grad_check(self, monkeypatch):
         # seed 2 is left out: one local1 pre-activation lies 1e-5 from the
@@ -899,11 +918,14 @@ class TestEvalMemory:
     Every mixing layer writes its output over its input, the one token array that the embedding made. The scene
     is sparse, as a LiDAR scan is on its xy grid: 256 objects of 16 points over the KITTI FOV, so the dilated cells
     D number several times the occupied cells O, and bands of 32 occupied rows make a window of conv1's rows a
-    small share of D, as bands of 256 do on a paper-scale grid.
+    small share of D, as bands of 256 do on a paper-scale grid. The bounds name the package's block sizes
+    themselves, 64 channels per slice of float64 cell sums and 64-127 points per pair block of the embedding, so
+    that a larger one fails them.
     """
 
     N, K = 4096, 8
-    ROW_BLOCK, LOCAL_BLOCK, TAP_BLOCK = 128, 64, 32
+    ROW_BLOCK, TAP_BLOCK = 128, 32
+    SUM_COLUMNS, PAIR_POINTS = 64, 127
 
     def eval_peak(self, fov, depth, width):
         """Peak traced bytes of one eval forward above its prepared inputs, and the projections."""
@@ -918,28 +940,29 @@ class TestEvalMemory:
             tracemalloc.stop()
         return peak, inputs[2]
 
+    def flatten_bytes(self, proj, f):
+        """A flatten's float32 rows, one slice of its float64 sums and of its longest row block widened to float64."""
+        m = proj.n_occupied + 1
+        return m * f * 4 + (m + 2 * self.ROW_BLOCK - 1) * min(f, self.SUM_COLUMNS) * 8
+
     # at width 64 an N x 64 float64 copy of the flatten's input would alone take 2·N·F·4 bytes
     @pytest.mark.parametrize("f", [256, 64])
     def test_eval_peak_is_one_point_array_plus_block_buffers(self, kitti_fov, monkeypatch, f):
         monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
         monkeypatch.setattr(nn, "_TAP_BLOCK", self.TAP_BLOCK)
-        monkeypatch.setattr(backbone, "_LOCAL_BLOCK", self.LOCAL_BLOCK)
         n = self.N
         peak3, projections = self.eval_peak(kitti_fov, 3, f)
         peak6, _ = self.eval_peak(kitti_fov, 6, f)
         # conv1's rows whole would take more than a window and the flatten's sums
         assert all(p.dilated_cells.size > 2 * p.n_occupied + band_window(p) for p in projections.values())
-        # per plane, its float64 cell sums and float32 flatten rows, or the flatten rows, conv2's rows, the window
-        # of conv1's rows and a tap block; and the larger of two buffers that never coexist
+        # per plane, the flatten's rows and slices, or the flatten rows, conv2's rows, the window of conv1's rows
+        # and a tap block
         grid = max(
-            max((p.n_occupied + 1) * f * 12, (p.n_occupied + 1) * f * 8 + (band_window(p) + 1 + self.TAP_BLOCK) * f * 4)
+            max(self.flatten_bytes(p, f), (p.n_occupied + 1) * f * 8 + (band_window(p) + 1 + self.TAP_BLOCK) * f * 4)
             for p in projections.values()
         )
-        buffers = grid + max(
-            # a channel layer's hidden and output row blocks and folded weights
-            2 * (2 * self.ROW_BLOCK - 1) * f * 4 + 2 * f * f * 4,
-            (2 * self.ROW_BLOCK - 1) * f * 8,  # a flatten's longest row block of its input, in float64
-        )
+        # and a channel layer's hidden and output row blocks and folded weights
+        buffers = grid + 2 * (2 * self.ROW_BLOCK - 1) * f * 4 + 2 * f * f * 4
         # a second N x F array (a layer's fresh output, a kept hidden array or the embedding's
         # concatenation) adds n * f * 4
         assert buffers < n * f * 4 / 2
@@ -947,6 +970,59 @@ class TestEvalMemory:
             assert peak <= n * f * 4 + buffers, (peak - n * f * 4, buffers)
         # nothing that an eval forward makes outlives its layer
         assert abs(peak6 - peak3) < 4096, (peak3, peak6)
+
+    def test_flatten_sums_one_channel_slice_at_a_time(self, kitti_fov, monkeypatch):
+        # whole-width float64 sums would add (|O| + 1 + 2 * ROW_BLOCK - 1) * 192 * 8 bytes at width 256
+        monkeypatch.setattr(nn, "_ROW_BLOCK", self.ROW_BLOCK)
+        f = 256
+        model = WaffleIron(tiny_config(kitti_fov, width=f, k=self.K), None)
+        projections = model.build_projections(scattered_objects(kitti_fov, self.N, 256, seed=41).positions)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((self.N, f)).astype(np.float32)
+        affine = (rng.uniform(0.5, 2.0, f), rng.standard_normal(f))
+        for proj in projections.values():
+            for op in (lambda: proj.flatten(x, affine), lambda: proj.inflate_backward(x)):
+                op()
+                tracemalloc.start()
+                try:
+                    op()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # and numpy's cast buffer of 8192 elements
+                assert peak <= self.flatten_bytes(proj, f) + 8192 * 8, (peak, self.flatten_bytes(proj, f))
+
+    def test_embedding_pair_blocks_hold_64_to_127_points(self, monkeypatch):
+        # at the package's row blocks of 1024 points, so that blocks of 256 points or more would fit in them
+        n, k, f, c = self.N, self.K, 256, 5
+        emb = EmbeddingLayer(ParamStore(), "embed", c, f, np.random.default_rng(43))
+        rng = np.random.default_rng(44)
+        feats = rng.standard_normal((n, c)).astype(np.float32)
+        nbr = rng.integers(0, n, (n, k))
+        sizes = []
+        pair_blocks = emb._pair_blocks
+
+        def recorded(*args):
+            for block in pair_blocks(*args):
+                sizes.append(block[1] - block[0])
+                yield block
+
+        monkeypatch.setattr(emb, "_pair_blocks", recorded)
+        emb.forward(feats, nbr, training=False)
+        # at least 64 points make the products' rows those of any larger block (nn docstring)
+        assert 64 <= min(sizes) and max(sizes) <= self.PAIR_POINTS, (min(sizes), max(sizes))
+        monkeypatch.undo()  # the recorder would hold a block's pair rows while the next one is made
+        tracemalloc.start()
+        try:
+            emb.forward(feats, nbr, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the N x F output, merge's input block and weights, and one pair block: its gathered neighbor rows and
+        # their differences, and relu(local1) and local2's rows at half width
+        pairs = self.PAIR_POINTS * k * (2 * c * 4 + 2 * (f // 2) * 4)
+        bound = n * f * 4 + nn._ROW_BLOCK * f * 4 + f * f * 4 + pairs
+        assert peak <= bound, (peak - n * f * 4, bound - n * f * 4)
 
 
 class TestTrainingMemory:

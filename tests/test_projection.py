@@ -12,7 +12,7 @@ from waffleiron.projection import (
     plane_schedule,
 )
 
-from oracles import csr_flatten_sum, kernel_equivalence
+from oracles import csr_flatten_sum, flatten_whole, inflate_backward_whole, kernel_equivalence
 
 
 @pytest.fixture
@@ -185,6 +185,28 @@ def test_cell_sums_in_row_blocks(monkeypatch):
             x = values.astype(dtype)
             assert bitwise_equal(scatter_rows(proj, proj.flatten(x)), add_at_flatten(proj, x))
             assert bitwise_equal(scatter_rows(proj, proj.inflate_backward(x)), add_at_inflate_backward(proj, x))
+
+
+@pytest.mark.parametrize("f", [8, 64, 100, 256])
+def test_channel_slices_match_whole_width_sums(monkeypatch, f):
+    """Sums 64 channels at a time equal the whole-width sums bit for bit; 100 channels end in a slice of 36."""
+    monkeypatch.setattr(nn, "_ROW_BLOCK", 16)
+    rng = np.random.default_rng(16)
+    for proj, feats in (crowded_projection(rng, n=300, f=f), small_projection(rng, n=83, f=f)):
+        values = np.exp(rng.uniform(-8, 8, feats.shape)) * np.sign(feats)
+        values[::5] = 0.0
+        values[2::5] = -0.0
+        # a batch norm's float64 map, per channel
+        affine = (rng.uniform(-2, 2, f), rng.standard_normal(f))
+        for dtype in (np.float32, np.float64):
+            x = values.astype(dtype)
+            for got, want in (
+                (proj.flatten(x), flatten_whole(proj, x)),
+                (proj.flatten(x, affine), flatten_whole(proj, x, affine)),
+                (proj.inflate_backward(x), inflate_backward_whole(proj, x)),
+            ):
+                assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_csr_matvecs_adds_into_its_output_in_stored_order():
